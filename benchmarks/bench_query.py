@@ -3,7 +3,8 @@
 Runs one query per *family* — the paper's refinement shape (spatial
 join + confidence threshold), plain BGP joins, vectorised numeric
 filters, Allen-relation temporal joins, and grouped aggregation —
-through both stSPARQL engines over the same seeded hotspot graph and
+through both stSPARQL evaluator classes (the columnar one that serves
+reads and the row-wise reference) over the same seeded hotspot graph and
 records per-family p50/p95 wall latency, columnar-vs-interpreted
 speedup, and result throughput (rows/s).
 
@@ -23,7 +24,11 @@ import pytest
 
 from benchmarks.conftest import paper_scale
 from repro.rdf import Literal, NOA, RDF, XSD
+from repro.rdf.inference import RDFSInference
 from repro.stsparql import Strabon
+from repro.stsparql.columnar import ColumnarEvaluator
+from repro.stsparql.eval import Evaluator
+from repro.stsparql.parser import parse
 
 pytest.importorskip("numpy")
 
@@ -128,12 +133,23 @@ def build_triples(hotspots: int = N_HOTSPOTS, seed: int = SEED):
     return triples
 
 
-def _measure(engine: Strabon, text: str) -> dict:
-    rows = len(engine.select(text))  # warm-up (plan + geometry memos)
+def _measure(store: Strabon, evaluator_cls, text: str) -> dict:
+    parsed = parse(text)
+    inference = RDFSInference(store.graph)
+
+    def select():
+        # One evaluator per request, wired as the endpoint wires it.
+        return evaluator_cls(
+            store.graph,
+            inference=inference,
+            spatial_candidates=store.spatial_candidates,
+        ).select(parsed)
+
+    rows = len(select())  # warm-up (geometry memos, columnar caches)
     samples = []
     for _ in range(REPS):
         t0 = time.perf_counter()
-        engine.select(text)
+        select()
         samples.append(time.perf_counter() - t0)
     samples.sort()
     p50 = samples[len(samples) // 2]
@@ -149,18 +165,15 @@ def _measure(engine: Strabon, text: str) -> dict:
 @pytest.fixture(scope="module")
 def query_run():
     triples = build_triples()
-    engines = {}
-    for name in ("interpreted", "columnar"):
-        engine = Strabon(query_engine=name)
-        for s, p, o in triples:
-            engine.add(s, p, o)
-        engines[name] = engine
+    store = Strabon()
+    for s, p, o in triples:
+        store.add(s, p, o)
 
     families = {}
     for family, body in FAMILIES.items():
         text = PREFIX + body
-        interpreted = _measure(engines["interpreted"], text)
-        columnar = _measure(engines["columnar"], text)
+        interpreted = _measure(store, Evaluator, text)
+        columnar = _measure(store, ColumnarEvaluator, text)
         assert interpreted["rows"] == columnar["rows"], family
         families[family] = {
             "rows": columnar["rows"],

@@ -1,16 +1,7 @@
 """Serving-layer benchmark (``BENCH_serve.json``).
 
-Five measurements over one ingested crisis-day store:
+Three measurements over one ingested crisis-day store:
 
-* **Read scaling** — the same batch of plan-cached hotspot queries is
-  executed by a :class:`~repro.serve.ReadWorkerPool` with 1 worker and
-  with ``SCALE_WORKERS`` workers (fork-based process workers, each
-  holding the pickled snapshot).  Like the pipeline benchmark, the
-  headline speedup is the measured wall ratio on hosts with at least
-  ``SCALE_WORKERS`` cores and falls back to the scaling-law figure
-  (``workers x single-worker throughput`` — perfect read parallelism
-  over an immutable snapshot has no coordination term) on smaller
-  hosts, with the basis recorded in the artifact.
 * **HTTP load** — a closed-loop :class:`~repro.serve.LoadGenerator`
   drives the asyncio :class:`~repro.serve.HotspotServer` with a mixed
   GET /hotspots + POST /stsparql workload; throughput and p50/p99
@@ -31,11 +22,6 @@ Five measurements over one ingested crisis-day store:
   in-process measured router rate is recorded alongside).  A
   differential check asserts the routed, merged answers at every shard
   count equal the single-store answer feature for feature.
-* **Zero-copy attach** — :class:`~repro.durable.CheckpointReader`
-  attach time (open + mmap + header parse) is measured at two graph
-  sizes an order of magnitude apart, against the eager decode
-  (:meth:`snapshot`): attach must be independent of graph size while
-  materialisation is O(n).
 """
 
 from __future__ import annotations
@@ -51,12 +37,8 @@ import pytest
 from benchmarks.conftest import CRISIS_START, paper_scale
 from repro.core.config import RunOptions
 from repro.core.service import FireMonitoringService
-from repro.durable import CheckpointReader, write_checkpoint
-from repro.rdf.term import Literal, URI
 from repro.serve import (
-    HOTSPOTS_QUERY,
     LoadGenerator,
-    ReadWorkerPool,
     ShardManager,
     SnapshotPublisher,
     TileLayout,
@@ -68,10 +50,6 @@ from repro.serve import (
 #: Acquisitions ingested before the read benchmarks, and again during
 #: the consistency check.
 N_INGEST = 6 if paper_scale() else 3
-#: Queries per scaling measurement (per pool configuration).
-N_QUERIES = 96 if paper_scale() else 32
-#: The scaled-out pool width the acceptance bar is defined at.
-SCALE_WORKERS = 4
 #: HTTP load shape.
 LOAD_CLIENTS = 4
 LOAD_REQUESTS = 200 if paper_scale() else 80
@@ -79,9 +57,6 @@ LOAD_REQUESTS = 200 if paper_scale() else 80
 SHARD_SERIES = (1, 2, 4)
 #: Requests per tile shard in the shard-scaling measurement.
 SHARD_REQUESTS = 48 if paper_scale() else 16
-#: Attach benchmark: large graph is this multiple of the small one.
-ATTACH_SIZE_FACTOR = 10
-ATTACH_REPEATS = 20
 
 _ARTIFACTS = {}
 
@@ -99,28 +74,6 @@ def _whens(offset_minutes: int, count: int):
         + timedelta(hours=12, minutes=offset_minutes + 15 * k)
         for k in range(count)
     ]
-
-
-def _timed_pool_run(snapshot, workers: int) -> dict:
-    """Throughput of ``workers`` process read-workers over the batch."""
-    with ReadWorkerPool(
-        snapshot, workers=workers, kind="process"
-    ) as pool:
-        pool.warm()
-        batch = [HOTSPOTS_QUERY] * N_QUERIES
-        t0 = time.perf_counter()
-        results = pool.map(batch)
-        wall = time.perf_counter() - t0
-    rows = {len(r["results"]["bindings"]) for r in results}
-    assert len(rows) == 1, "workers disagreed over a frozen snapshot"
-    return {
-        "workers": workers,
-        "queries": N_QUERIES,
-        "wall_s": wall,
-        "queries_per_s": N_QUERIES / wall,
-        "mean_latency_ms": wall / N_QUERIES * 1e3,
-        "rows_per_query": rows.pop(),
-    }
 
 
 class _TierSource:
@@ -227,60 +180,6 @@ def _shard_scaling(service) -> dict:
     }
 
 
-def _synthetic_triples(count: int):
-    predicate = URI("http://example.org/bench/p")
-    for n in range(count):
-        yield (
-            URI(f"http://example.org/bench/s/{n}"),
-            predicate,
-            Literal(f"v{n}"),
-        )
-
-
-def _timed_attach(path: str) -> float:
-    best = float("inf")
-    for _ in range(ATTACH_REPEATS):
-        t0 = time.perf_counter()
-        reader = CheckpointReader(path)
-        wall = time.perf_counter() - t0
-        reader.close()
-        best = min(best, wall)
-    return best
-
-
-def _attach_bench(snapshot, workdir: str) -> dict:
-    """Attach is O(1) in graph size; materialisation is O(n)."""
-    small_path = os.path.join(workdir, "attach_small.ckpt")
-    small_count = write_checkpoint(snapshot, small_path)
-    large_count = small_count * ATTACH_SIZE_FACTOR
-    large_path = os.path.join(workdir, "attach_large.ckpt")
-    write_checkpoint(_synthetic_triples(large_count), large_path)
-
-    attach_small = _timed_attach(small_path)
-    attach_large = _timed_attach(large_path)
-
-    def materialise(path: str) -> float:
-        with CheckpointReader(path) as reader:
-            t0 = time.perf_counter()
-            reader.snapshot()
-            return time.perf_counter() - t0
-
-    mat_small = materialise(small_path)
-    mat_large = materialise(large_path)
-    return {
-        "small_triples": small_count,
-        "large_triples": large_count,
-        "size_factor": large_count / small_count,
-        "attach_small_s": attach_small,
-        "attach_large_s": attach_large,
-        "size_independence_ratio": attach_large / attach_small,
-        "materialise_small_s": mat_small,
-        "materialise_large_s": mat_large,
-        "materialise_ratio": mat_large / mat_small,
-        "attach_to_materialise_ratio": attach_large / mat_large,
-    }
-
-
 @pytest.fixture(scope="module")
 def serve_run(greece, season):
     service = FireMonitoringService(
@@ -292,32 +191,6 @@ def serve_run(greece, season):
         opts = RunOptions(season=season, on_error="raise")
         service.run(_whens(0, N_INGEST), opts)
         snapshot = service.strabon.graph.snapshot()
-
-        # -- read scaling ----------------------------------------------
-        one = _timed_pool_run(snapshot, 1)
-        many = _timed_pool_run(snapshot, SCALE_WORKERS)
-        cpu_count = os.cpu_count() or 1
-        measured_speedup = many["queries_per_s"] / one["queries_per_s"]
-        law_qps = SCALE_WORKERS * one["queries_per_s"]
-        law_speedup = float(SCALE_WORKERS)
-        if cpu_count >= SCALE_WORKERS:
-            basis, headline_qps = "measured", many["queries_per_s"]
-            headline_speedup = measured_speedup
-        else:
-            basis, headline_qps = "scaling-law", law_qps
-            headline_speedup = law_speedup
-        scaling = {
-            "basis": basis,
-            "cpu_count": cpu_count,
-            "serial": one,
-            "scaled": many,
-            "queries_per_s": headline_qps,
-            "queries_per_s_measured": many["queries_per_s"],
-            "queries_per_s_scaling_law": law_qps,
-            "speedup": headline_speedup,
-            "speedup_measured": measured_speedup,
-            "speedup_scaling_law": law_speedup,
-        }
 
         # -- HTTP load -------------------------------------------------
         with serve_in_thread(service, read_workers=4) as handle:
@@ -387,42 +260,27 @@ def serve_run(greece, season):
             "final_hotspots": polls[-1][2],
         }
 
-        # -- shard scaling + zero-copy attach --------------------------
+        # -- shard scaling ---------------------------------------------
         shard_scaling = _shard_scaling(service)
-        attach = _attach_bench(
-            service.strabon.graph.snapshot(), service.workdir
-        )
 
         run = {
             "schema": "bench-serve/2",
-            "cpu_count": cpu_count,
+            "cpu_count": os.cpu_count() or 1,
             "workload": {
                 "scale": "paper" if paper_scale() else "small",
                 "ingested_acquisitions": 2 * N_INGEST,
                 "snapshot_triples": len(snapshot),
-                "queries_per_pool_run": N_QUERIES,
                 "load_clients": LOAD_CLIENTS,
                 "load_requests": LOAD_REQUESTS,
             },
-            "read_scaling": scaling,
             "http_load": load,
             "consistency": consistency,
             "shard_scaling": shard_scaling,
-            "attach": attach,
         }
         _ARTIFACTS["run"] = run
         return run
     finally:
         service.close()
-
-
-def test_reads_scale_with_workers(serve_run):
-    scaling = serve_run["read_scaling"]
-    assert scaling["speedup"] >= 2.0, (
-        f"{SCALE_WORKERS} read workers only reached "
-        f"{scaling['speedup']:.2f}x one worker "
-        f"(basis: {scaling['basis']})"
-    )
 
 
 def test_http_load_is_clean(serve_run):
@@ -442,16 +300,6 @@ def test_shard_scaling_meets_bar(serve_run):
     )
 
 
-def test_attach_is_independent_of_graph_size(serve_run):
-    attach = serve_run["attach"]
-    # Materialisation really scales with size...
-    assert attach["materialise_ratio"] >= 2.0
-    # ...while attach does not (mmap + header parse only), and is a
-    # tiny fraction of the eager decode it replaces.
-    assert attach["size_independence_ratio"] <= 3.0
-    assert attach["attach_to_materialise_ratio"] <= 0.2
-
-
 def test_no_torn_reads_under_concurrent_ingest(serve_run):
     consistency = serve_run["consistency"]
     assert not consistency["ingest_errors"]
@@ -469,21 +317,12 @@ def teardown_module(module):
     if run is None:
         return
     write_bench_json("serve", run)
-    scaling = run["read_scaling"]
     load = run["http_load"]
     consistency = run["consistency"]
     lines = [
         "Snapshot serving layer "
         f"({run['workload']['ingested_acquisitions']} ingested "
         f"acquisitions, {run['cpu_count']} CPU core(s))",
-        "",
-        f"reads, 1 worker:  {scaling['serial']['queries_per_s']:8.1f} "
-        f"queries/s",
-        f"reads, {scaling['scaled']['workers']} workers: "
-        f"{scaling['queries_per_s']:8.1f} queries/s  "
-        f"({scaling['basis']}; measured "
-        f"{scaling['queries_per_s_measured']:.1f})",
-        f"speedup:          {scaling['speedup']:8.2f}x",
         "",
         f"http load: {load['throughput_rps']:.1f} req/s over "
         f"{int(load['clients'])} clients, p50 {load['p50_ms']:.2f} ms, "
@@ -503,14 +342,7 @@ def teardown_module(module):
             f"{row['aggregate_qps_scaling_law']:8.1f} queries/s "
             f"(router measured {row['router_qps_measured']:.1f})"
         )
-    attach = run["attach"]
-    lines += [
-        f"  speedup 4 vs 1: {shard_scaling['speedup_4_vs_1']:.2f}x",
-        "",
-        f"attach: {attach['attach_small_s'] * 1e3:.3f} ms at "
-        f"{attach['small_triples']} triples, "
-        f"{attach['attach_large_s'] * 1e3:.3f} ms at "
-        f"{attach['large_triples']} "
-        f"(materialise {attach['materialise_large_s'] * 1e3:.1f} ms)",
-    ]
+    lines.append(
+        f"  speedup 4 vs 1: {shard_scaling['speedup_4_vs_1']:.2f}x"
+    )
     report("serve", "\n".join(lines))

@@ -65,22 +65,13 @@ WATCHED = {
         ),
     ],
     "BENCH_serve.json": [
-        ("read_scaling.speedup", "higher", None),
-        (
-            "read_scaling.serial.queries_per_s",
-            "higher",
-            TIMING_THRESHOLD,
-        ),
         ("http_load.throughput_rps", "higher", TIMING_THRESHOLD),
         ("http_load.p99_ms", "lower", TIMING_THRESHOLD),
         ("http_load.errors", "lower", None),
         ("consistency.torn_reads", "lower", None),
         # Sharded serving tier: the ISSUE-8 acceptance bar (>= 2x
-        # aggregate read throughput at 4 shards) plus absolute gates on
-        # the zero-copy attach path (attach must stay O(1) in graph
-        # size and far cheaper than an eager decode).
-        # The speedup is a ratio of *measured* per-shard rates (not an
-        # exact law like read_scaling.speedup), so it gets the wider
+        # aggregate read throughput at 4 shards).  The speedup is a
+        # ratio of *measured* per-shard rates, so it gets the wider
         # wall-clock bar; the >= 2x floor is asserted in the benchmark.
         ("shard_scaling.speedup_4_vs_1", "higher", TIMING_THRESHOLD),
         (
@@ -93,8 +84,6 @@ WATCHED = {
             "higher",
             TIMING_THRESHOLD,
         ),
-        ("attach.size_independence_ratio", "absolute", 3.0),
-        ("attach.attach_to_materialise_ratio", "absolute", 0.2),
     ],
     "BENCH_query.json": [
         # The >= 3x acceptance bar itself is asserted inside

@@ -10,8 +10,10 @@ tiles) and ``/v1/stsparql`` (federated union over all shards).
 The walk-through demonstrates the v1 API redesign:
 
 * the unified query contract — ``ServeClient.query(text, params=,
-  explain=, query_engine=, timeout=)`` means the same thing here as on
-  an in-process ``Strabon``/``SnapshotView``;
+  explain=, timeout=)`` means the same thing here as on an in-process
+  ``Strabon``/``SnapshotView``; every shard answers reads with the
+  same fixed engine policy (columnar reads), on its server's thread
+  pool;
 * the normalised ``provenance`` block with its composite consistency
   token (one ``sequence.generation`` part per shard) that never
   travels backwards while ingest republishes;

@@ -23,20 +23,10 @@ makes crash recovery a *tested, measured property*:
 
 The commit protocol and why readers never observe rollback are
 documented in DESIGN.md ("Durability: WAL, checkpoints and the commit
-order").
-
-:mod:`repro.durable.attach` adds the serving tier's zero-copy read
-path over the same checkpoint files: :class:`CheckpointReader` mmaps a
-checkpoint and exposes its header (generation, WAL sequence, triple
-count) in O(1), deferring body decode until a snapshot is actually
-needed — so new read workers and shards attach in constant time.
+order").  :mod:`repro.durable.store` is the only module that reads
+or writes the checkpoint format.
 """
 
-from repro.durable.attach import (
-    CheckpointReader,
-    attach_checkpoint,
-    write_checkpoint,
-)
 from repro.durable.codec import (
     OP_ADD,
     OP_CLEAR,
@@ -70,7 +60,6 @@ from repro.durable.wal import WalRecord, WriteAheadLog
 __all__ = [
     "CRASH_EXIT",
     "CRASHPOINTS",
-    "CheckpointReader",
     "CursorStore",
     "DurableStore",
     "GraphJournal",
@@ -83,7 +72,6 @@ __all__ = [
     "WalRecord",
     "WriteAheadLog",
     "arm",
-    "attach_checkpoint",
     "crash",
     "decode_ops",
     "decode_term",
@@ -92,5 +80,4 @@ __all__ = [
     "encode_term",
     "load_service_state",
     "save_service_state",
-    "write_checkpoint",
 ]

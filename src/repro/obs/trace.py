@@ -5,7 +5,7 @@ process; this module carries a trace *across* processes:
 
 * :class:`TraceContext` is the wire form of "who is my parent" — a
   ``trace_id`` plus the parent's ``span_id``.  It travels pickled over
-  the pipeline/read-pool result queues and as ``x-trace-id`` /
+  the pipeline result queues and as ``x-trace-id`` /
   ``x-parent-span`` HTTP headers.
 * :func:`context_of` derives a context from a live span so callers can
   hand their identity to remote work.

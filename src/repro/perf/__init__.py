@@ -71,30 +71,10 @@ class PerfConfig:
     chain_workers: int = 2
     #: Completed-but-unrefined acquisitions the executor may buffer.
     pipeline_depth: int = 2
-    #: stSPARQL execution engine: "auto" (columnar for read queries,
-    #: row-wise for update WHERE clauses), "columnar" (vectorised
-    #: batches everywhere) or "interpreted" (the per-row reference
-    #: evaluator everywhere).
-    query_engine: str = "auto"
-    #: Rows per columnar expansion chunk (bounds peak batch memory).
-    columnar_batch_rows: int = 65536
-
-    #: Settings that take string values (everything else is a size/count).
-    _CHOICES = {"query_engine": ("auto", "columnar", "interpreted")}
 
     def validate(self) -> None:
         for f in fields(self):
-            if f.name.startswith("_"):
-                continue
             value = getattr(self, f.name)
-            choices = self._CHOICES.get(f.name)
-            if choices is not None:
-                if value not in choices:
-                    raise ValueError(
-                        f"perf setting {f.name} must be one of "
-                        f"{choices}, got {value!r}"
-                    )
-                continue
             if not isinstance(value, int) or value < 1:
                 raise ValueError(
                     f"perf setting {f.name} must be a positive integer, "

@@ -436,37 +436,6 @@ class GraphSnapshot(TripleReader):
         #: inference closure) that first-touch builders may share.
         self.build_lock = threading.Lock()
 
-    @classmethod
-    def from_parts(
-        cls,
-        term_to_id: Dict[Term, int],
-        id_to_term: List[Term],
-        spo: Dict[int, Dict[int, Set[int]]],
-        pos: Dict[int, Dict[int, Set[int]]],
-        osp: Dict[int, Dict[int, Set[int]]],
-        size: int,
-        generation: int,
-    ) -> "GraphSnapshot":
-        """Build a snapshot directly from prepared index structures.
-
-        The attach path of the serving tier: a checkpoint reader (or a
-        spatial partitioner) that has already built the dictionary and
-        the three indexes gets a generation-stamped snapshot without
-        routing through a mutable :class:`Graph` — the caller must not
-        mutate the structures afterwards, exactly as if a live graph
-        had detached from them.
-        """
-        snap = cls.__new__(cls)
-        snap._term_to_id = term_to_id
-        snap._id_to_term = id_to_term
-        snap._spo = spo
-        snap._pos = pos
-        snap._osp = osp
-        snap._size = size
-        snap._generation = generation
-        snap.build_lock = threading.Lock()
-        return snap
-
     # -- refused mutations -------------------------------------------------
 
     def _refuse(self, operation: str):
@@ -487,17 +456,6 @@ class GraphSnapshot(TripleReader):
 
     def clear(self) -> None:
         self._refuse("clear")
-
-    def __getstate__(self) -> dict:
-        # The build lock is process-local; everything else ships to
-        # forked read workers as-is.
-        state = dict(self.__dict__)
-        del state["build_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.build_lock = threading.Lock()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

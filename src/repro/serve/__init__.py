@@ -12,12 +12,10 @@ store while the ingest/refinement writer keeps running:
   response carries (``repro.serve.state``),
 * :func:`query_hotspots` — snapshot → filtered GeoJSON
   (``repro.serve.hotspots``),
-* :class:`ReadWorkerPool` — N-wide read execution over one frozen
-  snapshot, thread- or fork-based, with O(1) zero-copy checkpoint
-  attach via :meth:`ReadWorkerPool.from_checkpoint`
-  (``repro.serve.pool``),
 * :class:`HotspotServer` / :func:`serve_in_thread` — the stdlib-only
-  asyncio HTTP endpoint, v1-versioned (``repro.serve.http``),
+  asyncio HTTP endpoint, v1-versioned; every read executes on its
+  thread pool against the published
+  :class:`~repro.stsparql.SnapshotView` (``repro.serve.http``),
 * :class:`ShardManager` / :class:`TileLayout` — spatial partitioning
   of the published store by target-grid tile, one engine + publisher
   per shard (``repro.serve.shard``),
@@ -25,7 +23,7 @@ store while the ingest/refinement writer keeps running:
   scatter-gather front end with bbox-pruned fan-out and composite
   consistency tokens (``repro.serve.router``),
 * :class:`ServeClient` — the HTTP client speaking the same
-  ``query(text, params=, explain=, query_engine=, timeout=)`` contract
+  ``query(text, params=, explain=, timeout=)`` contract
   as the in-process engines, plus subscription CRUD and an
   :class:`SseStream` reader (``repro.serve.client``),
 * :class:`SubscriptionEngine` / :class:`Subscription` — continuous
@@ -41,7 +39,6 @@ from repro.serve.client import ServeClient, ServeError, SseStream
 from repro.serve.hotspots import HOTSPOTS_QUERY, parse_bbox, query_hotspots
 from repro.serve.http import HotspotServer, ServerHandle, serve_in_thread
 from repro.serve.load import LoadGenerator, LoadReport, fetch_json
-from repro.serve.pool import ReadWorkerPool
 from repro.serve.router import (
     RouterService,
     ShardRouter,
@@ -75,7 +72,6 @@ __all__ = [
     "LoadGenerator",
     "LoadReport",
     "PublishedSnapshot",
-    "ReadWorkerPool",
     "RouterService",
     "ServeClient",
     "ServeError",

@@ -1,7 +1,7 @@
 """``ServeClient`` — the HTTP face of the unified query contract.
 
 One keyword surface serves every tier: ``query(text, params=,
-explain=, query_engine=, timeout=)`` means the same thing on a live
+explain=, timeout=)`` means the same thing on a live
 :class:`~repro.stsparql.Strabon`, on a frozen
 :class:`~repro.stsparql.SnapshotView`, and — through this client — on
 a remote ``HotspotServer`` or sharded ``ShardRouter``.  The client
@@ -98,7 +98,6 @@ class ServeClient:
         text: str,
         params: Optional[Dict[str, object]] = None,
         explain: bool = False,
-        query_engine: Optional[str] = None,
         timeout: Optional[float] = None,
     ) -> dict:
         """POST an stSPARQL read to ``/v1/stsparql``.
@@ -113,7 +112,6 @@ class ServeClient:
                 "query": text,
                 "params": params,
                 "explain": explain,
-                "engine": query_engine,
                 "timeout_s": timeout,
             }
         )

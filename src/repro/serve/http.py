@@ -14,8 +14,8 @@ and a ``Link`` naming the ``/v1`` successor):
   features.
 * ``POST /v1/stsparql`` — a read-only stSPARQL endpoint over the same
   snapshot (body: the query text, or JSON ``{"query": ..., "params":
-  ..., "explain": ..., "engine": ..., "timeout_s": ...}`` — the same
-  keyword contract as :meth:`Strabon.query`).  Updates are refused
+  ..., "explain": ..., "timeout_s": ...}`` — the same keyword contract
+  as :meth:`Strabon.query`).  Updates are refused
   with **403** — writes go through the monitoring service, never
   through the serving layer; a request overrunning ``timeout_s``
   answers **408**.
@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -115,10 +116,6 @@ V1_ENDPOINTS = (
 
 #: Seconds of stream silence before a keep-alive comment is emitted.
 STREAM_KEEPALIVE_S = 15.0
-
-#: Engine names a request may select via ``query_engine`` (the JSON
-#: body's ``engine`` field over HTTP).
-QUERY_ENGINES = ("auto", "interpreted", "columnar")
 
 #: Request bodies beyond this are refused (a read endpoint has no
 #: business accepting megabytes).
@@ -807,14 +804,13 @@ class HotspotServer:
     def _parse_query_body(body: bytes) -> Dict[str, Any]:
         """Decode an ``/stsparql`` request body into the unified query
         contract: raw query text, or JSON ``{"query": ..., "params":
-        ..., "explain": ..., "engine": ..., "timeout_s": ...}`` —
-        field-for-field the keywords of :meth:`Strabon.query`."""
+        ..., "explain": ..., "timeout_s": ...}`` — field-for-field the
+        keywords of :meth:`Strabon.query`."""
         text = body.decode("utf-8", errors="replace").strip()
         fields: Dict[str, Any] = {
             "query": text,
             "params": None,
             "explain": False,
-            "engine": None,
             "timeout_s": None,
         }
         if text.startswith("{"):
@@ -823,33 +819,34 @@ class HotspotServer:
                 fields["query"] = doc["query"]
                 fields["params"] = doc.get("params")
                 fields["explain"] = bool(doc.get("explain", False))
-                fields["engine"] = doc.get("engine")
                 fields["timeout_s"] = doc.get("timeout_s")
             except (json.JSONDecodeError, KeyError, TypeError):
                 raise _HttpError(
                     400, 'JSON body must look like {"query": "..."}'
                 )
+        if not isinstance(fields["query"], str):
+            raise _HttpError(400, "query must be a string")
         if not fields["query"]:
             raise _HttpError(400, "empty query")
         params = fields["params"]
         if params is not None and not isinstance(params, dict):
             raise _HttpError(400, "params must be a JSON object")
-        engine = fields["engine"]
-        if engine is not None and engine not in QUERY_ENGINES:
-            raise _HttpError(
-                400,
-                f"engine must be one of {'/'.join(QUERY_ENGINES)}, "
-                f"got {engine!r}",
-            )
         timeout_s = fields["timeout_s"]
         if timeout_s is not None:
             try:
-                timeout_s = float(timeout_s)
+                seconds = float(timeout_s)
             except (TypeError, ValueError):
-                raise _HttpError(400, "timeout_s must be a number")
-            if timeout_s <= 0:
-                raise _HttpError(400, "timeout_s must be > 0")
-            fields["timeout_s"] = timeout_s
+                seconds = math.nan
+            # NaN would never expire, inf never fires, true is not 1 s.
+            if (
+                isinstance(timeout_s, bool)
+                or not math.isfinite(seconds)
+                or seconds <= 0
+            ):
+                raise _HttpError(
+                    400, "timeout_s must be a finite number > 0"
+                )
+            fields["timeout_s"] = seconds
         return fields
 
     async def _stsparql(self, body: bytes, ctx=None) -> bytes:
@@ -861,7 +858,6 @@ class HotspotServer:
                 fields["query"],
                 params=fields["params"],
                 explain=explain,
-                query_engine=fields["engine"],
                 timeout=fields["timeout_s"],
             ),
             context=ctx,

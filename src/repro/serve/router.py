@@ -360,7 +360,6 @@ class ShardRouter(HotspotServer):
                 "query": fields["query"],
                 "params": fields["params"],
                 "explain": fields["explain"],
-                "engine": fields["engine"],
                 "timeout_s": fields["timeout_s"],
             }
         )

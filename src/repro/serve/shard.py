@@ -254,7 +254,6 @@ class ShardManager:
         shards: int = 4,
         layout: Optional[TileLayout] = None,
         grid=None,
-        query_engine: Optional[str] = None,
     ) -> None:
         self.service = service
         self.layout = (
@@ -262,7 +261,6 @@ class ShardManager:
             if layout is not None
             else TileLayout.for_shards(shards, grid=grid)
         )
-        self._query_engine = query_engine
         self._repartition_lock = threading.Lock()
         self._last_main_sequence = -1
         base = service.publisher.sequence
@@ -301,9 +299,7 @@ class ShardManager:
             )
             for sid in self.shard_ids:
                 shard = self.shards[sid]
-                strabon = Strabon(
-                    parts[sid], query_engine=self._query_engine
-                )
+                strabon = Strabon(parts[sid])
                 if shard.plan_cache is not None:
                     # Parsed plans survive repartitions: the cache is
                     # keyed on request text alone.

@@ -41,7 +41,6 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from repro.obs import get_metrics
-from repro.perf import get_config
 from repro.rdf.namespace import RDF, STRDF
 from repro.rdf.temporal import Period
 from repro.rdf.term import Term, Variable
@@ -70,6 +69,8 @@ from repro.stsparql.functions import (
 UNBOUND = -1
 #: First identifier of the evaluator-local term dictionary.
 LOCAL_BASE = 1 << 40
+#: Rows per columnar expansion chunk (bounds peak batch memory).
+CHUNK_ROWS = 65536
 
 #: Sentinel for "evaluating this cell raises ExpressionError".
 _ERR = object()
@@ -220,7 +221,6 @@ class ColumnarEvaluator(Evaluator):
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        self._chunk_rows = max(1, get_config().columnar_batch_rows)
         #: Terms absent from the graph dictionary, interned locally.
         self._local_ids: Dict[Term, int] = {}
         self._local_terms: List[Term] = []
@@ -257,14 +257,6 @@ class ColumnarEvaluator(Evaluator):
         if batch is None:
             return super().ask(query)
         return bool(batch.length)
-
-    def update_bindings(
-        self, pattern: ast.GroupGraphPattern
-    ) -> List[Row]:
-        batch = self._try_columnar(pattern)
-        if batch is None:
-            return super().update_bindings(pattern)
-        return self._batch_to_rows(batch)
 
     def _try_columnar(
         self, pattern: ast.GroupGraphPattern
@@ -437,11 +429,10 @@ class ColumnarEvaluator(Evaluator):
         names = sorted(combo_names)
         match_cache: Dict[Tuple[int, ...], Tuple] = {}
         pieces: List[Batch] = []
-        chunk = self._chunk_rows
-        for start in range(0, batch.length, chunk):
+        for start in range(0, batch.length, CHUNK_ROWS):
             pieces.append(
                 self._extend_chunk(
-                    batch.slice(start, start + chunk),
+                    batch.slice(start, start + CHUNK_ROWS),
                     pattern,
                     names,
                     match_cache,

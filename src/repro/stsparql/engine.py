@@ -1,9 +1,16 @@
 """The Strabon facade: a geospatial RDF store with an stSPARQL endpoint.
 
-Wraps a :class:`~repro.rdf.graph.Graph` with
+One endpoint implementation serves both the live store
+(:class:`Strabon`, which adds loading and updates) and the frozen,
+read-only :class:`SnapshotView` the serving tier publishes.  It wraps a
+:class:`~repro.rdf.graph.Graph` (or a snapshot of one) with
 
-* an stSPARQL query/update endpoint (:meth:`Strabon.query`,
-  :meth:`Strabon.update`),
+* an stSPARQL query/update endpoint (``query`` on both classes,
+  :meth:`Strabon.update`) with a fixed engine policy: SELECT / ASK /
+  CONSTRUCT run the vectorised operators of
+  :class:`~repro.stsparql.columnar.ColumnarEvaluator`, update ``WHERE``
+  clauses run the row-wise operators of
+  :class:`~repro.stsparql.eval.Evaluator`,
 * a parsed-request **plan cache** keyed on request text: templated
   requests (the refinement operations) parse once and re-run with
   per-acquisition values supplied as *parameters* — pre-bound variables
@@ -17,14 +24,14 @@ Wraps a :class:`~repro.rdf.graph.Graph` with
 
 from __future__ import annotations
 
-import logging
+import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Union
 
 from repro.errors import SnapshotWriteError
 from repro.geometry import Geometry
-from repro.obs import get_metrics, get_tracer, is_enabled
+from repro.obs import get_metrics, get_tracer
 from repro.geometry.rtree import RTree
 from repro.perf import get_config
 from repro.perf.lru import LRUCache
@@ -33,11 +40,12 @@ from repro.rdf.inference import RDFSInference
 from repro.rdf.term import Literal, Term, Variable
 from repro.rdf.turtle import parse_turtle
 from repro.stsparql import ast
-from repro.stsparql.errors import SparqlEvalError
+from repro.stsparql.columnar import ColumnarEvaluator
+from repro.stsparql.errors import ExpressionError, SparqlEvalError
 from repro.stsparql.eval import Evaluator, Row, SolutionSet
+from repro.stsparql.functions import to_term
 from repro.stsparql.parser import parse
 
-_log = logging.getLogger(__name__)
 _tracer = get_tracer()
 _metrics = get_metrics()
 
@@ -66,43 +74,17 @@ class UpdateResult:
     added: int = 0
 
 
-def _resolve_engine(name: Optional[str]):
-    """(read evaluator class, update evaluator class) for an engine name.
+def _evaluator_class(operation: str):
+    """The engine policy, decided by the operation being executed
+    (``"update"``, or any read).
 
-    ``auto`` — the default — serves read queries from the columnar
-    engine but evaluates update WHERE clauses row-wise: update batches
-    are small, mutate the graph between operations (discarding the
-    generation-keyed columnar caches each time), and profit from
-    pattern-time R-tree restriction inside OPTIONAL blocks, so
-    vectorisation there costs more than it saves.  ``columnar`` and
-    ``interpreted`` force one engine for everything.
-
-    The columnar engine needs numpy; when it is unavailable the
-    interpreted evaluator silently serves every name so the store
-    stays functional on minimal installs.
+    Reads run the columnar operators.  Update WHERE clauses run
+    row-wise: update batches are small, mutate the graph between
+    operations (discarding the generation-keyed columnar caches each
+    time), and profit from pattern-time R-tree restriction inside
+    OPTIONAL blocks, so vectorisation there costs more than it saves.
     """
-    if name is None:
-        name = get_config().query_engine
-    if name == "interpreted":
-        return Evaluator, Evaluator
-    try:
-        from repro.stsparql.columnar import ColumnarEvaluator
-    except ImportError:  # pragma: no cover - numpy is baked in
-        return Evaluator, Evaluator
-    if name == "auto":
-        return ColumnarEvaluator, Evaluator
-    return ColumnarEvaluator, ColumnarEvaluator
-
-
-def _explain_doc(
-    engine: str, operation: str, rows: int, plan: List[dict]
-) -> dict:
-    return {
-        "engine": engine,
-        "operation": operation,
-        "rows": rows,
-        "plan": plan,
-    }
+    return Evaluator if operation == "update" else ColumnarEvaluator
 
 
 def _parse_via_cache(cache: LRUCache, text: str):
@@ -131,105 +113,87 @@ def _parse_via_cache(cache: LRUCache, text: str):
     return parsed, hit
 
 
-def _construct_graph(
-    evaluator: Evaluator, query: ast.ConstructQuery
-) -> Graph:
-    """Evaluate a CONSTRUCT into a fresh (mutable) graph."""
-    bindings = evaluator.update_bindings(query.pattern)
-    if query.offset:
-        bindings = bindings[query.offset:]
-    if query.limit is not None:
-        bindings = bindings[: query.limit]
-    out = Graph()
-    for s, p, o in _instantiate(query.template, bindings):
-        out.add(s, p, o)
-    return out
+def _param_row(params: Optional[Dict[str, object]]) -> Optional[Row]:
+    """Normalise a params mapping to an initial binding row."""
+    if not params:
+        return None
+    row: Row = {}
+    for name, value in params.items():
+        try:
+            row[name.lstrip("?$")] = to_term(value)
+        except ExpressionError as exc:
+            raise SparqlEvalError(f"parameter {name!r}: {exc}") from None
+    return row
 
 
-class Strabon:
-    """A geospatial RDF store speaking stSPARQL."""
+class _Endpoint:
+    """The stSPARQL endpoint :class:`Strabon` and :class:`SnapshotView`
+    share: plan cache, lazy R-tree + candidate memo, evaluator
+    construction and the instrumented request body.  Each subclass
+    says what an update request does (``_apply_update``)."""
+
+    #: Prefix of the ``operation`` label on ``stsparql_query_seconds``.
+    _operation_prefix = ""
+    #: Attributes every ``stsparql.query`` span of this endpoint carries.
+    _span_attributes: Dict[str, object] = {}
 
     def __init__(
         self,
-        graph: Optional[Graph] = None,
-        enable_inference: bool = True,
-        enable_spatial_index: bool = True,
-        query_engine: Optional[str] = None,
+        graph,
+        plan_cache: Optional[LRUCache],
+        enable_inference: bool,
+        enable_spatial_index: bool,
+        build_lock,
     ) -> None:
-        self.graph = graph if graph is not None else Graph()
-        #: Evaluator classes behind read and update requests ("auto" by
-        #: default — columnar reads, row-wise update WHERE evaluation —
-        #: forced via the constructor or ``perf.configure``).
-        self._evaluator_cls, self._update_evaluator_cls = (
-            _resolve_engine(query_engine)
+        perf = get_config()
+        self.graph = graph
+        #: Parsed request plans keyed on request text.  The evaluator
+        #: never mutates a parsed AST, so plans are shared safely.
+        self.plan_cache = (
+            plan_cache
+            if plan_cache is not None
+            else LRUCache(perf.plan_cache_size)
         )
-        self._inference = (
-            RDFSInference(self.graph) if enable_inference else None
-        )
+        self._inference = RDFSInference(graph) if enable_inference else None
         self._spatial_index_enabled = enable_spatial_index
+        self._build_lock = build_lock
         self._rtree: Optional[RTree] = None
         self._rtree_generation = -1
-        perf = get_config()
         # Candidate-set memo keyed by probe-geometry object identity;
         # evaluators probe the same bound geometry once per joined row.
         # Bounded LRU: under sustained load the hot working set stays.
         self._candidate_cache = LRUCache(perf.candidate_cache_size)
-        #: Parsed request plans keyed on request text.  The evaluator
-        #: never mutates a parsed AST, so plans are shared safely.
-        self.plan_cache = LRUCache(perf.plan_cache_size)
         self.last_stats = QueryStats()
-        #: The read-only view over the most recent snapshot (reused while
-        #: the graph generation is unchanged, so its R-tree and candidate
-        #: cache are shared by every reader thread).
-        self._last_view: Optional["SnapshotView"] = None
-
-    # -- data loading --------------------------------------------------------
-
-    def load_turtle(self, text: str) -> int:
-        """Parse Turtle and add its triples; returns the number added."""
-        incoming = parse_turtle(text)
-        return self.graph.add_all(incoming.triples())
-
-    def add(self, s: Term, p: Term, o: Term) -> bool:
-        return self.graph.add(s, p, o)
 
     def size(self) -> int:
         return len(self.graph)
 
-    def reset_derived(self) -> None:
-        """Drop every structure derived from graph *content*.
-
-        Called after crash recovery rebuilds the graph wholesale
-        (checkpoint load + WAL replay): the R-tree, the candidate memo
-        and the memoised snapshot view key on generation counters that
-        restart in a recovered process, so they must be rebuilt from
-        the recovered state rather than trusted.  The parsed-plan cache
-        survives — it is keyed on query text alone.
-        """
-        self._rtree = None
-        self._rtree_generation = -1
-        self._candidate_cache.clear()
-        self._last_view = None
-        if self._inference is not None:
-            self._inference = RDFSInference(self.graph)
-
-    # -- spatial index ---------------------------------------------------------
+    # -- spatial index -----------------------------------------------------
 
     def _ensure_rtree(self) -> Optional[RTree]:
         if not self._spatial_index_enabled:
             return None
-        if (
-            self._rtree is None
-            or self._rtree_generation != self.graph.generation
-        ):
-            entries = []
-            for _, _, lit in self.graph.geometry_literals():
-                geom = lit.value
-                if isinstance(geom, Geometry) and not geom.is_empty:
-                    entries.append((geom.envelope, lit))
-            self._rtree = RTree.bulk_load(entries)
-            self._rtree_generation = self.graph.generation
-            self._candidate_cache.clear()
+        generation = self.graph.generation
+        if self._rtree_generation != generation:
+            # Rebuilt once per graph generation — exactly once for a
+            # frozen snapshot, whose concurrent first readers serialise
+            # on the lock.
+            with self._build_lock:
+                if self._rtree_generation != generation:
+                    entries = []
+                    for _, _, lit in self.graph.geometry_literals():
+                        geom = lit.value
+                        if isinstance(geom, Geometry) and not geom.is_empty:
+                            entries.append((geom.envelope, lit))
+                    self._rtree = RTree.bulk_load(entries)
+                    self._candidate_cache.clear()
+                    if self._inference is not None:
+                        # Materialise the subclass closure under the
+                        # lock too: the refresh is not itself
+                        # thread-safe, but a frozen graph never
+                        # invalidates it, so later readers only read.
+                        self._inference._refresh()
+                    self._rtree_generation = generation
         return self._rtree
 
     def spatial_candidates(self, geom: Geometry) -> Optional[Set[Literal]]:
@@ -251,48 +215,227 @@ class Strabon:
         self._candidate_cache.put(key, (geom, result))
         return result
 
-    # -- querying ----------------------------------------------------------
-
-    @property
-    def engine_name(self) -> str:
-        """Name of the engine answering read queries (under ``auto``
-        update WHERE clauses may use a different one — see
-        :func:`_resolve_engine`)."""
-        return self._evaluator_cls.engine_name
-
-    def _engine_name_for(self, operation: str) -> str:
-        cls = (
-            self._update_evaluator_cls
-            if operation == "update"
-            else self._evaluator_cls
-        )
-        return cls.engine_name
+    # -- request execution -------------------------------------------------
 
     def _evaluator(
         self,
-        initial: Optional[Row] = None,
-        cls=None,
-        deadline: Optional[float] = None,
+        operation: str,
+        initial: Optional[Row],
+        explain_log: Optional[List[dict]],
+        deadline: Optional[float],
     ) -> Evaluator:
         """Build the evaluation plan: binds inference + spatial index."""
         with _tracer.span("stsparql.plan"):
-            candidates = (
-                self.spatial_candidates
-                if self._spatial_index_enabled
-                else None
-            )
-            evaluator = (cls or self._evaluator_cls)(
+            evaluator = _evaluator_class(operation)(
                 self.graph,
                 inference=self._inference,
-                spatial_candidates=candidates,
+                spatial_candidates=(
+                    self.spatial_candidates
+                    if self._spatial_index_enabled
+                    else None
+                ),
                 initial=initial,
             )
+            evaluator.explain_log = explain_log
             evaluator.deadline = deadline
             return evaluator
 
-    def _parse_cached(self, text: str):
-        """Parse through the plan cache; returns (plan, was_cached)."""
-        return _parse_via_cache(self.plan_cache, text)
+    def _dispatch(
+        self,
+        parsed,
+        initial: Optional[Row],
+        explain_log: Optional[List[dict]],
+        deadline: Optional[float],
+    ):
+        """Evaluate a parsed request; returns (result, operation, rows)."""
+        if isinstance(parsed, ast.UpdateRequest):
+            result = self._apply_update(
+                parsed, initial, explain_log, deadline
+            )
+            return result, "update", 0
+        evaluator = self._evaluator("read", initial, explain_log, deadline)
+        if isinstance(parsed, ast.SelectQuery):
+            solutions = evaluator.select(parsed)
+            return solutions, "select", len(solutions)
+        if isinstance(parsed, ast.AskQuery):
+            return evaluator.ask(parsed), "ask", 1
+        # CONSTRUCT is SELECT * over its pattern, instantiated through
+        # the template into a fresh (mutable) graph.
+        solutions = evaluator.select(
+            ast.SelectQuery(
+                projections=(),
+                pattern=parsed.pattern,
+                limit=parsed.limit,
+                offset=parsed.offset,
+            )
+        )
+        built = Graph()
+        built.add_all(_instantiate(parsed.template, solutions.rows))
+        return built, "construct", len(built)
+
+    def query(
+        self,
+        text: str,
+        params: Optional[Dict[str, object]] = None,
+        explain: bool = False,
+        timeout: Optional[float] = None,
+    ) -> Union[SolutionSet, bool, Graph, UpdateResult, dict]:
+        """Parse and run any stSPARQL request.
+
+        ``params`` pre-binds variables (``{"__ts": Literal(...)}`` binds
+        ``?__ts``) so callers can keep request text constant — and
+        therefore plan-cache friendly — across executions.  Values may
+        be RDF terms or plain Python values (converted like expression
+        results).
+
+        With ``explain=True`` the request still executes, but the
+        return value is a JSON-style dict describing the execution:
+        the engine, the operation, the row count and — per evaluated
+        BGP — the selectivity-ordered join order with the cardinality
+        estimates that drove it.
+
+        ``timeout`` is a cooperative wall-clock budget in seconds — a
+        request that overruns it raises
+        :class:`~repro.stsparql.errors.QueryTimeoutError` at the next
+        operator boundary.  This keyword contract (``params=``,
+        ``explain=``, ``timeout=``) is the same on :class:`Strabon`, on
+        :class:`SnapshotView` and on the serving tier's
+        :class:`~repro.serve.client.ServeClient`.
+        """
+        initial = _param_row(params)
+        explain_log: Optional[List[dict]] = [] if explain else None
+        deadline = (
+            time.perf_counter() + timeout if timeout is not None else None
+        )
+        with _tracer.span(
+            "stsparql.query", **self._span_attributes
+        ) as span:
+            t0 = time.perf_counter()
+            with _tracer.span("stsparql.parse") as parse_span:
+                parsed, was_cached = _parse_via_cache(
+                    self.plan_cache, text
+                )
+                parse_span.set(cached=was_cached)
+            t1 = time.perf_counter()
+            with _tracer.span("stsparql.eval"):
+                result, op, rows = self._dispatch(
+                    parsed, initial, explain_log, deadline
+                )
+            t2 = time.perf_counter()
+            stats = QueryStats(
+                operation=op,
+                parse_seconds=t1 - t0,
+                eval_seconds=t2 - t1,
+                rows=rows,
+                triples_added=getattr(result, "added", 0),
+                triples_removed=getattr(result, "removed", 0),
+            )
+            self.last_stats = stats
+            span.set(
+                operation=op,
+                rows=rows,
+                triples_added=stats.triples_added,
+                triples_removed=stats.triples_removed,
+            )
+        if _metrics.enabled:
+            _metrics.histogram(
+                "stsparql_query_seconds",
+                "Wall seconds per stSPARQL request (parse + eval)",
+            ).observe(
+                stats.total_seconds,
+                operation=self._operation_prefix + op,
+            )
+            if stats.triples_added:
+                _metrics.counter(
+                    "stsparql_triples_added_total",
+                    "Triples inserted by stSPARQL updates",
+                ).inc(stats.triples_added)
+            if stats.triples_removed:
+                _metrics.counter(
+                    "stsparql_triples_removed_total",
+                    "Triples deleted by stSPARQL updates",
+                ).inc(stats.triples_removed)
+        if explain_log is not None:
+            return {
+                "engine": _evaluator_class(op).engine_name,
+                "operation": op,
+                "rows": rows,
+                "plan": explain_log,
+            }
+        return result
+
+    def select(
+        self, text: str, params: Optional[Dict[str, object]] = None
+    ) -> SolutionSet:
+        result = self.query(text, params)
+        if not isinstance(result, SolutionSet):
+            raise SparqlEvalError("request was not a SELECT query")
+        return result
+
+    def ask(
+        self, text: str, params: Optional[Dict[str, object]] = None
+    ) -> bool:
+        result = self.query(text, params)
+        if not isinstance(result, bool):
+            raise SparqlEvalError("request was not an ASK query")
+        return result
+
+    def construct(
+        self, text: str, params: Optional[Dict[str, object]] = None
+    ) -> Graph:
+        result = self.query(text, params)
+        if not isinstance(result, Graph):
+            raise SparqlEvalError("request was not a CONSTRUCT query")
+        return result
+
+
+class Strabon(_Endpoint):
+    """A geospatial RDF store speaking stSPARQL."""
+
+    def __init__(
+        self,
+        graph: Optional[Graph] = None,
+        enable_inference: bool = True,
+        enable_spatial_index: bool = True,
+    ) -> None:
+        super().__init__(
+            graph if graph is not None else Graph(),
+            None,
+            enable_inference,
+            enable_spatial_index,
+            threading.Lock(),
+        )
+        #: The read-only view over the most recent snapshot (reused while
+        #: the graph generation is unchanged, so its R-tree and candidate
+        #: cache are shared by every reader thread).
+        self._last_view: Optional["SnapshotView"] = None
+
+    # -- data loading --------------------------------------------------------
+
+    def load_turtle(self, text: str) -> int:
+        """Parse Turtle and add its triples; returns the number added."""
+        incoming = parse_turtle(text)
+        return self.graph.add_all(incoming.triples())
+
+    def add(self, s: Term, p: Term, o: Term) -> bool:
+        return self.graph.add(s, p, o)
+
+    def reset_derived(self) -> None:
+        """Drop every structure derived from graph *content*.
+
+        Called after crash recovery rebuilds the graph wholesale
+        (checkpoint load + WAL replay): the R-tree, the candidate memo
+        and the memoised snapshot view key on generation counters that
+        restart in a recovered process, so they must be rebuilt from
+        the recovered state rather than trusted.  The parsed-plan cache
+        survives — it is keyed on query text alone.
+        """
+        self._rtree = None
+        self._rtree_generation = -1
+        self._candidate_cache.clear()
+        self._last_view = None
+        if self._inference is not None:
+            self._inference = RDFSInference(self.graph)
 
     # -- snapshot serving --------------------------------------------------
 
@@ -320,191 +463,7 @@ class Strabon:
         self._last_view = view
         return view
 
-    @staticmethod
-    def _param_row(params: Optional[Dict[str, object]]) -> Optional[Row]:
-        """Normalise a params mapping to an initial binding row."""
-        if not params:
-            return None
-        from repro.stsparql.functions import to_term
-
-        return {
-            name.lstrip("?$"): to_term(value)
-            for name, value in params.items()
-        }
-
-    def _dispatch(
-        self,
-        parsed,
-        initial: Optional[Row] = None,
-        explain_log: Optional[List[dict]] = None,
-        deadline: Optional[float] = None,
-        evaluator_cls=None,
-    ):
-        """Evaluate a parsed request; returns (result, operation, rows)."""
-        if isinstance(parsed, (ast.SelectQuery, ast.AskQuery, ast.ConstructQuery)):
-            evaluator = self._evaluator(
-                initial, evaluator_cls, deadline=deadline
-            )
-            evaluator.explain_log = explain_log
-            if isinstance(parsed, ast.SelectQuery):
-                result: Union[SolutionSet, bool, Graph, UpdateResult] = (
-                    evaluator.select(parsed)
-                )
-                return result, "select", len(result)  # type: ignore[arg-type]
-            if isinstance(parsed, ast.AskQuery):
-                return evaluator.ask(parsed), "ask", 1
-            built = _construct_graph(evaluator, parsed)
-            return built, "construct", len(built)
-        return (
-            self._apply_update(parsed, initial, explain_log, deadline),
-            "update",
-            0,
-        )
-
-    def query(
-        self,
-        text: str,
-        params: Optional[Dict[str, object]] = None,
-        explain: bool = False,
-        query_engine: Optional[str] = None,
-        timeout: Optional[float] = None,
-    ) -> Union[SolutionSet, bool, UpdateResult, dict]:
-        """Parse and run any stSPARQL request (SELECT / ASK / update).
-
-        ``params`` pre-binds variables (``{"__ts": Literal(...)}`` binds
-        ``?__ts``) so callers can keep request text constant — and
-        therefore plan-cache friendly — across executions.  Values may
-        be RDF terms or plain Python values (converted like expression
-        results).
-
-        With ``explain=True`` the request still executes, but the
-        return value is a JSON-style dict describing the execution:
-        the engine, the operation, the row count and — per evaluated
-        BGP — the selectivity-ordered join order with the cardinality
-        estimates that drove it.
-
-        ``query_engine`` forces an engine for *this request only*
-        (``"interpreted"`` / ``"columnar"`` / ``"auto"``); ``timeout``
-        is a cooperative wall-clock budget in seconds — a request that
-        overruns it raises
-        :class:`~repro.stsparql.errors.QueryTimeoutError` at the next
-        operator boundary.  This keyword contract (``explain=``,
-        ``query_engine=``, ``timeout=``) is shared verbatim with
-        :meth:`SnapshotView.query` and the serving tier's
-        :class:`~repro.serve.client.ServeClient`.
-        """
-        initial = self._param_row(params)
-        explain_log: Optional[List[dict]] = [] if explain else None
-        deadline = (
-            time.perf_counter() + timeout if timeout is not None else None
-        )
-        evaluator_cls = (
-            _resolve_engine(query_engine)[0]
-            if query_engine is not None
-            else None
-        )
-        if not is_enabled():
-            return self._query_plain(
-                text, initial, explain_log, deadline, evaluator_cls
-            )
-        with _tracer.span("stsparql.query") as span:
-            t0 = time.perf_counter()
-            with _tracer.span("stsparql.parse") as parse_span:
-                parsed, was_cached = self._parse_cached(text)
-                parse_span.set(cached=was_cached)
-            t1 = time.perf_counter()
-            with _tracer.span("stsparql.eval"):
-                result, op, rows = self._dispatch(
-                    parsed, initial, explain_log, deadline, evaluator_cls
-                )
-            t2 = time.perf_counter()
-            stats = QueryStats(
-                operation=op,
-                parse_seconds=t1 - t0,
-                eval_seconds=t2 - t1,
-                rows=rows,
-                triples_added=getattr(result, "added", 0),
-                triples_removed=getattr(result, "removed", 0),
-            )
-            self.last_stats = stats
-            span.set(
-                operation=op,
-                rows=rows,
-                triples_added=stats.triples_added,
-                triples_removed=stats.triples_removed,
-            )
-        if _metrics.enabled:
-            _metrics.histogram(
-                "stsparql_query_seconds",
-                "Wall seconds per stSPARQL request (parse + eval)",
-            ).observe(stats.total_seconds, operation=op)
-            if stats.triples_added:
-                _metrics.counter(
-                    "stsparql_triples_added_total",
-                    "Triples inserted by stSPARQL updates",
-                ).inc(stats.triples_added)
-            if stats.triples_removed:
-                _metrics.counter(
-                    "stsparql_triples_removed_total",
-                    "Triples deleted by stSPARQL updates",
-                ).inc(stats.triples_removed)
-        if explain_log is not None:
-            name = (
-                evaluator_cls.engine_name
-                if evaluator_cls is not None and op != "update"
-                else self._engine_name_for(op)
-            )
-            return _explain_doc(name, op, rows, explain_log)
-        return result
-
-    def _query_plain(
-        self,
-        text: str,
-        initial: Optional[Row] = None,
-        explain_log: Optional[List[dict]] = None,
-        deadline: Optional[float] = None,
-        evaluator_cls=None,
-    ):
-        """The uninstrumented request path (observability disabled)."""
-        t0 = time.perf_counter()
-        parsed, _was_cached = self._parse_cached(text)
-        t1 = time.perf_counter()
-        result, op, rows = self._dispatch(
-            parsed, initial, explain_log, deadline, evaluator_cls
-        )
-        t2 = time.perf_counter()
-        self.last_stats = QueryStats(
-            operation=op,
-            parse_seconds=t1 - t0,
-            eval_seconds=t2 - t1,
-            rows=rows,
-            triples_added=getattr(result, "added", 0),
-            triples_removed=getattr(result, "removed", 0),
-        )
-        if explain_log is not None:
-            name = (
-                evaluator_cls.engine_name
-                if evaluator_cls is not None and op != "update"
-                else self._engine_name_for(op)
-            )
-            return _explain_doc(name, op, rows, explain_log)
-        return result
-
-    def select(
-        self, text: str, params: Optional[Dict[str, object]] = None
-    ) -> SolutionSet:
-        result = self.query(text, params)
-        if not isinstance(result, SolutionSet):
-            raise SparqlEvalError("request was not a SELECT query")
-        return result
-
-    def ask(
-        self, text: str, params: Optional[Dict[str, object]] = None
-    ) -> bool:
-        result = self.query(text, params)
-        if not isinstance(result, bool):
-            raise SparqlEvalError("request was not an ASK query")
-        return result
+    # -- updates -----------------------------------------------------------
 
     def update(
         self, text: str, params: Optional[Dict[str, object]] = None
@@ -514,22 +473,12 @@ class Strabon:
             raise SparqlEvalError("request was not an update")
         return result
 
-    def construct(
-        self, text: str, params: Optional[Dict[str, object]] = None
-    ) -> Graph:
-        result = self.query(text, params)
-        if not isinstance(result, Graph):
-            raise SparqlEvalError("request was not a CONSTRUCT query")
-        return result
-
-    # -- update machinery --------------------------------------------------
-
     def _apply_update(
         self,
         request: ast.UpdateRequest,
-        initial: Optional[Row] = None,
-        explain_log: Optional[List[dict]] = None,
-        deadline: Optional[float] = None,
+        initial: Optional[Row],
+        explain_log: Optional[List[dict]],
+        deadline: Optional[float],
     ) -> UpdateResult:
         if request.where_pattern is None:
             # INSERT DATA / DELETE DATA — templates must be ground.
@@ -543,10 +492,7 @@ class Strabon:
                 if self.graph.add(*triple):
                     added += 1
             return UpdateResult(removed=removed, added=added)
-        evaluator = self._evaluator(
-            initial, self._update_evaluator_cls, deadline=deadline
-        )
-        evaluator.explain_log = explain_log
+        evaluator = self._evaluator("update", initial, explain_log, deadline)
         bindings = evaluator.update_bindings(request.where_pattern)
         to_remove = _instantiate(request.delete_template, bindings)
         to_add = _instantiate(request.insert_template, bindings)
@@ -562,11 +508,11 @@ class Strabon:
         return UpdateResult(removed=removed, added=added)
 
 
-class SnapshotView:
+class SnapshotView(_Endpoint):
     """A read-only stSPARQL endpoint over a :class:`GraphSnapshot`.
 
-    The scale-out read path of the serving layer: worker threads (or
-    forked worker processes) evaluate cached plans against a frozen,
+    The scale-out read path of the serving layer: the HTTP server's
+    worker threads evaluate cached plans against a frozen,
     generation-stamped snapshot while the live store keeps refining the
     next acquisition.  The view
 
@@ -579,196 +525,38 @@ class SnapshotView:
     * refuses updates with :class:`~repro.errors.SnapshotWriteError`.
     """
 
+    _operation_prefix = "snapshot-"
+
     def __init__(
         self,
         snapshot: GraphSnapshot,
         plan_cache: Optional[LRUCache] = None,
         enable_inference: bool = True,
         enable_spatial_index: bool = True,
-        query_engine: Optional[str] = None,
     ) -> None:
-        perf = get_config()
+        super().__init__(
+            snapshot,
+            plan_cache,
+            enable_inference,
+            enable_spatial_index,
+            snapshot.build_lock,
+        )
         self.snapshot = snapshot
-        # Read-only endpoint: only the read-path class is ever used.
-        self._evaluator_cls, _ = _resolve_engine(query_engine)
-        self.plan_cache = (
-            plan_cache
-            if plan_cache is not None
-            else LRUCache(perf.plan_cache_size)
-        )
-        self._inference = (
-            RDFSInference(snapshot) if enable_inference else None
-        )
-        self._spatial_index_enabled = enable_spatial_index
-        self._rtree: Optional[RTree] = None
-        self._rtree_built = False
-        self._candidate_cache = LRUCache(perf.candidate_cache_size)
+        self._span_attributes = {
+            "snapshot": True,
+            "generation": snapshot.generation,
+        }
 
     @property
     def generation(self) -> int:
         """The live-graph generation this view was frozen at."""
         return self.snapshot.generation
 
-    def size(self) -> int:
-        return len(self.snapshot)
-
-    # -- frozen spatial index ---------------------------------------------
-
-    def _ensure_rtree(self) -> Optional[RTree]:
-        if not self._spatial_index_enabled:
-            return None
-        if not self._rtree_built:
-            # Built at most once per snapshot; the build lock lives on
-            # the snapshot so concurrent first readers serialise here.
-            with self.snapshot.build_lock:
-                if not self._rtree_built:
-                    entries = []
-                    for _, _, lit in self.snapshot.geometry_literals():
-                        geom = lit.value
-                        if isinstance(geom, Geometry) and not geom.is_empty:
-                            entries.append((geom.envelope, lit))
-                    self._rtree = RTree.bulk_load(entries)
-                    if self._inference is not None:
-                        # Materialise the subclass closure eagerly: the
-                        # refresh is not itself thread-safe, but once
-                        # built it is never invalidated on a frozen
-                        # graph, so later readers only ever read it.
-                        self._inference._refresh()
-                    self._rtree_built = True
-        return self._rtree
-
-    def spatial_candidates(self, geom: Geometry) -> Optional[Set[Literal]]:
-        """Geometry literals whose envelope intersects ``geom``'s."""
-        tree = self._ensure_rtree()
-        if tree is None:
-            return None
-        key = id(geom)
-        cached = self._candidate_cache.get(key)
-        if cached is not None and cached[0] is geom:
-            return cached[1]
-        result = set(tree.search(geom.envelope))
-        self._candidate_cache.put(key, (geom, result))
-        return result
-
-    # -- read-only request execution --------------------------------------
-
-    @property
-    def engine_name(self) -> str:
-        """Name of the execution engine answering requests."""
-        return self._evaluator_cls.engine_name
-
-    def _evaluator(
-        self,
-        initial: Optional[Row] = None,
-        cls=None,
-        deadline: Optional[float] = None,
-    ) -> Evaluator:
-        candidates = (
-            self.spatial_candidates if self._spatial_index_enabled else None
+    def _apply_update(self, request, initial, explain_log, deadline):
+        raise SnapshotWriteError(
+            "snapshot endpoints are read-only: send updates to the "
+            "live Strabon store"
         )
-        evaluator = (cls or self._evaluator_cls)(
-            self.snapshot,  # type: ignore[arg-type]
-            inference=self._inference,
-            spatial_candidates=candidates,
-            initial=initial,
-        )
-        evaluator.deadline = deadline
-        return evaluator
-
-    def query(
-        self,
-        text: str,
-        params: Optional[Dict[str, object]] = None,
-        explain: bool = False,
-        query_engine: Optional[str] = None,
-        timeout: Optional[float] = None,
-    ) -> Union[SolutionSet, bool, Graph, dict]:
-        """Run a read-only stSPARQL request against the snapshot.
-
-        SELECT / ASK / CONSTRUCT only — an update request raises
-        :class:`SnapshotWriteError` before touching anything.  With
-        ``explain=True`` the executed plan is returned instead of the
-        solutions; ``query_engine=`` forces an engine for this request;
-        ``timeout=`` is a cooperative budget in seconds (the shared
-        keyword contract of :meth:`Strabon.query`).
-        """
-        initial = Strabon._param_row(params)
-        explain_log: Optional[List[dict]] = [] if explain else None
-        deadline = (
-            time.perf_counter() + timeout if timeout is not None else None
-        )
-        evaluator_cls = (
-            _resolve_engine(query_engine)[0]
-            if query_engine is not None
-            else None
-        )
-        t0 = time.perf_counter()
-        parsed, _hit = _parse_via_cache(self.plan_cache, text)
-        if not isinstance(
-            parsed, (ast.SelectQuery, ast.AskQuery, ast.ConstructQuery)
-        ):
-            raise SnapshotWriteError(
-                "snapshot endpoints are read-only: send updates to the "
-                "live Strabon store"
-            )
-        with _tracer.span(
-            "stsparql.query", snapshot=True, generation=self.generation
-        ) as span:
-            evaluator = self._evaluator(
-                initial, evaluator_cls, deadline=deadline
-            )
-            evaluator.explain_log = explain_log
-            if isinstance(parsed, ast.SelectQuery):
-                result: Union[SolutionSet, bool, Graph] = (
-                    evaluator.select(parsed)
-                )
-                op, rows = "select", len(result)  # type: ignore[arg-type]
-            elif isinstance(parsed, ast.AskQuery):
-                result = evaluator.ask(parsed)
-                op, rows = "ask", 1
-            else:
-                result = _construct_graph(evaluator, parsed)
-                op, rows = "construct", len(result)
-            span.set(operation=op, rows=rows)
-        if _metrics.enabled:
-            _metrics.histogram(
-                "stsparql_query_seconds",
-                "Wall seconds per stSPARQL request (parse + eval)",
-            ).observe(
-                time.perf_counter() - t0, operation=f"snapshot-{op}"
-            )
-        if explain_log is not None:
-            name = (
-                evaluator_cls.engine_name
-                if evaluator_cls is not None
-                else self.engine_name
-            )
-            return _explain_doc(name, op, rows, explain_log)
-        return result
-
-    def select(
-        self, text: str, params: Optional[Dict[str, object]] = None
-    ) -> SolutionSet:
-        result = self.query(text, params)
-        if not isinstance(result, SolutionSet):
-            raise SparqlEvalError("request was not a SELECT query")
-        return result
-
-    def ask(
-        self, text: str, params: Optional[Dict[str, object]] = None
-    ) -> bool:
-        result = self.query(text, params)
-        if not isinstance(result, bool):
-            raise SparqlEvalError("request was not an ASK query")
-        return result
-
-    def construct(
-        self, text: str, params: Optional[Dict[str, object]] = None
-    ) -> Graph:
-        result = self.query(text, params)
-        if not isinstance(result, Graph):
-            raise SparqlEvalError("request was not a CONSTRUCT query")
-        return result
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

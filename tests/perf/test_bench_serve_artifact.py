@@ -1,8 +1,8 @@
 """The BENCH_serve.json artifact — tier-1 smoke contract.
 
 Thresholds sit well below what the benchmark actually produces
-(4x scaling-law speedup, zero torn reads, zero HTTP errors) so the
-committed artifact keeps passing on noisy hosts.
+(zero torn reads, zero HTTP errors) so the committed artifact keeps
+passing on noisy hosts.
 """
 
 from __future__ import annotations
@@ -35,22 +35,11 @@ def artifact():
 def test_schema_has_every_required_section(artifact):
     assert artifact["schema"] == "bench-serve/2"
     for section in (
-        "workload", "read_scaling", "http_load", "consistency",
-        "shard_scaling", "attach",
+        "workload", "http_load", "consistency", "shard_scaling",
     ):
         assert section in artifact, f"missing section {section!r}"
     assert artifact["workload"]["ingested_acquisitions"] > 0
     assert artifact["workload"]["snapshot_triples"] > 0
-
-
-def test_reads_scale_across_workers(artifact):
-    scaling = artifact["read_scaling"]
-    assert scaling["speedup"] >= 2.0, (
-        f"committed artifact shows only {scaling['speedup']:.2f}x "
-        f"(basis: {scaling['basis']})"
-    )
-    assert scaling["basis"] in ("measured", "scaling-law")
-    assert scaling["serial"]["queries_per_s"] > 0
 
 
 def test_http_load_was_clean(artifact):
@@ -67,10 +56,6 @@ def test_sharded_tier_met_its_bars(artifact):
         f"committed artifact shows only "
         f"{scaling['speedup_4_vs_1']:.2f}x at 4 shards"
     )
-    attach = artifact["attach"]
-    # Attach is O(1) in graph size and far cheaper than eager decode.
-    assert attach["size_independence_ratio"] <= 3.0
-    assert attach["attach_to_materialise_ratio"] <= 0.2
 
 
 def test_no_torn_reads_were_observed(artifact):

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro import obs
+from repro import obs, perf
 from repro.rdf import Literal, XSD
-from repro.stsparql import Strabon
+from repro.stsparql import SparqlEvalError, Strabon
 
 PREFIX = (
     "PREFIX noa: "
@@ -72,6 +72,15 @@ def test_parameters_keep_text_constant_but_results_specific(engine):
     assert stats.misses == 1 and stats.hits == 1
 
 
+def test_unconvertible_parameter_is_a_typed_engine_error(engine):
+    # A JSON object has no RDF term: the engine must say so with its
+    # own error type (the serving tier maps it to a 4xx), naming the
+    # parameter — not leak the evaluator-internal ExpressionError.
+    for endpoint in (engine, engine.snapshot_view()):
+        with pytest.raises(SparqlEvalError, match="__ts"):
+            endpoint.query(AT_TIME, params={"__ts": {"a": 1}})
+
+
 def test_updates_are_plan_cached_and_parameterized(engine):
     delete = PREFIX + (
         "DELETE { ?h noa:hasAcquisitionTime ?__ts } "
@@ -111,3 +120,13 @@ def test_plan_cache_entries_are_reusable_not_stateful(engine):
     first = [row["h"] for row in engine.select(query)]
     second = [row["h"] for row in engine.select(query)]
     assert first == second and len(first) == 2
+
+
+def test_rejected_perf_settings_do_not_stick():
+    before = perf.get_config().plan_cache_size
+    with pytest.raises(ValueError):
+        perf.configure(plan_cache_size=0)
+    assert perf.get_config().plan_cache_size == before
+    # The execution engine is a fixed policy, not a setting.
+    with pytest.raises(TypeError):
+        perf.configure(query_engine="interpreted")

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import pickle
-import threading
-
 import pytest
 
 from repro.errors import SnapshotWriteError
@@ -114,19 +111,6 @@ def test_snapshot_copy_is_mutable_again():
     thawed.add(u("x"), u("p"), Literal(7))
     assert len(thawed) == 6
     assert len(snap) == 5  # the thawed copy detached first
-
-
-def test_snapshot_pickles_for_forked_readers():
-    g = populated()
-    snap = g.snapshot()
-    clone = pickle.loads(pickle.dumps(snap))
-    assert isinstance(clone, GraphSnapshot)
-    assert len(clone) == len(snap)
-    assert clone.generation == snap.generation
-    assert set(clone.triples(None, None, None)) == set(
-        snap.triples(None, None, None)
-    )
-    assert isinstance(clone.build_lock, type(threading.Lock()))
 
 
 def test_detach_happens_once_per_snapshot_cycle():

@@ -138,7 +138,7 @@ def test_stsparql_explain_returns_plan(server):
         json.dumps({"query": SELECT, "explain": True}),
     )
     assert status == 200
-    assert plan["engine"] in ("columnar", "interpreted")
+    assert plan["engine"] == "columnar"
     assert plan["operation"] == "select"
     assert plan["rows"] > 0
     bgp = plan["plan"][0]
@@ -146,6 +146,36 @@ def test_stsparql_explain_returns_plan(server):
     assert len(bgp["join_order"]) == len(bgp["estimates"]) == 2
     # Explain responses carry the same snapshot provenance as results.
     assert plan["snapshot"]["sequence"] >= 1
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"query": 123},
+        {"query": ["SELECT"]},
+        {"query": SELECT, "timeout_s": "nan"},
+        {"query": SELECT, "timeout_s": 1e999},  # JSON Infinity
+        {"query": SELECT, "timeout_s": True},
+        {"query": SELECT, "timeout_s": 0},
+        {"query": SELECT, "params": {"c": {"no": "such term"}}},
+    ],
+)
+def test_stsparql_rejects_malformed_bodies_with_400(server, document):
+    status, answer = _request(
+        server, "POST", "/stsparql", json.dumps(document)
+    )
+    assert status == 400, answer
+
+
+def test_stsparql_ignores_unknown_body_fields(server):
+    status, result = _request(
+        server,
+        "POST",
+        "/stsparql",
+        json.dumps({"query": SELECT, "engine": "quantum", "x": 1}),
+    )
+    assert status == 200
+    assert len(result["results"]["bindings"]) > 0
 
 
 def test_health_reflects_service_state(server, served_service):

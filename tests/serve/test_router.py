@@ -212,15 +212,6 @@ class TestUnifiedContract:
             shard["rows"] for shard in doc["shards"].values()
         )
 
-    def test_query_engine_override_reaches_shards(self, router):
-        doc = router.query(
-            SELECT, explain=True, query_engine="interpreted"
-        )
-        engines = {
-            shard["engine"] for shard in doc["shards"].values()
-        }
-        assert engines == {"interpreted"}
-
     def test_timeout_maps_to_query_timeout_error(self, router):
         with pytest.raises(QueryTimeoutError):
             router.query(SELECT, timeout=1e-9)
@@ -252,11 +243,6 @@ class TestUnifiedContract:
         ):
             with pytest.raises(SparqlError):
                 router.query(text)
-
-    def test_bad_engine_name_rejected(self, router):
-        with pytest.raises(SparqlError, match="engine"):
-            router.query(SELECT, query_engine="quantum")
-
 
 class TestVersionedApi:
     def _raw(self, client, method, path, body=None):

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.errors import SnapshotWriteError
+from repro.geometry import Point
+from repro.geometry.rtree import RTree
 from repro.rdf import NOA, RDF, URI
 from repro.stsparql import SnapshotView, Strabon
 
@@ -81,20 +86,38 @@ def test_view_shares_the_engines_plan_cache(engine):
     assert engine.plan_cache.stats().hits >= baseline + 2
 
 
-def test_view_spatial_query_uses_frozen_rtree(strabon_with_aux):
-    # The row-wise engine prunes through the R-tree (the columnar one
-    # uses vectorised envelope comparison and never needs it), so force
-    # it to observe the frozen index being built on the view.
-    view = SnapshotView(
-        strabon_with_aux.graph.snapshot(),
-        query_engine="interpreted",
-    )
-    rows = view.select(SPATIAL)
-    live = strabon_with_aux.select(SPATIAL)
-    assert sorted(map(repr, rows)) == sorted(map(repr, live))
-    # The R-tree was built lazily, once, on the snapshot.
-    assert view._rtree_built is True
-    assert view._rtree is not None
+def test_concurrent_first_readers_build_the_frozen_rtree_once(
+    strabon_with_aux, monkeypatch
+):
+    builds = []
+    bulk_load = RTree.bulk_load
+
+    def counting_bulk_load(entries):
+        builds.append(len(entries))
+        time.sleep(0.05)  # hold the build open so the readers pile up
+        return bulk_load(entries)
+
+    monkeypatch.setattr(RTree, "bulk_load", counting_bulk_load)
+    view = strabon_with_aux.snapshot_view()
+    probe = Point(24.0, 38.0)
+    answers = []
+    readers = [
+        threading.Thread(
+            target=lambda: answers.append(view.spatial_candidates(probe))
+        )
+        for _ in range(8)
+    ]
+    for reader in readers:
+        reader.start()
+    for reader in readers:
+        reader.join(timeout=30)
+    assert not any(reader.is_alive() for reader in readers)
+    # Built lazily, once, under the snapshot's build lock — and every
+    # reader saw the finished index, never a half-built one.
+    assert len(builds) == 1 and builds[0] > 0
+    assert len(answers) == 8
+    assert all(answer == answers[0] for answer in answers)
+    assert view.select(SPATIAL) == strabon_with_aux.select(SPATIAL)
 
 
 def test_standalone_view_over_a_bare_snapshot(engine):

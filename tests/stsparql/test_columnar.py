@@ -1,17 +1,21 @@
-"""Columnar-engine specifics: explain plans, metrics, configuration.
+"""Columnar-engine specifics: explain plans, metrics, engine policy.
 
 Result *equality* with the interpreted engine lives in
 ``test_differential.py``; this file covers the machinery around the
-engine — the EXPLAIN surface, the observability counters, the perf
-knob and the SolutionSet helpers the executor leans on.
+engine — the EXPLAIN surface, the observability counters, the
+operation-driven engine policy and the SolutionSet helpers the
+executor leans on.
 """
 
 import pytest
 
-from repro import obs, perf
+from reference import reference_evaluator
+
+from repro import obs
 from repro.rdf import Literal, NOA, RDF, XSD
-from repro.stsparql import Strabon
+from repro.stsparql import Strabon, columnar
 from repro.stsparql.eval import SolutionSet
+from repro.stsparql.parser import parse
 
 pytest.importorskip("numpy")
 
@@ -20,8 +24,8 @@ PREFIX = (
 )
 
 
-def small_engine(**kwargs):
-    engine = Strabon(**kwargs)
+def small_engine():
+    engine = Strabon()
     for i in range(8):
         node = NOA.term(f"h{i}")
         engine.add(node, RDF.type, NOA.term("Hotspot"))
@@ -87,13 +91,12 @@ class TestExplain:
         assert doc["plan"][0]["join_order"]
 
     def test_interpreted_engine_explains_too(self):
-        engine = small_engine(query_engine="interpreted")
-        doc = engine.query(
-            PREFIX + "SELECT ?h WHERE { ?h a noa:Hotspot }",
-            explain=True,
+        plan = []
+        reference_evaluator(small_engine(), explain_log=plan).select(
+            parse(PREFIX + "SELECT ?h WHERE { ?h a noa:Hotspot }")
         )
-        assert doc["engine"] == "interpreted"
-        assert doc["plan"][0]["engine"] == "interpreted"
+        assert plan[0]["engine"] == "interpreted"
+        assert plan[0]["join_order"]
 
 
 class TestMetrics:
@@ -133,69 +136,35 @@ class TestMetrics:
         assert "stsparql_columnar_filter_memo_misses_total" in names
 
 
-class TestPerfKnob:
-    def test_engine_setting_validates(self):
-        with pytest.raises(ValueError):
-            perf.configure(query_engine="turbo")
-        with pytest.raises(ValueError):
-            perf.configure(columnar_batch_rows=0)
-        # Rejected values must not stick.
-        assert perf.get_config().query_engine in (
-            "auto",
-            "columnar",
-            "interpreted",
-        )
-        assert perf.get_config().columnar_batch_rows >= 1
-        original = perf.get_config().query_engine
-        try:
-            perf.configure(query_engine="interpreted")
-            assert Strabon().engine_name == "interpreted"
-            perf.configure(query_engine="columnar")
-            assert Strabon().engine_name == "columnar"
-        finally:
-            perf.configure(query_engine=original)
-
-    def test_auto_routes_updates_row_wise(self):
-        # "auto" (the default) answers read queries from the columnar
-        # engine but evaluates update WHERE clauses row-wise; explain
-        # reports the engine that actually ran each request.
-        engine = small_engine(query_engine="auto")
-        assert engine.engine_name == "columnar"
-        doc = engine.query(
-            PREFIX + "SELECT ?h WHERE { ?h a noa:Hotspot }",
-            explain=True,
-        )
-        assert doc["engine"] == "columnar"
+class TestEnginePolicy:
+    def test_reads_are_columnar_updates_are_row_wise(self):
+        # The engine is picked from the operation, on the live store
+        # and on its frozen view alike; explain reports the engine
+        # that actually ran each request.
+        engine = small_engine()
+        select = PREFIX + "SELECT ?h WHERE { ?h a noa:Hotspot }"
+        for endpoint in (engine, engine.snapshot_view()):
+            doc = endpoint.query(select, explain=True)
+            assert doc["engine"] == "columnar"
+            assert doc["plan"][0]["engine"] == "columnar"
         doc = engine.query(
             PREFIX
-            + """DELETE { ?h noa:producedBy ?s }
-                WHERE { ?h noa:producedBy ?s }""",
+            + """DELETE { ?h noa:hasConfidence ?c }
+                WHERE { ?h noa:hasConfidence ?c }""",
             explain=True,
         )
         assert doc["engine"] == "interpreted"
-        forced = small_engine(query_engine="columnar")
-        doc = forced.query(
-            PREFIX
-            + """DELETE { ?h noa:producedBy ?s }
-                WHERE { ?h noa:producedBy ?s }""",
-            explain=True,
-        )
-        assert doc["engine"] == "columnar"
+        assert doc["plan"][0]["engine"] == "interpreted"
 
-    def test_batch_size_one_still_correct(self):
-        original = perf.get_config().columnar_batch_rows
-        try:
-            perf.configure(columnar_batch_rows=1)
-            engine = small_engine()
-            got = engine.select(
-                PREFIX
-                + """SELECT ?h ?c WHERE {
-                    ?h a noa:Hotspot ; noa:hasConfidence ?c .
-                    FILTER(?c > 0.3) }"""
-            )
-            assert len(got) == 5
-        finally:
-            perf.configure(columnar_batch_rows=original)
+    def test_batch_size_one_still_correct(self, monkeypatch):
+        monkeypatch.setattr(columnar, "CHUNK_ROWS", 1)
+        got = small_engine().select(
+            PREFIX
+            + """SELECT ?h ?c WHERE {
+                ?h a noa:Hotspot ; noa:hasConfidence ?c .
+                FILTER(?c > 0.3) }"""
+        )
+        assert len(got) == 5
 
 
 class TestSolutionSet:

@@ -1,11 +1,13 @@
 """Differential testing: columnar engine == interpreted engine.
 
-Every query in the corpus runs through both the per-row interpreted
-evaluator and the vectorised columnar evaluator over the same
-(seeded, randomised) graph; the resulting :class:`SolutionSet`\\ s must
-be equal — same variables, same multiset of rows (``SolutionSet.__eq__``
-is deliberately row-order insensitive).  Updates are diffed on cloned
-graphs: both engines must add and remove exactly the same triples.
+Every read in the corpus runs through the engine (whose reads are
+columnar) and through the per-row reference evaluator of
+``reference.py`` over the same (seeded, randomised) graph; the
+resulting :class:`SolutionSet`\\ s must be equal — same variables, same
+multiset of rows (``SolutionSet.__eq__`` is deliberately row-order
+insensitive).  The same corpus pins :class:`Strabon` and its
+``snapshot_view()`` to one endpoint implementation: equal solutions,
+equal explain documents.
 
 The graph deliberately mixes plain ASCII, Greek and emoji literals
 (the paper's corpora carry Greek toponyms) and WKT geometries, so the
@@ -15,6 +17,8 @@ dictionary-encoding round trip is exercised on non-trivial terms.
 import random
 
 import pytest
+
+from reference import reference_ask, reference_select
 
 from repro.rdf import Literal, NOA, RDF, XSD
 from repro.stsparql import Strabon
@@ -122,13 +126,11 @@ def build_graph(seed: int = SEED, hotspots: int = 24):
     return triples
 
 
-def make_engines():
-    interpreted = Strabon(query_engine="interpreted")
-    columnar = Strabon(query_engine="columnar")
+def make_engine():
+    engine = Strabon()
     for s, p, o in build_graph():
-        interpreted.add(s, p, o)
-        columnar.add(s, p, o)
-    return interpreted, columnar
+        engine.add(s, p, o)
+    return engine
 
 
 QUERIES = [
@@ -212,55 +214,37 @@ ASKS = [
     "ASK { ?h noa:producedBy \"nowhere\" }",
 ]
 
-UPDATES = [
-    """INSERT { ?h noa:flagged "yes" }
-       WHERE { ?h noa:hasConfidence ?c . FILTER(?c > 0.8) }""",
-    """DELETE { ?h noa:hasConfidence ?c }
-       WHERE { ?h noa:hasConfidence ?c . FILTER(?c < 0.1) }""",
-    """DELETE { ?h noa:producedBy ?src }
-       INSERT { ?h noa:producedBy "μετονομασία-✅" }
-       WHERE { ?h noa:producedBy ?src .
-               FILTER(?src = "Μάνη 🔥") }""",
-]
-
 
 @pytest.fixture(scope="module")
-def engines():
-    return make_engines()
+def engine():
+    return make_engine()
 
 
 @pytest.mark.parametrize("query", QUERIES)
-def test_select_differential(engines, query):
-    interpreted, columnar = engines
-    expected = interpreted.select(PREFIX + query)
-    got = columnar.select(PREFIX + query)
-    assert got == expected
+def test_select_differential(engine, query):
+    assert engine.select(PREFIX + query) == reference_select(
+        engine, PREFIX + query
+    )
 
 
 @pytest.mark.parametrize("query", ASKS)
-def test_ask_differential(engines, query):
-    interpreted, columnar = engines
-    assert columnar.ask(PREFIX + query) == interpreted.ask(
-        PREFIX + query
+def test_ask_differential(engine, query):
+    assert engine.ask(PREFIX + query) == reference_ask(
+        engine, PREFIX + query
     )
 
 
-@pytest.mark.parametrize("update", UPDATES)
-def test_update_differential(update):
-    # Fresh engine pair per update: both start from the same graph and
-    # must end with the same triple set.
-    interpreted, columnar = make_engines()
-    ri = interpreted.update(PREFIX + update)
-    rc = columnar.update(PREFIX + update)
-    assert (rc.added, rc.removed) == (ri.added, ri.removed)
-    assert set(columnar.graph.triples()) == set(
-        interpreted.graph.triples()
+@pytest.mark.parametrize("query", QUERIES + ASKS)
+def test_live_store_and_snapshot_view_are_one_endpoint(engine, query):
+    view = engine.snapshot_view()
+    assert view.query(PREFIX + query) == engine.query(PREFIX + query)
+    assert view.query(PREFIX + query, explain=True) == engine.query(
+        PREFIX + query, explain=True
     )
 
 
-def test_randomised_threshold_sweep(engines):
+def test_randomised_threshold_sweep(engine):
     """Seeded sweep: many filter thresholds, both engines agree."""
-    interpreted, columnar = engines
     rng = random.Random(SEED + 1)
     for _ in range(20):
         lo = round(rng.uniform(0.0, 1.0), 3)
@@ -270,10 +254,4 @@ def test_randomised_threshold_sweep(engines):
             + f"""SELECT ?h ?c WHERE {{ ?h noa:hasConfidence ?c .
             FILTER(?c >= {lo} && ?c <= {hi}) }}"""
         )
-        assert columnar.select(q) == interpreted.select(q)
-
-
-def test_engines_actually_differ(engines):
-    interpreted, columnar = engines
-    assert interpreted.engine_name == "interpreted"
-    assert columnar.engine_name == "columnar"
+        assert engine.select(q) == reference_select(engine, q)
