@@ -43,15 +43,6 @@ TIMING_THRESHOLD = 0.60
 
 #: (dotted path, direction, threshold or None for the default).
 WATCHED = {
-    "BENCH_pipeline.json": [
-        ("speedup.acquisitions_per_min_ratio", "higher", None),
-        (
-            "plan_cache.hit_ratio_after_first_acquisition",
-            "higher",
-            None,
-        ),
-        ("serial.acquisitions_per_min", "higher", TIMING_THRESHOLD),
-    ],
     "BENCH_obs.json": [
         ("deadline.miss_ratio", "lower", None),
         ("stages.acquisition/total.p50_s", "lower", TIMING_THRESHOLD),

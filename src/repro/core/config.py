@@ -7,7 +7,7 @@ One construction-time object (:class:`ServiceConfig`) replaces the
 
 >>> from repro.core import FireMonitoringService, ServiceConfig, RunOptions
 >>> service = FireMonitoringService(config=ServiceConfig(use_files=True))
->>> outcomes = service.run(whens, RunOptions(pipelined=True))  # doctest: +SKIP
+>>> outcomes = service.run(whens, RunOptions(season=season))  # doctest: +SKIP
 
 :class:`FaultPolicy` bundles the fault-tolerance knobs — retry budget
 and backoff, the real-time window the degradation logic enforces, and
@@ -17,6 +17,8 @@ the refinement circuit breaker — and builds the actual
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
@@ -27,6 +29,15 @@ __all__ = ["ServiceConfig", "RunOptions", "FaultPolicy"]
 
 #: What :attr:`RunOptions.on_error` accepts.
 ON_ERROR_MODES = ("degrade", "raise")
+
+#: :class:`FaultPolicy` durations, each a non-negative number of seconds.
+_POLICY_SECONDS = (
+    "retry_base_delay_s",
+    "retry_max_delay_s",
+    "window_seconds",
+    "refinement_reserve_s",
+    "breaker_recovery_s",
+)
 
 
 @dataclass
@@ -55,12 +66,40 @@ class FaultPolicy:
     breaker_recovery_s: float = 120.0
 
     def validate(self) -> None:
+        for name in ("max_attempts", "breaker_threshold", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral
+            ):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}"
+                )
+        for name in _POLICY_SECONDS + ("retry_jitter",):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or math.isnan(value)
+            ):
+                raise ConfigurationError(
+                    f"{name} must be a number, got {value!r}"
+                )
         if self.max_attempts < 1:
             raise ConfigurationError("max_attempts must be >= 1")
-        if self.window_seconds <= 0:
-            raise ConfigurationError("window_seconds must be positive")
         if self.breaker_threshold < 1:
             raise ConfigurationError("breaker_threshold must be >= 1")
+        if not 0 <= self.retry_jitter < 1:
+            raise ConfigurationError("retry_jitter must be in [0, 1)")
+        if not 0 < self.window_seconds < math.inf:
+            raise ConfigurationError(
+                "window_seconds must be positive and finite"
+            )
+        for name in _POLICY_SECONDS:
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be >= 0")
+        for name in ("retry_base_delay_s", "retry_max_delay_s"):
+            if getattr(self, name) == math.inf:
+                raise ConfigurationError(f"{name} must be finite")
 
     def build_retry(self) -> RetryPolicy:
         return RetryPolicy(
@@ -178,14 +217,6 @@ class RunOptions:
     season: Optional[object] = None
     #: Sensor name for synthesised scenes.
     sensor_name: str = "MSG2"
-    #: Overlap chain(N+1) with refinement(N) on worker processes.
-    pipelined: bool = False
-    #: Stage-one worker count / bounded-queue depth (``None`` = the
-    #: :mod:`repro.perf` configuration defaults).
-    chain_workers: Optional[int] = None
-    queue_depth: Optional[int] = None
-    #: ``"process"`` / ``"thread"`` / ``None`` (auto) pipeline workers.
-    worker_kind: Optional[str] = None
     #: Fault-tolerance knobs; library defaults when unset.
     fault_policy: Optional[FaultPolicy] = None
     #: ``"degrade"`` — failures become non-``ok`` outcomes (the

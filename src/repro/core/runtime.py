@@ -1,10 +1,9 @@
-"""The fault-aware acquisition runtime shared by serial and pipelined paths.
+"""The fault-aware acquisition runtime: stage one of every acquisition.
 
-Stage one of every acquisition — resolve the request, apply any injected
-data faults, validate the input, run the processing chain — goes through
-:func:`run_stage_one`, whether it executes on the caller's thread
-(serial mode) or inside a forked pipeline worker.  Putting the guard in
-one place is what makes the failure semantics identical in both modes:
+Stage one — resolve the request, apply any injected data faults,
+validate the input, run the processing chain — goes through
+:func:`run_stage_one`, which the service's retry loop calls once per
+attempt:
 
 * **resolution** (:func:`resolve_request`): timestamps synthesise a
   scene, scenes optionally become HRIT segment files, monitor-dispatched
@@ -46,7 +45,12 @@ import numpy as np
 from repro.core.products import HotspotProduct
 from repro.errors import AcquisitionFailed, ReproError
 from repro.faults import DeadLetterBox, FaultPlan, active_plan, trip
-from repro.seviri.hrit import image_metadata, read_hrit_image, segment_paths_for
+from repro.seviri.hrit import (
+    image_metadata,
+    read_hrit_image,
+    segment_paths_for,
+    write_hrit_segments,
+)
 from repro.seviri.scene import SceneImage
 
 __all__ = [
@@ -88,10 +92,7 @@ class PrepareNotes:
 
 @dataclass
 class StageOneResult:
-    """Stage one's product plus everything stage two must know.
-
-    Picklable — this is what pipeline workers send back to the parent.
-    """
+    """Stage one's product plus everything stage two must know."""
 
     index: int
     product: HotspotProduct
@@ -100,10 +101,29 @@ class StageOneResult:
     #: guard work — what the budget decision in stage two is based on
     #: (``product.processing_seconds`` covers only the chain proper).
     stage_seconds: float = 0.0
-    #: Span records (``Span.to_dict()``) collected in the worker process
-    #: that ran this stage, shipped home for the parent tracer to adopt
-    #: (empty when tracing is off or the stage ran in-process).
-    spans: List[dict] = field(default_factory=list)
+
+
+def scene_to_chain_input(
+    scene: SceneImage, use_files: bool, workdir: str
+):
+    """What the processing chain consumes for ``scene``.
+
+    In-memory mode hands the scene straight over; file mode writes the
+    two IR bands as HRIT segment directories (full fidelity: the vault
+    ingests them like downlinked data).
+    """
+    if not use_files:
+        return scene
+    stamp = scene.timestamp.strftime("%Y%m%d%H%M%S")
+    dir039 = os.path.join(workdir, f"{stamp}_039")
+    dir108 = os.path.join(workdir, f"{stamp}_108")
+    write_hrit_segments(
+        dir039, scene.sensor_name, "IR_039", scene.timestamp, scene.t039
+    )
+    write_hrit_segments(
+        dir108, scene.sensor_name, "IR_108", scene.timestamp, scene.t108
+    )
+    return (dir039, dir108)
 
 
 def resolve_request(
@@ -122,8 +142,6 @@ def resolve_request(
     monitor-dispatched acquisition exposing ``chain_input``, or a raw
     chain input.
     """
-    from repro.core.service import scene_to_chain_input
-
     if isinstance(item, datetime):
         if scene_generator is None:
             raise AcquisitionFailed(

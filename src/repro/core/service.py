@@ -16,7 +16,11 @@ Two configurations are provided:
 The public surface is one constructor plus one batch method::
 
     service = FireMonitoringService(config=ServiceConfig(use_files=True))
-    outcomes = service.run(whens, RunOptions(season=season, pipelined=True))
+    outcomes = service.run(whens, RunOptions(season=season))
+
+Each acquisition runs to completion before the next starts: stage one
+(resolve, guard, SciQL chain) then stage two (stSPARQL refinement,
+archiving, commit and publish), on the calling thread.
 
 :meth:`FireMonitoringService.run` owns the failure semantics (see
 DESIGN.md, "Failure semantics"): stage one is retried under the
@@ -25,10 +29,8 @@ are quarantined, single-band acquisitions run degraded, refinement is
 skipped or truncated when the real-time window demands it, and with
 ``on_error="degrade"`` (the default) **no exception escapes** — every
 request yields an :class:`AcquisitionOutcome` whose ``status`` /
-``errors`` say what happened.  The pre-redesign entry points
-(``process_acquisition`` and friends) have been removed; callers that
-want the historical raise-on-failure semantics pass
-``RunOptions(on_error="raise")``.  :meth:`serve_sharded` starts the
+``errors`` say what happened; ``RunOptions(on_error="raise")``
+propagates the first failure instead.  :meth:`serve_sharded` starts the
 scatter-gather serving tier (``repro.serve.shard`` /
 ``repro.serve.router``) over this service's snapshot publications.
 """
@@ -50,6 +52,11 @@ from repro.core.legacy import LegacyChain
 from repro.core.mapping import MapComposer
 from repro.core.products import HotspotProduct
 from repro.core.refinement import OperationTiming, RefinementPipeline
+from repro.core.runtime import (
+    request_identity,
+    resume_filter,
+    run_stage_one,
+)
 from repro.core.sciql_chain import SciQLChain
 from repro.datasets import SyntheticGreece, load_auxiliary_data
 from repro.durable import crashpoints
@@ -66,8 +73,7 @@ from repro.obs import (
 )
 from repro.obs import flightrec as _flightrec
 from repro.seviri.geo import GeoReference, RawGrid, TargetGrid
-from repro.seviri.hrit import write_hrit_segments
-from repro.seviri.scene import SceneGenerator, SceneImage
+from repro.seviri.scene import SceneGenerator
 from repro.shapefile import write_shapefile
 from repro.stsparql import Strabon
 
@@ -77,30 +83,6 @@ _metrics = get_metrics()
 
 #: Outcome ``status`` values, from best to worst.
 OUTCOME_STATUSES = ("ok", "degraded", "error")
-
-
-def scene_to_chain_input(
-    scene: SceneImage, use_files: bool, workdir: str
-):
-    """What the processing chain consumes for ``scene``.
-
-    In-memory mode hands the scene straight over; file mode writes the
-    two IR bands as HRIT segment directories (full fidelity: the vault
-    ingests them like downlinked data).  Module-level so the pipelined
-    executor's worker processes can run it without a service instance.
-    """
-    if not use_files:
-        return scene
-    stamp = scene.timestamp.strftime("%Y%m%d%H%M%S")
-    dir039 = os.path.join(workdir, f"{stamp}_039")
-    dir108 = os.path.join(workdir, f"{stamp}_108")
-    write_hrit_segments(
-        dir039, scene.sensor_name, "IR_039", scene.timestamp, scene.t039
-    )
-    write_hrit_segments(
-        dir108, scene.sensor_name, "IR_108", scene.timestamp, scene.t108
-    )
-    return (dir039, dir108)
 
 
 @dataclass
@@ -168,7 +150,6 @@ class _RunState:
         options: RunOptions,
         breaker: CircuitBreaker,
     ) -> None:
-        options.validate()
         self.options = options
         self.policy: FaultPolicy = options.policy()
         self.retry: RetryPolicy = self.policy.build_retry()
@@ -678,7 +659,7 @@ class FireMonitoringService:
         dispatched by a :class:`~repro.seviri.monitor.SeviriMonitor`, or
         raw chain inputs — mixed freely.  ``options`` (or keyword
         ``overrides`` of individual :class:`RunOptions` fields) selects
-        serial vs pipelined execution and the failure semantics; see the
+        the scene synthesis inputs and the failure semantics; see the
         module docstring.
         """
         if self._closed:
@@ -690,14 +671,12 @@ class FireMonitoringService:
         if self.sources is not None:
             # Bind the season to the federation (polar detections
             # sample its ground truth) and seed the static-site
-            # catalogue + events before any scene is synthesised or
-            # dispatched to pipeline workers.  Idempotent.
+            # catalogue + events before any scene is synthesised.
+            # Idempotent.
             self.sources.prepare(options.season, self.strabon.graph)
         if self._last_committed_timestamp is not None:
             # Resuming a replayed request stream: acquisitions at or
             # before the durable cursor are already in the store.
-            from repro.core.runtime import resume_filter
-
             requests, skipped = resume_filter(
                 requests, self._last_committed_timestamp
             )
@@ -714,33 +693,16 @@ class FireMonitoringService:
                         "service_resume_skipped_total",
                         "Requests skipped as already committed",
                     ).inc(skipped)
-        if options.pipelined:
-            from repro.core.pipeline import PipelinedExecutor
-
-            with PipelinedExecutor(
-                self,
-                chain_workers=options.chain_workers,
-                queue_depth=options.queue_depth,
-                worker_kind=options.worker_kind,
-                season=options.season,
-                sensor_name=options.sensor_name,
-                fault_policy=options.fault_policy,
-                on_error=options.on_error,
-            ) as executor:
-                return executor.run(requests)
-        state = self._run_state(options)
-        return [
-            self._run_one(request, index, state)
-            for index, request in enumerate(requests)
-        ]
-
-    def _run_state(self, options: RunOptions) -> _RunState:
         breaker = (
             self._breaker
             if options.fault_policy is None
             else options.fault_policy.build_breaker()
         )
-        return _RunState(options, breaker)
+        state = _RunState(options, breaker)
+        return [
+            self._run_one(request, index, state)
+            for index, request in enumerate(requests)
+        ]
 
     # -- stage one ---------------------------------------------------------
 
@@ -749,11 +711,8 @@ class FireMonitoringService:
 
         The attempt counter increments per invocation — the number the
         fault plan matches on, so a ``raise_in("stage.chain", times=2)``
-        spec fails exactly the first two attempts here just as it would
-        on pipeline workers.
+        spec fails exactly the first two attempts.
         """
-        from repro.core.runtime import run_stage_one
-
         attempt = 0
 
         def once():
@@ -791,22 +750,9 @@ class FireMonitoringService:
         self._account_outcome(outcome)
         return outcome
 
-    def _fail(
-        self, request, error: BaseException, state: _RunState
-    ) -> AcquisitionOutcome:
-        """Account one permanently failed acquisition (pipelined path)."""
-        with _tracer.span(
-            "acquisition", mode=self.mode, pipelined=True
-        ) as root:
-            outcome = self._failure_outcome(request, error, root)
-        self._account_outcome(outcome)
-        return outcome
-
     def _failure_outcome(
         self, request, error: BaseException, root
     ) -> AcquisitionOutcome:
-        from repro.core.runtime import request_identity
-
         timestamp, sensor = request_identity(request)
         outcome = AcquisitionOutcome(
             timestamp=timestamp,
@@ -834,24 +780,15 @@ class FireMonitoringService:
         return max(state.policy.refinement_reserve_s, rolling)
 
     def _stage_two(
-        self, result, state: _RunState, root=None
+        self, result, state: _RunState, root
     ) -> AcquisitionOutcome:
-        """Refine, archive and flag one stage-one product.
+        """Refine, archive and flag one stage-one product under the
+        acquisition's ``root`` span.
 
-        Runs on the caller's thread, one acquisition at a time — in
-        pipelined mode this is the executor's in-order second stage.
         Every degradation decision (circuit open, window exhausted,
         refinement failure, truncation) lands in the outcome's
         ``errors`` and flips ``status`` to ``"degraded"``.
         """
-        if root is None:
-            with _tracer.span(
-                "acquisition", mode=self.mode, pipelined=True
-            ) as span:
-                outcome = self._stage_two(result, state, span)
-            self._account_outcome(outcome)
-            return outcome
-
         product = result.product
         outcome = AcquisitionOutcome(
             timestamp=product.timestamp,
@@ -988,13 +925,6 @@ class FireMonitoringService:
                 "acquisitions_degraded_total",
                 "Acquisitions that completed in degraded mode",
             ).inc(reason=reason)
-
-    def _make_chain(self):
-        """A fresh processing chain like :attr:`chain` (worker-private
-        state: each SciQL chain owns its MonetDB instance)."""
-        if self.mode == "teleios":
-            return SciQLChain(self.georeference)
-        return LegacyChain(self.georeference)
 
     def _account_outcome(self, outcome: AcquisitionOutcome) -> None:
         product = outcome.raw_product
@@ -1141,9 +1071,6 @@ class FireMonitoringService:
             manager, host=host, port=port
         )
         return manager, handle
-
-    def _chain_input(self, scene: SceneImage):
-        return scene_to_chain_input(scene, self.use_files, self.workdir)
 
     # -- dissemination -----------------------------------------------------
 

@@ -15,7 +15,7 @@ Unarmed, every point is a cheap no-op (one global ``is None`` check),
 so production code paths pay nothing.
 
 The registry doubles as the crash-matrix test's parameter list: every
-name registered here is exercised in both serial and pipelined mode by
+name registered here is exercised by
 ``tests/durable/test_crash_matrix.py``.
 """
 

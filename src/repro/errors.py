@@ -7,7 +7,7 @@ failures the way the fault-tolerance layer (:mod:`repro.faults`) cares
 about:
 
 * :class:`Transient` — the operation may succeed if simply tried again
-  (a flaky worker, an injected infrastructure fault, a timeout).  This
+  (an injected infrastructure fault, a timeout).  This
   is what :class:`repro.faults.RetryPolicy` retries by default.
 * :class:`Permanent` — retrying cannot help (corrupt data, a parse
   error, an impossible configuration).  These fail fast: the runtime
@@ -18,8 +18,7 @@ must opt *in* to retrying, never out.
 
 Concrete classes raised by the service runtime itself also live here
 (:class:`ConfigurationError`, :class:`ServiceStateError`,
-:class:`WorkerCrashError`, :class:`StageTimeoutError`,
-:class:`AcquisitionFailed`) so that :mod:`repro.core` and
+:class:`StageTimeoutError`, :class:`AcquisitionFailed`) so that :mod:`repro.core` and
 :mod:`repro.faults` need not import each other for their exception
 types.
 """
@@ -35,7 +34,6 @@ __all__ = [
     "ConfigurationError",
     "ServiceStateError",
     "SnapshotWriteError",
-    "WorkerCrashError",
     "StageTimeoutError",
     "AcquisitionFailed",
     "is_transient",
@@ -82,14 +80,6 @@ class SnapshotWriteError(PermanentError, TypeError):
     """A mutation was attempted on a frozen graph snapshot (or through
     a read-only snapshot query endpoint).  Subclasses :class:`TypeError`
     because immutability violations are type errors in spirit."""
-
-
-class WorkerCrashError(TransientError):
-    """A pipelined stage-one worker died mid-acquisition.
-
-    The executor treats this as retryable: it respawns the pool and
-    re-runs the in-flight scenes.
-    """
 
 
 class StageTimeoutError(TransientError):

@@ -3,14 +3,13 @@
 The paper's service is *real-time*: a new MSG acquisition lands every
 5/15 minutes and both processing stages must finish inside the window
 (§4.2.1).  Operational pipelines treat partial input loss, flaky
-workers and deadline pressure as the normal case; this package supplies
-both halves of engineering for that:
+infrastructure and deadline pressure as the normal case; this package
+supplies both halves of engineering for that:
 
 * a **deterministic fault-injection harness** —
   :class:`FaultPlan` / :func:`inject` / :func:`trip` — that can corrupt
-  HRIT segments, drop one band of an acquisition, delay or raise inside
-  named stages, and kill pipelined chain workers, all seeded so a
-  faulted run replays identically (serial or pipelined),
+  HRIT segments, drop one band of an acquisition, and delay or raise
+  inside named stages, all seeded so a faulted run replays identically,
 * **resilience primitives** — :class:`RetryPolicy` (exponential backoff
   with seeded jitter, dispatching on the
   :class:`repro.errors.Transient` marker), :class:`Timeout` and

@@ -8,9 +8,9 @@ acquisition it belonged to continues in degraded mode.
 Each quarantined file ``F`` lands in the dead-letter directory next to
 a sidecar ``F.reason.json`` holding the reason, the fault site, the
 error text and a UTC timestamp.  Quarantining is atomic per file
-(a rename when source and target share a filesystem) and safe to call
-from forked pipeline workers — names are disambiguated, records are
-re-readable from disk by the parent process.
+(a rename when source and target share a filesystem); colliding names
+are disambiguated, and records are re-readable from disk by any
+process.
 """
 
 from __future__ import annotations

@@ -5,18 +5,17 @@ records plus a seed.  Instrumented code consults the *active* plan at
 named **fault sites** (``faults.trip("stage.chain", index=3)``); the
 plan decides — purely from its specs, the site name, the acquisition
 index and the attempt number — whether to delay, raise, corrupt input
-bytes, drop a band or kill a worker.
+bytes or drop a band.
 
 Determinism is the design constraint: the same plan must injure the
-same acquisitions in the same way whether the batch runs serially or
-pipelined across forked worker processes, and across repeated runs.
-Two rules give that:
+same acquisitions in the same way across repeated runs.  Two rules
+give that:
 
 * **Stateless matching.**  A spec matches on ``(kind, site, index,
   attempt)`` only; the plan keeps no hit counters.  The attempt number
-  is supplied by the caller (the retry loop / executor), so a spec with
+  is supplied by the caller (the retry loop), so a spec with
   ``times=2`` fails the first two attempts of its acquisition and then
-  lets the third succeed — on any worker, in any order.
+  lets the third succeed.
 * **Derived randomness.**  Random bytes (segment corruption patterns,
   retry jitter) come from :meth:`FaultPlan.rng_for`, a fresh
   ``random.Random`` seeded from ``(plan seed, site, key)`` — never from
@@ -24,9 +23,6 @@ Two rules give that:
   scheduling.
 
 The active plan is installed with the :func:`inject` context manager.
-Forked pipeline workers inherit it through their worker spec, not
-through module state, so a pool created before ``inject()`` still sees
-the plan of the run that submits to it.
 """
 
 from __future__ import annotations
@@ -58,7 +54,6 @@ FAULT_KINDS = (
     "delay",
     "corrupt-segment",
     "drop-band",
-    "kill-worker",
 )
 
 
@@ -80,7 +75,7 @@ class FaultSpec:
     (``"stage.chain"``, ``"refine.*"`` ...); ``index`` pins the fault to
     one acquisition of the batch (``None`` hits every acquisition);
     ``times`` bounds how many *attempts* of that acquisition are
-    affected (raise/delay/kill faults only — data faults apply on the
+    affected (raise/delay faults only — data faults apply on the
     first attempt, after which the mangled input speaks for itself).
     """
 
@@ -133,8 +128,7 @@ class FaultPlan:
     ...         .corrupt_segment(index=1)
     ...         .drop_band(index=2, band="IR_039")
     ...         .raise_in("stage.chain", index=3, times=2)
-    ...         .delay("refine.municipalities", seconds=0.2)
-    ...         .kill_worker(index=4))
+    ...         .delay("refine.municipalities", seconds=0.2))
     """
 
     def __init__(
@@ -191,14 +185,6 @@ class FaultPlan:
         """Remove one whole band from the acquisition's input."""
         return self._add(FaultSpec("drop-band", index=index, band=band))
 
-    def kill_worker(
-        self, index: Optional[int] = None, times: int = 1
-    ) -> "FaultPlan":
-        """Kill the pipelined worker processing the acquisition."""
-        return self._add(
-            FaultSpec("kill-worker", "pipeline.worker", index, times)
-        )
-
     # -- matching ---------------------------------------------------------
 
     @property
@@ -219,26 +205,12 @@ class FaultPlan:
             if s.matches(kind, site, index, attempt)
         ]
 
-    def without(self, spec_ids: Sequence[int]) -> "FaultPlan":
-        """A copy of the plan minus the given specs.
-
-        The pipelined executor uses this after a worker crash: the
-        kill-worker spec that fired is *consumed*, so the respawned
-        worker re-runs the scene instead of dying again.
-        """
-        dropped = set(spec_ids)
-        return FaultPlan(
-            self.seed,
-            [s for s in self._specs if s.spec_id not in dropped],
-        )
-
     def rng_for(self, site: str, key: object) -> random.Random:
         """A deterministic RNG for one (site, key) — order-independent.
 
         Seeding hashes the plan seed with the site and key *values*
-        (via zlib.crc32 over their repr, stable across processes),
-        so concurrent workers derive identical streams for identical
-        work items no matter who gets there first.
+        (via zlib.crc32 over their repr, stable across processes), so
+        identical work items derive identical streams in any order.
         """
         token = f"{self.seed}|{site}|{key!r}".encode()
         return random.Random(zlib.crc32(token))
@@ -265,13 +237,6 @@ def active_plan() -> Optional[FaultPlan]:
     """The plan installed by the innermost :func:`inject`, if any."""
     plan = getattr(_state, "plan", None)
     return plan if plan is not None else _GLOBAL
-
-
-def _install(plan: Optional[FaultPlan]) -> None:
-    """Install ``plan`` process-wide (used by forked pipeline workers,
-    which have no ``inject`` frame on their stack)."""
-    global _GLOBAL
-    _GLOBAL = plan
 
 
 @contextlib.contextmanager

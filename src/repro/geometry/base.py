@@ -157,8 +157,8 @@ class Geometry(ABC):
 
         Geometries are ``__slots__`` classes whose ``__setattr__`` enforces
         immutability, so the default slot-state restore would raise; an
-        explicit state round-trip keeps them picklable (hotspot products
-        cross process boundaries in the pipelined executor).
+        explicit state round-trip keeps them picklable like any other
+        value object.
         """
         state = {}
         for klass in type(self).__mro__:

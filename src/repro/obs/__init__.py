@@ -125,11 +125,10 @@ _TRACER.on_failure = _on_span_failure
 def _after_fork_in_child() -> None:
     """Make the global tracer and flight recorder fork-safe.
 
-    A forked worker inherits the parent's thread-local span stack (its
-    new spans would mis-parent), span-id counter (ids would collide once
-    stitched) and flight-recorder ring (the parent's story, not the
-    child's).  Reset all three; the worker then re-roots its spans under
-    the :class:`TraceContext` propagated with its work items.
+    A forked child inherits the parent's thread-local span stack (its
+    new spans would mis-parent), span-id counter (its ids would repeat
+    the parent's) and flight-recorder ring (the parent's story, not the
+    child's).  Reset all three.
     """
     _TRACER.reset_after_fork()
     get_flight_recorder().reset_after_fork()

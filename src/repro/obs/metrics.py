@@ -10,7 +10,7 @@ Histograms keep raw observations in a bounded ring buffer per label
 set (newest ``max_observations`` win) and report exact percentile
 summaries (p50/p95/p99) over the retained window — what the
 5-minute-budget analysis of §4.2.1 needs, without letting long-running
-pipelined services grow memory one float per observation forever.
+services grow memory one float per observation forever.
 
 Updates on a disabled registry are no-ops, so instrumented code does not
 need its own guards.  All structures are lock-protected.
@@ -142,7 +142,7 @@ class Histogram(_Instrument):
     retained window — for the stationary per-stage latencies recorded
     here, a trailing window of this size is statistically
     indistinguishable from the full stream, and memory stays bounded
-    no matter how long a pipelined service runs.
+    no matter how long a service runs.
     """
 
     kind = "histogram"

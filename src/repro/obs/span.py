@@ -20,15 +20,11 @@ exception always propagates.  Spans are thread-safe: each thread keeps
 its own active-span stack, and the finished-span list is guarded by a
 lock.  No dependencies beyond the standard library.
 
-Distributed tracing (:mod:`repro.obs.trace`) builds on three hooks
-here:
+Distributed tracing (:mod:`repro.obs.trace`) builds on two hooks here:
 
 * every span carries a ``trace_id``: inherited from its parent, from
   the thread's *ambient* remote context (:meth:`Tracer.use_context`),
   or minted fresh for a new root,
-* spans recorded in another process travel home as plain dicts
-  (:meth:`Tracer.drain_records`) and are stitched into the parent
-  tracer with :meth:`Tracer.adopt`,
 * a forked child must neither mis-parent its spans under the stack it
   inherited nor mint span ids that collide with the parent's —
   :meth:`Tracer.reset_after_fork` (wired to ``os.register_at_fork``
@@ -51,35 +47,12 @@ __all__ = [
     "NULL_SPAN",
     "Tracer",
     "mint_trace_id",
-    "span_from_record",
 ]
 
 
 def mint_trace_id() -> str:
     """A fresh 64-bit trace id as 16 lowercase hex characters."""
     return os.urandom(8).hex()
-
-
-def span_from_record(record: Dict[str, Any]) -> Span:
-    """Reconstruct a finished :class:`Span` from its ``to_dict`` record.
-
-    Used to stitch spans shipped home from another process (see
-    :meth:`Tracer.adopt`).  The reconstructed span is closed; its
-    ``duration`` is restored exactly even though ``start``/``end`` are
-    re-anchored to this process's clock.
-    """
-    span = Span(
-        record["name"],
-        record["span_id"],
-        record.get("parent_id"),
-        record.get("attributes") or {},
-        trace_id=record.get("trace_id"),
-    )
-    span.wall_start = record.get("wall_start", span.wall_start)
-    span.end = span.start + float(record.get("duration_s", 0.0))
-    span.status = record.get("status", "ok")
-    span.error = record.get("error")
-    return span
 
 
 class Span:
@@ -351,68 +324,15 @@ class Tracer:
         stack = self._context_stack()
         return stack[-1] if stack else None
 
-    def begin(self, name: str, /, context=None, **attributes: Any):
-        """Open a span *without* pushing it on the thread's stack.
-
-        For executor-owned root spans whose lifetime is event-driven
-        (opened when work is enqueued, closed when the result lands on a
-        different iteration of the drive loop).  Parentage: explicit
-        ``context`` first, then the thread's stack/ambient context, then
-        a fresh trace.  Returns ``None`` when the tracer is disabled;
-        pass the result to :meth:`finish` (which tolerates ``None``).
-        """
-        if not self.enabled:
-            return None
-        if context is not None:
-            parent, trace_id = context.span_id, context.trace_id
-        else:
-            parent, trace_id = self._parentage()
-        return Span(name, self._next_id(), parent, attributes, trace_id=trace_id)
-
-    def finish(self, span: Optional[Span], error: Optional[str] = None) -> None:
-        """Close and record a span opened with :meth:`begin`."""
-        if span is None:
-            return
-        span.close()
-        if error is not None:
-            span.status = "error"
-            span.error = error
-        self._record(span)
-        if span.status == "error":
-            self._count_failure(span)
-
-    def drain_records(self) -> List[Dict[str, Any]]:
-        """Pop all finished spans as JSON-ready dicts.
-
-        Called in forked workers to ship their spans home over the
-        result queue; the parent stitches them back with :meth:`adopt`.
-        """
-        with self._lock:
-            finished, self._finished = self._finished, []
-        return [s.to_dict() for s in finished]
-
-    def adopt(self, records) -> int:
-        """Stitch span records from another process into this tracer."""
-        if not records:
-            return 0
-        adopted = 0
-        with self._lock:
-            for record in records:
-                if len(self._finished) >= self.max_spans:
-                    self.dropped += 1
-                    continue
-                self._finished.append(span_from_record(record))
-                adopted += 1
-        return adopted
-
     def reset_after_fork(self) -> None:
         """Make the tracer safe to use in a freshly forked child.
 
         The child inherits the parent's thread-local span stack (so new
         spans would mis-parent under spans it does not own), its
-        finished-span list (duplicate shipping), and its span-id counter
-        (id collisions once stitched).  Clear the first two and rebase
-        the counter into a random high range; ``enabled`` is preserved.
+        finished-span list (the parent's spans, not the child's), and
+        its span-id counter (ids repeating the parent's).  Clear the
+        first two and rebase the counter into a random high range;
+        ``enabled`` is preserved.
         """
         self._lock = threading.Lock()
         self._local = threading.local()

@@ -1,41 +1,34 @@
-"""Distributed trace context and trace stitching.
+"""Distributed trace context.
 
-The span layer (:mod:`repro.obs.span`) records call trees inside one
-process; this module carries a trace *across* processes:
+The span layer (:mod:`repro.obs.span`) records call trees; this module
+carries a trace across boundaries the span stack does not span:
 
 * :class:`TraceContext` is the wire form of "who is my parent" — a
-  ``trace_id`` plus the parent's ``span_id``.  It travels pickled over
-  the pipeline result queues and as ``x-trace-id`` /
-  ``x-parent-span`` HTTP headers.
+  ``trace_id`` plus the parent's ``span_id``.  It rides an
+  acquisition's outcome into its publish span and travels as
+  ``x-trace-id`` / ``x-parent-span`` HTTP headers.
 * :func:`context_of` derives a context from a live span so callers can
-  hand their identity to remote work.
+  hand their identity to later work.
 * :func:`recent_traces` groups a tracer's finished spans by trace id
   into complete, renderable traces — the data behind ``/debug/tracez``.
 
-Propagation rules (also in DESIGN.md):
-
-1. A span inherits its parent's ``trace_id``; a root span under an
-   ambient :class:`TraceContext` (``Tracer.use_context``) inherits the
-   context's trace id and parents under ``context.span_id``; a bare
-   root mints a fresh trace id.
-2. Remote workers record spans locally, then ship them home with
-   ``Tracer.drain_records``; the parent stitches them in with
-   ``Tracer.adopt``.  Span ids stay unique because forked children
-   rebase their id counter (``Tracer.reset_after_fork``).
+Propagation rule (also in DESIGN.md): a span inherits its parent's
+``trace_id``; a root span under an ambient :class:`TraceContext`
+(``Tracer.use_context``) inherits the context's trace id and parents
+under ``context.span_id``; a bare root mints a fresh trace id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
-from repro.obs.span import Span, Tracer, mint_trace_id, span_from_record
+from repro.obs.span import Span, Tracer, mint_trace_id
 
 __all__ = [
     "TraceContext",
     "context_of",
     "mint_trace_id",
-    "span_from_record",
     "recent_traces",
     "TRACE_ID_HEADER",
     "PARENT_SPAN_HEADER",

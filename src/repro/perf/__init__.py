@@ -2,9 +2,9 @@
 
 PR 1's span data showed where the per-acquisition time goes: semantic
 refinement dominates the SciQL chain roughly 12×, every stSPARQL request
-is re-parsed from text, every spatial predicate re-derives its geometry
-arguments, and the service handles acquisitions strictly serially.  This
-package holds the shared machinery the hot-path rewrites are built on:
+is re-parsed from text, and every spatial predicate re-derives its
+geometry arguments.  This package holds the shared machinery the
+hot-path rewrites are built on:
 
 * :mod:`repro.perf.lru` — a thread-safe LRU cache with hit/miss
   statistics, used by the engine's query-plan cache and candidate-set
@@ -67,15 +67,15 @@ class PerfConfig:
     candidate_cache_size: int = 4096
     #: Threads decoding HRIT segments / parsing headers in parallel.
     decode_workers: int = 4
-    #: SciQL-chain workers of the pipelined acquisition executor.
-    chain_workers: int = 2
-    #: Completed-but-unrefined acquisitions the executor may buffer.
-    pipeline_depth: int = 2
 
     def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if not isinstance(value, int) or value < 1:
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, int)
+                or value < 1
+            ):
                 raise ValueError(
                     f"perf setting {f.name} must be a positive integer, "
                     f"got {value!r}"

@@ -67,8 +67,8 @@ class LRUCache:
     """A bounded mapping with least-recently-used eviction.
 
     All operations take an internal lock, so one instance may be shared
-    between the pipelined executor's worker threads and the main
-    thread.  ``maxsize`` may be lowered at runtime (via
+    between the HTTP server's read threads and the ingest thread.
+    ``maxsize`` may be lowered at runtime (via
     :meth:`resize`); excess entries are evicted immediately.
     """
 

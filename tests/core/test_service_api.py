@@ -8,6 +8,7 @@ from datetime import timedelta
 import pytest
 
 from repro.core import (
+    FaultPolicy,
     FireMonitoringService,
     RunOptions,
     ServiceConfig,
@@ -51,12 +52,47 @@ class TestConfigObjects:
             RunOptions(on_error="explode").validate()
 
     def test_merged_rejects_unknown_fields(self):
-        with pytest.raises(ConfigurationError, match="pipelinedd"):
-            RunOptions().merged(pipelinedd=True)
-        merged = RunOptions().merged(pipelined=True, chain_workers=2)
-        assert merged.pipelined is True
-        assert merged.chain_workers == 2
-        assert RunOptions().pipelined is False  # original untouched
+        with pytest.raises(ConfigurationError, match="sensor_namee"):
+            RunOptions().merged(sensor_namee="MSG1")
+        merged = RunOptions().merged(sensor_name="MSG1", on_error="raise")
+        assert merged.sensor_name == "MSG1"
+        assert merged.on_error == "raise"
+        assert RunOptions().sensor_name == "MSG2"  # original untouched
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("retry_jitter", 1.5),
+            ("retry_jitter", -0.1),
+            ("retry_base_delay_s", -1.0),
+            ("retry_max_delay_s", float("inf")),
+            ("retry_base_delay_s", float("nan")),
+            ("window_seconds", float("nan")),
+            ("window_seconds", float("inf")),
+            ("refinement_reserve_s", -1.0),
+            ("breaker_recovery_s", -5.0),
+            ("max_attempts", True),
+            ("breaker_threshold", True),
+            ("seed", True),
+        ],
+    )
+    def test_bad_fault_policy_rejected(self, field, value):
+        options = RunOptions(fault_policy=FaultPolicy(**{field: value}))
+        with pytest.raises(ConfigurationError, match=field):
+            options.validate()
+
+    def test_bad_fault_policy_fails_run_before_any_acquisition(
+        self, service, season
+    ):
+        with pytest.raises(ConfigurationError, match="retry_jitter"):
+            service.run(
+                [WHEN],
+                RunOptions(
+                    season=season,
+                    fault_policy=FaultPolicy(retry_jitter=1.5),
+                ),
+            )
+        assert service.outcomes == []
 
 
 class TestRun:

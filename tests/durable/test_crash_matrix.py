@@ -1,4 +1,4 @@
-"""The crash matrix: every registered crashpoint × both run modes.
+"""The crash matrix: every registered crashpoint.
 
 Each cell forks a child that arms exactly one crashpoint, builds a
 fresh durable service and feeds it the acquisition stream; the child
@@ -73,17 +73,6 @@ def _service_config(state_dir: str) -> ServiceConfig:
     )
 
 
-def _run_options(season, pipelined: bool) -> RunOptions:
-    # Thread workers keep the pipelined stage-two on the process that
-    # will be aborted — os._exit must not orphan a process pool.
-    return RunOptions(
-        season=season,
-        pipelined=pipelined,
-        worker_kind="thread",
-        on_error="raise",
-    )
-
-
 def _capture(service):
     """(triple count, canonical /hotspots GeoJSON) of the latest
     published snapshot.  The ``snapshot`` provenance block is dropped:
@@ -98,13 +87,12 @@ def _capture(service):
     )
 
 
-def _crashing_child(state_dir, point, hits, greece, season, requests,
-                    pipelined):
+def _crashing_child(state_dir, point, hits, greece, season, requests):
     crashpoints.arm(point, hits=hits)
     service = FireMonitoringService(
         greece=greece, config=_service_config(state_dir)
     )
-    service.run(requests, _run_options(season, pipelined))
+    service.run(requests, RunOptions(season=season, on_error="raise"))
     os._exit(0)  # the armed point never fired: the cell is broken
 
 
@@ -126,10 +114,8 @@ def oracle(durable_greece, durable_season, acquisition_requests):
         service.close()
 
 
-@pytest.mark.parametrize("pipelined", [False, True],
-                         ids=["serial", "pipelined"])
 @pytest.mark.parametrize("point", sorted(CRASHPOINTS))
-def test_crash_recover_resume(point, pipelined, tmp_path, oracle,
+def test_crash_recover_resume(point, tmp_path, oracle,
                               durable_greece, durable_season,
                               acquisition_requests):
     assert set(CRASH_HITS) == set(CRASHPOINTS), (
@@ -140,7 +126,7 @@ def test_crash_recover_resume(point, pipelined, tmp_path, oracle,
     child = ctx.Process(
         target=_crashing_child,
         args=(state_dir, point, CRASH_HITS[point], durable_greece,
-              durable_season, acquisition_requests, pipelined),
+              durable_season, acquisition_requests),
     )
     child.start()
     child.join(timeout=300)
@@ -183,7 +169,8 @@ def test_crash_recover_resume(point, pipelined, tmp_path, oracle,
         # be skipped, the remainder processed, and the final state must
         # match the oracle's.
         outcomes = service.run(
-            acquisition_requests, _run_options(durable_season, pipelined)
+            acquisition_requests,
+            RunOptions(season=durable_season, on_error="raise"),
         )
         assert len(outcomes) == N_ACQUISITIONS - cursor
         durability = service.health()["durability"]

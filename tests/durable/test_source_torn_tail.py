@@ -56,15 +56,6 @@ def _make_season(greece):
     return FireSeason(greece, CRISIS_START, days=1, seed=SEASON_SEED)
 
 
-def _run_options(season, pipelined):
-    return RunOptions(
-        season=season,
-        pipelined=pipelined,
-        worker_kind="thread",
-        on_error="raise",
-    )
-
-
 def _capture(service):
     """(triples, canonical /hotspots GeoJSON, per-source detections).
 
@@ -88,13 +79,14 @@ def _capture(service):
     )
 
 
-def _torn_child(state_dir, hits, greece, requests, pipelined):
+def _torn_child(state_dir, hits, greece, requests):
     crashpoints.arm("wal.append.torn", hits=hits)
     service = FireMonitoringService(
         greece=greece, config=_sources_config(state_dir)
     )
     service.run(
-        requests, _run_options(_make_season(greece), pipelined)
+        requests,
+        RunOptions(season=_make_season(greece), on_error="raise"),
     )
     os._exit(0)  # the armed point never fired: the cell is broken
 
@@ -131,13 +123,9 @@ def federated_oracle(durable_greece, acquisition_requests):
         service.close()
 
 
-@pytest.mark.parametrize(
-    "pipelined", [False, True], ids=["serial", "pipelined"]
-)
 @pytest.mark.parametrize("hits", sorted(TORN_CELLS))
 def test_torn_two_source_batch_rolls_back_atomically(
     hits,
-    pipelined,
     tmp_path,
     federated_oracle,
     durable_greece,
@@ -152,7 +140,6 @@ def test_torn_two_source_batch_rolls_back_atomically(
             hits,
             durable_greece,
             acquisition_requests,
-            pipelined,
         ),
     )
     child.start()
@@ -181,7 +168,9 @@ def test_torn_two_source_batch_rolls_back_atomically(
         # byte-identical to the never-crashed oracle.
         outcomes = service.run(
             acquisition_requests,
-            _run_options(_make_season(durable_greece), pipelined),
+            RunOptions(
+                season=_make_season(durable_greece), on_error="raise"
+            ),
         )
         assert len(outcomes) == N_ACQUISITIONS - cursor
         assert [o.status for o in outcomes] == ["ok"] * len(outcomes)

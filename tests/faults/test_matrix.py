@@ -4,16 +4,11 @@ The contract under test (the crisis-day contract): with
 ``on_error="degrade"`` no exception escapes
 :meth:`FireMonitoringService.run`, outcomes come back in request order,
 acquisitions hit by a fault carry non-``ok`` statuses that say what was
-sacrificed, and two runs with the same seeds produce identical outcomes
-— serial or pipelined.
+sacrificed, and two runs with the same seeds produce identical outcomes.
 
 Timing-derived message fragments ("12.3s left of the 300s window") are
 not run-deterministic, so cross-run comparisons normalise digits out of
-the error strings.  The per-class tests use distinct acquisition
-indexes: a kill-worker fault bumps the attempt number of its in-flight
-scenes on respawn, which would mask an attempt-1 data fault aimed at
-the same index in pipelined mode (a documented quirk — see DESIGN.md,
-"Failure semantics").
+the error strings.
 """
 
 from __future__ import annotations
@@ -77,24 +72,13 @@ def run_batch(greece, season):
     """
     services = []
 
-    def _run(
-        plan,
-        *,
-        pipelined=False,
-        policy=None,
-        on_error="degrade",
-        worker_kind="process",
-    ):
+    def _run(plan, *, policy=None, on_error="degrade"):
         service = FireMonitoringService(
             greece=greece, config=ServiceConfig(use_files=True)
         )
         services.append(service)
         options = RunOptions(
             season=season,
-            pipelined=pipelined,
-            chain_workers=2,
-            queue_depth=1,
-            worker_kind=worker_kind if pipelined else None,
             fault_policy=policy if policy is not None else _policy(),
             on_error=on_error,
         )
@@ -111,10 +95,9 @@ def _assert_in_order(outcomes):
     assert [o.timestamp for o in outcomes] == _whens()
 
 
-@pytest.mark.parametrize("pipelined", [False, True])
-def test_corrupt_segment_quarantines_and_degrades(run_batch, pipelined):
+def test_corrupt_segment_quarantines_and_degrades(run_batch):
     plan = FaultPlan(seed=7).corrupt_segment(index=1)
-    service, outcomes = run_batch(plan, pipelined=pipelined)
+    service, outcomes = run_batch(plan)
     _assert_in_order(outcomes)
     hit = outcomes[1]
     assert hit.status == "degraded"
@@ -130,10 +113,9 @@ def test_corrupt_segment_quarantines_and_degrades(run_batch, pipelined):
     assert records[0].site.startswith("prepare.")
 
 
-@pytest.mark.parametrize("pipelined", [False, True])
-def test_dropped_detection_band_suppresses_hotspots(run_batch, pipelined):
+def test_dropped_detection_band_suppresses_hotspots(run_batch):
     plan = FaultPlan(seed=7).drop_band(index=2, band="IR_039")
-    _service, outcomes = run_batch(plan, pipelined=pipelined)
+    _service, outcomes = run_batch(plan)
     _assert_in_order(outcomes)
     hit = outcomes[2]
     assert hit.status == "degraded"
@@ -147,25 +129,10 @@ def test_dropped_detection_band_suppresses_hotspots(run_batch, pipelined):
         assert other.ok, other.errors
 
 
-@pytest.mark.parametrize("worker_kind", ["process", "thread"])
-def test_killed_worker_is_transparent(run_batch, worker_kind):
-    baseline_sig = _signature(run_batch(None, pipelined=False)[1])
-    plan = FaultPlan(seed=7).kill_worker(index=4)
-    _service, outcomes = run_batch(
-        plan, pipelined=True, worker_kind=worker_kind
-    )
-    _assert_in_order(outcomes)
-    assert all(o.ok for o in outcomes)
-    # The respawned worker re-ran the scene: same products, same
-    # refinement, indistinguishable from an unfaulted run.
-    assert _signature(outcomes) == baseline_sig
-
-
-@pytest.mark.parametrize("pipelined", [False, True])
-def test_stage_timeout_skips_refinement(run_batch, pipelined):
+def test_stage_timeout_skips_refinement(run_batch):
     plan = FaultPlan(seed=7).delay("stage.chain", seconds=2.5, index=3)
     _service, outcomes = run_batch(
-        plan, pipelined=pipelined, policy=_policy(window_seconds=2.0)
+        plan, policy=_policy(window_seconds=2.0)
     )
     _assert_in_order(outcomes)
     hit = outcomes[3]
@@ -182,12 +149,9 @@ def test_transient_faults_are_retried_to_success(run_batch):
     assert all(o.ok for o in outcomes)
 
 
-@pytest.mark.parametrize("pipelined", [False, True])
-def test_retry_exhaustion_yields_error_outcome(run_batch, pipelined):
+def test_retry_exhaustion_yields_error_outcome(run_batch):
     plan = FaultPlan(seed=7).raise_in("stage.chain", index=3, times=5)
-    _service, outcomes = run_batch(
-        plan, pipelined=pipelined, policy=_policy(max_attempts=2)
-    )
+    _service, outcomes = run_batch(plan, policy=_policy(max_attempts=2))
     _assert_in_order(outcomes)
     hit = outcomes[3]
     assert hit.status == "error"
@@ -210,17 +174,15 @@ def _combined_plan():
         .drop_band(index=2, band="IR_039")
         .raise_in("stage.chain", index=3, times=2)
         .delay("refine.municipalities", seconds=0.05, index=4)
-        .kill_worker(index=5)
     )
 
 
 def test_combined_plan_is_deterministic_everywhere(run_batch):
-    """One fault of each class at once: two serial runs and two
-    pipelined runs all produce the same outcomes."""
+    """One fault of each class at once: two runs produce the same
+    outcomes."""
     signatures = [
-        _signature(run_batch(_combined_plan(), pipelined=pipelined)[1])
-        for pipelined in (False, False, True, True)
+        _signature(run_batch(_combined_plan())[1]) for _ in range(2)
     ]
-    assert signatures[0] == signatures[1] == signatures[2] == signatures[3]
+    assert signatures[0] == signatures[1]
     statuses = [sig[0] for sig in signatures[0]]
     assert statuses == ["ok", "degraded", "degraded", "ok", "ok", "ok"]

@@ -51,7 +51,7 @@ class TestPlan:
             FaultPlan(seed=1)
             .corrupt_segment(index=0)
             .drop_band(index=1)
-            .kill_worker(index=2)
+            .raise_in("stage.chain", index=2)
         )
         ids = [s.spec_id for s in plan.specs]
         assert len(set(ids)) == len(ids) == 3
@@ -61,14 +61,6 @@ class TestPlan:
         for _ in range(3):
             assert len(plan.match("raise", "stage.chain", 1, 1)) == 1
         assert plan.match("raise", "stage.chain", 2, 1) == []
-
-    def test_without_consumes_specs(self):
-        plan = FaultPlan(seed=3).kill_worker(index=1).kill_worker(index=2)
-        fired = plan.match("kill-worker", "pipeline.worker", 1, 1)
-        rest = plan.without([s.spec_id for s in fired])
-        assert rest.match("kill-worker", "pipeline.worker", 1, 1) == []
-        assert len(rest.match("kill-worker", "pipeline.worker", 2, 1)) == 1
-        assert rest.seed == plan.seed
 
     def test_rng_deterministic_and_key_dependent(self):
         plan = FaultPlan(seed=11)
@@ -81,10 +73,14 @@ class TestPlan:
         assert a != d
 
     def test_describe_mentions_every_spec(self):
-        plan = FaultPlan().drop_band(index=2, band="IR_108").kill_worker()
+        plan = (
+            FaultPlan()
+            .drop_band(index=2, band="IR_108")
+            .delay("refine.store", seconds=0.5)
+        )
         text = plan.describe()
         assert "drop-band" in text and "IR_108" in text
-        assert "kill-worker" in text
+        assert "delay@refine.store" in text and "0.5s" in text
         assert FaultPlan().describe() == "no faults"
 
 

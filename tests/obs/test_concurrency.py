@@ -1,4 +1,4 @@
-"""Concurrent use of the obs layer by the pipelined executor's workers.
+"""Concurrent use of the obs layer (HTTP read threads, decode workers).
 
 Spans opened on different threads must build independent, uncorrupted
 trees (each thread has its own span stack), and metrics must not lose

@@ -1,6 +1,6 @@
 """Histogram memory stays bounded: per-label ring buffers.
 
-Long-running pipelined services observe one sample per acquisition per
+Long-running services observe one sample per acquisition per
 stage, forever; retained samples must cap at ``max_observations`` while
 lifetime counts and percentiles stay meaningful.
 """

@@ -1,4 +1,4 @@
-"""TraceContext propagation, stitching, and recent_traces grouping."""
+"""TraceContext propagation and recent_traces grouping."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from repro.obs.trace import (
     TRACE_ID_HEADER,
     TraceContext,
 )
-from repro.obs.span import NULL_SPAN, span_from_record
+from repro.obs.span import NULL_SPAN
 
 
 def test_mint_trace_id_is_hex_and_unique():
@@ -112,37 +112,20 @@ def test_use_context_none_is_a_no_op():
     assert span.parent_id is None
 
 
-def test_drain_and_adopt_stitch_remote_spans():
-    """The worker half drains; the parent half adopts — one trace."""
-    parent = Tracer(enabled=True)
-    with parent.span("acquisition") as root:
-        ctx = context_of(root)
-    # Simulate the forked worker: a fresh tracer, re-rooted ids.
-    worker = Tracer(enabled=True)
-    worker.reset_after_fork()
-    with worker.use_context(ctx):
-        with worker.span("pipeline.chain"):
-            pass
-    records = worker.drain_records()
-    assert worker.spans() == []  # drained, not duplicated
-    assert parent.adopt(records) == 1
-    spans = parent.spans()
-    assert {s.trace_id for s in spans} == {root.trace_id}
-    shipped = [s for s in spans if s.name == "pipeline.chain"][0]
-    assert shipped.parent_id == root.span_id
-
-
-def test_span_from_record_preserves_identity_and_duration():
+def test_reset_after_fork_drops_inherited_state_and_rebases_ids():
     tracer = Tracer(enabled=True)
-    with tracer.span("work", stage="crop") as span:
+    with tracer.span("parent.done") as done:
         pass
-    record = span.to_dict()
-    clone = span_from_record(record)
-    assert clone.name == span.name
-    assert clone.span_id == span.span_id
-    assert clone.trace_id == span.trace_id
-    assert clone.duration == pytest.approx(span.duration)
-    assert clone.attributes == {"stage": "crop"}
+    with tracer.span("parent.open") as inherited:
+        tracer.reset_after_fork()  # what a forked child runs
+        assert tracer.current() is None
+        assert tracer.spans() == []
+        with tracer.span("child") as child:
+            pass
+    assert child.parent_id is None
+    assert child.trace_id != inherited.trace_id
+    assert child.span_id > (1 << 20) > done.span_id
+    assert tracer.enabled
 
 
 def test_recent_traces_groups_and_orders():

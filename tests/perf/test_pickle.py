@@ -1,8 +1,7 @@
-"""Geometries, RDF terms and products must cross process boundaries.
+"""Geometries, RDF terms and products must survive a pickle round trip.
 
-The pipelined executor's stage one runs in worker processes and returns
-:class:`HotspotProduct` objects by pickle; the immutable ``__slots__``
-value classes need explicit state handling for that to work.
+The immutable ``__slots__`` value classes need explicit state handling
+for that to work.
 """
 
 from __future__ import annotations

@@ -127,6 +127,10 @@ def test_rejected_perf_settings_do_not_stick():
     with pytest.raises(ValueError):
         perf.configure(plan_cache_size=0)
     assert perf.get_config().plan_cache_size == before
+    # A bool is not a size, even though isinstance(True, int) holds.
+    with pytest.raises(ValueError):
+        perf.configure(plan_cache_size=True)
+    assert perf.get_config().plan_cache_size == before
     # The execution engine is a fixed policy, not a setting.
     with pytest.raises(TypeError):
         perf.configure(query_engine="interpreted")

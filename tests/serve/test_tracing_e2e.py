@@ -1,39 +1,26 @@
-"""End-to-end trace stitching: one trace id across every boundary.
+"""End-to-end tracing: one trace id from acquisition to HTTP reader.
 
-The tentpole acceptance test: with tracing enabled, a pipelined run
-(forked chain workers) publishes snapshots whose provenance names the
-acquisition's ``trace_id``; ``/hotspots`` polled *during* the run
-serves that id; and ``/debug/tracez`` shows the full stitched trace —
-the ``acquisition`` root, the ``pipeline.chain`` span recorded in a
-*different process*, and the ``service.publish`` span — under the one
-trace id.
+With tracing enabled, a run publishes snapshots whose provenance names
+the acquisition's ``trace_id``; ``/v1/hotspots`` polled *during* the
+run serves that id; and ``/debug/tracez`` shows the whole trace — the
+``acquisition`` root, its ``chain.process`` and ``stage.refine`` spans,
+and the ``service.publish`` span that re-joins the trace after the
+root has closed — under the one trace id.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
-import multiprocessing
-import os
 import threading
 import time
 from datetime import timedelta
-
-import pytest
 
 from tests.conftest import CRISIS_START
 from repro import obs
 from repro.core.config import RunOptions
 from repro.core.service import FireMonitoringService
 from repro.serve import serve_in_thread
-
-
-def _fork_available() -> bool:
-    try:
-        multiprocessing.get_context("fork")
-    except ValueError:
-        return False
-    return True
 
 
 def _request(handle, method, path, body=None, headers=None):
@@ -52,12 +39,7 @@ def _request(handle, method, path, body=None, headers=None):
     return response.status, data.decode("utf-8", errors="replace")
 
 
-@pytest.mark.skipif(
-    not _fork_available(), reason="needs the fork start method"
-)
-def test_one_trace_spans_service_worker_publish_and_http(
-    greece, season, tmp_path
-):
+def test_one_trace_spans_service_publish_and_http(greece, season, tmp_path):
     obs.disable()
     obs.reset()
     obs.enable()
@@ -68,14 +50,7 @@ def test_one_trace_spans_service_worker_publish_and_http(
         CRISIS_START + timedelta(hours=13, minutes=15 * k)
         for k in range(3)
     ]
-    options = RunOptions(
-        season=season,
-        on_error="raise",
-        pipelined=True,
-        chain_workers=2,
-        queue_depth=1,
-        worker_kind="process",
-    )
+    options = RunOptions(season=season, on_error="raise")
     request_trace = "feedface00000042"
     trace_headers = {"x-trace-id": request_trace, "x-parent-span": "7"}
     errors, served_trace_ids = [], []
@@ -92,7 +67,7 @@ def test_one_trace_spans_service_worker_publish_and_http(
             writer.start()
             while writer.is_alive():
                 status, collection = _request(
-                    handle, "GET", "/hotspots", headers=trace_headers
+                    handle, "GET", "/v1/hotspots", headers=trace_headers
                 )
                 if status == 503:  # nothing published yet
                     time.sleep(0.01)
@@ -109,15 +84,15 @@ def test_one_trace_spans_service_worker_publish_and_http(
             assert not errors
 
             status, collection = _request(
-                handle, "GET", "/hotspots", headers=trace_headers
+                handle, "GET", "/v1/hotspots", headers=trace_headers
             )
             assert status == 200
             served_trace_ids.append(collection["snapshot"]["trace_id"])
             assert served_trace_ids[-1], "final snapshot has no trace id"
             wanted = served_trace_ids[-1]
 
-            # The served trace id resolves to one complete stitched
-            # trace in /debug/tracez.
+            # The served trace id resolves to one complete trace in
+            # /debug/tracez.
             status, tracez = _request(
                 handle, "GET", f"/debug/tracez?trace_id={wanted}"
             )
@@ -131,20 +106,13 @@ def test_one_trace_spans_service_worker_publish_and_http(
             names = {s["name"] for s in trace["spans"]}
             assert {
                 "acquisition",
-                "pipeline.chain",
+                "chain.process",
+                "stage.refine",
                 "service.publish",
             } <= names
 
-            # The chain span really crossed the fork boundary: it was
-            # recorded by a worker process, then shipped home.
-            chain = next(
-                s for s in trace["spans"] if s["name"] == "pipeline.chain"
-            )
-            assert chain["attributes"]["worker_pid"] != os.getpid()
-            assert chain["trace_id"] == wanted
-
             # Every span hangs off the acquisition root's trace; the
-            # tree rendering shows the stitched hierarchy.
+            # tree rendering shows the whole hierarchy.
             assert all(s["trace_id"] == wanted for s in trace["spans"])
             assert "service.publish" in trace["tree"]
 

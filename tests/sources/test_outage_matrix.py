@@ -1,7 +1,6 @@
 """Source-outage fault matrix (ISSUE 10 tentpole harness, part b).
 
-Every federated source is dropped at every acquisition phase, in both
-serial and pipelined runs.  Losing a source must be a *degradation*:
+Every federated source is dropped at every acquisition phase.  Losing a source must be a *degradation*:
 the acquisition completes, the served confirmed-hotspot set is a
 labelled subset of the no-fault oracle's, the degraded outcome names
 the missing source, and ``health()`` reports the gap.  A repeated
@@ -49,14 +48,6 @@ def _build(greece, breaker_threshold=2):
     )
 
 
-def _options(season, pipelined):
-    return RunOptions(
-        season=season,
-        pipelined=pipelined,
-        worker_kind="thread",
-    )
-
-
 def _served(service):
     """(confirmed URI set, full canonical feature JSON)."""
     collection = query_hotspots(service.publisher.require_latest())
@@ -80,22 +71,17 @@ def oracle(sources_greece):
     )
     service = _build(sources_greece)
     try:
-        outcomes = service.run(
-            _requests(), _options(season, pipelined=False)
-        )
+        outcomes = service.run(_requests(), RunOptions(season=season))
         assert [o.status for o in outcomes] == ["ok"] * N_ACQUISITIONS
         return _served(service)
     finally:
         service.close()
 
 
-@pytest.mark.parametrize(
-    "pipelined", [False, True], ids=["serial", "pipelined"]
-)
 @pytest.mark.parametrize("fault_index", range(N_ACQUISITIONS))
 @pytest.mark.parametrize("source", SOURCES)
 def test_outage_cell(
-    source, fault_index, pipelined, sources_greece, make_season, oracle
+    source, fault_index, sources_greece, make_season, oracle
 ):
     season = make_season(seed=SEASON_SEED)
     service = _build(sources_greece)
@@ -104,9 +90,7 @@ def test_outage_cell(
     )
     try:
         with inject(plan):
-            outcomes = service.run(
-                _requests(), _options(season, pipelined)
-            )
+            outcomes = service.run(_requests(), RunOptions(season=season))
         statuses = [o.status for o in outcomes]
         expected = ["ok"] * N_ACQUISITIONS
         expected[fault_index] = "degraded"
@@ -165,9 +149,7 @@ def test_repeated_outage_opens_breaker(sources_greece, make_season):
     )
     try:
         with inject(plan):
-            outcomes = service.run(
-                _requests(), _options(season, pipelined=False)
-            )
+            outcomes = service.run(_requests(), RunOptions(season=season))
         # Acquisition 0 is a real outage; the breaker (threshold 1,
         # 60 s recovery) then short-circuits the remaining slots.
         assert [o.status for o in outcomes] == [

@@ -13,7 +13,6 @@ from repro.errors import (
     StageTimeoutError,
     Transient,
     TransientError,
-    WorkerCrashError,
     is_transient,
 )
 from repro.faults import FaultInjected
@@ -43,7 +42,7 @@ def test_data_and_query_errors_are_permanent():
 
 
 def test_infrastructure_errors_are_transient():
-    for cls in (WorkerCrashError, StageTimeoutError, FaultInjected):
+    for cls in (StageTimeoutError, FaultInjected):
         assert issubclass(cls, Transient), cls
         assert is_transient(cls("x"))
 
