@@ -76,28 +76,6 @@ WATCHED = {
             TIMING_THRESHOLD,
         ),
     ],
-    "BENCH_query.json": [
-        # The >= 3x acceptance bar itself is asserted inside
-        # bench_query.py; here we only guard against the measured
-        # ratios drifting down between commits.
-        ("families.refinement.speedup_p50", "higher", None),
-        ("families.bgp.speedup_p50", "higher", None),
-        (
-            "families.refinement.columnar.p50_ms",
-            "lower",
-            TIMING_THRESHOLD,
-        ),
-        (
-            "families.refinement.columnar.rows_per_s",
-            "higher",
-            TIMING_THRESHOLD,
-        ),
-        (
-            "families.bgp.columnar.rows_per_s",
-            "higher",
-            TIMING_THRESHOLD,
-        ),
-    ],
     "BENCH_subscribe.json": [
         # The ISSUE-9 acceptance bar (incremental >= 10x a full re-run
         # at 100k geofenced subscriptions) is asserted inside

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.geometry import algorithms as alg
 from repro.geometry.base import Geometry
@@ -22,7 +25,7 @@ class Polygon(Geometry):
     expects.
     """
 
-    __slots__ = ("_shell", "_holes", "_envelope")
+    __slots__ = ("_shell", "_holes", "_envelope", "_edges")
 
     geom_type = "POLYGON"
 
@@ -71,6 +74,22 @@ class Polygon(Geometry):
     @property
     def envelope(self) -> Envelope:
         return self._envelope
+
+    @property
+    def edge_count(self) -> int:
+        """Number of boundary segments, holes included."""
+        return sum(len(ring.coords) - 1 for ring in self.rings)
+
+    @property
+    def edge_table(self) -> "EdgeTable":
+        """The boundary segments as arrays, built on first use and kept
+        for the polygon's lifetime (see :mod:`repro.geometry.predicates`)."""
+        try:
+            return self._edges
+        except AttributeError:
+            table = EdgeTable(self.rings)
+            object.__setattr__(self, "_edges", table)
+            return table
 
     @property
     def is_empty(self) -> bool:
@@ -163,6 +182,56 @@ class Polygon(Geometry):
 
     def __hash__(self) -> int:
         return hash((self.geom_type, self._shell, self._holes))
+
+    def __getstate__(self) -> dict:
+        state = super().__getstate__()
+        state.pop("_edges", None)  # derived; rebuilt on first use
+        return state
+
+
+class EdgeTable:
+    """A polygon's boundary segments as float64 arrays, one row each.
+
+    Rows follow ring order (shell, then holes) and, within a ring, the
+    stored coordinate order.  Row ``j`` starts at ``(x1, y1)`` with
+    direction ``(dx, dy)`` and has envelope ``minx, miny, maxx, maxy``;
+    ``vx, vy`` list every row's start and then every row's end.
+    :meth:`segment` returns row ``j`` as the ring's own coordinate
+    tuples.
+    """
+
+    __slots__ = (
+        "x1", "y1", "dx", "dy", "vx", "vy",
+        "minx", "miny", "maxx", "maxy", "_rings", "_starts",
+    )
+
+    def __init__(self, rings: Sequence[LinearRing]) -> None:
+        self._rings = tuple(rings)
+        starts = []
+        total = 0
+        for ring in self._rings:
+            starts.append(total)
+            total += len(ring.coords) - 1
+        self._starts = starts
+        pts = [np.asarray(ring.coords, dtype=np.float64) for ring in rings]
+        head = np.concatenate([p[:-1] for p in pts])
+        tail = np.concatenate([p[1:] for p in pts])
+        x1, y1, x2, y2 = head[:, 0], head[:, 1], tail[:, 0], tail[:, 1]
+        self.x1, self.y1 = x1.copy(), y1.copy()
+        self.dx, self.dy = x2 - x1, y2 - y1
+        self.vx = np.concatenate([x1, x2])
+        self.vy = np.concatenate([y1, y2])
+        self.minx, self.maxx = np.minimum(x1, x2), np.maximum(x1, x2)
+        self.miny, self.maxy = np.minimum(y1, y2), np.maximum(y1, y2)
+
+    def __len__(self) -> int:
+        return len(self.x1)
+
+    def segment(self, j: int) -> Tuple[Coordinate, Coordinate]:
+        r = bisect_right(self._starts, j) - 1
+        coords = self._rings[r].coords
+        i = j - self._starts[r]
+        return coords[i], coords[i + 1]
 
 
 def _ring_scanline_crossings(ring: LinearRing, y: float) -> Iterator[float]:

@@ -13,8 +13,11 @@ import itertools
 import math
 from typing import Iterable, Iterator, List, Tuple
 
+import numpy as np
+
 from repro.geometry import algorithms as alg
 from repro.geometry.base import Geometry
+from repro.geometry.envelope import Envelope
 from repro.geometry.linestring import LineString
 from repro.geometry.multi import _Multi, flatten
 from repro.geometry.point import Point
@@ -38,6 +41,83 @@ def _pairs(a: Geometry, b: Geometry) -> Iterator[Tuple[Geometry, Geometry]]:
     for ga in flatten(a):
         for gb in flatten(b):
             yield ga, gb
+
+
+# -- prepared polygons --------------------------------------------------------
+#
+# ``segments_intersect`` is tolerant: two segments whose envelopes do not
+# meet can still test true, but only if one of its four ``orientation``
+# calls returns 0, i.e. an endpoint of one segment lies within tolerance
+# of the other's supporting line.  No distance bounds that case (nearly
+# collinear edges far apart can test true), so besides the envelope
+# filter, which keeps every proper crossing, every polygon vertex is
+# tested against every probe line and every probe endpoint against every
+# edge line, with a tolerance no ``orientation`` call on these operands
+# can exceed.  A pair outside all three filters tests false, so the
+# prepared path returns what the all-pairs loop returns.
+
+#: Edge pairs from which the boundary test uses the polygon's edge table;
+#: below it the all-pairs loop is cheaper than the array set-up.
+PREPARED_MIN_PAIRS = 20
+
+#: Cells per candidate mask (probe segments x polygon edges), bounding
+#: the temporary arrays when both operands are large.
+_MASK_CELLS = 1 << 16
+
+
+def _prepared_boundaries_meet(
+    poly: Polygon,
+    probe: List[Tuple[Coordinate, Coordinate]],
+    probe_env: Envelope,
+) -> bool:
+    """``any(segments_intersect(p, e))`` over ``probe`` x the boundary of
+    ``poly``, testing only the pairs the edge table cannot rule out."""
+    table = poly.edge_table
+    env = poly.envelope.union(probe_env)
+    # Every orientation() scale here is an L1 distance inside ``env``;
+    # the factor of four absorbs rounding in the scales.
+    scale = max(1.0, env.width + env.height)
+    tol = 4.0 * alg.EPS * scale * scale
+    near_box = (
+        (table.minx <= probe_env.maxx)
+        & (table.maxx >= probe_env.minx)
+        & (table.miny <= probe_env.maxy)
+        & (table.maxy >= probe_env.miny)
+    )
+    n = len(table)
+    step = max(1, _MASK_CELLS // n)
+    for start in range(0, len(probe), step):
+        chunk = probe[start:start + step]
+        seg = np.array(chunk, dtype=np.float64).reshape(-1, 4)
+        sx, sy, ex, ey = (seg[:, c:c + 1] for c in range(4))
+        vertex_on_probe = _near_line(
+            sx, sy, ex - sx, ey - sy, table.vx, table.vy, tol
+        )
+        probe_on_edge = _near_line(
+            table.x1, table.y1, table.dx, table.dy,
+            np.concatenate([sx, ex]), np.concatenate([sy, ey]), tol,
+        )
+        k = len(chunk)
+        keep = (
+            near_box
+            | vertex_on_probe[:, :n]
+            | vertex_on_probe[:, n:]
+            | probe_on_edge[:k]
+            | probe_on_edge[k:]
+        )
+        rows, cols = np.nonzero(keep)
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            s1, e1 = chunk[i]
+            s2, e2 = table.segment(j)
+            if alg.segments_intersect(s1, e1, s2, e2):
+                return True
+    return False
+
+
+def _near_line(ox, oy, dx, dy, px, py, tol: float) -> "np.ndarray":
+    """``|cross|`` of ``orientation(o, o + d, p)`` within ``tol``,
+    broadcast over the arrays."""
+    return np.abs(dx * (py - oy) - dy * (px - ox)) <= tol
 
 
 # -- intersects ---------------------------------------------------------------
@@ -93,19 +173,32 @@ def _line_line_intersects(a: LineString, b: LineString) -> bool:
 def _line_polygon_intersects(line: LineString, poly: Polygon) -> bool:
     if any(poly.locate_point(c) >= 0 for c in line.coords):
         return True
+    segments = list(_segments(line))
+    n = poly.edge_count
+    if n >= len(segments) and n * len(segments) >= PREPARED_MIN_PAIRS:
+        return _prepared_boundaries_meet(poly, segments, line.envelope)
     return any(
         alg.segments_intersect(s1, e1, s2, e2)
-        for s1, e1 in _segments(line)
+        for s1, e1 in segments
         for s2, e2 in _poly_segments(poly)
     )
 
 
 def _polygon_polygon_intersects(a: Polygon, b: Polygon) -> bool:
     # Any boundary crossing?
-    for s1, e1 in _poly_segments(a):
-        for s2, e2 in _poly_segments(b):
-            if alg.segments_intersect(s1, e1, s2, e2):
-                return True
+    na, nb = a.edge_count, b.edge_count
+    if na * nb >= PREPARED_MIN_PAIRS:
+        big, small = (a, b) if na >= nb else (b, a)
+        if _prepared_boundaries_meet(
+            big, list(_poly_segments(small)), small.envelope
+        ):
+            return True
+    elif any(
+        alg.segments_intersect(s1, e1, s2, e2)
+        for s1, e1 in _poly_segments(a)
+        for s2, e2 in _poly_segments(b)
+    ):
+        return True
     # Containment without boundary contact.
     if b.locate_point(next(a.coordinates())) >= 0:
         return True

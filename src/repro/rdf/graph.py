@@ -3,8 +3,9 @@
 Terms are interned to integer identifiers; three nested-hash indexes
 (SPO, POS, OSP) answer any triple pattern with at most one level of
 iteration, mirroring how Strabon lays out its triple table plus indexes.
-The graph also tracks which objects are spatial (geometry-typed) literals
-so the stSPARQL engine can build an R-tree over them on demand.
+Nothing spatial is indexed here: :meth:`TripleReader.geometry_literals`
+scans every triple for geometry-typed literals, and the stSPARQL engine
+builds its R-tree from that scan on demand.
 
 Two concrete classes share the read path (:class:`TripleReader`):
 

@@ -21,6 +21,8 @@ from repro.rdf.graph import Graph
 from repro.rdf.namespace import RDF, RDFS
 from repro.rdf.term import Term
 
+_RDF_TYPE = RDF.type
+
 
 class RDFSInference:
     """Materialised subclass closure over a base graph."""
@@ -38,22 +40,20 @@ class RDFSInference:
         direct: Dict[Term, Set[Term]] = {}
         for s, _, o in self._graph.triples(None, RDFS.subClassOf, None):
             direct.setdefault(s, set()).add(o)
+        # One walk per class, so every class on a subClassOf cycle sees
+        # the whole cycle (a memoised recursion would cut it short at
+        # whichever class it entered first).
         closure: Dict[Term, Set[Term]] = {}
-
-        def supers(cls: Term, seen: Set[Term]) -> Set[Term]:
-            if cls in closure:
-                return closure[cls]
-            result: Set[Term] = set()
-            for parent in direct.get(cls, ()):
-                if parent in seen:
-                    continue  # Cycle guard.
-                result.add(parent)
-                result |= supers(parent, seen | {parent})
-            closure[cls] = result
-            return result
-
-        for cls in list(direct):
-            supers(cls, {cls})
+        for cls, parents in direct.items():
+            reached: Set[Term] = set()
+            stack = list(parents)
+            while stack:
+                parent = stack.pop()
+                if parent not in reached:
+                    reached.add(parent)
+                    stack.extend(direct.get(parent, ()))
+            reached.discard(cls)
+            closure[cls] = reached
         self._superclasses = closure
         self._generation = self._graph.generation
 
@@ -77,6 +77,25 @@ class RDFSInference:
         for t in types:
             inferred |= self._superclasses.get(t, set())
         return types | inferred
+
+    def has_type(self, node: Term, cls: Term) -> bool:
+        """True when ``node`` is an instance of ``cls`` or a subclass.
+
+        The membership twin of :meth:`instances_of`: it reads the
+        node's own asserted types and the memoised closure, so it costs
+        O(types of ``node``) however many instances ``cls`` has.
+        """
+        self._refresh()
+        graph = self._graph
+        si, ti = graph.term_id(node), graph.term_id(_RDF_TYPE)
+        if si is None or ti is None:
+            return False
+        superclasses = self._superclasses
+        for _, _, oi in graph.triples_ids(si, ti, None):
+            t = graph.term_for_id(oi)
+            if t == cls or cls in superclasses.get(t, ()):
+                return True
+        return False
 
     def instances_of(self, cls: Term) -> Iterator[Term]:
         """Nodes typed as ``cls`` or any of its subclasses (memoised per

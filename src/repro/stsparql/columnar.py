@@ -457,7 +457,7 @@ class ColumnarEvaluator(Evaluator):
         ``instances_of`` set the same way.  Returns None when the
         pattern needs the per-combination machinery (variable
         predicates, repeated variables, mixed bound/unbound columns,
-        ``types_of`` inference).
+        a variable ``rdf:type`` class under inference).
         """
         subj, pred, obj = (
             pattern.subject,
@@ -500,7 +500,7 @@ class ColumnarEvaluator(Evaluator):
         )
         if inference_type:
             if isinstance(obj, Variable):
-                return None  # types_of(subject) is row-dependent
+                return None  # the class comes from the row
             instances = list(self.inference.instances_of(obj))
             if s_role[0] == "bound" and n * 8 < len(instances):
                 # Tiny batch against a big closure: per-combination
@@ -709,28 +709,9 @@ class ColumnarEvaluator(Evaluator):
                 and term.name not in new_names
             ):
                 new_names.append(term.name)
-        use_inference = (
-            self.inference is not None
-            and p == RDF.type
-            and o is not None
-            and not isinstance(pattern.object, Variable)
-        )
         candidates = None
-        if use_inference:
-            candidates = (
-                (subj, RDF.type, o)
-                for subj in self.inference.instances_of(o)
-                if s is None or subj == s
-            )
-        elif (
-            self.inference is not None
-            and p == RDF.type
-            and s is not None
-            and o is None
-        ):
-            candidates = (
-                (s, RDF.type, t) for t in self.inference.types_of(s)
-            )
+        if self.inference is not None and p == RDF.type:
+            candidates = self._inferred_types(s, o)
         elif restriction is not None and o is None:
             candidates = (
                 triple

@@ -551,8 +551,12 @@ class Evaluator:
         bound: Set[str],
         spatial_pairs: Sequence[Tuple[str, str]] = (),
     ) -> int:
+        # A parameter is a constant for the whole evaluation, so it
+        # estimates like the constant it stands for.
         def resolved(term: Term) -> Optional[Term]:
             if isinstance(term, Variable):
+                if term.name in self.initial:
+                    return self.initial[term.name]
                 return None if term.name not in bound else term
             return term
 
@@ -570,7 +574,7 @@ class Evaluator:
         # a constant (p, o) pair gives the precise matching cardinality
         # (e.g. "?h noa:hasAcquisitionDateTime <t>" is very selective).
         if isinstance(pattern.predicate, URI):
-            if o is not None and not isinstance(pattern.object, Variable):
+            if o is not None and not isinstance(o, Variable):
                 cardinality = self.graph.count(None, pattern.predicate, o)
             else:
                 cardinality = self.graph.count(None, pattern.predicate, None)
@@ -608,27 +612,8 @@ class Evaluator:
         s = resolve_term(pattern.subject)
         p = resolve_term(pattern.predicate)
         o = resolve_term(pattern.object)
-        use_inference = (
-            self.inference is not None
-            and p == RDF.type
-            and o is not None
-            and not isinstance(pattern.object, Variable)
-        )
-        if use_inference:
-            candidates: Iterable = (
-                (subj, RDF.type, o)
-                for subj in self.inference.instances_of(o)
-                if s is None or subj == s
-            )
-        elif (
-            self.inference is not None
-            and p == RDF.type
-            and s is not None
-            and o is None
-        ):
-            candidates = (
-                (s, RDF.type, t) for t in self.inference.types_of(s)
-            )
+        if self.inference is not None and p == RDF.type:
+            candidates: Iterable = self._inferred_types(s, o)
         elif object_restriction is not None and o is None:
             candidates = (
                 triple
@@ -654,6 +639,25 @@ class Evaluator:
                         break
             if ok:
                 yield new_row
+
+    def _inferred_types(
+        self, s: Optional[Term], o: Optional[Term]
+    ) -> Iterable[Tuple[Term, Term, Term]]:
+        """``rdf:type`` matches under inference for whichever of subject
+        and object the row has bound (None = unbound).
+
+        The bound *values* pick the probe, not whether the query wrote a
+        constant or a variable, so every join order sees the same
+        entailed types.
+        """
+        inference = self.inference
+        if o is None:
+            return inference.type_triples(s)
+        if s is None:
+            return (
+                (subj, RDF.type, o) for subj in inference.instances_of(o)
+            )
+        return ((s, RDF.type, o),) if inference.has_type(s, o) else ()
 
     def _spatial_restriction(
         self,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import obs, perf
-from repro.rdf import Literal, XSD
+from repro.rdf import NOA, RDF, Literal, XSD
 from repro.stsparql import SparqlEvalError, Strabon
 
 PREFIX = (
@@ -79,6 +79,32 @@ def test_unconvertible_parameter_is_a_typed_engine_error(engine):
     for endpoint in (engine, engine.snapshot_view()):
         with pytest.raises(SparqlEvalError, match="__ts"):
             endpoint.query(AT_TIME, params={"__ts": {"a": 1}})
+
+
+def test_parameter_is_planned_like_the_constant_it_stands_for():
+    # 300 hotspots, 30 per acquisition, 50 municipalities: the time
+    # pattern is the selective start whether the time is written into
+    # the text or passed as a parameter.
+    engine = Strabon()
+    for i in range(300):
+        h = NOA.term(f"h{i}")
+        engine.add(h, RDF.type, NOA.Hotspot)
+        engine.add(
+            h, NOA.hasAcquisitionTime, _ts(f"2007-08-24T{i % 10:02d}:00:00")
+        )
+    for j in range(50):
+        engine.add(NOA.term(f"m{j}"), RDF.type, NOA.Municipality)
+    text = PREFIX + (
+        "SELECT ?h ?m WHERE { ?h a noa:Hotspot ; "
+        "noa:hasAcquisitionTime ?__ts . ?m a noa:Municipality . }"
+    )
+    at = _ts("2007-08-24T03:00:00")
+    passed = engine.query(text, params={"__ts": at}, explain=True)
+    written = engine.query(text.replace("?__ts", at.n3()), explain=True)
+    for doc in (passed, written):
+        assert "hasAcquisitionTime" in doc["plan"][0]["join_order"][0]
+        assert doc["rows"] == 30 * 50
+    assert passed["plan"][0]["estimates"] == written["plan"][0]["estimates"]
 
 
 def test_updates_are_plan_cached_and_parameterized(engine):

@@ -59,3 +59,58 @@ class TestInference:
         inf = RDFSInference(taxonomy)
         got = set(inf.type_triples(CLC.area1))
         assert (CLC.area1, RDF.type, CLC.Forests) in got
+
+
+class TestHasType:
+    def test_subclass_chain(self, taxonomy):
+        inf = RDFSInference(taxonomy)
+        for cls in (
+            CLC.ConiferousForest,
+            CLC.Forests,
+            CLC.ForestsAndSemiNaturalAreas,
+        ):
+            assert inf.has_type(CLC.area1, cls)
+        assert not inf.has_type(CLC.area1, CLC.BroadLeavedForest)
+        assert not inf.has_type(CLC.area1, CLC.PermanentCrops)
+        assert not inf.has_type(CLC.nowhere, CLC.Forests)
+
+    def test_agrees_with_instances_of(self, taxonomy):
+        inf = RDFSInference(taxonomy)
+        nodes = {CLC.area1, CLC.area2, CLC.Forests}
+        for cls in (CLC.Forests, CLC.PermanentCrops, CLC.Vineyards):
+            members = set(inf.instances_of(cls))
+            assert {n for n in nodes if inf.has_type(n, cls)} == members
+
+    def test_cycle_members_share_types(self):
+        g = Graph()
+        g.add(CLC.A, RDFS.subClassOf, CLC.B)
+        g.add(CLC.B, RDFS.subClassOf, CLC.C)
+        g.add(CLC.C, RDFS.subClassOf, CLC.A)
+        g.add(CLC.x, RDF.type, CLC.B)
+        inf = RDFSInference(g)
+        for cls in (CLC.A, CLC.B, CLC.C):
+            assert inf.has_type(CLC.x, cls)
+            assert set(inf.instances_of(cls)) == {CLC.x}
+        assert inf.superclasses(CLC.B) == {CLC.A, CLC.C}
+
+    def test_invalidated_by_add_and_remove(self, taxonomy):
+        inf = RDFSInference(taxonomy)
+        assert not inf.has_type(CLC.area2, CLC.Forests)
+        taxonomy.add(CLC.PermanentCrops, RDFS.subClassOf, CLC.Forests)
+        assert inf.has_type(CLC.area2, CLC.Forests)
+        taxonomy.remove(CLC.PermanentCrops, RDFS.subClassOf, CLC.Forests)
+        assert not inf.has_type(CLC.area2, CLC.Forests)
+        taxonomy.remove(CLC.area1, RDF.type, CLC.ConiferousForest)
+        assert not inf.has_type(CLC.area1, CLC.Forests)
+        taxonomy.add(CLC.area1, RDF.type, CLC.BroadLeavedForest)
+        assert inf.has_type(CLC.area1, CLC.Forests)
+
+    def test_frozen_snapshot_view(self, taxonomy):
+        snapshot = taxonomy.snapshot()
+        inf = RDFSInference(snapshot)
+        assert inf.has_type(CLC.area1, CLC.Forests)
+        taxonomy.remove(CLC.area1, RDF.type, CLC.ConiferousForest)
+        taxonomy.add(CLC.area2, RDF.type, CLC.BroadLeavedForest)
+        assert inf.has_type(CLC.area1, CLC.Forests)
+        assert not inf.has_type(CLC.area2, CLC.Forests)
+        assert not RDFSInference(taxonomy).has_type(CLC.area1, CLC.Forests)
