@@ -55,27 +55,6 @@ WATCHED = {
             TIMING_THRESHOLD,
         ),
     ],
-    "BENCH_serve.json": [
-        ("http_load.throughput_rps", "higher", TIMING_THRESHOLD),
-        ("http_load.p99_ms", "lower", TIMING_THRESHOLD),
-        ("http_load.errors", "lower", None),
-        ("consistency.torn_reads", "lower", None),
-        # Sharded serving tier: the ISSUE-8 acceptance bar (>= 2x
-        # aggregate read throughput at 4 shards).  The speedup is a
-        # ratio of *measured* per-shard rates, so it gets the wider
-        # wall-clock bar; the >= 2x floor is asserted in the benchmark.
-        ("shard_scaling.speedup_4_vs_1", "higher", TIMING_THRESHOLD),
-        (
-            "shard_scaling.series.1.aggregate_qps_scaling_law",
-            "higher",
-            TIMING_THRESHOLD,
-        ),
-        (
-            "shard_scaling.series.4.aggregate_qps_scaling_law",
-            "higher",
-            TIMING_THRESHOLD,
-        ),
-    ],
     "BENCH_subscribe.json": [
         # The ISSUE-9 acceptance bar (incremental >= 10x a full re-run
         # at 100k geofenced subscriptions) is asserted inside

@@ -184,7 +184,7 @@ WHERE {
 
 #: The current acquisition's surviving hotspots with confidence —
 #: the set the cross-confirm stage partitions into confirmed/decayed.
-_ACQ_HOTSPOTS_QUERY = _PREFIXES + """
+_ACQ_SURVIVORS_QUERY = _PREFIXES + """
 SELECT ?h ?conf
 WHERE {
   ?h a noa:Hotspot ;
@@ -521,7 +521,7 @@ WHERE {{
             confirmed = 0
             decayed = 0
             hot_rows = sorted(
-                self.strabon.select(_ACQ_HOTSPOTS_QUERY, params),
+                self.strabon.select(_ACQ_SURVIVORS_QUERY, params),
                 key=lambda r: r["h"].value,
             )
             for row in hot_rows:

@@ -299,13 +299,24 @@ class FireMonitoringService:
         #: with a ``state_dir`` it is (re)opened durable in
         #: :meth:`_open_durable` instead.
         self.subscriptions = None
+        #: Every mutation of the live store since the last publication
+        #: — drained once per commit into the delta that both the
+        #: subscription engine and the publisher's hotspot table
+        #: consume.  Attached with the publisher.
+        self._commits = None
         if self.mode == "teleios" and self.publisher is not None:
             from repro.obs.slo import NOTIFICATION_SLO
-            from repro.serve.subscribe import SubscriptionEngine
+            from repro.serve.subscribe import (
+                CommitJournal,
+                SubscriptionEngine,
+            )
 
+            self._commits = CommitJournal(self.strabon.graph)
             self.slo.register(NOTIFICATION_SLO)
             self.subscriptions = SubscriptionEngine(slo=self.slo)
-            self.subscriptions.bind(self.strabon, self.publisher)
+            self.subscriptions.bind(
+                self.strabon, self.publisher, journal=self._commits
+            )
         #: Summary of the flight-recorder dump a previous crash left
         #: behind (``None`` on a clean start); surfaced in health().
         self._crash_report: Optional[Dict[str, object]] = None
@@ -445,15 +456,18 @@ class FireMonitoringService:
         # regenerated before readers reconnect, stamped with the
         # imminent initial publication's sequence.
         from repro.obs.slo import NOTIFICATION_SLO
-        from repro.serve.subscribe import SubscriptionEngine
+        from repro.serve.subscribe import CommitJournal, SubscriptionEngine
 
+        self._commits = CommitJournal(self.strabon.graph)
         self.slo.register(NOTIFICATION_SLO)
         self.subscriptions = SubscriptionEngine(
             state_dir=os.path.join(state_dir, "subs"),
             fsync=config.wal_fsync,
             slo=self.slo,
         )
-        self.subscriptions.bind(self.strabon, self.publisher)
+        self.subscriptions.bind(
+            self.strabon, self.publisher, journal=self._commits
+        )
         repaired = self.subscriptions.repair_tail(
             self.durable.wal.replayed,
             sequence=self.publisher.sequence + 1,
@@ -630,9 +644,11 @@ class FireMonitoringService:
             return
         self._closed = True
         if self.subscriptions is not None:
+            self.subscriptions.close()
+        if self._commits is not None:
             # Restores the graph's original journal — must precede the
             # durable close, whose identity check expects it.
-            self.subscriptions.close()
+            self._commits.detach()
         if self.durable is not None:
             self.durable.close()
         if self._owns_workdir:
@@ -954,22 +970,27 @@ class FireMonitoringService:
                     sequence=self.publisher.sequence + 1,
                 ):
                     self._durable_commit(outcome)
-                    # The subscription engine evaluates the committed
-                    # delta and (durably) logs its notification batch
-                    # *before* the publish, so the snapshot readers
-                    # see always contains the notified state; fan-out
+                    # One delta per commit, handed to both consumers.
+                    # The subscription engine evaluates it and
+                    # (durably) logs its notification batch *before*
+                    # the publish, so the snapshot readers see always
+                    # contains the notified state; the publisher
+                    # updates the hotspot table from it; fan-out
                     # follows the publish.
+                    delta = self._commits.drain()
                     batch = None
                     if self.subscriptions is not None:
                         batch = self.subscriptions.process_commit(
                             self.publisher.sequence + 1,
                             wal_seq=self._last_wal_seq,
+                            delta=delta,
                         )
                     published = self.publisher.publish(
                         self.strabon,
                         timestamp=outcome.timestamp,
                         trace_id=outcome.trace_id,
                         sources=tuple(outcome.source_reports),
+                        delta=delta,
                     )
                     if batch is not None:
                         self.subscriptions.publish_batch(

@@ -10,12 +10,12 @@ store while the ingest/refinement writer keeps running:
   single-writer → many-reader hand-off, and
   :class:`ConsistencyToken` — the opaque comparable stamp every served
   response carries (``repro.serve.state``),
-* :func:`query_hotspots` — snapshot → filtered GeoJSON
+* :class:`HotspotTable` / :func:`query_hotspots` — the per-publication
+  hotspot table and the filter over it that answers ``/v1/hotspots``
   (``repro.serve.hotspots``),
 * :class:`HotspotServer` / :func:`serve_in_thread` — the stdlib-only
   asyncio HTTP endpoint, v1-versioned; every read executes on its
-  thread pool against the published
-  :class:`~repro.stsparql.SnapshotView` (``repro.serve.http``),
+  thread pool against the latest publication (``repro.serve.http``),
 * :class:`ShardManager` / :class:`TileLayout` — spatial partitioning
   of the published store by target-grid tile, one engine + publisher
   per shard (``repro.serve.shard``),
@@ -36,7 +36,12 @@ store while the ingest/refinement writer keeps running:
 """
 
 from repro.serve.client import ServeClient, ServeError, SseStream
-from repro.serve.hotspots import HOTSPOTS_QUERY, parse_bbox, query_hotspots
+from repro.serve.hotspots import (
+    HotspotTable,
+    parse_bbox,
+    parse_instant,
+    query_hotspots,
+)
 from repro.serve.http import HotspotServer, ServerHandle, serve_in_thread
 from repro.serve.load import LoadGenerator, LoadReport, fetch_json
 from repro.serve.router import (
@@ -67,8 +72,8 @@ from repro.serve.subscribe import (
 __all__ = [
     "CATCH_ALL",
     "ConsistencyToken",
-    "HOTSPOTS_QUERY",
     "HotspotServer",
+    "HotspotTable",
     "LoadGenerator",
     "LoadReport",
     "PublishedSnapshot",
@@ -90,6 +95,7 @@ __all__ = [
     "TileLayout",
     "fetch_json",
     "parse_bbox",
+    "parse_instant",
     "partition_snapshot",
     "query_hotspots",
     "serve_in_thread",

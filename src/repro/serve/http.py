@@ -7,8 +7,9 @@ paths keep answering as aliases, with a ``Deprecation: true`` header
 and a ``Link`` naming the ``/v1`` successor):
 
 * ``GET /v1/hotspots`` — surviving hotspots of the **latest published
-  snapshot** as GeoJSON; query parameters ``bbox=minx,miny,maxx,maxy``,
-  ``since=`` / ``until=`` (ISO-8601), ``min_confidence=``,
+  snapshot** as GeoJSON, filtered from the publication's hotspot
+  table; query parameters ``bbox=minx,miny,maxx,maxy``,
+  ``since=`` / ``until=`` (xsd:dateTime), ``min_confidence=``,
   ``confirmed=true|false`` and ``static=true|false`` (static heat
   sources — refineries — flagged by the federation) filter the
   features.
@@ -75,7 +76,12 @@ from repro.obs import (
     recent_traces,
 )
 from repro.obs.slo import SERVE_LATENCY_SLO_S
-from repro.serve.hotspots import _stamp, parse_bbox, query_hotspots
+from repro.serve.hotspots import (
+    _stamp,
+    parse_bbox,
+    parse_instant,
+    query_hotspots,
+)
 from repro.serve.sse import (
     SseHub,
     format_batch,
@@ -765,6 +771,17 @@ class HotspotServer:
             min_confidence = (
                 None if conf_text is None else float(conf_text)
             )
+            if min_confidence is not None and not math.isfinite(
+                min_confidence
+            ):
+                raise ValueError("min_confidence must be finite")
+            since_text, until_text = single("since"), single("until")
+            since = (
+                None if since_text is None else parse_instant(since_text)
+            )
+            until = (
+                None if until_text is None else parse_instant(until_text)
+            )
         except ValueError as error:
             raise _HttpError(400, str(error))
         def flag(name: str) -> Optional[bool]:
@@ -785,8 +802,8 @@ class HotspotServer:
             lambda: query_hotspots(
                 published,
                 bbox=bbox,
-                since=single("since"),
-                until=single("until"),
+                since=since,
+                until=until,
                 min_confidence=min_confidence,
                 confirmed=confirmed,
                 static=static,

@@ -2,8 +2,7 @@
 
 Drives a running :class:`~repro.serve.http.HotspotServer` with N
 concurrent clients, each looping over a fixed request mix on a
-keep-alive connection, and reports throughput and latency quantiles —
-the numbers behind ``BENCH_serve.json``.
+keep-alive connection, and reports throughput and latency quantiles.
 
 Closed-loop means each client issues its next request only after the
 previous response arrives: offered load adapts to server speed, so the

@@ -15,6 +15,11 @@ whose :meth:`publish` swap is atomic (one reference assignment under a
 lock) and whose :meth:`latest` never blocks on the writer.  Readers that
 grabbed an older snapshot keep a fully consistent view for as long as
 they hold it — publication never invalidates an in-flight read.
+
+A publication also carries the ``/v1/hotspots`` read model — its
+:class:`~repro.serve.hotspots.HotspotTable` — built on the writer
+thread before the swap, so the table and the view a reader gets always
+describe the same state.
 """
 
 from __future__ import annotations
@@ -25,10 +30,13 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Optional
 
-from repro.obs import get_metrics
+from repro.obs import get_metrics, get_tracer
+from repro.serve.hotspots import HotspotTable
+from repro.serve.subscribe import DeltaBatch
 from repro.stsparql import SnapshotView, Strabon
 
 _metrics = get_metrics()
+_tracer = get_tracer()
 
 
 @dataclass(frozen=True)
@@ -104,6 +112,8 @@ class PublishedSnapshot:
     view: SnapshotView
     sequence: int
     generation: int
+    #: The served hotspots of this state (``/v1/hotspots`` filters it).
+    hotspots: HotspotTable = field(repr=False, compare=False)
     #: Acquisition timestamp that triggered this publication (None for
     #: the initial — auxiliary-data-only — publication).
     timestamp: Optional[datetime] = None
@@ -164,6 +174,7 @@ class SnapshotPublisher:
         timestamp: Optional[datetime] = None,
         trace_id: Optional[str] = None,
         sources: tuple = (),
+        delta: Optional[DeltaBatch] = None,
     ) -> PublishedSnapshot:
         """Freeze the engine's current state and make it the latest.
 
@@ -173,14 +184,26 @@ class SnapshotPublisher:
         hands out borrowed indexes, and the engine reuses the view when
         the generation is unchanged (an acquisition that refined zero
         hotspots republishes the same frozen structures).
+
+        ``delta`` names every subject changed since the previous
+        publication (the commit's drained
+        :class:`~repro.serve.subscribe.DeltaBatch`); with it the
+        hotspot table is the previous one updated for those subjects,
+        without it the table is built in full.
         """
         view = strabon.snapshot_view()
+        with _tracer.span("publish.hotspot_table") as span:
+            hotspots = HotspotTable.for_publication(
+                view, self.latest(), delta
+            )
+            span.set(features=len(hotspots))
         with self._changed:
             self._sequence += 1
             published = PublishedSnapshot(
                 view=view,
                 sequence=self._sequence,
                 generation=view.generation,
+                hotspots=hotspots,
                 timestamp=timestamp,
                 published_monotonic=time.monotonic(),
                 trace_id=trace_id,

@@ -34,9 +34,15 @@ Hotspots the federation flagged as **static heat sources**
 excluded from every alert family: they are real combustion, but not
 fires, so they neither notify nor contribute fire-danger evidence.
 
+A hotspot is what the served ``/v1/hotspots`` set calls one: a subject
+typed ``noa:Hotspot`` under RDFS inference, read through the one star
+reader :func:`hotspot_record` that the served hotspot table also uses.
+
 **Why incremental equals full re-run.**  A hotspot's match status
 against any subscription above depends only on its own star (type,
-geometry, confidence, confirmation, municipality link), and the
+geometry, confidence, confirmation, municipality link) plus the
+subclass closure (a commit that changes ``rdfs:subClassOf`` is
+evaluated by full scan, like a ``clear``), and the
 refinement pipeline only mutates the stars of the current
 acquisition's hotspots (insertion, municipality tagging, sea/land
 deletion, confirmation marking).  So the set of subjects whose match
@@ -81,14 +87,16 @@ from repro.durable.cursors import (
     NotificationBatch,
     NotificationLog,
 )
-from repro.geometry import Envelope
+from repro.geometry import Envelope, Geometry
 from repro.geometry.rtree import RTree
 from repro.obs import get_metrics, get_tracer
-from repro.rdf.namespace import NOA, RDF, STRDF
-from repro.rdf.term import URI
+from repro.rdf.inference import RDFSInference
+from repro.rdf.namespace import NOA, RDFS, STRDF
+from repro.rdf.term import Literal, URI
 
 __all__ = [
     "DANGER_CLASSES",
+    "CommitJournal",
     "DeltaBatch",
     "HotspotRecord",
     "Notification",
@@ -97,6 +105,7 @@ __all__ = [
     "SubscriptionError",
     "SubscriptionRegistry",
     "danger_class",
+    "hotspot_record",
     "municipality_score",
     "municipality_scores",
     "validate_standing_query",
@@ -121,13 +130,12 @@ SUBSCRIPTION_KINDS = ("filter", "stsparql", "fwi")
 _TOMBSTONE_REBUILD = 64
 
 _HOTSPOT = NOA.Hotspot
-_TYPE = RDF.type
+_SUBCLASS = RDFS.subClassOf
 _GEOMETRY = STRDF.hasGeometry
 _CONFIDENCE = NOA.hasConfidence
 _CONFIRMATION = NOA.hasConfirmation
 _MUNICIPALITY = NOA.isInMunicipality
 _ACQUIRED = NOA.hasAcquisitionDateTime
-_CONFIRMED = NOA.confirmed
 _CROSS_CONFIRMED = NOA.crossConfirmedBy
 _STATIC_MATCH = NOA.matchesStaticSource
 _WEATHER = NOA.WeatherObservation
@@ -306,13 +314,16 @@ class Subscription:
 
 @dataclass(frozen=True)
 class HotspotRecord:
-    """One hotspot star flattened for predicate matching."""
+    """One hotspot star, flattened — what the alert families match and
+    what the served hotspot table (``repro.serve.hotspots``) encodes."""
 
     subject: str
     lon: float
     lat: float
     confidence: Optional[float] = None
-    confirmed: Optional[bool] = None
+    #: Local name of the ``noa:hasConfirmation`` object
+    #: (``"confirmed"`` / ``"unconfirmed"``), None when unmarked.
+    confirmation: Optional[str] = None
     municipality: Optional[str] = None
     acquired: Optional[str] = None
     #: Federation sources that corroborated the hotspot (sorted).
@@ -320,6 +331,19 @@ class HotspotRecord:
     #: Matched a known static heat source (refinery) — excluded from
     #: every alert family and from fire-danger evidence.
     static: bool = False
+    #: The (non-empty) geometry the served feature is encoded from.
+    geometry: Optional[Geometry] = field(default=None, compare=False)
+    #: The star carries an acquisition time and a confidence, the
+    #: mandatory triples of a served hotspot (``/v1/hotspots`` serves
+    #: only these; alerts do not require them).
+    served: bool = False
+
+    @property
+    def confirmed(self) -> Optional[bool]:
+        """None when unmarked, else whether marked ``noa:confirmed``."""
+        if self.confirmation is None:
+            return None
+        return self.confirmation == "confirmed"
 
 
 @dataclass(frozen=True)
@@ -331,6 +355,31 @@ class DeltaBatch:
     #: A ``clear`` was journaled — subject-local reasoning is void and
     #: the evaluator falls back to a full scan for this batch.
     full_rescan: bool = False
+    #: An ``rdfs:subClassOf`` triple changed — which subjects are
+    #: hotspots may have changed beyond ``subjects``, so consumers fall
+    #: back to a full scan as for ``full_rescan``.
+    schema_changed: bool = False
+    _stars: Dict[str, Optional[HotspotRecord]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+
+    def stars(self, graph) -> Dict[str, Optional[HotspotRecord]]:
+        """Each changed subject's hotspot star (None when it is not, or
+        no longer, a hotspot), in subject order.
+
+        Read from ``graph`` on the first call and memoised: every
+        consumer of one commit — the subscription engine on the live
+        store, the publisher on the snapshot it is about to publish —
+        sees the same committed state inside the publish window, so
+        the star of a changed subject is read once per commit.
+        """
+        if self.subjects and not self._stars:
+            inference = RDFSInference(graph)
+            for subject in self.subjects:
+                self._stars[subject] = hotspot_record(
+                    graph, inference, subject
+                )
+        return self._stars
 
 
 @dataclass(frozen=True)
@@ -384,6 +433,7 @@ def delta_from_ops(ops: Sequence) -> DeltaBatch:
     subjects: Set[str] = set()
     municipalities: Set[str] = set()
     full_rescan = False
+    schema_changed = False
     for opcode, triple in ops:
         if opcode == OP_CLEAR:
             full_rescan = True
@@ -396,10 +446,13 @@ def delta_from_ops(ops: Sequence) -> DeltaBatch:
         subjects.add(_text(s))
         if p == _MUNICIPALITY:
             municipalities.add(_text(o))
+        elif p == _SUBCLASS:
+            schema_changed = True
     return DeltaBatch(
         subjects=tuple(sorted(subjects)),
         municipalities=tuple(sorted(municipalities)),
         full_rescan=full_rescan,
+        schema_changed=schema_changed,
     )
 
 
@@ -423,70 +476,86 @@ def _source_graph(source):
     return source
 
 
-def hotspot_record(graph, subject: str) -> Optional[HotspotRecord]:
-    """The subject's star as a :class:`HotspotRecord`, or None when it
-    is not (or no longer) a live hotspot with a usable geometry."""
-    uri = URI(subject)
-    if not any(
-        True for _ in graph.triples(uri, _TYPE, _HOTSPOT)
-    ):
+def hotspot_record(
+    graph, inference: RDFSInference, subject
+) -> Optional[HotspotRecord]:
+    """The one hotspot star reader.
+
+    The subject's star as a :class:`HotspotRecord`, or None when it is
+    not (or no longer) a hotspot — typed ``noa:Hotspot`` under RDFS
+    inference (``inference`` is an :class:`RDFSInference` over
+    ``graph``) — with a non-empty geometry.  The alert families and
+    the served hotspot table both read stars through here, so they
+    agree on what a hotspot is.
+    """
+    uri = URI(subject) if isinstance(subject, str) else subject
+    if not inference.has_type(uri, _HOTSPOT):
         return None
     geom_lit = graph.value(uri, _GEOMETRY)
-    geom = getattr(geom_lit, "value", None)
-    envelope = getattr(geom, "envelope", None)
-    if envelope is None:
+    geom = geom_lit.value if isinstance(geom_lit, Literal) else None
+    if not isinstance(geom, Geometry) or geom.is_empty:
         return None
-    lon, lat = envelope.center
-    confidence: Optional[float] = None
+    lon, lat = geom.envelope.center
     conf_term = graph.value(uri, _CONFIDENCE)
-    if conf_term is not None:
-        try:
-            confidence = float(conf_term.lexical)
-        except (AttributeError, TypeError, ValueError):
-            confidence = None
     confirmation = graph.value(uri, _CONFIRMATION)
-    confirmed = (
-        None if confirmation is None else confirmation == _CONFIRMED
-    )
     municipality = graph.value(uri, _MUNICIPALITY)
     acquired = graph.value(uri, _ACQUIRED)
-    sources = sorted(
-        _source_short(o)
-        for _, _, o in graph.triples(uri, _CROSS_CONFIRMED, None)
-    )
-    static = graph.value(uri, _STATIC_MATCH) is not None
+    sources = {
+        _source_short(o) for o in graph.objects(uri, _CROSS_CONFIRMED)
+    }
+    sources.discard("")
     return HotspotRecord(
-        subject=subject,
+        subject=_text(uri),
         lon=lon,
         lat=lat,
-        confidence=confidence,
-        confirmed=confirmed,
+        confidence=_maybe_float(conf_term),
+        confirmation=(
+            None if confirmation is None else _local_name(confirmation)
+        ),
         municipality=(
             None if municipality is None else _text(municipality)
         ),
         acquired=getattr(acquired, "lexical", None),
-        sources=tuple(sources),
-        static=static,
+        sources=tuple(sorted(sources)),
+        static=graph.value(uri, _STATIC_MATCH) is not None,
+        geometry=geom,
+        served=acquired is not None and conf_term is not None,
     )
+
+
+def _maybe_float(term: Any) -> Optional[float]:
+    try:
+        return float(term.lexical)
+    except (AttributeError, TypeError, ValueError):
+        return None
+
+
+def _local_name(term: Any) -> str:
+    """``noa:confirmed`` → ``"confirmed"``."""
+    return _text(term).rsplit("#", 1)[-1].rsplit("/", 1)[-1]
 
 
 def _source_short(term: Any) -> str:
     """``noa:Source_polar`` → ``"polar"``."""
-    tail = _text(term).rsplit("#", 1)[-1].rsplit("/", 1)[-1]
+    tail = _local_name(term)
     _, _, name = tail.partition("Source_")
     return name or tail
 
 
 def iter_hotspot_records(graph) -> Iterable[HotspotRecord]:
     """Every live hotspot star (the full-scan path: priming, the full
-    re-run baseline, and ``full_rescan`` batches)."""
-    for subject in graph.subjects(_TYPE, _HOTSPOT):
-        record = hotspot_record(graph, _text(subject))
+    re-run baseline, ``full_rescan`` batches and full hotspot-table
+    builds)."""
+    inference = RDFSInference(graph)
+    for subject in inference.instances_of(_HOTSPOT):
+        record = hotspot_record(graph, inference, subject)
         if record is not None:
             yield record
 
 
-def municipality_score(graph, municipality: str) -> float:
+def municipality_score(
+    graph, inference: RDFSInference, municipality: str
+) -> float:
     """Summed fire-danger evidence inside a municipality.
 
     Live hotspot confidences (static heat sources excluded — a
@@ -496,18 +565,17 @@ def municipality_score(graph, municipality: str) -> float:
     target = URI(municipality)
     score = 0.0
     for s, _, _ in graph.triples(None, _MUNICIPALITY, target):
-        if any(True for _ in graph.triples(s, _TYPE, _HOTSPOT)):
+        if inference.has_type(s, _HOTSPOT):
             if graph.value(s, _STATIC_MATCH) is not None:
                 continue
             term = graph.value(s, _CONFIDENCE)
-        elif any(True for _ in graph.triples(s, _TYPE, _WEATHER)):
+        elif inference.has_type(s, _WEATHER):
             term = graph.value(s, _DANGER_CONTRIBUTION)
         else:
             continue
-        try:
-            score += float(term.lexical)
-        except (AttributeError, TypeError, ValueError):
-            continue
+        value = _maybe_float(term)
+        if value is not None:
+            score += value
     return score
 
 
@@ -521,7 +589,7 @@ def municipality_scores(graph) -> Dict[str, float]:
         scores[record.municipality] = scores.get(
             record.municipality, 0.0
         ) + (record.confidence or 0.0)
-    for s in graph.subjects(_TYPE, _WEATHER):
+    for s in RDFSInference(graph).instances_of(_WEATHER):
         municipality = graph.value(s, _MUNICIPALITY)
         if municipality is None:
             continue
@@ -714,59 +782,52 @@ class SubscriptionRegistry:
         return True
 
 
-# -- journal tee -----------------------------------------------------------
+# -- the commit journal ----------------------------------------------------
 
 
-class _TeeJournal:
-    """Fans graph-mutation records out to several journals.
+class CommitJournal:
+    """Captures every mutation of a live graph as the per-commit delta.
 
-    The durable store drains *its own* journal reference (never via
-    ``graph._journal``), so interposing a tee on the graph is safe: the
-    store still sees every op, and the subscription engine gets an
-    independent copy to turn into deltas.
+    Interposed on the graph's mutation journal as a tee: the durable
+    store drains *its own* journal reference (never via
+    ``graph._journal``), so it still sees every op.  The owner of the
+    commit loop drains this once per commit and hands the resulting
+    :class:`DeltaBatch` to every consumer of that commit — the
+    subscription engine and the publisher's hotspot table.
     """
 
-    def __init__(self, *sinks) -> None:
-        self._sinks = [s for s in sinks if s is not None]
-
-    def record_add(self, s, p, o) -> None:
-        for sink in self._sinks:
-            sink.record_add(s, p, o)
-
-    def record_remove(self, s, p, o) -> None:
-        for sink in self._sinks:
-            sink.record_remove(s, p, o)
-
-    def record_clear(self) -> None:
-        for sink in self._sinks:
-            sink.record_clear()
-
-    def __len__(self) -> int:
-        return len(self._sinks[0]) if self._sinks else 0
-
-
-class _CaptureJournal:
-    """The engine's private journal behind the tee."""
-
-    def __init__(self) -> None:
+    def __init__(self, graph) -> None:
+        self._graph = graph
+        self._base = graph._journal
         self._ops: List = []
+        graph._journal = self
 
     def record_add(self, s, p, o) -> None:
+        if self._base is not None:
+            self._base.record_add(s, p, o)
         self._ops.append((OP_ADD, (s, p, o)))
 
     def record_remove(self, s, p, o) -> None:
+        if self._base is not None:
+            self._base.record_remove(s, p, o)
         self._ops.append((OP_REMOVE, (s, p, o)))
 
     def record_clear(self) -> None:
+        if self._base is not None:
+            self._base.record_clear()
         self._ops.clear()
         self._ops.append((OP_CLEAR, None))
 
-    def drain(self) -> List:
+    def drain(self) -> DeltaBatch:
+        """Everything mutated since the previous drain."""
         ops, self._ops = self._ops, []
-        return ops
+        return delta_from_ops(ops)
 
-    def __len__(self) -> int:
-        return len(self._ops)
+    def detach(self) -> None:
+        """Restore the graph's own journal (must run before the durable
+        store's close, whose identity check expects it)."""
+        if self._graph._journal is self:
+            self._graph._journal = self._base
 
 
 # -- the engine ------------------------------------------------------------
@@ -807,8 +868,8 @@ class SubscriptionEngine:
         self._slo = slo
         self._strabon = None
         self._publisher = None
-        self._capture: Optional[_CaptureJournal] = None
-        self._base_journal = None
+        self._journal: Optional[CommitJournal] = None
+        self._owns_journal = False
         self._eval_started: Dict[int, float] = {}
         self.state_dir = state_dir
         self.log: Optional[NotificationLog] = None
@@ -888,33 +949,37 @@ class SubscriptionEngine:
 
     # -- wiring ------------------------------------------------------------
 
-    def bind(self, strabon, publisher=None) -> None:
-        """Attach to the live graph (tee the mutation journal) and the
-        publisher (for priming new registrations against the latest
-        published snapshot)."""
+    def bind(
+        self,
+        strabon,
+        publisher=None,
+        journal: Optional[CommitJournal] = None,
+    ) -> None:
+        """Attach to the live store and the publisher (for priming new
+        registrations against the latest published snapshot).
+
+        The owner of the commit loop passes its ``journal`` and hands
+        each commit's drained delta to :meth:`process_commit`; without
+        one the engine attaches (and drains) its own.
+        """
         self._strabon = strabon
         self._publisher = publisher
-        graph = strabon.graph
-        self._capture = _CaptureJournal()
-        self._base_journal = graph._journal
-        if self._base_journal is not None:
-            graph._journal = _TeeJournal(
-                self._base_journal, self._capture
-            )
-        else:
-            graph._journal = self._capture
-        self._ensure_fwi_baseline(graph)
+        self._owns_journal = journal is None
+        self._journal = (
+            CommitJournal(strabon.graph) if journal is None else journal
+        )
+        self._ensure_fwi_baseline(strabon.graph)
 
     def detach(self) -> None:
-        """Restore the graph's original journal (must run before the
-        durable store's close, whose identity check expects it)."""
+        """Restore the graph's original journal when the engine
+        attached it (must run before the durable store's close, whose
+        identity check expects it)."""
         if self._strabon is None:
             return
-        graph = self._strabon.graph
+        if self._owns_journal:
+            self._journal.detach()
         self._strabon = None
-        self._capture = None
-        graph._journal = self._base_journal
-        self._base_journal = None
+        self._journal = None
 
     def close(self) -> None:
         self.detach()
@@ -1090,22 +1155,25 @@ class SubscriptionEngine:
         sequence: int,
         wal_seq: Optional[int] = None,
         ops: Optional[Sequence] = None,
+        delta: Optional[DeltaBatch] = None,
     ) -> NotificationBatch:
         """Evaluate the committed delta and durably log the batch.
 
         Runs inside the service's publish window, *after* the triple
         WAL fsync (the commit point) and *before* the snapshot
-        publish.  ``ops`` overrides the captured journal (the recovery
-        repair path passes decoded WAL ops).
+        publish.  ``delta`` is the commit's drained delta (the service
+        hands the same batch to the publisher); ``ops`` are decoded WAL
+        ops (the recovery repair path); with neither the engine drains
+        the journal it attached itself.
         """
         started = time.monotonic()
-        if ops is None:
-            ops = (
-                self._capture.drain()
-                if self._capture is not None
-                else []
-            )
-        delta = delta_from_ops(ops)
+        if delta is None:
+            if ops is not None:
+                delta = delta_from_ops(ops)
+            elif self._journal is not None:
+                delta = self._journal.drain()
+            else:
+                delta = DeltaBatch()
         assert self._strabon is not None, "engine is not bound"
         with self._lock, _tracer.span(
             "subscribe.evaluate",
@@ -1131,18 +1199,18 @@ class SubscriptionEngine:
         self, delta: DeltaBatch, source, sequence: int
     ) -> List[Notification]:
         graph = _source_graph(source)
-        if delta.full_rescan:
+        if delta.full_rescan or delta.schema_changed:
             return self._evaluate_records(
                 list(iter_hotspot_records(graph)),
                 source,
                 sequence,
                 municipalities=None,
             )
-        records = []
-        for subject in delta.subjects:
-            record = hotspot_record(graph, subject)
-            if record is not None:
-                records.append(record)
+        records = [
+            record
+            for record in delta.stars(graph).values()
+            if record is not None
+        ]
         municipalities = set(delta.municipalities)
         for record in records:
             if record.municipality is not None:
@@ -1205,20 +1273,25 @@ class SubscriptionEngine:
             )
         else:
             self._ensure_fwi_baseline(graph)
+            inference = RDFSInference(graph)
             for municipality in sorted(municipalities):
                 notifications.extend(
                     self._fwi_transition(
-                        graph, municipality, sequence
+                        graph, inference, municipality, sequence
                     )
                 )
         return notifications
 
     def _fwi_transition(
-        self, graph, municipality: str, sequence: int
+        self,
+        graph,
+        inference: RDFSInference,
+        municipality: str,
+        sequence: int,
     ) -> List[Notification]:
         assert self._fwi_classes is not None
         new_index = danger_class(
-            municipality_score(graph, municipality)
+            municipality_score(graph, inference, municipality)
         )
         old_index = self._fwi_classes.get(municipality, 0)
         if new_index == old_index:
@@ -1259,10 +1332,13 @@ class SubscriptionEngine:
         assert self._fwi_classes is not None
         scores = municipality_scores(graph)
         touched = set(scores) | set(self._fwi_classes)
+        inference = RDFSInference(graph)
         out: List[Notification] = []
         for municipality in sorted(touched):
             out.extend(
-                self._fwi_transition(graph, municipality, sequence)
+                self._fwi_transition(
+                    graph, inference, municipality, sequence
+                )
             )
         return out
 
@@ -1353,8 +1429,6 @@ class SubscriptionEngine:
                 if subject in seen:
                     continue
                 record = by_subject.get(subject)
-                if record is None:
-                    record = hotspot_record(graph, subject)
                 if record is None or record.static:
                     continue
                 seen.add(subject)

@@ -90,6 +90,29 @@ def test_hotspots_filters_compose(server):
         assert feature["properties"]["acquired"] == (
             "2007-08-24T13:15:00"
         )
+    # since/until compare instants, not strings: a trailing Z or an
+    # explicit offset names the same (or a shifted) UTC instant.
+    first, second = sorted(
+        {f["properties"]["acquired"] for f in everything["features"]}
+    )[:2]
+    assert (first, second) == ("2007-08-24T13:00:00", "2007-08-24T13:15:00")
+
+    def count(params):
+        status, collection = _request(server, "GET", "/hotspots?" + params)
+        assert status == 200, collection
+        return len(collection["features"])
+
+    naive = count("since=2007-08-24T13:00:00")
+    assert naive == total
+    assert count("since=2007-08-24T13:00:00Z") == naive
+    assert count("since=2007-08-24T13:00:00%2B00:00") == naive
+    assert count("since=2007-08-24T14:00:00%2B01:00") == naive
+    assert count("since=2007-08-24T13:00:00.000-00:00") == naive
+    later = count("since=2007-08-24T13:15:00")
+    assert 0 < later < naive
+    assert count("since=2007-08-24T13:00:01Z") == later
+    assert count("until=2007-08-24T13:00:00Z") == naive - later
+    assert count("until=2007-08-24T12:00:00-01:00") == naive - later
 
 
 def test_hotspots_rejects_malformed_filters(server):
@@ -103,6 +126,47 @@ def test_hotspots_rejects_malformed_filters(server):
     assert status == 400
     status, _ = _request(server, "GET", "/hotspots?confirmed=maybe")
     assert status == 400
+    for params in (
+        "since=garbage",
+        "since=2007-08-24",
+        "since=2007-13-01T00:00:00",
+        "until=2007-08-24T13:15:00%2B1",
+        "min_confidence=nan",
+        "min_confidence=inf",
+        "bbox=nan,nan,nan,nan",
+        "bbox=20,34,inf,42",
+    ):
+        status, body = _request(server, "GET", "/v1/hotspots?" + params)
+        assert status == 400, (params, body)
+        assert body["error"]
+
+
+def test_hotspots_read_makes_no_engine_call(server, monkeypatch):
+    """/v1/hotspots filters the publication's hotspot table: a read
+    never reaches the stSPARQL engine."""
+    from repro.stsparql import SnapshotView
+
+    calls = []
+    real = SnapshotView.query
+
+    def spy(self, *args, **kwargs):
+        calls.append(args[:1])
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(SnapshotView, "query", spy)
+    for path in (
+        "/v1/hotspots",
+        "/v1/hotspots?bbox=20,34,29,42&min_confidence=0.1",
+        "/v1/hotspots?since=2007-08-24T13:15:00Z&confirmed=true",
+    ):
+        status, collection = _request(server, "GET", path)
+        assert status == 200
+    assert collection["features"]
+    assert calls == []
+    # The spy is live: the stSPARQL endpoint does reach it.
+    status, _ = _request(server, "POST", "/v1/stsparql", SELECT)
+    assert status == 200
+    assert len(calls) == 1
 
 
 def test_stsparql_select_and_refused_update(server):

@@ -88,6 +88,22 @@ class TestDifferential:
             merged = router.hotspots(**kwargs)
             assert merged["features"] == alone["features"], kwargs
 
+    def test_malformed_filters_are_400_through_the_router(
+        self, single, router
+    ):
+        # The shards reject the malformed instant; the router passes
+        # their 400 through verbatim.  A non-finite bbox never leaves
+        # the router.
+        for kwargs in (
+            {"since": "garbage"},
+            {"bbox": "nan,nan,nan,nan"},
+        ):
+            with pytest.raises(SparqlError) as alone:
+                single.hotspots(**kwargs)
+            with pytest.raises(SparqlError) as merged:
+                router.hotspots(**kwargs)
+            assert str(merged.value) == str(alone.value), kwargs
+
     def test_select_bindings_match_as_multisets(self, single, router):
         alone = single.query(SELECT)
         merged = router.query(SELECT)

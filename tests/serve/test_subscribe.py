@@ -242,6 +242,20 @@ class TestDeltaExtraction:
         delta = delta_from_ops([(OP_CLEAR, None)])
         assert delta.full_rescan
 
+    def test_subclass_change_flags_the_schema(self):
+        from repro.durable.codec import OP_ADD
+        from repro.rdf.namespace import RDFS
+        from repro.rdf.term import URI
+
+        flare = URI("http://example.org/Flare")
+        delta = delta_from_ops(
+            [(OP_ADD, (flare, RDFS.subClassOf, NOA.Hotspot))]
+        )
+        assert delta.schema_changed and not delta.full_rescan
+        assert not delta_from_ops(
+            [(OP_ADD, (flare, NOA.hasConfidence, NOA.Hotspot))]
+        ).schema_changed
+
 
 class TestEngine:
     def test_filter_subscription_notifies_on_new_hotspot(self):
@@ -383,6 +397,62 @@ class TestEngine:
         batch = engine.process_commit(2)
         engine.publish_batch(batch)
         assert seen == [2]
+
+    def test_subclass_typed_star_is_served_and_notified(self):
+        """Alerts and /v1/hotspots agree on what a hotspot is: a star
+        typed by a subclass of noa:Hotspot is served, notified to a
+        matching geofence and standing query, and counted as FWI
+        evidence."""
+        from repro.serve import query_hotspots
+
+        strabon = Strabon()
+        strabon.update(
+            PREFIX
+            + "PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#>\n"
+            + "INSERT DATA { <http://example.org/Flare> "
+            + "rdfs:subClassOf noa:Hotspot . }"
+        )
+        publisher = SnapshotPublisher()
+        engine = SubscriptionEngine()
+        engine.bind(strabon, publisher)
+        publisher.publish(strabon)
+        fence = engine.register(
+            {"kind": "filter", "bbox": [20.0, 36.0, 25.0, 40.0]}
+        )
+        standing = engine.register(
+            {
+                "kind": "stsparql",
+                "query": PREFIX
+                + "SELECT ?h WHERE { ?h a noa:Hotspot ; "
+                + "noa:hasConfidence ?c }",
+            }
+        )
+        danger = engine.register({"kind": "fwi", "min_class": "low"})
+        subject = "http://example.org/hotspot/flare"
+        strabon.update(
+            PREFIX
+            + f"""INSERT DATA {{
+                <{subject}> a <http://example.org/Flare> .
+                <{subject}> strdf:hasGeometry
+                    "POINT (23.0 38.0)"^^{WKT} .
+                <{subject}> noa:hasConfidence "0.9" .
+                <{subject}> noa:hasAcquisitionDateTime
+                    "2007-08-24T13:00:00" .
+                <{subject}> noa:isInMunicipality
+                    <http://example.org/muni/A> .
+            }}"""
+        )
+        batch = engine.process_commit(2)
+        keys = {
+            (d["subscription"], d["subject"])
+            for d in batch.notifications
+        }
+        assert (fence.id, subject) in keys
+        assert (standing.id, subject) in keys
+        assert (danger.id, "http://example.org/muni/A") in keys
+        published = publisher.publish(strabon)
+        served = query_hotspots(published)["features"]
+        assert [f["properties"]["hotspot"] for f in served] == [subject]
 
     def test_stats_reports_counts(self):
         strabon = Strabon()
