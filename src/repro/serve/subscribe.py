@@ -17,10 +17,14 @@ Three subscription families:
   changed hotspot against 100k subscriptions is a point probe, not a
   scan.
 * ``stsparql`` — a restricted stSPARQL SELECT over the hotspot star,
-  using ``?h`` as the hotspot variable.  Incremental evaluation binds
-  ``?h`` to each changed subject via the engine's ``params=``
-  pre-binding, so the query text stays constant (plan-cache friendly)
-  and cost scales with the delta, not the graph.
+  using ``?h`` as the hotspot variable.  Incremental evaluation runs
+  each standing query once per commit, seeded through the engine's
+  ``params=`` with one ``?h`` row per changed subject it has not yet
+  notified (``VALUES`` semantics), so the query text stays constant
+  (plan-cache friendly), there is one engine call per query, and cost
+  scales with the delta, not the graph.  Every operator of the
+  accepted fragment acts row by row on the seed, so the batch answer
+  is the union of the per-subject answers.
 * ``fwi`` — per-municipality fire-danger classes in the spirit of the
   Fire Weather Index rules of Gao et al. (arXiv 1411.2186): the class
   is a pure function of the live fire evidence inside each
@@ -65,10 +69,11 @@ equivalence run-for-run; the delivery contract across crashes lives in
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import (
     Any,
     Callable,
@@ -155,13 +160,69 @@ def danger_class(score: float) -> int:
     return index
 
 
+def _binds(pattern, name: str) -> bool:
+    """Whether a group pattern binds ``?name`` in a mandatory triple
+    pattern (a nested group counts, a UNION when both branches do)
+    before any other element mentions it.
+
+    Elements run left to right from the seed row, so an OPTIONAL,
+    FILTER or MINUS that reads ``?name`` first would see it bound when
+    seeded but unbound in the full re-run.
+    """
+    from repro.stsparql import ast
+    from repro.stsparql.eval import _pattern_variables
+
+    for element in pattern.elements:
+        if isinstance(element, ast.BGP):
+            if any(
+                var.name == name
+                for triple in element.triples
+                for var in triple.variables()
+            ):
+                return True
+        elif isinstance(element, ast.GroupGraphPattern) and _binds(
+            element, name
+        ):
+            return True
+        elif isinstance(element, ast.UnionPattern) and (
+            _binds(element.left, name) and _binds(element.right, name)
+        ):
+            return True
+        elif name in _pattern_variables(element):
+            return False
+    return False
+
+
+def _contains(node, kind) -> bool:
+    """Whether a parsed-AST node holds a ``kind`` node anywhere (the
+    AST is frozen dataclasses and tuples of them)."""
+    if isinstance(node, kind):
+        return True
+    if isinstance(node, tuple):
+        return any(_contains(child, kind) for child in node)
+    if is_dataclass(node):
+        return any(
+            _contains(getattr(node, f.name), kind) for f in fields(node)
+        )
+    return False
+
+
 def validate_standing_query(text: str) -> None:
     """Refuse standing queries outside the incremental fragment.
 
     A standing query must be a plain SELECT over the hotspot star
-    using ``?h`` as the hotspot variable — no solution modifiers and
-    no aggregates, because those make a row's membership depend on
-    *other* rows, which breaks the subject-local incremental argument.
+    using ``?h`` as the hotspot variable:
+
+    * a mandatory triple pattern binds ``?h`` before anything else
+      reads it, and ``?h`` is projected (or the query is
+      ``SELECT *``) — so seeding ``?h`` with a changed subject selects
+      exactly that subject's rows of the full answer;
+    * no solution modifiers and no aggregates, because those make a
+      row's membership depend on *other* rows, which breaks the
+      subject-local incremental argument;
+    * no subselects, which are evaluated once from the evaluator's
+      seed rather than per seed row, so a batch seeded with many
+      changed subjects would not be the union of per-subject runs.
     """
     from repro.stsparql import ast
     from repro.stsparql.parser import parse
@@ -193,10 +254,36 @@ def validate_standing_query(text: str) -> None:
             raise SubscriptionError(
                 "standing queries cannot project aggregates"
             )
-    if "?h" not in text:
+    if _contains(parsed.pattern, ast.SubSelect):
         raise SubscriptionError(
-            "standing queries must use ?h as the hotspot variable"
+            "standing queries cannot contain subselects"
         )
+    projected = parsed.select_star or any(
+        p.variable.name == "h" and p.expression is None
+        for p in parsed.projections
+    )
+    if not (projected and _binds(parsed.pattern, "h")):
+        raise SubscriptionError(
+            "standing queries must bind ?h, the hotspot variable, in "
+            "a triple pattern of the WHERE clause before any other "
+            "use, and project it"
+        )
+
+
+def _finite(value: Any, name: str) -> float:
+    """A finite number from a subscription document.  A NaN bound
+    lets a geofence match hotspots outside it (NaN breaks the R-tree's
+    comparisons) and a NaN floor silently matches nothing, so both are
+    refused, as are infinities and booleans."""
+    if isinstance(value, bool):
+        raise SubscriptionError(f"{name} must be numeric, not a boolean")
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as error:
+        raise SubscriptionError(f"bad {name}: {error}") from error
+    if not math.isfinite(number):
+        raise SubscriptionError(f"{name} must be finite, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -239,20 +326,10 @@ class Subscription:
                 raise SubscriptionError(
                     "bbox must be [minx, miny, maxx, maxy]"
                 )
-            try:
-                bbox = Envelope(*(float(v) for v in raw))
-            except (TypeError, ValueError) as error:
-                raise SubscriptionError(
-                    f"bad bbox: {error}"
-                ) from error
+            bbox = Envelope(*(_finite(v, "bbox") for v in raw))
         min_confidence = doc.get("min_confidence")
         if min_confidence is not None:
-            try:
-                min_confidence = float(min_confidence)
-            except (TypeError, ValueError) as error:
-                raise SubscriptionError(
-                    f"bad min_confidence: {error}"
-                ) from error
+            min_confidence = _finite(min_confidence, "min_confidence")
         confirmed = doc.get("confirmed")
         if confirmed is not None and not isinstance(confirmed, bool):
             raise SubscriptionError("confirmed must be a boolean")
@@ -1248,18 +1325,25 @@ class SubscriptionEngine:
                             sub, record, sequence
                         )
                     )
-        # stsparql family: the standing query with ?h pre-bound to
-        # each changed subject — constant text, cached plan.
+        # stsparql family: one evaluation per standing query, seeded
+        # with a ?h row per pending changed subject — constant text,
+        # cached plan, one engine call however large the delta.
         for sub in self.registry.standing_queries():
             seen = self._seen.setdefault(sub.id, set())
-            for record in records:
-                if record.static or record.subject in seen:
-                    continue
-                rows = source.select(
-                    sub.query,
-                    params={"h": URI(record.subject)},
-                )
-                if len(rows):
+            pending = [
+                record
+                for record in records
+                if not record.static and record.subject not in seen
+            ]
+            if not pending:
+                continue
+            rows = source.select(
+                sub.query,
+                params=[{"h": URI(r.subject)} for r in pending],
+            )
+            matched = {_text(row["h"]) for row in rows}
+            for record in pending:
+                if record.subject in matched:
                     seen.add(record.subject)
                     notifications.append(
                         self._hotspot_notification(

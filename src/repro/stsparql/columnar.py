@@ -288,11 +288,18 @@ class ColumnarEvaluator(Evaluator):
     # -- batch <-> row conversion ---------------------------------------
 
     def _seed_batch(self) -> Batch:
+        """The seed rows as columns: one row per parameter mapping."""
+        seeds = self.seeds
+        names = seeds[0] if seeds else ()
         columns = {
-            name: np.full(1, self._encode(term), dtype=np.int64)
-            for name, term in self.initial.items()
+            name: np.fromiter(
+                (self._encode(row[name]) for row in seeds),
+                dtype=np.int64,
+                count=len(seeds),
+            )
+            for name in names
         }
-        return Batch(1, columns)
+        return Batch(len(seeds), columns)
 
     def _batch_to_rows(self, batch: Batch) -> List[Row]:
         decode = self._decode
@@ -713,11 +720,7 @@ class ColumnarEvaluator(Evaluator):
         if self.inference is not None and p == RDF.type:
             candidates = self._inferred_types(s, o)
         elif restriction is not None and o is None:
-            candidates = (
-                triple
-                for obj in restriction
-                for triple in graph.triples(s, p, obj)
-            )
+            candidates = self._restricted_triples(s, p, restriction)
         out: Dict[str, List[int]] = {name: [] for name in new_names}
         count = 0
         if candidates is None:

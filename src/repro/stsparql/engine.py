@@ -14,7 +14,8 @@ read-only :class:`SnapshotView` the serving tier publishes.  It wraps a
 * a parsed-request **plan cache** keyed on request text: templated
   requests (the refinement operations) parse once and re-run with
   per-acquisition values supplied as *parameters* — pre-bound variables
-  handed to the evaluator (``query(text, params={"__ts": ...})``),
+  handed to the evaluator (``query(text, params={"__ts": ...})``, or a
+  list of such mappings evaluated as one ``VALUES`` batch),
 * an R-tree over geometry literals, rebuilt lazily when the graph changes,
   used for index-assisted spatial joins (candidate sets are memoised in a
   bounded LRU keyed on probe-geometry identity),
@@ -27,7 +28,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Union
 
 from repro.errors import SnapshotWriteError
 from repro.geometry import Geometry
@@ -48,6 +49,10 @@ from repro.stsparql.parser import parse
 
 _tracer = get_tracer()
 _metrics = get_metrics()
+
+#: Request parameters: one mapping of variable name to value, or a
+#: sequence of such mappings (SPARQL ``VALUES`` rows).
+Params = Union[Mapping[str, object], Sequence[Mapping[str, object]]]
 
 
 @dataclass
@@ -113,17 +118,32 @@ def _parse_via_cache(cache: LRUCache, text: str):
     return parsed, hit
 
 
-def _param_row(params: Optional[Dict[str, object]]) -> Optional[Row]:
-    """Normalise a params mapping to an initial binding row."""
-    if not params:
+def _param_rows(params: Optional[Params]) -> Optional[List[Row]]:
+    """Normalise ``params`` — one mapping or a sequence of them — to
+    the evaluator's seed rows."""
+    if params is None:
         return None
-    row: Row = {}
-    for name, value in params.items():
-        try:
-            row[name.lstrip("?$")] = to_term(value)
-        except ExpressionError as exc:
-            raise SparqlEvalError(f"parameter {name!r}: {exc}") from None
-    return row
+    mappings = [params] if isinstance(params, Mapping) else list(params)
+    rows: List[Row] = []
+    for mapping in mappings:
+        if not isinstance(mapping, Mapping):
+            raise SparqlEvalError(
+                "params must be a mapping or a sequence of mappings"
+            )
+        row: Row = {}
+        for name, value in mapping.items():
+            try:
+                row[name.lstrip("?$")] = to_term(value)
+            except ExpressionError as exc:
+                raise SparqlEvalError(
+                    f"parameter {name!r}: {exc}"
+                ) from None
+        rows.append(row)
+    if any(row.keys() != rows[0].keys() for row in rows):
+        raise SparqlEvalError(
+            "every params mapping must bind the same variables"
+        )
+    return rows
 
 
 class _Endpoint:
@@ -220,7 +240,7 @@ class _Endpoint:
     def _evaluator(
         self,
         operation: str,
-        initial: Optional[Row],
+        initial: Optional[List[Row]],
         explain_log: Optional[List[dict]],
         deadline: Optional[float],
     ) -> Evaluator:
@@ -243,7 +263,7 @@ class _Endpoint:
     def _dispatch(
         self,
         parsed,
-        initial: Optional[Row],
+        initial: Optional[List[Row]],
         explain_log: Optional[List[dict]],
         deadline: Optional[float],
     ):
@@ -276,7 +296,7 @@ class _Endpoint:
     def query(
         self,
         text: str,
-        params: Optional[Dict[str, object]] = None,
+        params: Optional[Params] = None,
         explain: bool = False,
         timeout: Optional[float] = None,
     ) -> Union[SolutionSet, bool, Graph, UpdateResult, dict]:
@@ -286,7 +306,17 @@ class _Endpoint:
         ``?__ts``) so callers can keep request text constant — and
         therefore plan-cache friendly — across executions.  Values may
         be RDF terms or plain Python values (converted like expression
-        results).
+        results).  A *sequence* of mappings, each binding the same
+        variables, has SPARQL ``VALUES`` semantics and is evaluated as
+        one batch: evaluation starts from one seed row per mapping, so
+        the pattern solutions are the multiset union of the per-mapping
+        ones (solution modifiers — DISTINCT, aggregates, ORDER BY,
+        LIMIT — then apply once over that union; a subselect sees
+        every seed row, so a query with one is not a per-mapping
+        union).  A single mapping is the one-row case; an empty
+        sequence has no solutions.  The subscription engine evaluates
+        each standing query once per commit this way, seeded with the
+        commit's changed subjects.
 
         With ``explain=True`` the request still executes, but the
         return value is a JSON-style dict describing the execution:
@@ -300,9 +330,10 @@ class _Endpoint:
         operator boundary.  This keyword contract (``params=``,
         ``explain=``, ``timeout=``) is the same on :class:`Strabon`, on
         :class:`SnapshotView` and on the serving tier's
-        :class:`~repro.serve.client.ServeClient`.
+        :class:`~repro.serve.client.ServeClient` (over HTTP ``params``
+        is one JSON object; sequences are an in-process feature).
         """
-        initial = _param_row(params)
+        initial = _param_rows(params)
         explain_log: Optional[List[dict]] = [] if explain else None
         deadline = (
             time.perf_counter() + timeout if timeout is not None else None
@@ -365,7 +396,7 @@ class _Endpoint:
         return result
 
     def select(
-        self, text: str, params: Optional[Dict[str, object]] = None
+        self, text: str, params: Optional[Params] = None
     ) -> SolutionSet:
         result = self.query(text, params)
         if not isinstance(result, SolutionSet):
@@ -373,7 +404,7 @@ class _Endpoint:
         return result
 
     def ask(
-        self, text: str, params: Optional[Dict[str, object]] = None
+        self, text: str, params: Optional[Params] = None
     ) -> bool:
         result = self.query(text, params)
         if not isinstance(result, bool):
@@ -381,7 +412,7 @@ class _Endpoint:
         return result
 
     def construct(
-        self, text: str, params: Optional[Dict[str, object]] = None
+        self, text: str, params: Optional[Params] = None
     ) -> Graph:
         result = self.query(text, params)
         if not isinstance(result, Graph):
@@ -466,7 +497,7 @@ class Strabon(_Endpoint):
     # -- updates -----------------------------------------------------------
 
     def update(
-        self, text: str, params: Optional[Dict[str, object]] = None
+        self, text: str, params: Optional[Params] = None
     ) -> UpdateResult:
         result = self.query(text, params)
         if not isinstance(result, UpdateResult):
@@ -476,7 +507,7 @@ class Strabon(_Endpoint):
     def _apply_update(
         self,
         request: ast.UpdateRequest,
-        initial: Optional[Row],
+        initial: Optional[List[Row]],
         explain_log: Optional[List[dict]],
         deadline: Optional[float],
     ) -> UpdateResult:

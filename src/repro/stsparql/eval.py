@@ -15,7 +15,19 @@ Strabon behaviour the paper's Figure 8 measures.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.geometry import Geometry
 from repro.rdf.graph import Graph
@@ -142,8 +154,12 @@ class Evaluator:
     parameter mechanism behind the engine's plan cache: templated
     requests keep a constant text (the cache key) and receive their
     per-acquisition values (timestamps, window bounds) as bindings.
-    It is evaluator state rather than a per-call seed so subselects,
-    which re-enter :meth:`select`, see the same parameters.
+    It is one row, or a sequence of rows binding the same variables
+    (SPARQL ``VALUES``): evaluation starts from those seed rows, and
+    since every operator but a subselect acts row by row, the pattern
+    solutions are the multiset union of the per-row ones.  It is
+    evaluator state rather than a per-call seed so subselects, which
+    re-enter :meth:`select`, see the same parameters.
     """
 
     #: Reported by EXPLAIN output and engine metrics.
@@ -154,12 +170,23 @@ class Evaluator:
         graph: Graph,
         inference=None,
         spatial_candidates=None,
-        initial: Optional[Row] = None,
+        initial: Union[Row, Sequence[Row], None] = None,
     ) -> None:
         self.graph = graph
         self.inference = inference
         self.spatial_candidates = spatial_candidates
-        self.initial: Row = dict(initial) if initial else {}
+        if initial is None or isinstance(initial, Mapping):
+            initial = [initial or {}]
+        #: The seed rows every evaluation starts from.
+        self.seeds: List[Row] = [dict(row) for row in initial]
+        #: Variables bound to one value in every seed row: constants
+        #: for the whole evaluation, and estimated as such.
+        first = self.seeds[0] if self.seeds else {}
+        self.constants: Row = {
+            name: term
+            for name, term in first.items()
+            if all(row.get(name) == term for row in self.seeds)
+        }
         #: When set (to a list) by the engine, every BGP evaluation
         #: appends its chosen join order and cardinality estimates.
         self.explain_log: Optional[List[dict]] = None
@@ -169,7 +196,7 @@ class Evaluator:
         self.deadline: Optional[float] = None
 
     def _seed(self) -> List[Row]:
-        return [dict(self.initial)]
+        return [dict(row) for row in self.seeds]
 
     def _check_deadline(self) -> None:
         if self.deadline is not None:
@@ -551,12 +578,13 @@ class Evaluator:
         bound: Set[str],
         spatial_pairs: Sequence[Tuple[str, str]] = (),
     ) -> int:
-        # A parameter is a constant for the whole evaluation, so it
-        # estimates like the constant it stands for.
+        # A parameter with one value in every seed row is a constant
+        # for the whole evaluation, so it estimates like the constant
+        # it stands for; one that varies plans as a bound column.
         def resolved(term: Term) -> Optional[Term]:
             if isinstance(term, Variable):
-                if term.name in self.initial:
-                    return self.initial[term.name]
+                if term.name in self.constants:
+                    return self.constants[term.name]
                 return None if term.name not in bound else term
             return term
 
@@ -615,11 +643,7 @@ class Evaluator:
         if self.inference is not None and p == RDF.type:
             candidates: Iterable = self._inferred_types(s, o)
         elif object_restriction is not None and o is None:
-            candidates = (
-                triple
-                for obj in object_restriction
-                for triple in self.graph.triples(s, p, obj)
-            )
+            candidates = self._restricted_triples(s, p, object_restriction)
         else:
             candidates = self.graph.triples(s, p, o)
         for ts, tp, to in candidates:
@@ -658,6 +682,28 @@ class Evaluator:
                 (subj, RDF.type, o) for subj in inference.instances_of(o)
             )
         return ((s, RDF.type, o),) if inference.has_type(s, o) else ()
+
+    def _restricted_triples(
+        self, s: Optional[Term], p: Optional[Term], restriction: Set[Term]
+    ) -> Iterable[Tuple[Term, Term, Term]]:
+        """``(s, p, ?o)`` matches whose object is an R-tree candidate.
+
+        A bound subject walks its own (few) objects and keeps those in
+        the restriction, so its cost never depends on how many
+        geometries the probe region holds; an unbound one probes each
+        candidate object.
+        """
+        if s is not None:
+            return (
+                triple
+                for triple in self.graph.triples(s, p, None)
+                if triple[2] in restriction
+            )
+        return (
+            triple
+            for obj in restriction
+            for triple in self.graph.triples(None, p, obj)
+        )
 
     def _spatial_restriction(
         self,

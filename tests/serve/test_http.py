@@ -222,6 +222,8 @@ def test_stsparql_explain_returns_plan(server):
         {"query": SELECT, "timeout_s": True},
         {"query": SELECT, "timeout_s": 0},
         {"query": SELECT, "params": {"c": {"no": "such term"}}},
+        # Sequences of params mappings are in-process only.
+        {"query": SELECT, "params": [{"c": 0.5}]},
     ],
 )
 def test_stsparql_rejects_malformed_bodies_with_400(server, document):

@@ -106,6 +106,26 @@ class TestCrud:
         with pytest.raises(SubscriptionError, match="kind"):
             client.subscribe({"kind": "teleport"})
 
+    def test_non_finite_or_off_fragment_subscription_is_422(self, client):
+        nan = float("nan")
+        with pytest.raises(SubscriptionError, match="finite"):
+            client.subscribe({"kind": "filter", "bbox": [nan] * 4})
+        with pytest.raises(SubscriptionError, match="finite"):
+            client.subscribe(
+                {"kind": "filter", "bbox": [20, 36, float("inf"), 40]}
+            )
+        with pytest.raises(SubscriptionError, match="finite"):
+            client.subscribe({"kind": "filter", "min_confidence": nan})
+        with pytest.raises(SubscriptionError, match=r"\?h"):
+            client.subscribe(
+                {
+                    "kind": "stsparql",
+                    "query": f"PREFIX noa: <{NOA}>\n"
+                    "SELECT ?hs WHERE { ?hs a noa:Hotspot }",
+                }
+            )
+        assert client.subscriptions()["count"] == 0
+
     def test_unknown_subscription_is_404(self, client):
         with pytest.raises(ServeError) as exc:
             client.subscription("sub-nope")

@@ -113,6 +113,74 @@ class TestValidation:
                 PREFIX + "SELECT ?x WHERE { ?x a noa:Hotspot }"
             )
 
+    @pytest.mark.parametrize(
+        "query",
+        [
+            # ?hs merely contains the text "?h": seeding ?h left ?hs
+            # free, so every changed hotspot matched.
+            "SELECT ?hs WHERE { ?hs a noa:Hotspot ; "
+            "noa:hasConfidence ?c . FILTER(?c > 0.95) }",
+            # ?h bound but not projected: the full re-run reads no ?h.
+            "SELECT ?c WHERE { ?h a noa:Hotspot ; "
+            "noa:hasConfidence ?c . FILTER(?c > 0.95) }",
+            # A subselect is evaluated once from the seed, not per row.
+            "SELECT ?h WHERE { ?h a noa:Hotspot . { SELECT ?h WHERE "
+            "{ ?h noa:hasConfidence ?c . FILTER(?c > 0.95) } } }",
+            "SELECT ?h WHERE { ?h a noa:Hotspot . FILTER(EXISTS { "
+            "{ SELECT ?x WHERE { ?x noa:hasConfidence ?c } } }) }",
+            # ?h only in a FILTER or an OPTIONAL: unbound in the full
+            # re-run, bound by the seed.
+            "SELECT ?h WHERE { ?x a noa:Hotspot . FILTER(?h = ?x) }",
+            "SELECT ?h WHERE { ?x a noa:Hotspot . "
+            "OPTIONAL { ?x noa:isInMunicipality ?h } }",
+            "SELECT ?h WHERE { { ?h a noa:Hotspot } UNION "
+            "{ ?x a noa:Hotspot } }",
+            # Read before the triple pattern that binds it: the seed
+            # is visible to the OPTIONAL / FILTER, the full re-run's
+            # empty row is not.
+            "SELECT ?h WHERE { OPTIONAL { ?h noa:isInMunicipality ?m } "
+            "?h a noa:Hotspot }",
+            "SELECT ?h WHERE { FILTER(?h != noa:x) ?h a noa:Hotspot }",
+        ],
+    )
+    def test_standing_query_fragment_is_checked_on_the_ast(
+        self, query
+    ):
+        with pytest.raises(SubscriptionError):
+            validate_standing_query(PREFIX + query)
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "SELECT * WHERE { ?h a noa:Hotspot ; noa:hasConfidence ?c }",
+            "SELECT DISTINCT ?h ?c WHERE { { ?h a noa:Hotspot } "
+            "?h noa:hasConfidence ?c }",
+            "SELECT ?h WHERE { { ?h a noa:Hotspot } UNION "
+            "{ ?h noa:hasConfidence ?c } }",
+            "SELECT ?h WHERE { ?h a noa:Hotspot . "
+            "OPTIONAL { ?h noa:isInMunicipality ?m } "
+            "FILTER(!bound(?m)) MINUS { ?h noa:hasConfidence ?c } }",
+        ],
+    )
+    def test_standing_query_fragment_accepts(self, query):
+        validate_standing_query(PREFIX + query)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "filter", "bbox": [float("nan")] * 4},
+            {"kind": "filter", "bbox": [20.0, 36.0, float("inf"), 40.0]},
+            {"kind": "filter", "bbox": [False, 36.0, 25.0, 40.0]},
+            {"kind": "filter", "min_confidence": float("nan")},
+            {"kind": "filter", "min_confidence": float("-inf")},
+            {"kind": "filter", "min_confidence": True},
+            {"kind": "filter", "min_confidence": "0.5x"},
+        ],
+    )
+    def test_rejects_non_finite_numbers(self, doc):
+        with pytest.raises(SubscriptionError):
+            Subscription.from_dict(doc, "x", 0)
+
     def test_filter_subscriptions_take_no_query(self):
         with pytest.raises(SubscriptionError):
             Subscription.from_dict(
@@ -336,6 +404,105 @@ class TestEngine:
         assert [d["subject"] for d in mine] == [
             "http://example.org/hotspot/1"
         ]
+
+    def test_incremental_and_full_agree_on_the_accepted_fragment(self):
+        """The two queries the substring check let through made the
+        incremental path notify hotspots the full re-run never did;
+        they are refused now, and the corrected query agrees."""
+        strabon = Strabon()
+        engine = _engine_on(strabon)
+        floor = "noa:hasConfidence ?c . FILTER(?c > 0.95) }"
+        for refused in (
+            "SELECT ?hs WHERE { ?hs a noa:Hotspot ; " + floor,
+            "SELECT ?c WHERE { ?h a noa:Hotspot ; " + floor,
+        ):
+            with pytest.raises(SubscriptionError):
+                engine.register(
+                    {"kind": "stsparql", "query": PREFIX + refused}
+                )
+        # (The inserted confidences are plain literals: compare as text.)
+        sub = engine.register(
+            {
+                "kind": "stsparql",
+                "query": PREFIX
+                + "SELECT ?h WHERE { ?h a noa:Hotspot ; "
+                + floor.replace("0.95", '"0.95"'),
+            }
+        )
+        oracle = SubscriptionEngine()
+        oracle.registry.add(sub)
+        oracle.evaluate_full(strabon, 1)
+        _insert_hotspot(strabon, 1, 23.0, 38.0, confidence=0.99)
+        for n in (2, 3, 4):
+            _insert_hotspot(strabon, n, 23.1, 38.1, confidence=0.5)
+        incremental = {
+            d["subject"] for d in engine.process_commit(2).notifications
+        }
+        full = {n.subject for n in oracle.evaluate_full(strabon, 2)}
+        assert incremental == full == {"http://example.org/hotspot/1"}
+
+    @pytest.mark.parametrize("hotspots", [5, 50])
+    def test_one_engine_call_per_standing_query_with_pending_subjects(
+        self, hotspots, monkeypatch
+    ):
+        strabon = Strabon()
+        engine = _engine_on(strabon)
+        def floor(value):
+            return {
+                "kind": "stsparql",
+                "query": PREFIX
+                + "SELECT ?h WHERE { ?h a noa:Hotspot ; "
+                + f'noa:hasConfidence ?c . FILTER(?c >= "{value}") }}',
+            }
+
+        everything = engine.register(floor(0.0))
+        engine.register(floor(0.99))
+        engine.register(
+            {
+                "kind": "stsparql",
+                "query": PREFIX
+                + "SELECT ?h WHERE { ?h a noa:Hotspot ; "
+                + "strdf:hasGeometry ?g . FILTER(strdf:anyInteract("
+                + '"POLYGON ((20 36, 25 36, 25 40, 20 40, 20 36))"'
+                + f"^^{WKT}, ?g)) }}",
+            }
+        )
+        calls = []
+        query = Strabon.query
+
+        def counted(self, *args, **kwargs):
+            calls.append(args[0])
+            return query(self, *args, **kwargs)
+
+        def commit(sequence):
+            calls.clear()
+            monkeypatch.setattr(Strabon, "query", counted)
+            try:
+                batch = engine.process_commit(sequence)
+            finally:
+                monkeypatch.setattr(Strabon, "query", query)
+            return batch, len(calls)
+
+        for n in range(hotspots):
+            _insert_hotspot(strabon, n, 23.0 + n * 0.01, 38.0)
+        batch, engine_calls = commit(2)
+        assert engine_calls == 3  # every query has pending subjects
+        mine = [
+            d
+            for d in batch.notifications
+            if d["subscription"] == everything.id
+        ]
+        assert len(mine) == hotspots
+        # Touch every hotspot again: ``everything`` and the region
+        # query have seen them all, the 0.99 floor none.
+        for n in range(hotspots):
+            strabon.update(
+                PREFIX
+                + f"INSERT DATA {{ <http://example.org/hotspot/{n}> "
+                + 'noa:hasConfidence "0.6" . }'
+            )
+        _, engine_calls = commit(3)
+        assert engine_calls == 1
 
     def test_fwi_fires_on_class_transition_only(self):
         strabon = Strabon()

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import random
 import tempfile
 from datetime import timedelta
 
@@ -129,6 +130,98 @@ def test_incremental_equals_full_rerun_per_snapshot(
             )
             total += len(incremental)
         assert total > 0, "differential run produced no notifications"
+    finally:
+        service.close()
+
+
+def _fanout_docs(greece, geofences=300, queries=12, seed=3):
+    """An ``alert_fanout``-shaped standing load: 0.5° geofences over
+    the country, half confidence-floor and half spatial standing
+    queries (3° regions), one FWI subscription."""
+    from repro.core.mapping import region_wkt
+
+    rng = random.Random(seed)
+    minx, miny, maxx, maxy = greece.bbox
+    docs = []
+    for _ in range(geofences):
+        x = rng.uniform(minx, maxx)
+        y = rng.uniform(miny, maxy)
+        box = [x - 0.25, y - 0.25, x + 0.25, y + 0.25]
+        docs.append({"kind": "filter", "bbox": box})
+    for index in range(queries):
+        if index % 2 == 0:
+            where = (
+                "?h a noa:Hotspot ; noa:hasConfidence ?c . "
+                f"FILTER(?c >= {rng.uniform(0.3, 0.9):.2f})"
+            )
+        else:
+            x = rng.uniform(minx, maxx - 3.0)
+            y = rng.uniform(miny, maxy - 3.0)
+            region = region_wkt(x, y, x + 3.0, y + 3.0)
+            where = (
+                "?h a noa:Hotspot ; strdf:hasGeometry ?g . "
+                f'FILTER(strdf:anyInteract("{region}"^^strdf:WKT, ?g))'
+            )
+        docs.append(
+            {
+                "kind": "stsparql",
+                "query": PREFIX
+                + "PREFIX strdf: <http://strdf.di.uoa.gr/ontology#>\n"
+                + f"SELECT ?h WHERE {{ {where} }}",
+            }
+        )
+    docs.append({"kind": "fwi", "min_class": "moderate"})
+    return docs
+
+
+def test_fanout_load_incremental_equals_full_rerun(
+    diff_greece, diff_season, diff_requests
+):
+    """Seeded per-query batches over a fan-out load: every snapshot's
+    incremental notification keys equal a full re-run's."""
+    service = FireMonitoringService(
+        greece=diff_greece,
+        mode="teleios",
+        workdir=tempfile.mkdtemp(prefix="test_fanout_"),
+    )
+    try:
+        engine = service.subscriptions
+        engine.register_many(_fanout_docs(diff_greece))
+        oracle = SubscriptionEngine()
+        for sub in engine.registry.list():
+            oracle.registry.add(sub)
+        initial = service.publisher.require_latest()
+        oracle.evaluate_full(initial.view, initial.sequence)
+
+        batches = {}
+        engine.add_listener(lambda b: batches.__setitem__(b.sequence, b))
+        snapshots = []
+        service.publisher.subscribe(snapshots.append)
+        service.run(
+            diff_requests,
+            RunOptions(season=diff_season, on_error="raise"),
+        )
+
+        assert len(snapshots) == len(diff_requests)
+        kinds = set()
+        for snap in snapshots:
+            kinds |= {
+                d["kind"] for d in batches[snap.sequence].notifications
+            }
+            incremental = {
+                Notification.from_dict(d).key()
+                for d in batches[snap.sequence].notifications
+            }
+            full = {
+                n.key()
+                for n in oracle.evaluate_full(snap.view, snap.sequence)
+            }
+            assert incremental == full, (
+                f"sequence {snap.sequence}: "
+                f"only-incremental={incremental - full}, "
+                f"only-full={full - incremental}"
+            )
+        assert {"filter", "stsparql"} <= kinds
     finally:
         service.close()
 

@@ -13,11 +13,14 @@ from repro.stsparql.eval import Evaluator
 from repro.stsparql.parser import parse
 
 
-def reference_evaluator(engine, explain_log=None) -> Evaluator:
+def reference_evaluator(
+    engine, explain_log=None, initial=None
+) -> Evaluator:
     evaluator = Evaluator(
         engine.graph,
         inference=RDFSInference(engine.graph),
         spatial_candidates=engine.spatial_candidates,
+        initial=initial,
     )
     evaluator.explain_log = explain_log
     return evaluator
