@@ -16,8 +16,8 @@ from benchmarks.conftest import CRISIS_START
 from repro.core.legacy import LegacyChain
 from repro.core.refinement import RefinementPipeline
 from repro.datasets import load_auxiliary_data
+from repro.perf.geometry_cache import PREDICATE_CACHE
 from repro.stsparql import Strabon
-import repro.stsparql.functions as F
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +42,7 @@ def _make_setup(greece, product, use_index: bool):
             strabon.spatial_candidates(
                 product.hotspots[0].polygon
             )  # force the R-tree build now
-        F._PREDICATE_CACHE.clear()  # measure cold predicate evaluation
+        PREDICATE_CACHE.clear()  # measure cold predicate evaluation
         return (pipeline,), {}
 
     return setup

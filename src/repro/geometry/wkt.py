@@ -7,6 +7,7 @@ GEOMETRYCOLLECTION, plus the EMPTY keyword.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import List, Tuple
 
@@ -135,12 +136,22 @@ def _is_empty(tokens: _Tokens) -> bool:
 
 
 def _parse_coord(tokens: _Tokens) -> Coordinate:
-    x = float(tokens.expect("number"))
-    y = float(tokens.expect("number"))
+    x = _parse_ordinate(tokens)
+    y = _parse_ordinate(tokens)
     # Silently accept and drop a Z/M ordinate.
     while tokens.peek()[0] == "number":
-        tokens.next()
+        _parse_ordinate(tokens)
     return (x, y)
+
+
+def _parse_ordinate(tokens: _Tokens) -> float:
+    text = tokens.expect("number")
+    value = float(text)
+    if not math.isfinite(value):
+        # e.g. 1e999: an overflowing literal would become inf, which
+        # no geometry operation (or the WKT writer) can represent.
+        raise WKTParseError(f"coordinate {text!r} is not finite")
+    return value
 
 
 def _parse_coord_list(tokens: _Tokens, empty_ok: bool = False) -> List[Coordinate]:

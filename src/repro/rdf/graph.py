@@ -3,9 +3,21 @@
 Terms are interned to integer identifiers; three nested-hash indexes
 (SPO, POS, OSP) answer any triple pattern with at most one level of
 iteration, mirroring how Strabon lays out its triple table plus indexes.
-Nothing spatial is indexed here: :meth:`TripleReader.geometry_literals`
-scans every triple for geometry-typed literals, and the stSPARQL engine
-builds its R-tree from that scan on demand.
+Identifiers are append-only for a graph's lifetime — removal and
+:meth:`Graph.clear` drop index entries, never dictionary terms — so a
+term id cached anywhere keeps naming the same term.
+
+Two derived structures are maintained by every mutation so readers
+never scan the store for them:
+
+* a per-predicate triple counter (``count(None, p, None)`` is O(1)),
+* an append-only **geometry log**: the ids of geometry-typed literals,
+  appended whenever :meth:`Graph.add` makes such a literal the object of
+  a triple while no other triple held it (a new literal, or one
+  resurrected after all its triples were removed).  The stSPARQL
+  engine feeds its R-tree from the log positions it has not indexed
+  yet (:meth:`TripleReader.geometry_terms`); :meth:`Graph.clear` starts
+  a new log and bumps :attr:`TripleReader.geometry_epoch`.
 
 Two concrete classes share the read path (:class:`TripleReader`):
 
@@ -38,6 +50,9 @@ class TripleReader:
     _spo: Dict[int, Dict[int, Set[int]]]
     _pos: Dict[int, Dict[int, Set[int]]]
     _osp: Dict[int, Dict[int, Set[int]]]
+    _predicate_counts: Dict[int, int]
+    _geometry_log: List[int]
+    _geometry_epoch: int
     _size: int
     _generation: int
 
@@ -128,10 +143,7 @@ class TripleReader:
                 len(objs) for objs in self._spo.get(si, {}).values()
             )
         if pi is not None and si is None and oi is None:
-            return sum(
-                len(subjects)
-                for subjects in self._pos.get(pi, {}).values()
-            )
+            return self._predicate_counts.get(pi, 0)
         if oi is not None and si is None and pi is None:
             return sum(
                 len(preds)
@@ -230,8 +242,27 @@ class TripleReader:
             return o
         return None
 
+    def geometry_terms(self, start: int = 0) -> List[int]:
+        """Term ids at geometry-log positions ``[start, count)``.
+
+        The log may repeat an id (a literal removed and re-added), and
+        may name literals that no triple holds any more; callers that
+        need live geometries check :meth:`count_ids` on the object.
+        """
+        return self._geometry_log[start:self.geometry_term_count()]
+
+    def geometry_term_count(self) -> int:
+        """Length of the geometry log this reader sees."""
+        return len(self._geometry_log)
+
+    @property
+    def geometry_epoch(self) -> int:
+        """Which geometry log positions refer to; bumped by ``clear()``."""
+        return self._geometry_epoch
+
     def geometry_literals(self) -> Iterator[Tuple[Term, Term, Literal]]:
-        """Yield every triple whose object is a geometry-typed literal."""
+        """Yield every triple whose object is a geometry-typed literal
+        (a full scan; the spatial index reads the geometry log)."""
         for s, p, o in self.triples():
             if isinstance(o, Literal) and o.is_geometry:
                 yield (s, p, o)
@@ -267,6 +298,11 @@ class Graph(TripleReader):
         self._spo = {}
         self._pos = {}
         self._osp = {}
+        self._predicate_counts = {}
+        # Append-only: snapshots read the prefix they captured, so the
+        # writer appends in place and never copies the log.
+        self._geometry_log = []
+        self._geometry_epoch = 0
         self._size = 0
         self._generation = 0
         # Copy-on-write state: while ``_shared`` the index structures are
@@ -321,6 +357,7 @@ class Graph(TripleReader):
             o: {s: set(p) for s, p in by_s.items()}
             for o, by_s in self._osp.items()
         }
+        self._predicate_counts = dict(self._predicate_counts)
         self._shared = False
 
     # -- term interning ----------------------------------------------------
@@ -344,7 +381,15 @@ class Graph(TripleReader):
             return False
         bucket.add(oi)
         self._pos.setdefault(pi, {}).setdefault(oi, set()).add(si)
-        self._osp.setdefault(oi, {}).setdefault(si, set()).add(pi)
+        by_s = self._osp.get(oi)
+        if by_s is None:
+            # No triple held ``o`` until now: a geometry becomes visible.
+            if isinstance(o, Literal) and o.is_geometry:
+                self._geometry_log.append(oi)
+            by_s = self._osp[oi] = {}
+        by_s.setdefault(si, set()).add(pi)
+        counts = self._predicate_counts
+        counts[pi] = counts.get(pi, 0) + 1
         self._size += 1
         self._generation += 1
         if self._journal is not None:
@@ -394,22 +439,32 @@ class Graph(TripleReader):
             del self._osp[oi][si]
             if not self._osp[oi]:
                 del self._osp[oi]
+        counts = self._predicate_counts
+        counts[pi] -= 1
+        if not counts[pi]:
+            del counts[pi]
         self._size -= 1
         self._generation += 1
         if self._journal is not None:
             self._journal.record_remove(s, p, o)
 
     def clear(self) -> None:
-        # Fresh structures; live snapshots keep the old ones.  The
-        # journal survives the reset — a clear is itself a journaled
+        # Fresh indexes, counters and geometry log; live snapshots keep
+        # the old ones.  The term dictionary survives, so ids stay
+        # append-only for the graph's lifetime (while snapshots share
+        # it, the next add detaches it like any other structure).  The
+        # journal survives too — a clear is itself a journaled
         # mutation, not a detach.
-        generation = self._generation
-        journal = self._journal
-        self.__init__()
-        self._generation = generation + 1
-        self._journal = journal
-        if journal is not None:
-            journal.record_clear()
+        self._spo = {}
+        self._pos = {}
+        self._osp = {}
+        self._predicate_counts = {}
+        self._geometry_log = []
+        self._geometry_epoch += 1
+        self._size = 0
+        self._generation += 1
+        if self._journal is not None:
+            self._journal.record_clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Graph with {self._size} triples>"
@@ -431,11 +486,20 @@ class GraphSnapshot(TripleReader):
         self._spo = source._spo
         self._pos = source._pos
         self._osp = source._osp
+        self._predicate_counts = source._predicate_counts
+        # The writer keeps appending to this list; the snapshot reads
+        # only the prefix that existed when it was taken.
+        self._geometry_log = source._geometry_log
+        self._geometry_count = len(source._geometry_log)
+        self._geometry_epoch = source._geometry_epoch
         self._size = source._size
         self._generation = source._generation
         #: Lock for lazily-built per-snapshot structures (an R-tree, an
         #: inference closure) that first-touch builders may share.
         self.build_lock = threading.Lock()
+
+    def geometry_term_count(self) -> int:
+        return self._geometry_count
 
     # -- refused mutations -------------------------------------------------
 

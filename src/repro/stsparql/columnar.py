@@ -50,8 +50,9 @@ from repro.stsparql.eval import (
     Evaluator,
     Row,
     SolutionSet,
-    _contains_bound_call,
+    _evaluable_filters,
     _expr_variables,
+    _filters_due,
     _pattern_variables,
     _spatial_filter_pairs,
 )
@@ -126,6 +127,16 @@ class Batch:
 
 def _empty_column(length: int) -> np.ndarray:
     return np.full(length, UNBOUND, dtype=np.int64)
+
+
+def _bound_domain(batch: Batch) -> Set[str]:
+    """Variables bound in the batch's first row (the per-row engine's
+    ``set(rows[0])``)."""
+    if not batch.length:
+        return set()
+    return {
+        name for name, col in batch.columns.items() if col[0] != UNBOUND
+    }
 
 
 def _concat_batches(batches: Sequence[Batch]) -> Batch:
@@ -379,34 +390,24 @@ class ColumnarEvaluator(Evaluator):
         group_filters: List[ast.Filter],
         applied: Set[int],
     ) -> Batch:
-        bound: Set[str] = set()
-        if batch.length:
-            bound = {
-                name
-                for name, col in batch.columns.items()
-                if col[0] != UNBOUND
-            }
-        ordered = self._order_patterns(bgp, bound, group_filters)
-        if batch.length == 0:
-            return batch
-        for pattern in ordered:
-            batch = self._extend_batch(batch, pattern, group_filters)
-            if batch.length:
-                domain = {
-                    name
-                    for name, col in batch.columns.items()
-                    if col[0] != UNBOUND
-                }
-                for f in group_filters:
-                    if id(f) in applied:
-                        continue
-                    if _expr_variables(
-                        f.expression
-                    ) <= domain and not _contains_bound_call(f.expression):
-                        batch = self._filter_batch(f.expression, batch)
-                        applied.add(id(f))
+        ordered, actual = self._order_patterns(
+            bgp, _bound_domain(batch), group_filters
+        )
+        for step, pattern in enumerate(ordered):
             if not batch.length:
                 break
+            batch = self._extend_batch(batch, pattern, group_filters)
+            # "Bound" is the batch's bound domain, not its column
+            # names: an all-UNBOUND column is a variable still to bind.
+            domain = _bound_domain(batch)
+            if batch.length and _filters_due(ordered, step, domain):
+                for f in _evaluable_filters(group_filters, applied, domain):
+                    batch = self._filter_batch(f.expression, batch)
+                    applied.add(id(f))
+            if actual is not None:
+                actual.append(batch.length)
+        if actual is not None:
+            actual.extend([0] * (len(ordered) - len(actual)))
         return batch
 
     def _extend_batch(

@@ -16,9 +16,11 @@ read-only :class:`SnapshotView` the serving tier publishes.  It wraps a
   per-acquisition values supplied as *parameters* — pre-bound variables
   handed to the evaluator (``query(text, params={"__ts": ...})``, or a
   list of such mappings evaluated as one ``VALUES`` batch),
-* an R-tree over geometry literals, rebuilt lazily when the graph changes,
-  used for index-assisted spatial joins (candidate sets are memoised in a
-  bounded LRU keyed on probe-geometry identity),
+* a spatial index over geometry literals, fed from the graph's
+  append-only geometry log as a short stack of bulk-loaded R-tree runs
+  (a mutation that adds no geometry leaves it untouched), used for
+  index-assisted spatial joins (candidate sets are memoised in a bounded
+  LRU keyed on probe-geometry identity and the index they came from),
 * optional RDFS subclass inference (needed by the CLC taxonomy queries),
 * simple per-query statistics (:attr:`Strabon.last_stats`).
 """
@@ -28,10 +30,20 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Union
+from typing import (
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.errors import SnapshotWriteError
-from repro.geometry import Geometry
+from repro.geometry import Envelope, Geometry
 from repro.obs import get_metrics, get_tracer
 from repro.geometry.rtree import RTree
 from repro.perf import get_config
@@ -146,9 +158,88 @@ def _param_rows(params: Optional[Params]) -> Optional[List[Row]]:
     return rows
 
 
+#: A new run absorbs the newest existing run while that run holds at
+#: most this many times its entries.  Every run therefore stays more
+#: than twice the size of the next — O(log n) runs — and a literal is
+#: re-packed O(log n) times over its life (binary-counter merging).
+_MERGE_RATIO = 2
+
+
+class _LogIndex:
+    """An immutable spatial index over the geometry-log positions
+    ``[0, indexed)`` of one log epoch: bulk-loaded R-tree runs over
+    ``(envelope, literal)`` entries, oldest (and largest) first.
+
+    Every pack drops literals that no triple holds any more.  Until its
+    run is re-packed such a stale candidate is harmless: candidates are
+    joined against the graph's actual triples and the exact spatial
+    predicate still runs.
+    """
+
+    __slots__ = ("epoch", "indexed", "runs")
+
+    def __init__(
+        self, epoch: int, indexed: int, runs: Tuple[RTree, ...]
+    ) -> None:
+        self.epoch = epoch
+        self.indexed = indexed
+        self.runs = runs
+
+    def covers(self, graph) -> bool:
+        return (
+            self.epoch == graph.geometry_epoch
+            and self.indexed == graph.geometry_term_count()
+        )
+
+    def search(self, envelope: Envelope) -> Iterator[Literal]:
+        """Literals whose envelope intersects ``envelope`` (a literal
+        may repeat across runs)."""
+        for run in self.runs:
+            yield from run.search(envelope)
+
+    def extended(self, graph) -> "_LogIndex":
+        """This index plus the log positions appended since: one new
+        run, merged with the smaller runs before it.  A new log epoch
+        (``clear()``) starts over from position 0."""
+        epoch = graph.geometry_epoch
+        if epoch == self.epoch:
+            start, runs = self.indexed, list(self.runs)
+        else:
+            start, runs = 0, []
+        ids = graph.geometry_terms(start)
+        fresh = [graph.term_for_id(tid) for tid in ids]
+        pending = len(fresh)
+        merging: List[RTree] = []
+        while runs and len(runs[-1]) <= _MERGE_RATIO * pending:
+            run = runs.pop()
+            pending += len(run)
+            merging.append(run)
+        entries = []
+        seen: Set[Literal] = set()
+        for run in merging:
+            for envelope, lit in run.items():
+                if lit not in seen and graph.count(None, None, lit):
+                    seen.add(lit)
+                    entries.append((envelope, lit))
+        for lit in fresh:
+            if lit in seen or not graph.count(None, None, lit):
+                continue
+            geom = lit.value
+            if isinstance(geom, Geometry) and not geom.is_empty:
+                seen.add(lit)
+                entries.append((geom.envelope, lit))
+        if entries:
+            runs.append(RTree.bulk_load(entries))
+        return _LogIndex(epoch, start + len(ids), tuple(runs))
+
+
+#: Covers nothing, so the first probe builds from log position 0.
+_NO_INDEX = _LogIndex(-1, 0, ())
+
+
 class _Endpoint:
     """The stSPARQL endpoint :class:`Strabon` and :class:`SnapshotView`
-    share: plan cache, lazy R-tree + candidate memo, evaluator
+    share: plan cache, log-fed spatial index + candidate memo, evaluator
     construction and the instrumented request body.  Each subclass
     says what an update request does (``_apply_update``)."""
 
@@ -177,11 +268,11 @@ class _Endpoint:
         self._inference = RDFSInference(graph) if enable_inference else None
         self._spatial_index_enabled = enable_spatial_index
         self._build_lock = build_lock
-        self._rtree: Optional[RTree] = None
-        self._rtree_generation = -1
-        # Candidate-set memo keyed by probe-geometry object identity;
-        # evaluators probe the same bound geometry once per joined row.
-        # Bounded LRU: under sustained load the hot working set stays.
+        self._index = _NO_INDEX
+        # Candidate-set memo keyed by probe-geometry object identity,
+        # valid for the index it was searched in; evaluators probe the
+        # same bound geometry once per joined row.  Bounded LRU: under
+        # sustained load the hot working set stays.
         self._candidate_cache = LRUCache(perf.candidate_cache_size)
         self.last_stats = QueryStats()
 
@@ -190,49 +281,45 @@ class _Endpoint:
 
     # -- spatial index -----------------------------------------------------
 
-    def _ensure_rtree(self) -> Optional[RTree]:
+    def _ensure_rtree(self) -> Optional[_LogIndex]:
+        """The spatial index, extended to the graph's geometry log
+        (None when disabled).
+
+        Only log positions appended since the last probe are packed, so
+        a mutation that adds no geometry costs nothing here.  A frozen
+        snapshot's log never grows: its view builds one run, once, and
+        concurrent first readers serialise on the lock.
+        """
         if not self._spatial_index_enabled:
             return None
-        generation = self.graph.generation
-        if self._rtree_generation != generation:
-            # Rebuilt once per graph generation — exactly once for a
-            # frozen snapshot, whose concurrent first readers serialise
-            # on the lock.
+        graph = self.graph
+        index = self._index
+        if not index.covers(graph):
             with self._build_lock:
-                if self._rtree_generation != generation:
-                    entries = []
-                    for _, _, lit in self.graph.geometry_literals():
-                        geom = lit.value
-                        if isinstance(geom, Geometry) and not geom.is_empty:
-                            entries.append((geom.envelope, lit))
-                    self._rtree = RTree.bulk_load(entries)
-                    self._candidate_cache.clear()
-                    if self._inference is not None:
-                        # Materialise the subclass closure under the
-                        # lock too: the refresh is not itself
-                        # thread-safe, but a frozen graph never
-                        # invalidates it, so later readers only read.
-                        self._inference._refresh()
-                    self._rtree_generation = generation
-        return self._rtree
+                index = self._index
+                if not index.covers(graph):
+                    index = index.extended(graph)
+                    self._index = index
+        return index
 
     def spatial_candidates(self, geom: Geometry) -> Optional[Set[Literal]]:
         """Geometry literals whose envelope intersects ``geom``'s.
 
         Returns None when the index is disabled (callers then fall back to
-        a scan).
+        a scan).  The set may include literals no triple holds any more;
+        callers join candidates against the graph.
         """
-        tree = self._ensure_rtree()
-        if tree is None:
+        index = self._ensure_rtree()
+        if index is None:
             return None
         key = id(geom)
         cached = self._candidate_cache.get(key)
-        if cached is not None and cached[0] is geom:
-            return cached[1]
-        result = set(tree.search(geom.envelope))
+        if cached is not None and cached[0] is geom and cached[1] is index:
+            return cached[2]
+        result = set(index.search(geom.envelope))
         # The value keeps a strong reference to the probe geometry so
         # its id cannot be recycled while the entry is cached.
-        self._candidate_cache.put(key, (geom, result))
+        self._candidate_cache.put(key, (geom, index, result))
         return result
 
     # -- request execution -------------------------------------------------
@@ -246,6 +333,13 @@ class _Endpoint:
     ) -> Evaluator:
         """Build the evaluation plan: binds inference + spatial index."""
         with _tracer.span("stsparql.plan"):
+            if self._inference is not None:
+                # Materialise the subclass closure under the build
+                # lock: the refresh is not itself thread-safe, but a
+                # frozen graph never invalidates it, so a view's later
+                # readers only read.
+                with self._build_lock:
+                    self._inference._refresh()
             evaluator = _evaluator_class(operation)(
                 self.graph,
                 inference=self._inference,
@@ -455,14 +549,14 @@ class Strabon(_Endpoint):
         """Drop every structure derived from graph *content*.
 
         Called after crash recovery rebuilds the graph wholesale
-        (checkpoint load + WAL replay): the R-tree, the candidate memo
-        and the memoised snapshot view key on generation counters that
-        restart in a recovered process, so they must be rebuilt from
-        the recovered state rather than trusted.  The parsed-plan cache
-        survives — it is keyed on query text alone.
+        (checkpoint load + WAL replay): the spatial index's runs, the
+        candidate memo and the memoised snapshot view key on log
+        positions and generation counters that restart in a recovered
+        process, so they must be rebuilt from the recovered state
+        rather than trusted.  The parsed-plan cache survives — it is
+        keyed on query text alone.
         """
-        self._rtree = None
-        self._rtree_generation = -1
+        self._index = _NO_INDEX
         self._candidate_cache.clear()
         self._last_view = None
         if self._inference is not None:
@@ -550,9 +644,10 @@ class SnapshotView(_Endpoint):
     * shares the owning engine's parsed-plan LRU (thread-safe), so a
       request parsed by any reader — or by the writer — is a cache hit
       for every other one,
-    * lazily builds **one** R-tree and candidate cache per snapshot,
-      shared by all reader threads (the snapshot never changes, so no
-      invalidation is ever needed),
+    * lazily builds **one** R-tree (from the snapshot's geometry-log
+      prefix — no triple scan, no runs shared with the writer) and
+      candidate cache per snapshot, shared by all reader threads (the
+      snapshot never changes, so no invalidation is ever needed),
     * refuses updates with :class:`~repro.errors.SnapshotWriteError`.
     """
 

@@ -1,10 +1,14 @@
 """The stSPARQL evaluator.
 
 Bindings are plain ``dict[str, Term]`` rows.  The evaluator walks group
-graph patterns sequentially — joins flow bindings left to right, filters
-are applied as soon as all their variables are in scope (and re-checked at
-group end), OPTIONAL is a left join, subselects evaluate independently and
-join on shared variables.
+graph patterns sequentially — joins flow bindings left to right, a filter
+is applied inside a BGP once all its variables are in scope, before the
+next pattern that binds a new variable (patterns that only check bound
+variables — ``?m a gag:Dhmos`` with ``?m`` bound — run first: filters
+bind nothing, so the rows are the same and the cheap membership probe
+spares an exact spatial test), and otherwise where the group lists it;
+OPTIONAL is a left join, subselects evaluate independently and join on
+shared variables.
 
 Spatial-join acceleration: when a triple pattern's object variable feeds a
 pending spatial-predicate filter whose other argument is already bound to a
@@ -498,8 +502,8 @@ class Evaluator:
         bound: Set[str] = set()
         for row in rows[:1]:
             bound |= set(row)
-        ordered = self._order_patterns(bgp, bound, group_filters)
-        for pattern in ordered:
+        ordered, actual = self._order_patterns(bgp, bound, group_filters)
+        for step, pattern in enumerate(ordered):
             self._check_deadline()
             next_rows: List[Row] = []
             for row in rows:
@@ -509,23 +513,21 @@ class Evaluator:
                 for match in self._match_triple(pattern, row, restriction):
                     next_rows.append(match)
             rows = next_rows
-            # Early filter application for fully-bound filters.
-            if rows:
-                domain = set(rows[0])
-                for f in group_filters:
-                    if id(f) in applied:
-                        continue
-                    if _expr_variables(f.expression) <= domain and not (
-                        _contains_bound_call(f.expression)
-                    ):
-                        rows = [
-                            r
-                            for r in rows
-                            if self._filter_passes(f.expression, r)
-                        ]
-                        applied.add(id(f))
+            domain = set(rows[0]) if rows else set()
+            if rows and _filters_due(ordered, step, domain):
+                for f in _evaluable_filters(group_filters, applied, domain):
+                    rows = [
+                        r
+                        for r in rows
+                        if self._filter_passes(f.expression, r)
+                    ]
+                    applied.add(id(f))
+            if actual is not None:
+                actual.append(len(rows))
             if not rows:
                 break
+        if actual is not None:
+            actual.extend([0] * (len(ordered) - len(actual)))
         return rows
 
     def _order_patterns(
@@ -533,13 +535,15 @@ class Evaluator:
         bgp: ast.BGP,
         bound: Set[str],
         group_filters: List[ast.Filter],
-    ) -> List[ast.TriplePattern]:
+    ) -> Tuple[List[ast.TriplePattern], Optional[List[int]]]:
         """Greedy selectivity ordering, shared by both engines.
 
         Repeatedly picks the cheapest remaining pattern given the
         variables bound so far (:meth:`_estimate`).  When the evaluator
         carries an ``explain_log``, the chosen order and the estimates
-        that drove it are recorded there.
+        that drove it are recorded there, with an ``actual_rows`` list
+        the caller fills with the rows leaving each step (returned as
+        the second element; None when not explaining).
         """
         remaining = list(bgp.triples)
         spatial_pairs = _spatial_filter_pairs(group_filters)
@@ -559,7 +563,9 @@ class Evaluator:
             )
             ordered.append(pattern)
             bound |= {v.name for v in pattern.variables()}
+        actual: Optional[List[int]] = None
         if self.explain_log is not None:
+            actual = []
             self.explain_log.append(
                 {
                     "operator": "bgp",
@@ -568,9 +574,10 @@ class Evaluator:
                         _pattern_text(p) for p in ordered
                     ],
                     "estimates": estimates,
+                    "actual_rows": actual,
                 }
             )
-        return ordered
+        return ordered, actual
 
     def _estimate(
         self,
@@ -991,6 +998,37 @@ def _contains_bound_call(expr: ast.Expression) -> bool:
             expr.right
         )
     return False
+
+
+def _filters_due(
+    ordered: Sequence[ast.TriplePattern], step: int, domain: Set[str]
+) -> bool:
+    """Whether filters that are evaluable after BGP step ``step`` run now.
+
+    They wait while the next pattern only checks variables already in
+    ``domain`` (a membership probe, cheaper than most filters), and run
+    before the next pattern that binds a new variable or at the end of
+    the BGP.  Filters bind nothing, so either way the rows are the same.
+    """
+    if step + 1 == len(ordered):
+        return True
+    return any(
+        v.name not in domain for v in ordered[step + 1].variables()
+    )
+
+
+def _evaluable_filters(
+    group_filters: List[ast.Filter], applied: Set[int], domain: Set[str]
+) -> List[ast.Filter]:
+    """Group filters not yet applied whose variables are all in
+    ``domain`` (``bound()`` tests wait for their place in the group)."""
+    return [
+        f
+        for f in group_filters
+        if id(f) not in applied
+        and _expr_variables(f.expression) <= domain
+        and not _contains_bound_call(f.expression)
+    ]
 
 
 def _spatial_filter_pairs(

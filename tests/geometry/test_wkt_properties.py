@@ -26,6 +26,7 @@ from repro.geometry import (
     dumps_wkt,
     loads_wkt,
 )
+from repro.geometry.errors import WKTParseError
 
 
 def _coord(rng: random.Random):
@@ -147,6 +148,33 @@ def test_wkt_parse_serialize_parse_fixpoint(seed):
 )
 def test_empty_forms_are_fixpoints(text):
     assert dumps_wkt(loads_wkt(text)) == text
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "POINT (1e999 0)",
+        "POINT (0 -1e999)",
+        "POINT (1 2 1e999)",
+        "LINESTRING (0 0, 1e400 1)",
+        "POLYGON ((-1e999 -1e999, 1e999 -1e999, 1e999 1e999, "
+        "-1e999 1e999, -1e999 -1e999))",
+        "MULTIPOINT ((1 1), (2 1e309))",
+        "GEOMETRYCOLLECTION (POINT (1 1), POINT (-1e999 1))",
+    ],
+)
+def test_non_finite_coordinates_are_rejected(text):
+    # float("1e999") is inf: accepting it gave POINT (inf 0), NaN areas
+    # and envelopes the parser itself could not read back.
+    with pytest.raises(WKTParseError, match="not finite"):
+        loads_wkt(text)
+
+
+def test_extreme_finite_coordinates_roundtrip():
+    text = "POINT (1.7976931348623157e+308 -1e-320)"
+    p = loads_wkt(text)
+    assert (p.x, p.y) == (1.7976931348623157e308, -1e-320)
+    assert loads_wkt(dumps_wkt(p)).x == p.x
 
 
 def test_full_precision_floats_roundtrip_exactly():

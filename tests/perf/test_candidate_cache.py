@@ -4,12 +4,14 @@ The seed engine dropped the *entire* candidate cache once it exceeded
 4096 entries, so sustained load (one probe geometry per evaluated
 spatial predicate) repeatedly threw away the hot working set.  The
 cache is now a bounded LRU: the hot probes survive, only the coldest
-entry is shed per insert.
+entry is shed per insert.  Entries are valid for the index they were
+searched in, so a mutation is visible to the next probe.
 """
 
 from __future__ import annotations
 
 from repro.geometry import Polygon
+from repro.rdf import NOA
 
 
 def _probe(i: int) -> Polygon:
@@ -53,19 +55,40 @@ def test_cached_candidates_match_fresh_search(strabon_with_aux):
     assert set(tree.search(probe.envelope)) == first
 
 
-def test_rebuilding_the_index_invalidates_the_cache(strabon_with_aux):
+PREFIXES = (
+    "PREFIX noa: <http://teleios.di.uoa.gr/ontologies/noaOntology.owl#> "
+    "PREFIX strdf: <http://strdf.di.uoa.gr/ontology#> "
+)
+INSIDE = '"POINT (20.032 36.002)"^^strdf:geometry'
+
+
+def _matches(engine, probe):
+    rows = engine.select(
+        PREFIXES
+        + "SELECT ?s WHERE { ?s strdf:hasGeometry ?g . "
+        + f'FILTER(strdf:anyInteract(?g, "{probe.wkt}"^^strdf:WKT)) }}'
+    )
+    return {row["s"] for row in rows}
+
+
+def test_a_mutation_is_visible_to_the_next_probe(strabon_with_aux):
     engine = strabon_with_aux
     probe = _probe(3)
-    engine.spatial_candidates(probe)
-    assert len(engine._candidate_cache) > 0
-    # A store mutation forces an index rebuild on next use, which must
-    # drop the now-stale candidate sets.
+    before = engine.spatial_candidates(probe)
+    assert NOA.term("probe") not in _matches(engine, probe)
+    # A geometry inserted inside a memoised probe's region is a
+    # candidate of the very next probe: the memo never answers from
+    # the index as it was before the mutation.
     engine.update(
-        "PREFIX noa: "
-        "<http://teleios.di.uoa.gr/ontologies/noaOntology.owl#> "
-        "PREFIX strdf: <http://strdf.di.uoa.gr/ontology#> "
-        'INSERT DATA { noa:probe strdf:hasGeometry '
-        '"POINT (21.0 37.0)"^^strdf:geometry . }'
+        PREFIXES + f"INSERT DATA {{ noa:probe strdf:hasGeometry {INSIDE} }}"
     )
-    engine._ensure_rtree()
-    assert len(engine._candidate_cache) == 0
+    after = engine.spatial_candidates(probe)
+    assert [lit.lexical for lit in after - before] == [
+        "POINT (20.032 36.002)"
+    ]
+    assert NOA.term("probe") in _matches(engine, probe)
+    # A removed one yields no match.
+    engine.update(
+        PREFIXES + f"DELETE DATA {{ noa:probe strdf:hasGeometry {INSIDE} }}"
+    )
+    assert NOA.term("probe") not in _matches(engine, probe)

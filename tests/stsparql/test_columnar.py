@@ -13,6 +13,7 @@ from reference import reference_evaluator
 
 from repro import obs
 from repro.rdf import Literal, NOA, RDF, XSD
+from repro.rdf.namespace import STRDF
 from repro.stsparql import Strabon, columnar
 from repro.stsparql.eval import SolutionSet
 from repro.stsparql.parser import parse
@@ -89,6 +90,77 @@ class TestExplain:
         assert doc["engine"] == "columnar"
         assert doc["rows"] == 8
         assert doc["plan"][0]["join_order"]
+
+    def test_explain_reports_actual_rows_per_step(self):
+        engine = small_engine()
+        text = PREFIX + """SELECT ?h ?c WHERE {
+            ?h a noa:Hotspot ; noa:hasConfidence ?c .
+            FILTER(?c > 0.5) }"""
+        (bgp,) = engine.query(text, explain=True)["plan"]
+        # 8 hotspots, then their confidences i/8 filtered to 5/8..7/8.
+        assert bgp["join_order"][0].endswith(NOA.term("Hotspot").n3())
+        assert bgp["actual_rows"] == [8, 3]
+        view = engine.snapshot_view()
+        assert view.query(text, explain=True)["plan"] == [bgp]
+        # An empty step short-circuits: later steps report 0 rows.
+        (bgp,) = engine.query(
+            PREFIX + "SELECT ?h WHERE { ?h a noa:Fire ; noa:x ?y }",
+            explain=True,
+        )["plan"]
+        assert bgp["actual_rows"] == [0, 0]
+
+    def test_membership_checks_run_before_spatial_filters(self):
+        """Filters wait for a pattern that only checks bound variables.
+
+        Geometries around P = (5 5): area ``a0`` contains it, area
+        ``a1`` is a triangle whose envelope covers P but whose shape
+        does not, ``o0`` contains it but is no area, ``a2`` is far.
+        """
+        shapes = {
+            "a0": ("Area", "POLYGON ((4 4, 6 4, 6 6, 4 6, 4 4))"),
+            "a1": ("Area", "POLYGON ((4 4, 6 4, 4 5.5, 4 4))"),
+            "a2": ("Area", "POLYGON ((10 10, 11 10, 11 11, 10 11, 10 10))"),
+            "o0": ("Other", "POLYGON ((4.5 4.5, 5.5 4.5, 5.5 5.5, "
+                            "4.5 5.5, 4.5 4.5))"),
+        }
+        engine = Strabon()
+        for name, (cls, shape) in shapes.items():
+            engine.add(NOA.term(name), RDF.type, NOA.term(cls))
+            engine.add(
+                NOA.term(name),
+                STRDF.term("hasGeometry"),
+                Literal(shape, datatype=STRDF.base + "WKT"),
+            )
+        where = """{ ?m a noa:Area ; strdf:hasGeometry ?mg .
+                     FILTER(strdf:anyInteract(?p, ?mg)) }"""
+        params = {"p": Literal("POINT (5 5)", datatype=STRDF.base + "WKT")}
+        prefixes = PREFIX + (
+            "PREFIX strdf: <http://strdf.di.uoa.gr/ontology#>\n"
+        )
+        join_order = [
+            f"?m {STRDF.term('hasGeometry').n3()} ?mg",
+            f"?m {RDF.type.n3()} {NOA.term('Area').n3()}",
+        ]
+        # Row-wise (update WHERE): the R-tree yields a0, a1, o0; the
+        # type check keeps a0, a1; the exact test keeps a0.
+        (bgp,) = engine.query(
+            prefixes + "INSERT { ?m noa:covers ?p } WHERE " + where,
+            params=params,
+            explain=True,
+        )["plan"]
+        assert bgp["join_order"] == join_order
+        assert bgp["actual_rows"] == [3, 1]
+        # Columnar (reads): the index join takes all four geometries,
+        # the type check keeps the three areas, the exact test keeps a0.
+        doc = engine.query(
+            prefixes + "SELECT ?m WHERE " + where,
+            params=params,
+            explain=True,
+        )
+        (bgp,) = doc["plan"]
+        assert bgp["join_order"] == join_order
+        assert bgp["actual_rows"] == [4, 1]
+        assert doc["rows"] == 1
 
     def test_interpreted_engine_explains_too(self):
         plan = []

@@ -123,6 +123,43 @@ class TestSpatialConstructors:
         assert float(r.rows[0]["a"].lexical) == pytest.approx(12.0)
 
 
+class TestNonFiniteCoordinates:
+    """WKT with an overflowing coordinate (``1e999``) is not a geometry:
+    expressions over it are errors, so projections stay unbound and
+    filters reject the row — never ``nan``, ``inf`` or a silent
+    ``false``."""
+
+    PLANE = (
+        "POLYGON ((-1e999 -1e999, 1e999 -1e999, 1e999 1e999, "
+        "-1e999 1e999, -1e999 -1e999))"
+    )
+
+    def test_projections_over_it_are_unbound(self, engine):
+        r = engine.select(
+            PREFIX
+            + """SELECT ?x
+              (strdf:area("POLYGON ((0 0, 1e999 0, 1 1, 0 0))"^^strdf:WKT)
+                AS ?a)
+              (strdf:envelope("POINT (1e999 1e999)"^^strdf:WKT) AS ?e)
+              (strdf:anyInteract("%s"^^strdf:WKT,
+                                 "POINT (20.5 35.5)"^^strdf:WKT) AS ?i)
+              WHERE { noa:p strdf:hasGeometry ?x }""" % self.PLANE
+        )
+        (row,) = r.rows
+        assert set(row) == {"x"}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_filters_over_it_reject_every_row(self, engine):
+        for negate in ("", "!"):
+            r = engine.select(
+                PREFIX
+                + """SELECT ?x WHERE { ?x strdf:hasGeometry ?g .
+                  FILTER(%sstrdf:anyInteract("%s"^^strdf:WKT, ?g)) }"""
+                % (negate, self.PLANE)
+            )
+            assert len(r) == 0
+
+
 class TestSpatialAggregates:
     def test_union_aggregate(self, engine):
         r = engine.select(
