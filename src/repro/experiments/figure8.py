@@ -53,6 +53,26 @@ class Figure8Result:
             ops, key=lambda op: self.operation_average(sensor, op)
         )
 
+    def slope_ms(self, sensor: str, operation: str) -> float:
+        """Least-squares slope of ``operation``'s wall time against the
+        acquisition index, in ms per acquisition (0 for fewer than two
+        acquisitions).  The paper's curves are flat: about 0."""
+        rows = self.series.get(sensor, [])
+        n = len(rows)
+        if n < 2:
+            return 0.0
+        ys = [
+            r.seconds_by_operation.get(operation, 0.0) * 1000
+            for r in rows
+        ]
+        x_mean = (n - 1) / 2
+        y_mean = sum(ys) / n
+        covariance = sum(
+            (x - x_mean) * (y - y_mean) for x, y in enumerate(ys)
+        )
+        variance = sum((x - x_mean) ** 2 for x in range(n))
+        return covariance / variance
+
 
 def run_figure8(
     greece: Optional[SyntheticGreece] = None,
@@ -119,6 +139,14 @@ def format_figure8_result(result: Figure8Result) -> str:
                 f"{row.timestamp.strftime('%H:%M'):<6} "
                 f"{row.hotspots:>5} {cells}"
             )
+        slopes = " ".join(
+            f"{result.slope_ms(sensor, op):>+13.3f}" for op in ops
+        )
+        lines.append(f"{'slope':<6} {'':>5} {slopes}")
+        lines.append(
+            "slope: least-squares ms per acquisition (the paper's "
+            "curves are flat)"
+        )
         slowest = result.slowest_operation(sensor)
         lines.append(f"slowest operation on average: {slowest}")
         lines.append("")

@@ -33,7 +33,16 @@ Two concrete classes share the read path (:class:`TripleReader`):
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.errors import SnapshotWriteError
 from repro.rdf.term import Literal, Term, URI
@@ -124,6 +133,19 @@ class TripleReader:
                 for pred, objs in list(by_p.items()):
                     for obj in list(objs):
                         yield (subj, pred, obj)
+
+    def object_ids(
+        self, si: Optional[int], pi: int
+    ) -> Union[AbstractSet[int], Tuple[()]]:
+        """Object ids of ``(si, pi, ?)``, or with ``si`` None the
+        distinct objects of predicate ``pi``, as a read-only set view
+        (``()`` when there are none).  O(1): membership probes and
+        ``isdisjoint`` tests read the index itself; callers must not
+        mutate the view."""
+        if si is None:
+            by_o = self._pos.get(pi)
+            return by_o.keys() if by_o is not None else ()
+        return self._spo.get(si, {}).get(pi, ())
 
     def count_ids(
         self,
@@ -373,13 +395,16 @@ class Graph(TripleReader):
     # -- mutation ------------------------------------------------------------
 
     def add(self, s: Term, p: Term, o: Term) -> bool:
-        """Insert a triple; returns False when it was already present."""
+        """Insert a triple; returns False when it was already present.
+
+        A triple already present is no write: it returns before
+        detaching, so it never copies indexes a snapshot shares.
+        """
+        if (s, p, o) in self:
+            return False
         self._detach()
         si, pi, oi = self._intern(s), self._intern(p), self._intern(o)
-        bucket = self._spo.setdefault(si, {}).setdefault(pi, set())
-        if oi in bucket:
-            return False
-        bucket.add(oi)
+        self._spo.setdefault(si, {}).setdefault(pi, set()).add(oi)
         self._pos.setdefault(pi, {}).setdefault(oi, set()).add(si)
         by_s = self._osp.get(oi)
         if by_s is None:
@@ -417,14 +442,12 @@ class Graph(TripleReader):
         return len(victims)
 
     def _remove_exact(self, s: Term, p: Term, o: Term) -> None:
+        # An absent triple is no write: never detach for it.
+        if (s, p, o) not in self:
+            return
         self._detach()
         si, pi, oi = self._lookup(s), self._lookup(p), self._lookup(o)
-        if si is None or pi is None or oi is None:
-            return
-        try:
-            self._spo[si][pi].remove(oi)
-        except KeyError:
-            return
+        self._spo[si][pi].remove(oi)
         if not self._spo[si][pi]:
             del self._spo[si][pi]
             if not self._spo[si]:

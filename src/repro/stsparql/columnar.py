@@ -47,13 +47,17 @@ from repro.rdf.term import Term, Variable
 from repro.stsparql import ast
 from repro.stsparql.errors import ExpressionError, SparqlEvalError
 from repro.stsparql.eval import (
+    _COMPARISON_OPS,
     Evaluator,
     Row,
     SolutionSet,
     _evaluable_filters,
+    _explain_skipped,
+    _explain_step,
     _expr_variables,
     _filters_due,
     _pattern_variables,
+    _Probe,
     _spatial_filter_pairs,
 )
 from repro.stsparql.functions import (
@@ -90,8 +94,6 @@ _TEMPORAL_VECTOR_NAMES = {
         "during",
     )
 }
-
-_COMPARISON_OPS = {"=", "!=", "<", "<=", ">", ">="}
 
 
 class ColumnarUnsupported(Exception):
@@ -390,24 +392,29 @@ class ColumnarEvaluator(Evaluator):
         group_filters: List[ast.Filter],
         applied: Set[int],
     ) -> Batch:
-        ordered, actual = self._order_patterns(
-            bgp, _bound_domain(batch), group_filters
+        # "Bound" is the batch's bound domain, not its column names: an
+        # all-UNBOUND column is a variable still to bind.
+        domain = _bound_domain(batch)
+        ordered, explained = self._order_patterns(
+            bgp, domain, group_filters
         )
+        star = self._star_checks(bgp, group_filters)
         for step, pattern in enumerate(ordered):
             if not batch.length:
                 break
-            batch = self._extend_batch(batch, pattern, group_filters)
-            # "Bound" is the batch's bound domain, not its column
-            # names: an all-UNBOUND column is a variable still to bind.
+            probe = self._probe(pattern, star, domain)
+            batch = self._extend_batch(
+                batch, pattern, group_filters, probe
+            )
             domain = _bound_domain(batch)
             if batch.length and _filters_due(ordered, step, domain):
                 for f in _evaluable_filters(group_filters, applied, domain):
                     batch = self._filter_batch(f.expression, batch)
                     applied.add(id(f))
-            if actual is not None:
-                actual.append(batch.length)
-        if actual is not None:
-            actual.extend([0] * (len(ordered) - len(actual)))
+            if explained is not None:
+                _explain_step(explained, batch.length, probe)
+        if explained is not None:
+            _explain_skipped(explained, len(ordered))
         return batch
 
     def _extend_batch(
@@ -415,10 +422,8 @@ class ColumnarEvaluator(Evaluator):
         batch: Batch,
         pattern: ast.TriplePattern,
         group_filters: List[ast.Filter],
+        probe: _Probe,
     ) -> Batch:
-        fast = self._vector_extend(batch, pattern)
-        if fast is not None:
-            return fast
         columns = batch.columns
         slots = (pattern.subject, pattern.predicate, pattern.object)
         combo_names = {
@@ -428,12 +433,28 @@ class ColumnarEvaluator(Evaluator):
         }
         # The R-tree restriction probe reads the *other* side of a
         # pending spatial filter from the row, so it is part of the key.
+        partners = []
         if isinstance(pattern.object, Variable):
             obj = pattern.object.name
             for a, b in _spatial_filter_pairs(group_filters):
                 partner = b if obj == a else (a if obj == b else None)
                 if partner is not None and partner in columns:
-                    combo_names.add(partner)
+                    partners.append(partner)
+        combo_names.update(partners)
+        # R-tree index join: a fresh object paired with a column bound
+        # in every row probes once per distinct bound geometry (the
+        # cost ``_estimate`` plans with) instead of materialising the
+        # predicate's whole relation.
+        index_join = (
+            self.spatial_candidates is not None
+            and bool(partners)
+            and (obj not in columns or (columns[obj] == UNBOUND).all())
+            and any((columns[p] != UNBOUND).all() for p in partners)
+        )
+        if not index_join:
+            fast = self._vector_extend(batch, pattern)
+            if fast is not None:
+                return fast
         names = sorted(combo_names)
         match_cache: Dict[Tuple[int, ...], Tuple] = {}
         pieces: List[Batch] = []
@@ -445,6 +466,7 @@ class ColumnarEvaluator(Evaluator):
                     names,
                     match_cache,
                     group_filters,
+                    probe,
                 )
             )
         if len(pieces) == 1:
@@ -631,6 +653,7 @@ class ColumnarEvaluator(Evaluator):
         combo_names: Sequence[str],
         match_cache: Dict[Tuple[int, ...], Tuple],
         group_filters: List[ast.Filter],
+        probe: _Probe,
     ) -> Batch:
         n = batch.length
         combos, inverse = _distinct_combos(batch, combo_names)
@@ -640,7 +663,9 @@ class ColumnarEvaluator(Evaluator):
             res = match_cache.get(key)
             if res is None:
                 row = self._combo_row(combo_names, combo)
-                res = self._match_combo(pattern, row, group_filters)
+                res = self._match_combo(
+                    pattern, row, group_filters, probe
+                )
                 match_cache[key] = res
             results.append(res)
         counts = np.array(
@@ -682,13 +707,15 @@ class ColumnarEvaluator(Evaluator):
         pattern: ast.TriplePattern,
         row: Row,
         group_filters: List[ast.Filter],
+        probe: _Probe,
     ) -> Tuple[int, List[Tuple[str, np.ndarray]]]:
         """All matches of ``pattern`` under one binding combination.
 
         Returns ``(count, [(new_var, id_array), ...])`` — the same
-        candidate enumeration (inference, R-tree restriction, repeated
-        variable consistency) as :meth:`Evaluator._match_triple`, run
-        once per *distinct* combination instead of once per row.
+        candidate enumeration (inference, R-tree restriction with the
+        probe's subject checks, repeated variable consistency) as
+        :meth:`Evaluator._match_triple`, run once per *distinct*
+        combination instead of once per row.
         """
         graph = self.graph
         restriction = self._spatial_restriction(
@@ -721,7 +748,9 @@ class ColumnarEvaluator(Evaluator):
         if self.inference is not None and p == RDF.type:
             candidates = self._inferred_types(s, o)
         elif restriction is not None and o is None:
-            candidates = self._restricted_triples(s, p, restriction)
+            candidates = self._restricted_triples(
+                s, p, restriction, probe
+            )
         out: Dict[str, List[int]] = {name: [] for name in new_names}
         count = 0
         if candidates is None:

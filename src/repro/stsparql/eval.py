@@ -14,13 +14,19 @@ Spatial-join acceleration: when a triple pattern's object variable feeds a
 pending spatial-predicate filter whose other argument is already bound to a
 geometry, candidate objects are fetched from the engine's R-tree over
 geometry literals instead of scanning every matching triple — this is the
-Strabon behaviour the paper's Figure 8 measures.
+Strabon behaviour the paper's Figure 8 measures.  A probe with an unbound
+subject tests each candidate holder against the rest of its star (the
+other mandatory patterns on that subject in the BGP, and comparison
+FILTERs on their objects) before it becomes a row: a necessary condition,
+so the solutions are unchanged (:class:`_Probe`).
 """
 
 from __future__ import annotations
 
 from typing import (
+    AbstractSet,
     Any,
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -52,6 +58,32 @@ from repro.stsparql.functions import (
 
 Row = Dict[str, Term]
 Value = Any
+#: A subject check: does the holder with this term id pass?
+HolderTest = Callable[[int], bool]
+#: One subject check of a BGP star: the pattern it comes from, that
+#: pattern's text (for EXPLAIN) and the test.
+StarCheck = Tuple[ast.TriplePattern, str, HolderTest]
+
+_COMPARISON_OPS = frozenset(("=", "!=", "<", "<=", ">", ">="))
+
+
+class _Probe:
+    """One BGP step's R-tree probe.
+
+    ``tests`` are the subject checks a candidate holder must pass
+    before it becomes a row, ``texts`` the patterns they come from.
+    ``used`` says whether the step went through the R-tree at all, and
+    ``holders`` counts the candidate holders it examined (a bound
+    subject counts once per probe), both for EXPLAIN.
+    """
+
+    __slots__ = ("tests", "texts", "holders", "used")
+
+    def __init__(self, checks: Sequence[StarCheck] = ()) -> None:
+        self.texts = [text for _, text, _ in checks]
+        self.tests = [test for _, _, test in checks]
+        self.holders = 0
+        self.used = False
 
 
 class SolutionSet:
@@ -198,6 +230,10 @@ class Evaluator:
         #: value) set by the engine's ``timeout=``; checked between
         #: operators, ``None`` means unbounded.
         self.deadline: Optional[float] = None
+        # Per-evaluation memos of the probe subject checks: each BGP's
+        # star, and each class's subclass closure as term ids.
+        self._stars: Dict[int, Dict[str, List[StarCheck]]] = {}
+        self._class_ids: Dict[Term, Set[int]] = {}
 
     def _seed(self) -> List[Row]:
         return [dict(row) for row in self.seeds]
@@ -499,18 +535,20 @@ class Evaluator:
         group_filters: List[ast.Filter],
         applied: Set[int],
     ) -> List[Row]:
-        bound: Set[str] = set()
-        for row in rows[:1]:
-            bound |= set(row)
-        ordered, actual = self._order_patterns(bgp, bound, group_filters)
+        domain: Set[str] = set(rows[0]) if rows else set()
+        ordered, explained = self._order_patterns(bgp, domain, group_filters)
+        star = self._star_checks(bgp, group_filters)
         for step, pattern in enumerate(ordered):
             self._check_deadline()
+            probe = self._probe(pattern, star, domain)
             next_rows: List[Row] = []
             for row in rows:
                 restriction = self._spatial_restriction(
                     pattern, row, group_filters
                 )
-                for match in self._match_triple(pattern, row, restriction):
+                for match in self._match_triple(
+                    pattern, row, restriction, probe
+                ):
                     next_rows.append(match)
             rows = next_rows
             domain = set(rows[0]) if rows else set()
@@ -522,12 +560,12 @@ class Evaluator:
                         if self._filter_passes(f.expression, r)
                     ]
                     applied.add(id(f))
-            if actual is not None:
-                actual.append(len(rows))
+            if explained is not None:
+                _explain_step(explained, len(rows), probe)
             if not rows:
                 break
-        if actual is not None:
-            actual.extend([0] * (len(ordered) - len(actual)))
+        if explained is not None:
+            _explain_skipped(explained, len(ordered))
         return rows
 
     def _order_patterns(
@@ -535,15 +573,19 @@ class Evaluator:
         bgp: ast.BGP,
         bound: Set[str],
         group_filters: List[ast.Filter],
-    ) -> Tuple[List[ast.TriplePattern], Optional[List[int]]]:
+    ) -> Tuple[List[ast.TriplePattern], Optional[dict]]:
         """Greedy selectivity ordering, shared by both engines.
 
         Repeatedly picks the cheapest remaining pattern given the
         variables bound so far (:meth:`_estimate`).  When the evaluator
         carries an ``explain_log``, the chosen order and the estimates
-        that drove it are recorded there, with an ``actual_rows`` list
-        the caller fills with the rows leaving each step (returned as
-        the second element; None when not explaining).
+        that drove it are recorded there in an entry (returned as the
+        second element; None when not explaining) whose per-step lists
+        the caller fills (:func:`_explain_step`): ``actual_rows``, the
+        rows leaving each step, and for a step that went through the
+        R-tree ``probe_holders``, the candidate holders it examined,
+        and ``probe_checks``, the subject checks pushed into it (None
+        for other steps).
         """
         remaining = list(bgp.triples)
         spatial_pairs = _spatial_filter_pairs(group_filters)
@@ -563,21 +605,19 @@ class Evaluator:
             )
             ordered.append(pattern)
             bound |= {v.name for v in pattern.variables()}
-        actual: Optional[List[int]] = None
-        if self.explain_log is not None:
-            actual = []
-            self.explain_log.append(
-                {
-                    "operator": "bgp",
-                    "engine": self.engine_name,
-                    "join_order": [
-                        _pattern_text(p) for p in ordered
-                    ],
-                    "estimates": estimates,
-                    "actual_rows": actual,
-                }
-            )
-        return ordered, actual
+        if self.explain_log is None:
+            return ordered, None
+        entry = {
+            "operator": "bgp",
+            "engine": self.engine_name,
+            "join_order": [_pattern_text(p) for p in ordered],
+            "estimates": estimates,
+            "actual_rows": [],
+            "probe_holders": [],
+            "probe_checks": [],
+        }
+        self.explain_log.append(entry)
+        return ordered, entry
 
     def _estimate(
         self,
@@ -638,6 +678,7 @@ class Evaluator:
         pattern: ast.TriplePattern,
         row: Row,
         object_restriction: Optional[Set[Term]],
+        probe: _Probe,
     ) -> Iterator[Row]:
         def resolve_term(term: Term) -> Optional[Term]:
             if isinstance(term, Variable):
@@ -650,7 +691,9 @@ class Evaluator:
         if self.inference is not None and p == RDF.type:
             candidates: Iterable = self._inferred_types(s, o)
         elif object_restriction is not None and o is None:
-            candidates = self._restricted_triples(s, p, object_restriction)
+            candidates = self._restricted_triples(
+                s, p, object_restriction, probe
+            )
         else:
             candidates = self.graph.triples(s, p, o)
         for ts, tp, to in candidates:
@@ -691,26 +734,179 @@ class Evaluator:
         return ((s, RDF.type, o),) if inference.has_type(s, o) else ()
 
     def _restricted_triples(
-        self, s: Optional[Term], p: Optional[Term], restriction: Set[Term]
-    ) -> Iterable[Tuple[Term, Term, Term]]:
+        self,
+        s: Optional[Term],
+        p: Optional[Term],
+        restriction: Set[Term],
+        probe: _Probe,
+    ) -> Iterator[Tuple[Term, Term, Term]]:
         """``(s, p, ?o)`` matches whose object is an R-tree candidate.
 
         A bound subject walks its own (few) objects and keeps those in
         the restriction, so its cost never depends on how many
-        geometries the probe region holds; an unbound one probes each
-        candidate object.
+        geometries the probe region holds.  An unbound one walks each
+        candidate object's holders on ids and yields only those that
+        pass every subject check of ``probe``.
         """
+        probe.used = True
+        graph = self.graph
         if s is not None:
-            return (
-                triple
-                for triple in self.graph.triples(s, p, None)
-                if triple[2] in restriction
-            )
-        return (
-            triple
-            for obj in restriction
-            for triple in self.graph.triples(None, p, obj)
+            probe.holders += 1
+            for triple in graph.triples(s, p, None):
+                if triple[2] in restriction:
+                    yield triple
+            return
+        pi = None
+        if p is not None:
+            pi = graph.term_id(p)
+            if pi is None:
+                return
+        tests = probe.tests
+        term = graph.term_for_id
+        examined = 0
+        for obj in restriction:
+            oi = graph.term_id(obj)
+            if oi is None:
+                continue
+            for si, tpi, _ in graph.triples_ids(None, pi, oi):
+                examined += 1
+                for test in tests:
+                    if not test(si):
+                        break
+                else:
+                    yield term(si), term(tpi), term(oi)
+        probe.holders += examined
+
+    # -- probe subject checks ------------------------------------------
+
+    def _probe(
+        self,
+        pattern: ast.TriplePattern,
+        star: Dict[str, List[StarCheck]],
+        domain: Set[str],
+    ) -> _Probe:
+        """The probe for one BGP step: the checks of its subject's star
+        other than the step's own pattern, when the subject is still
+        unbound (a bound subject walks its own objects instead)."""
+        subject = pattern.subject
+        if not isinstance(subject, Variable) or subject.name in domain:
+            return _Probe()
+        return _Probe(
+            [check for check in star.get(subject.name, ())
+             if check[0] is not pattern]
         )
+
+    def _star_checks(
+        self, bgp: ast.BGP, group_filters: List[ast.Filter]
+    ) -> Dict[str, List[StarCheck]]:
+        """Subject variable -> the checks its mandatory patterns in
+        ``bgp`` imply, memoised per evaluation.
+
+        Only patterns with a constant predicate count, and only the
+        comparison FILTERs of the enclosing group
+        (:func:`_object_filters`).  Every check is a necessary condition
+        of a conjunct the BGP still evaluates, so a holder that fails
+        one has no solution and the solutions are unchanged.
+        """
+        star = self._stars.get(id(bgp))
+        if star is None:
+            filters = _object_filters(group_filters, self.constants)
+            star = {}
+            for pattern in bgp.triples:
+                subject = pattern.subject
+                if not isinstance(subject, Variable) or isinstance(
+                    pattern.predicate, Variable
+                ):
+                    continue
+                test = self._subject_test(pattern, filters)
+                if test is not None:
+                    star.setdefault(subject.name, []).append(
+                        (pattern, _pattern_text(pattern), test)
+                    )
+            self._stars[id(bgp)] = star
+        return star
+
+    def _subject_test(
+        self,
+        pattern: ast.TriplePattern,
+        filters: Dict[str, List[ast.Expression]],
+    ) -> Optional[HolderTest]:
+        """An O(1) id-level test every solution's subject passes.
+
+        * ``?x rdf:type C`` under inference: an asserted type of x lies
+          in ``{C} ∪ subclasses(C)``;
+        * ``?x q c`` (a constant, or a parameter with one value in
+          every seed row): ``c ∈ objects(x, q)``;
+        * ``?x q ?v``: x has a q-object that passes every comparison
+          FILTER on ``?v`` (just "has a q-object" without any).
+        """
+        graph = self.graph
+        objects = graph.object_ids
+        obj = pattern.object
+        if isinstance(obj, Variable):
+            if obj.name == pattern.subject.name:
+                return None
+            obj = self.constants.get(obj.name, obj)
+        pi = graph.term_id(pattern.predicate)
+        if pi is None:
+            return _never
+        if self.inference is not None and pattern.predicate == RDF.type:
+            if isinstance(obj, Variable):
+                # Inferred types are superclasses of asserted ones, so
+                # a FILTER on them cannot be read off asserted objects.
+                return lambda si: bool(objects(si, pi))
+            classes = self._subclass_ids(obj)
+            return lambda si: not classes.isdisjoint(objects(si, pi))
+        if not isinstance(obj, Variable):
+            oi = graph.term_id(obj)
+            if oi is None:
+                return _never
+            return lambda si: oi in objects(si, pi)
+        name = obj.name
+        exprs = filters.get(name)
+        if not exprs:
+            return lambda si: bool(objects(si, pi))
+        passing: List[AbstractSet[int]] = []
+
+        def passes(si: int) -> bool:
+            if not passing:
+                # Lazily, once per evaluation: the first probe that
+                # reaches this check runs the FILTERs over q's distinct
+                # objects through the engine's own evaluator, which
+                # keeps their error semantics.
+                passing.append(self._passing_objects(pi, name, exprs))
+            return not passing[0].isdisjoint(objects(si, pi))
+
+        return passes
+
+    def _passing_objects(
+        self, pi: int, name: str, exprs: Sequence[ast.Expression]
+    ) -> Set[int]:
+        """Ids of the distinct objects of predicate ``pi`` that pass
+        every expression with ``?name`` bound to them."""
+        graph = self.graph
+        row = dict(self.constants)
+        out: Set[int] = set()
+        for oi in graph.object_ids(None, pi):
+            row[name] = graph.term_for_id(oi)
+            if all(self._filter_passes(e, row) for e in exprs):
+                out.add(oi)
+        return out
+
+    def _subclass_ids(self, cls: Term) -> Set[int]:
+        """Term ids of ``cls`` and its subclasses (once per evaluation)."""
+        ids = self._class_ids.get(cls)
+        if ids is None:
+            graph = self.graph
+            ids = {
+                tid
+                for tid in map(
+                    graph.term_id, {cls, *self.inference.subclasses(cls)}
+                )
+                if tid is not None
+            }
+            self._class_ids[cls] = ids
+        return ids
 
     def _spatial_restriction(
         self,
@@ -1029,6 +1225,80 @@ def _evaluable_filters(
         and _expr_variables(f.expression) <= domain
         and not _contains_bound_call(f.expression)
     ]
+
+
+def _explain_step(entry: dict, rows: int, probe: _Probe) -> None:
+    """Record one executed BGP step in its EXPLAIN entry."""
+    entry["actual_rows"].append(rows)
+    entry["probe_holders"].append(probe.holders if probe.used else None)
+    entry["probe_checks"].append(list(probe.texts) if probe.used else None)
+
+
+def _explain_skipped(entry: dict, steps: int) -> None:
+    """Pad an EXPLAIN entry for the steps an empty one skipped."""
+    for key, fill in (
+        ("actual_rows", 0),
+        ("probe_holders", None),
+        ("probe_checks", None),
+    ):
+        entry[key].extend([fill] * (steps - len(entry[key])))
+
+
+def _never(si: int) -> bool:
+    return False
+
+
+def _object_filters(
+    group_filters: List[ast.Filter], constants: Row
+) -> Dict[str, List[ast.Expression]]:
+    """Variable -> the comparison conjuncts of the group's FILTERs that
+    read nothing else but constants and the parameters in
+    ``constants``.
+
+    A conjunct counts when it is ``= != < <= > >=`` between ``?v`` or
+    ``str(?v)`` and constants or such parameters — the shape of the
+    ``str(?pTime) >= str(?__window_start)`` windows.  Function filters,
+    spatial predicates above all, are deliberately left out: the R-tree
+    already serves those, and evaluating one over every distinct object
+    costs more than it saves.
+    """
+    out: Dict[str, List[ast.Expression]] = {}
+    for f in group_filters:
+        for conjunct in _conjuncts(f.expression):
+            name = _compared_variable(conjunct, constants)
+            if name is not None:
+                out.setdefault(name, []).append(conjunct)
+    return out
+
+
+def _conjuncts(expr: ast.Expression) -> List[ast.Expression]:
+    if isinstance(expr, ast.BinaryExpr) and expr.op == "&&":
+        return _conjuncts(expr.left) + _conjuncts(expr.right)
+    return [expr]
+
+
+def _compared_variable(
+    expr: ast.Expression, constants: Row
+) -> Optional[str]:
+    """The one variable a simple comparison reads, or None."""
+    if not (
+        isinstance(expr, ast.BinaryExpr) and expr.op in _COMPARISON_OPS
+    ):
+        return None
+    names: Set[str] = set()
+    for side in (expr.left, expr.right):
+        if (
+            isinstance(side, ast.FunctionCall)
+            and side.name == "str"
+            and len(side.args) == 1
+        ):
+            side = side.args[0]
+        if not isinstance(side, ast.TermExpr):
+            return None
+        term = side.term
+        if isinstance(term, Variable) and term.name not in constants:
+            names.add(term.name)
+    return names.pop() if len(names) == 1 else None
 
 
 def _spatial_filter_pairs(

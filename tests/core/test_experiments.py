@@ -15,7 +15,11 @@ from repro.experiments import (
     run_table2,
 )
 from repro.experiments.figure6 import Figure6Config
-from repro.experiments.figure8 import Figure8Config
+from repro.experiments.figure8 import (
+    AcquisitionTimings,
+    Figure8Config,
+    Figure8Result,
+)
 from repro.experiments.table1 import Table1Config
 from repro.experiments.table2 import Table2Config
 
@@ -93,6 +97,46 @@ class TestFigure8:
         slowest = result.slowest_operation("MSG1")
         assert slowest in row.seconds_by_operation
         assert "Figure 8" in format_figure8_result(result)
+
+    def test_slopes_on_a_synthetic_series(self):
+        # Store flat at 5 ms, Municipalities rising 2 ms per
+        # acquisition around noise that cancels, Time Persistence
+        # falling 0.5 ms per acquisition.
+        noise = [0.3, -0.3, -0.3, 0.3]
+        result = Figure8Result(
+            series={
+                "MSG1": [
+                    AcquisitionTimings(
+                        timestamp=START + timedelta(minutes=5 * i),
+                        hotspots=10,
+                        seconds_by_operation={
+                            "Store": 0.005,
+                            "Municipalities": (10 + 2 * i + noise[i])
+                            / 1000,
+                            "Time Persistence": (8 - 0.5 * i) / 1000,
+                        },
+                    )
+                    for i in range(4)
+                ],
+                "MSG2": [],
+            }
+        )
+        assert result.slope_ms("MSG1", "Store") == pytest.approx(0.0)
+        assert result.slope_ms("MSG1", "Municipalities") == pytest.approx(
+            2.0
+        )
+        assert result.slope_ms(
+            "MSG1", "Time Persistence"
+        ) == pytest.approx(-0.5)
+        # An absent operation is flat; too short a series has no slope.
+        assert result.slope_ms("MSG1", "Refine In Coast") == 0.0
+        assert result.slope_ms("MSG2", "Store") == 0.0
+        text = format_figure8_result(result)
+        slope_row = next(
+            line for line in text.splitlines() if line.startswith("slope ")
+        )
+        assert slope_row.split()[1:4] == ["+0.000", "+2.000", "+0.000"]
+        assert slope_row.split()[-1] == "-0.500"
 
 
 class TestFigure6:

@@ -64,6 +64,26 @@ def test_writer_mutations_do_not_leak_into_snapshot():
     assert (u("s0"), u("p"), Literal(0)) not in g
 
 
+def test_a_no_op_write_does_not_copy_the_store():
+    """Re-adding a present triple or removing an absent one is no
+    write: the live graph keeps sharing its indexes with the snapshot
+    instead of copying every one of them."""
+    g = populated()
+    snap = g.snapshot()
+    generation = g.generation
+    assert g.add(u("s0"), u("p"), Literal(0)) is False
+    g._remove_exact(u("s0"), u("p"), Literal(99))
+    g._remove_exact(u("nobody"), u("p"), Literal(0))
+    assert g.remove(u("s0"), u("p"), Literal(99)) == 0
+    assert g._spo is snap._spo and g._pos is snap._pos
+    assert g.generation == generation
+    assert g.snapshot() is snap
+    # A real write still detaches, and the snapshot keeps its state.
+    assert g.add(u("s0"), u("p"), Literal(99)) is True
+    assert g._spo is not snap._spo
+    assert (u("s0"), u("p"), Literal(99)) not in snap
+
+
 def test_snapshot_survives_writer_clear():
     g = populated()
     snap = g.snapshot()

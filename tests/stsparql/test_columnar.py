@@ -141,25 +141,25 @@ class TestExplain:
             f"?m {STRDF.term('hasGeometry').n3()} ?mg",
             f"?m {RDF.type.n3()} {NOA.term('Area').n3()}",
         ]
-        # Row-wise (update WHERE): the R-tree yields a0, a1, o0; the
-        # type check keeps a0, a1; the exact test keeps a0.
-        (bgp,) = engine.query(
-            prefixes + "INSERT { ?m noa:covers ?p } WHERE " + where,
-            params=params,
-            explain=True,
-        )["plan"]
-        assert bgp["join_order"] == join_order
-        assert bgp["actual_rows"] == [3, 1]
-        # Columnar (reads): the index join takes all four geometries,
-        # the type check keeps the three areas, the exact test keeps a0.
-        doc = engine.query(
-            prefixes + "SELECT ?m WHERE " + where,
-            params=params,
-            explain=True,
-        )
-        (bgp,) = doc["plan"]
-        assert bgp["join_order"] == join_order
-        assert bgp["actual_rows"] == [4, 1]
+        # The R-tree yields the holders a0, a1 and o0.  The probe tests
+        # each against the rest of its star (?m a noa:Area), so o0 never
+        # becomes a row: the probe step leaves a0, a1 (it left all three
+        # before subject checks were pushed into probes), and the exact
+        # test after the type check keeps a0.  Reads take the same
+        # probe now (the R-tree index join); they used to join all four
+        # geometries through the vector path.
+        for operation in (
+            "INSERT { ?m noa:covers ?p } WHERE ",  # row-wise
+            "SELECT ?m WHERE ",  # columnar
+        ):
+            doc = engine.query(
+                prefixes + operation + where, params=params, explain=True
+            )
+            (bgp,) = doc["plan"]
+            assert bgp["join_order"] == join_order
+            assert bgp["actual_rows"] == [2, 1]
+            assert bgp["probe_holders"] == [3, None]
+            assert bgp["probe_checks"] == [[join_order[1]], None]
         assert doc["rows"] == 1
 
     def test_interpreted_engine_explains_too(self):
