@@ -207,11 +207,11 @@ _SURVIVORS_AT_QUERY = _PREFIXES + """
 SELECT ?h ?hGeo ?conf ?confirmation
 WHERE {
   ?h a noa:Hotspot ;
-     noa:hasAcquisitionDateTime ?t ;
+     noa:hasAcquisitionDateTime ?__ts ;
      strdf:hasGeometry ?hGeo ;
      noa:hasConfidence ?conf .
   OPTIONAL { ?h noa:hasConfirmation ?confirmation }
-  FILTER( str(?t) = str(?__ts) ) . }
+  }
 """
 
 

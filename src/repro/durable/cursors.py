@@ -83,9 +83,13 @@ class NotificationLog:
 
     Batches are retained in memory after replay/append — the SSE
     resume path serves ``after(cursor)`` straight from this list, so a
-    reconnecting subscriber never touches disk.  The log is small by
-    construction (a handful of notifications per acquisition), but
-    :meth:`compact` can drop batches every live cursor has passed.
+    reconnecting subscriber never touches disk.  The log is *not*
+    small: with thousands of geofence subscriptions one acquisition
+    can produce thousands of notifications (about 2.6k on the
+    ``alert_fanout`` benchmark workload), all kept here until
+    :meth:`compact` drops the batches every live cursor has passed.
+    What it stores per notification, and whether it must, is open
+    (ROADMAP, the ``state_bytes_per_triple`` carry-over).
     """
 
     def __init__(self, path: str, fsync: str = "commit") -> None:

@@ -26,10 +26,16 @@ A hotspot is served when it is typed ``noa:Hotspot`` under RDFS
 inference and carries a non-empty geometry, an acquisition time and a
 confidence; :func:`~repro.serve.subscribe.hotspot_record` is the one
 star reader, shared with the alert families.
+
+Each row's feature is JSON-encoded once, when the row is built, so a
+row a commit did not touch keeps its bytes from one publication to the
+next.  :func:`collection_bytes` assembles a response body from those
+bytes: a read encodes only its small per-request tail, never a feature.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from dataclasses import dataclass
@@ -103,11 +109,18 @@ def _stored_instant(lexical: Optional[str]) -> Optional[datetime]:
         return None
 
 
+class _Feature(dict):
+    """A row's GeoJSON feature, carrying ``encoded``: its
+    ``json.dumps`` as UTF-8, made once when the row is built."""
+
+    __slots__ = ("encoded",)
+
+
 @dataclass(frozen=True)
 class _Row:
     """One served hotspot: its feature plus the fields filters test."""
 
-    feature: Dict[str, Any]
+    feature: _Feature
     envelope: Envelope
     acquired: Optional[datetime]
     confidence: Optional[float]
@@ -116,8 +129,8 @@ class _Row:
 
 
 def _row(star: HotspotRecord) -> _Row:
-    return _Row(
-        feature=feature(
+    served = _Feature(
+        feature(
             star.geometry,
             {
                 "hotspot": star.subject,
@@ -130,7 +143,11 @@ def _row(star: HotspotRecord) -> _Row:
                 "sources": list(star.sources),
                 "static": star.static,
             },
-        ),
+        )
+    )
+    served.encoded = json.dumps(served).encode("utf-8")
+    return _Row(
+        feature=served,
         envelope=star.geometry.envelope,
         acquired=_stored_instant(star.acquired),
         confidence=star.confidence,
@@ -142,8 +159,10 @@ def _row(star: HotspotRecord) -> _Row:
 class HotspotTable:
     """The served hotspots of one publication, sorted by URI.
 
-    Immutable once published; the feature dicts are shared by every
-    response that serves them, so callers must not mutate them.
+    Immutable once published; the feature dicts (and their encoded
+    bytes) are shared by every response that serves them, and by the
+    next publication's table when the commit left their star alone, so
+    callers must not mutate them.
     """
 
     def __init__(self, rows: Dict[str, _Row]) -> None:
@@ -264,6 +283,31 @@ def query_hotspots(
         "sources": list(published.sources),
     }
     return collection
+
+
+#: ``json.dumps`` of a collection up to its first feature.
+_COLLECTION_HEAD = b'{"type": "FeatureCollection", "features": ['
+
+
+def collection_bytes(collection: Dict[str, Any]) -> bytes:
+    """``json.dumps(collection)`` as UTF-8, byte for byte, for a
+    collection :func:`query_hotspots` returned (keys added after
+    ``snapshot`` included).  The features are joined from the bytes
+    their rows were encoded to at publish time; only the keys after
+    ``features`` are encoded here."""
+    tail = {
+        key: value
+        for key, value in collection.items()
+        if key not in ("type", "features")
+    }
+    return b"".join(
+        (
+            _COLLECTION_HEAD,
+            b", ".join(f.encoded for f in collection["features"]),
+            b"], ",
+            json.dumps(tail)[1:].encode("utf-8"),
+        )
+    )
 
 
 def parse_bbox(text: str) -> Envelope:

@@ -78,6 +78,7 @@ from repro.obs import (
 from repro.obs.slo import SERVE_LATENCY_SLO_S
 from repro.serve.hotspots import (
     _stamp,
+    collection_bytes,
     parse_bbox,
     parse_instant,
     query_hotspots,
@@ -798,8 +799,11 @@ class HotspotServer:
         confirmed = flag("confirmed")
         static = flag("static")
         published = self._latest()
-        collection = await self._in_thread(
-            lambda: query_hotspots(
+
+        def body() -> bytes:
+            # Called through this module's name, so a wrapper bound to
+            # ``http.query_hotspots`` (the traced benchmark) sees reads.
+            collection = query_hotspots(
                 published,
                 bbox=bbox,
                 since=since,
@@ -807,15 +811,15 @@ class HotspotServer:
                 min_confidence=min_confidence,
                 confirmed=confirmed,
                 static=static,
-            ),
-            context=ctx,
-        )
-        if ctx is not None:
-            # Provenance both ways: the publishing acquisition's trace
-            # (set by query_hotspots) plus this request's own trace.
-            collection["snapshot"]["request_trace_id"] = ctx.trace_id
-        collection["provenance"] = self._provenance(published, ctx)
-        return _json_response(200, collection)
+            )
+            if ctx is not None:
+                # Provenance both ways: the publishing acquisition's
+                # trace (set by query_hotspots) plus this request's own.
+                collection["snapshot"]["request_trace_id"] = ctx.trace_id
+            collection["provenance"] = self._provenance(published, ctx)
+            return collection_bytes(collection)
+
+        return _response(200, await self._in_thread(body, context=ctx))
 
     @staticmethod
     def _parse_query_body(body: bytes) -> Dict[str, Any]:

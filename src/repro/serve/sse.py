@@ -191,11 +191,15 @@ class SseHub:
             }
         if not live:
             return
-        by_subscription: Dict[str, List[bytes]] = {}
+        # Only streamed subscriptions' notifications are formatted: a
+        # batch can hold thousands for subscriptions nobody streams.
+        by_subscription: Dict[str, List[bytes]] = {
+            sub_id: [] for sub_id in live
+        }
         for doc in batch.notifications:
-            by_subscription.setdefault(
-                str(doc.get("subscription")), []
-            ).append(format_event(doc, batch.sequence))
+            frames = by_subscription.get(str(doc.get("subscription")))
+            if frames is not None:
+                frames.append(format_event(doc, batch.sequence))
         closing = format_event(
             {
                 "sequence": batch.sequence,
@@ -205,7 +209,7 @@ class SseHub:
             event="batch",
         )
         for sub_id, channels in live.items():
-            frames = by_subscription.get(sub_id, [])
+            frames = by_subscription[sub_id]
             for channel in channels:
                 for frame in frames:
                     channel.push_threadsafe(frame)

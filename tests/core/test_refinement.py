@@ -4,10 +4,18 @@ from datetime import datetime, timedelta
 
 import pytest
 
+from repro.core import FireMonitoringService, RunOptions, ServiceConfig
 from repro.core.products import Hotspot, HotspotProduct
-from repro.core.refinement import RefinementPipeline
+from repro.core.refinement import (
+    _PREFIXES,
+    _SURVIVORS_AT_QUERY,
+    RefinementPipeline,
+    _ts_param,
+)
 from repro.geometry import Polygon
-from repro.rdf import NOA, STRDF
+from repro.rdf import NOA, RDF
+from repro.seviri.fires import FireSeason
+from tests.conftest import CRISIS_START
 
 TS = datetime(2007, 8, 24, 15, 0)
 
@@ -159,3 +167,68 @@ class TestFullPipeline:
         fire = season.forest_fires()[0]
         pipeline.refine_acquisition(product_with([hotspot_at(fire.lon, fire.lat)]))
         assert len(pipeline.timings) == 6
+
+
+#: The survivors template as it was: ``?t`` matched over every hotspot,
+#: then compared as a string.  Kept as the oracle of the bound form.
+SURVIVORS_BY_STRING = _PREFIXES + """
+SELECT ?h ?hGeo ?conf ?confirmation
+WHERE {
+  ?h a noa:Hotspot ;
+     noa:hasAcquisitionDateTime ?t ;
+     strdf:hasGeometry ?hGeo ;
+     noa:hasConfidence ?conf .
+  OPTIONAL { ?h noa:hasConfirmation ?confirmation }
+  FILTER( str(?t) = str(?__ts) ) . }
+"""
+
+
+def _row_set(rows):
+    return sorted(
+        tuple(
+            str(row.get(var))
+            for var in ("h", "hGeo", "conf", "confirmation")
+        )
+        for row in rows
+    )
+
+
+def test_survivors_at_binds_the_acquisition_time(greece):
+    """The bound template answers what the string comparison did, and
+    its plan starts from this acquisition's subjects (or from the
+    hotspots, while those are fewer), never from the whole archive."""
+    # A season of its own: a service run advances the season it is
+    # given, and the session one must stay fresh for other tests.
+    season = FireSeason(greece, CRISIS_START, days=1, seed=7)
+    service = FireMonitoringService(
+        greece=greece, config=ServiceConfig(sources={"seed": 7})
+    )
+    base = CRISIS_START + timedelta(hours=12)
+    try:
+        for k in range(6):
+            (outcome,) = service.run(
+                [base + timedelta(minutes=15 * k)],
+                RunOptions(season=season, on_error="raise"),
+            )
+            assert outcome.status == "ok"
+            refinement = service.refinement
+            when = outcome.raw_product.timestamp
+            params = {"__ts": _ts_param(when)}
+            got = refinement.surviving_hotspots(when)
+            want = refinement.strabon.select(SURVIVORS_BY_STRING, params)
+            assert _row_set(got) == _row_set(want), f"acquisition {k}"
+            assert outcome.refined_count == len(got)
+            bgp = refinement.strabon.query(
+                _SURVIVORS_AT_QUERY, params, explain=True
+            )["plan"][0]
+            graph = refinement.strabon.graph
+            this_acquisition = graph.count(
+                None, NOA.hasAcquisitionDateTime, params["__ts"]
+            )
+            archive = graph.count(None, RDF.type, NOA.Hotspot)
+            assert bgp["actual_rows"][0] == min(this_acquisition, archive)
+        # By now the archive outgrew one acquisition's subjects.
+        assert this_acquisition < archive
+        assert bgp["join_order"][0].endswith("?__ts")
+    finally:
+        service.close()

@@ -11,9 +11,11 @@ publication re-reads.
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
 from datetime import datetime, timedelta, timezone
+from urllib.parse import urlencode
 
 import pytest
 
@@ -23,7 +25,12 @@ from repro.geometry import Envelope
 from repro.rdf import NOA, RDF, STRDF, XSD
 from repro.rdf.namespace import RDFS
 from repro.rdf.term import Literal, URI
-from repro.serve import HotspotTable, SnapshotPublisher, query_hotspots
+from repro.serve import (
+    HotspotTable,
+    SnapshotPublisher,
+    query_hotspots,
+    serve_in_thread,
+)
 from repro.serve import hotspots, subscribe
 from repro.serve.subscribe import CommitJournal, SubscriptionEngine
 from repro.seviri.fires import FireSeason
@@ -56,6 +63,72 @@ def _assert_matches_reference(published, where: str) -> None:
         assert got == want, f"{where}, filters {flags}"
 
 
+# -- the HTTP body against the dict path -------------------------------------
+
+
+class _Pinned:
+    """A stand-in service serving whichever publication the test pins."""
+
+    def __init__(self) -> None:
+        self.publisher = self
+        self.published = None
+
+    def latest(self):
+        return self.published
+
+    def health(self):
+        return {"status": "ok"}
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    service = _Pinned()
+    with serve_in_thread(service, read_workers=1) as handle:
+        yield service, handle
+
+
+def _query_string(flags) -> str:
+    params = {}
+    for name, value in flags.items():
+        if isinstance(value, Envelope):
+            value = f"{value.minx},{value.miny},{value.maxx},{value.maxy}"
+        elif isinstance(value, bool):
+            value = "true" if value else "false"
+        params[name] = str(value)
+    return urlencode(params)
+
+
+def _get_hotspots(handle, flags) -> bytes:
+    conn = http.client.HTTPConnection(*handle.address, timeout=30)
+    try:
+        conn.request("GET", "/v1/hotspots?" + _query_string(flags))
+        response = conn.getresponse()
+        body = response.read()
+    finally:
+        conn.close()
+    assert response.status == 200, body[:200]
+    return body
+
+
+def _assert_http_matches_dict_path(pinned, published, where: str) -> None:
+    """Every filter's body is ``json.dumps`` of the dict path plus its
+    provenance, byte for byte; only the request's own trace id (which
+    the dict path cannot know) is taken from the body."""
+    service, handle = pinned
+    service.published = published
+    for flags in FILTERS:
+        body = _get_hotspots(handle, flags)
+        trace_id = json.loads(body)["provenance"]["request_trace_id"]
+        want = query_hotspots(published, **flags)
+        if trace_id is not None:
+            want["snapshot"]["request_trace_id"] = trace_id
+        want["provenance"] = handle.server._provenance(published)
+        want["provenance"]["request_trace_id"] = trace_id
+        assert body == json.dumps(want).encode("utf-8"), (
+            f"{where}, filters {flags}"
+        )
+
+
 # -- a federated, durable, sharded run --------------------------------------
 
 
@@ -65,7 +138,7 @@ def table_greece():
 
 
 def test_served_bytes_equal_reference_after_every_publication(
-    table_greece, tmp_path
+    table_greece, tmp_path, pinned
 ):
     state_dir = str(tmp_path / "state")
     season = FireSeason(table_greece, CRISIS_START, days=1, seed=7)
@@ -103,6 +176,7 @@ def test_served_bytes_equal_reference_after_every_publication(
         for published, shards in publications:
             where = f"publication {published.sequence}"
             _assert_matches_reference(published, where)
+            _assert_http_matches_dict_path(pinned, published, where)
             for sid, shard in zip(manager.shard_ids, shards):
                 _assert_matches_reference(shard, f"{where}, shard {sid}")
         final = query_hotspots(publications[-1][0])["features"]
@@ -118,6 +192,7 @@ def test_served_bytes_equal_reference_after_every_publication(
     try:
         latest = reopened.publisher.require_latest()
         _assert_matches_reference(latest, "after open")
+        _assert_http_matches_dict_path(pinned, latest, "after open")
         assert query_hotspots(latest)["features"] == final
     finally:
         reopened.close()
@@ -194,7 +269,7 @@ def _mutate(graph, rng: random.Random, live: list, next_id: list):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_table_tracks_random_star_mutations(seed, monkeypatch):
+def test_table_tracks_random_star_mutations(seed, monkeypatch, pinned):
     rng = random.Random(seed)
     strabon = Strabon()
     graph = strabon.graph
@@ -237,6 +312,10 @@ def test_table_tracks_random_star_mutations(seed, monkeypatch):
         published = publisher.publish(strabon, delta=delta)
         assert len(full_builds) == int(expect_full), f"batch {batch}"
         _assert_matches_reference(published, f"seed {seed} batch {batch}")
+        # Batches 5 (CLEAR) and 8 (subClassOf) rebuilt every row.
+        _assert_http_matches_dict_path(
+            pinned, published, f"seed {seed} batch {batch}"
+        )
     served = {
         f["properties"]["hotspot"]
         for f in query_hotspots(publisher.require_latest())["features"]
@@ -293,3 +372,70 @@ def test_publication_rereads_only_changed_stars(archive, monkeypatch):
     if archive <= 10:
         _assert_matches_reference(published, f"archive {archive}")
     engine.close()
+
+
+# -- what a publication and a read encode -------------------------------------
+
+
+def _features_in(obj) -> int:
+    """GeoJSON features inside one object handed to ``json.dumps``."""
+    if isinstance(obj, dict):
+        if obj.get("type") == "Feature":
+            return 1
+        return sum(_features_in(value) for value in obj.values())
+    if isinstance(obj, (list, tuple)):
+        return sum(_features_in(value) for value in obj)
+    return 0
+
+
+@pytest.mark.parametrize("archive", [10, 1000])
+def test_reads_encode_no_feature_and_publishes_only_changed_ones(
+    archive, monkeypatch, pinned
+):
+    rng = random.Random(archive)
+    strabon = Strabon()
+    graph = strabon.graph
+    for n in range(archive):
+        _add_star(graph, n, rng)
+    publisher = SnapshotPublisher()
+    journal = CommitJournal(graph)
+    first = publisher.publish(strabon)
+    journal.drain()
+
+    encoded = []
+    real_dumps = json.dumps
+
+    def counting_dumps(obj, *args, **kwargs):
+        encoded.append(_features_in(obj))
+        return real_dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counting_dumps)
+    # One commit changing k = 3 served stars: two confirmation flips
+    # and one new hotspot.
+    for n in (1, 2):
+        graph.remove(_hotspot(n), NOA.hasConfirmation, None)
+        graph.add(_hotspot(n), NOA.hasConfirmation, NOA.confirmed)
+    _add_star(graph, archive, rng)
+    published = publisher.publish(strabon, delta=journal.drain())
+    assert sum(encoded) == 3
+    unchanged = _hotspot(5).value
+    assert [
+        row.feature.encoded
+        for row in first.hotspots.rows
+        if row.feature["properties"]["hotspot"] == unchanged
+    ] == [
+        row.feature.encoded
+        for row in published.hotspots.rows
+        if row.feature["properties"]["hotspot"] == unchanged
+    ]
+
+    service, handle = pinned
+    service.published = published
+    encoded.clear()
+    for flags in FILTERS:
+        body = _get_hotspots(handle, flags)
+        assert body.startswith(b'{"type": "FeatureCollection"')
+    assert encoded and sum(encoded) == 0
+    assert len(
+        json.loads(_get_hotspots(handle, {}))["features"]
+    ) == archive + 1
