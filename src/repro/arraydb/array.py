@@ -9,8 +9,9 @@ attribute); queries see the array as a flat relation with one row per cell.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -18,6 +19,68 @@ from repro.arraydb.column import Column
 from repro.arraydb.errors import ArrayDBError
 from repro.arraydb.table import ResultTable
 from repro.arraydb.types import INTEGER, SQLType, type_for_dtype
+
+#: Per-dimension half-open ``(start, stop)`` bounds of an array region.
+Bounds = Tuple[Tuple[int, int], ...]
+
+#: How many distinct bounds a :class:`CoordinateCache` keeps columns for.
+_CACHED_BOUNDS = 8
+
+
+def grid_coordinates(bounds: Bounds) -> Tuple[np.ndarray, ...]:
+    """One coordinate column per dimension, enumerating every cell of
+    ``bounds`` in row-major order."""
+    ranges = [np.arange(lo, hi, dtype=np.int64) for lo, hi in bounds]
+    return tuple(m.ravel() for m in np.meshgrid(*ranges, indexing="ij"))
+
+
+class CoordinateCache:
+    """Read-only coordinate columns, shared per set of bounds.
+
+    Every scan of a region with the same bounds gets the *same* column
+    objects, so an operator proves that two relations hold the same
+    cells in the same order by identity alone (:meth:`axis`) — the
+    precondition of positional execution.  Bounded LRU: an evicted
+    column is simply no longer recognised.  Not thread-safe; each
+    executor owns one.
+    """
+
+    def __init__(self) -> None:
+        self._columns: "OrderedDict[Bounds, Tuple[np.ndarray, ...]]" = (
+            OrderedDict()
+        )
+        self._axes: Dict[int, Tuple[Bounds, int]] = {}
+
+    def __call__(self, bounds: Bounds) -> Tuple[np.ndarray, ...]:
+        columns = self._columns.get(bounds)
+        if columns is not None:
+            self._columns.move_to_end(bounds)
+            return columns
+        columns = grid_coordinates(bounds)
+        for k, column in enumerate(columns):
+            column.flags.writeable = False
+            self._axes[id(column)] = (bounds, k)
+        self._columns[bounds] = columns
+        if len(self._columns) > _CACHED_BOUNDS:
+            _, evicted = self._columns.popitem(last=False)
+            for column in evicted:
+                del self._axes[id(column)]
+        return columns
+
+    def axis(self, values: np.ndarray) -> Optional[Tuple[Bounds, int]]:
+        """``(bounds, k)`` when ``values`` is the cached coordinate column
+        of dimension ``k`` over ``bounds``, else None.  Ids are safe keys:
+        the cache keeps every column it recognises alive."""
+        return self._axes.get(id(values))
+
+
+def _cast(values: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    try:
+        return values.astype(dtype, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ArrayDBError(
+            f"cannot store {values.dtype} values as {dtype}: {exc}"
+        ) from exc
 
 
 @dataclass(frozen=True)
@@ -49,23 +112,37 @@ class SciQLArray:
             raise ArrayDBError("an array needs at least one dimension")
         if not attributes:
             raise ArrayDBError("an array needs at least one value attribute")
+        for d in dimensions:
+            if d.stop < d.start:
+                raise ArrayDBError(
+                    f"dimension {d.name!r} of {name!r} ends before it "
+                    f"starts: [{d.start}:{d.stop}]"
+                )
         self.name = name
         self.dimensions = list(dimensions)
         self.attribute_types: Dict[str, SQLType] = dict(attributes)
         shape = tuple(d.size for d in dimensions)
         self.values: Dict[str, np.ndarray] = {}
         self.null_masks: Dict[str, np.ndarray] = {}
-        for attr, sql_type in attributes:
-            dtype = sql_type.dtype
-            self.values[attr] = np.zeros(shape, dtype=dtype)
-            # All cells start NULL, as in SciQL.
-            self.null_masks[attr] = np.ones(shape, dtype=bool)
+        try:
+            for attr, sql_type in attributes:
+                self.values[attr] = np.zeros(shape, dtype=sql_type.dtype)
+                # All cells start NULL, as in SciQL.
+                self.null_masks[attr] = np.ones(shape, dtype=bool)
+        except (ValueError, MemoryError) as exc:
+            raise ArrayDBError(
+                f"cannot allocate array {name!r} of shape {shape}: {exc}"
+            ) from exc
 
     # -- metadata ----------------------------------------------------------
 
     @property
     def shape(self) -> Tuple[int, ...]:
         return tuple(d.size for d in self.dimensions)
+
+    @property
+    def bounds(self) -> Bounds:
+        return tuple((d.start, d.stop) for d in self.dimensions)
 
     @property
     def dimension_names(self) -> List[str]:
@@ -149,26 +226,50 @@ class SciQLArray:
             index_arrays.append(idx)
         selector = tuple(idx[in_bounds] for idx in index_arrays)
         target_dtype = self.attribute_types[attr].dtype
-        self.values[attr][selector] = values[in_bounds].astype(target_dtype)
+        self.values[attr][selector] = _cast(values[in_bounds], target_dtype)
         if nulls is not None:
             self.null_masks[attr][selector] = nulls[in_bounds]
         else:
             self.null_masks[attr][selector] = False
         return int(in_bounds.sum())
 
+    def assign_grid(
+        self,
+        attr: str,
+        values: np.ndarray,
+        nulls: Optional[np.ndarray] = None,
+        where: Optional[np.ndarray] = None,
+    ) -> None:
+        """The positional twin of :meth:`assign_cells`: ``values``,
+        ``nulls`` and ``where`` are row-major columns over every cell of
+        the array, and the cells ``where`` selects (all when None) take
+        their row's value."""
+        shape = self.shape
+        cells = Ellipsis if where is None else where.reshape(shape)
+        grid = np.asarray(values).reshape(shape)[cells]
+        self.values[attr][cells] = _cast(grid, self.attribute_types[attr].dtype)
+        self.null_masks[attr][cells] = (
+            False if nulls is None else nulls.reshape(shape)[cells]
+        )
+
     # -- relational view -----------------------------------------------------
 
     def scan(
-        self, slices: Optional[Sequence[Tuple[int, int]]] = None
+        self,
+        slices: Optional[Sequence[Tuple[int, int]]] = None,
+        coordinates: Callable[[Bounds], Tuple[np.ndarray, ...]] = (
+            grid_coordinates
+        ),
     ) -> ResultTable:
         """Flatten (a slice of) the array into a relation.
 
         ``slices`` gives per-dimension ``[lo, hi)`` bounds in *dimension
         coordinates* (not zero-based offsets).  Rows whose every attribute
-        is NULL are kept — SciQL arrays are dense relations.
+        is NULL are kept — SciQL arrays are dense relations, in row-major
+        cell order.  ``coordinates`` makes the dimension columns of the
+        scanned bounds (a :class:`CoordinateCache` shares them).
         """
-        index_ranges: List[np.ndarray] = []
-        offset_ranges: List[np.ndarray] = []
+        bounds: List[Tuple[int, int]] = []
         for i, dim in enumerate(self.dimensions):
             if slices is not None and slices[i] is not None:
                 lo, hi = slices[i]
@@ -178,23 +279,23 @@ class SciQLArray:
                     lo, hi = dim.start, dim.start  # empty
             else:
                 lo, hi = dim.start, dim.stop
-            index_ranges.append(np.arange(lo, hi, dtype=np.int64))
-            offset_ranges.append(np.arange(lo - dim.start, hi - dim.start))
-        mesh = np.meshgrid(*index_ranges, indexing="ij")
+            bounds.append((lo, hi))
         columns: List[Column] = [
-            Column(dim.name, INTEGER, m.ravel(), None)
-            for dim, m in zip(self.dimensions, mesh)
+            Column(dim.name, INTEGER, values, None)
+            for dim, values in zip(self.dimensions, coordinates(tuple(bounds)))
         ]
-        selector = np.ix_(*offset_ranges) if offset_ranges else ()
+        selector = tuple(
+            slice(lo - dim.start, hi - dim.start)
+            for dim, (lo, hi) in zip(self.dimensions, bounds)
+        )
         for attr, grid in self.values.items():
-            sub = grid[selector]
             nulls = self.null_masks[attr][selector]
             columns.append(
                 Column(
                     attr,
                     self.attribute_types[attr],
-                    sub.ravel(),
-                    nulls.ravel() if nulls.any() else None,
+                    grid[selector].flatten(),
+                    nulls.flatten() if nulls.any() else None,
                 )
             )
         return ResultTable(columns)

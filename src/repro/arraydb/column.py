@@ -53,10 +53,16 @@ class Column:
             )
         else:
             fill: Any = 0
-            values = np.array(
-                [fill if v is None else v for v in raw],
-                dtype=sql_type.dtype,
-            )
+            try:
+                values = np.array(
+                    [fill if v is None else v for v in raw],
+                    dtype=sql_type.dtype,
+                )
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ArrayDBError(
+                    f"column {name!r} cannot hold these values as "
+                    f"{sql_type.name}: {exc}"
+                ) from exc
         return cls(name, sql_type, values, nulls if has_nulls else None)
 
     def __len__(self) -> int:

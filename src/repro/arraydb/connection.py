@@ -10,14 +10,20 @@ import numpy as np
 
 from repro.arraydb.array import SciQLArray
 from repro.arraydb.catalog import Catalog
+from repro.arraydb.sql import ast
 from repro.arraydb.sql.executor import Executor
 from repro.arraydb.sql.parser import parse_script, parse_statement
 from repro.arraydb.table import ResultTable, Table
 from repro.arraydb.vault import DataVault
 from repro.obs import get_metrics, get_tracer, is_enabled
+from repro.perf.lru import LRUCache
 
 _tracer = get_tracer()
 _metrics = get_metrics()
+
+#: Parsed statements a connection keeps, keyed on their text: the chain
+#: runs the same few statements on every acquisition.
+_PARSED_STATEMENTS = 64
 
 
 @dataclass
@@ -51,6 +57,17 @@ class MonetDB:
         self._executor = Executor(self.catalog, vault=self.vault)
         self._executor_kind = ""
         self.last_stats = ExecStats()
+        self._parsed = LRUCache(_PARSED_STATEMENTS)
+
+    def _parse(self, sql: str) -> ast.Statement:
+        """The statement ``sql`` parses to, reused across calls (ASTs
+        are frozen dataclasses); text that fails to parse raises on
+        every call and is never cached."""
+        stmt = self._parsed.get(sql)
+        if stmt is None:
+            stmt = parse_statement(sql)
+            self._parsed.put(sql, stmt)
+        return stmt
 
     def execute(self, sql: str) -> Optional[ResultTable]:
         """Run one statement; returns a result for SELECTs, else None."""
@@ -79,7 +96,7 @@ class MonetDB:
 
     def _execute_plain(self, sql: str) -> Optional[ResultTable]:
         t0 = time.perf_counter()
-        stmt = parse_statement(sql)
+        stmt = self._parse(sql)
         t1 = time.perf_counter()
         scanned_before = self._executor.rows_scanned
         result = self._executor.execute(stmt)

@@ -4,15 +4,27 @@ Evaluation follows MonetDB's model: every operator consumes and produces
 whole columns (numpy arrays) rather than iterating rows.  Structural
 grouping reshapes the input relation back into its dense grid and runs
 window aggregates over it.
+
+Aligned arrays execute positionally, as MonetDB/SciQL does: array scans
+share read-only coordinate columns per set of bounds
+(:class:`~repro.arraydb.array.CoordinateCache`), and a relation whose
+dimension columns *are* those shared columns holds every cell of the
+bounds in row-major order.  On such relations an equi-join of a grid's
+dimensions with themselves is the identity, structural grouping needs
+no sort, element access into an array with the same bounds is a flat
+copy, and INSERT ... SELECT / UPDATE write whole grids.  Anything else
+— shifted starts, different slices, duplicate keys, computed
+coordinates — takes the general coordinate-matching path.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arraydb.array import Dimension, SciQLArray
+from repro.arraydb.array import Bounds, CoordinateCache, Dimension, SciQLArray
 from repro.arraydb.catalog import Catalog
 from repro.arraydb.column import Column
 from repro.arraydb.errors import SQLRuntimeError
@@ -94,6 +106,47 @@ class Executor:
         #: connection layer diffs this around a statement to report
         #: rows-scanned per statement.
         self.rows_scanned = 0
+        self.coordinates = CoordinateCache()
+
+    # -- positional execution -------------------------------------------------
+
+    def _axis(self, values: np.ndarray) -> Optional[Tuple[Bounds, int]]:
+        """``(bounds, k)`` when ``values`` is the shared coordinate column
+        of dimension ``k`` over ``bounds``; every positional path starts
+        from this test."""
+        return self.coordinates.axis(values)
+
+    def _grid_bounds(self, columns: Sequence[np.ndarray]) -> Optional[Bounds]:
+        """The bounds whose every cell ``columns`` enumerate in row-major
+        order — column ``k`` being the shared coordinate column of
+        dimension ``k`` — else None."""
+        axes = [self._axis(values) for values in columns]
+        if not axes or axes[0] is None:
+            return None
+        bounds = axes[0][0]
+        if len(bounds) != len(axes) or any(
+            axis != (bounds, k) for k, axis in enumerate(axes)
+        ):
+            return None
+        return bounds
+
+    def _same_cells(self, pairs: List[Tuple[Column, Column]]) -> bool:
+        """Whether an equi-join pairs every dimension of one grid with
+        itself on both sides: both then hold the same cells in the same
+        order, so row i matches row i and nothing else."""
+        axes = set()
+        for lcol, rcol in pairs:
+            axis = self._axis(lcol.values)
+            if (
+                axis is None
+                or rcol.values is not lcol.values
+                or lcol.nulls is not None
+                or rcol.nulls is not None
+            ):
+                return False
+            axes.add(axis)
+        bounds = {b for b, _ in axes}
+        return len(bounds) == 1 and len(axes) == len(next(iter(bounds)))
 
     # -- statement dispatch --------------------------------------------------
 
@@ -148,8 +201,10 @@ class Executor:
 
     def _const_int(self, expr: ast.Expr) -> int:
         value = self._eval_constant(expr)
-        if not isinstance(value, (int, float)):
-            raise SQLRuntimeError("dimension bounds must be numeric")
+        if not isinstance(value, (int, float)) or (
+            isinstance(value, float) and not math.isfinite(value)
+        ):
+            raise SQLRuntimeError("dimension bounds must be finite numbers")
         return int(value)
 
     def _eval_constant(self, expr: ast.Expr):
@@ -166,8 +221,19 @@ class Executor:
         ]
         if isinstance(obj, Table):
             if stmt.columns:
+                unknown = set(stmt.columns) - set(obj.column_names)
+                if unknown:
+                    raise SQLRuntimeError(
+                        f"table {obj.name!r} has no column(s) "
+                        f"{sorted(unknown)}"
+                    )
                 reordered = []
                 for row in rows:
+                    if len(row) != len(stmt.columns):
+                        raise SQLRuntimeError(
+                            f"{len(row)} value(s) for "
+                            f"{len(stmt.columns)} column(s)"
+                        )
                     provided = dict(zip(stmt.columns, row))
                     reordered.append(
                         tuple(
@@ -179,19 +245,29 @@ class Executor:
             return
         # Array: rows are (dim..., value...).
         ndims = len(obj.dimensions)
-        dim_cols = [
-            np.array([row[i] for row in rows], dtype=np.int64)
-            for i in range(ndims)
-        ]
-        for j, attr in enumerate(obj.attribute_names):
-            values = np.array(
-                [row[ndims + j] for row in rows], dtype=object
+        width = ndims + len(obj.attribute_names)
+        if any(len(row) != width for row in rows):
+            raise SQLRuntimeError(
+                f"array {obj.name!r} rows take {width} values"
             )
-            nulls = np.array([v is None for v in values])
-            clean = np.where(nulls, 0, values).astype(
-                obj.attribute_types[attr].dtype
-            )
-            obj.assign_cells(dim_cols, attr, clean, nulls)
+        try:
+            dim_cols = [
+                np.array([row[i] for row in rows], dtype=np.int64)
+                for i in range(ndims)
+            ]
+            for j, attr in enumerate(obj.attribute_names):
+                values = np.array(
+                    [row[ndims + j] for row in rows], dtype=object
+                )
+                nulls = np.array([v is None for v in values])
+                clean = np.where(nulls, 0, values).astype(
+                    obj.attribute_types[attr].dtype
+                )
+                obj.assign_cells(dim_cols, attr, clean, nulls)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SQLRuntimeError(
+                f"cannot store the values in array {obj.name!r}: {exc}"
+            ) from exc
 
     def _insert_select(self, stmt: ast.InsertSelect) -> None:
         result = self.run_select(stmt.query)
@@ -214,6 +290,7 @@ class Executor:
                 result.columns[i].values for i in range(len(dim_names))
             ]
             remaining = result.columns[len(dim_names):]
+        whole_grid = self._grid_bounds(dim_cols) == obj.bounds
         for i, attr in enumerate(obj.attribute_names):
             source = None
             for col in remaining:
@@ -225,9 +302,12 @@ class Executor:
                     source = remaining[i]
                 else:
                     continue
-            obj.assign_cells(
-                dim_cols, attr, source.values, source.nulls
-            )
+            if whole_grid:
+                obj.assign_grid(attr, source.values, source.nulls)
+            else:
+                obj.assign_cells(
+                    dim_cols, attr, source.values, source.nulls
+                )
 
     def _delete(self, stmt: ast.DeleteFrom) -> None:
         table = self.catalog.get_table(stmt.table)
@@ -240,25 +320,30 @@ class Executor:
 
     def _update(self, stmt: ast.UpdateStmt) -> None:
         obj = self.catalog.get(stmt.table)
+        targets = (
+            obj.attribute_types
+            if isinstance(obj, SciQLArray)
+            else obj.column_names
+        )
+        unknown = {attr for attr, _ in stmt.assignments} - set(targets)
+        if unknown:
+            raise SQLRuntimeError(
+                f"cannot assign {sorted(unknown)} in {obj.name!r}"
+            )
         if isinstance(obj, SciQLArray):
-            frame = Frame.from_result(obj.scan(), stmt.table)
+            # The scan is the whole grid in row-major order, so row r is
+            # cell r: the cells whose row passes WHERE take the values.
+            frame = Frame.from_result(
+                obj.scan(coordinates=self.coordinates), stmt.table
+            )
             mask = (
                 self._eval_predicate(stmt.where, frame)
                 if stmt.where is not None
-                else np.ones(frame.num_rows, dtype=bool)
+                else None
             )
-            dim_cols = [
-                frame.resolve(d, None).values[mask]
-                for d in obj.dimension_names
-            ]
             for attr, expr in stmt.assignments:
                 values, nulls = self._eval(expr, frame, frame.num_rows)
-                obj.assign_cells(
-                    dim_cols,
-                    attr,
-                    np.asarray(values)[mask],
-                    None if nulls is None else nulls[mask],
-                )
+                obj.assign_grid(attr, values, nulls, where=mask)
             return
         table = obj
         scan = table.scan()
@@ -319,7 +404,8 @@ class Executor:
         if query.order_by:
             result = self._order(result, query, frame)
         if query.offset:
-            result = result.take(np.arange(query.offset, result.num_rows))
+            start = min(query.offset, result.num_rows)
+            result = result.take(np.arange(start, result.num_rows))
         if query.limit is not None:
             result = result.take(
                 np.arange(min(query.limit, result.num_rows))
@@ -361,7 +447,9 @@ class Executor:
                 ]
                 while len(slices) < len(obj.dimensions):
                     slices.append(None)  # type: ignore[arg-type]
-            frame = Frame.from_result(obj.scan(slices), qualifier)
+            frame = Frame.from_result(
+                obj.scan(slices, coordinates=self.coordinates), qualifier
+            )
         elif ref.slices:
             raise SQLRuntimeError(f"{ref.name!r} is not an array; cannot slice")
         else:
@@ -382,16 +470,19 @@ class Executor:
                 lcol = left.resolve(rref.name, rref.qualifier)
                 rcol = right.resolve(lref.name, lref.qualifier)
             pairs.append((lcol, rcol))
-        if not pairs:
-            # Cross join then residual filter.
-            li = np.repeat(np.arange(left.num_rows), right.num_rows)
-            ri = np.tile(np.arange(right.num_rows), left.num_rows)
+        if pairs and self._same_cells(pairs):
+            joined = Frame(left.entries + right.entries)
         else:
-            li, ri = _hash_join(pairs)
-        joined = Frame(
-            [(q, c.take(li)) for q, c in left.entries]
-            + [(q, c.take(ri)) for q, c in right.entries]
-        )
+            if not pairs:
+                # Cross join then residual filter.
+                li = np.repeat(np.arange(left.num_rows), right.num_rows)
+                ri = np.tile(np.arange(right.num_rows), left.num_rows)
+            else:
+                li, ri = _hash_join(pairs)
+            joined = Frame(
+                [(q, c.take(li)) for q, c in left.entries]
+                + [(q, c.take(ri)) for q, c in right.entries]
+            )
         if residual is not None:
             joined = joined.filter(self._eval_predicate(residual, joined))
         return joined
@@ -490,18 +581,27 @@ class Executor:
             )
         if len(dim_names) != 2:
             raise SQLRuntimeError("structural grouping supports 2-D windows")
-        xs = frame.resolve(dim_names[0], None).values.astype(np.int64)
-        ys = frame.resolve(dim_names[1], None).values.astype(np.int64)
-        grid_shape, order, x_axis, y_axis = _grid_order(xs, ys)
-        sorted_frame = frame.take(order)
+        xs = frame.resolve(dim_names[0], None).values
+        ys = frame.resolve(dim_names[1], None).values
+        bounds = self._grid_bounds([xs, ys])
+        order: Optional[np.ndarray] = None  # None: rows are in grid order
+        if bounds is not None and frame.num_rows:
+            grid_shape = tuple(hi - lo for lo, hi in bounds)
+        else:
+            grid_shape, order = _grid_order(
+                xs.astype(np.int64), ys.astype(np.int64)
+            )
 
         def to_grid(vec: VectorValue) -> Tuple[np.ndarray, Optional[np.ndarray]]:
             values, nulls = vec
-            grid = np.asarray(values)[order].reshape(grid_shape)
-            ngrid = None
-            if nulls is not None:
-                ngrid = nulls[order].reshape(grid_shape)
-            return grid, ngrid
+            values = np.asarray(values)
+            if order is not None:
+                values = values[order]
+                nulls = None if nulls is None else nulls[order]
+            return (
+                values.reshape(grid_shape),
+                None if nulls is None else nulls.reshape(grid_shape),
+            )
 
         n = frame.num_rows
         columns: List[Column] = []
@@ -726,10 +826,20 @@ class Executor:
         attr = expr.attribute or arr.attribute_names[0]
         grid = arr.attribute_grid(attr)
         null_grid = arr.attribute_nulls(attr)
+        indices = [
+            self._eval(index_expr, frame, length, group_mode, window)
+            for index_expr in expr.indices
+        ]
+        if (
+            all(inulls is None for _, inulls in indices)
+            and self._grid_bounds([iv for iv, _ in indices]) == arr.bounds
+        ):
+            # The rows address every cell of ``arr`` in row-major order.
+            nulls = null_grid.flatten()
+            return grid.flatten(), (nulls if nulls.any() else None)
         index_vectors = []
         in_bounds = None
-        for dim, index_expr in zip(arr.dimensions, expr.indices):
-            iv, inulls = self._eval(index_expr, frame, length, group_mode, window)
+        for dim, (iv, inulls) in zip(arr.dimensions, indices):
             idx = np.asarray(iv)
             idx = np.round(idx).astype(np.int64) - dim.start
             ok = (idx >= 0) & (idx < dim.size)
@@ -760,16 +870,17 @@ class Executor:
                 out_grid, out_nulls = window_aggregate(
                     "count" if expr.star else name, grid, null_grid, offsets
                 )
+                flat = out_grid.reshape(-1)
+                flat_nulls = None if out_nulls is None else out_nulls.reshape(-1)
+                if order is None:
+                    return flat, flat_nulls
                 # Back to the frame's original row order.
                 inverse = np.empty_like(order)
                 inverse[order] = np.arange(len(order))
-                flat = out_grid.reshape(-1)[inverse]
-                flat_nulls = (
-                    out_nulls.reshape(-1)[inverse]
-                    if out_nulls is not None
-                    else None
+                return (
+                    flat[inverse],
+                    None if flat_nulls is None else flat_nulls[inverse],
                 )
-                return flat, flat_nulls
             if group_mode:
                 if expr.star:
                     return np.array([frame.num_rows]), None
@@ -827,6 +938,8 @@ def _literal_vector(value, length: int) -> VectorValue:
     if isinstance(value, bool):
         return np.full(length, value, dtype=bool), None
     if isinstance(value, int):
+        if not -(1 << 63) <= value < (1 << 63):
+            raise SQLRuntimeError(f"integer {value} is out of 64-bit range")
         return np.full(length, value, dtype=np.int64), None
     if isinstance(value, float):
         return np.full(length, value, dtype=np.float64), None
@@ -1061,8 +1174,11 @@ def _window_offset(expr: ast.Expr, dim: str) -> int:
     return int(ev(expr))
 
 
-def _grid_order(xs: np.ndarray, ys: np.ndarray):
-    """Sort row indices into a dense (nx, ny) grid ordering."""
+def _grid_order(
+    xs: np.ndarray, ys: np.ndarray
+) -> Tuple[Tuple[int, int], np.ndarray]:
+    """The dense (nx, ny) grid shape and the row order that sorts the
+    rows into it."""
     ux = np.unique(xs)
     uy = np.unique(ys)
     nx, ny = len(ux), len(uy)
@@ -1071,5 +1187,4 @@ def _grid_order(xs: np.ndarray, ys: np.ndarray):
             "structural grouping requires a dense rectangular grid "
             f"({nx}x{ny} != {len(xs)} rows)"
         )
-    order = np.lexsort((ys, xs))
-    return (nx, ny), order, 0, 1
+    return (nx, ny), np.lexsort((ys, xs))

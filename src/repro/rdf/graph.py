@@ -23,11 +23,18 @@ Two concrete classes share the read path (:class:`TripleReader`):
 
 * :class:`Graph` — the mutable store refinement writes to,
 * :class:`GraphSnapshot` — a frozen, generation-stamped view produced by
-  :meth:`Graph.snapshot`.  Snapshots are **copy-on-write**: taking one is
-  O(1) (the snapshot borrows the live indexes), and the *writer* pays for
-  isolation by detaching onto private copies before its next mutation.
-  Readers holding a snapshot therefore never block and never observe a
-  torn update, no matter how the live graph moves on.
+  :meth:`Graph.snapshot`.  Snapshots are **copy-on-write by bucket**:
+  taking one is O(1) (the snapshot borrows the live indexes), and the
+  *writer* pays for isolation in proportion to its delta.  Its first
+  write after a snapshot shallow-copies the three top-level index dicts
+  (and the term dictionary once it interns a new term); after that a
+  write copies only the buckets it touches — ``_spo[s]``, ``_pos[p]``,
+  ``_osp[o]`` and the inner sets under them — and only those the latest
+  snapshot holds (the same object under the same key); a bucket the
+  writer made since then is its own.  Ownership resets with every
+  :meth:`Graph.snapshot`.  A snapshot therefore never
+  references a container the writer mutates: readers never block and
+  never observe a torn update, no matter how the live graph moves on.
 """
 
 from __future__ import annotations
@@ -327,10 +334,16 @@ class Graph(TripleReader):
         self._geometry_epoch = 0
         self._size = 0
         self._generation = 0
-        # Copy-on-write state: while ``_shared`` the index structures are
-        # borrowed by at least one live snapshot and must not be mutated
-        # in place.
+        # Copy-on-write state.  ``_base`` holds the latest snapshot's
+        # three index dicts (empty ones while nothing is shared): a
+        # bucket of the live indexes is the snapshot's exactly when the
+        # snapshot holds that very object under the same key, and the
+        # writer copies it before writing into it.  While ``_shared`` the
+        # snapshot also borrows the top-level dicts and the predicate
+        # counters, while ``_terms_shared`` the term dictionary.
         self._shared = False
+        self._terms_shared = False
+        self._base: Tuple[dict, dict, dict] = ({}, {}, {})
         self._cached_snapshot: Optional["GraphSnapshot"] = None
         # Durability hook: when a repro.durable.GraphJournal is
         # attached here, every successful mutation is recorded for the
@@ -342,51 +355,89 @@ class Graph(TripleReader):
     def snapshot(self) -> "GraphSnapshot":
         """A frozen, generation-stamped view of the current state.
 
-        O(1): the snapshot borrows the live index structures.  The first
-        mutation after a snapshot was taken detaches the live graph onto
-        private copies (:meth:`_detach`), so existing snapshots keep
-        reading exactly the state they captured.  Repeated calls between
-        mutations return the *same* snapshot object — derived structures
-        built on it (R-trees, inference closures) are shared for free.
+        O(1): the snapshot borrows the live index structures, and every
+        bucket now in them becomes the snapshot's: the writer copies a
+        bucket before its first write into it (:meth:`_link`,
+        :meth:`_unlink`), so existing snapshots keep reading exactly the
+        state they captured.  Repeated calls between mutations return
+        the *same* snapshot object — derived structures built on it
+        (R-trees, inference closures) are shared for free.
         """
         cached = self._cached_snapshot
         if cached is not None and cached.generation == self._generation:
             return cached
         snap = GraphSnapshot(self)
         self._cached_snapshot = snap
-        self._shared = True
+        self._shared = self._terms_shared = True
+        # Ownership resets: any bucket that exists now is held by it.
+        self._base = (self._spo, self._pos, self._osp)
         return snap
 
     def _detach(self) -> None:
-        """Replace borrowed index structures with private copies.
+        """Take private copies of the top-level index dicts and the
+        predicate counters before the first write after a snapshot.
 
-        Costs one pass over the graph, paid by the *writer* at most once
-        per snapshot-then-mutate cycle; readers never pay anything.
+        Shallow copies: the buckets under them stay shared until a write
+        touches them.  Paid by the *writer* once per snapshot-then-mutate
+        cycle; readers never pay anything.
         """
         if not self._shared:
             return
-        self._term_to_id = dict(self._term_to_id)
-        self._id_to_term = list(self._id_to_term)
-        self._spo = {
-            s: {p: set(o) for p, o in by_p.items()}
-            for s, by_p in self._spo.items()
-        }
-        self._pos = {
-            p: {o: set(s) for o, s in by_o.items()}
-            for p, by_o in self._pos.items()
-        }
-        self._osp = {
-            o: {s: set(p) for s, p in by_s.items()}
-            for o, by_s in self._osp.items()
-        }
+        self._spo = dict(self._spo)
+        self._pos = dict(self._pos)
+        self._osp = dict(self._osp)
         self._predicate_counts = dict(self._predicate_counts)
         self._shared = False
+
+    @staticmethod
+    def _link(index: dict, base: dict, a: int, b: int, c: int) -> None:
+        """Add ``c`` to ``index[a][b]``, creating the buckets it needs;
+        a bucket ``base`` (the latest snapshot's index) holds is copied
+        before the write."""
+        inner = index.get(a)
+        if inner is None:
+            index[a] = {b: {c}}
+            return
+        held = base.get(a)
+        if inner is held:
+            inner = index[a] = dict(inner)
+        leaf = inner.get(b)
+        if leaf is None:
+            inner[b] = {c}
+            return
+        if held is not None and held.get(b) is leaf:
+            leaf = inner[b] = set(leaf)
+        leaf.add(c)
+
+    @staticmethod
+    def _unlink(index: dict, base: dict, a: int, b: int, c: int) -> None:
+        """Drop ``c`` from ``index[a][b]``, pruning the buckets that
+        empties; of the buckets ``base`` holds, only those written into
+        are copied."""
+        inner = index[a]
+        leaf = inner[b]
+        if len(leaf) == 1 and len(inner) == 1:
+            del index[a]
+            return
+        held = base.get(a)
+        if inner is held:
+            inner = index[a] = dict(inner)
+        if len(leaf) == 1:
+            del inner[b]
+            return
+        if held is not None and held.get(b) is leaf:
+            leaf = inner[b] = set(leaf)
+        leaf.remove(c)
 
     # -- term interning ----------------------------------------------------
 
     def _intern(self, term: Term) -> int:
         tid = self._term_to_id.get(term)
         if tid is None:
+            if self._terms_shared:
+                self._term_to_id = dict(self._term_to_id)
+                self._id_to_term = list(self._id_to_term)
+                self._terms_shared = False
             tid = len(self._id_to_term)
             self._term_to_id[term] = tid
             self._id_to_term.append(term)
@@ -404,15 +455,13 @@ class Graph(TripleReader):
             return False
         self._detach()
         si, pi, oi = self._intern(s), self._intern(p), self._intern(o)
-        self._spo.setdefault(si, {}).setdefault(pi, set()).add(oi)
-        self._pos.setdefault(pi, {}).setdefault(oi, set()).add(si)
-        by_s = self._osp.get(oi)
-        if by_s is None:
+        spo, pos, osp = self._base
+        self._link(self._spo, spo, si, pi, oi)
+        self._link(self._pos, pos, pi, oi, si)
+        if oi not in self._osp and isinstance(o, Literal) and o.is_geometry:
             # No triple held ``o`` until now: a geometry becomes visible.
-            if isinstance(o, Literal) and o.is_geometry:
-                self._geometry_log.append(oi)
-            by_s = self._osp[oi] = {}
-        by_s.setdefault(si, set()).add(pi)
+            self._geometry_log.append(oi)
+        self._link(self._osp, osp, oi, si, pi)
         counts = self._predicate_counts
         counts[pi] = counts.get(pi, 0) + 1
         self._size += 1
@@ -447,21 +496,10 @@ class Graph(TripleReader):
             return
         self._detach()
         si, pi, oi = self._lookup(s), self._lookup(p), self._lookup(o)
-        self._spo[si][pi].remove(oi)
-        if not self._spo[si][pi]:
-            del self._spo[si][pi]
-            if not self._spo[si]:
-                del self._spo[si]
-        self._pos[pi][oi].discard(si)
-        if not self._pos[pi][oi]:
-            del self._pos[pi][oi]
-            if not self._pos[pi]:
-                del self._pos[pi]
-        self._osp[oi][si].discard(pi)
-        if not self._osp[oi][si]:
-            del self._osp[oi][si]
-            if not self._osp[oi]:
-                del self._osp[oi]
+        spo, pos, osp = self._base
+        self._unlink(self._spo, spo, si, pi, oi)
+        self._unlink(self._pos, pos, pi, oi, si)
+        self._unlink(self._osp, osp, oi, si, pi)
         counts = self._predicate_counts
         counts[pi] -= 1
         if not counts[pi]:
@@ -472,16 +510,18 @@ class Graph(TripleReader):
             self._journal.record_remove(s, p, o)
 
     def clear(self) -> None:
-        # Fresh indexes, counters and geometry log; live snapshots keep
-        # the old ones.  The term dictionary survives, so ids stay
-        # append-only for the graph's lifetime (while snapshots share
-        # it, the next add detaches it like any other structure).  The
+        # Fresh indexes, counters and geometry log, all the writer's;
+        # live snapshots keep the old ones.  The term dictionary
+        # survives, so ids stay append-only for the graph's lifetime
+        # (while snapshots share it, the next new term copies it).  The
         # journal survives too — a clear is itself a journaled
         # mutation, not a detach.
         self._spo = {}
         self._pos = {}
         self._osp = {}
         self._predicate_counts = {}
+        self._shared = False
+        self._base = ({}, {}, {})
         self._geometry_log = []
         self._geometry_epoch += 1
         self._size = 0
@@ -499,8 +539,10 @@ class GraphSnapshot(TripleReader):
     Shares the full read API of the live graph; any mutation attempt
     raises :class:`~repro.errors.SnapshotWriteError`.  Safe to hand to
     any number of concurrent reader threads — the structures it
-    references are never mutated again (the owning graph detaches onto
-    copies before its next write).
+    references are never mutated again (the owning graph copies each
+    one before its first write into it), except the append-only
+    geometry log, of which the snapshot reads only the prefix it
+    captured.
     """
 
     def __init__(self, source: Graph) -> None:
