@@ -132,7 +132,7 @@ def main(with_faults: bool = False) -> None:
     ).format())
 
     health = teleios.health()
-    print("\nMachine-readable health document (what GET /health serves):")
+    print("\nMachine-readable health document (what GET /v1/health serves):")
     print(json.dumps(health, indent=2, sort_keys=True))
     counted = sum(health["acquisitions"].values())
     assert counted == len(whens), (counted, len(whens))

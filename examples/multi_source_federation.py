@@ -14,7 +14,7 @@ crisis afternoon through the fused read path:
   acquisition are flagged and droppable with
   ``/v1/hotspots?static=false``;
 * **provenance**: every served feature carries its ``sources`` list,
-  and ``/health`` reports per-driver breaker state and outage totals;
+  and ``/v1/health`` reports per-driver breaker state and outage totals;
 * a mid-season **polar outage** (injected with ``repro.faults`` at the
   ``source.polar`` site) served through as a *degradation* — the
   acquisition completes from the surviving feeds and the gap is named
@@ -34,7 +34,7 @@ from repro.core import (
 )
 from repro.datasets import SyntheticGreece
 from repro.faults import FaultPlan, inject
-from repro.serve import fetch_json, serve_in_thread
+from repro.serve import ServeClient, serve_in_thread
 from repro.seviri.fires import FireSeason
 
 SEASON_SEED = 7
@@ -66,10 +66,10 @@ def main() -> None:
     assert [o.status for o in outcomes] == ["ok"] * len(whens)
 
     with serve_in_thread(service) as handle:
-        host, port = handle.address
-        print(f"Serving at http://{host}:{port}\n")
+        client = ServeClient.for_handle(handle)
+        print(f"Serving at {handle.url}\n")
 
-        everything = fetch_json(host, port, "/v1/hotspots")
+        everything = client.hotspots()
         features = everything["features"]
         by_sources = {}
         for feature in features:
@@ -82,9 +82,9 @@ def main() -> None:
         for key, count in sorted(by_sources.items()):
             print(f"  [{key}]: {count}")
 
-        confirmed = fetch_json(
-            host, port, "/v1/hotspots?confirmed=true&static=false"
-        )["features"]
+        confirmed = client.hotspots(confirmed=True, static=False)[
+            "features"
+        ]
         print(
             f"\nconfirmed=true&static=false -> {len(confirmed)} "
             "cross-confirmed live fires, e.g."
@@ -100,9 +100,7 @@ def main() -> None:
         )
         assert not any(f["properties"]["static"] for f in confirmed)
 
-        statics = fetch_json(host, port, "/v1/hotspots?static=true")[
-            "features"
-        ]
+        statics = client.hotspots(static=True)["features"]
         print(
             f"\nstatic=true -> {len(statics)} persistent heat "
             "sources (refineries and friends), excluded from alerts"
@@ -119,15 +117,15 @@ def main() -> None:
         assert [o.status for o in degraded] == ["degraded"]
         print(f"outcome: {degraded[0].status} — {degraded[0].errors}")
 
-        snap = fetch_json(host, port, "/v1/hotspots")["snapshot"]
+        snap = client.hotspots()["snapshot"]
         gap = [
             r for r in snap["sources"] if r["status"] != "ok"
         ]
         print(f"snapshot provenance names the gap: {gap}")
         assert any(r["source"] == "polar" for r in gap)
 
-        health = fetch_json(host, port, "/health")
-        print("\nGET /health -> sources:")
+        health = client.health()
+        print("\nGET /v1/health -> sources:")
         print(json.dumps(health["sources"], indent=2, sort_keys=True))
         assert health["sources"]["polar"]["outages_total"] >= 1
         assert (

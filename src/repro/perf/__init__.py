@@ -15,20 +15,14 @@ hot-path rewrites are built on:
 * :mod:`repro.perf.parallel` — the bounded thread-pool helper behind
   parallel HRIT segment decoding (zlib releases the GIL).
 
-Tuning goes through one configuration object:
-
->>> from repro import perf
->>> perf.configure(decode_workers=8, plan_cache_size=512)
-... # doctest: +SKIP
-
-Sizes of the process-wide geometry caches are applied immediately;
-per-instance settings (plan cache size, candidate cache size, worker
-counts) are read when the owning object is constructed.
+Every size is a fixed module constant next to its single user: the
+plan and candidate caches in :mod:`repro.stsparql.engine`, the four
+geometry memos in :mod:`repro.perf.geometry_cache`, and the decode
+worker count in :mod:`repro.seviri.hrit`.  :func:`cache_stats` reports
+how the process-wide caches are doing.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, fields
 
 from repro.perf.lru import (
     CacheStats,
@@ -38,85 +32,12 @@ from repro.perf.lru import (
 )
 
 __all__ = [
-    "PerfConfig",
-    "get_config",
-    "configure",
     "LRUCache",
     "CacheStats",
     "register_cache",
     "all_cache_stats",
     "cache_stats",
 ]
-
-
-@dataclass
-class PerfConfig:
-    """Knobs of the performance layer (see README "Performance tuning")."""
-
-    #: Parsed stSPARQL request plans kept per Strabon endpoint.
-    plan_cache_size: int = 256
-    #: Parsed WKT geometries shared between equal literals, process-wide.
-    wkt_cache_size: int = 8192
-    #: Spatial-predicate results keyed by geometry-pair identity.
-    predicate_cache_size: int = 65536
-    #: strdf:intersection / union / difference results, pair-identity keyed.
-    binary_op_cache_size: int = 16384
-    #: strdf:union group-aggregate results, group-identity keyed.
-    union_memo_size: int = 1024
-    #: R-tree candidate sets kept per Strabon endpoint.
-    candidate_cache_size: int = 4096
-    #: Threads decoding HRIT segments / parsing headers in parallel.
-    decode_workers: int = 4
-
-    def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, int)
-                or value < 1
-            ):
-                raise ValueError(
-                    f"perf setting {f.name} must be a positive integer, "
-                    f"got {value!r}"
-                )
-
-
-_config = PerfConfig()
-
-
-def get_config() -> PerfConfig:
-    """The live configuration (mutations affect future constructions)."""
-    return _config
-
-
-def configure(**settings: int) -> PerfConfig:
-    """Update performance settings; unknown names raise ``TypeError``.
-
-    Process-wide geometry-cache sizes take effect immediately;
-    per-instance sizes apply to objects constructed afterwards.
-    """
-    valid = {f.name for f in fields(PerfConfig)}
-    for name in settings:
-        if name not in valid:
-            raise TypeError(f"unknown perf setting {name!r}")
-    previous = {name: getattr(_config, name) for name in settings}
-    for name, value in settings.items():
-        setattr(_config, name, value)
-    try:
-        _config.validate()
-    except ValueError:
-        for name, value in previous.items():
-            setattr(_config, name, value)
-        raise
-    _apply_global_sizes()
-    return _config
-
-
-def _apply_global_sizes() -> None:
-    from repro.perf import geometry_cache
-
-    geometry_cache.resize_from_config(_config)
 
 
 def cache_stats() -> dict:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Sequence, Tuple
 
-from repro.perf import get_config
 from repro.perf.lru import LRUCache, register_cache
 
 __all__ = [
@@ -34,23 +33,26 @@ __all__ = [
     "predicate_result",
     "binary_op_result",
     "union_aggregate",
-    "resize_from_config",
-    "clear_all",
 ]
 
-_cfg = get_config()
+#: Parsed WKT geometries shared between equal literals.
+WKT_CACHE_SIZE = 8192
+#: Spatial-predicate results keyed by geometry-pair identity.
+PREDICATE_CACHE_SIZE = 65536
+#: strdf:intersection / union / difference results, pair-identity keyed.
+BINARY_OP_CACHE_SIZE = 16384
+#: strdf:union group-aggregate results, group-identity keyed.
+UNION_AGG_CACHE_SIZE = 1024
 
-WKT_CACHE = register_cache(
-    LRUCache(_cfg.wkt_cache_size, name="wkt_parse")
-)
+WKT_CACHE = register_cache(LRUCache(WKT_CACHE_SIZE, name="wkt_parse"))
 PREDICATE_CACHE = register_cache(
-    LRUCache(_cfg.predicate_cache_size, name="spatial_predicate")
+    LRUCache(PREDICATE_CACHE_SIZE, name="spatial_predicate")
 )
 BINARY_OP_CACHE = register_cache(
-    LRUCache(_cfg.binary_op_cache_size, name="spatial_binary")
+    LRUCache(BINARY_OP_CACHE_SIZE, name="spatial_binary")
 )
 UNION_AGG_CACHE = register_cache(
-    LRUCache(_cfg.union_memo_size, name="spatial_union_agg")
+    LRUCache(UNION_AGG_CACHE_SIZE, name="spatial_union_agg")
 )
 
 
@@ -110,18 +112,3 @@ def union_aggregate(
     UNION_AGG_CACHE.put(key, (tuple(geoms), result))
     return result
 
-
-def resize_from_config(config) -> None:
-    """Apply the configured sizes to the process-wide caches."""
-    WKT_CACHE.resize(config.wkt_cache_size)
-    PREDICATE_CACHE.resize(config.predicate_cache_size)
-    BINARY_OP_CACHE.resize(config.binary_op_cache_size)
-    UNION_AGG_CACHE.resize(config.union_memo_size)
-
-
-def clear_all() -> None:
-    """Drop every process-wide geometry memo (tests, reconfiguration)."""
-    for cache in (
-        WKT_CACHE, PREDICATE_CACHE, BINARY_OP_CACHE, UNION_AGG_CACHE
-    ):
-        cache.clear()

@@ -68,8 +68,6 @@ class LRUCache:
 
     All operations take an internal lock, so one instance may be shared
     between the HTTP server's read threads and the ingest thread.
-    ``maxsize`` may be lowered at runtime (via
-    :meth:`resize`); excess entries are evicted immediately.
     """
 
     def __init__(self, maxsize: int, name: str = "") -> None:
@@ -141,15 +139,6 @@ class LRUCache:
     @property
     def maxsize(self) -> int:
         return self._maxsize
-
-    def resize(self, maxsize: int) -> None:
-        if maxsize < 1:
-            raise ValueError("LRU cache needs maxsize >= 1")
-        with self._lock:
-            self._maxsize = maxsize
-            while len(self._data) > self._maxsize:
-                self._data.popitem(last=False)
-                self._evictions += 1
 
     def clear(self) -> None:
         """Drop entries (counters survive — they describe the lifetime)."""

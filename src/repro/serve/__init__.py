@@ -14,15 +14,16 @@ store while the ingest/refinement writer keeps running:
   hotspot table and the filter over it that answers ``/v1/hotspots``
   (``repro.serve.hotspots``),
 * :class:`HotspotServer` / :func:`serve_in_thread` — the stdlib-only
-  asyncio HTTP endpoint, v1-versioned; every read executes on its
-  thread pool against the latest publication (``repro.serve.http``),
+  asyncio HTTP endpoint; every route lives under ``/v1/`` and every
+  read executes on its thread pool against the latest publication
+  (``repro.serve.http``),
 * :class:`ShardManager` / :class:`TileLayout` — spatial partitioning
   of the published store by target-grid tile, one engine + publisher
   per shard (``repro.serve.shard``),
 * :class:`ShardRouter` / :func:`serve_router_in_thread` — the
   scatter-gather front end with bbox-pruned fan-out and composite
   consistency tokens (``repro.serve.router``),
-* :class:`ServeClient` — the HTTP client speaking the same
+* :class:`ServeClient` — the one HTTP client, speaking the same
   ``query(text, params=, explain=, timeout=)`` contract
   as the in-process engines, plus subscription CRUD and an
   :class:`SseStream` reader (``repro.serve.client``),
@@ -30,9 +31,7 @@ store while the ingest/refinement writer keeps running:
   stSPARQL subscriptions with incremental per-commit evaluation and
   durable exactly-once delivery (``repro.serve.subscribe``),
 * :class:`SseHub` — the push fan-out bridging the writer thread to
-  ``/v1/stream`` SSE channels (``repro.serve.sse``),
-* :class:`LoadGenerator` — the closed-loop benchmark driver
-  (``repro.serve.load``).
+  ``/v1/stream`` SSE channels (``repro.serve.sse``).
 """
 
 from repro.serve.client import ServeClient, ServeError, SseStream
@@ -43,7 +42,6 @@ from repro.serve.hotspots import (
     query_hotspots,
 )
 from repro.serve.http import HotspotServer, ServerHandle, serve_in_thread
-from repro.serve.load import LoadGenerator, LoadReport, fetch_json
 from repro.serve.router import (
     RouterService,
     ShardRouter,
@@ -74,8 +72,6 @@ __all__ = [
     "ConsistencyToken",
     "HotspotServer",
     "HotspotTable",
-    "LoadGenerator",
-    "LoadReport",
     "PublishedSnapshot",
     "RouterService",
     "ServeClient",
@@ -93,7 +89,6 @@ __all__ = [
     "SubscriptionRegistry",
     "Tile",
     "TileLayout",
-    "fetch_json",
     "parse_bbox",
     "parse_instant",
     "partition_snapshot",

@@ -124,6 +124,7 @@ class ServeClient:
         until: Optional[str] = None,
         min_confidence: Optional[float] = None,
         confirmed: Optional[bool] = None,
+        static: Optional[bool] = None,
     ) -> dict:
         """GET ``/v1/hotspots`` with the standard filters; ``bbox`` is
         an :class:`~repro.geometry.Envelope` or a
@@ -143,6 +144,8 @@ class ServeClient:
             query["min_confidence"] = str(min_confidence)
         if confirmed is not None:
             query["confirmed"] = "true" if confirmed else "false"
+        if static is not None:
+            query["static"] = "true" if static else "false"
         path = "/v1/hotspots"
         if query:
             from urllib.parse import urlencode

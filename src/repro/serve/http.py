@@ -2,9 +2,8 @@
 
 A minimal asyncio HTTP/1.1 server (no third-party framework; the
 container images this repo targets carry only the standard library)
-exposing five endpoints, all published under ``/v1/`` (the bare legacy
-paths keep answering as aliases, with a ``Deprecation: true`` header
-and a ``Link`` naming the ``/v1`` successor):
+exposing its endpoints under ``/v1/`` (any other path answers
+**404**):
 
 * ``GET /v1/hotspots`` — surviving hotspots of the **latest published
   snapshot** as GeoJSON, filtered from the publication's hotspot
@@ -108,19 +107,6 @@ _REASONS = {
     503: "Service Unavailable",
 }
 
-#: Endpoints published under ``/v1/``; the bare legacy paths keep
-#: working as aliases but answer with a ``Deprecation`` header naming
-#: the successor.
-V1_ENDPOINTS = (
-    "/hotspots",
-    "/stsparql",
-    "/metrics",
-    "/health",
-    "/debug/tracez",
-    "/subscriptions",
-    "/stream",
-)
-
 #: Seconds of stream silence before a keep-alive comment is emitted.
 STREAM_KEEPALIVE_S = 15.0
 
@@ -159,23 +145,6 @@ def _json_response(status: int, payload: Any) -> bytes:
     return _response(
         status, json.dumps(payload).encode("utf-8"), "application/json"
     )
-
-
-def _deprecation_headers(route: str) -> Dict[str, str]:
-    """Headers a legacy (unversioned) alias carries on every answer."""
-    return {
-        "Deprecation": "true",
-        "Link": f"</v1{route}>; rel=\"successor-version\"",
-    }
-
-
-def _splice_headers(payload: bytes, headers: Dict[str, str]) -> bytes:
-    """Insert extra header lines into an already-built raw response."""
-    head, _, rest = payload.partition(b"\r\n")
-    lines = "".join(
-        f"{name}: {value}\r\n" for name, value in headers.items()
-    ).encode("ascii")
-    return head + b"\r\n" + lines + rest
 
 
 class HotspotServer:
@@ -246,10 +215,7 @@ class HotspotServer:
                     break
                 method, target, headers, body = request
                 path = urlsplit(target).path.rstrip("/") or "/"
-                if method == "GET" and path in (
-                    "/stream",
-                    "/v1/stream",
-                ):
+                if method == "GET" and path == "/v1/stream":
                     # SSE: the response never ends, so the stream
                     # handler owns the writer; the connection is
                     # dedicated (no keep-alive reuse after it).
@@ -309,17 +275,8 @@ class HotspotServer:
     ) -> bytes:
         split = urlsplit(target)
         path = split.path.rstrip("/") or "/"
-        # The versioned surface lives under /v1/; the bare legacy paths
-        # stay as aliases whose answers carry a Deprecation header.
-        if path == "/v1" or path.startswith("/v1/"):
-            route = path[len("/v1"):] or "/"
-            legacy = False
-        else:
-            route = path
-            legacy = any(
-                route == known or route.startswith(known + "/")
-                for known in V1_ENDPOINTS
-            )
+        versioned = path == "/v1" or path.startswith("/v1/")
+        route = (path[len("/v1"):] or "/") if versioned else path
         endpoint = route.lstrip("/") or "root"
         started = time.perf_counter()
         # A client sending x-trace-id / x-parent-span joins its trace;
@@ -332,6 +289,10 @@ class HotspotServer:
                     "serve.request", endpoint=endpoint, method=method
                 ) as span:
                     trace_id = span.trace_id
+                    if not versioned:
+                        raise _HttpError(
+                            404, f"no such endpoint: {path}"
+                        )
                     status, payload = await self._route(
                         method,
                         route,
@@ -373,10 +334,6 @@ class HotspotServer:
                 trace_id=trace_id,
                 error=f"{type(error).__name__}: {error}",
             )
-        if legacy:
-            payload = _splice_headers(
-                payload, _deprecation_headers(route)
-            )
         elapsed = time.perf_counter() - started
         if _metrics.enabled:
             _metrics.counter(
@@ -391,7 +348,7 @@ class HotspotServer:
         # budget — health probes, metric scrapes and debug views are
         # not the objective (and /health reporting its own request
         # would make the report a moving target).
-        if route in ("/hotspots", "/stsparql"):
+        if versioned and route in ("/hotspots", "/stsparql"):
             self._record_serving_slo(status, elapsed, trace_id)
         return payload
 

@@ -36,6 +36,9 @@ _HEADER_SIZE = struct.calcsize(_HEADER_FMT)
 #: Temperatures are stored as uint16 centikelvin.
 _SCALE = 100.0
 
+#: Threads decoding segments (and, in the monitor, parsing headers).
+DECODE_WORKERS = 4
+
 
 @dataclass(frozen=True)
 class SegmentHeader:
@@ -162,7 +165,7 @@ def read_hrit_image(
 ) -> Tuple[SegmentHeader, np.ndarray]:
     """Assemble a full image from its segment files (any order).
 
-    Segments decode concurrently on up to ``decode_workers`` threads
+    Segments decode concurrently on up to ``DECODE_WORKERS`` threads
     (zlib decompression and the NumPy reshape both release the GIL).
     Assembly is unchanged: results arrive keyed by each header's
     ``segment_index``, so file order — and decode completion order —
@@ -170,13 +173,12 @@ def read_hrit_image(
     """
     if not paths:
         raise VaultError("no segment files given")
-    from repro.perf import get_config
     from repro.perf.parallel import map_concurrent
 
     decoded = map_concurrent(
         read_segment,
         list(paths),
-        max_workers=get_config().decode_workers,
+        max_workers=DECODE_WORKERS,
         name="hrit-decode",
     )
     segments: Dict[int, np.ndarray] = {}

@@ -32,9 +32,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.arraydb.errors import VaultError
 from repro.faults import DeadLetterBox
 from repro.obs import get_metrics, get_tracer
-from repro.perf import get_config
 from repro.perf.parallel import map_outcomes
-from repro.seviri.hrit import image_metadata
+from repro.seviri.hrit import DECODE_WORKERS, image_metadata
 
 #: The spectral bands the fire-monitoring chain consumes.
 FIRE_BANDS = ("IR_039", "IR_108")
@@ -154,7 +153,7 @@ class SeviriMonitor:
         headers = map_outcomes(
             lambda p: image_metadata([p])[0],
             new_paths,
-            max_workers=get_config().decode_workers,
+            max_workers=DECODE_WORKERS,
             name="hsim-scan",
         )
         for path, header in zip(new_paths, headers):

@@ -20,8 +20,9 @@ Semantics are identical to the interpreted engine by construction:
 * solution modifiers (projection, grouping, DISTINCT, ORDER BY,
   OFFSET/LIMIT) run on the decoded rows through the inherited
   implementations,
-* anything the vector paths cannot express falls back to the inherited
-  per-row code on the same evaluator state.
+* inside an operator, anything the vector paths cannot express (e.g. a
+  string filter) runs the inherited per-row code on the same evaluator
+  state, once per distinct binding combination.
 
 The differential harness in ``tests/stsparql/test_differential.py``
 holds the two engines equal over a randomised query corpus.
@@ -94,11 +95,6 @@ _TEMPORAL_VECTOR_NAMES = {
         "during",
     )
 }
-
-
-class ColumnarUnsupported(Exception):
-    """Raised internally when a plan cannot run columnar; triggers the
-    per-row fallback (never escapes the public entry points)."""
 
 
 class Batch:
@@ -237,6 +233,12 @@ class ColumnarEvaluator(Evaluator):
         #: Terms absent from the graph dictionary, interned locally.
         self._local_ids: Dict[Term, int] = {}
         self._local_terms: List[Term] = []
+        if _metrics.enabled:
+            _metrics.gauge(
+                "stsparql_columnar_dictionary_terms",
+                "Interned terms in the store dictionary backing the "
+                "columnar engine",
+            ).set(self.graph.term_count())
 
     # -- id codec -------------------------------------------------------
 
@@ -259,44 +261,13 @@ class ColumnarEvaluator(Evaluator):
     # -- public entry points --------------------------------------------
 
     def select(self, query: ast.SelectQuery) -> SolutionSet:
-        batch = self._try_columnar(query.pattern)
-        if batch is None:
-            return super().select(query)
+        batch = self._eval_group_batch(query.pattern, self._seed_batch())
         rows = self._batch_to_rows(batch)
         return self._apply_modifiers(query, rows)
 
     def ask(self, query: ast.AskQuery) -> bool:
-        batch = self._try_columnar(query.pattern)
-        if batch is None:
-            return super().ask(query)
+        batch = self._eval_group_batch(query.pattern, self._seed_batch())
         return bool(batch.length)
-
-    def _try_columnar(
-        self, pattern: ast.GroupGraphPattern
-    ) -> Optional[Batch]:
-        if not hasattr(self.graph, "triples_ids"):
-            self._count_fallback("graph")
-            return None
-        if _metrics.enabled:
-            _metrics.gauge(
-                "stsparql_columnar_dictionary_terms",
-                "Interned terms in the store dictionary backing the "
-                "columnar engine",
-            ).set(self.graph.term_count())
-        try:
-            return self._eval_group_batch(pattern, self._seed_batch())
-        except ColumnarUnsupported as exc:
-            self._count_fallback(str(exc) or "unsupported")
-            return None
-
-    @staticmethod
-    def _count_fallback(reason: str) -> None:
-        if _metrics.enabled:
-            _metrics.counter(
-                "stsparql_columnar_fallbacks_total",
-                "Requests the columnar engine handed to the per-row "
-                "interpreter",
-            ).inc()
 
     # -- batch <-> row conversion ---------------------------------------
 

@@ -46,7 +46,6 @@ from repro.errors import SnapshotWriteError
 from repro.geometry import Envelope, Geometry
 from repro.obs import get_metrics, get_tracer
 from repro.geometry.rtree import RTree
-from repro.perf import get_config
 from repro.perf.lru import LRUCache
 from repro.rdf.graph import Graph, GraphSnapshot
 from repro.rdf.inference import RDFSInference
@@ -61,6 +60,11 @@ from repro.stsparql.parser import parse
 
 _tracer = get_tracer()
 _metrics = get_metrics()
+
+#: Parsed request plans kept per endpoint.
+PLAN_CACHE_SIZE = 256
+#: R-tree candidate sets kept per endpoint.
+CANDIDATE_CACHE_SIZE = 4096
 
 #: Request parameters: one mapping of variable name to value, or a
 #: sequence of such mappings (SPARQL ``VALUES`` rows).
@@ -256,14 +260,13 @@ class _Endpoint:
         enable_spatial_index: bool,
         build_lock,
     ) -> None:
-        perf = get_config()
         self.graph = graph
         #: Parsed request plans keyed on request text.  The evaluator
         #: never mutates a parsed AST, so plans are shared safely.
         self.plan_cache = (
             plan_cache
             if plan_cache is not None
-            else LRUCache(perf.plan_cache_size)
+            else LRUCache(PLAN_CACHE_SIZE)
         )
         self._inference = RDFSInference(graph) if enable_inference else None
         self._spatial_index_enabled = enable_spatial_index
@@ -273,7 +276,7 @@ class _Endpoint:
         # valid for the index it was searched in; evaluators probe the
         # same bound geometry once per joined row.  Bounded LRU: under
         # sustained load the hot working set stays.
-        self._candidate_cache = LRUCache(perf.candidate_cache_size)
+        self._candidate_cache = LRUCache(CANDIDATE_CACHE_SIZE)
         self.last_stats = QueryStats()
 
     def size(self) -> int:

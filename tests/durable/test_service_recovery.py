@@ -3,7 +3,7 @@
 A durable service is killed mid-season (injected abort after
 acquisition 2's publish), reopened with
 :meth:`FireMonitoringService.open`, and served over real HTTP: the
-``/health`` document must report the recovery, and a polling reader
+``/v1/health`` document must report the recovery, and a polling reader
 that saw sequence numbers before the crash must never observe one
 again — numbering resumes strictly above the pre-crash maximum and
 stays monotonic while the resumed ingest completes.
@@ -20,7 +20,7 @@ import pytest
 from repro.core.config import RunOptions, ServiceConfig
 from repro.core.service import FireMonitoringService
 from repro.durable import CRASH_EXIT, crashpoints
-from repro.serve import fetch_json, serve_in_thread
+from repro.serve import ServeClient, serve_in_thread
 
 from tests.durable.conftest import N_ACQUISITIONS
 
@@ -62,8 +62,8 @@ def test_recovered_service_serves_monotonic_sequences(
     service = FireMonitoringService.open(state_dir, greece=durable_greece)
     try:
         with serve_in_thread(service) as handle:
-            host, port = handle.address
-            health = fetch_json(host, port, "/health")
+            client = ServeClient.for_handle(handle)
+            health = client.health()
             durability = health["durability"]
             assert durability["recovered"] is True
             assert durability["committed_acquisitions"] == 2
@@ -90,17 +90,17 @@ def test_recovered_service_serves_monotonic_sequences(
             sequences = []
             writer.start()
             while writer.is_alive():
-                collection = fetch_json(host, port, "/hotspots")
+                collection = client.hotspots()
                 sequences.append(collection["snapshot"]["sequence"])
             writer.join()
-            final = fetch_json(host, port, "/hotspots")
+            final = client.hotspots()
             sequences.append(final["snapshot"]["sequence"])
 
             assert not errors
             assert all(s > pre_crash_max for s in sequences)
             assert sequences == sorted(sequences)
 
-            health = fetch_json(host, port, "/health")
+            health = client.health()
             durability = health["durability"]
             assert durability["committed_acquisitions"] == N_ACQUISITIONS
             assert durability["resume_skipped"] == 2

@@ -11,6 +11,7 @@ searched in, so a mutation is visible to the next probe.
 from __future__ import annotations
 
 from repro.geometry import Polygon
+from repro.perf.lru import LRUCache
 from repro.rdf import NOA
 
 
@@ -24,8 +25,7 @@ def _probe(i: int) -> Polygon:
 
 def test_sustained_load_keeps_hot_entries(strabon_with_aux):
     engine = strabon_with_aux
-    cache = engine._candidate_cache
-    cache.resize(16)
+    cache = engine._candidate_cache = LRUCache(16)
     assert engine._ensure_rtree() is not None
 
     hot = _probe(0)

@@ -16,8 +16,6 @@ from repro.perf.lru import (
 def test_rejects_degenerate_sizes():
     with pytest.raises(ValueError):
         LRUCache(0)
-    with pytest.raises(ValueError):
-        LRUCache(8).resize(0)
 
 
 def test_eviction_is_least_recently_used():
@@ -78,18 +76,6 @@ def test_get_or_compute_runs_compute_once_per_miss():
     assert cache.get_or_compute("k", compute) == 42
     assert cache.get_or_compute("k", compute) == 42
     assert len(calls) == 1
-
-
-def test_resize_evicts_down_to_new_bound():
-    cache = LRUCache(8)
-    for i in range(8):
-        cache.put(i, i)
-    cache.get(0)  # hottest
-    cache.resize(2)
-    assert len(cache) == 2
-    assert 0 in cache and 7 in cache
-    assert cache.maxsize == 2
-    assert cache.stats().evictions == 6
 
 
 def test_clear_keeps_lifetime_counters():

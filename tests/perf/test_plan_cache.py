@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import obs, perf
+from repro import obs
 from repro.rdf import NOA, RDF, Literal, XSD
 from repro.stsparql import SparqlEvalError, Strabon
 
@@ -147,16 +147,3 @@ def test_plan_cache_entries_are_reusable_not_stateful(engine):
     second = [row["h"] for row in engine.select(query)]
     assert first == second and len(first) == 2
 
-
-def test_rejected_perf_settings_do_not_stick():
-    before = perf.get_config().plan_cache_size
-    with pytest.raises(ValueError):
-        perf.configure(plan_cache_size=0)
-    assert perf.get_config().plan_cache_size == before
-    # A bool is not a size, even though isinstance(True, int) holds.
-    with pytest.raises(ValueError):
-        perf.configure(plan_cache_size=True)
-    assert perf.get_config().plan_cache_size == before
-    # The execution engine is a fixed policy, not a setting.
-    with pytest.raises(TypeError):
-        perf.configure(query_engine="interpreted")

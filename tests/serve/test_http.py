@@ -10,7 +10,7 @@ import time
 import pytest
 
 from tests.serve.conftest import EXTRA
-from repro.serve import serve_in_thread
+from repro.serve import ServeClient, serve_in_thread
 
 PREFIX = (
     "PREFIX noa: "
@@ -44,7 +44,7 @@ def _request(handle, method, path, body=None):
 
 
 def test_hotspots_returns_geojson_with_provenance(server):
-    status, collection = _request(server, "GET", "/hotspots")
+    status, collection = _request(server, "GET", "/v1/hotspots")
     assert status == 200
     assert collection["type"] == "FeatureCollection"
     assert len(collection["features"]) > 0
@@ -61,21 +61,21 @@ def test_hotspots_returns_geojson_with_provenance(server):
 
 
 def test_hotspots_filters_compose(server):
-    _, everything = _request(server, "GET", "/hotspots")
+    _, everything = _request(server, "GET", "/v1/hotspots")
     total = len(everything["features"])
     _, confident = _request(
-        server, "GET", "/hotspots?min_confidence=0.9"
+        server, "GET", "/v1/hotspots?min_confidence=0.9"
     )
     assert len(confident["features"]) <= total
     for feature in confident["features"]:
         assert feature["properties"]["confidence"] >= 0.9
-    _, boxed = _request(server, "GET", "/hotspots?bbox=20,34,29,42")
+    _, boxed = _request(server, "GET", "/v1/hotspots?bbox=20,34,29,42")
     assert len(boxed["features"]) <= total
-    _, nowhere = _request(server, "GET", "/hotspots?bbox=0,0,1,1")
+    _, nowhere = _request(server, "GET", "/v1/hotspots?bbox=0,0,1,1")
     assert nowhere["features"] == []
-    _, confirmed = _request(server, "GET", "/hotspots?confirmed=true")
+    _, confirmed = _request(server, "GET", "/v1/hotspots?confirmed=true")
     _, unconfirmed = _request(
-        server, "GET", "/hotspots?confirmed=false"
+        server, "GET", "/v1/hotspots?confirmed=false"
     )
     assert (
         len(confirmed["features"]) + len(unconfirmed["features"])
@@ -84,7 +84,7 @@ def test_hotspots_filters_compose(server):
     _, windowed = _request(
         server,
         "GET",
-        "/hotspots?since=2007-08-24T13:15:00&until=2007-08-24T13:15:00",
+        "/v1/hotspots?since=2007-08-24T13:15:00&until=2007-08-24T13:15:00",
     )
     for feature in windowed["features"]:
         assert feature["properties"]["acquired"] == (
@@ -98,7 +98,7 @@ def test_hotspots_filters_compose(server):
     assert (first, second) == ("2007-08-24T13:00:00", "2007-08-24T13:15:00")
 
     def count(params):
-        status, collection = _request(server, "GET", "/hotspots?" + params)
+        status, collection = _request(server, "GET", "/v1/hotspots?" + params)
         assert status == 200, collection
         return len(collection["features"])
 
@@ -115,16 +115,33 @@ def test_hotspots_filters_compose(server):
     assert count("until=2007-08-24T12:00:00-01:00") == naive - later
 
 
+@pytest.mark.parametrize(
+    "filters, params",
+    [
+        ({"static": True}, "static=true"),
+        ({"confirmed": True, "static": False}, "confirmed=true&static=false"),
+    ],
+)
+def test_client_hotspots_sends_static_filter(server, filters, params):
+    status, raw = _request(server, "GET", "/v1/hotspots?" + params)
+    assert status == 200
+    got = ServeClient.for_handle(server).hotspots(**filters)
+    # Each request stamps its own trace id; everything else is equal.
+    for doc in (raw, got):
+        doc["provenance"].pop("request_trace_id")
+    assert got == raw
+
+
 def test_hotspots_rejects_malformed_filters(server):
-    status, body = _request(server, "GET", "/hotspots?bbox=1,2,3")
+    status, body = _request(server, "GET", "/v1/hotspots?bbox=1,2,3")
     assert status == 400 and "bbox" in body["error"]
-    status, _ = _request(server, "GET", "/hotspots?bbox=9,9,1,1")
+    status, _ = _request(server, "GET", "/v1/hotspots?bbox=9,9,1,1")
     assert status == 400
     status, _ = _request(
-        server, "GET", "/hotspots?min_confidence=high"
+        server, "GET", "/v1/hotspots?min_confidence=high"
     )
     assert status == 400
-    status, _ = _request(server, "GET", "/hotspots?confirmed=maybe")
+    status, _ = _request(server, "GET", "/v1/hotspots?confirmed=maybe")
     assert status == 400
     for params in (
         "since=garbage",
@@ -170,27 +187,27 @@ def test_hotspots_read_makes_no_engine_call(server, monkeypatch):
 
 
 def test_stsparql_select_and_refused_update(server):
-    status, result = _request(server, "POST", "/stsparql", SELECT)
+    status, result = _request(server, "POST", "/v1/stsparql", SELECT)
     assert status == 200
     assert len(result["results"]["bindings"]) > 0
     assert result["snapshot"]["sequence"] >= 1
     # JSON envelope works too.
     status, wrapped = _request(
-        server, "POST", "/stsparql", json.dumps({"query": SELECT})
+        server, "POST", "/v1/stsparql", json.dumps({"query": SELECT})
     )
     assert status == 200
     assert wrapped["results"] == result["results"]
     status, refusal = _request(
         server,
         "POST",
-        "/stsparql",
+        "/v1/stsparql",
         PREFIX + "INSERT DATA { noa:evil a noa:Hotspot . }",
     )
     assert status == 403
     assert "read-only" in refusal["error"]
-    status, bad = _request(server, "POST", "/stsparql", "SELEKT oops")
+    status, bad = _request(server, "POST", "/v1/stsparql", "SELEKT oops")
     assert status == 400
-    status, empty = _request(server, "POST", "/stsparql", "")
+    status, empty = _request(server, "POST", "/v1/stsparql", "")
     assert status == 400
 
 
@@ -198,7 +215,7 @@ def test_stsparql_explain_returns_plan(server):
     status, plan = _request(
         server,
         "POST",
-        "/stsparql",
+        "/v1/stsparql",
         json.dumps({"query": SELECT, "explain": True}),
     )
     assert status == 200
@@ -228,7 +245,7 @@ def test_stsparql_explain_returns_plan(server):
 )
 def test_stsparql_rejects_malformed_bodies_with_400(server, document):
     status, answer = _request(
-        server, "POST", "/stsparql", json.dumps(document)
+        server, "POST", "/v1/stsparql", json.dumps(document)
     )
     assert status == 400, answer
 
@@ -237,7 +254,7 @@ def test_stsparql_ignores_unknown_body_fields(server):
     status, result = _request(
         server,
         "POST",
-        "/stsparql",
+        "/v1/stsparql",
         json.dumps({"query": SELECT, "engine": "quantum", "x": 1}),
     )
     assert status == 200
@@ -245,7 +262,7 @@ def test_stsparql_ignores_unknown_body_fields(server):
 
 
 def test_health_reflects_service_state(server, served_service):
-    status, health = _request(server, "GET", "/health")
+    status, health = _request(server, "GET", "/v1/health")
     assert status == 200
     assert health["status"] in ("ok", "degraded")
     assert health["mode"] == "teleios"
@@ -265,23 +282,23 @@ def test_health_reflects_service_state(server, served_service):
 
 
 def test_metrics_and_unknown_routes(server):
-    status, text = _request(server, "GET", "/metrics")
+    status, text = _request(server, "GET", "/v1/metrics")
     assert status == 200
     assert isinstance(text, str)
-    status, _ = _request(server, "GET", "/no-such-endpoint")
+    status, _ = _request(server, "GET", "/v1/no-such-endpoint")
     assert status == 404
-    status, _ = _request(server, "POST", "/hotspots")
+    status, _ = _request(server, "POST", "/v1/hotspots")
     assert status == 405
-    status, _ = _request(server, "GET", "/stsparql")
+    status, _ = _request(server, "GET", "/v1/stsparql")
     assert status == 405
 
 
 def test_reads_never_observe_half_refined_state(
     server, served_service, serve_options
 ):
-    """The tentpole's e2e guarantee: /hotspots polled *during* run()
-    never returns a hotspot missing its confirmation mark (the final
-    refinement operation stamps every survivor), and the served
+    """The serving layer's e2e guarantee: /v1/hotspots polled *during*
+    run() never returns a hotspot missing its confirmation mark (the
+    final refinement operation stamps every survivor), and the served
     snapshot never travels backwards."""
     errors = []
 
@@ -296,7 +313,7 @@ def test_reads_never_observe_half_refined_state(
     torn = []
     writer.start()
     while writer.is_alive():
-        status, collection = _request(server, "GET", "/hotspots")
+        status, collection = _request(server, "GET", "/v1/hotspots")
         assert status == 200
         for feature in collection["features"]:
             if feature["properties"]["confirmation"] is None:

@@ -36,6 +36,19 @@ ASK = PREFIX + "ASK { ?h a noa:Hotspot }"
 
 N_SHARDS = 4
 
+#: Every route the server answers, each only under ``/v1``: the method
+#: and body to send, and the status the ``/v1`` route answers with.
+V1_ROUTES = {
+    "/hotspots": ("GET", None, 200),
+    "/stsparql": ("POST", SELECT, 200),
+    "/metrics": ("GET", None, 200),
+    "/health": ("GET", None, 200),
+    "/debug/tracez": ("GET", None, 200),
+    "/subscriptions": ("GET", None, 200),
+    # Without subscription= the stream answers at once.
+    "/stream": ("GET", None, 400),
+}
+
 
 @pytest.fixture(scope="module")
 def single(served_service):
@@ -163,15 +176,13 @@ class TestFanOut:
 
 class TestDegraded:
     def test_dead_shard_degrades_but_labels(self, tier, router):
-        from repro.serve import fetch_json
-
         manager, _ = tier
         # Kill the shard that actually holds hotspots, so the degraded
         # answer is visibly smaller, not just labelled.
         counts = {}
         for sid in manager.shard_ids_for_bbox(None):
             host, port = manager.shards[sid].address
-            doc = fetch_json(host, port, "/v1/hotspots")
+            doc = ServeClient(host, port).hotspots()
             counts[sid] = len(doc["features"])
         victim = max(counts, key=counts.get)
         assert counts[victim] > 0
@@ -277,29 +288,22 @@ class TestVersionedApi:
             return response, json.loads(data)
         return response, data.decode("utf-8", errors="replace")
 
-    def test_legacy_paths_alias_v1_with_deprecation(self, single):
-        response, legacy = self._raw(single, "GET", "/hotspots")
-        assert response.status == 200
-        assert response.getheader("Deprecation") == "true"
-        assert response.getheader("Link") == (
-            '</v1/hotspots>; rel="successor-version"'
-        )
-        v1_response, v1 = self._raw(single, "GET", "/v1/hotspots")
-        assert v1_response.getheader("Deprecation") is None
-        assert legacy["features"] == v1["features"]
-
     def test_all_v1_endpoints_answer_without_deprecation(self, single):
         for path in ("/v1/health", "/v1/metrics", "/v1/debug/tracez"):
             response, _ = self._raw(single, "GET", path)
             assert response.status == 200, path
             assert response.getheader("Deprecation") is None
 
-    def test_router_speaks_both_generations(self, router):
-        response, _ = self._raw(router, "POST", "/stsparql", SELECT)
-        assert response.status == 200
-        assert response.getheader("Deprecation") == "true"
-        response, _ = self._raw(router, "GET", "/v1/health")
-        assert response.status == 200
+    @pytest.mark.parametrize("tier_name", ["single", "router"])
+    @pytest.mark.parametrize("path", list(V1_ROUTES))
+    def test_only_v1_paths_answer(self, request, tier_name, path):
+        client = request.getfixturevalue(tier_name)
+        method, body, v1_status = V1_ROUTES[path]
+        response, _ = self._raw(client, method, path, body)
+        assert response.status == 404
+        response, _ = self._raw(client, method, "/v1" + path, body)
+        assert response.status == v1_status
+        assert response.getheader("Deprecation") is None
 
     def test_provenance_is_normalised_everywhere(self, single, router):
         for client in (single, router):

@@ -94,7 +94,7 @@ def test_one_trace_spans_service_publish_and_http(greece, season, tmp_path):
             # The served trace id resolves to one complete trace in
             # /debug/tracez.
             status, tracez = _request(
-                handle, "GET", f"/debug/tracez?trace_id={wanted}"
+                handle, "GET", f"/v1/debug/tracez?trace_id={wanted}"
             )
             assert status == 200
             assert tracez["tracing_enabled"] is True
@@ -119,7 +119,7 @@ def test_one_trace_spans_service_publish_and_http(greece, season, tmp_path):
             # The HTTP requests themselves joined the client's trace,
             # parented under the advertised span id.
             status, req_trace = _request(
-                handle, "GET", f"/debug/tracez?trace_id={request_trace}"
+                handle, "GET", f"/v1/debug/tracez?trace_id={request_trace}"
             )
             assert status == 200 and req_trace["count"] == 1
             req_spans = req_trace["traces"][0]["spans"]
@@ -133,7 +133,7 @@ def test_one_trace_spans_service_publish_and_http(greece, season, tmp_path):
             status, text = _request(
                 handle,
                 "GET",
-                f"/debug/tracez?format=text&trace_id={wanted}",
+                f"/v1/debug/tracez?format=text&trace_id={wanted}",
             )
             assert status == 200
             assert f"trace {wanted}" in text
@@ -141,10 +141,10 @@ def test_one_trace_spans_service_publish_and_http(greece, season, tmp_path):
 
             # Malformed limits are refused.
             status, _ = _request(
-                handle, "GET", "/debug/tracez?limit=banana"
+                handle, "GET", "/v1/debug/tracez?limit=banana"
             )
             assert status == 400
-            status, _ = _request(handle, "GET", "/debug/tracez?limit=0")
+            status, _ = _request(handle, "GET", "/v1/debug/tracez?limit=0")
             assert status == 400
     finally:
         service.close()
