@@ -54,7 +54,9 @@ def test_refine_one_acquisition(
 def test_figure8_series(benchmark, greece):
     config = Figure8Config(
         start=CRISIS_START + timedelta(hours=12),
-        hours=4.0 if paper_scale() else 1.0,
+        # Two hours at least: the per-hotspot yardstick reads the
+        # acquisitions after the one-hour persistence window has filled.
+        hours=4.0 if paper_scale() else 2.0,
     )
     result = benchmark.pedantic(
         run_figure8, args=(greece, config), rounds=1, iterations=1

@@ -5,27 +5,17 @@ Module teardowns route their paper-style tables to
 runs with ``-s``; captured otherwise).
 
 Machine-readable ``BENCH_*.json`` artifacts go through
-:func:`write_bench_json`, which writes the committed baseline copy under
-``benchmarks/out/`` **and** mirrors it to the repository root — the
-bench-trajectory tooling reads the root copies, the regression gate in
-CI reads the baselines.
-
-The root mirror is configurable through ``REPRO_BENCH_MIRROR``: unset
-keeps the historical repo-root mirror; a directory path redirects it;
-``0`` / ``false`` / ``off`` / ``no`` (or empty) disables it entirely.
-Smoke runs of the benchmarks (CI jobs, local sanity checks) should set
-``REPRO_BENCH_MIRROR=0`` so a low-scale run never clobbers committed
-root artifacts with throwaway numbers.
+:func:`write_bench_json`, which writes them under ``benchmarks/out/`` —
+the committed copies are the baselines CI's regression gate compares
+fresh runs against.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Optional
 
 _BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
-_REPO_ROOT = os.path.dirname(_BENCH_DIR)
 
 
 def report(name: str, text: str) -> str:
@@ -39,41 +29,13 @@ def report(name: str, text: str) -> str:
     return path
 
 
-def write_bench_json(
-    name: str, payload: dict, root: Optional[str] = None
-) -> str:
-    """Write ``BENCH_<name>.json`` under ``benchmarks/out/`` and mirror
-    it; returns the ``out/`` path.
-
-    ``root`` overrides the mirror directory (tests point it at a tmp
-    dir) and wins over the environment.  Otherwise the
-    ``REPRO_BENCH_MIRROR`` variable picks the mirror: unset → the
-    repository root (the historical behaviour), a path → that
-    directory, a falsy value (``0``/``false``/``off``/``no``/empty) →
-    no mirror at all.  The payload is written deterministically
-    (sorted keys) so committed baselines diff cleanly.
-    """
-    filename = f"BENCH_{name}.json"
+def write_bench_json(name: str, payload: dict) -> str:
+    """Write ``BENCH_<name>.json`` under ``benchmarks/out/``; returns
+    the path.  The payload is written deterministically (sorted keys,
+    trailing newline) so committed baselines diff cleanly."""
     out_dir = os.path.join(_BENCH_DIR, "out")
     os.makedirs(out_dir, exist_ok=True)
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    path = os.path.join(out_dir, filename)
+    path = os.path.join(out_dir, f"BENCH_{name}.json")
     with open(path, "w") as f:
-        f.write(text)
-    mirror_dir = _mirror_dir(root)
-    if mirror_dir is not None:
-        with open(os.path.join(mirror_dir, filename), "w") as f:
-            f.write(text)
+        f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
-
-
-def _mirror_dir(root: Optional[str]) -> Optional[str]:
-    """Resolve the mirror directory (None disables the mirror)."""
-    if root is not None:
-        return root
-    env = os.environ.get("REPRO_BENCH_MIRROR")
-    if env is None:
-        return _REPO_ROOT
-    if env.strip().lower() in ("", "0", "false", "off", "no"):
-        return None
-    return env

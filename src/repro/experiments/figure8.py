@@ -5,13 +5,20 @@ simulated window, the six operations run against a Strabon endpoint that
 keeps accumulating hotspot history (as the operational store does), and
 their wall times are recorded — the series the paper plots on a log
 scale.
+
+An operation's cost grows with the number of hotspots in the
+acquisition, and that number changes over the run, so the yardstick is
+per hotspot: over the acquisitions after the persistence window has
+filled, the fitted ms per hotspot, and the slope of ms per hotspot
+against the acquisition index — flat (about 0) when a hotspot costs the
+same however much history the store holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.legacy import LegacyChain
 from repro.core.refinement import RefinementPipeline
@@ -41,6 +48,9 @@ class AcquisitionTimings:
 @dataclass
 class Figure8Result:
     series: Dict[str, List[AcquisitionTimings]] = field(default_factory=dict)
+    #: Per sensor, the index of the first acquisition after the
+    #: persistence window has filled (the settled acquisitions).
+    settled_from: Dict[str, int] = field(default_factory=dict)
 
     def operation_average(self, sensor: str, operation: str) -> float:
         rows = self.series.get(sensor, [])
@@ -53,25 +63,54 @@ class Figure8Result:
             ops, key=lambda op: self.operation_average(sensor, op)
         )
 
-    def slope_ms(self, sensor: str, operation: str) -> float:
-        """Least-squares slope of ``operation``'s wall time against the
-        acquisition index, in ms per acquisition (0 for fewer than two
-        acquisitions).  The paper's curves are flat: about 0."""
-        rows = self.series.get(sensor, [])
-        n = len(rows)
-        if n < 2:
-            return 0.0
-        ys = [
-            r.seconds_by_operation.get(operation, 0.0) * 1000
-            for r in rows
+    def _settled(
+        self, sensor: str, operation: str
+    ) -> List[Tuple[int, int, float]]:
+        """``(index, hotspots, seconds)`` of the settled acquisitions
+        that had hotspots."""
+        start = self.settled_from.get(sensor, 0)
+        return [
+            (i, row.hotspots, row.seconds_by_operation.get(operation, 0.0))
+            for i, row in enumerate(self.series.get(sensor, []))
+            if i >= start and row.hotspots > 0
         ]
-        x_mean = (n - 1) / 2
-        y_mean = sum(ys) / n
-        covariance = sum(
-            (x - x_mean) * (y - y_mean) for x, y in enumerate(ys)
+
+    def ms_per_hotspot(self, sensor: str, operation: str) -> float:
+        """The least-squares fit of ``ms = b * hotspots`` over the
+        settled acquisitions: ``b``, in ms per hotspot (0 without
+        any)."""
+        points = self._settled(sensor, operation)
+        squares = sum(spots * spots for _, spots, _ in points)
+        if not squares:
+            return 0.0
+        return sum(spots * s for _, spots, s in points) * 1000 / squares
+
+    def per_hotspot_slope_ms(self, sensor: str, operation: str) -> float:
+        """Least-squares slope of ms per hotspot against the
+        acquisition index over the settled acquisitions, in ms per
+        hotspot per acquisition (0 for fewer than two).  About 0 when
+        a hotspot costs the same whatever the history."""
+        return _slope(
+            [
+                (i, seconds * 1000 / spots)
+                for i, spots, seconds in self._settled(sensor, operation)
+            ]
         )
-        variance = sum((x - x_mean) ** 2 for x in range(n))
-        return covariance / variance
+
+
+def _slope(points: Sequence[Tuple[float, float]]) -> float:
+    """Least-squares slope of ``y`` against ``x`` (0 for fewer than
+    two distinct ``x``)."""
+    n = len(points)
+    if n < 2:
+        return 0.0
+    x_mean = sum(x for x, _ in points) / n
+    y_mean = sum(y for _, y in points) / n
+    variance = sum((x - x_mean) ** 2 for x, _ in points)
+    if not variance:
+        return 0.0
+    covariance = sum((x - x_mean) * (y - y_mean) for x, y in points)
+    return covariance / variance
 
 
 def run_figure8(
@@ -94,6 +133,9 @@ def run_figure8(
         strabon = Strabon()
         load_auxiliary_data(strabon, greece)
         pipeline = RefinementPipeline(strabon)
+        result.settled_from[sensor.name] = -(
+            -pipeline.persistence_window_minutes // sensor.revisit_minutes
+        )
         rows: List[AcquisitionTimings] = []
         when = config.start
         end = config.start + timedelta(hours=config.hours)
@@ -139,13 +181,20 @@ def format_figure8_result(result: Figure8Result) -> str:
                 f"{row.timestamp.strftime('%H:%M'):<6} "
                 f"{row.hotspots:>5} {cells}"
             )
-        slopes = " ".join(
-            f"{result.slope_ms(sensor, op):>+13.3f}" for op in ops
+        per_spot = " ".join(
+            f"{result.ms_per_hotspot(sensor, op):>13.3f}" for op in ops
         )
-        lines.append(f"{'slope':<6} {'':>5} {slopes}")
+        lines.append(f"{'ms/spot':<12} {per_spot}")
+        slopes = " ".join(
+            f"{result.per_hotspot_slope_ms(sensor, op):>+13.4f}"
+            for op in ops
+        )
+        lines.append(f"{'slope/spot':<12} {slopes}")
         lines.append(
-            "slope: least-squares ms per acquisition (the paper's "
-            "curves are flat)"
+            f"over acquisitions >= {result.settled_from.get(sensor, 0)} "
+            "(the persistence window has filled): ms/spot is the "
+            "least-squares ms per hotspot, slope/spot the slope of ms "
+            "per hotspot per acquisition (flat: about 0)"
         )
         slowest = result.slowest_operation(sensor)
         lines.append(f"slowest operation on average: {slowest}")

@@ -381,7 +381,6 @@ class ShardRouter(HotspotServer):
                     str(sid): {
                         key: doc.get(key)
                         for key in (
-                            "engine",
                             "operation",
                             "rows",
                             "plan",

@@ -1,31 +1,25 @@
-"""Vectorised columnar stSPARQL execution.
+"""The stSPARQL engine: group operators over id columns.
 
-The interpreted :class:`~repro.stsparql.eval.Evaluator` carries bindings
-as one dict per solution row; every join step copies dicts and every
-filter re-evaluates its expression per row.  This module executes the
-same plans over *columns*: each variable is an ``int64`` array of
+SELECT, ASK, CONSTRUCT and update ``WHERE`` clauses all run here.
+Solutions flow as *columns*: each variable is an ``int64`` array of
 dictionary identifiers backed by the RDF store's term dictionary
 (:meth:`~repro.rdf.graph.TripleReader.term_id`), joins expand via index
 arithmetic instead of dict copies, and filters are either evaluated as
 numpy array expressions (numeric and datetime comparisons, Allen-style
-temporal relations) or memoised per *distinct* binding combination so
-each spatial predicate pair is computed once per batch.
+temporal relations, envelope-pruned spatial predicates) or memoised per
+*distinct* binding combination through the shared per-row expression
+code of :class:`~repro.stsparql.eval.Evaluator`, whose planner, probes
+and solution modifiers the engine inherits.
 
-Semantics are identical to the interpreted engine by construction:
+OPTIONAL, MINUS and ``FILTER (NOT) EXISTS`` evaluate their pattern
+under each row's bindings, once per batch (:meth:`ColumnarEvaluator.
+_correlate`): the distinct bindings become seed rows tagged with a
+hidden row id, grouped by which columns they bind, and the solutions
+are joined back on the tag.
 
-* join order comes from the shared :meth:`Evaluator._order_patterns`
-  selectivity planner,
-* per-combination matching reuses the exact inference / R-tree
-  restriction branches of :meth:`Evaluator._match_triple`,
-* solution modifiers (projection, grouping, DISTINCT, ORDER BY,
-  OFFSET/LIMIT) run on the decoded rows through the inherited
-  implementations,
-* inside an operator, anything the vector paths cannot express (e.g. a
-  string filter) runs the inherited per-row code on the same evaluator
-  state, once per distinct binding combination.
-
-The differential harness in ``tests/stsparql/test_differential.py``
-holds the two engines equal over a randomised query corpus.
+The row-wise reference in ``tests/stsparql/reference.py`` shares
+everything but the group operators; the differential suites hold the
+two equal.
 
 Identifier space: graph dictionary ids are dense non-negative ints;
 terms that only exist in bindings (parameters, computed values) are
@@ -81,6 +75,10 @@ CHUNK_ROWS = 65536
 #: Sentinel for "evaluating this cell raises ExpressionError".
 _ERR = object()
 
+#: Hidden column tagging the seed rows of a correlated evaluation with
+#: the outer binding they stand for (no variable name holds a NUL).
+_ROW_ID = "\0row"
+
 _metrics = get_metrics()
 
 #: Temporal predicates with a direct array formula (Allen relations).
@@ -128,8 +126,8 @@ def _empty_column(length: int) -> np.ndarray:
 
 
 def _bound_domain(batch: Batch) -> Set[str]:
-    """Variables bound in the batch's first row (the per-row engine's
-    ``set(rows[0])``)."""
+    """Variables bound in the batch's first row (a per-row
+    evaluation's ``set(rows[0])``)."""
     if not batch.length:
         return set()
     return {
@@ -172,6 +170,10 @@ def _distinct_combos(
             np.zeros((1, 0), dtype=np.int64),
             np.zeros(batch.length, dtype=np.intp),
         )
+    if len(names) == 1:
+        column = batch.columns[names[0]]
+        uniq, inverse = np.unique(column, return_inverse=True)
+        return uniq.reshape(-1, 1), inverse.reshape(-1)
     mat = np.stack([batch.columns[name] for name in names], axis=1)
     combos, inverse = np.unique(mat, axis=0, return_inverse=True)
     return combos, inverse.reshape(-1)
@@ -207,26 +209,24 @@ def _predicate_pairs(
             pass
     views = entry[1].get(pi)
     if views is None:
-        rows = [
-            (s, o) for s, _p, o in graph.triples_ids(None, pi, None)
-        ]
-        if rows:
-            mat = np.asarray(rows, dtype=np.int64)
-            views = (
-                np.ascontiguousarray(mat[:, 0]),
-                np.ascontiguousarray(mat[:, 1]),
-            )
-        else:
-            empty = np.empty(0, dtype=np.int64)
-            views = (empty, empty)
+        views = _id_pairs(graph.triples_ids(None, pi, None))
         entry[1][pi] = views
     return views
 
 
-class ColumnarEvaluator(Evaluator):
-    """Batch evaluator — same plans, same results, columnar execution."""
+def _id_pairs(triples) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(subject, object)`` id columns of some id triples."""
+    mat = np.array(
+        [(s, o) for s, _p, o in triples], dtype=np.int64
+    ).reshape(-1, 2)
+    return (
+        np.ascontiguousarray(mat[:, 0]),
+        np.ascontiguousarray(mat[:, 1]),
+    )
 
-    engine_name = "columnar"
+
+class ColumnarEvaluator(Evaluator):
+    """The stSPARQL engine: group operators over id columns."""
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
@@ -269,21 +269,36 @@ class ColumnarEvaluator(Evaluator):
         batch = self._eval_group_batch(query.pattern, self._seed_batch())
         return bool(batch.length)
 
+    def update_bindings(
+        self, pattern: ast.GroupGraphPattern
+    ) -> List[Row]:
+        """The solutions of an update's ``WHERE`` pattern."""
+        batch = self._eval_group_batch(pattern, self._seed_batch())
+        return self._batch_to_rows(batch)
+
     # -- batch <-> row conversion ---------------------------------------
 
     def _seed_batch(self) -> Batch:
         """The seed rows as columns: one row per parameter mapping."""
-        seeds = self.seeds
-        names = seeds[0] if seeds else ()
+        return self._rows_batch(self.seeds)
+
+    def _rows_batch(self, rows: Sequence[Row]) -> Batch:
+        names: List[str] = []
+        for row in rows:
+            names.extend(name for name in row if name not in names)
+        encode = self._encode
         columns = {
             name: np.fromiter(
-                (self._encode(row[name]) for row in seeds),
+                (
+                    encode(row[name]) if name in row else UNBOUND
+                    for row in rows
+                ),
                 dtype=np.int64,
-                count=len(seeds),
+                count=len(rows),
             )
             for name in names
         }
-        return Batch(len(seeds), columns)
+        return Batch(len(rows), columns)
 
     def _batch_to_rows(self, batch: Batch) -> List[Row]:
         decode = self._decode
@@ -453,9 +468,10 @@ class ColumnarEvaluator(Evaluator):
         a constant, a fully-bound column, or a fresh variable — the vast
         majority of patterns — without materialising per-combination
         rows: the predicate's ``(s, o)`` pairs come off the POS index as
-        two id arrays and the join is ``searchsorted`` arithmetic.
-        ``rdf:type`` under inference joins against the (row-independent)
-        ``instances_of`` set the same way.  Returns None when the
+        two id arrays (for a small batch, off one index probe per
+        distinct bound key) and the join is ``searchsorted`` arithmetic.
+        ``rdf:type`` under inference joins against the class closure's
+        instances the same way.  Returns None when the
         pattern needs the per-combination machinery (variable
         predicates, repeated variables, mixed bound/unbound columns,
         a variable ``rdf:type`` class under inference).
@@ -502,15 +518,24 @@ class ColumnarEvaluator(Evaluator):
         if inference_type:
             if isinstance(obj, Variable):
                 return None  # the class comes from the row
-            instances = list(self.inference.instances_of(obj))
-            if s_role[0] == "bound" and n * 8 < len(instances):
-                # Tiny batch against a big closure: per-combination
-                # membership probes beat materialising the relation.
-                return None
-            s_rel = np.fromiter(
-                (self._encode(t) for t in instances),
-                dtype=np.int64,
-            )
+            if s_role[0] == "bound":
+                # Test each distinct subject's asserted types against
+                # the closure rather than materialising its instances.
+                ti = graph.term_id(RDF.type)
+                classes = self._subclass_ids(obj)
+                s_rel = np.array(
+                    [
+                        si
+                        for si in np.unique(s_role[1]).tolist()
+                        if not classes.isdisjoint(graph.object_ids(si, ti))
+                    ],
+                    dtype=np.int64,
+                )
+            else:
+                s_rel = np.fromiter(
+                    map(self._encode, self.inference.instances_of(obj)),
+                    dtype=np.int64,
+                )
             o_rel = None  # object is the constant class term
         else:
             pi = graph.term_id(pred)
@@ -533,21 +558,27 @@ class ColumnarEvaluator(Evaluator):
             elif sid is not None or oid is not None:
                 # Const-anchored: only the matching triples come off
                 # the index — O(matches), never O(predicate).
-                rows = list(graph.triples_ids(sid, pi, oid))
-                if rows:
-                    mat = np.asarray(rows, dtype=np.int64)
-                    s_rel = np.ascontiguousarray(mat[:, 0])
-                    o_rel = np.ascontiguousarray(mat[:, 2])
+                s_rel, o_rel = _id_pairs(graph.triples_ids(sid, pi, oid))
+            elif (
+                s_role[0] == "bound" or o_role[0] == "bound"
+            ) and n * 8 < graph.count_ids(None, pi, None):
+                # A bound column over a tiny batch: probing the index
+                # once per distinct key is O(batch) while the whole
+                # relation would be materialised and sorted.
+                if s_role[0] == "bound":
+                    probes = (
+                        graph.triples_ids(k, pi, None)
+                        for k in np.unique(s_role[1]).tolist()
+                    )
                 else:
-                    s_rel, o_rel = empty, empty
+                    probes = (
+                        graph.triples_ids(None, pi, k)
+                        for k in np.unique(o_role[1]).tolist()
+                    )
+                s_rel, o_rel = _id_pairs(
+                    triple for probe in probes for triple in probe
+                )
             else:
-                if (
-                    s_role[0] == "bound" or o_role[0] == "bound"
-                ) and n * 8 < graph.count_ids(None, pi, None):
-                    # A bound column over a tiny batch: per-row index
-                    # probes are O(batch) while the vector join would
-                    # materialise and sort the whole relation.
-                    return None
                 s_rel, o_rel = _predicate_pairs(graph, pi)
             if o_role[0] == "const":
                 o_rel = None  # already restricted by the index
@@ -584,12 +615,7 @@ class ColumnarEvaluator(Evaluator):
             counts = (right - left).astype(np.int64)
         else:
             counts = np.full(n, rel_size, dtype=np.int64)
-        total = int(counts.sum())
-        row_idx = np.repeat(np.arange(n), counts)
-        offsets = np.cumsum(counts) - counts
-        within = np.arange(total, dtype=np.int64) - np.repeat(
-            offsets, counts
-        )
+        row_idx, within = _expand(counts)
         if checks:
             sel = order[left[row_idx] + within]
             for col, key in checks[1:]:
@@ -629,39 +655,47 @@ class ColumnarEvaluator(Evaluator):
         n = batch.length
         combos, inverse = _distinct_combos(batch, combo_names)
         results = []
-        for combo in combos:
-            key = tuple(int(v) for v in combo)
+        for combo in combos.tolist():
+            key = tuple(combo)
             res = match_cache.get(key)
             if res is None:
-                row = self._combo_row(combo_names, combo)
                 res = self._match_combo(
-                    pattern, row, group_filters, probe
+                    pattern,
+                    dict(zip(combo_names, combo)),
+                    group_filters,
+                    probe,
                 )
                 match_cache[key] = res
             results.append(res)
-        counts = np.array(
-            [results[i][0] for i in inverse], dtype=np.int64
-        )
-        total = int(counts.sum())
-        row_idx = np.repeat(np.arange(n), counts)
-        offsets = np.cumsum(counts) - counts
-        within = np.arange(total) - np.repeat(offsets, counts)
-        combo_of_out = inverse[row_idx]
+        # Each combination's matches, laid end to end: output row j of
+        # input row i is match ``within[j]`` of i's combination.
+        combo_counts = np.array([res[0] for res in results], dtype=np.int64)
+        combo_starts = np.cumsum(combo_counts) - combo_counts
+        row_idx, within = _expand(combo_counts[inverse])
+        total = len(row_idx)
+        match_idx = combo_starts[inverse[row_idx]] + within
         out_cols = {
             name: col[row_idx] for name, col in batch.columns.items()
         }
+        names = []
         for term in (pattern.subject, pattern.predicate, pattern.object):
-            if isinstance(term, Variable) and term.name not in out_cols:
-                out_cols[term.name] = _empty_column(total)
-        for ci, (_count, produced) in enumerate(results):
-            if not produced:
+            if isinstance(term, Variable) and term.name not in names:
+                names.append(term.name)
+        for name in names:
+            # A variable a combination had bound produces nothing there.
+            flat: List[int] = []
+            for count, produced in results:
+                flat.extend(produced.get(name, (UNBOUND,) * count))
+            if not flat:
+                out_cols.setdefault(name, _empty_column(total))
                 continue
-            mask = combo_of_out == ci
-            if not mask.any():
-                continue
-            pos = within[mask]
-            for name, arr in produced:
-                out_cols[name][mask] = arr[pos]
+            made = np.array(flat, dtype=np.int64)[match_idx]
+            current = out_cols.get(name)
+            out_cols[name] = (
+                made
+                if current is None
+                else np.where(made != UNBOUND, made, current)
+            )
         if _metrics.enabled:
             _metrics.counter(
                 "stsparql_columnar_batches_total",
@@ -676,19 +710,25 @@ class ColumnarEvaluator(Evaluator):
     def _match_combo(
         self,
         pattern: ast.TriplePattern,
-        row: Row,
+        combo: Dict[str, int],
         group_filters: List[ast.Filter],
         probe: _Probe,
-    ) -> Tuple[int, List[Tuple[str, np.ndarray]]]:
-        """All matches of ``pattern`` under one binding combination.
+    ) -> Tuple[int, Dict[str, List[int]]]:
+        """All matches of ``pattern`` under one binding combination
+        (variable -> id, ``UNBOUND`` for unbound).
 
-        Returns ``(count, [(new_var, id_array), ...])`` — the same
-        candidate enumeration (inference, R-tree restriction with the
-        probe's subject checks, repeated variable consistency) as
-        :meth:`Evaluator._match_triple`, run once per *distinct*
-        combination instead of once per row.
+        Returns ``(count, {new_var: [id, ...]})`` — the candidate
+        enumeration of an index walk, or of the inference and R-tree
+        restriction probes (the latter with the probe's subject
+        checks), with repeated variables kept consistent, run once per
+        *distinct* combination.
         """
         graph = self.graph
+        row = {
+            name: self._decode(tid)
+            for name, tid in combo.items()
+            if tid != UNBOUND
+        }
         restriction = self._spatial_restriction(
             pattern, row, group_filters
         )
@@ -698,89 +738,54 @@ class ColumnarEvaluator(Evaluator):
                 "R-tree candidate-set sizes used by the columnar engine",
             ).observe(float(len(restriction)), site="bgp")
         slots = (pattern.subject, pattern.predicate, pattern.object)
-
-        def resolve_term(term: Term) -> Optional[Term]:
-            if isinstance(term, Variable):
-                return row.get(term.name)
-            return term
-
-        s = resolve_term(pattern.subject)
-        p = resolve_term(pattern.predicate)
-        o = resolve_term(pattern.object)
-        new_names: List[str] = []
-        for term in slots:
-            if (
-                isinstance(term, Variable)
-                and term.name not in row
-                and term.name not in new_names
-            ):
-                new_names.append(term.name)
-        candidates = None
+        resolved = [
+            row.get(t.name) if isinstance(t, Variable) else t
+            for t in slots
+        ]
+        s, p, o = resolved
+        # Slot positions that produce a binding, and for a variable
+        # repeated inside the pattern the earlier slot it must equal.
+        produce: Dict[str, int] = {}
+        repeats: List[Tuple[int, int]] = []
+        for pos, term in enumerate(slots):
+            if isinstance(term, Variable) and term.name not in row:
+                first = produce.setdefault(term.name, pos)
+                if first != pos:
+                    repeats.append((first, pos))
         if self.inference is not None and p == RDF.type:
-            candidates = self._inferred_types(s, o)
+            encode = self._encode
+            candidates = (
+                tuple(map(encode, triple))
+                for triple in self._inferred_types(s, o)
+            )
         elif restriction is not None and o is None:
             candidates = self._restricted_triples(
                 s, p, restriction, probe
             )
-        out: Dict[str, List[int]] = {name: [] for name in new_names}
-        count = 0
-        if candidates is None:
-            # Plain index walk — stay in id space end to end.
-            ids: List[Optional[int]] = []
-            reachable = True
-            for term in (s, p, o):
-                if term is None:
-                    ids.append(None)
-                    continue
-                tid = graph.term_id(term)
-                if tid is None:
-                    reachable = False
-                    break
-                ids.append(tid)
-            if reachable:
-                for triple in graph.triples_ids(*ids):
-                    local: Dict[str, int] = {}
-                    good = True
-                    for slot_term, value in zip(slots, triple):
-                        if (
-                            isinstance(slot_term, Variable)
-                            and slot_term.name not in row
-                        ):
-                            prev = local.get(slot_term.name)
-                            if prev is None:
-                                local[slot_term.name] = value
-                            elif prev != value:
-                                good = False
-                                break
-                    if good:
-                        count += 1
-                        for name in new_names:
-                            out[name].append(local[name])
         else:
-            encode = self._encode
-            for t_s, t_p, t_o in candidates:
-                local_t: Dict[str, Term] = {}
-                good = True
-                for slot_term, value in zip(slots, (t_s, t_p, t_o)):
-                    if (
-                        isinstance(slot_term, Variable)
-                        and slot_term.name not in row
-                    ):
-                        prev_t = local_t.get(slot_term.name)
-                        if prev_t is None:
-                            local_t[slot_term.name] = value
-                        elif prev_t != value:
-                            good = False
-                            break
-                if good:
-                    count += 1
-                    for name in new_names:
-                        out[name].append(encode(local_t[name]))
-        produced = [
-            (name, np.array(out[name], dtype=np.int64))
-            for name in new_names
-        ]
-        return count, produced
+            ids = []
+            for term in slots:
+                if isinstance(term, Variable):
+                    tid = combo.get(term.name, UNBOUND)
+                    ids.append(None if tid == UNBOUND else tid)
+                else:
+                    ids.append(graph.term_id(term))
+                    if ids[-1] is None:
+                        return 0, {}
+            if any(tid is not None and tid >= LOCAL_BASE for tid in ids):
+                return 0, {}  # a term the graph never stored
+            candidates = graph.triples_ids(*ids)
+        if repeats:
+            candidates = (
+                triple
+                for triple in candidates
+                if all(triple[a] == triple[b] for a, b in repeats)
+            )
+        matched = list(candidates)
+        return len(matched), {
+            name: [triple[pos] for triple in matched]
+            for name, pos in produce.items()
+        }
 
     # -- filters --------------------------------------------------------
 
@@ -789,7 +794,8 @@ class ColumnarEvaluator(Evaluator):
     ) -> Batch:
         if batch.length == 0:
             return batch
-        vec = self._vector_filter(expr, batch)
+        probe = self._with_exists(expr, batch)
+        vec = self._vector_filter(expr, probe)
         if vec is not None:
             res, valid = vec
             keep = res & valid
@@ -799,16 +805,14 @@ class ColumnarEvaluator(Evaluator):
                     "FILTER evaluations answered by array formulas",
                 ).inc()
         else:
-            keep = self._generic_filter_mask(expr, batch)
+            keep = self._generic_filter_mask(expr, probe)
         return batch.take(np.flatnonzero(keep))
 
     def _generic_filter_mask(
         self, expr: ast.Expression, batch: Batch
     ) -> np.ndarray:
         """Per-row semantics, per-*distinct-combination* evaluation."""
-        names = sorted(
-            _expr_variables(expr) & set(batch.columns)
-        )
+        names = _expression_columns(expr, batch)
         if not names:
             passes = self._filter_passes(expr, {})
             return np.full(batch.length, passes, dtype=bool)
@@ -836,11 +840,17 @@ class ColumnarEvaluator(Evaluator):
     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """``(result, valid)`` boolean arrays, or None if not expressible.
 
-        ``valid`` is False where the interpreted engine would raise
+        ``valid`` is False where per-row evaluation would raise
         ``ExpressionError`` (the enclosing FILTER then rejects the row);
         three-valued logic composes errors exactly like the per-row
         short-circuit code.
         """
+        if isinstance(expr, ast.ExistsExpr):
+            col = batch.columns.get(_exists_column(expr))
+            if col is None:
+                return None
+            res = col == self._encode(to_term(not expr.negated))
+            return res, np.ones(batch.length, dtype=bool)
         if isinstance(expr, ast.UnaryExpr) and expr.op == "!":
             inner = self._vector_filter(expr.operand, batch)
             if inner is None:
@@ -897,7 +907,7 @@ class ColumnarEvaluator(Evaluator):
         itself hits the process-wide WKT / predicate memos).  Every
         predicate in ``SPATIAL_PREDICATE_NAMES`` implies envelope
         interaction, so a pruned pair is a definite False — unless a
-        side is not a geometry at all, which the per-row engine treats
+        side is not a geometry at all, which per-row evaluation treats
         as an error (``valid`` False here).
         """
         sides: List[Tuple[str, Any]] = []
@@ -928,16 +938,17 @@ class ColumnarEvaluator(Evaluator):
                         dtype=np.int64,
                     )
                 )
-        mat = np.stack(cols, axis=1)
-        combos, inverse = np.unique(mat, axis=0, return_inverse=True)
+        ids_a, side_a = np.unique(cols[0], return_inverse=True)
+        ids_b, side_b = np.unique(cols[1], return_inverse=True)
+        # The distinct pairs, as (index into ids_a, index into ids_b).
+        pairs, inverse = np.unique(
+            side_a.reshape(-1) * len(ids_b) + side_b.reshape(-1),
+            return_inverse=True,
+        )
         inverse = inverse.reshape(-1)
-
-        terms_a, ok_a, env_a, inv_a = self._side_geometries(
-            combos[:, 0]
-        )
-        terms_b, ok_b, env_b, inv_b = self._side_geometries(
-            combos[:, 1]
-        )
+        inv_a, inv_b = np.divmod(pairs, len(ids_b))
+        terms_a, ok_a, env_a = self._side_geometries(ids_a)
+        terms_b, ok_b, env_b = self._side_geometries(ids_b)
         a = env_a[inv_a]
         b = env_b[inv_b]
         # One vectorised envelope test over the distinct pairs — NaN
@@ -949,9 +960,9 @@ class ColumnarEvaluator(Evaluator):
             & (b[:, 1] <= a[:, 3])
             & (b[:, 3] >= a[:, 1])
         )
-        res = np.zeros(len(combos), dtype=bool)
+        res = np.zeros(len(pairs), dtype=bool)
         # A pruned pair is a definite False only when both sides
-        # really are geometries; the per-row engine errors otherwise.
+        # really are geometries; per-row evaluation errors otherwise.
         # Envelope-interacting pairs all have real geometries on both
         # sides, and the exact predicate applies its own error
         # semantics to them below.
@@ -962,12 +973,14 @@ class ColumnarEvaluator(Evaluator):
                 "Distinct pairs reaching the exact spatial predicate "
                 "after envelope pruning",
             ).observe(float(np.count_nonzero(overlap)))
-        for ci in np.nonzero(overlap)[0]:
+        (kind_a, name_a), (kind_b, name_b) = sides
+        inv_a, inv_b = inv_a.tolist(), inv_b.tolist()
+        for ci in np.flatnonzero(overlap).tolist():
             row = {}
-            if sides[0][0] == "var":
-                row[sides[0][1]] = terms_a[inv_a[ci]]
-            if sides[1][0] == "var":
-                row[sides[1][1]] = terms_b[inv_b[ci]]
+            if kind_a == "var":
+                row[name_a] = terms_a[inv_a[ci]]
+            if kind_b == "var":
+                row[name_b] = terms_b[inv_b[ci]]
             try:
                 res[ci] = effective_boolean(
                     self._eval_expr(expr, row)
@@ -978,18 +991,16 @@ class ColumnarEvaluator(Evaluator):
 
     def _side_geometries(
         self, ids: np.ndarray
-    ) -> Tuple[List[Any], np.ndarray, np.ndarray, np.ndarray]:
-        """Distinct-term geometry lookup for one spatial-pair side.
+    ) -> Tuple[List[Any], np.ndarray, np.ndarray]:
+        """Geometry lookup for the distinct ids of one spatial-pair side.
 
-        Returns ``(terms, ok, env, inverse)`` over the distinct ids:
-        the decoded terms, whether each coerces to a geometry, and the
-        envelopes as an ``(n, 4)`` minx/miny/maxx/maxy array (NaN rows
-        for non-geometries and empty geometries).  Stored terms
-        memoise on the graph itself — term ids are append-only for the
-        graph's lifetime, so entries never invalidate.
+        Returns ``(terms, ok, env)``: the decoded terms, whether each
+        coerces to a geometry, and the envelopes as an ``(n, 4)``
+        minx/miny/maxx/maxy array (NaN rows for non-geometries and
+        empty geometries).  Stored terms memoise on the graph itself —
+        term ids are append-only for the graph's lifetime, so entries
+        never invalidate.
         """
-        uniq, inverse = np.unique(ids, return_inverse=True)
-        inverse = inverse.reshape(-1)
         try:
             cache = _GEOM_CACHE.get(self.graph)
         except TypeError:
@@ -1001,10 +1012,10 @@ class ColumnarEvaluator(Evaluator):
             except TypeError:
                 pass
         terms: List[Any] = []
-        ok = np.zeros(len(uniq), dtype=bool)
-        env = np.full((len(uniq), 4), np.nan, dtype=np.float64)
-        for i, raw in enumerate(uniq):
-            tid = int(raw)
+        ok: List[bool] = []
+        boxes: List[Tuple[float, ...]] = []
+        nan_box = (np.nan,) * 4
+        for tid in ids.tolist():
             entry = cache.get(tid) if tid < LOCAL_BASE else None
             if entry is None:
                 term = self._decode(tid)
@@ -1021,10 +1032,10 @@ class ColumnarEvaluator(Evaluator):
                 if tid < LOCAL_BASE:
                     cache[tid] = entry
             terms.append(entry[0])
-            ok[i] = entry[1]
-            if entry[2] is not None:
-                env[i] = entry[2]
-        return terms, ok, env, inverse
+            ok.append(entry[1])
+            boxes.append(nan_box if entry[2] is None else entry[2])
+        env = np.array(boxes, dtype=np.float64).reshape(-1, 4)
+        return terms, np.array(ok, dtype=bool), env
 
     def _scalar_side(
         self, arg: ast.Expression, batch: Batch
@@ -1032,7 +1043,7 @@ class ColumnarEvaluator(Evaluator):
         """Distinct evaluation values of one comparison side.
 
         Returns ``(values, inverse)`` where ``values`` holds each
-        distinct value (``_ERR`` marks cells the per-row engine would
+        distinct value (``_ERR`` marks cells per-row evaluation would
         error on) and ``inverse`` maps rows to value indices.
         """
         if isinstance(arg, ast.TermExpr):
@@ -1202,79 +1213,116 @@ class ColumnarEvaluator(Evaluator):
 
     # -- OPTIONAL / BIND / MINUS / subselect ----------------------------
 
+    def _correlate(
+        self, pattern: ast.GroupGraphPattern, batch: Batch
+    ) -> Tuple[np.ndarray, Batch, np.ndarray, np.ndarray]:
+        """Evaluate ``pattern`` under every row's bindings at once.
+
+        The distinct bindings of the batch's columns the pattern
+        mentions become seed rows, each tagged with its index in the
+        hidden ``_ROW_ID`` column.  Seeds are grouped by which of those
+        columns they bind, and each group is one evaluation — so every
+        evaluation plans with its rows' own bound domain, and a
+        solution keeps the tag of the binding it extends.
+
+        Returns ``(inverse, sub, starts, counts)``: ``inverse`` maps
+        batch rows to binding indices, ``sub`` holds the solutions
+        stably sorted by tag, and binding ``i``'s solutions are
+        ``sub`` rows ``starts[i]`` to ``starts[i] + counts[i]``.
+        OPTIONAL left-joins on the tag, MINUS anti-joins and EXISTS
+        semi-joins.
+        """
+        names = sorted(
+            n for n in _pattern_variables(pattern) if n in batch.columns
+        )
+        combos, inverse = _distinct_combos(batch, names)
+        bound = combos != UNBOUND
+        if names:
+            masks, group = np.unique(bound, axis=0, return_inverse=True)
+            group = group.reshape(-1)
+        else:
+            masks, group = bound[:1], np.zeros(len(combos), dtype=np.intp)
+        pieces: List[Batch] = []
+        for gi, mask in enumerate(masks):
+            ids = np.flatnonzero(group == gi)
+            seed = {
+                name: combos[ids, j]
+                for j, name in enumerate(names)
+                if mask[j]
+            }
+            seed[_ROW_ID] = ids.astype(np.int64)
+            pieces.append(
+                self._eval_group_batch(pattern, Batch(len(ids), seed))
+            )
+        sub = pieces[0] if len(pieces) == 1 else _concat_batches(pieces)
+        tags = sub.columns.get(_ROW_ID, _empty_column(0))
+        order = np.argsort(tags, kind="stable")
+        sub = sub.take(order)
+        counts = np.bincount(tags, minlength=len(combos))
+        starts = np.cumsum(counts) - counts
+        return inverse, sub, starts, counts
+
     def _optional_batch(
         self, pattern: ast.GroupGraphPattern, batch: Batch
     ) -> Batch:
+        """Left join: a row extends by each solution of ``pattern``
+        under its bindings that agrees with it, and passes through
+        unchanged when there is no solution at all."""
         if batch.length == 0:
             return batch
-        relevant = _pattern_variables(pattern)
-        names = sorted(n for n in relevant if n in batch.columns)
-        combos, inverse = _distinct_combos(batch, names)
-        subs: List[Batch] = []
-        compat_idx: List[Optional[np.ndarray]] = []
-        counts_per_combo = np.zeros(len(combos), dtype=np.int64)
-        for ci, combo in enumerate(combos):
-            seed_cols = {
-                name: np.full(1, int(tid), dtype=np.int64)
-                for name, tid in zip(names, combo)
-                if tid != UNBOUND
-            }
-            sub = self._eval_group_batch(pattern, Batch(1, seed_cols))
-            subs.append(sub)
-            if sub.length == 0:
-                compat_idx.append(None)
-                counts_per_combo[ci] = 1  # the row passes through
-                continue
-            compat = np.ones(sub.length, dtype=bool)
-            for name, tid in zip(names, combo):
-                if tid == UNBOUND:
-                    continue
-                col = sub.columns.get(name)
-                if col is not None:
-                    compat &= (col == int(tid)) | (col == UNBOUND)
-            idx = np.flatnonzero(compat)
-            compat_idx.append(idx)
-            counts_per_combo[ci] = len(idx)
-        counts = counts_per_combo[inverse]
-        total = int(counts.sum())
-        row_idx = np.repeat(np.arange(batch.length), counts)
-        offsets = np.cumsum(counts) - counts
-        within = np.arange(total) - np.repeat(offsets, counts)
-        combo_of_out = inverse[row_idx]
-        out_cols = {
-            name: col[row_idx] for name, col in batch.columns.items()
-        }
-        new_names: List[str] = []
-        for sub in subs:
-            for name in sub.columns:
-                if name not in out_cols and name not in new_names:
-                    new_names.append(name)
-        for name in new_names:
-            out_cols[name] = _empty_column(total)
-        for ci, sub in enumerate(subs):
-            idx = compat_idx[ci]
-            if idx is None or len(idx) == 0:
-                continue
-            mask = combo_of_out == ci
-            if not mask.any():
-                continue
-            pos = idx[within[mask]]
-            for name, col in sub.columns.items():
-                dest = out_cols[name]
-                vals = col[pos]
-                current = dest[mask]
-                dest[mask] = np.where(
-                    current != UNBOUND, current, vals
-                )
-        return Batch(total, out_cols)
+        inverse, sub, starts, counts = self._correlate(pattern, batch)
+        if not sub.length:
+            return batch
+        per_row = counts[inverse]
+        matched = per_row > 0
+        row_idx, within = _expand(np.where(matched, per_row, 1))
+        pos = np.where(
+            matched[row_idx], starts[inverse[row_idx]] + within, -1
+        )
+        # A solution agrees with its row unless a BIND rebound a
+        # variable the row binds.
+        return _merge_join(batch, sub, row_idx, pos)
+
+    def _exists_mask(
+        self, pattern: ast.GroupGraphPattern, batch: Batch
+    ) -> np.ndarray:
+        """Per row: does ``pattern`` have a solution under its
+        bindings?"""
+        inverse, _sub, _starts, counts = self._correlate(pattern, batch)
+        return counts[inverse] > 0
+
+    def _with_exists(self, expr: ast.Expression, batch: Batch) -> Batch:
+        """``batch`` plus one hidden column per EXISTS in ``expr``
+        holding its answer for every row, so the expression evaluates
+        per distinct combination like any other."""
+        nodes = _exists_nodes(expr)
+        if not nodes or not batch.length:
+            return batch
+        answers = np.array(
+            [self._encode(to_term(False)), self._encode(to_term(True))],
+            dtype=np.int64,
+        )
+        columns = dict(batch.columns)
+        for node in nodes:
+            mask = self._exists_mask(node.pattern, batch)
+            columns[_exists_column(node)] = answers[mask.astype(np.intp)]
+        return Batch(batch.length, columns)
+
+    def _exists(self, expr: ast.ExistsExpr, row: Row) -> bool:
+        answer = row.get(_exists_column(expr))
+        if answer is not None:
+            return bool(to_value(answer))
+        # Outside a group FILTER or BIND (a projection, HAVING, ORDER
+        # BY): answer for this row alone.
+        only = self._rows_batch([row])
+        return bool(self._exists_mask(expr.pattern, only)[0])
 
     def _bind_batch(self, element: ast.Bind, batch: Batch) -> Batch:
         if batch.length == 0:
             return batch
-        names = sorted(
-            _expr_variables(element.expression) & set(batch.columns)
-        )
-        combos, inverse = _distinct_combos(batch, names)
+        probe = self._with_exists(element.expression, batch)
+        names = _expression_columns(element.expression, probe)
+        combos, inverse = _distinct_combos(probe, names)
         var = element.variable.name
         old = batch.columns.get(var)
         dest = (
@@ -1295,83 +1343,95 @@ class ColumnarEvaluator(Evaluator):
     def _minus_batch(
         self, pattern: ast.GroupGraphPattern, batch: Batch
     ) -> Batch:
+        """Keep the rows under whose bindings ``pattern`` has no
+        solution."""
         if batch.length == 0:
             return batch
-        relevant = _pattern_variables(pattern)
-        names = sorted(n for n in relevant if n in batch.columns)
-        combos, inverse = _distinct_combos(batch, names)
-        keep_combo = np.zeros(len(combos), dtype=bool)
-        for ci, combo in enumerate(combos):
-            seed_cols = {
-                name: np.full(1, int(tid), dtype=np.int64)
-                for name, tid in zip(names, combo)
-                if tid != UNBOUND
-            }
-            sub = self._eval_group_batch(pattern, Batch(1, seed_cols))
-            keep_combo[ci] = sub.length == 0
-        return batch.take(np.flatnonzero(keep_combo[inverse]))
+        return batch.take(
+            np.flatnonzero(~self._exists_mask(pattern, batch))
+        )
 
     def _subselect_batch(
         self, query: ast.SelectQuery, batch: Batch
     ) -> Batch:
-        sub = self.select(query)
+        """Join the batch with the subselect's solutions on the
+        variables they share (an unbound side agrees with anything)."""
+        solutions = self.select(query)
         if batch.length == 0:
             return batch
-        encode = self._encode
-        sub_cols = {
-            name: np.array(
-                [
-                    encode(row[name]) if row.get(name) is not None
-                    else UNBOUND
-                    for row in sub.rows
-                ],
-                dtype=np.int64,
-            )
-            for name in sub.variables
-        }
-        shared = [v for v in sub.variables if v in batch.columns]
+        sub = self._rows_batch(solutions.rows)
+        shared = [v for v in sub.columns if v in batch.columns]
         combos, inverse = _distinct_combos(batch, shared)
-        n_sub = len(sub.rows)
-        compat_idx: List[np.ndarray] = []
-        counts_per_combo = np.zeros(len(combos), dtype=np.int64)
-        for ci, combo in enumerate(combos):
-            compat = np.ones(n_sub, dtype=bool)
+        matches = []
+        for combo in combos.tolist():
+            agree = np.ones(sub.length, dtype=bool)
             for name, tid in zip(shared, combo):
-                if tid == UNBOUND:
-                    continue
-                col = sub_cols[name]
-                compat &= (col == int(tid)) | (col == UNBOUND)
-            idx = np.flatnonzero(compat)
-            compat_idx.append(idx)
-            counts_per_combo[ci] = len(idx)
-        counts = counts_per_combo[inverse]
-        total = int(counts.sum())
-        row_idx = np.repeat(np.arange(batch.length), counts)
-        offsets = np.cumsum(counts) - counts
-        within = np.arange(total) - np.repeat(offsets, counts)
-        combo_of_out = inverse[row_idx]
-        out_cols = {
-            name: col[row_idx] for name, col in batch.columns.items()
-        }
-        for name in sub.variables:
-            if name not in out_cols:
-                out_cols[name] = _empty_column(total)
-        for ci in range(len(combos)):
-            idx = compat_idx[ci]
-            if len(idx) == 0:
-                continue
-            mask = combo_of_out == ci
-            if not mask.any():
-                continue
-            pos = idx[within[mask]]
-            for name in sub.variables:
-                dest = out_cols[name]
-                vals = sub_cols[name][pos]
-                current = dest[mask]
-                dest[mask] = np.where(
-                    current != UNBOUND, current, vals
-                )
-        return Batch(total, out_cols)
+                if tid != UNBOUND:
+                    col = sub.columns[name]
+                    agree &= (col == tid) | (col == UNBOUND)
+            matches.append(np.flatnonzero(agree))
+        counts = np.array([len(m) for m in matches], dtype=np.int64)
+        row_idx, within = _expand(counts[inverse])
+        starts = np.cumsum(counts) - counts
+        pos = np.concatenate(matches)[starts[inverse[row_idx]] + within]
+        return _merge_join(batch, sub, row_idx, pos)
+
+
+def _expand(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Row ``i`` repeated ``counts[i]`` times, and each copy's index
+    among its repeats."""
+    row_idx = np.repeat(np.arange(len(counts)), counts)
+    offsets = np.cumsum(counts) - counts
+    return row_idx, np.arange(len(row_idx)) - np.repeat(offsets, counts)
+
+
+def _merge_join(
+    batch: Batch, sub: Batch, row_idx: np.ndarray, pos: np.ndarray
+) -> Batch:
+    """Rows ``row_idx`` of ``batch``, each merged with row ``pos`` of
+    ``sub`` (-1: none).  A pair whose shared variables are bound to
+    different terms is dropped; ``sub``'s row tags are not copied."""
+    hit = pos >= 0
+    at = np.where(hit, pos, 0)
+    out = {name: col[row_idx] for name, col in batch.columns.items()}
+    keep = np.ones(len(row_idx), dtype=bool)
+    for name, col in sub.columns.items():
+        if name == _ROW_ID:
+            continue
+        vals = np.where(hit, col[at], UNBOUND)
+        current = out.get(name)
+        if current is None:
+            out[name] = vals
+            continue
+        keep &= (current == UNBOUND) | (vals == UNBOUND) | (current == vals)
+        out[name] = np.where(current != UNBOUND, current, vals)
+    merged = Batch(len(row_idx), out)
+    return merged if keep.all() else merged.take(np.flatnonzero(keep))
+
+
+def _exists_column(expr: ast.ExistsExpr) -> str:
+    """The hidden column carrying one EXISTS expression's answers."""
+    return f"\0exists{id(expr)}"
+
+
+def _exists_nodes(expr: ast.Expression) -> List[ast.ExistsExpr]:
+    """The EXISTS expressions of ``expr`` outside any EXISTS pattern."""
+    if isinstance(expr, ast.ExistsExpr):
+        return [expr]
+    if isinstance(expr, ast.UnaryExpr):
+        return _exists_nodes(expr.operand)
+    if isinstance(expr, ast.BinaryExpr):
+        return _exists_nodes(expr.left) + _exists_nodes(expr.right)
+    if isinstance(expr, ast.FunctionCall):
+        return [n for arg in expr.args for n in _exists_nodes(arg)]
+    return []
+
+
+def _expression_columns(expr: ast.Expression, batch: Batch) -> List[str]:
+    """The batch columns evaluating ``expr`` on a row reads."""
+    names = _expr_variables(expr)
+    names.update(_exists_column(n) for n in _exists_nodes(expr))
+    return sorted(names & set(batch.columns))
 
 
 def _comparison_keys(

@@ -6,11 +6,9 @@ read-only :class:`SnapshotView` the serving tier publishes.  It wraps a
 :class:`~repro.rdf.graph.Graph` (or a snapshot of one) with
 
 * an stSPARQL query/update endpoint (``query`` on both classes,
-  :meth:`Strabon.update`) with a fixed engine policy: SELECT / ASK /
-  CONSTRUCT run the vectorised operators of
-  :class:`~repro.stsparql.columnar.ColumnarEvaluator`, update ``WHERE``
-  clauses run the row-wise operators of
-  :class:`~repro.stsparql.eval.Evaluator`,
+  :meth:`Strabon.update`): SELECT, ASK, CONSTRUCT and update ``WHERE``
+  clauses all run on the columnar operators of
+  :class:`~repro.stsparql.columnar.ColumnarEvaluator`,
 * a parsed-request **plan cache** keyed on request text: templated
   requests (the refinement operations) parse once and re-run with
   per-acquisition values supplied as *parameters* — pre-bound variables
@@ -49,12 +47,12 @@ from repro.geometry.rtree import RTree
 from repro.perf.lru import LRUCache
 from repro.rdf.graph import Graph, GraphSnapshot
 from repro.rdf.inference import RDFSInference
-from repro.rdf.term import Literal, Term, Variable
+from repro.rdf.term import URI, Literal, Term, Variable
 from repro.rdf.turtle import parse_turtle
 from repro.stsparql import ast
 from repro.stsparql.columnar import ColumnarEvaluator
 from repro.stsparql.errors import ExpressionError, SparqlEvalError
-from repro.stsparql.eval import Evaluator, Row, SolutionSet
+from repro.stsparql.eval import Row, SolutionSet
 from repro.stsparql.functions import to_term
 from repro.stsparql.parser import parse
 
@@ -93,19 +91,6 @@ class UpdateResult:
 
     removed: int = 0
     added: int = 0
-
-
-def _evaluator_class(operation: str):
-    """The engine policy, decided by the operation being executed
-    (``"update"``, or any read).
-
-    Reads run the columnar operators.  Update WHERE clauses run
-    row-wise: update batches are small, mutate the graph between
-    operations (discarding the generation-keyed columnar caches each
-    time), and profit from pattern-time R-tree restriction inside
-    OPTIONAL blocks, so vectorisation there costs more than it saves.
-    """
-    return Evaluator if operation == "update" else ColumnarEvaluator
 
 
 def _parse_via_cache(cache: LRUCache, text: str):
@@ -329,11 +314,10 @@ class _Endpoint:
 
     def _evaluator(
         self,
-        operation: str,
         initial: Optional[List[Row]],
         explain_log: Optional[List[dict]],
         deadline: Optional[float],
-    ) -> Evaluator:
+    ) -> ColumnarEvaluator:
         """Build the evaluation plan: binds inference + spatial index."""
         with _tracer.span("stsparql.plan"):
             if self._inference is not None:
@@ -343,7 +327,7 @@ class _Endpoint:
                 # readers only read.
                 with self._build_lock:
                     self._inference._refresh()
-            evaluator = _evaluator_class(operation)(
+            evaluator = ColumnarEvaluator(
                 self.graph,
                 inference=self._inference,
                 spatial_candidates=(
@@ -370,7 +354,7 @@ class _Endpoint:
                 parsed, initial, explain_log, deadline
             )
             return result, "update", 0
-        evaluator = self._evaluator("read", initial, explain_log, deadline)
+        evaluator = self._evaluator(initial, explain_log, deadline)
         if isinstance(parsed, ast.SelectQuery):
             solutions = evaluator.select(parsed)
             return solutions, "select", len(solutions)
@@ -417,9 +401,9 @@ class _Endpoint:
 
         With ``explain=True`` the request still executes, but the
         return value is a JSON-style dict describing the execution:
-        the engine, the operation, the row count and — per evaluated
-        BGP — the selectivity-ordered join order with the cardinality
-        estimates that drove it.
+        the operation, the row count and — per evaluated BGP — the
+        selectivity-ordered join order with the cardinality estimates
+        that drove it.
 
         ``timeout`` is a cooperative wall-clock budget in seconds — a
         request that overruns it raises
@@ -485,7 +469,6 @@ class _Endpoint:
                 ).inc(stats.triples_removed)
         if explain_log is not None:
             return {
-                "engine": _evaluator_class(op).engine_name,
                 "operation": op,
                 "rows": rows,
                 "plan": explain_log,
@@ -620,7 +603,7 @@ class Strabon(_Endpoint):
                 if self.graph.add(*triple):
                     added += 1
             return UpdateResult(removed=removed, added=added)
-        evaluator = self._evaluator("update", initial, explain_log, deadline)
+        evaluator = self._evaluator(initial, explain_log, deadline)
         bindings = evaluator.update_bindings(request.where_pattern)
         to_remove = _instantiate(request.delete_template, bindings)
         to_add = _instantiate(request.insert_template, bindings)
@@ -706,24 +689,30 @@ def _ground(tmpl: ast.TriplePattern):
 def _instantiate(
     templates, bindings: List[Row]
 ) -> List[tuple]:
+    """The distinct triples the templates make from the bindings.
+
+    A triple with an unbound variable, a literal subject or a
+    predicate that is not an IRI is skipped (SPARQL 1.1 Update
+    §3.1.3): it is neither inserted nor deleted.
+    """
     out: List[tuple] = []
     seen: Set[tuple] = set()
     for row in bindings:
         for tmpl in templates:
             triple = []
-            ok = True
             for term in (tmpl.subject, tmpl.predicate, tmpl.object):
                 if isinstance(term, Variable):
-                    bound = row.get(term.name)
-                    if bound is None:
-                        ok = False
+                    term = row.get(term.name)
+                    if term is None:
                         break
-                    triple.append(bound)
-                else:
-                    triple.append(term)
-            if ok:
+                triple.append(term)
+            else:
                 key = tuple(triple)
-                if key not in seen:
+                if (
+                    key not in seen
+                    and not isinstance(key[0], Literal)
+                    and isinstance(key[1], URI)
+                ):
                     seen.add(key)
                     out.append(key)
     return out

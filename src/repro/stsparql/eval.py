@@ -1,14 +1,21 @@
-"""The stSPARQL evaluator.
+"""What the stSPARQL engine's operators share.
 
-Bindings are plain ``dict[str, Term]`` rows.  The evaluator walks group
-graph patterns sequentially — joins flow bindings left to right, a filter
-is applied inside a BGP once all its variables are in scope, before the
-next pattern that binds a new variable (patterns that only check bound
-variables — ``?m a gag:Dhmos`` with ``?m`` bound — run first: filters
-bind nothing, so the rows are the same and the cheap membership probe
-spares an exact spatial test), and otherwise where the group lists it;
-OPTIONAL is a left join, subselects evaluate independently and join on
-shared variables.
+:class:`Evaluator` is everything but the group-pattern operators, which
+:class:`~repro.stsparql.columnar.ColumnarEvaluator` runs over id
+columns: the greedy join planner, the type and R-tree probes, the
+expression evaluator and the solution modifiers.  Expressions and
+modifiers work on plain ``dict[str, Term]`` rows (the columnar engine
+hands them one distinct binding combination at a time).
+
+The group semantics they serve: joins flow bindings left to right, a
+filter is applied inside a BGP once all its variables are in scope,
+before the next pattern that binds a new variable (patterns that only
+check bound variables — ``?m a gag:Dhmos`` with ``?m`` bound — run
+first: filters bind nothing, so the rows are the same and the cheap
+membership probe spares an exact spatial test), and otherwise where the
+group lists it; OPTIONAL is a left join, MINUS and ``FILTER (NOT)
+EXISTS`` evaluate their pattern under each row's bindings, subselects
+evaluate independently and join on shared variables.
 
 Spatial-join acceleration: when a triple pattern's object variable feeds a
 pending spatial-predicate filter whose other argument is already bound to a
@@ -45,7 +52,7 @@ from repro.rdf.namespace import RDF
 from repro.rdf.term import Literal, Term, URI, Variable
 from repro.stsparql import ast
 from repro.stsparql.aggregates import resolve_aggregate
-from repro.stsparql.errors import ExpressionError, SparqlEvalError
+from repro.stsparql.errors import ExpressionError
 from repro.stsparql.functions import (
     SPATIAL_PREDICATE_NAMES,
     as_geometry,
@@ -65,6 +72,9 @@ HolderTest = Callable[[int], bool]
 StarCheck = Tuple[ast.TriplePattern, str, HolderTest]
 
 _COMPARISON_OPS = frozenset(("=", "!=", "<", "<=", ">", ">="))
+#: A constant subject check with at most this many passing subjects
+#: tests membership in their set.
+_SMALL_CHECK = 256
 
 
 class _Probe:
@@ -74,16 +84,20 @@ class _Probe:
     before it becomes a row, ``texts`` the patterns they come from.
     ``used`` says whether the step went through the R-tree at all, and
     ``holders`` counts the candidate holders it examined (a bound
-    subject counts once per probe), both for EXPLAIN.
+    subject counts once per probe), both for EXPLAIN.  The checks read
+    only constants, so ``passing`` memoises, per ``(predicate,
+    object)`` id pair, the holder triples that passed them: rows whose
+    R-tree candidates overlap walk each shared literal's holders once.
     """
 
-    __slots__ = ("tests", "texts", "holders", "used")
+    __slots__ = ("tests", "texts", "holders", "used", "passing")
 
     def __init__(self, checks: Sequence[StarCheck] = ()) -> None:
         self.texts = [text for _, text, _ in checks]
         self.tests = [test for _, _, test in checks]
         self.holders = 0
         self.used = False
+        self.passing: Dict[Tuple[Optional[int], int], List[Tuple]] = {}
 
 
 class SolutionSet:
@@ -147,7 +161,7 @@ class SolutionSet:
 
         Row *order* is deliberately ignored — without ORDER BY it is an
         implementation detail, and the differential harness compares the
-        interpreted and columnar engines through this.
+        engine and its row-wise reference through this.
         """
         if not isinstance(other, SolutionSet):
             return NotImplemented
@@ -180,7 +194,13 @@ class SolutionSet:
 
 
 class Evaluator:
-    """Evaluates parsed queries against a graph.
+    """What evaluating a parsed query needs besides its group
+    operators: the join planner, the type and R-tree probes, the
+    expression evaluator and the solution modifiers.
+
+    :class:`~repro.stsparql.columnar.ColumnarEvaluator` adds the group
+    operators; a subclass supplies ``select`` / ``ask`` and
+    :meth:`_exists`.
 
     ``spatial_candidates`` (optional) is a callable mapping a geometry to
     the set of geometry literals whose envelope intersects it — supplied by
@@ -197,9 +217,6 @@ class Evaluator:
     evaluator state rather than a per-call seed so subselects, which
     re-enter :meth:`select`, see the same parameters.
     """
-
-    #: Reported by EXPLAIN output and engine metrics.
-    engine_name = "interpreted"
 
     def __init__(
         self,
@@ -235,9 +252,6 @@ class Evaluator:
         self._stars: Dict[int, Dict[str, List[StarCheck]]] = {}
         self._class_ids: Dict[Term, Set[int]] = {}
 
-    def _seed(self) -> List[Row]:
-        return [dict(row) for row in self.seeds]
-
     def _check_deadline(self) -> None:
         if self.deadline is not None:
             import time
@@ -248,21 +262,6 @@ class Evaluator:
                 raise QueryTimeoutError(
                     "query exceeded its timeout budget"
                 )
-
-    # -- public entry points ------------------------------------------------
-
-    def select(self, query: ast.SelectQuery) -> SolutionSet:
-        rows = self._eval_group(query.pattern, self._seed())
-        return self._apply_modifiers(query, rows)
-
-    def ask(self, query: ast.AskQuery) -> bool:
-        rows = self._eval_group(query.pattern, self._seed())
-        return bool(rows)
-
-    def update_bindings(
-        self, pattern: ast.GroupGraphPattern
-    ) -> List[Row]:
-        return self._eval_group(pattern, self._seed())
 
     # -- solution modifiers ----------------------------------------------
 
@@ -422,103 +421,7 @@ class Evaluator:
                 )
         return ordered
 
-    # -- graph patterns ----------------------------------------------------
-
-    def _eval_group(
-        self, pattern: ast.GroupGraphPattern, input_rows: List[Row]
-    ) -> List[Row]:
-        rows = input_rows
-        deferred: List[ast.Filter] = []
-        elements = list(pattern.elements)
-        # Pre-collect filters so BGP evaluation can use them for pruning and
-        # spatial index assists.
-        group_filters = [e for e in elements if isinstance(e, ast.Filter)]
-        applied: Set[int] = set()
-        for element in elements:
-            self._check_deadline()
-            if isinstance(element, ast.BGP):
-                rows = self._eval_bgp(
-                    element, rows, group_filters, applied
-                )
-            elif isinstance(element, ast.Filter):
-                if id(element) in applied:
-                    continue
-                rows = [
-                    row
-                    for row in rows
-                    if self._filter_passes(element.expression, row)
-                ]
-                applied.add(id(element))
-            elif isinstance(element, ast.Optional_):
-                rows = self._eval_optional(element.pattern, rows)
-            elif isinstance(element, ast.UnionPattern):
-                left = self._eval_group(element.left, rows)
-                right = self._eval_group(element.right, rows)
-                rows = left + right
-            elif isinstance(element, ast.Bind):
-                new_rows: List[Row] = []
-                for row in rows:
-                    row = dict(row)
-                    try:
-                        value = self._eval_expr(element.expression, row)
-                        row[element.variable.name] = to_term(value)
-                    except ExpressionError:
-                        pass
-                    new_rows.append(row)
-                rows = new_rows
-            elif isinstance(element, ast.MinusPattern):
-                rows = [
-                    row
-                    for row in rows
-                    if not self._eval_group(element.pattern, [dict(row)])
-                ]
-            elif isinstance(element, ast.GroupGraphPattern):
-                rows = self._eval_group(element, rows)
-            elif isinstance(element, ast.SubSelect):
-                rows = self._join_subselect(element.query, rows)
-            else:  # pragma: no cover - parser prevents this
-                raise SparqlEvalError(f"unknown element {element!r}")
-        return rows
-
-    def _eval_optional(
-        self, pattern: ast.GroupGraphPattern, rows: List[Row]
-    ) -> List[Row]:
-        # Many input rows share the same bindings for the variables the
-        # optional pattern actually mentions (e.g. one hotspot's geometry
-        # repeated across its property rows), so memoise the subplan on
-        # that projection.
-        relevant = _pattern_variables(pattern)
-        cache: Dict[Tuple, List[Row]] = {}
-        out: List[Row] = []
-        for row in rows:
-            key = tuple(
-                (name, row[name]) for name in sorted(relevant) if name in row
-            )
-            matches = cache.get(key)
-            if matches is None:
-                seed = {name: value for name, value in key}
-                matches = self._eval_group(pattern, [seed])
-                cache[key] = matches
-            if matches:
-                for match in matches:
-                    merged = _merge(row, match)
-                    if merged is not None:
-                        out.append(merged)
-            else:
-                out.append(row)
-        return out
-
-    def _join_subselect(
-        self, query: ast.SelectQuery, rows: List[Row]
-    ) -> List[Row]:
-        sub = self.select(query)
-        out: List[Row] = []
-        for row in rows:
-            for sub_row in sub.rows:
-                merged = _merge(row, sub_row)
-                if merged is not None:
-                    out.append(merged)
-        return out
+    # -- filters ---------------------------------------------------------
 
     def _filter_passes(self, expression: ast.Expression, row: Row) -> bool:
         try:
@@ -526,47 +429,7 @@ class Evaluator:
         except ExpressionError:
             return False
 
-    # -- BGP evaluation ----------------------------------------------------
-
-    def _eval_bgp(
-        self,
-        bgp: ast.BGP,
-        rows: List[Row],
-        group_filters: List[ast.Filter],
-        applied: Set[int],
-    ) -> List[Row]:
-        domain: Set[str] = set(rows[0]) if rows else set()
-        ordered, explained = self._order_patterns(bgp, domain, group_filters)
-        star = self._star_checks(bgp, group_filters)
-        for step, pattern in enumerate(ordered):
-            self._check_deadline()
-            probe = self._probe(pattern, star, domain)
-            next_rows: List[Row] = []
-            for row in rows:
-                restriction = self._spatial_restriction(
-                    pattern, row, group_filters
-                )
-                for match in self._match_triple(
-                    pattern, row, restriction, probe
-                ):
-                    next_rows.append(match)
-            rows = next_rows
-            domain = set(rows[0]) if rows else set()
-            if rows and _filters_due(ordered, step, domain):
-                for f in _evaluable_filters(group_filters, applied, domain):
-                    rows = [
-                        r
-                        for r in rows
-                        if self._filter_passes(f.expression, r)
-                    ]
-                    applied.add(id(f))
-            if explained is not None:
-                _explain_step(explained, len(rows), probe)
-            if not rows:
-                break
-        if explained is not None:
-            _explain_skipped(explained, len(ordered))
-        return rows
+    # -- BGP planning ------------------------------------------------------
 
     def _order_patterns(
         self,
@@ -609,7 +472,6 @@ class Evaluator:
             return ordered, None
         entry = {
             "operator": "bgp",
-            "engine": self.engine_name,
             "join_order": [_pattern_text(p) for p in ordered],
             "estimates": estimates,
             "actual_rows": [],
@@ -673,47 +535,6 @@ class Evaluator:
                     break
         return score
 
-    def _match_triple(
-        self,
-        pattern: ast.TriplePattern,
-        row: Row,
-        object_restriction: Optional[Set[Term]],
-        probe: _Probe,
-    ) -> Iterator[Row]:
-        def resolve_term(term: Term) -> Optional[Term]:
-            if isinstance(term, Variable):
-                return row.get(term.name)
-            return term
-
-        s = resolve_term(pattern.subject)
-        p = resolve_term(pattern.predicate)
-        o = resolve_term(pattern.object)
-        if self.inference is not None and p == RDF.type:
-            candidates: Iterable = self._inferred_types(s, o)
-        elif object_restriction is not None and o is None:
-            candidates = self._restricted_triples(
-                s, p, object_restriction, probe
-            )
-        else:
-            candidates = self.graph.triples(s, p, o)
-        for ts, tp, to in candidates:
-            new_row = dict(row)
-            ok = True
-            for var_term, value in (
-                (pattern.subject, ts),
-                (pattern.predicate, tp),
-                (pattern.object, to),
-            ):
-                if isinstance(var_term, Variable):
-                    existing = new_row.get(var_term.name)
-                    if existing is None:
-                        new_row[var_term.name] = value
-                    elif existing != value:
-                        ok = False
-                        break
-            if ok:
-                yield new_row
-
     def _inferred_types(
         self, s: Optional[Term], o: Optional[Term]
     ) -> Iterable[Tuple[Term, Term, Term]]:
@@ -739,43 +560,52 @@ class Evaluator:
         p: Optional[Term],
         restriction: Set[Term],
         probe: _Probe,
-    ) -> Iterator[Tuple[Term, Term, Term]]:
-        """``(s, p, ?o)`` matches whose object is an R-tree candidate.
+    ) -> Iterator[Tuple[int, int, int]]:
+        """``(s, p, ?o)`` matches whose object is an R-tree candidate,
+        as term ids.
 
         A bound subject walks its own (few) objects and keeps those in
         the restriction, so its cost never depends on how many
         geometries the probe region holds.  An unbound one walks each
-        candidate object's holders on ids and yields only those that
-        pass every subject check of ``probe``.
+        candidate object's holders on ids, once per probe, and yields
+        only those that pass every subject check of ``probe``.
         """
         probe.used = True
         graph = self.graph
-        if s is not None:
-            probe.holders += 1
-            for triple in graph.triples(s, p, None):
-                if triple[2] in restriction:
-                    yield triple
-            return
         pi = None
         if p is not None:
             pi = graph.term_id(p)
             if pi is None:
                 return
+        if s is not None:
+            probe.holders += 1
+            si = graph.term_id(s)
+            if si is None:
+                return
+            term = graph.term_for_id
+            for triple in graph.triples_ids(si, pi, None):
+                if term(triple[2]) in restriction:
+                    yield triple
+            return
         tests = probe.tests
-        term = graph.term_for_id
-        examined = 0
+        passing = probe.passing
         for obj in restriction:
             oi = graph.term_id(obj)
             if oi is None:
                 continue
-            for si, tpi, _ in graph.triples_ids(None, pi, oi):
-                examined += 1
-                for test in tests:
-                    if not test(si):
-                        break
-                else:
-                    yield term(si), term(tpi), term(oi)
-        probe.holders += examined
+            hits = passing.get((pi, oi))
+            if hits is None:
+                hits = []
+                for triple in graph.triples_ids(None, pi, oi):
+                    probe.holders += 1
+                    si = triple[0]
+                    for test in tests:
+                        if not test(si):
+                            break
+                    else:
+                        hits.append(triple)
+                passing[(pi, oi)] = hits
+            yield from hits
 
     # -- probe subject checks ------------------------------------------
 
@@ -806,12 +636,14 @@ class Evaluator:
         comparison FILTERs of the enclosing group
         (:func:`_object_filters`).  Every check is a necessary condition
         of a conjunct the BGP still evaluates, so a holder that fails
-        one has no solution and the solutions are unchanged.
+        one has no solution and the solutions are unchanged.  The
+        checks with the fewest passing subjects run first.
         """
         star = self._stars.get(id(bgp))
         if star is None:
             filters = _object_filters(group_filters, self.constants)
             star = {}
+            sizes: Dict[int, int] = {}
             for pattern in bgp.triples:
                 subject = pattern.subject
                 if not isinstance(subject, Variable) or isinstance(
@@ -823,8 +655,46 @@ class Evaluator:
                     star.setdefault(subject.name, []).append(
                         (pattern, _pattern_text(pattern), test)
                     )
+                    sizes[id(pattern)] = self._check_size(pattern)
+            for checks in star.values():
+                checks.sort(key=lambda check: sizes[id(check[0])])
             self._stars[id(bgp)] = star
         return star
+
+    def _check_size(self, pattern: ast.TriplePattern) -> int:
+        """About how many subjects pass ``pattern``'s subject check:
+        the triples it names, a class's whole closure under
+        inference."""
+        obj = pattern.object
+        if isinstance(obj, Variable):
+            obj = self.constants.get(obj.name)
+        if (
+            obj is not None
+            and self.inference is not None
+            and pattern.predicate == RDF.type
+        ):
+            return self._typed_count(obj)
+        return self.graph.count(None, pattern.predicate, obj)
+
+    def _typed_ids(self, cls: Term) -> Iterator[int]:
+        """Ids of the subjects with an asserted ``rdf:type`` of ``cls``
+        or a subclass (a subject typed twice repeats)."""
+        graph = self.graph
+        ti = graph.term_id(RDF.type)
+        for ci in self._subclass_ids(cls) if ti is not None else ():
+            for si, _, _ in graph.triples_ids(None, ti, ci):
+                yield si
+
+    def _typed_count(self, cls: Term) -> int:
+        """Asserted ``rdf:type`` triples naming ``cls`` or a subclass,
+        off index counts."""
+        graph = self.graph
+        ti = graph.term_id(RDF.type)
+        if ti is None:
+            return 0
+        return sum(
+            graph.count_ids(None, ti, ci) for ci in self._subclass_ids(cls)
+        )
 
     def _subject_test(
         self,
@@ -839,6 +709,9 @@ class Evaluator:
           every seed row): ``c ∈ objects(x, q)``;
         * ``?x q ?v``: x has a q-object that passes every comparison
           FILTER on ``?v`` (just "has a q-object" without any).
+
+        The first two read a set of the passing subjects instead when
+        at most ``_SMALL_CHECK`` of them exist.
         """
         graph = self.graph
         objects = graph.object_ids
@@ -855,12 +728,18 @@ class Evaluator:
                 # Inferred types are superclasses of asserted ones, so
                 # a FILTER on them cannot be read off asserted objects.
                 return lambda si: bool(objects(si, pi))
+            if self._typed_count(obj) <= _SMALL_CHECK:
+                return frozenset(self._typed_ids(obj)).__contains__
             classes = self._subclass_ids(obj)
             return lambda si: not classes.isdisjoint(objects(si, pi))
         if not isinstance(obj, Variable):
             oi = graph.term_id(obj)
             if oi is None:
                 return _never
+            if graph.count_ids(None, pi, oi) <= _SMALL_CHECK:
+                return frozenset(
+                    s for s, _, _ in graph.triples_ids(None, pi, oi)
+                ).__contains__
             return lambda si: oi in objects(si, pi)
         name = obj.name
         exprs = filters.get(name)
@@ -968,9 +847,13 @@ class Evaluator:
                 )
             return self._eval_aggregate(expr, group_rows)
         if isinstance(expr, ast.ExistsExpr):
-            exists = bool(self._eval_group(expr.pattern, [dict(row)]))
+            exists = self._exists(expr, row)
             return not exists if expr.negated else exists
         raise ExpressionError(f"unknown expression {expr!r}")
+
+    def _exists(self, expr: ast.ExistsExpr, row: Row) -> bool:
+        """Whether ``expr``'s pattern has a solution extending ``row``."""
+        raise NotImplementedError
 
     def _eval_binary(
         self,
@@ -1100,17 +983,6 @@ def _numeric(value: Value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ExpressionError(f"not a number: {value!r}")
     return value
-
-
-def _merge(a: Row, b: Row) -> Optional[Row]:
-    merged = dict(a)
-    for key, value in b.items():
-        existing = merged.get(key)
-        if existing is None:
-            merged[key] = value
-        elif existing != value:
-            return None
-    return merged
 
 
 def _pattern_variables(pattern: ast.GroupGraphPattern) -> Set[str]:

@@ -99,44 +99,57 @@ class TestFigure8:
         assert "Figure 8" in format_figure8_result(result)
 
     def test_slopes_on_a_synthetic_series(self):
-        # Store flat at 5 ms, Municipalities rising 2 ms per
-        # acquisition around noise that cancels, Time Persistence
-        # falling 0.5 ms per acquisition.
-        noise = [0.3, -0.3, -0.3, 0.3]
+        # Two unsettled acquisitions with wild timings, then Store at
+        # 1 ms per hotspot flat, Municipalities at 2 ms per hotspot
+        # plus 0.5 ms per hotspot per acquisition, while the hotspot
+        # count changes — the raw ms move, the per-hotspot slope of
+        # Store does not.
+        spots = [50, 1, 10, 20, 10, 20, 0]
+        per_spot = [0, 0, 2.0, 2.5, 3.0, 3.5, 0]
         result = Figure8Result(
             series={
                 "MSG1": [
                     AcquisitionTimings(
                         timestamp=START + timedelta(minutes=5 * i),
-                        hotspots=10,
+                        hotspots=spots[i],
                         seconds_by_operation={
-                            "Store": 0.005,
-                            "Municipalities": (10 + 2 * i + noise[i])
+                            "Store": (spots[i] if i >= 2 else 99) / 1000,
+                            "Municipalities": spots[i] * per_spot[i]
                             / 1000,
-                            "Time Persistence": (8 - 0.5 * i) / 1000,
                         },
                     )
-                    for i in range(4)
+                    for i in range(len(spots))
                 ],
                 "MSG2": [],
-            }
+            },
+            settled_from={"MSG1": 2, "MSG2": 1},
         )
-        assert result.slope_ms("MSG1", "Store") == pytest.approx(0.0)
-        assert result.slope_ms("MSG1", "Municipalities") == pytest.approx(
-            2.0
+        assert result.ms_per_hotspot("MSG1", "Store") == pytest.approx(1.0)
+        assert result.per_hotspot_slope_ms(
+            "MSG1", "Store"
+        ) == pytest.approx(0.0)
+        assert result.per_hotspot_slope_ms(
+            "MSG1", "Municipalities"
+        ) == pytest.approx(0.5)
+        assert result.ms_per_hotspot(
+            "MSG1", "Municipalities"
+        ) == pytest.approx(
+            sum(s * s * p for s, p in zip(spots[2:6], per_spot[2:6]))
+            / sum(s * s for s in spots[2:6])
         )
-        assert result.slope_ms(
-            "MSG1", "Time Persistence"
-        ) == pytest.approx(-0.5)
         # An absent operation is flat; too short a series has no slope.
-        assert result.slope_ms("MSG1", "Refine In Coast") == 0.0
-        assert result.slope_ms("MSG2", "Store") == 0.0
+        assert result.per_hotspot_slope_ms("MSG1", "Refine In Coast") == 0.0
+        assert result.per_hotspot_slope_ms("MSG2", "Store") == 0.0
         text = format_figure8_result(result)
-        slope_row = next(
-            line for line in text.splitlines() if line.startswith("slope ")
-        )
-        assert slope_row.split()[1:4] == ["+0.000", "+2.000", "+0.000"]
-        assert slope_row.split()[-1] == "-0.500"
+        msg1 = text.split("\n\n")[0]
+        rows = {
+            line.split()[0]: line.split()[1:]
+            for line in msg1.splitlines()
+            if line.startswith(("ms/spot", "slope/spot"))
+        }
+        assert rows["ms/spot"][:2] == ["1.000", "2.900"]
+        assert rows["slope/spot"][:2] == ["+0.0000", "+0.5000"]
+        assert "acquisitions >= 2" in text
 
 
 class TestFigure6:

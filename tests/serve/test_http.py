@@ -219,7 +219,6 @@ def test_stsparql_explain_returns_plan(server):
         json.dumps({"query": SELECT, "explain": True}),
     )
     assert status == 200
-    assert plan["engine"] == "columnar"
     assert plan["operation"] == "select"
     assert plan["rows"] > 0
     bgp = plan["plan"][0]

@@ -1,10 +1,10 @@
-"""Columnar-engine specifics: explain plans, metrics, engine policy.
+"""Columnar-engine specifics: explain plans, metrics, one engine.
 
-Result *equality* with the interpreted engine lives in
-``test_differential.py``; this file covers the machinery around the
-engine — the EXPLAIN surface, the observability counters, the
-operation-driven engine policy and the SolutionSet helpers the
-executor leans on.
+Result *equality* with the row-wise reference evaluator lives in
+``test_differential.py`` and ``test_random_differential.py``; this file
+covers the machinery around the engine — the EXPLAIN surface, the
+observability counters, reads and updates sharing one engine, and the
+SolutionSet helpers the executor leans on.
 """
 
 import pytest
@@ -50,6 +50,8 @@ def observability():
 
 class TestExplain:
     def test_explain_reports_join_order_and_engine(self):
+        # One engine runs every request, so the document no longer
+        # names it; the per-BGP plan is what it reports.
         engine = small_engine()
         doc = engine.query(
             PREFIX
@@ -58,12 +60,12 @@ class TestExplain:
                 FILTER(?c > 0.5) }""",
             explain=True,
         )
-        assert doc["engine"] == "columnar"
+        assert "engine" not in doc
         assert doc["operation"] == "select"
         assert doc["rows"] == 3
         (bgp,) = doc["plan"]
         assert bgp["operator"] == "bgp"
-        assert bgp["engine"] == "columnar"
+        assert "engine" not in bgp
         assert len(bgp["join_order"]) == 2
         assert len(bgp["estimates"]) == 2
         # Estimates are the planner's scores: ordered greedily.
@@ -87,7 +89,7 @@ class TestExplain:
             PREFIX + "SELECT ?h WHERE { ?h a noa:Hotspot }",
             explain=True,
         )
-        assert doc["engine"] == "columnar"
+        assert doc["operation"] == "select"
         assert doc["rows"] == 8
         assert doc["plan"][0]["join_order"]
 
@@ -145,12 +147,12 @@ class TestExplain:
         # each against the rest of its star (?m a noa:Area), so o0 never
         # becomes a row: the probe step leaves a0, a1 (it left all three
         # before subject checks were pushed into probes), and the exact
-        # test after the type check keeps a0.  Reads take the same
-        # probe now (the R-tree index join); they used to join all four
-        # geometries through the vector path.
+        # test after the type check keeps a0.  Updates and reads run
+        # the same engine and take the same probe (the R-tree index
+        # join).
         for operation in (
-            "INSERT { ?m noa:covers ?p } WHERE ",  # row-wise
-            "SELECT ?m WHERE ",  # columnar
+            "INSERT { ?m noa:covers ?p } WHERE ",
+            "SELECT ?m WHERE ",
         ):
             doc = engine.query(
                 prefixes + operation + where, params=params, explain=True
@@ -163,12 +165,13 @@ class TestExplain:
         assert doc["rows"] == 1
 
     def test_interpreted_engine_explains_too(self):
+        # The row-wise test oracle shares the planner, so it logs the
+        # same plan the engine does.
+        engine = small_engine()
+        text = PREFIX + "SELECT ?h WHERE { ?h a noa:Hotspot }"
         plan = []
-        reference_evaluator(small_engine(), explain_log=plan).select(
-            parse(PREFIX + "SELECT ?h WHERE { ?h a noa:Hotspot }")
-        )
-        assert plan[0]["engine"] == "interpreted"
-        assert plan[0]["join_order"]
+        reference_evaluator(engine, explain_log=plan).select(parse(text))
+        assert plan == engine.query(text, explain=True)["plan"]
 
 
 class TestMetrics:
@@ -209,24 +212,27 @@ class TestMetrics:
 
 
 class TestEnginePolicy:
-    def test_reads_are_columnar_updates_are_row_wise(self):
-        # The engine is picked from the operation, on the live store
-        # and on its frozen view alike; explain reports the engine
-        # that actually ran each request.
+    def test_updates_plan_like_reads(self, observability):
+        # One engine: an update's WHERE runs the columnar operators
+        # and reports the plan the same pattern gets as a read, on the
+        # live store and on its frozen view alike.
         engine = small_engine()
-        select = PREFIX + "SELECT ?h WHERE { ?h a noa:Hotspot }"
-        for endpoint in (engine, engine.snapshot_view()):
-            doc = endpoint.query(select, explain=True)
-            assert doc["engine"] == "columnar"
-            assert doc["plan"][0]["engine"] == "columnar"
+        where = "WHERE { ?h noa:hasConfidence ?c . FILTER(?c > 0.5) }"
+        read = engine.query(PREFIX + "SELECT ?h " + where, explain=True)
+        view = engine.snapshot_view().query(
+            PREFIX + "SELECT ?h " + where, explain=True
+        )
+        assert view["plan"] == read["plan"]
         doc = engine.query(
-            PREFIX
-            + """DELETE { ?h noa:hasConfidence ?c }
-                WHERE { ?h noa:hasConfidence ?c }""",
+            PREFIX + "DELETE { ?h noa:hasConfidence ?c } " + where,
             explain=True,
         )
-        assert doc["engine"] == "interpreted"
-        assert doc["plan"][0]["engine"] == "interpreted"
+        assert doc["plan"] == read["plan"]
+        assert engine.last_stats.triples_removed == 3
+        names = {
+            m["name"] for m in observability.get_metrics().collect()
+        }
+        assert "stsparql_columnar_batches_total" in names
 
     def test_batch_size_one_still_correct(self, monkeypatch):
         monkeypatch.setattr(columnar, "CHUNK_ROWS", 1)

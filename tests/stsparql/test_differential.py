@@ -1,4 +1,4 @@
-"""Differential testing: columnar engine == interpreted engine.
+"""Differential testing: the engine == the row-wise reference.
 
 Every read in the corpus runs through the engine (whose reads are
 columnar) and through the per-row reference evaluator of
@@ -183,6 +183,12 @@ QUERIES = [
        FILTER(EXISTS { ?h noa:hasAcquisitionTime ?t }) }""",
     """SELECT ?h WHERE { ?h a noa:Hotspot .
        FILTER(!bound(?missing)) }""",
+    # EXISTS in a BIND and in a projection (answered per row there).
+    """SELECT ?h WHERE { ?h noa:hasConfidence ?c .
+       BIND(EXISTS { ?h noa:hasAcquisitionTime ?t } || ?c > 0.9 AS ?keep)
+       FILTER(?keep) }""",
+    """SELECT ?h (EXISTS { ?h noa:hasAcquisitionTime ?t } AS ?timed)
+       WHERE { ?h a noa:Hotspot }""",
     # Aggregation and grouping.
     """SELECT ?src (COUNT(?h) AS ?n) (AVG(?c) AS ?mean)
        WHERE { ?h noa:producedBy ?src ; noa:hasConfidence ?c }
@@ -244,7 +250,8 @@ def test_live_store_and_snapshot_view_are_one_endpoint(engine, query):
 
 
 def test_randomised_threshold_sweep(engine):
-    """Seeded sweep: many filter thresholds, both engines agree."""
+    """Seeded sweep: many filter thresholds, engine and reference
+    agree."""
     rng = random.Random(SEED + 1)
     for _ in range(20):
         lo = round(rng.uniform(0.0, 1.0), 3)

@@ -4,9 +4,9 @@ A sequence of parameter mappings has SPARQL ``VALUES`` semantics: the
 request is evaluated once, from one seed row per mapping.  For every
 read of the differential corpus that binds ``?h``:
 
-* on :class:`Strabon` and on its ``snapshot_view()``, the columnar
-  engine's seeded answer equals the reference row-wise
-  :class:`Evaluator` seeded with the same rows;
+* on :class:`Strabon` and on its ``snapshot_view()``, the engine's
+  seeded answer equals the row-wise reference evaluator seeded with
+  the same rows;
 * where the query distributes over its seed (no solution modifier,
   aggregate or subselect), the seeded answer is the multiset union of
   the single-mapping runs.

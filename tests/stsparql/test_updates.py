@@ -87,6 +87,40 @@ class TestWhereForms:
         )
         assert result.removed == 0
 
+    def test_illegal_template_triples_skipped(self):
+        # SPARQL 1.1 Update §3.1.3: a template triple with a literal
+        # subject or a non-IRI predicate is neither inserted nor
+        # deleted; the legal triples of the same solutions still are.
+        engine = Strabon()
+        a, b = NOA.term("a"), NOA.term("b")
+        lit = Literal("lit")
+        engine.add(a, NOA.term("p"), lit)
+        engine.add(a, NOA.term("p"), b)
+        before = len(engine.graph)
+        flipped = engine.update(
+            PREFIX + "INSERT { ?o noa:q ?s } WHERE { ?s noa:p ?o }"
+        )
+        assert flipped.added == 1
+        assert (b, NOA.term("q"), a) in engine.graph
+        assert not list(engine.graph.triples(lit, None, None))
+        as_predicate = engine.update(
+            PREFIX + "INSERT { ?s ?o noa:z } WHERE { ?s noa:p ?o }"
+        )
+        assert as_predicate.added == 1
+        assert (a, b, NOA.term("z")) in engine.graph
+        assert not list(engine.graph.triples(None, lit, None))
+        assert len(engine.graph) == before + 2
+        deleted = engine.update(
+            PREFIX + "DELETE { ?o noa:p ?s } WHERE { ?s noa:p ?o }"
+        )
+        assert deleted.removed == 0
+        built = engine.construct(
+            PREFIX + "CONSTRUCT { ?o noa:q ?s } WHERE { ?s noa:p ?o }"
+        )
+        assert list(built.triples(None, None, None)) == [
+            (b, NOA.term("q"), a)
+        ]
+
 
 class TestPaperUpdates:
     def test_delete_in_sea(self, engine):
