@@ -170,10 +170,6 @@ def _distinct_combos(
             np.zeros((1, 0), dtype=np.int64),
             np.zeros(batch.length, dtype=np.intp),
         )
-    if len(names) == 1:
-        column = batch.columns[names[0]]
-        uniq, inverse = np.unique(column, return_inverse=True)
-        return uniq.reshape(-1, 1), inverse.reshape(-1)
     mat = np.stack([batch.columns[name] for name in names], axis=1)
     combos, inverse = np.unique(mat, axis=0, return_inverse=True)
     return combos, inverse.reshape(-1)
@@ -518,9 +514,10 @@ class ColumnarEvaluator(Evaluator):
         if inference_type:
             if isinstance(obj, Variable):
                 return None  # the class comes from the row
-            if s_role[0] == "bound":
-                # Test each distinct subject's asserted types against
-                # the closure rather than materialising its instances.
+            if s_role[0] == "bound" and n * 8 < self._typed_count(obj):
+                # Tiny batch against a big closure: test each distinct
+                # subject's asserted types rather than materialising
+                # the class's instances.
                 ti = graph.term_id(RDF.type)
                 classes = self._subclass_ids(obj)
                 s_rel = np.array(
@@ -938,17 +935,16 @@ class ColumnarEvaluator(Evaluator):
                         dtype=np.int64,
                     )
                 )
-        ids_a, side_a = np.unique(cols[0], return_inverse=True)
-        ids_b, side_b = np.unique(cols[1], return_inverse=True)
-        # The distinct pairs, as (index into ids_a, index into ids_b).
-        pairs, inverse = np.unique(
-            side_a.reshape(-1) * len(ids_b) + side_b.reshape(-1),
-            return_inverse=True,
-        )
+        mat = np.stack(cols, axis=1)
+        combos, inverse = np.unique(mat, axis=0, return_inverse=True)
         inverse = inverse.reshape(-1)
-        inv_a, inv_b = np.divmod(pairs, len(ids_b))
-        terms_a, ok_a, env_a = self._side_geometries(ids_a)
-        terms_b, ok_b, env_b = self._side_geometries(ids_b)
+
+        terms_a, ok_a, env_a, inv_a = self._side_geometries(
+            combos[:, 0]
+        )
+        terms_b, ok_b, env_b, inv_b = self._side_geometries(
+            combos[:, 1]
+        )
         a = env_a[inv_a]
         b = env_b[inv_b]
         # One vectorised envelope test over the distinct pairs — NaN
@@ -960,7 +956,7 @@ class ColumnarEvaluator(Evaluator):
             & (b[:, 1] <= a[:, 3])
             & (b[:, 3] >= a[:, 1])
         )
-        res = np.zeros(len(pairs), dtype=bool)
+        res = np.zeros(len(combos), dtype=bool)
         # A pruned pair is a definite False only when both sides
         # really are geometries; per-row evaluation errors otherwise.
         # Envelope-interacting pairs all have real geometries on both
@@ -973,14 +969,12 @@ class ColumnarEvaluator(Evaluator):
                 "Distinct pairs reaching the exact spatial predicate "
                 "after envelope pruning",
             ).observe(float(np.count_nonzero(overlap)))
-        (kind_a, name_a), (kind_b, name_b) = sides
-        inv_a, inv_b = inv_a.tolist(), inv_b.tolist()
-        for ci in np.flatnonzero(overlap).tolist():
+        for ci in np.nonzero(overlap)[0]:
             row = {}
-            if kind_a == "var":
-                row[name_a] = terms_a[inv_a[ci]]
-            if kind_b == "var":
-                row[name_b] = terms_b[inv_b[ci]]
+            if sides[0][0] == "var":
+                row[sides[0][1]] = terms_a[inv_a[ci]]
+            if sides[1][0] == "var":
+                row[sides[1][1]] = terms_b[inv_b[ci]]
             try:
                 res[ci] = effective_boolean(
                     self._eval_expr(expr, row)
@@ -991,16 +985,18 @@ class ColumnarEvaluator(Evaluator):
 
     def _side_geometries(
         self, ids: np.ndarray
-    ) -> Tuple[List[Any], np.ndarray, np.ndarray]:
-        """Geometry lookup for the distinct ids of one spatial-pair side.
+    ) -> Tuple[List[Any], np.ndarray, np.ndarray, np.ndarray]:
+        """Distinct-term geometry lookup for one spatial-pair side.
 
-        Returns ``(terms, ok, env)``: the decoded terms, whether each
-        coerces to a geometry, and the envelopes as an ``(n, 4)``
-        minx/miny/maxx/maxy array (NaN rows for non-geometries and
-        empty geometries).  Stored terms memoise on the graph itself —
-        term ids are append-only for the graph's lifetime, so entries
-        never invalidate.
+        Returns ``(terms, ok, env, inverse)`` over the distinct ids:
+        the decoded terms, whether each coerces to a geometry, and the
+        envelopes as an ``(n, 4)`` minx/miny/maxx/maxy array (NaN rows
+        for non-geometries and empty geometries).  Stored terms
+        memoise on the graph itself — term ids are append-only for the
+        graph's lifetime, so entries never invalidate.
         """
+        uniq, inverse = np.unique(ids, return_inverse=True)
+        inverse = inverse.reshape(-1)
         try:
             cache = _GEOM_CACHE.get(self.graph)
         except TypeError:
@@ -1012,10 +1008,10 @@ class ColumnarEvaluator(Evaluator):
             except TypeError:
                 pass
         terms: List[Any] = []
-        ok: List[bool] = []
-        boxes: List[Tuple[float, ...]] = []
-        nan_box = (np.nan,) * 4
-        for tid in ids.tolist():
+        ok = np.zeros(len(uniq), dtype=bool)
+        env = np.full((len(uniq), 4), np.nan, dtype=np.float64)
+        for i, raw in enumerate(uniq):
+            tid = int(raw)
             entry = cache.get(tid) if tid < LOCAL_BASE else None
             if entry is None:
                 term = self._decode(tid)
@@ -1032,10 +1028,10 @@ class ColumnarEvaluator(Evaluator):
                 if tid < LOCAL_BASE:
                     cache[tid] = entry
             terms.append(entry[0])
-            ok.append(entry[1])
-            boxes.append(nan_box if entry[2] is None else entry[2])
-        env = np.array(boxes, dtype=np.float64).reshape(-1, 4)
-        return terms, np.array(ok, dtype=bool), env
+            ok[i] = entry[1]
+            if entry[2] is not None:
+                env[i] = entry[2]
+        return terms, ok, env, inverse
 
     def _scalar_side(
         self, arg: ast.Expression, batch: Batch

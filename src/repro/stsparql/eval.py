@@ -72,9 +72,6 @@ HolderTest = Callable[[int], bool]
 StarCheck = Tuple[ast.TriplePattern, str, HolderTest]
 
 _COMPARISON_OPS = frozenset(("=", "!=", "<", "<=", ">", ">="))
-#: A constant subject check with at most this many passing subjects
-#: tests membership in their set.
-_SMALL_CHECK = 256
 
 
 class _Probe:
@@ -676,15 +673,6 @@ class Evaluator:
             return self._typed_count(obj)
         return self.graph.count(None, pattern.predicate, obj)
 
-    def _typed_ids(self, cls: Term) -> Iterator[int]:
-        """Ids of the subjects with an asserted ``rdf:type`` of ``cls``
-        or a subclass (a subject typed twice repeats)."""
-        graph = self.graph
-        ti = graph.term_id(RDF.type)
-        for ci in self._subclass_ids(cls) if ti is not None else ():
-            for si, _, _ in graph.triples_ids(None, ti, ci):
-                yield si
-
     def _typed_count(self, cls: Term) -> int:
         """Asserted ``rdf:type`` triples naming ``cls`` or a subclass,
         off index counts."""
@@ -709,9 +697,6 @@ class Evaluator:
           every seed row): ``c ∈ objects(x, q)``;
         * ``?x q ?v``: x has a q-object that passes every comparison
           FILTER on ``?v`` (just "has a q-object" without any).
-
-        The first two read a set of the passing subjects instead when
-        at most ``_SMALL_CHECK`` of them exist.
         """
         graph = self.graph
         objects = graph.object_ids
@@ -728,18 +713,12 @@ class Evaluator:
                 # Inferred types are superclasses of asserted ones, so
                 # a FILTER on them cannot be read off asserted objects.
                 return lambda si: bool(objects(si, pi))
-            if self._typed_count(obj) <= _SMALL_CHECK:
-                return frozenset(self._typed_ids(obj)).__contains__
             classes = self._subclass_ids(obj)
             return lambda si: not classes.isdisjoint(objects(si, pi))
         if not isinstance(obj, Variable):
             oi = graph.term_id(obj)
             if oi is None:
                 return _never
-            if graph.count_ids(None, pi, oi) <= _SMALL_CHECK:
-                return frozenset(
-                    s for s, _, _ in graph.triples_ids(None, pi, oi)
-                ).__contains__
             return lambda si: oi in objects(si, pi)
         name = obj.name
         exprs = filters.get(name)

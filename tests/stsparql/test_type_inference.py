@@ -170,3 +170,29 @@ def test_bound_subject_type_probe_is_constant_cost(monkeypatch, cls):
     small = _bound_subject_probe_eq_calls(monkeypatch, cls, 10)
     large = _bound_subject_probe_eq_calls(monkeypatch, cls, 10_000)
     assert large <= small + 2 and small < 50, (small, large)
+
+
+def test_large_bound_batch_joins_a_small_class_on_its_instances(monkeypatch):
+    # 2000 bound subjects against a 150-instance class: the join reads
+    # the class's instances once instead of each subject's types.
+    g = Graph()
+    for i in range(2000):
+        g.add(ex(f"s{i}"), ex("tag"), Literal("x"))
+    for i in range(150):
+        g.add(ex(f"s{i}"), RDF.type, ex("Municipality"))
+    evaluator = ColumnarEvaluator(g, inference=RDFSInference(g))
+    # Nested groups bind ?h before its type pattern runs.
+    query = parse(
+        PREFIX + 'SELECT ?h { { ?h ex:tag "x" } { ?h a ex:Municipality } }'
+    )
+    calls = [0]
+    original = Graph.object_ids
+
+    def counting(self, *args):
+        calls[0] += 1
+        return original(self, *args)
+
+    monkeypatch.setattr(Graph, "object_ids", counting)
+    rows = evaluator.select(query)
+    assert {row["h"] for row in rows} == {ex(f"s{i}") for i in range(150)}
+    assert calls[0] < 150, calls[0]
