@@ -17,6 +17,10 @@ Three measurements per subscription-count series point (1k / 10k /
   produced must equal the full re-run's at every series point;
   ``differential_mismatches`` lands in the artifact and is gated at
   zero by ``check_regression.py``.
+* **Log bytes** — the incremental batch's notification-log record
+  size per notification (``log_bytes_per_notification``, ungated):
+  each matched hotspot's payload is stored once however many
+  subscriptions it notifies.
 
 The store is deliberately modest (hundreds of hotspots) while the
 subscription count scales to 100k: the quantity under test is how
@@ -122,12 +126,8 @@ def _series_point(count: int) -> dict:
     batch = engine.process_commit(2)
     incremental_wall = time.perf_counter() - t0
 
-    from repro.serve.subscribe import Notification
-
-    incremental_keys = {
-        Notification.from_dict(d).key() for d in batch.notifications
-    }
-    full_keys = {n.key() for n in full}
+    incremental_keys = set(batch.keys())
+    full_keys = set(full.keys())
     mismatches = len(incremental_keys ^ full_keys)
 
     engine.close()
@@ -142,6 +142,8 @@ def _series_point(count: int) -> dict:
         "speedup_incremental_vs_full": full_wall / incremental_wall,
         "notifications": len(incremental_keys),
         "differential_mismatches": mismatches,
+        "log_bytes_per_notification": len(batch.to_payload())
+        / max(1, len(batch.refs)),
     }
 
 

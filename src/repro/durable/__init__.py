@@ -47,6 +47,7 @@ from repro.durable.cursors import (
     CursorStore,
     NotificationBatch,
     NotificationLog,
+    RegistryLog,
 )
 from repro.durable.store import (
     DurableStore,
@@ -69,6 +70,7 @@ __all__ = [
     "OP_CLEAR",
     "OP_REMOVE",
     "RecoveryInfo",
+    "RegistryLog",
     "WalRecord",
     "WriteAheadLog",
     "arm",

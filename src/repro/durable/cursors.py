@@ -1,10 +1,10 @@
-"""Durable subscriber state: notification log + acknowledged cursors.
+"""Durable subscriber state: notification log, registry log, cursors.
 
 The subscription engine (``repro.serve.subscribe``) must survive the
 same crashes the store does, with the same contract: a subscriber that
 acknowledged publication *S* and reconnects after a process restart
 receives exactly the notifications of publications ``> S`` — no loss,
-no duplicates.  Two small durable pieces make that hold:
+no duplicates.  Three small durable pieces make that hold:
 
 * :class:`NotificationLog` — an append-only log of per-publication
   notification batches, framed by the same CRC'd
@@ -15,58 +15,123 @@ no duplicates.  Two small durable pieces make that hold:
   whose delta produced it — the link the engine uses at recovery to
   detect (and regenerate) a batch the crash window swallowed between
   the triple-WAL fsync and the notification append.
+* :class:`RegistryLog` — the registered subscriptions, as an
+  append-only log of registration changes on the same framing, folded
+  into one record each time it is opened.
 * :class:`CursorStore` — one atomically-rewritten JSON file of
   ``subscription id → highest acknowledged publication sequence``,
   using the same write-temp → fsync → rename discipline as
   ``service.json``.  Acks are monotonic: a stale or replayed ack never
   moves a cursor backwards.
 
-Both live under ``<state_dir>/subs/`` next to the store's own WAL and
-checkpoint; neither is consulted on the serving read path.
+All three live under ``<state_dir>/subs/`` next to the store's own WAL
+and checkpoint; none is consulted on the serving read path.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.durable.store import load_service_state, save_service_state
 from repro.durable.wal import WriteAheadLog
+from repro.errors import DurabilityError
 
 __all__ = [
     "CursorStore",
     "NotificationBatch",
     "NotificationLog",
+    "RegistryLog",
 ]
+
+
+def _compact(doc: Dict[str, Any]) -> bytes:
+    return json.dumps(doc, separators=(",", ":")).encode("utf-8")
 
 
 @dataclass(frozen=True)
 class NotificationBatch:
-    """The notifications one publication produced, as logged."""
+    """The notifications one publication produced, as logged.
+
+    One hotspot matched by *k* subscriptions is one notification per
+    subscription, but its payload is the same for all of them, so the
+    batch stores every notified subject's payload once (``subjects``)
+    and one ``(subscription id, kind, subject index)`` reference per
+    notification (``refs``).  A notification's dict is rendered from
+    its reference when it is read (:meth:`render`,
+    :attr:`notifications`).
+    """
 
     #: Publication sequence the batch belongs to (the SSE event id).
     sequence: int
     #: Triple-WAL record sequence whose delta produced this batch
     #: (None when the service runs without a durable store).
     wal_seq: Optional[int]
-    #: JSON-serialisable notification dicts, in evaluation order.
-    notifications: Tuple[Dict, ...] = field(default_factory=tuple)
+    #: ``(subject, payload)`` per notified subject — a hotspot, or a
+    #: municipality whose danger class moved — each stored once.
+    subjects: Tuple[Tuple[str, Dict[str, Any]], ...] = ()
+    #: ``(subscription id, kind, index into subjects)`` per
+    #: notification, in evaluation order.
+    refs: Tuple[Tuple[str, str, int], ...] = ()
+
+    def render(self, ref: Tuple[str, str, int]) -> Dict[str, Any]:
+        """One notification's dict (the SSE ``data`` document)."""
+        subscription, kind, index = ref
+        subject, payload = self.subjects[index]
+        return {
+            "subscription": subscription,
+            "kind": kind,
+            "sequence": self.sequence,
+            "subject": subject,
+            "payload": dict(payload),
+        }
+
+    @property
+    def notifications(self) -> "_Notifications":
+        """Every notification's dict, rendered on read, in evaluation
+        order."""
+        return _Notifications(self)
+
+    def keys(self) -> List[Tuple[str, ...]]:
+        """Each notification's delivery identity — ``(subscription,
+        subject)``, plus the new class of an ``fwi`` transition; the
+        differential and resume contracts compare sets of these."""
+        out = []
+        for subscription, kind, index in self.refs:
+            subject, payload = self.subjects[index]
+            if kind == "fwi":
+                out.append(
+                    (
+                        subscription,
+                        subject,
+                        str(payload.get("danger_class")),
+                    )
+                )
+            else:
+                out.append((subscription, subject))
+        return out
 
     def to_payload(self) -> bytes:
-        return json.dumps(
+        return _compact(
             {
                 "sequence": self.sequence,
                 "wal_seq": self.wal_seq,
-                "notifications": list(self.notifications),
-            },
-            sort_keys=True,
-        ).encode("utf-8")
+                "subjects": self.subjects,
+                "refs": self.refs,
+            }
+        )
 
     @classmethod
     def from_payload(cls, payload: bytes) -> "NotificationBatch":
         doc = json.loads(payload.decode("utf-8"))
+        if "notifications" in doc:
+            raise DurabilityError(
+                "notification batch in the old layout (a full copy "
+                "per notification); this version reads only "
+                "(subjects, refs) batches"
+            )
         return cls(
             sequence=int(doc["sequence"]),
             wal_seq=(
@@ -74,8 +139,28 @@ class NotificationBatch:
                 if doc.get("wal_seq") is None
                 else int(doc["wal_seq"])
             ),
-            notifications=tuple(doc.get("notifications", ())),
+            subjects=tuple(map(tuple, doc["subjects"])),
+            refs=tuple(map(tuple, doc["refs"])),
         )
+
+
+class _Notifications:
+    """:attr:`NotificationBatch.notifications`: sized and iterable;
+    each item is rendered when it is read, so ``len()`` costs
+    nothing."""
+
+    __slots__ = ("_batch",)
+
+    def __init__(self, batch: NotificationBatch) -> None:
+        self._batch = batch
+
+    def __len__(self) -> int:
+        return len(self._batch.refs)
+
+    def __iter__(self) -> Iterator[Dict[str, Any]]:
+        render = self._batch.render
+        for ref in self._batch.refs:
+            yield render(ref)
 
 
 class NotificationLog:
@@ -83,13 +168,15 @@ class NotificationLog:
 
     Batches are retained in memory after replay/append — the SSE
     resume path serves ``after(cursor)`` straight from this list, so a
-    reconnecting subscriber never touches disk.  The log is *not*
-    small: with thousands of geofence subscriptions one acquisition
-    can produce thousands of notifications (about 2.6k on the
-    ``alert_fanout`` benchmark workload), all kept here until
-    :meth:`compact` drops the batches every live cursor has passed.
-    What it stores per notification, and whether it must, is open
-    (ROADMAP, the ``state_bytes_per_triple`` carry-over).
+    reconnecting subscriber never touches disk — until :meth:`compact`
+    drops the batches every live cursor has passed.  A record is one
+    :class:`NotificationBatch` in compact JSON: each notified subject's
+    payload once plus a short reference per notification, so with
+    thousands of geofence subscriptions (about 2.8k notifications from
+    about 140 hotspots per acquisition on the ``alert_fanout``
+    benchmark workload) a batch costs its hotspots, not its fan-out.
+    A log written in the old per-notification layout is refused on
+    open (:class:`~repro.errors.DurabilityError` naming the file).
     """
 
     def __init__(self, path: str, fsync: str = "commit") -> None:
@@ -98,10 +185,14 @@ class NotificationLog:
         # count against the triple WAL; this log appending through the
         # same sites would shift that counting.
         self._wal = WriteAheadLog(path, fsync=fsync, crash_sites=False)
-        self._batches: List[NotificationBatch] = [
-            NotificationBatch.from_payload(record.payload)
-            for record in self._wal.replayed
-        ]
+        try:
+            self._batches: List[NotificationBatch] = [
+                NotificationBatch.from_payload(record.payload)
+                for record in self._wal.replayed
+            ]
+        except DurabilityError as error:
+            self._wal.close()
+            raise DurabilityError(f"{path!r}: {error}") from error
 
     # -- write path --------------------------------------------------------
 
@@ -166,8 +257,9 @@ class NotificationLog:
     def compact(self, min_cursor: int) -> int:
         """Drop batches every subscriber has acknowledged (sequence
         ``<= min_cursor``); returns how many were dropped.  The log is
-        rewritten through :meth:`WriteAheadLog.reset`, so the on-disk
-        file shrinks too."""
+        replaced through :meth:`WriteAheadLog.rewrite`, so the on-disk
+        file shrinks too, and a crash mid-compaction leaves either the
+        old log or the compacted one."""
         with self._lock:
             keep = [
                 b for b in self._batches if b.sequence > min_cursor
@@ -175,10 +267,7 @@ class NotificationLog:
             dropped = len(self._batches) - len(keep)
             if dropped == 0:
                 return 0
-            self._wal.reset()
-            for batch in keep:
-                self._wal.append(batch.to_payload())
-            self._wal.sync()
+            self._wal.rewrite(batch.to_payload() for batch in keep)
             self._batches = keep
             return dropped
 
@@ -190,6 +279,53 @@ class NotificationLog:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+class RegistryLog:
+    """The registered subscriptions, durable, as an append-only log.
+
+    Every registration change appends one CRC-framed record —
+    ``{"add": [doc, ...]}`` for a single or bulk registration,
+    ``{"remove": [id]}`` for a removal — and syncs per the fsync
+    policy, so a registration costs its own bytes, not a rewrite of
+    the whole registry.  Opening replays the records in order and, when
+    there is more than one, folds them into a single ``add`` record of
+    the live documents through the atomic
+    :meth:`~repro.durable.wal.WriteAheadLog.rewrite`, so the file holds
+    the live registry plus one session's changes.  Not thread-safe:
+    the engine serialises writes under its lock.
+    """
+
+    def __init__(self, path: str, fsync: str = "commit") -> None:
+        # crash_sites off, as for the notification log.
+        self._wal = WriteAheadLog(path, fsync=fsync, crash_sites=False)
+        live: Dict[str, Dict[str, Any]] = {}
+        records = self._wal.replayed
+        for record in records:
+            doc = json.loads(record.payload.decode("utf-8"))
+            for sub in doc.get("add", ()):
+                live[str(sub["id"])] = sub
+            for sub_id in doc.get("remove", ()):
+                live.pop(sub_id, None)
+        #: The live subscription documents, in registration order.
+        self.documents: List[Dict[str, Any]] = list(live.values())
+        if len(records) > 1:
+            self._wal.rewrite([_compact({"add": self.documents})])
+
+    def add(self, docs: Iterable[Dict[str, Any]]) -> None:
+        """Durably record one (bulk) registration."""
+        self._append({"add": list(docs)})
+
+    def remove(self, sub_id: str) -> None:
+        """Durably record one removal."""
+        self._append({"remove": [sub_id]})
+
+    def _append(self, doc: Dict[str, Any]) -> None:
+        self._wal.append(_compact(doc))
+        self._wal.sync()
+
+    def close(self) -> None:
+        self._wal.close()
 
 
 class CursorStore:

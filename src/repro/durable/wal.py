@@ -36,7 +36,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.durable import crashpoints
 from repro.errors import DurabilityError
@@ -218,19 +218,39 @@ class WriteAheadLog:
 
     def reset(self, base_seq: Optional[int] = None) -> None:
         """Start a fresh log whose numbering continues after a
-        checkpoint.
+        checkpoint: :meth:`rewrite` with no records (``base_seq``
+        defaulting to :attr:`last_seq`).  Replay handles either file a
+        crash can leave (records at or below the checkpoint's sequence
+        are skipped)."""
+        self.rewrite((), base_seq)
 
-        Atomic: a new file (header only, ``base_seq`` defaulting to
-        :attr:`last_seq`) is written beside the old one, fsynced, and
+    def rewrite(
+        self,
+        payloads: Iterable[bytes],
+        base_seq: Optional[int] = None,
+    ) -> None:
+        """Atomically replace the log with ``payloads``, numbered from
+        ``base_seq + 1`` (``base_seq`` defaulting to :attr:`last_seq`).
+
+        The new file is written beside the old one, fsynced, and
         renamed over it — a crash at any instant leaves either the old
-        complete log or the new empty one, and replay handles both
-        (records at or below the checkpoint's sequence are skipped).
+        complete log or the new complete one, never a log that lost
+        records both versions hold.
         """
         if base_seq is None:
             base_seq = self.last_seq
+        seq = base_seq
         tmp = self.path + ".tmp"
         with open(tmp, "wb") as fh:
-            self._write_header(fh, base_seq)
+            fh.write(_HEADER.pack(_MAGIC, _VERSION, base_seq))
+            for payload in payloads:
+                seq += 1
+                fh.write(
+                    _FRAME.pack(
+                        len(payload), seq, REC_BATCH, zlib.crc32(payload)
+                    )
+                )
+                fh.write(payload)
             fh.flush()
             if self.fsync != "never":
                 os.fsync(fh.fileno())
@@ -240,7 +260,7 @@ class WriteAheadLog:
         self._fh = open(self.path, "r+b")
         self._fh.seek(0, os.SEEK_END)
         self._base_seq = base_seq
-        self._next_seq = base_seq + 1
+        self._next_seq = seq + 1
         self._replayed = []
         self._appended_unsynced = False
 

@@ -557,14 +557,21 @@ class HotspotServer:
                 raise _HttpError(
                     404, f"no such subscription: {sub_id}"
                 )
-            doc = self._parse_json_body(body)
-            try:
-                sequence = int(doc["sequence"])
-            except (KeyError, TypeError, ValueError):
+            sequence = self._parse_json_body(body).get("sequence")
+            # bool is an int subclass: JSON true is not cursor 1.
+            if (
+                not isinstance(sequence, int)
+                or isinstance(sequence, bool)
+                or sequence < 0
+            ):
                 raise _HttpError(
-                    400, 'ack body must be {"sequence": <int>}'
+                    400, 'ack body must be {"sequence": <int >= 0>}'
                 )
-            cursor = engine.ack(sub_id, sequence)
+            # The durable ack rewrites cursors.json with fsyncs: off
+            # the event loop, like register and remove.
+            cursor = await self._in_thread(
+                engine.ack, sub_id, sequence, context=ctx
+            )
             return 200, _json_response(
                 200, {"subscription": sub_id, "cursor": cursor}
             )

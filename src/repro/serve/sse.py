@@ -62,22 +62,21 @@ def format_batch(
     notifications when ``subscription_id`` is given — plus the closing
     ``batch`` marker clients acknowledge on."""
     frames = [
-        format_event(doc, batch.sequence)
-        for doc in batch.notifications
-        if subscription_id is None
-        or doc.get("subscription") == subscription_id
+        format_event(batch.render(ref), batch.sequence)
+        for ref in batch.refs
+        if subscription_id is None or ref[0] == subscription_id
     ]
-    frames.append(
-        format_event(
-            {
-                "sequence": batch.sequence,
-                "notifications": len(batch.notifications),
-            },
-            batch.sequence,
-            event="batch",
-        )
-    )
+    frames.append(_marker(batch))
     return frames
+
+
+def _marker(batch: NotificationBatch) -> bytes:
+    """The closing ``batch`` event; it counts the whole batch."""
+    return format_event(
+        {"sequence": batch.sequence, "notifications": len(batch.refs)},
+        batch.sequence,
+        event="batch",
+    )
 
 
 def format_comment(text: str = "keep-alive") -> bytes:
@@ -191,23 +190,18 @@ class SseHub:
             }
         if not live:
             return
-        # Only streamed subscriptions' notifications are formatted: a
+        # Only streamed subscriptions' notifications are rendered: a
         # batch can hold thousands for subscriptions nobody streams.
         by_subscription: Dict[str, List[bytes]] = {
             sub_id: [] for sub_id in live
         }
-        for doc in batch.notifications:
-            frames = by_subscription.get(str(doc.get("subscription")))
+        for ref in batch.refs:
+            frames = by_subscription.get(ref[0])
             if frames is not None:
-                frames.append(format_event(doc, batch.sequence))
-        closing = format_event(
-            {
-                "sequence": batch.sequence,
-                "notifications": len(batch.notifications),
-            },
-            batch.sequence,
-            event="batch",
-        )
+                frames.append(
+                    format_event(batch.render(ref), batch.sequence)
+                )
+        closing = _marker(batch)
         for sub_id, channels in live.items():
             frames = by_subscription[sub_id]
             for channel in channels:

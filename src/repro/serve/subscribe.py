@@ -91,7 +91,9 @@ from repro.durable.cursors import (
     CursorStore,
     NotificationBatch,
     NotificationLog,
+    RegistryLog,
 )
+from repro.errors import DurabilityError
 from repro.geometry import Envelope, Geometry
 from repro.geometry.rtree import RTree
 from repro.obs import get_metrics, get_tracer
@@ -104,7 +106,6 @@ __all__ = [
     "CommitJournal",
     "DeltaBatch",
     "HotspotRecord",
-    "Notification",
     "Subscription",
     "SubscriptionEngine",
     "SubscriptionError",
@@ -459,44 +460,57 @@ class DeltaBatch:
         return self._stars
 
 
-@dataclass(frozen=True)
-class Notification:
-    """One match pushed to one subscription."""
+class _BatchBuilder:
+    """One commit's notifications in the :class:`NotificationBatch`
+    layout: each notified subject's payload built once, one reference
+    per (subscription, subject) match."""
 
-    subscription: str
-    kind: str
-    sequence: int
-    subject: str
-    payload: Dict[str, Any] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self.subjects: List[Tuple[str, Dict[str, Any]]] = []
+        self.refs: List[Tuple[str, str, int]] = []
+        self._hotspots: Dict[str, int] = {}
 
-    def key(self) -> Tuple[str, ...]:
-        """Delivery identity — the differential and resume contracts
-        compare sets of these."""
-        if self.kind == "fwi":
-            return (
-                self.subscription,
-                self.subject,
-                str(self.payload.get("danger_class")),
+    def hotspot(self, sub: "Subscription", record: HotspotRecord) -> None:
+        """``sub`` matched the hotspot ``record``."""
+        index = self._hotspots.get(record.subject)
+        if index is None:
+            index = self._hotspots[record.subject] = len(self.subjects)
+            self.subjects.append(
+                (
+                    record.subject,
+                    {
+                        "lon": record.lon,
+                        "lat": record.lat,
+                        "confidence": record.confidence,
+                        "municipality": record.municipality,
+                        "confirmed": record.confirmed,
+                        "acquired": record.acquired,
+                        "sources": list(record.sources),
+                    },
+                )
             )
-        return (self.subscription, self.subject)
+        self.refs.append((sub.id, sub.kind, index))
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "subscription": self.subscription,
-            "kind": self.kind,
-            "sequence": self.sequence,
-            "subject": self.subject,
-            "payload": dict(self.payload),
-        }
+    def transition(
+        self,
+        subs: List["Subscription"],
+        municipality: str,
+        payload: Dict[str, Any],
+    ) -> None:
+        """A municipality's danger class moved, notified to ``subs``."""
+        if subs:
+            index = len(self.subjects)
+            self.subjects.append((municipality, payload))
+            self.refs.extend((sub.id, sub.kind, index) for sub in subs)
 
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "Notification":
-        return cls(
-            subscription=str(doc["subscription"]),
-            kind=str(doc["kind"]),
-            sequence=int(doc["sequence"]),
-            subject=str(doc["subject"]),
-            payload=dict(doc.get("payload", {})),
+    def batch(
+        self, sequence: int, wal_seq: Optional[int] = None
+    ) -> NotificationBatch:
+        return NotificationBatch(
+            sequence=sequence,
+            wal_seq=wal_seq,
+            subjects=tuple(self.subjects),
+            refs=tuple(self.refs),
         )
 
 
@@ -953,13 +967,16 @@ class SubscriptionEngine:
         self.cursors: Optional[CursorStore] = None
         #: Session-only cursors when there is no durable store.
         self._mem_cursors: Dict[str, int] = {}
-        self._registry_path: Optional[str] = None
-        self._fsync = fsync
+        self._registry_log: Optional[RegistryLog] = None
         if state_dir is not None:
             os.makedirs(state_dir, exist_ok=True)
-            self._registry_path = os.path.join(
-                state_dir, "registry.json"
-            )
+            legacy = os.path.join(state_dir, "registry.json")
+            if os.path.exists(legacy):
+                raise DurabilityError(
+                    f"{legacy!r} is a subscription registry in the old "
+                    "layout (rewritten whole per registration); this "
+                    "version keeps the registry in registry.log"
+                )
             self.log = NotificationLog(
                 os.path.join(state_dir, "notifications.log"),
                 fsync=fsync,
@@ -968,46 +985,20 @@ class SubscriptionEngine:
                 os.path.join(state_dir, "cursors.json"),
                 fsync=fsync != "never",
             )
-            self._load_registry()
-            self._rebuild_seen()
-
-    # -- durable state -----------------------------------------------------
-
-    def _load_registry(self) -> None:
-        from repro.durable import load_service_state
-
-        assert self._registry_path is not None
-        saved = load_service_state(self._registry_path)
-        if saved is None:
-            return
-        subs = []
-        for doc in saved.get("subscriptions", []):
-            subs.append(
+            self._registry_log = RegistryLog(
+                os.path.join(state_dir, "registry.log"), fsync=fsync
+            )
+            self.registry.add_many(
                 Subscription.from_dict(
                     doc,
                     sub_id=str(doc["id"]),
-                    created_sequence=int(
-                        doc.get("created_sequence", 0)
-                    ),
+                    created_sequence=int(doc.get("created_sequence", 0)),
                 )
+                for doc in self._registry_log.documents
             )
-        self.registry.add_many(subs)
+            self._rebuild_seen()
 
-    def _persist_registry(self) -> None:
-        if self._registry_path is None:
-            return
-        from repro.durable import save_service_state
-
-        save_service_state(
-            self._registry_path,
-            {
-                "version": 1,
-                "subscriptions": [
-                    s.to_dict() for s in self.registry.list()
-                ],
-            },
-            fsync=self._fsync != "never",
-        )
+    # -- durable state -----------------------------------------------------
 
     def _rebuild_seen(self) -> None:
         """Replaying the notification log restores exactly-once: every
@@ -1016,13 +1007,11 @@ class SubscriptionEngine:
         duplicate a notification that already reached the log."""
         assert self.log is not None
         for batch in self.log.batches:
-            for doc in batch.notifications:
-                note = Notification.from_dict(doc)
-                if note.kind == "fwi":
-                    continue
-                self._seen.setdefault(
-                    note.subscription, set()
-                ).add(note.subject)
+            for subscription, kind, index in batch.refs:
+                if kind != "fwi":
+                    self._seen.setdefault(subscription, set()).add(
+                        batch.subjects[index][0]
+                    )
 
     # -- wiring ------------------------------------------------------------
 
@@ -1062,6 +1051,8 @@ class SubscriptionEngine:
         self.detach()
         if self.log is not None:
             self.log.close()
+        if self._registry_log is not None:
+            self._registry_log.close()
 
     def add_listener(
         self, listener: Callable[[NotificationBatch], None]
@@ -1098,7 +1089,8 @@ class SubscriptionEngine:
         with self._lock:
             self.registry.add(sub)
             self._prime([sub])
-            self._persist_registry()
+            if self._registry_log is not None:
+                self._registry_log.add([sub.to_dict()])
         self._export_gauges()
         return sub
 
@@ -1122,7 +1114,8 @@ class SubscriptionEngine:
         with self._lock:
             self.registry.add_many(subs)
             self._prime(subs)
-            self._persist_registry()
+            if self._registry_log is not None:
+                self._registry_log.add(s.to_dict() for s in subs)
         self._export_gauges()
         return subs
 
@@ -1134,7 +1127,8 @@ class SubscriptionEngine:
                 self._mem_cursors.pop(sub_id, None)
                 if self.cursors is not None:
                     self.cursors.forget(sub_id)
-                self._persist_registry()
+                if self._registry_log is not None:
+                    self._registry_log.remove(sub_id)
         self._export_gauges()
         return removed
 
@@ -1252,37 +1246,31 @@ class SubscriptionEngine:
             else:
                 delta = DeltaBatch()
         assert self._strabon is not None, "engine is not bound"
+        out = _BatchBuilder()
         with self._lock, _tracer.span(
             "subscribe.evaluate",
             sequence=sequence,
             subjects=len(delta.subjects),
         ):
-            notifications = self._evaluate_delta(
-                delta, self._strabon, sequence
-            )
-        batch = NotificationBatch(
-            sequence=sequence,
-            wal_seq=wal_seq,
-            notifications=tuple(
-                n.to_dict() for n in notifications
-            ),
-        )
+            self._evaluate_delta(delta, self._strabon, out)
+        batch = out.batch(sequence, wal_seq)
         if self.log is not None:
             self.log.append(batch)
         self._eval_started[sequence] = started
         return batch
 
     def _evaluate_delta(
-        self, delta: DeltaBatch, source, sequence: int
-    ) -> List[Notification]:
+        self, delta: DeltaBatch, source, out: _BatchBuilder
+    ) -> None:
         graph = _source_graph(source)
         if delta.full_rescan or delta.schema_changed:
-            return self._evaluate_records(
+            self._evaluate_records(
                 list(iter_hotspot_records(graph)),
                 source,
-                sequence,
+                out,
                 municipalities=None,
             )
+            return
         records = [
             record
             for record in delta.stars(graph).values()
@@ -1292,19 +1280,16 @@ class SubscriptionEngine:
         for record in records:
             if record.municipality is not None:
                 municipalities.add(record.municipality)
-        return self._evaluate_records(
-            records, source, sequence, municipalities
-        )
+        self._evaluate_records(records, source, out, municipalities)
 
     def _evaluate_records(
         self,
         records: List[HotspotRecord],
         source,
-        sequence: int,
+        out: _BatchBuilder,
         municipalities: Optional[Set[str]],
-    ) -> List[Notification]:
+    ) -> None:
         graph = _source_graph(source)
-        notifications: List[Notification] = []
         # filter family: point probe per changed hotspot.  Static heat
         # sources never alert.
         for record in records:
@@ -1320,11 +1305,7 @@ class SubscriptionEngine:
                     sub, record
                 ):
                     seen.add(record.subject)
-                    notifications.append(
-                        self._hotspot_notification(
-                            sub, record, sequence
-                        )
-                    )
+                    out.hotspot(sub, record)
         # stsparql family: one evaluation per standing query, seeded
         # with a ?h row per pending changed subject — constant text,
         # cached plan, one engine call however large the delta.
@@ -1345,113 +1326,67 @@ class SubscriptionEngine:
             for record in pending:
                 if record.subject in matched:
                     seen.add(record.subject)
-                    notifications.append(
-                        self._hotspot_notification(
-                            sub, record, sequence
-                        )
-                    )
+                    out.hotspot(sub, record)
         # fwi family: recompute only the touched municipalities.
         if municipalities is None:
-            notifications.extend(
-                self._fwi_full(graph, sequence)
-            )
+            self._fwi_full(graph, out)
         else:
             self._ensure_fwi_baseline(graph)
             inference = RDFSInference(graph)
             for municipality in sorted(municipalities):
-                notifications.extend(
-                    self._fwi_transition(
-                        graph, inference, municipality, sequence
-                    )
-                )
-        return notifications
+                self._fwi_transition(graph, inference, municipality, out)
 
     def _fwi_transition(
         self,
         graph,
         inference: RDFSInference,
         municipality: str,
-        sequence: int,
-    ) -> List[Notification]:
+        out: _BatchBuilder,
+    ) -> None:
         assert self._fwi_classes is not None
         new_index = danger_class(
             municipality_score(graph, inference, municipality)
         )
         old_index = self._fwi_classes.get(municipality, 0)
         if new_index == old_index:
-            return []
+            return
         if new_index:
             self._fwi_classes[municipality] = new_index
         else:
             self._fwi_classes.pop(municipality, None)
-        out = []
-        for sub in self.registry.fwi_subscriptions():
-            if new_index < sub.min_class:
-                continue
-            if (
-                sub.municipality is not None
-                and not _municipality_matches(
-                    municipality, sub.municipality
+        out.transition(
+            [
+                sub
+                for sub in self.registry.fwi_subscriptions()
+                if new_index >= sub.min_class
+                and (
+                    sub.municipality is None
+                    or _municipality_matches(
+                        municipality, sub.municipality
+                    )
                 )
-            ):
-                continue
-            out.append(
-                Notification(
-                    subscription=sub.id,
-                    kind="fwi",
-                    sequence=sequence,
-                    subject=municipality,
-                    payload={
-                        "danger_class": DANGER_CLASSES[new_index],
-                        "previous_class": DANGER_CLASSES[old_index],
-                        "municipality": municipality,
-                    },
-                )
-            )
-        return out
+            ],
+            municipality,
+            {
+                "danger_class": DANGER_CLASSES[new_index],
+                "previous_class": DANGER_CLASSES[old_index],
+                "municipality": municipality,
+            },
+        )
 
-    def _fwi_full(self, graph, sequence: int) -> List[Notification]:
+    def _fwi_full(self, graph, out: _BatchBuilder) -> None:
         """Full-rescan fallback: recompute every municipality."""
         self._ensure_fwi_baseline(graph)
         assert self._fwi_classes is not None
         scores = municipality_scores(graph)
         touched = set(scores) | set(self._fwi_classes)
         inference = RDFSInference(graph)
-        out: List[Notification] = []
         for municipality in sorted(touched):
-            out.extend(
-                self._fwi_transition(
-                    graph, inference, municipality, sequence
-                )
-            )
-        return out
-
-    @staticmethod
-    def _hotspot_notification(
-        sub: Subscription,
-        record: HotspotRecord,
-        sequence: int,
-    ) -> Notification:
-        payload: Dict[str, Any] = {
-            "lon": record.lon,
-            "lat": record.lat,
-            "confidence": record.confidence,
-            "municipality": record.municipality,
-            "confirmed": record.confirmed,
-            "acquired": record.acquired,
-            "sources": list(record.sources),
-        }
-        return Notification(
-            subscription=sub.id,
-            kind=sub.kind,
-            sequence=sequence,
-            subject=record.subject,
-            payload=payload,
-        )
+            self._fwi_transition(graph, inference, municipality, out)
 
     def evaluate_full(
         self, source, sequence: int, commit: bool = True
-    ) -> List[Notification]:
+    ) -> NotificationBatch:
         """The full re-run baseline: every standing query over the
         whole snapshot, minus the seen-set.
 
@@ -1461,6 +1396,7 @@ class SubscriptionEngine:
         path saw.
         """
         graph = _source_graph(source)
+        out = _BatchBuilder()
         with self._lock:
             if not commit:
                 saved_seen = {
@@ -1471,18 +1407,15 @@ class SubscriptionEngine:
                     if self._fwi_classes is None
                     else dict(self._fwi_classes)
                 )
-            notifications = self._evaluate_full_locked(
-                graph, source, sequence
-            )
+            self._evaluate_full_locked(graph, source, out)
             if not commit:
                 self._seen = saved_seen
                 self._fwi_classes = saved_fwi
-            return notifications
+        return out.batch(sequence)
 
     def _evaluate_full_locked(
-        self, graph, source, sequence: int
-    ) -> List[Notification]:
-        notifications: List[Notification] = []
+        self, graph, source, out: _BatchBuilder
+    ) -> None:
         records = list(iter_hotspot_records(graph))
         for record in records:
             if record.static:
@@ -1497,11 +1430,7 @@ class SubscriptionEngine:
                     sub, record
                 ):
                     seen.add(record.subject)
-                    notifications.append(
-                        self._hotspot_notification(
-                            sub, record, sequence
-                        )
-                    )
+                    out.hotspot(sub, record)
         by_subject = {r.subject: r for r in records}
         for sub in self.registry.standing_queries():
             seen = self._seen.setdefault(sub.id, set())
@@ -1516,13 +1445,8 @@ class SubscriptionEngine:
                 if record is None or record.static:
                     continue
                 seen.add(subject)
-                notifications.append(
-                    self._hotspot_notification(
-                        sub, record, sequence
-                    )
-                )
-        notifications.extend(self._fwi_full(graph, sequence))
-        return notifications
+                out.hotspot(sub, record)
+        self._fwi_full(graph, out)
 
     # -- delivery ----------------------------------------------------------
 
@@ -1554,11 +1478,11 @@ class SubscriptionEngine:
                 "subscribe_notification_seconds",
                 "Commit-to-fanout latency per notification batch",
             ).observe(elapsed)
-            if batch.notifications:
+            if batch.refs:
                 _metrics.counter(
                     "subscribe_notifications_total",
                     "Notifications fanned out to subscribers",
-                ).inc(len(batch.notifications))
+                ).inc(len(batch.refs))
         if self._slo is not None:
             from repro.obs.slo import NOTIFY_LATENCY_SLO_S
 

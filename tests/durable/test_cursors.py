@@ -6,17 +6,23 @@ import os
 
 import pytest
 
-from repro.durable import CursorStore, NotificationBatch, NotificationLog
+from repro.durable import (
+    CursorStore,
+    NotificationBatch,
+    NotificationLog,
+    RegistryLog,
+    WriteAheadLog,
+)
+from repro.durable import wal as wal_module
+from repro.errors import DurabilityError
 
 
 def _batch(sequence, wal_seq=None, subjects=()):
     return NotificationBatch(
         sequence=sequence,
         wal_seq=wal_seq,
-        notifications=tuple(
-            {"subscription": "sub-1", "subject": s, "kind": "filter"}
-            for s in subjects
-        ),
+        subjects=tuple((s, {}) for s in subjects),
+        refs=tuple(("sub-1", "filter", n) for n in range(len(subjects))),
     )
 
 
@@ -79,6 +85,39 @@ class TestNotificationLog:
         with NotificationLog(path) as log:
             assert [b.sequence for b in log.batches] == [4, 5]
 
+    def test_compact_interrupted_mid_write_loses_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "n.wal")
+        with NotificationLog(path) as log:
+            for seq in (2, 3, 4, 5):
+                log.append(_batch(seq, subjects=(f"s{seq}",)))
+
+            class _Dies:
+                """A crash while the kept batches are being framed."""
+
+                @staticmethod
+                def crc32(_payload):
+                    raise OSError("injected crash")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(wal_module, "zlib", _Dies)
+                with pytest.raises(OSError, match="injected"):
+                    log.compact(3)
+        with NotificationLog(path) as log:
+            kept = [b.sequence for b in log.batches]
+        # Either the old log or the compacted one, never neither.
+        assert kept in ([2, 3, 4, 5], [4, 5])
+
+    def test_old_layout_record_is_refused(self, tmp_path):
+        path = str(tmp_path / "n.wal")
+        with WriteAheadLog(path) as wal:
+            wal.append(
+                b'{"sequence": 2, "wal_seq": null, "notifications": []}'
+            )
+        with pytest.raises(DurabilityError, match="n.wal"):
+            NotificationLog(path)
+
     def test_torn_tail_is_truncated_on_open(self, tmp_path):
         path = str(tmp_path / "n.wal")
         with NotificationLog(path) as log:
@@ -93,6 +132,38 @@ class TestNotificationLog:
             # The log stays appendable after repair.
             log.append(_batch(3, subjects=("again",)))
             assert log.last_sequence == 3
+
+
+class TestRegistryLog:
+    def test_replay_folds_changes_into_one_record(self, tmp_path):
+        path = str(tmp_path / "registry.log")
+        log = RegistryLog(path)
+        log.add([{"id": "a", "kind": "filter"}])
+        log.add([{"id": "b", "kind": "fwi"}, {"id": "c", "kind": "filter"}])
+        log.remove("b")
+        log.close()
+        for _ in range(2):
+            log = RegistryLog(path)
+            assert [d["id"] for d in log.documents] == ["a", "c"]
+            log.close()
+        with WriteAheadLog(path) as wal:
+            assert len(wal.replayed) == 1
+
+    def test_fold_survives_a_torn_append(self, tmp_path):
+        path = str(tmp_path / "registry.log")
+        log = RegistryLog(path)
+        log.add([{"id": "a", "kind": "filter"}])
+        log.add([{"id": "b", "kind": "filter"}])
+        log.close()
+        with open(path, "r+b") as fh:
+            fh.truncate(os.path.getsize(path) - 3)
+        log = RegistryLog(path)
+        assert [d["id"] for d in log.documents] == ["a"]
+        log.add([{"id": "c", "kind": "filter"}])
+        log.close()
+        log = RegistryLog(path)
+        assert [d["id"] for d in log.documents] == ["a", "c"]
+        log.close()
 
 
 class TestCursorStore:

@@ -3,7 +3,9 @@ streaming over /v1/stream, and cursor-based resume."""
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 
 import pytest
 
@@ -142,6 +144,54 @@ class TestCrud:
         assert client.ack(sub_id, 4)["cursor"] == 4
         assert client.ack(sub_id, 2)["cursor"] == 4  # regression ignored
         assert client.subscription(sub_id)["cursor"] == 4
+
+    def test_ack_sequence_must_be_a_non_negative_integer(self, client):
+        sub_id = client.subscribe({"kind": "filter"})["id"]
+        for sequence in ("true", "3.7", '"4"', "-1", "null"):
+            conn = http.client.HTTPConnection(
+                client.host, client.port, timeout=10
+            )
+            try:
+                conn.request(
+                    "POST",
+                    f"/v1/subscriptions/{sub_id}/ack",
+                    body=f'{{"sequence": {sequence}}}',
+                )
+                response = conn.getresponse()
+                response.read()
+            finally:
+                conn.close()
+            assert response.status == 400, sequence
+        assert client.subscription(sub_id)["cursor"] == 0
+
+    def test_a_read_completes_while_an_ack_is_saving(
+        self, client, monkeypatch
+    ):
+        """The durable ack rewrites cursors.json with fsyncs; held, it
+        must stall only its own request, not the event loop."""
+        from repro.durable import cursors
+
+        sub_id = client.subscribe({"kind": "filter"})["id"]
+        saving, release = threading.Event(), threading.Event()
+        save = cursors.save_service_state
+
+        def held_save(*args, **kwargs):
+            saving.set()
+            release.wait(timeout=30)
+            return save(*args, **kwargs)
+
+        monkeypatch.setattr(cursors, "save_service_state", held_save)
+        acker = threading.Thread(target=client.ack, args=(sub_id, 3))
+        acker.start()
+        try:
+            assert saving.wait(timeout=10)
+            reader = ServeClient(client.host, client.port, timeout=5.0)
+            assert reader.hotspots()["type"] == "FeatureCollection"
+        finally:
+            release.set()
+            acker.join(timeout=30)
+        assert not acker.is_alive()
+        assert client.subscription(sub_id)["cursor"] == 3
 
     def test_stream_route_requires_get(self, client):
         with pytest.raises(ServeError) as exc:

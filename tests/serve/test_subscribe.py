@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import json
+import os
+
 import pytest
 
+from repro.durable import WriteAheadLog
+from repro.errors import DurabilityError
 from repro.geometry import Envelope
 from repro.rdf.namespace import NOA
 from repro.serve import SnapshotPublisher
@@ -354,7 +359,7 @@ class TestEngine:
             + 'noa:hasConfidence "0.9" . }'
         )
         second = engine.process_commit(3)
-        assert second.notifications == ()
+        assert second.refs == ()
 
     def test_priming_suppresses_pre_existing_matches(self):
         strabon = Strabon()
@@ -367,7 +372,7 @@ class TestEngine:
             + 'noa:hasConfidence "0.9" . }'
         )
         batch = engine.process_commit(2)
-        assert batch.notifications == ()  # it matched before "now"
+        assert batch.refs == ()  # it matched before "now"
 
     def test_geofence_excludes_outside_hotspots(self):
         strabon = Strabon()
@@ -438,7 +443,10 @@ class TestEngine:
         incremental = {
             d["subject"] for d in engine.process_commit(2).notifications
         }
-        full = {n.subject for n in oracle.evaluate_full(strabon, 2)}
+        full = {
+            d["subject"]
+            for d in oracle.evaluate_full(strabon, 2).notifications
+        }
         assert incremental == full == {"http://example.org/hotspot/1"}
 
     @pytest.mark.parametrize("hotspots", [5, 50])
@@ -628,3 +636,139 @@ class TestEngine:
         stats = engine.stats()
         assert stats["subscriptions"] == 1
         assert stats["durable"] is False
+
+
+def _durable_engine(strabon: Strabon, state_dir: str) -> SubscriptionEngine:
+    publisher = SnapshotPublisher()
+    engine = SubscriptionEngine(state_dir=state_dir)
+    engine.bind(strabon, publisher)
+    publisher.publish(strabon)
+    return engine
+
+
+def _tree_bytes(path: str) -> int:
+    return sum(
+        os.path.getsize(os.path.join(base, name))
+        for base, _dirs, names in os.walk(path)
+        for name in names
+    )
+
+
+class TestDurableState:
+    def test_a_hotspot_matched_k_times_logs_its_payload_once(
+        self, tmp_path
+    ):
+        state_dir = str(tmp_path / "subs")
+        strabon = Strabon()
+        engine = _durable_engine(strabon, state_dir)
+        try:
+            subs = engine.register_many(
+                [{"kind": "filter", "bbox": [23.0, 37.0, 24.0, 39.0]}] * 6
+            )
+            subject = _insert_hotspot(strabon, 1, 23.5, 38.0)
+            engine.process_commit(2)
+        finally:
+            engine.close()
+        with WriteAheadLog(
+            os.path.join(state_dir, "notifications.log")
+        ) as log:
+            (record,) = log.replayed
+        doc = json.loads(record.payload)
+        assert [s for s, _ in doc["subjects"]] == [subject]
+        assert sorted(sub for sub, _, _ in doc["refs"]) == sorted(
+            s.id for s in subs
+        )
+        assert record.payload.count(b'"lon"') == 1
+
+    def test_registration_costs_its_own_bytes_not_the_registry(
+        self, tmp_path
+    ):
+        state_dir = str(tmp_path / "subs")
+        engine = _durable_engine(Strabon(), state_dir)
+        try:
+            engine.register_many(
+                {
+                    "kind": "filter",
+                    "bbox": [20.0 + n % 9, 35.0, 21.0 + n % 9, 36.0],
+                    "min_confidence": 0.5,
+                }
+                for n in range(2000)
+            )
+            registry = os.path.join(state_dir, "registry.log")
+            for change in (
+                lambda: engine.register({"kind": "filter"}),
+                lambda: engine.remove(engine.registry.list()[0].id),
+            ):
+                with open(registry, "rb") as fh:
+                    before = fh.read()
+                size = _tree_bytes(state_dir)
+                change()
+                assert _tree_bytes(state_dir) - size < 2048
+                with open(registry, "rb") as fh:
+                    assert fh.read().startswith(before)  # append-only
+        finally:
+            engine.close()
+
+    def test_reopen_restores_the_registry_and_seen_sets(self, tmp_path):
+        state_dir = str(tmp_path / "subs")
+        strabon = Strabon()
+        publisher = SnapshotPublisher()
+        engine = SubscriptionEngine(state_dir=state_dir)
+        engine.bind(strabon, publisher)
+        publisher.publish(strabon)
+        try:
+            kept = engine.register({"kind": "filter"})
+            publisher.publish(strabon)
+            late = engine.register_many(
+                [{"kind": "filter", "min_confidence": 0.5}] * 2
+            )
+            gone = engine.register({"kind": "fwi", "min_class": "high"})
+            engine.remove(gone.id)
+            for n in (1, 2):
+                _insert_hotspot(strabon, n, 23.5, 38.0 + n / 10)
+                engine.process_commit(publisher.sequence + 1)
+                publisher.publish(strabon)
+            registered = {
+                s.id: s.to_dict() for s in engine.registry.list()
+            }
+            # Every subscription registered before any hotspot: the
+            # seen-sets are exactly the delivered (logged) pairs.
+            seen = {k: set(v) for k, v in engine._seen.items() if v}
+        finally:
+            engine.close()
+        assert kept.created_sequence == 1
+        assert {s.created_sequence for s in late} == {2}
+        assert sorted(map(len, seen.values())) == [2, 2, 2]
+        for _ in range(2):  # the first reopen folds, the second reads it
+            reopened = SubscriptionEngine(state_dir=state_dir)
+            try:
+                assert {
+                    s.id: s.to_dict() for s in reopened.registry.list()
+                } == registered
+                assert reopened.registry.get(gone.id) is None
+                assert {
+                    k: v for k, v in reopened._seen.items() if v
+                } == seen
+            finally:
+                reopened.close()
+        with WriteAheadLog(os.path.join(state_dir, "registry.log")) as log:
+            assert len(log.replayed) == 1
+
+    def test_old_layout_state_is_refused(self, tmp_path):
+        legacy = tmp_path / "legacy"
+        legacy.mkdir()
+        (legacy / "registry.json").write_text(
+            '{"version": 1, "subscriptions": []}'
+        )
+        with pytest.raises(DurabilityError, match="registry.json"):
+            SubscriptionEngine(state_dir=str(legacy))
+        old_batches = tmp_path / "old-batches"
+        old_batches.mkdir()
+        with WriteAheadLog(str(old_batches / "notifications.log")) as log:
+            log.append(
+                json.dumps(
+                    {"sequence": 2, "wal_seq": 1, "notifications": []}
+                ).encode()
+            )
+        with pytest.raises(DurabilityError, match="notifications.log"):
+            SubscriptionEngine(state_dir=str(old_batches))

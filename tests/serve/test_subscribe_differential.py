@@ -28,7 +28,7 @@ from repro.core.config import RunOptions, ServiceConfig
 from repro.core.service import FireMonitoringService
 from repro.datasets import SyntheticGreece
 from repro.durable import CRASH_EXIT, crashpoints
-from repro.serve.subscribe import Notification, SubscriptionEngine
+from repro.serve.subscribe import SubscriptionEngine
 from repro.seviri.fires import FireSeason
 
 from tests.durable.conftest import CRISIS_START
@@ -113,16 +113,12 @@ def test_incremental_equals_full_rerun_per_snapshot(
                 f"no notification batch for publication "
                 f"{snap.sequence}"
             )
-            incremental = {
-                Notification.from_dict(d).key()
-                for d in batches[snap.sequence].notifications
-            }
-            full = {
-                n.key()
-                for n in oracle.evaluate_full(
+            incremental = set(batches[snap.sequence].keys())
+            full = set(
+                oracle.evaluate_full(
                     snap.view, snap.sequence, commit=True
-                )
-            }
+                ).keys()
+            )
             assert incremental == full, (
                 f"sequence {snap.sequence}: incremental != full "
                 f"(only-incremental={incremental - full}, "
@@ -208,14 +204,10 @@ def test_fanout_load_incremental_equals_full_rerun(
             kinds |= {
                 d["kind"] for d in batches[snap.sequence].notifications
             }
-            incremental = {
-                Notification.from_dict(d).key()
-                for d in batches[snap.sequence].notifications
-            }
-            full = {
-                n.key()
-                for n in oracle.evaluate_full(snap.view, snap.sequence)
-            }
+            incremental = set(batches[snap.sequence].keys())
+            full = set(
+                oracle.evaluate_full(snap.view, snap.sequence).keys()
+            )
             assert incremental == full, (
                 f"sequence {snap.sequence}: "
                 f"only-incremental={incremental - full}, "
@@ -313,16 +305,12 @@ def test_full_rescan_races_source_outage(diff_greece, diff_requests):
         total = 0
         for snap in snapshots:
             assert snap.sequence in batches
-            incremental = {
-                Notification.from_dict(d).key()
-                for d in batches[snap.sequence].notifications
-            }
-            full = {
-                n.key()
-                for n in oracle.evaluate_full(
+            incremental = set(batches[snap.sequence].keys())
+            full = set(
+                oracle.evaluate_full(
                     snap.view, snap.sequence, commit=True
-                )
-            }
+                ).keys()
+            )
             assert incremental == full, (
                 f"sequence {snap.sequence}: incremental != full "
                 f"(only-incremental={incremental - full}, "
