@@ -2,10 +2,16 @@
 
 An :class:`SLO` states "fraction ``objective`` of events must be good"
 (e.g. 0.99 of acquisitions finish inside the 300 s SEVIRI budget).  The
-:class:`SloEngine` keeps a rolling window of (timestamp, good) events
-per SLO and computes the **burn rate** over short and long windows:
+:class:`SloEngine` keeps running ``(bad, total)`` counts of the
+(timestamp, good) events inside each SLO's short and long windows and
+computes the **burn rate** of each:
 
     burn_rate(window) = bad_fraction(window) / (1 - objective)
+
+Events expire from the counts as they age out — on every record and
+on every read — so a burn rate costs O(1) amortised however many
+events the window holds, and equals a recount over the retained
+events.
 
 A burn rate of 1.0 consumes the error budget exactly as fast as the
 objective allows; sustained rates above the per-SLO threshold on *both*
@@ -103,11 +109,68 @@ def default_service_slos() -> List[SLO]:
     return [ACQUISITION_SLO, SERVING_SLO]
 
 
-class SloEngine:
-    """Tracks events per SLO and computes rolling burn rates."""
+class _Window:
+    """Running ``(bad, total)`` counts over one trailing window.
 
-    #: Events retained per SLO (newest win) — a backstop far above what
-    #: the long window needs at realistic event rates.
+    ``events`` holds the ``(timestamp, good)`` events still inside the
+    window, oldest first; an event leaves from the left when it ages
+    past the window or when the engine's ``max_events`` cap evicts it,
+    and the counts follow it out — so reading them never rescans.
+    """
+
+    __slots__ = ("span_s", "events", "bad")
+
+    def __init__(self, span_s: float) -> None:
+        self.span_s = span_s
+        self.events: Deque[Tuple[float, bool]] = deque()
+        self.bad = 0
+
+    def add(self, now: float, good: bool, cap: int) -> None:
+        while len(self.events) >= cap:
+            self._drop()
+        self.events.append((now, good))
+        if not good:
+            self.bad += 1
+
+    def expire(self, now: float) -> None:
+        # Events inside [now - span_s, now] count (the cutoff itself is
+        # inside the window).
+        cutoff = now - self.span_s
+        events = self.events
+        while events and events[0][0] < cutoff:
+            self._drop()
+
+    def _drop(self) -> None:
+        _, good = self.events.popleft()
+        if not good:
+            self.bad -= 1
+
+    def burn_rate(self, objective: float) -> float:
+        total = len(self.events)
+        if total == 0:
+            return 0.0
+        return (self.bad / total) / (1.0 - objective)
+
+    def budget_remaining(self, objective: float) -> float:
+        total = len(self.events)
+        if total == 0:
+            return 1.0
+        budget = (1.0 - objective) * total
+        return max(0.0, 1.0 - self.bad / budget) if budget > 0 else 0.0
+
+
+class SloEngine:
+    """Tracks events per SLO and computes rolling burn rates.
+
+    Each SLO keeps running counts over its short and long windows:
+    ``record`` adds the event to both and expires what aged out, reads
+    expire against the clock first, and nothing ever rescans — a burn
+    rate costs the same at 50 000 retained events as at none, and
+    equals the recount over the newest ``max_events`` events.
+    """
+
+    #: Events retained per SLO (newest win) — a backstop far above
+    #: what the long window needs at realistic event rates.
     max_events = 50_000
 
     def __init__(
@@ -120,7 +183,8 @@ class SloEngine:
         self._metrics = metrics
         self._lock = threading.Lock()
         self._slos: Dict[str, SLO] = {}
-        self._events: Dict[str, Deque[Tuple[float, bool]]] = {}
+        #: Per SLO: its (short, long) window counts.
+        self._windows: Dict[str, Tuple[_Window, _Window]] = {}
         self._burning: Dict[str, bool] = {}
         #: Alert callbacks, each called with one structured event dict.
         self.on_alert: List[Callable[[Dict[str, Any]], None]] = []
@@ -138,11 +202,15 @@ class SloEngine:
         )
 
     def register(self, slo: SLO) -> None:
+        """Add ``slo``; re-registering an equal SLO keeps its counts,
+        a changed one restarts them."""
         with self._lock:
+            if self._slos.get(slo.name) != slo:
+                self._windows[slo.name] = (
+                    _Window(slo.short_window_s),
+                    _Window(slo.long_window_s),
+                )
             self._slos[slo.name] = slo
-            self._events.setdefault(
-                slo.name, deque(maxlen=self.max_events)
-            )
             self._burning.setdefault(slo.name, False)
 
     def slos(self) -> List[SLO]:
@@ -155,98 +223,94 @@ class SloEngine:
         self, name: str, good: bool, trace_id: Optional[str] = None
     ) -> Optional[Dict[str, Any]]:
         """Record one event; returns the alert fired, if any."""
-        now = self._clock()
+        good = bool(good)
         with self._lock:
             slo = self._slos.get(name)
             if slo is None:
                 raise KeyError(f"unknown SLO {name!r}")
-            self._events[name].append((now, bool(good)))
+            # The clock is read under the lock, so events enter every
+            # window in timestamp order and expire from its left end.
+            now = self._clock()
+            short, long = self._windows[name]
+            for window in (short, long):
+                window.add(now, good, self.max_events)
+                window.expire(now)
+            short_rate = short.burn_rate(slo.objective)
+            long_rate = long.burn_rate(slo.objective)
+            threshold = slo.burn_rate_threshold
+            burning = short_rate >= threshold and long_rate >= threshold
+            flipped = burning != self._burning[name]
+            self._burning[name] = burning
         if self._metrics_on():
             self._metrics.counter(
                 "slo_events_total", "Events recorded per SLO"
-            ).inc(slo=name, good=str(bool(good)).lower())
-        return self._evaluate(slo, now, trace_id)
+            ).inc(slo=name, good=str(good).lower())
+            gauge = self._metrics.gauge(
+                "slo_burn_rate", "Error-budget burn rate per SLO window"
+            )
+            gauge.set(short_rate, slo=name, window="short")
+            gauge.set(long_rate, slo=name, window="long")
+        if not flipped:
+            return None
+        return self._alert(slo, burning, short_rate, long_rate, trace_id)
 
     # -- burn-rate math ----------------------------------------------------
 
-    def _window_fractions(
-        self, name: str, now: float, window_s: float
-    ) -> Tuple[int, int]:
-        """(bad, total) event counts inside the trailing window."""
-        cutoff = now - window_s
-        bad = total = 0
-        with self._lock:
-            for t, good in self._events[name]:
-                if t < cutoff:
-                    continue
-                total += 1
-                if not good:
-                    bad += 1
-        return bad, total
+    def _current(self, name: str) -> Tuple[SLO, _Window, _Window]:
+        """The SLO and its windows, expired to now (lock held)."""
+        slo = self._slos.get(name)
+        if slo is None:
+            raise KeyError(f"unknown SLO {name!r}")
+        now = self._clock()
+        short, long = self._windows[name]
+        short.expire(now)
+        long.expire(now)
+        return slo, short, long
 
-    def burn_rate(
-        self, name: str, window_s: float, now: Optional[float] = None
-    ) -> float:
-        """bad_fraction / error_budget over the trailing window.
+    def burn_rate(self, name: str, window_s: float) -> float:
+        """bad_fraction / error_budget over the SLO's trailing window
+        of ``window_s`` seconds — its short or its long window; any
+        other span is a ValueError.
 
         0.0 when the window holds no events (no evidence of burning).
         """
         with self._lock:
-            slo = self._slos.get(name)
-            if slo is None:
-                raise KeyError(f"unknown SLO {name!r}")
-        bad, total = self._window_fractions(
-            name, self._clock() if now is None else now, window_s
-        )
-        if total == 0:
-            return 0.0
-        return (bad / total) / (1.0 - slo.objective)
+            slo, short, long = self._current(name)
+            if window_s == slo.short_window_s:
+                window = short
+            elif window_s == slo.long_window_s:
+                window = long
+            else:
+                raise ValueError(
+                    f"SLO {name!r} keeps windows of "
+                    f"{slo.short_window_s:g} s and {slo.long_window_s:g} s,"
+                    f" not {window_s:g} s"
+                )
+            return window.burn_rate(slo.objective)
 
-    def budget_remaining(
-        self, name: str, now: Optional[float] = None
-    ) -> float:
+    def budget_remaining(self, name: str) -> float:
         """Fraction of the long-window error budget still unspent."""
         with self._lock:
-            slo = self._slos.get(name)
-            if slo is None:
-                raise KeyError(f"unknown SLO {name!r}")
-        bad, total = self._window_fractions(
-            name,
-            self._clock() if now is None else now,
-            slo.long_window_s,
-        )
-        if total == 0:
-            return 1.0
-        budget = (1.0 - slo.objective) * total
-        return max(0.0, 1.0 - bad / budget) if budget > 0 else 0.0
+            slo, _, long = self._current(name)
+            return long.budget_remaining(slo.objective)
 
     # -- alerting ----------------------------------------------------------
 
-    def _evaluate(
-        self, slo: SLO, now: float, trace_id: Optional[str]
-    ) -> Optional[Dict[str, Any]]:
-        short = self.burn_rate(slo.name, slo.short_window_s, now=now)
-        long = self.burn_rate(slo.name, slo.long_window_s, now=now)
-        if self._metrics_on():
-            gauge = self._metrics.gauge(
-                "slo_burn_rate", "Error-budget burn rate per SLO window"
-            )
-            gauge.set(short, slo=slo.name, window="short")
-            gauge.set(long, slo=slo.name, window="long")
-        threshold = slo.burn_rate_threshold
-        burning = short >= threshold and long >= threshold
-        with self._lock:
-            was = self._burning[slo.name]
-            if burning == was:
-                return None
-            self._burning[slo.name] = burning
+    def _alert(
+        self,
+        slo: SLO,
+        burning: bool,
+        short: float,
+        long: float,
+        trace_id: Optional[str],
+    ) -> Dict[str, Any]:
         alert = {
             "kind": "slo_alert",
             "slo": slo.name,
             "state": "burning" if burning else "recovered",
             "short_burn_rate": round(short, 4),
             "long_burn_rate": round(long, 4),
-            "threshold": threshold,
+            "threshold": slo.burn_rate_threshold,
             "trace_id": trace_id,
         }
         self.alerts.append(alert)
@@ -269,27 +333,23 @@ class SloEngine:
 
     def status(self) -> Dict[str, Any]:
         """Per-SLO burn rates and budget — the ``health()`` block."""
-        now = self._clock()
         out: Dict[str, Any] = {}
-        for slo in self.slos():
-            bad, total = self._window_fractions(
-                slo.name, now, slo.long_window_s
-            )
-            out[slo.name] = {
-                "objective": slo.objective,
-                "events": total,
-                "bad_events": bad,
-                "short_burn_rate": round(
-                    self.burn_rate(slo.name, slo.short_window_s, now=now),
-                    4,
-                ),
-                "long_burn_rate": round(
-                    self.burn_rate(slo.name, slo.long_window_s, now=now),
-                    4,
-                ),
-                "budget_remaining": round(
-                    self.budget_remaining(slo.name, now=now), 4
-                ),
-                "burning": self.is_burning(slo.name),
-            }
+        with self._lock:
+            for name in self._slos:
+                slo, short, long = self._current(name)
+                out[name] = {
+                    "objective": slo.objective,
+                    "events": len(long.events),
+                    "bad_events": long.bad,
+                    "short_burn_rate": round(
+                        short.burn_rate(slo.objective), 4
+                    ),
+                    "long_burn_rate": round(
+                        long.burn_rate(slo.objective), 4
+                    ),
+                    "budget_remaining": round(
+                        long.budget_remaining(slo.objective), 4
+                    ),
+                    "burning": self._burning[name],
+                }
         return out

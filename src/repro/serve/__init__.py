@@ -14,9 +14,9 @@ store while the ingest/refinement writer keeps running:
   hotspot table and the filter over it that answers ``/v1/hotspots``
   (``repro.serve.hotspots``),
 * :class:`HotspotServer` / :func:`serve_in_thread` — the stdlib-only
-  asyncio HTTP endpoint; every route lives under ``/v1/`` and every
-  read executes on its thread pool against the latest publication
-  (``repro.serve.http``),
+  asyncio HTTP endpoint; every route lives under ``/v1/`` and answers
+  from the latest publication — hotspot-table reads on the event loop,
+  stSPARQL on its thread pool (``repro.serve.http``),
 * :class:`ShardManager` / :class:`TileLayout` — spatial partitioning
   of the published store by target-grid tile, one engine + publisher
   per shard (``repro.serve.shard``),

@@ -43,11 +43,16 @@ named by incoming ``x-trace-id`` / ``x-parent-span`` headers (or roots
 a fresh one); responses carrying a snapshot embed both the publishing
 acquisition's ``trace_id`` and the request's own ``request_trace_id``.
 
-The event loop never runs a query itself: evaluation happens on a
-thread pool (``read_workers`` wide) so slow reads overlap and the
-accept loop stays responsive.  Every request is answered from one
-atomically-published :class:`~repro.serve.state.PublishedSnapshot`, so
-a response can never observe half-refined acquisition state.
+Where a request runs follows what it costs.  ``/v1/hotspots`` is a
+filter over the publication's already-encoded hotspot table — bounded
+and cheaper than a thread hand-off — so it is answered on the event
+loop.  ``/v1/stsparql`` (unbounded evaluation), ``/v1/health`` and the
+subscription writes (which fsync) run on a thread pool
+(``read_workers`` wide), so slow work overlaps and never holds up the
+loop's hotspot reads, streams or accepts.  Every request is answered
+from one atomically-published
+:class:`~repro.serve.state.PublishedSnapshot`, so a response can never
+observe half-refined acquisition state.
 
 :func:`serve_in_thread` runs the whole server (loop included) on a
 daemon thread — the shape tests, examples and the load benchmark use.
@@ -103,6 +108,7 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     408: "Request Timeout",
+    413: "Content Too Large",
     422: "Unprocessable Entity",
     503: "Service Unavailable",
 }
@@ -210,7 +216,22 @@ class HotspotServer:
     ) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _HttpError as error:
+                    # Unparsable framing: the stream position is lost,
+                    # so answer and close instead of reading on.
+                    writer.write(
+                        _response(
+                            error.status,
+                            json.dumps({"error": str(error)}).encode(
+                                "utf-8"
+                            ),
+                            extra_headers={"Connection": "close"},
+                        )
+                    )
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 method, target, headers, body = request
@@ -241,8 +262,19 @@ class HotspotServer:
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
+    @staticmethod
+    async def _read_line(reader: asyncio.StreamReader) -> bytes:
+        try:
+            return await reader.readline()
+        except ValueError:  # the line overran the reader's limit
+            raise _HttpError(400, "request line or header too long")
+
     async def _read_request(self, reader: asyncio.StreamReader):
-        line = await reader.readline()
+        """One request as ``(method, target, headers, body)``; None at
+        end of stream.  Framing the server cannot follow — an overlong
+        line, a malformed ``Content-Length``, a body over
+        ``MAX_BODY_BYTES`` — raises :class:`_HttpError` (400 / 413)."""
+        line = await self._read_line(reader)
         if not line or line in (b"\r\n", b"\n"):
             return None
         try:
@@ -253,14 +285,21 @@ class HotspotServer:
             return None
         headers: Dict[str, str] = {}
         while True:
-            header = await reader.readline()
+            header = await self._read_line(reader)
             if header in (b"\r\n", b"\n", b""):
                 break
             name, _, value = header.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        length_text = headers.get("content-length", "0") or "0"
+        if not (length_text.isascii() and length_text.isdigit()):
+            raise _HttpError(
+                400, f"bad Content-Length: {length_text[:64]!r}"
+            )
+        length = int(length_text)
         if length > MAX_BODY_BYTES:
-            raise asyncio.IncompleteReadError(b"", length)
+            raise _HttpError(
+                413, f"request body over {MAX_BODY_BYTES} bytes"
+            )
         body = await reader.readexactly(length) if length else b""
         return method.upper(), target, headers, body
 
@@ -763,27 +802,25 @@ class HotspotServer:
         confirmed = flag("confirmed")
         static = flag("static")
         published = self._latest()
-
-        def body() -> bytes:
-            # Called through this module's name, so a wrapper bound to
-            # ``http.query_hotspots`` (the traced benchmark) sees reads.
-            collection = query_hotspots(
-                published,
-                bbox=bbox,
-                since=since,
-                until=until,
-                min_confidence=min_confidence,
-                confirmed=confirmed,
-                static=static,
-            )
-            if ctx is not None:
-                # Provenance both ways: the publishing acquisition's
-                # trace (set by query_hotspots) plus this request's own.
-                collection["snapshot"]["request_trace_id"] = ctx.trace_id
-            collection["provenance"] = self._provenance(published, ctx)
-            return collection_bytes(collection)
-
-        return _response(200, await self._in_thread(body, context=ctx))
+        # On the loop, inside the request's span: the filter over the
+        # publication's encoded table costs less than a pool hop.
+        # Called through this module's name, so a wrapper bound to
+        # ``http.query_hotspots`` (the traced benchmark) sees reads.
+        collection = query_hotspots(
+            published,
+            bbox=bbox,
+            since=since,
+            until=until,
+            min_confidence=min_confidence,
+            confirmed=confirmed,
+            static=static,
+        )
+        if ctx is not None:
+            # Provenance both ways: the publishing acquisition's trace
+            # (set by query_hotspots) plus this request's own.
+            collection["snapshot"]["request_trace_id"] = ctx.trace_id
+        collection["provenance"] = self._provenance(published, ctx)
+        return _response(200, collection_bytes(collection))
 
     @staticmethod
     def _parse_query_body(body: bytes) -> Dict[str, Any]:

@@ -176,3 +176,203 @@ def test_metrics_exported_only_when_registry_enabled():
     names = {m["name"] for m in enabled.collect()}
     assert "slo_events_total" in names
     assert "slo_burn_rate" in names
+
+
+def test_burn_rate_takes_only_the_slos_own_windows():
+    engine, slo, clock = make_engine()
+    engine.record("test", good=False)
+    assert engine.burn_rate("test", slo.short_window_s) > 0.0
+    assert engine.burn_rate("test", slo.long_window_s) > 0.0
+    with pytest.raises(ValueError):
+        engine.burn_rate("test", 60.0)
+    with pytest.raises(KeyError):
+        engine.burn_rate("nope", slo.short_window_s)
+
+
+class _Recount:
+    """The brute-force oracle: every retained (timestamp, good) event
+    in a list, every read a full recount of the trailing window."""
+
+    def __init__(self, slo: SLO, max_events: int) -> None:
+        self.slo = slo
+        self.max_events = max_events
+        self.events = []
+        self.burning = False
+        self.alerts = []
+
+    def counts(self, now: float, window_s: float):
+        inside = [good for t, good in self.events if t >= now - window_s]
+        return inside.count(False), len(inside)
+
+    def burn_rate(self, now: float, window_s: float) -> float:
+        bad, total = self.counts(now, window_s)
+        return 0.0 if total == 0 else (bad / total) / (
+            1.0 - self.slo.objective
+        )
+
+    def budget_remaining(self, now: float) -> float:
+        bad, total = self.counts(now, self.slo.long_window_s)
+        if total == 0:
+            return 1.0
+        budget = (1.0 - self.slo.objective) * total
+        return max(0.0, 1.0 - bad / budget) if budget > 0 else 0.0
+
+    def record(self, now: float, good: bool) -> None:
+        self.events = (self.events + [(now, good)])[-self.max_events:]
+        short = self.burn_rate(now, self.slo.short_window_s)
+        long = self.burn_rate(now, self.slo.long_window_s)
+        threshold = self.slo.burn_rate_threshold
+        burning = short >= threshold and long >= threshold
+        if burning != self.burning:
+            self.burning = burning
+            self.alerts.append(
+                ("burning" if burning else "recovered",
+                 round(short, 4), round(long, 4))
+            )
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_window_counts_equal_a_recount(seed):
+    """Seeded differential: running window counts against a full
+    recount, over random good/bad records and clock steps that cross
+    both window edges, with a small event cap so eviction runs too."""
+    import random
+
+    rng = random.Random(seed)
+    short_s, long_s = 10.0, 40.0
+    engine, slo, clock = make_engine(
+        objective=rng.choice([0.5, 0.9, 0.95]),
+        short_window_s=short_s,
+        long_window_s=long_s,
+        burn_rate_threshold=rng.choice([1.0, 1.5, 2.0]),
+    )
+    engine.max_events = rng.randint(3, 40)
+    oracle = _Recount(slo, engine.max_events)
+    for step in range(600):
+        roll = rng.random()
+        if roll < 0.55:
+            good = rng.random() < rng.choice([0.3, 0.7, 0.95])
+            engine.record("test", good=good)
+            oracle.record(clock.now, good)
+        else:
+            # Small steps, exact window-edge hits and long jumps.
+            clock.advance(
+                rng.choice(
+                    [0.0, rng.uniform(0, 3), short_s, long_s,
+                     rng.uniform(0, 2 * long_s)]
+                )
+            )
+        now = clock.now
+        context = (seed, step)
+        assert engine.burn_rate("test", short_s) == oracle.burn_rate(
+            now, short_s
+        ), context
+        assert engine.burn_rate("test", long_s) == oracle.burn_rate(
+            now, long_s
+        ), context
+        assert engine.budget_remaining("test") == oracle.budget_remaining(
+            now
+        ), context
+        bad, total = oracle.counts(now, long_s)
+        assert engine.status()["test"] == {
+            "objective": slo.objective,
+            "events": total,
+            "bad_events": bad,
+            "short_burn_rate": round(oracle.burn_rate(now, short_s), 4),
+            "long_burn_rate": round(oracle.burn_rate(now, long_s), 4),
+            "budget_remaining": round(oracle.budget_remaining(now), 4),
+            "burning": oracle.burning,
+        }, context
+        assert [
+            (a["state"], a["short_burn_rate"], a["long_burn_rate"])
+            for a in engine.alerts
+        ] == oracle.alerts, context
+
+
+def test_record_at_the_event_cap_visits_no_retained_event(monkeypatch):
+    """One more record after 50 000 costs O(1): no container of
+    retained events is iterated."""
+    from collections import deque
+
+    import repro.obs.slo as slo_module
+
+    visits = []
+
+    def counted(items):
+        for item in items:
+            visits.append(item)
+            yield item
+
+    class CountingDeque(deque):
+        # Counts only once armed, so filling the engine stays fast.
+        armed = False
+
+        def __iter__(self):
+            items = deque.__iter__(self)
+            return counted(items) if CountingDeque.armed else items
+
+        def __reversed__(self):
+            items = deque.__reversed__(self)
+            return counted(items) if CountingDeque.armed else items
+
+    monkeypatch.setattr(slo_module, "deque", CountingDeque)
+    engine, slo, clock = make_engine(objective=0.9)
+    for k in range(50_000):
+        engine.record("test", good=k % 7 != 0)
+    CountingDeque.armed = True
+    engine.record("test", good=False)
+    assert visits == []
+    # The spy is live: an armed iteration is counted.
+    list(CountingDeque("ab"))
+    assert visits == ["a", "b"]
+
+
+def test_concurrent_records_lose_no_count():
+    """Records from more threads than cores, with a short switch
+    interval, while another thread reads: every event is counted once
+    in both windows."""
+    import sys
+    import threading
+
+    engine, slo, clock = make_engine(objective=0.9)
+    threads, per_thread = 8, 1500
+    stop = threading.Event()
+    read_errors = []
+
+    def writer(index):
+        for k in range(per_thread):
+            engine.record("test", good=(index + k) % 2 == 0)
+
+    def reader():
+        while not stop.is_set():
+            try:
+                engine.status()
+                engine.burn_rate("test", slo.short_window_s)
+            except Exception as error:  # pragma: no cover
+                read_errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        watcher = threading.Thread(target=reader)
+        watcher.start()
+        workers = [
+            threading.Thread(target=writer, args=(i,))
+            for i in range(threads)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+        stop.set()
+        watcher.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers) and not watcher.is_alive()
+    assert read_errors == []
+    entry = engine.status()["test"]
+    assert entry["events"] == threads * per_thread
+    assert entry["bad_events"] == threads * per_thread // 2
+    assert engine.burn_rate("test", slo.short_window_s) == engine.burn_rate(
+        "test", slo.long_window_s
+    )

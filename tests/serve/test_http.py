@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import asyncio
 import http.client
 import json
+import socket
 import threading
 import time
 
@@ -11,6 +13,7 @@ import pytest
 
 from tests.serve.conftest import EXTRA
 from repro.serve import ServeClient, serve_in_thread
+from repro.serve.http import MAX_BODY_BYTES
 
 PREFIX = (
     "PREFIX noa: "
@@ -27,9 +30,9 @@ def server(served_service):
         yield handle
 
 
-def _request(handle, method, path, body=None):
+def _request(handle, method, path, body=None, timeout=30):
     host, port = handle.address
-    conn = http.client.HTTPConnection(host, port, timeout=30)
+    conn = http.client.HTTPConnection(host, port, timeout=timeout)
     try:
         conn.request(method, path, body=body)
         response = conn.getresponse()
@@ -290,6 +293,133 @@ def test_metrics_and_unknown_routes(server):
     assert status == 405
     status, _ = _request(server, "GET", "/v1/stsparql")
     assert status == 405
+
+
+def test_hotspots_do_not_queue_behind_a_busy_read_pool(served_service):
+    """/v1/hotspots is answered on the event loop: with every read
+    worker held, it still completes, while /v1/stsparql waits for a
+    free worker."""
+    gate = threading.Event()
+    held = threading.Barrier(3)
+
+    def hold():
+        held.wait(timeout=10)
+        gate.wait(timeout=30)
+
+    with serve_in_thread(served_service, read_workers=2) as handle:
+        try:
+            for _ in range(2):
+                handle.server._executor.submit(hold)
+            held.wait(timeout=10)  # both workers are now blocked
+
+            status, collection = _request(
+                handle, "GET", "/v1/hotspots", timeout=5
+            )
+            assert status == 200
+            assert collection["features"]
+
+            answered = []
+            reader = threading.Thread(
+                target=lambda: answered.append(
+                    _request(handle, "POST", "/v1/stsparql", SELECT)
+                ),
+                daemon=True,
+            )
+            reader.start()
+            reader.join(timeout=0.5)
+            assert reader.is_alive() and answered == []
+        finally:
+            gate.set()
+        reader.join(timeout=30)
+        assert answered and answered[0][0] == 200
+
+
+def _raw_exchange(handle, data: bytes) -> bytes:
+    """Send ``data`` on a fresh socket; everything the server answered
+    before closing the connection."""
+    chunks = []
+    with socket.create_connection(handle.address, timeout=10) as sock:
+        sock.sendall(data)
+        try:
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        except ConnectionResetError:
+            # The server closed with request bytes it never read.
+            pass
+    return b"".join(chunks)
+
+
+def _settle(handle) -> None:
+    """Wait until the server loop has finished every connection task
+    and run their done callbacks."""
+
+    async def idle():
+        me = asyncio.current_task()
+        for _ in range(500):
+            if not any(
+                task is not me
+                and task.get_coro().__qualname__.endswith(
+                    "._handle_connection"
+                )
+                for task in asyncio.all_tasks()
+            ):
+                break
+            await asyncio.sleep(0.01)
+        await asyncio.sleep(0)
+
+    asyncio.run_coroutine_threadsafe(idle(), handle._loop).result(
+        timeout=10
+    )
+
+
+@pytest.mark.parametrize(
+    "request_bytes, status",
+    [
+        (
+            b"GET /v1/hotspots HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+            400,
+        ),
+        (
+            b"GET /v1/hotspots HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+            400,
+        ),
+        (
+            b"GET /v1/hotspots HTTP/1.1\r\nX-Pad: "
+            + b"a" * (70 * 1024)
+            + b"\r\n\r\n",
+            400,
+        ),
+        (
+            b"POST /v1/stsparql HTTP/1.1\r\nContent-Length: "
+            + str(MAX_BODY_BYTES + 1).encode()
+            + b"\r\n\r\n",
+            413,
+        ),
+    ],
+    ids=["non-numeric-length", "negative-length", "long-header", "big-body"],
+)
+def test_malformed_framing_is_answered_not_crashed(
+    served_service, request_bytes, status
+):
+    """Framing the server cannot follow gets a status and a closed
+    connection — never an exception escaping the connection task."""
+    with serve_in_thread(served_service) as handle:
+        unhandled = []
+        handle._loop.set_exception_handler(
+            lambda loop, context: unhandled.append(context)
+        )
+        answer = _raw_exchange(handle, request_bytes)
+        _settle(handle)
+        assert unhandled == []
+        assert answer.startswith(f"HTTP/1.1 {status} ".encode()), answer
+        head, _, body = answer.partition(b"\r\n\r\n")
+        assert b"Connection: close" in head
+        assert json.loads(body)["error"]
+        # The server keeps serving.
+        assert _request(handle, "GET", "/v1/hotspots")[0] == 200
 
 
 def test_reads_never_observe_half_refined_state(

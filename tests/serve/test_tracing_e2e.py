@@ -20,6 +20,7 @@ from tests.conftest import CRISIS_START
 from repro import obs
 from repro.core.config import RunOptions
 from repro.core.service import FireMonitoringService
+from repro.serve import http as http_module
 from repro.serve import serve_in_thread
 
 
@@ -39,7 +40,18 @@ def _request(handle, method, path, body=None, headers=None):
     return response.status, data.decode("utf-8", errors="replace")
 
 
-def test_one_trace_spans_service_publish_and_http(greece, season, tmp_path):
+def test_one_trace_spans_service_publish_and_http(
+    greece, season, tmp_path, monkeypatch
+):
+    # What a traced deployment does: wrap the hotspot filter, by the
+    # name the server calls it through, in a span of its own.
+    real_query = http_module.query_hotspots
+
+    def traced_query(*args, **kwargs):
+        with obs.span("hotspots.query"):
+            return real_query(*args, **kwargs)
+
+    monkeypatch.setattr(http_module, "query_hotspots", traced_query)
     obs.disable()
     obs.reset()
     obs.enable()
@@ -128,6 +140,15 @@ def test_one_trace_spans_service_publish_and_http(greece, season, tmp_path):
             ]
             assert serve_spans
             assert all(s["parent_id"] == 7 for s in serve_spans)
+            # The hotspot filter runs on the event loop, inside the
+            # request's span: its spans join the client's trace, each
+            # parented under a serve.request span.
+            query_spans = [
+                s for s in req_spans if s["name"] == "hotspots.query"
+            ]
+            assert query_spans
+            serve_ids = {s["span_id"] for s in serve_spans}
+            assert all(s["parent_id"] in serve_ids for s in query_spans)
 
             # The text rendering works too.
             status, text = _request(
