@@ -76,11 +76,12 @@ def _append_throughput(fsync: str) -> dict:
         directory, graph=graph, fsync=fsync,
         checkpoint_interval=10**9,
     )
+    graph.start_journal()
     try:
         t0 = time.perf_counter()
         for n in range(N_BATCHES):
             _mutate_batch(graph, n)
-            store.commit(meta={"committed": n + 1})
+            store.commit(graph.drain_journal(), meta={"committed": n + 1})
         wall = time.perf_counter() - t0
         wal_bytes = store.wal.size_bytes()
     finally:
@@ -106,10 +107,11 @@ def _recovery_point(batches: int) -> dict:
         directory, graph=graph, fsync="never",
         checkpoint_interval=10**9,
     )
+    graph.start_journal()
     try:
         for n in range(batches):
             _mutate_batch(graph, n)
-            store.commit()
+            store.commit(graph.drain_journal())
         triples = len(graph)
         wal_bytes = store.wal.size_bytes()
     finally:
@@ -142,6 +144,7 @@ def _compaction() -> dict:
         directory, graph=graph, fsync="never",
         checkpoint_interval=10**9,
     )
+    graph.start_journal()
     try:
         for round_no in range(COMPACTION_ROUNDS):
             for k in range(COMPACTION_SUBJECTS):
@@ -150,7 +153,7 @@ def _compaction() -> dict:
                 graph.add(
                     s, _PRED, Literal(f"0.{round_no % 10}{k}")
                 )
-            store.commit()
+            store.commit(graph.drain_journal())
         wal_before = store.wal.size_bytes()
         live_triples = len(graph)
         t0 = time.perf_counter()

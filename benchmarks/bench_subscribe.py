@@ -37,6 +37,7 @@ import time
 import pytest
 
 from repro.serve import SnapshotPublisher, SubscriptionEngine
+from repro.serve.subscribe import delta_from_ops
 from repro.stsparql import Strabon
 
 #: Subscription counts in the series; the acceptance bar is defined at
@@ -104,6 +105,7 @@ def _series_point(count: int) -> dict:
     publisher = SnapshotPublisher()
     engine = SubscriptionEngine()
     engine.bind(strabon, publisher)
+    strabon.graph.start_journal()
     publisher.publish(strabon)
 
     docs = _subscription_docs(count, rng)
@@ -111,7 +113,7 @@ def _series_point(count: int) -> dict:
     engine.register_many(docs)
     register_wall = time.perf_counter() - t0
 
-    # One acquisition's delta, captured by the engine's journal tee.
+    # One acquisition's delta, recorded by the graph's journal.
     _insert_hotspots(strabon, N_INITIAL, N_DELTA, rng)
 
     # Full re-run against the same pre-commit state (commit=False
@@ -123,7 +125,9 @@ def _series_point(count: int) -> dict:
         full_wall = min(full_wall, time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    batch = engine.process_commit(2)
+    batch = engine.process_commit(
+        2, delta_from_ops(strabon.graph.drain_journal())
+    )
     incremental_wall = time.perf_counter() - t0
 
     incremental_keys = set(batch.keys())

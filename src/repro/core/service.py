@@ -72,6 +72,8 @@ from repro.obs import (
     get_tracer,
 )
 from repro.obs import flightrec as _flightrec
+from repro.rdf.graph import Op
+from repro.serve.subscribe import delta_from_ops
 from repro.seviri.geo import GeoReference, RawGrid, TargetGrid
 from repro.seviri.scene import SceneGenerator
 from repro.shapefile import write_shapefile
@@ -253,21 +255,6 @@ class FireMonitoringService:
             self.map_composer: Optional[MapComposer] = MapComposer(
                 self.strabon
             )
-            # The serving layer's write → read hand-off.  An initial
-            # auxiliary-data-only snapshot is published immediately so
-            # /hotspots is answerable (empty) before the first
-            # acquisition lands.  With a state_dir the publisher is
-            # created in _open_durable instead, seeded so sequence
-            # numbers continue monotonically across restarts.
-            from repro.serve.state import SnapshotPublisher
-
-            if config.state_dir is None:
-                self.publisher: Optional[SnapshotPublisher] = (
-                    SnapshotPublisher()
-                )
-                self.publisher.publish(self.strabon)
-            else:
-                self.publisher = None
         else:
             self.chain = LegacyChain(self.georeference)
             self.strabon = None  # type: ignore[assignment]
@@ -293,30 +280,11 @@ class FireMonitoringService:
         #: records into the same engine).
         self.slo = SloEngine(metrics=_metrics)
         self.slo.on_alert.append(self._on_slo_alert)
-        #: Continuous-query engine (``repro.serve.subscribe``):
-        #: standing queries evaluated incrementally per committed
-        #: acquisition and fanned out over SSE.  None in legacy mode;
-        #: with a ``state_dir`` it is (re)opened durable in
-        #: :meth:`_open_durable` instead.
+        #: The serving layer's write → read hand-off and the
+        #: continuous-query engine (``repro.serve.subscribe``); both
+        #: built by :meth:`_open_serving` (None in legacy mode).
+        self.publisher = None
         self.subscriptions = None
-        #: Every mutation of the live store since the last publication
-        #: — drained once per commit into the delta that both the
-        #: subscription engine and the publisher's hotspot table
-        #: consume.  Attached with the publisher.
-        self._commits = None
-        if self.mode == "teleios" and self.publisher is not None:
-            from repro.obs.slo import NOTIFICATION_SLO
-            from repro.serve.subscribe import (
-                CommitJournal,
-                SubscriptionEngine,
-            )
-
-            self._commits = CommitJournal(self.strabon.graph)
-            self.slo.register(NOTIFICATION_SLO)
-            self.subscriptions = SubscriptionEngine(slo=self.slo)
-            self.subscriptions.bind(
-                self.strabon, self.publisher, journal=self._commits
-            )
         #: Summary of the flight-recorder dump a previous crash left
         #: behind (``None`` on a clean start); surfaced in health().
         self._crash_report: Optional[Dict[str, object]] = None
@@ -331,6 +299,38 @@ class FireMonitoringService:
         self._service_state_path: Optional[str] = None
         if config.state_dir is not None:
             self._open_durable(config)
+        elif self.mode == "teleios":
+            # An auxiliary-data-only snapshot is published immediately
+            # so /hotspots is answerable (empty) before the first
+            # acquisition lands.
+            self._open_serving()
+            self.publisher.publish(self.strabon)
+
+    def _open_serving(
+        self,
+        start_sequence: int = 0,
+        subs_dir: Optional[str] = None,
+        fsync: str = "commit",
+    ) -> None:
+        """Start the graph's mutation journal and build the publisher
+        and the subscription engine, once the store holds its starting
+        state (auxiliary data loaded, or the durable state recovered).
+
+        From here on the graph records every mutation; each commit
+        drains that one op list for the WAL record and the delta the
+        engine and the publisher's hotspot table consume.
+        """
+        from repro.obs.slo import NOTIFICATION_SLO
+        from repro.serve.state import SnapshotPublisher
+        from repro.serve.subscribe import SubscriptionEngine
+
+        self.strabon.graph.start_journal()
+        self.publisher = SnapshotPublisher(start_sequence=start_sequence)
+        self.slo.register(NOTIFICATION_SLO)
+        self.subscriptions = SubscriptionEngine(
+            state_dir=subs_dir, fsync=fsync, slo=self.slo
+        )
+        self.subscriptions.bind(self.strabon, self.publisher)
 
     # -- durability --------------------------------------------------------
 
@@ -369,7 +369,6 @@ class FireMonitoringService:
         """Attach (creating or recovering) the durable state under
         ``config.state_dir``; see DESIGN.md for the commit order."""
         from repro.durable import DurableStore, load_service_state
-        from repro.serve.state import SnapshotPublisher
 
         state_dir = config.state_dir
         assert state_dir is not None
@@ -445,28 +444,16 @@ class FireMonitoringService:
         )
         # Publication numbering must never regress for a polling
         # reader: resume above the highest sequence that may have been
-        # observed before the crash.
-        self.publisher = SnapshotPublisher(
-            start_sequence=published_sequence
-        )
-        # Durable subscription state rides in state_dir/subs/ — the
-        # registry, per-subscriber cursors and the notification log —
-        # and the at-most-one notification batch a crash can have
-        # swallowed (committed to the WAL, never logged) is
-        # regenerated before readers reconnect, stamped with the
-        # imminent initial publication's sequence.
-        from repro.obs.slo import NOTIFICATION_SLO
-        from repro.serve.subscribe import CommitJournal, SubscriptionEngine
-
-        self._commits = CommitJournal(self.strabon.graph)
-        self.slo.register(NOTIFICATION_SLO)
-        self.subscriptions = SubscriptionEngine(
-            state_dir=os.path.join(state_dir, "subs"),
+        # observed before the crash.  Durable subscription state rides
+        # in state_dir/subs/ — the registry, per-subscriber cursors
+        # and the notification log — and the at-most-one notification
+        # batch a crash can have swallowed (committed to the WAL, never
+        # logged) is regenerated before readers reconnect, stamped
+        # with the imminent initial publication's sequence.
+        self._open_serving(
+            start_sequence=published_sequence,
+            subs_dir=os.path.join(state_dir, "subs"),
             fsync=config.wal_fsync,
-            slo=self.slo,
-        )
-        self.subscriptions.bind(
-            self.strabon, self.publisher, journal=self._commits
         )
         repaired = self.subscriptions.repair_tail(
             self.durable.wal.replayed,
@@ -586,12 +573,14 @@ class FireMonitoringService:
             fsync=self.config.wal_fsync != "never",
         )
 
-    def _durable_commit(self, outcome: AcquisitionOutcome) -> None:
+    def _durable_commit(
+        self, outcome: AcquisitionOutcome, ops: List[Op]
+    ) -> None:
         """Make one acquisition durable, *then* let it publish.
 
         Order (each boundary is a registered crashpoint):
 
-        1. WAL append + fsync — **the commit point**,
+        1. WAL append of ``ops`` + fsync — **the commit point**,
         2. service.json atomic write — cursor + the sequence the
            imminent publication will use (reserved *before* publishing
            so a restart never reuses an observed sequence number),
@@ -607,6 +596,7 @@ class FireMonitoringService:
             self._committed_acquisitions += 1
             self._last_committed_timestamp = outcome.timestamp
             self._last_wal_seq = self.durable.commit(
+                ops,
                 meta={
                     "committed": self._committed_acquisitions,
                     "timestamp": (
@@ -645,10 +635,6 @@ class FireMonitoringService:
         self._closed = True
         if self.subscriptions is not None:
             self.subscriptions.close()
-        if self._commits is not None:
-            # Restores the graph's original journal — must precede the
-            # durable close, whose identity check expects it.
-            self._commits.detach()
         if self.durable is not None:
             self.durable.close()
         if self._owns_workdir:
@@ -969,22 +955,23 @@ class FireMonitoringService:
                     "service.publish",
                     sequence=self.publisher.sequence + 1,
                 ):
-                    self._durable_commit(outcome)
-                    # One delta per commit, handed to both consumers.
+                    # The graph's op list is the one record of the
+                    # commit: drained once, framed into the WAL record
+                    # and collapsed into the delta both consumers read.
                     # The subscription engine evaluates it and
                     # (durably) logs its notification batch *before*
                     # the publish, so the snapshot readers see always
                     # contains the notified state; the publisher
                     # updates the hotspot table from it; fan-out
                     # follows the publish.
-                    delta = self._commits.drain()
-                    batch = None
-                    if self.subscriptions is not None:
-                        batch = self.subscriptions.process_commit(
-                            self.publisher.sequence + 1,
-                            wal_seq=self._last_wal_seq,
-                            delta=delta,
-                        )
+                    ops = self.strabon.graph.drain_journal()
+                    self._durable_commit(outcome, ops)
+                    delta = delta_from_ops(ops)
+                    batch = self.subscriptions.process_commit(
+                        self.publisher.sequence + 1,
+                        delta,
+                        wal_seq=self._last_wal_seq,
+                    )
                     published = self.publisher.publish(
                         self.strabon,
                         timestamp=outcome.timestamp,
@@ -992,10 +979,7 @@ class FireMonitoringService:
                         sources=tuple(outcome.source_reports),
                         delta=delta,
                     )
-                    if batch is not None:
-                        self.subscriptions.publish_batch(
-                            batch, published
-                        )
+                    self.subscriptions.publish_batch(batch, published)
                     if self.durable is not None:
                         crashpoints.crash("commit.post-publish")
                         self.durable.maybe_checkpoint()

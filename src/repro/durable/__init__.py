@@ -8,8 +8,9 @@ makes crash recovery a *tested, measured property*:
 * :mod:`repro.durable.wal` — an append-only, CRC-framed write-ahead
   log of triple insert/delete batches with configurable fsync policy
   and replay-on-open recovery that truncates torn tails.
-* :mod:`repro.durable.store` — :class:`DurableStore`, which journals a
-  live :class:`~repro.rdf.graph.Graph` through the WAL and compacts it
+* :mod:`repro.durable.store` — :class:`DurableStore`, which frames a
+  live :class:`~repro.rdf.graph.Graph`'s drained mutation journal into
+  the WAL, one record per commit, and compacts it
   into generation-stamped checkpoints serialized from the existing
   O(1) copy-on-write ``snapshot()`` (the writer is never blocked);
   plus the atomic ``service.json`` save/load used for the service-level
@@ -51,7 +52,6 @@ from repro.durable.cursors import (
 )
 from repro.durable.store import (
     DurableStore,
-    GraphJournal,
     RecoveryInfo,
     load_service_state,
     save_service_state,
@@ -63,7 +63,6 @@ __all__ = [
     "CRASHPOINTS",
     "CursorStore",
     "DurableStore",
-    "GraphJournal",
     "NotificationBatch",
     "NotificationLog",
     "OP_ADD",

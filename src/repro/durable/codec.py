@@ -18,9 +18,10 @@ them, so a decode failure here means real corruption.
 from __future__ import annotations
 
 import struct
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 from repro.errors import DurabilityError
+from repro.rdf.graph import OP_ADD, OP_CLEAR, OP_REMOVE, Op
 from repro.rdf.term import BNode, Literal, Term, URI
 
 __all__ = [
@@ -43,14 +44,6 @@ _K_BNODE = 2
 _K_PLAIN = 3  # literal, no datatype, no language
 _K_TYPED = 4  # literal with datatype URI
 _K_LANG = 5  # literal with language tag
-
-# Operation opcodes.
-OP_ADD = 1
-OP_REMOVE = 2
-OP_CLEAR = 3
-
-#: A decoded journal operation: (opcode, triple-or-None).
-Op = Tuple[int, Optional[Tuple[Term, Term, Term]]]
 
 
 def _pack_str(out: bytearray, text: str) -> None:

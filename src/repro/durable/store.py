@@ -5,10 +5,12 @@
     <dir>/graph.ckpt   the last compacting checkpoint (atomic rename)
     <dir>/wal.log      batches committed since that checkpoint
 
-A :class:`GraphJournal` hooks the live :class:`~repro.rdf.graph.Graph`
-mutators (``add`` / ``remove`` / ``clear``) and accumulates operations
-until :meth:`DurableStore.commit` frames them into one WAL record and
-fsyncs — *that* is the commit point.  Every
+The live :class:`~repro.rdf.graph.Graph` journals its own effective
+mutations; the owner of the commit loop drains them once per commit
+and hands the op list to :meth:`DurableStore.commit`, which frames it
+into one WAL record and fsyncs — *that* is the commit point (the same
+list becomes the commit's delta for the alert and hotspot-table
+consumers).  Every
 :attr:`~DurableStore.checkpoint_interval` commits the store compacts:
 it serializes a consistent image from the graph's O(1) copy-on-write
 ``snapshot()`` (the writer is never blocked), renames it in atomically,
@@ -54,10 +56,8 @@ from repro.durable.wal import (
 from repro.errors import DurabilityError
 from repro.obs import get_metrics, get_tracer
 from repro.rdf.graph import Graph
-from repro.rdf.term import Term
 
 __all__ = [
-    "GraphJournal",
     "DurableStore",
     "RecoveryInfo",
     "save_service_state",
@@ -72,38 +72,6 @@ _CKPT_VERSION = 1
 #: magic | version | last_seq | generation | body crc32 | body length
 _CKPT_HEADER = struct.Struct("<8sIQQIQ")
 _U64 = struct.Struct("<Q")
-
-
-class GraphJournal:
-    """Accumulates graph mutations between commits.
-
-    Attached to a live graph as its ``_journal``; the graph's mutators
-    call the ``record_*`` hooks after each *successful* mutation (a
-    duplicate add or a no-op remove records nothing, so replay applies
-    exactly the state transitions that happened).
-    """
-
-    def __init__(self) -> None:
-        self._ops: List[Op] = []
-
-    def record_add(self, s: Term, p: Term, o: Term) -> None:
-        self._ops.append((OP_ADD, (s, p, o)))
-
-    def record_remove(self, s: Term, p: Term, o: Term) -> None:
-        self._ops.append((OP_REMOVE, (s, p, o)))
-
-    def record_clear(self) -> None:
-        # A clear wipes checkpoint state too, so operations journaled
-        # before it in the same uncommitted batch are dead weight.
-        self._ops.clear()
-        self._ops.append((OP_CLEAR, None))
-
-    def drain(self) -> List[Op]:
-        ops, self._ops = self._ops, []
-        return ops
-
-    def __len__(self) -> int:
-        return len(self._ops)
 
 
 @dataclass(frozen=True)
@@ -151,7 +119,6 @@ class DurableStore:
         self.fsync = fsync
         self.checkpoint_interval = checkpoint_interval
         self.graph = graph if graph is not None else Graph()
-        self._journal = GraphJournal()
         self._closed = False
         self._batches_since_checkpoint = 0
         ckpt = self._checkpoint_path
@@ -167,7 +134,6 @@ class DurableStore:
             self._wal = WriteAheadLog(wal, fsync=fsync)
             self.recovery = None
             self.checkpoint()  # the baseline: whatever is loaded now
-        self.graph._journal = self._journal
 
     @staticmethod
     def exists(directory: str) -> bool:
@@ -189,18 +155,16 @@ class DurableStore:
         return self._wal
 
     @property
-    def pending_ops(self) -> int:
-        """Journaled operations not yet committed."""
-        return len(self._journal)
-
-    @property
     def batches_since_checkpoint(self) -> int:
         return self._batches_since_checkpoint
 
     # -- commit ----------------------------------------------------------
 
-    def commit(self, meta: Optional[Dict] = None) -> Optional[int]:
-        """Drain the journal into one durable WAL record.
+    def commit(
+        self, ops: List[Op], meta: Optional[Dict] = None
+    ) -> Optional[int]:
+        """Frame ``ops`` (the graph's drained journal) into one durable
+        WAL record.
 
         Returns the record's sequence number (None when there was
         nothing to write: no operations *and* no metadata).  Once this
@@ -209,7 +173,6 @@ class DurableStore:
         bookkeeping.
         """
         self._require_open()
-        ops = self._journal.drain()
         if not ops and meta is None:
             return None
         payload = batch_payload(meta, encode_ops(ops))
@@ -235,10 +198,11 @@ class DurableStore:
         exactly.
         """
         self._require_open()
-        if len(self._journal):
+        pending = self.graph.pending_ops
+        if pending:
             raise DurabilityError(
-                f"checkpoint with {len(self._journal)} uncommitted "
-                "journaled operation(s) — commit() first"
+                f"checkpoint with {pending} uncommitted journaled "
+                "operation(s) — commit() first"
             )
         with _tracer.span(
             "durable.checkpoint", triples=len(self.graph)
@@ -379,15 +343,13 @@ class DurableStore:
             "wal_bytes": self._wal.size_bytes(),
             "batches_since_checkpoint": self._batches_since_checkpoint,
             "checkpoint_interval": self.checkpoint_interval,
-            "pending_ops": self.pending_ops,
+            "pending_ops": self.graph.pending_ops,
         }
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
-        if self.graph._journal is self._journal:
-            self.graph._journal = None
         self._wal.close()
 
     def _require_open(self) -> None:

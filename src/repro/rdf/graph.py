@@ -19,6 +19,11 @@ never scan the store for them:
   yet (:meth:`TripleReader.geometry_terms`); :meth:`Graph.clear` starts
   a new log and bumps :attr:`TripleReader.geometry_epoch`.
 
+Once :meth:`Graph.start_journal` is called the graph also records each
+effective mutation as one op, until :meth:`Graph.drain_journal` hands
+the list over: the one record of a commit, framed into the write-ahead
+log and collapsed into the per-commit delta alike.
+
 Two concrete classes share the read path (:class:`TripleReader`):
 
 * :class:`Graph` — the mutable store refinement writes to,
@@ -56,6 +61,14 @@ from repro.rdf.term import Literal, Term, URI
 
 Triple = Tuple[Term, Term, Term]
 _Pattern = Tuple[Optional[Term], Optional[Term], Optional[Term]]
+
+# Mutation-journal opcodes (also the WAL's wire opcodes).
+OP_ADD = 1
+OP_REMOVE = 2
+OP_CLEAR = 3
+
+#: A journaled mutation: (opcode, triple-or-None).
+Op = Tuple[int, Optional[Triple]]
 
 
 class TripleReader:
@@ -345,10 +358,35 @@ class Graph(TripleReader):
         self._terms_shared = False
         self._base: Tuple[dict, dict, dict] = ({}, {}, {})
         self._cached_snapshot: Optional["GraphSnapshot"] = None
-        # Durability hook: when a repro.durable.GraphJournal is
-        # attached here, every successful mutation is recorded for the
-        # write-ahead log (None = no journaling, zero overhead).
-        self._journal = None
+        # The mutation journal: None until start_journal(), then one op
+        # per effective mutation since the last drain_journal().
+        self._ops: Optional[List[Op]] = None
+
+    # -- the mutation journal ----------------------------------------------
+
+    def start_journal(self) -> None:
+        """Record every effective mutation from now on (idempotent).
+
+        A duplicate add or a no-op remove records nothing, so the ops
+        are exactly the state transitions that happened — what the
+        write-ahead log frames and what the per-commit delta reads.
+        """
+        if self._ops is None:
+            self._ops = []
+
+    def drain_journal(self) -> List[Op]:
+        """The ops recorded since the previous drain, oldest first
+        (empty while journaling is off)."""
+        ops = self._ops
+        if ops is None:
+            return []
+        self._ops = []
+        return ops
+
+    @property
+    def pending_ops(self) -> int:
+        """Journaled ops not yet drained."""
+        return 0 if self._ops is None else len(self._ops)
 
     # -- snapshots ---------------------------------------------------------
 
@@ -466,8 +504,8 @@ class Graph(TripleReader):
         counts[pi] = counts.get(pi, 0) + 1
         self._size += 1
         self._generation += 1
-        if self._journal is not None:
-            self._journal.record_add(s, p, o)
+        if self._ops is not None:
+            self._ops.append((OP_ADD, (s, p, o)))
         return True
 
     def add_all(self, triples) -> int:
@@ -506,16 +544,16 @@ class Graph(TripleReader):
             del counts[pi]
         self._size -= 1
         self._generation += 1
-        if self._journal is not None:
-            self._journal.record_remove(s, p, o)
+        if self._ops is not None:
+            self._ops.append((OP_REMOVE, (s, p, o)))
 
     def clear(self) -> None:
         # Fresh indexes, counters and geometry log, all the writer's;
         # live snapshots keep the old ones.  The term dictionary
         # survives, so ids stay append-only for the graph's lifetime
-        # (while snapshots share it, the next new term copies it).  The
-        # journal survives too — a clear is itself a journaled
-        # mutation, not a detach.
+        # (while snapshots share it, the next new term copies it).  A
+        # clear is itself journaled; it voids the ops before it in the
+        # same undrained batch, so they are dropped.
         self._spo = {}
         self._pos = {}
         self._osp = {}
@@ -526,8 +564,8 @@ class Graph(TripleReader):
         self._geometry_epoch += 1
         self._size = 0
         self._generation += 1
-        if self._journal is not None:
-            self._journal.record_clear()
+        if self._ops is not None:
+            self._ops = [(OP_CLEAR, None)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Graph with {self._size} triples>"

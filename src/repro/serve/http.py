@@ -255,6 +255,12 @@ class HotspotServer:
             asyncio.IncompleteReadError,
         ):
             pass
+        except asyncio.CancelledError:
+            # Server shutdown cancels connections parked between
+            # requests.  The task is the connection's own, so it ends
+            # here: a cancelled one would make asyncio's stream
+            # callback log the cancellation as an error.
+            pass
         finally:
             writer.close()
             try:

@@ -5,9 +5,13 @@ civil-protection users inside the acquisition budget, not wait for the
 next poll of ``/hotspots``.  This module turns the serving tier around:
 clients register **subscriptions** — standing queries that stay live
 across acquisitions — and the service evaluates them *incrementally*
-against each committed WAL triple batch, pushing matches out as
+against each commit's :class:`DeltaBatch`, pushing matches out as
 notifications (delivered over SSE by ``repro.serve.sse`` /
-``repro.serve.http``).
+``repro.serve.http``).  The graph journals its own mutations; the
+service drains that op list once per commit, frames it into the WAL
+record and collapses it with :func:`delta_from_ops` into the delta this
+engine and the publisher's hotspot table both consume, and crash
+repair rebuilds the same delta from the decoded WAL record.
 
 Three subscription families:
 
@@ -86,7 +90,6 @@ from typing import (
     Tuple,
 )
 
-from repro.durable.codec import OP_ADD, OP_CLEAR, OP_REMOVE
 from repro.durable.cursors import (
     CursorStore,
     NotificationBatch,
@@ -97,13 +100,13 @@ from repro.errors import DurabilityError
 from repro.geometry import Envelope, Geometry
 from repro.geometry.rtree import RTree
 from repro.obs import get_metrics, get_tracer
+from repro.rdf.graph import OP_ADD, OP_CLEAR, OP_REMOVE
 from repro.rdf.inference import RDFSInference
 from repro.rdf.namespace import NOA, RDFS, STRDF
 from repro.rdf.term import Literal, URI
 
 __all__ = [
     "DANGER_CLASSES",
-    "CommitJournal",
     "DeltaBatch",
     "HotspotRecord",
     "Subscription",
@@ -873,54 +876,6 @@ class SubscriptionRegistry:
         return True
 
 
-# -- the commit journal ----------------------------------------------------
-
-
-class CommitJournal:
-    """Captures every mutation of a live graph as the per-commit delta.
-
-    Interposed on the graph's mutation journal as a tee: the durable
-    store drains *its own* journal reference (never via
-    ``graph._journal``), so it still sees every op.  The owner of the
-    commit loop drains this once per commit and hands the resulting
-    :class:`DeltaBatch` to every consumer of that commit — the
-    subscription engine and the publisher's hotspot table.
-    """
-
-    def __init__(self, graph) -> None:
-        self._graph = graph
-        self._base = graph._journal
-        self._ops: List = []
-        graph._journal = self
-
-    def record_add(self, s, p, o) -> None:
-        if self._base is not None:
-            self._base.record_add(s, p, o)
-        self._ops.append((OP_ADD, (s, p, o)))
-
-    def record_remove(self, s, p, o) -> None:
-        if self._base is not None:
-            self._base.record_remove(s, p, o)
-        self._ops.append((OP_REMOVE, (s, p, o)))
-
-    def record_clear(self) -> None:
-        if self._base is not None:
-            self._base.record_clear()
-        self._ops.clear()
-        self._ops.append((OP_CLEAR, None))
-
-    def drain(self) -> DeltaBatch:
-        """Everything mutated since the previous drain."""
-        ops, self._ops = self._ops, []
-        return delta_from_ops(ops)
-
-    def detach(self) -> None:
-        """Restore the graph's own journal (must run before the durable
-        store's close, whose identity check expects it)."""
-        if self._graph._journal is self:
-            self._graph._journal = self._base
-
-
 # -- the engine ------------------------------------------------------------
 
 
@@ -959,8 +914,6 @@ class SubscriptionEngine:
         self._slo = slo
         self._strabon = None
         self._publisher = None
-        self._journal: Optional[CommitJournal] = None
-        self._owns_journal = False
         self._eval_started: Dict[int, float] = {}
         self.state_dir = state_dir
         self.log: Optional[NotificationLog] = None
@@ -1015,40 +968,16 @@ class SubscriptionEngine:
 
     # -- wiring ------------------------------------------------------------
 
-    def bind(
-        self,
-        strabon,
-        publisher=None,
-        journal: Optional[CommitJournal] = None,
-    ) -> None:
+    def bind(self, strabon, publisher=None) -> None:
         """Attach to the live store and the publisher (for priming new
-        registrations against the latest published snapshot).
-
-        The owner of the commit loop passes its ``journal`` and hands
-        each commit's drained delta to :meth:`process_commit`; without
-        one the engine attaches (and drains) its own.
-        """
+        registrations against the latest published snapshot).  The
+        owner of the commit loop hands each commit's delta to
+        :meth:`process_commit`."""
         self._strabon = strabon
         self._publisher = publisher
-        self._owns_journal = journal is None
-        self._journal = (
-            CommitJournal(strabon.graph) if journal is None else journal
-        )
         self._ensure_fwi_baseline(strabon.graph)
 
-    def detach(self) -> None:
-        """Restore the graph's original journal when the engine
-        attached it (must run before the durable store's close, whose
-        identity check expects it)."""
-        if self._strabon is None:
-            return
-        if self._owns_journal:
-            self._journal.detach()
-        self._strabon = None
-        self._journal = None
-
     def close(self) -> None:
-        self.detach()
         if self.log is not None:
             self.log.close()
         if self._registry_log is not None:
@@ -1170,23 +1099,7 @@ class SubscriptionEngine:
         filters = [s for s in subs if s.kind == "filter"]
         queries = [s for s in subs if s.kind == "stsparql"]
         if filters:
-            for record in iter_hotspot_records(graph):
-                if record.static:
-                    continue
-                for sub in filters:
-                    if (
-                        sub.bbox is not None
-                        and not sub.bbox.contains_point(
-                            record.lon, record.lat
-                        )
-                    ):
-                        continue
-                    if SubscriptionRegistry.filter_matches(
-                        sub, record
-                    ):
-                        self._seen.setdefault(
-                            sub.id, set()
-                        ).add(record.subject)
+            self._match_filters(iter_hotspot_records(graph), among=filters)
         for sub in queries:
             rows = source.select(sub.query)
             for row in rows:
@@ -1224,27 +1137,18 @@ class SubscriptionEngine:
     def process_commit(
         self,
         sequence: int,
+        delta: DeltaBatch,
         wal_seq: Optional[int] = None,
-        ops: Optional[Sequence] = None,
-        delta: Optional[DeltaBatch] = None,
     ) -> NotificationBatch:
         """Evaluate the committed delta and durably log the batch.
 
         Runs inside the service's publish window, *after* the triple
         WAL fsync (the commit point) and *before* the snapshot
-        publish.  ``delta`` is the commit's drained delta (the service
-        hands the same batch to the publisher); ``ops`` are decoded WAL
-        ops (the recovery repair path); with neither the engine drains
-        the journal it attached itself.
+        publish.  ``delta`` is :func:`delta_from_ops` of the commit's
+        drained op list — the list the WAL record frames, and the
+        delta the service hands the publisher too.
         """
         started = time.monotonic()
-        if delta is None:
-            if ops is not None:
-                delta = delta_from_ops(ops)
-            elif self._journal is not None:
-                delta = self._journal.drain()
-            else:
-                delta = DeltaBatch()
         assert self._strabon is not None, "engine is not bound"
         out = _BatchBuilder()
         with self._lock, _tracer.span(
@@ -1258,6 +1162,42 @@ class SubscriptionEngine:
             self.log.append(batch)
         self._eval_started[sequence] = started
         return batch
+
+    def _match_filters(
+        self,
+        records: Iterable[HotspotRecord],
+        out: Optional[_BatchBuilder] = None,
+        among: Optional[List[Subscription]] = None,
+    ) -> None:
+        """The filter family over ``records``: every hotspot against the
+        registry's geofence probe, or against the filters ``among``
+        (priming new registrations, a linear bbox test).  A match not
+        yet seen is marked seen and, with ``out``, notified.  Static
+        heat sources never alert."""
+        for record in records:
+            if record.static:
+                continue
+            if among is None:
+                candidates = self.registry.geofence_candidates(
+                    record.lon, record.lat
+                )
+            else:
+                candidates = [
+                    sub
+                    for sub in among
+                    if sub.bbox is None
+                    or sub.bbox.contains_point(record.lon, record.lat)
+                ]
+            for sub in candidates:
+                seen = self._seen.get(sub.id)
+                if seen is not None and record.subject in seen:
+                    continue
+                if SubscriptionRegistry.filter_matches(sub, record):
+                    self._seen.setdefault(sub.id, set()).add(
+                        record.subject
+                    )
+                    if out is not None:
+                        out.hotspot(sub, record)
 
     def _evaluate_delta(
         self, delta: DeltaBatch, source, out: _BatchBuilder
@@ -1290,22 +1230,8 @@ class SubscriptionEngine:
         municipalities: Optional[Set[str]],
     ) -> None:
         graph = _source_graph(source)
-        # filter family: point probe per changed hotspot.  Static heat
-        # sources never alert.
-        for record in records:
-            if record.static:
-                continue
-            for sub in self.registry.geofence_candidates(
-                record.lon, record.lat
-            ):
-                seen = self._seen.setdefault(sub.id, set())
-                if record.subject in seen:
-                    continue
-                if SubscriptionRegistry.filter_matches(
-                    sub, record
-                ):
-                    seen.add(record.subject)
-                    out.hotspot(sub, record)
+        # filter family: point probe per changed hotspot.
+        self._match_filters(records, out)
         # stsparql family: one evaluation per standing query, seeded
         # with a ?h row per pending changed subject — constant text,
         # cached plan, one engine call however large the delta.
@@ -1417,20 +1343,7 @@ class SubscriptionEngine:
         self, graph, source, out: _BatchBuilder
     ) -> None:
         records = list(iter_hotspot_records(graph))
-        for record in records:
-            if record.static:
-                continue
-            for sub in self.registry.geofence_candidates(
-                record.lon, record.lat
-            ):
-                seen = self._seen.setdefault(sub.id, set())
-                if record.subject in seen:
-                    continue
-                if SubscriptionRegistry.filter_matches(
-                    sub, record
-                ):
-                    seen.add(record.subject)
-                    out.hotspot(sub, record)
+        self._match_filters(records, out)
         by_subject = {r.subject: r for r in records}
         for sub in self.registry.standing_queries():
             seen = self._seen.setdefault(sub.id, set())
@@ -1526,11 +1439,11 @@ class SubscriptionEngine:
         if logged is not None and last.seq <= logged:
             return None
         _, ops_bytes = split_batch_payload(last.payload)
-        ops = decode_ops(ops_bytes)
-        batch = self.process_commit(
-            sequence, wal_seq=last.seq, ops=ops
+        return self.process_commit(
+            sequence,
+            delta_from_ops(decode_ops(ops_bytes)),
+            wal_seq=last.seq,
         )
-        return batch
 
     # -- reporting ---------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""DurableStore: journal hooks, commit, compaction, recovery."""
+"""DurableStore: commit, compaction, recovery."""
 
 from __future__ import annotations
 
@@ -30,27 +30,13 @@ def store_dir(tmp_path):
     return str(tmp_path / "durable")
 
 
-def test_journal_records_only_effective_mutations(store_dir):
-    graph = Graph()
-    store = DurableStore(store_dir, graph=graph, fsync="never")
-    try:
-        graph.add(*_triple(1))
-        graph.add(*_triple(1))  # duplicate: no state transition
-        assert store.pending_ops == 1
-        graph.remove(_uri(2), None, None)  # nothing matched
-        assert store.pending_ops == 1
-        graph.remove(_uri(1), None, None)
-        assert store.pending_ops == 2
-    finally:
-        store.close()
-
-
 def test_commit_recover_roundtrip(store_dir):
     graph = Graph()
     store = DurableStore(store_dir, graph=graph, fsync="never")
+    graph.start_journal()
     for n in range(10):
         graph.add(*_triple(n))
-    store.commit(meta={"batch": 1})
+    store.commit(graph.drain_journal(), meta={"batch": 1})
     graph.remove(_uri(3), None, None)
     graph.add(
         _uri(3),
@@ -60,7 +46,7 @@ def test_commit_recover_roundtrip(store_dir):
             datatype="http://strdf.di.uoa.gr/ontology#WKT",
         ),
     )
-    store.commit(meta={"batch": 2})
+    store.commit(graph.drain_journal(), meta={"batch": 2})
     expected = _triple_set(graph)
     store.close()
 
@@ -78,13 +64,14 @@ def test_commit_recover_roundtrip(store_dir):
 def test_clear_is_durable(store_dir):
     graph = Graph()
     store = DurableStore(store_dir, graph=graph, fsync="never")
+    graph.start_journal()
     for n in range(5):
         graph.add(*_triple(n))
-    store.commit()
+    store.commit(graph.drain_journal())
     store.checkpoint()  # bake the 5 triples into the checkpoint
     graph.clear()
     graph.add(*_triple(99))
-    store.commit()
+    store.commit(graph.drain_journal())
     store.close()
 
     recovered_graph = Graph()
@@ -98,11 +85,12 @@ def test_clear_is_durable(store_dir):
 def test_checkpoint_refuses_uncommitted_journal(store_dir):
     graph = Graph()
     store = DurableStore(store_dir, graph=graph, fsync="never")
+    graph.start_journal()
     try:
         graph.add(*_triple(1))
         with pytest.raises(DurabilityError):
             store.checkpoint()
-        store.commit()
+        store.commit(graph.drain_journal())
         store.checkpoint()  # fine once drained
     finally:
         store.close()
@@ -113,10 +101,11 @@ def test_compaction_shrinks_the_wal_and_preserves_state(store_dir):
     store = DurableStore(
         store_dir, graph=graph, fsync="never", checkpoint_interval=4
     )
+    graph.start_journal()
     checkpoints = 0
     for n in range(12):
         graph.add(*_triple(n))
-        store.commit()
+        store.commit(graph.drain_journal())
         if store.maybe_checkpoint():
             checkpoints += 1
     assert checkpoints == 3
@@ -142,8 +131,9 @@ def test_compaction_shrinks_the_wal_and_preserves_state(store_dir):
 def test_corrupt_checkpoint_is_a_hard_error(store_dir):
     graph = Graph()
     store = DurableStore(store_dir, graph=graph, fsync="never")
+    graph.start_journal()
     graph.add(*_triple(1))
-    store.commit()
+    store.commit(graph.drain_journal())
     store.checkpoint()
     store.close()
     path = os.path.join(store_dir, DurableStore.CHECKPOINT_NAME)
@@ -189,6 +179,7 @@ def test_randomized_mutation_history_recovers_exactly(store_dir, seed):
         fsync="never",
         checkpoint_interval=rng.randrange(1, 5),
     )
+    graph.start_journal()
     live = set()
     for _ in range(rng.randrange(5, 15)):
         for _ in range(rng.randrange(1, 10)):
@@ -199,7 +190,7 @@ def test_randomized_mutation_history_recovers_exactly(store_dir, seed):
             else:
                 graph.remove(_uri(n), None, None)
                 live = {t for t in live if t[0] != _uri(n)}
-        store.commit()
+        store.commit(graph.drain_journal())
         store.maybe_checkpoint()
     assert _triple_set(graph) == live
     store.close()

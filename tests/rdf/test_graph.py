@@ -145,3 +145,15 @@ class TestProperties:
             for t in g.triples(None, None, terms(o))
         }
         assert full == by_s == by_p == by_o
+
+
+def test_journal_records_only_effective_mutations():
+    graph = Graph()
+    graph.start_journal()
+    graph.add(NOA.h1, NOA.hasConfidence, Literal("v1"))
+    graph.add(NOA.h1, NOA.hasConfidence, Literal("v1"))  # duplicate
+    assert graph.pending_ops == 1
+    graph.remove(NOA.h2, None, None)  # nothing matched
+    assert graph.pending_ops == 1
+    graph.remove(NOA.h1, None, None)
+    assert graph.pending_ops == 2

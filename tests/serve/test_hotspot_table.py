@@ -32,7 +32,7 @@ from repro.serve import (
     serve_in_thread,
 )
 from repro.serve import hotspots, subscribe
-from repro.serve.subscribe import CommitJournal, SubscriptionEngine
+from repro.serve.subscribe import SubscriptionEngine, delta_from_ops
 from repro.seviri.fires import FireSeason
 from repro.stsparql import Strabon
 from tests.serve.reference_hotspots import reference_hotspots
@@ -281,7 +281,7 @@ def test_table_tracks_random_star_mutations(seed, monkeypatch, pinned):
     _add_star(graph, 999, rng, kind=FLARE)
     publisher = SnapshotPublisher()
     publisher.publish(strabon)
-    journal = CommitJournal(graph)
+    graph.start_journal()
     full_builds = []
     real_full = hotspots.iter_hotspot_records
 
@@ -306,7 +306,7 @@ def test_table_tracks_random_star_mutations(seed, monkeypatch, pinned):
             # The Flare star becomes a hotspot without being touched.
             graph.add(FLARE, RDFS.subClassOf, NOA.Hotspot)
             expect_full = True
-        delta = journal.drain()
+        delta = delta_from_ops(graph.drain_journal())
         assert (delta.full_rescan or delta.schema_changed) == expect_full
         full_builds.clear()
         published = publisher.publish(strabon, delta=delta)
@@ -334,12 +334,11 @@ def test_publication_rereads_only_changed_stars(archive, monkeypatch):
     for n in range(archive):
         _add_star(graph, n, rng)
     publisher = SnapshotPublisher()
-    journal = CommitJournal(graph)
     engine = SubscriptionEngine()
-    engine.bind(strabon, publisher, journal=journal)
+    engine.bind(strabon, publisher)
+    graph.start_journal()
     engine.register({"kind": "filter"})
     publisher.publish(strabon)
-    journal.drain()
 
     reads = []
     real = subscribe.hotspot_record
@@ -355,8 +354,8 @@ def test_publication_rereads_only_changed_stars(archive, monkeypatch):
         graph.add(_hotspot(n), NOA.hasConfirmation, NOA.confirmed)
     graph.remove(_hotspot(3), None, None)
     _add_star(graph, archive, rng)
-    delta = journal.drain()
-    engine.process_commit(publisher.sequence + 1, delta=delta)
+    delta = delta_from_ops(graph.drain_journal())
+    engine.process_commit(publisher.sequence + 1, delta)
     published = publisher.publish(strabon, delta=delta)
     # Each changed star is read once, shared by engine and table, and
     # the count does not depend on the archive's size.
@@ -398,9 +397,8 @@ def test_reads_encode_no_feature_and_publishes_only_changed_ones(
     for n in range(archive):
         _add_star(graph, n, rng)
     publisher = SnapshotPublisher()
-    journal = CommitJournal(graph)
+    graph.start_journal()
     first = publisher.publish(strabon)
-    journal.drain()
 
     encoded = []
     real_dumps = json.dumps
@@ -416,7 +414,9 @@ def test_reads_encode_no_feature_and_publishes_only_changed_ones(
         graph.remove(_hotspot(n), NOA.hasConfirmation, None)
         graph.add(_hotspot(n), NOA.hasConfirmation, NOA.confirmed)
     _add_star(graph, archive, rng)
-    published = publisher.publish(strabon, delta=journal.drain())
+    published = publisher.publish(
+        strabon, delta=delta_from_ops(graph.drain_journal())
+    )
     assert sum(encoded) == 3
     unchanged = _hotspot(5).value
     assert [

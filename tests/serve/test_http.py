@@ -5,6 +5,7 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import logging
 import socket
 import threading
 import time
@@ -332,6 +333,44 @@ def test_hotspots_do_not_queue_behind_a_busy_read_pool(served_service):
             gate.set()
         reader.join(timeout=30)
         assert answered and answered[0][0] == 200
+
+
+def test_stop_with_an_idle_keep_alive_client_is_quiet(served_service):
+    """Stopping the server cancels a connection task parked between
+    keep-alive requests; that cancellation must end the task quietly
+    (no asyncio error log, nothing for the loop's exception handler)
+    and still close the client's socket."""
+    records = []
+
+    class _Collect(logging.Handler):
+        def emit(self, record):
+            records.append(record)
+
+    collector = _Collect(level=logging.DEBUG)
+    asyncio_log = logging.getLogger("asyncio")
+    asyncio_log.addHandler(collector)
+    try:
+        handle = serve_in_thread(served_service)
+        contexts = []
+        handle._loop.call_soon_threadsafe(
+            handle._loop.set_exception_handler,
+            lambda loop, context: contexts.append(context),
+        )
+        conn = http.client.HTTPConnection(*handle.address, timeout=10)
+        try:
+            conn.request("GET", "/v1/hotspots")
+            response = conn.getresponse()
+            assert response.status == 200
+            response.read()  # the connection stays open, idle
+            handle.stop()
+            assert conn.sock.recv(1) == b""  # the server closed it
+        finally:
+            conn.close()
+    finally:
+        asyncio_log.removeHandler(collector)
+    assert not handle._thread.is_alive()
+    assert contexts == []
+    assert [r.getMessage() for r in records] == []
 
 
 def _raw_exchange(handle, data: bytes) -> bytes:

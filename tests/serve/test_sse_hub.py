@@ -11,7 +11,11 @@ from repro.durable.cursors import NotificationBatch
 from repro.geometry import Envelope
 from repro.serve import SnapshotPublisher, sse
 from repro.serve.sse import SseHub, format_batch, frame_sequence
-from repro.serve.subscribe import Subscription, SubscriptionEngine
+from repro.serve.subscribe import (
+    Subscription,
+    SubscriptionEngine,
+    delta_from_ops,
+)
 from repro.stsparql import Strabon
 
 
@@ -141,6 +145,7 @@ def _golden_batch(state_dir=None):
     publisher = SnapshotPublisher()
     engine = SubscriptionEngine(state_dir=state_dir)
     engine.bind(strabon, publisher)
+    strabon.graph.start_journal()
     publisher.publish(strabon)
     for sub in GOLDEN_SUBS:
         engine.registry.add(sub)
@@ -159,7 +164,9 @@ def _golden_batch(state_dir=None):
         "<http://example.org/hotspot/1> noa:hasConfirmation noa:confirmed ."
     )
     strabon.update(PREFIX + "INSERT DATA {\n" + "\n".join(rows) + "\n}")
-    batch = engine.process_commit(2)
+    batch = engine.process_commit(
+        2, delta_from_ops(strabon.graph.drain_journal())
+    )
     engine.close()
     return batch
 

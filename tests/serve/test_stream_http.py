@@ -20,6 +20,7 @@ from repro.serve import (
     serve_in_thread,
 )
 from repro.serve.router import RouterService
+from repro.serve.subscribe import delta_from_ops
 from repro.stsparql import Strabon
 
 NOA = "http://teleios.di.uoa.gr/ontologies/noaOntology.owl#"
@@ -35,6 +36,7 @@ class _StandIn:
         self.publisher = SnapshotPublisher()
         self.subscriptions = SubscriptionEngine(state_dir=state_dir)
         self.subscriptions.bind(self.strabon, self.publisher)
+        self.strabon.graph.start_journal()
         self.publisher.publish(self.strabon)
         self._n = 0
 
@@ -43,8 +45,8 @@ class _StandIn:
 
     def ingest_one(self, confidence=0.8):
         """One hotspot in, committed through the engine exactly the
-        way the service write path sequences it.  The mutation goes
-        through ``update`` so the engine's journal tee sees the delta."""
+        way the service write path sequences it: the graph's journal
+        is drained into the commit's delta."""
         self._n += 1
         subject = f"http://example.org/hotspot/{self._n}"
         lat = 38.0 + self._n * 0.01
@@ -59,7 +61,8 @@ class _StandIn:
             "}"
         )
         batch = self.subscriptions.process_commit(
-            self.publisher.sequence + 1
+            self.publisher.sequence + 1,
+            delta_from_ops(self.strabon.graph.drain_journal()),
         )
         self.publisher.publish(self.strabon)
         self.subscriptions.publish_batch(batch)

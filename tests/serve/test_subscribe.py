@@ -55,10 +55,16 @@ def _insert_hotspot(
     return subject
 
 
+def _delta(strabon: Strabon):
+    """The commit's delta: everything journaled since the last drain."""
+    return delta_from_ops(strabon.graph.drain_journal())
+
+
 def _engine_on(strabon: Strabon) -> SubscriptionEngine:
     publisher = SnapshotPublisher()
     engine = SubscriptionEngine()
     engine.bind(strabon, publisher)
+    strabon.graph.start_journal()
     publisher.publish(strabon)
     return engine
 
@@ -338,7 +344,7 @@ class TestEngine:
             {"kind": "filter", "min_confidence": 0.5}
         )
         subject = _insert_hotspot(strabon, 1, 23.7, 38.0)
-        batch = engine.process_commit(2)
+        batch = engine.process_commit(2, _delta(strabon))
         keys = {
             (d["subscription"], d["subject"])
             for d in batch.notifications
@@ -350,7 +356,7 @@ class TestEngine:
         engine = _engine_on(strabon)
         engine.register({"kind": "filter"})
         _insert_hotspot(strabon, 1, 23.7, 38.0)
-        first = engine.process_commit(2)
+        first = engine.process_commit(2, _delta(strabon))
         assert len(first.notifications) == 1
         # Touch the same subject again — already notified, no repeat.
         strabon.update(
@@ -358,7 +364,7 @@ class TestEngine:
             + 'INSERT DATA { <http://example.org/hotspot/1> '
             + 'noa:hasConfidence "0.9" . }'
         )
-        second = engine.process_commit(3)
+        second = engine.process_commit(3, _delta(strabon))
         assert second.refs == ()
 
     def test_priming_suppresses_pre_existing_matches(self):
@@ -371,7 +377,7 @@ class TestEngine:
             + 'INSERT DATA { <http://example.org/hotspot/1> '
             + 'noa:hasConfidence "0.9" . }'
         )
-        batch = engine.process_commit(2)
+        batch = engine.process_commit(2, _delta(strabon))
         assert batch.refs == ()  # it matched before "now"
 
     def test_geofence_excludes_outside_hotspots(self):
@@ -382,7 +388,7 @@ class TestEngine:
         )
         _insert_hotspot(strabon, 1, 23.0, 38.0)  # inside
         _insert_hotspot(strabon, 2, 5.0, 5.0)  # outside
-        batch = engine.process_commit(2)
+        batch = engine.process_commit(2, _delta(strabon))
         subjects = {d["subject"] for d in batch.notifications}
         assert subjects == {"http://example.org/hotspot/1"}
 
@@ -400,7 +406,7 @@ class TestEngine:
         )
         _insert_hotspot(strabon, 1, 23.0, 38.0, confidence=0.9)
         _insert_hotspot(strabon, 2, 23.1, 38.1, confidence=0.3)
-        batch = engine.process_commit(2)
+        batch = engine.process_commit(2, _delta(strabon))
         mine = [
             d
             for d in batch.notifications
@@ -441,7 +447,10 @@ class TestEngine:
         for n in (2, 3, 4):
             _insert_hotspot(strabon, n, 23.1, 38.1, confidence=0.5)
         incremental = {
-            d["subject"] for d in engine.process_commit(2).notifications
+            d["subject"]
+            for d in engine.process_commit(
+                2, _delta(strabon)
+            ).notifications
         }
         full = {
             d["subject"]
@@ -486,7 +495,7 @@ class TestEngine:
             calls.clear()
             monkeypatch.setattr(Strabon, "query", counted)
             try:
-                batch = engine.process_commit(sequence)
+                batch = engine.process_commit(sequence, _delta(strabon))
             finally:
                 monkeypatch.setattr(Strabon, "query", query)
             return batch, len(calls)
@@ -517,13 +526,13 @@ class TestEngine:
         engine = _engine_on(strabon)
         sub = engine.register({"kind": "fwi", "min_class": "low"})
         _insert_hotspot(strabon, 1, 23.0, 38.0, confidence=0.4)
-        first = engine.process_commit(2)
+        first = engine.process_commit(2, _delta(strabon))
         fwi = [
             d for d in first.notifications if d["kind"] == "fwi"
         ]
         assert fwi == []  # 0.4 is still "low" — no transition
         _insert_hotspot(strabon, 2, 23.1, 38.1, confidence=0.4)
-        second = engine.process_commit(3)
+        second = engine.process_commit(3, _delta(strabon))
         fwi = [
             d for d in second.notifications if d["kind"] == "fwi"
         ]
@@ -537,7 +546,7 @@ class TestEngine:
         engine = _engine_on(strabon)
         engine.register({"kind": "fwi", "min_class": "extreme"})
         _insert_hotspot(strabon, 1, 23.0, 38.0, confidence=1.0)
-        batch = engine.process_commit(2)
+        batch = engine.process_commit(2, _delta(strabon))
         assert [
             d for d in batch.notifications if d["kind"] == "fwi"
         ] == []
@@ -569,7 +578,7 @@ class TestEngine:
         )
         engine.add_listener(lambda b: seen.append(b.sequence))
         _insert_hotspot(strabon, 1, 23.0, 38.0)
-        batch = engine.process_commit(2)
+        batch = engine.process_commit(2, _delta(strabon))
         engine.publish_batch(batch)
         assert seen == [2]
 
@@ -590,6 +599,7 @@ class TestEngine:
         publisher = SnapshotPublisher()
         engine = SubscriptionEngine()
         engine.bind(strabon, publisher)
+        strabon.graph.start_journal()
         publisher.publish(strabon)
         fence = engine.register(
             {"kind": "filter", "bbox": [20.0, 36.0, 25.0, 40.0]}
@@ -617,7 +627,7 @@ class TestEngine:
                     <http://example.org/muni/A> .
             }}"""
         )
-        batch = engine.process_commit(2)
+        batch = engine.process_commit(2, _delta(strabon))
         keys = {
             (d["subscription"], d["subject"])
             for d in batch.notifications
@@ -642,6 +652,7 @@ def _durable_engine(strabon: Strabon, state_dir: str) -> SubscriptionEngine:
     publisher = SnapshotPublisher()
     engine = SubscriptionEngine(state_dir=state_dir)
     engine.bind(strabon, publisher)
+    strabon.graph.start_journal()
     publisher.publish(strabon)
     return engine
 
@@ -666,7 +677,7 @@ class TestDurableState:
                 [{"kind": "filter", "bbox": [23.0, 37.0, 24.0, 39.0]}] * 6
             )
             subject = _insert_hotspot(strabon, 1, 23.5, 38.0)
-            engine.process_commit(2)
+            engine.process_commit(2, _delta(strabon))
         finally:
             engine.close()
         with WriteAheadLog(
@@ -715,6 +726,7 @@ class TestDurableState:
         publisher = SnapshotPublisher()
         engine = SubscriptionEngine(state_dir=state_dir)
         engine.bind(strabon, publisher)
+        strabon.graph.start_journal()
         publisher.publish(strabon)
         try:
             kept = engine.register({"kind": "filter"})
@@ -726,7 +738,9 @@ class TestDurableState:
             engine.remove(gone.id)
             for n in (1, 2):
                 _insert_hotspot(strabon, n, 23.5, 38.0 + n / 10)
-                engine.process_commit(publisher.sequence + 1)
+                engine.process_commit(
+                    publisher.sequence + 1, _delta(strabon)
+                )
                 publisher.publish(strabon)
             registered = {
                 s.id: s.to_dict() for s in engine.registry.list()
