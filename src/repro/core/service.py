@@ -72,7 +72,7 @@ from repro.obs import (
     get_tracer,
 )
 from repro.obs import flightrec as _flightrec
-from repro.rdf.graph import Op
+from repro.rdf.graph import Graph, Op
 from repro.serve.subscribe import delta_from_ops
 from repro.seviri.geo import GeoReference, RawGrid, TargetGrid
 from repro.seviri.scene import SceneGenerator
@@ -382,17 +382,20 @@ class FireMonitoringService:
         with _tracer.span("durable.open", fresh=fresh):
             if fresh:
                 load_auxiliary_data(self.strabon, self.greece)
+            # Recovery rebuilds the term dictionary id for id, so it
+            # starts from an empty graph; the checkpoint holds the
+            # ontology the refinement pipeline loaded into this one.
             self.durable = DurableStore(
                 durable_dir,
-                graph=self.strabon.graph,
+                graph=self.strabon.graph if fresh else Graph(),
                 fsync=config.wal_fsync,
                 checkpoint_interval=config.checkpoint_interval,
             )
             if not fresh:
-                # The graph was rebuilt wholesale: derived indexes
-                # (R-tree, candidate memo, memoised view, inference
-                # closure) must not outlive their source.
-                self.strabon.reset_derived()
+                # The engine serves the recovered graph, and derived
+                # indexes (R-tree, candidate memo, memoised view,
+                # inference closure) must not outlive their source.
+                self.strabon.reset_derived(self.durable.graph)
         self.recovery = self.durable.recovery
         saved = load_service_state(self._service_state_path)
         committed = 0
@@ -455,8 +458,10 @@ class FireMonitoringService:
             subs_dir=os.path.join(state_dir, "subs"),
             fsync=config.wal_fsync,
         )
+        recovery = self.recovery
         repaired = self.subscriptions.repair_tail(
-            self.durable.wal.replayed,
+            None if recovery is None else recovery.last_seq,
+            None if recovery is None else recovery.last_ops,
             sequence=self.publisher.sequence + 1,
         )
         self.publisher.publish(

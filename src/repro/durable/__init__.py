@@ -15,8 +15,11 @@ makes crash recovery a *tested, measured property*:
   O(1) copy-on-write ``snapshot()`` (the writer is never blocked);
   plus the atomic ``service.json`` save/load used for the service-level
   acquisition cursor.
-* :mod:`repro.durable.codec` — the compact binary codec for RDF terms
-  and journal operation batches shared by WAL records and checkpoints.
+* :mod:`repro.durable.codec` — the dictionary-encoded codec shared by
+  WAL records and checkpoints: a checkpoint is the graph's term table
+  in id order plus u32 id triples, and a WAL record carries only the
+  terms interned since the previous one (from the store's dictionary
+  cursor) plus its ops as u32 ids.
 * :mod:`repro.durable.crashpoints` — the deterministic crash-injection
   registry: named points in the commit path where a test can arm a
   process abort (``os._exit``), so the crash-matrix suite can prove
@@ -33,9 +36,7 @@ from repro.durable.codec import (
     OP_CLEAR,
     OP_REMOVE,
     decode_ops,
-    decode_term,
     encode_ops,
-    encode_term,
 )
 from repro.durable.crashpoints import (
     CRASH_EXIT,
@@ -75,10 +76,8 @@ __all__ = [
     "arm",
     "crash",
     "decode_ops",
-    "decode_term",
     "disarm",
     "encode_ops",
-    "encode_term",
     "load_service_state",
     "save_service_state",
 ]

@@ -1,24 +1,42 @@
-"""Binary codec for RDF terms and journal operation batches.
+"""Binary codec for the durable layer: term tables and id operations.
 
-WAL records and checkpoint bodies share one wire format, chosen for
-replay speed and density rather than readability:
+The durable form is dictionary-encoded like the live
+:class:`~repro.rdf.graph.Graph`: a term's text is written once, when
+it enters the graph's dictionary, and everything after that names it
+by its u32 term id.  Ids are append-only for a graph's lifetime, so an
+id written in one record means the same term in every later one.  Two
+shapes, shared by WAL records and checkpoint bodies:
 
-* strings are u32-length-prefixed UTF-8,
-* a term is one kind byte (URI / blank node / plain, typed or
-  language-tagged literal) followed by its strings,
-* an operation batch is a u32 count followed by one opcode byte per
-  operation (add / remove carry a triple, clear carries nothing).
+* a **term table** — a run of terms in id order: u32 count | one kind
+  byte per term (URI / blank node / plain, typed or language-tagged
+  literal) | one u32 length per string, in code points | u32 byte
+  length | the strings' UTF-8, concatenated.  A URI, a blank node or a
+  plain literal has one string; a typed or language-tagged literal two
+  (lexical form, then datatype or tag).  Encoding joins and encodes
+  the strings in one call, decoding slices one decoded text;
+* an **operation batch** — u32 count | one opcode byte per operation
+  | three u32 term ids per add / remove (a clear carries none).  The
+  ids go through one ``struct`` call, never one per term.
 
-Everything is little-endian.  Decoding validates kind and opcode bytes
-and raises :class:`~repro.errors.DurabilityError` on anything
-malformed — framing CRCs catch torn writes before this layer ever sees
-them, so a decode failure here means real corruption.
+A WAL record (:func:`encode_record`) is u32 ``first_id`` | the term
+table of the terms interned since the previous record | the
+operation batch; ``first_id`` is the dictionary cursor of the writer
+(:class:`~repro.durable.store.DurableStore`), so replay can check that
+the record continues the dictionary it rebuilt.  Re-adding terms the
+store already wrote costs 13 bytes per operation, however often they
+were written before.
+
+Everything is little-endian.  Decoding validates lengths, kind and
+opcode bytes and id ranges, and raises
+:class:`~repro.errors.DurabilityError` on anything malformed — framing
+CRCs catch torn writes before this layer ever sees them, so a decode
+failure here means real corruption.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Iterable, List, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import DurabilityError
 from repro.rdf.graph import OP_ADD, OP_CLEAR, OP_REMOVE, Op
@@ -28,12 +46,14 @@ __all__ = [
     "OP_ADD",
     "OP_REMOVE",
     "OP_CLEAR",
-    "encode_term",
-    "decode_term",
-    "encode_triple",
-    "decode_triple",
+    "encode_terms",
+    "decode_terms",
+    "pack_ids",
+    "unpack_ids",
     "encode_ops",
     "decode_ops",
+    "encode_record",
+    "split_record",
 ]
 
 _U32 = struct.Struct("<I")
@@ -44,131 +64,189 @@ _K_BNODE = 2
 _K_PLAIN = 3  # literal, no datatype, no language
 _K_TYPED = 4  # literal with datatype URI
 _K_LANG = 5  # literal with language tag
+_KINDS = frozenset((_K_URI, _K_BNODE, _K_PLAIN, _K_TYPED, _K_LANG))
+_OPCODES = frozenset((OP_ADD, OP_REMOVE, OP_CLEAR))
 
 
-def _pack_str(out: bytearray, text: str) -> None:
-    data = text.encode("utf-8")
-    out += _U32.pack(len(data))
-    out += data
+def _take_u32(buf: bytes, offset: int, what: str) -> Tuple[int, int]:
+    if offset + 4 > len(buf):
+        raise DurabilityError(f"truncated {what} in record")
+    return _U32.unpack_from(buf, offset)[0], offset + 4
 
 
-def _unpack_str(buf: bytes, offset: int) -> Tuple[str, int]:
-    end = offset + 4
+def _take(buf: bytes, offset: int, size: int, what: str):
+    end = offset + size
     if end > len(buf):
-        raise DurabilityError("truncated string length in record")
-    (length,) = _U32.unpack_from(buf, offset)
-    offset, end = end, end + length
-    if end > len(buf):
-        raise DurabilityError("truncated string payload in record")
-    return buf[offset:end].decode("utf-8"), end
+        raise DurabilityError(f"truncated {what} in record")
+    return buf[offset:end], end
 
 
-def encode_term(out: bytearray, term: Term) -> None:
-    """Append the binary form of ``term`` to ``out``."""
-    if isinstance(term, URI):
-        out.append(_K_URI)
-        _pack_str(out, term.value)
-    elif isinstance(term, BNode):
-        out.append(_K_BNODE)
-        _pack_str(out, term.label)
-    elif isinstance(term, Literal):
-        if term.language is not None:
-            out.append(_K_LANG)
-            _pack_str(out, term.lexical)
-            _pack_str(out, term.language)
-        elif term.datatype is not None:
-            out.append(_K_TYPED)
-            _pack_str(out, term.lexical)
-            _pack_str(out, term.datatype)
+def pack_ids(ids: Sequence[int]) -> bytes:
+    """``ids`` as little-endian u32s, in one ``struct`` call."""
+    return struct.pack(f"<{len(ids)}I", *ids)
+
+
+def unpack_ids(
+    buf: bytes, offset: int, count: int
+) -> Tuple[Tuple[int, ...], int]:
+    """Inverse of :func:`pack_ids` → ``(ids, next_offset)``."""
+    if offset + 4 * count > len(buf):
+        raise DurabilityError("truncated term ids in record")
+    ids = struct.unpack_from(f"<{count}I", buf, offset)
+    return ids, offset + 4 * count
+
+
+def encode_terms(terms: Iterable[Term]) -> bytes:
+    """The term table of ``terms``, in the order given."""
+    kinds = bytearray()
+    strings: List[str] = []
+    for term in terms:
+        if isinstance(term, URI):
+            kinds.append(_K_URI)
+            strings.append(term.value)
+        elif isinstance(term, BNode):
+            kinds.append(_K_BNODE)
+            strings.append(term.label)
+        elif isinstance(term, Literal):
+            if term.language is not None:
+                kinds.append(_K_LANG)
+                strings += (term.lexical, term.language)
+            elif term.datatype is not None:
+                kinds.append(_K_TYPED)
+                strings += (term.lexical, term.datatype)
+            else:
+                kinds.append(_K_PLAIN)
+                strings.append(term.lexical)
         else:
-            out.append(_K_PLAIN)
-            _pack_str(out, term.lexical)
-    else:
-        raise DurabilityError(
-            f"cannot encode term of type {type(term).__name__}"
+            raise DurabilityError(
+                f"cannot encode term of type {type(term).__name__}"
+            )
+    blob = "".join(strings).encode("utf-8")
+    return b"".join(
+        (
+            _U32.pack(len(kinds)),
+            kinds,
+            pack_ids([len(text) for text in strings]),
+            _U32.pack(len(blob)),
+            blob,
         )
+    )
 
 
-def decode_term(buf: bytes, offset: int) -> Tuple[Term, int]:
-    """Decode one term from ``buf`` at ``offset``; returns
-    ``(term, next_offset)``."""
-    if offset >= len(buf):
-        raise DurabilityError("truncated term kind in record")
-    kind = buf[offset]
-    offset += 1
-    if kind == _K_URI:
-        value, offset = _unpack_str(buf, offset)
-        return URI(value), offset
-    if kind == _K_BNODE:
-        label, offset = _unpack_str(buf, offset)
-        return BNode(label), offset
-    if kind == _K_PLAIN:
-        lexical, offset = _unpack_str(buf, offset)
-        return Literal(lexical), offset
-    if kind == _K_TYPED:
-        lexical, offset = _unpack_str(buf, offset)
-        datatype, offset = _unpack_str(buf, offset)
-        return Literal(lexical, datatype=datatype), offset
-    if kind == _K_LANG:
-        lexical, offset = _unpack_str(buf, offset)
-        language, offset = _unpack_str(buf, offset)
-        return Literal(lexical, language=language), offset
-    raise DurabilityError(f"unknown term kind byte {kind}")
+def decode_terms(buf: bytes, offset: int = 0) -> Tuple[List[Term], int]:
+    """Decode one term table at ``offset`` → ``(terms, next_offset)``."""
+    count, offset = _take_u32(buf, offset, "term count")
+    kinds, offset = _take(buf, offset, count, "term kinds")
+    unknown = set(kinds) - _KINDS
+    if unknown:
+        raise DurabilityError(f"unknown term kind byte {min(unknown)}")
+    lengths, offset = unpack_ids(
+        buf, offset, count + kinds.count(_K_TYPED) + kinds.count(_K_LANG)
+    )
+    size, offset = _take_u32(buf, offset, "term text length")
+    blob, offset = _take(buf, offset, size, "term text")
+    try:
+        text = bytes(blob).decode("utf-8")
+    except UnicodeDecodeError as error:
+        raise DurabilityError(f"corrupt term text: {error}") from error
+    if sum(lengths) != len(text):
+        raise DurabilityError("term lengths do not match the term text")
+    strings = []
+    start = 0
+    for length in lengths:
+        strings.append(text[start:start + length])
+        start += length
+    nxt = iter(strings).__next__
+    terms: List[Term] = []
+    for kind in kinds:
+        if kind == _K_URI:
+            terms.append(URI(nxt()))
+        elif kind == _K_TYPED:
+            terms.append(Literal(nxt(), datatype=nxt()))
+        elif kind == _K_PLAIN:
+            terms.append(Literal(nxt()))
+        elif kind == _K_LANG:
+            terms.append(Literal(nxt(), language=nxt()))
+        else:
+            terms.append(BNode(nxt()))
+    return terms, offset
 
 
-def encode_triple(out: bytearray, triple: Tuple[Term, Term, Term]) -> None:
-    for term in triple:
-        encode_term(out, term)
-
-
-def decode_triple(
-    buf: bytes, offset: int
-) -> Tuple[Tuple[Term, Term, Term], int]:
-    s, offset = decode_term(buf, offset)
-    p, offset = decode_term(buf, offset)
-    o, offset = decode_term(buf, offset)
-    return (s, p, o), offset
-
-
-def encode_ops(ops: Iterable[Op]) -> bytes:
-    """Serialize a journal operation batch."""
-    ops = list(ops)
-    out = bytearray(_U32.pack(len(ops)))
+def encode_ops(
+    ops: Iterable[Op], term_id: Callable[[Term], Optional[int]]
+) -> bytes:
+    """Serialize a journal operation batch as term ids (``term_id``
+    maps a term to its dictionary id, None when it has none)."""
+    opcodes = bytearray()
+    ids: List[Optional[int]] = []
     for opcode, triple in ops:
-        if opcode not in (OP_ADD, OP_REMOVE, OP_CLEAR):
-            raise DurabilityError(f"unknown opcode {opcode!r}")
-        out.append(opcode)
-        if opcode != OP_CLEAR:
+        if opcode == OP_ADD or opcode == OP_REMOVE:
             if triple is None:
                 raise DurabilityError(
                     "add/remove operation without a triple"
                 )
-            encode_triple(out, triple)
-    return bytes(out)
+            ids.extend(map(term_id, triple))
+        elif opcode != OP_CLEAR:
+            raise DurabilityError(f"unknown opcode {opcode!r}")
+        opcodes.append(opcode)
+    if None in ids:
+        raise DurabilityError(
+            "operation names a term the dictionary does not hold"
+        )
+    return _U32.pack(len(opcodes)) + bytes(opcodes) + pack_ids(ids)
 
 
-def decode_ops(buf: bytes) -> List[Op]:
-    """Inverse of :func:`encode_ops` (strict: trailing bytes are
-    corruption)."""
-    if len(buf) < 4:
-        raise DurabilityError("truncated operation count")
-    (count,) = _U32.unpack_from(buf, 0)
-    offset = 4
-    ops: List[Op] = []
-    for _ in range(count):
-        if offset >= len(buf):
-            raise DurabilityError("truncated opcode in record")
-        opcode = buf[offset]
-        offset += 1
-        if opcode == OP_CLEAR:
-            ops.append((OP_CLEAR, None))
-        elif opcode in (OP_ADD, OP_REMOVE):
-            triple, offset = decode_triple(buf, offset)
-            ops.append((opcode, triple))
-        else:
-            raise DurabilityError(f"unknown opcode byte {opcode}")
+def decode_ops(
+    buf: bytes, offset: int, terms: Sequence[Term]
+) -> List[Op]:
+    """Decode the operation batch at ``offset`` against the dictionary
+    ``terms`` (strict: it must end the buffer, and every id must be in
+    the dictionary)."""
+    count, offset = _take_u32(buf, offset, "operation count")
+    opcodes, offset = _take(buf, offset, count, "opcodes")
+    unknown = set(opcodes) - _OPCODES
+    if unknown:
+        raise DurabilityError(f"unknown opcode byte {min(unknown)}")
+    ids, offset = unpack_ids(
+        buf, offset, 3 * (count - opcodes.count(OP_CLEAR))
+    )
     if offset != len(buf):
         raise DurabilityError(
             f"{len(buf) - offset} trailing byte(s) after operation batch"
         )
-    return ops
+    if ids and max(ids) >= len(terms):
+        raise DurabilityError(
+            f"operation names term id {max(ids)}, beyond the "
+            f"{len(terms)}-term dictionary"
+        )
+    nxt = iter([terms[tid] for tid in ids]).__next__
+    return [
+        (OP_CLEAR, None)
+        if opcode == OP_CLEAR
+        else (opcode, (nxt(), nxt(), nxt()))
+        for opcode in opcodes
+    ]
+
+
+def encode_record(
+    first_id: int,
+    terms: Sequence[Term],
+    ops: Iterable[Op],
+    term_id: Callable[[Term], Optional[int]],
+) -> bytes:
+    """One WAL record body: the terms interned from id ``first_id`` on
+    since the previous record, then ``ops`` as ids."""
+    return (
+        _U32.pack(first_id)
+        + encode_terms(terms)
+        + encode_ops(ops, term_id)
+    )
+
+
+def split_record(buf: bytes) -> Tuple[int, List[Term], int]:
+    """A record's ``(first_id, new terms, offset of its operation
+    batch)``; :func:`decode_ops` decodes the batch once the new terms
+    are in the dictionary."""
+    first_id, offset = _take_u32(buf, 0, "first term id")
+    terms, offset = decode_terms(buf, offset)
+    return first_id, terms, offset

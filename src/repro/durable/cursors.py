@@ -285,15 +285,20 @@ class RegistryLog:
     """The registered subscriptions, durable, as an append-only log.
 
     Every registration change appends one CRC-framed record —
-    ``{"add": [doc, ...]}`` for a single or bulk registration,
+    ``{"add": [shape, ...]}`` for a single or bulk registration,
     ``{"remove": [id]}`` for a removal — and syncs per the fsync
     policy, so a registration costs its own bytes, not a rewrite of
-    the whole registry.  Opening replays the records in order and, when
-    there is more than one, folds them into a single ``add`` record of
-    the live documents through the atomic
+    the whole registry.  An ``add`` stores each distinct key list once:
+    a shape is ``{"keys": [...], "rows": [[...], ...]}``, one row of
+    values per document with those keys, so 20 000 geofences of three
+    shapes write three key lists, not 20 000.  Opening replays the
+    records in order and, when there is more than one, folds them into
+    a single ``add`` record of the live documents through the atomic
     :meth:`~repro.durable.wal.WriteAheadLog.rewrite`, so the file holds
-    the live registry plus one session's changes.  Not thread-safe:
-    the engine serialises writes under its lock.
+    the live registry plus one session's changes.  A log written in the
+    old one-object-per-document layout is refused on open
+    (:class:`~repro.errors.DurabilityError` naming the file).  Not
+    thread-safe: the engine serialises writes under its lock.
     """
 
     def __init__(self, path: str, fsync: str = "commit") -> None:
@@ -303,18 +308,30 @@ class RegistryLog:
         records = self._wal.replayed
         for record in records:
             doc = json.loads(record.payload.decode("utf-8"))
-            for sub in doc.get("add", ()):
-                live[str(sub["id"])] = sub
+            for shape in doc.get("add", ()):
+                if not (isinstance(shape, dict) and "keys" in shape):
+                    self._wal.close()
+                    raise DurabilityError(
+                        f"{path!r} is a subscription registry in the "
+                        "old layout (one object per document); this "
+                        "version reads only key-list records"
+                    )
+                keys = shape["keys"]
+                for row in shape["rows"]:
+                    sub = dict(zip(keys, row))
+                    live[str(sub["id"])] = sub
             for sub_id in doc.get("remove", ()):
                 live.pop(sub_id, None)
-        #: The live subscription documents, in registration order.
+        #: The live subscription documents, grouped by shape within
+        #: each replayed record and in registration order within a
+        #: shape.
         self.documents: List[Dict[str, Any]] = list(live.values())
         if len(records) > 1:
-            self._wal.rewrite([_compact({"add": self.documents})])
+            self._wal.rewrite([_compact({"add": _shapes(self.documents)})])
 
     def add(self, docs: Iterable[Dict[str, Any]]) -> None:
         """Durably record one (bulk) registration."""
-        self._append({"add": list(docs)})
+        self._append({"add": _shapes(docs)})
 
     def remove(self, sub_id: str) -> None:
         """Durably record one removal."""
@@ -326,6 +343,18 @@ class RegistryLog:
 
     def close(self) -> None:
         self._wal.close()
+
+
+def _shapes(docs: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """``docs`` as one ``{"keys", "rows"}`` entry per distinct key
+    list, in order of first appearance."""
+    rows: Dict[Tuple[str, ...], List[List[Any]]] = {}
+    for doc in docs:
+        rows.setdefault(tuple(doc), []).append(list(doc.values()))
+    return [
+        {"keys": list(keys), "rows": shape_rows}
+        for keys, shape_rows in rows.items()
+    ]
 
 
 class CursorStore:

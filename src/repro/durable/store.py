@@ -20,6 +20,17 @@ numbering base.  Replay applies the checkpoint, then only WAL records
 rename→reset window harmless: the old WAL's records are simply
 recognized as already contained.
 
+Both files are dictionary-encoded (:mod:`repro.durable.codec`).  A
+checkpoint (version 2) is the snapshot's whole term table in id order
+— dead terms included, so ids never change — then the triple count and
+the triples as u32 id triples.  Each WAL record carries the terms the
+graph interned since the previous record (from the store's
+**dictionary cursor**, ``durable_terms`` in :meth:`DurableStore.stats`)
+and then the ops as ids.  Recovery rebuilds the dictionary in order
+into an empty graph, checking that every record starts where the
+dictionary ends, so ``term_for_id`` answers the same after a restart
+as before it.
+
 Checkpoints carry a whole-body CRC; a checkpoint that fails it raises
 :class:`~repro.errors.DurabilityError` (unlike a torn WAL *tail*,
 which is the expected crash signature and is silently truncated —
@@ -44,9 +55,12 @@ from repro.durable.codec import (
     OP_REMOVE,
     Op,
     decode_ops,
-    decode_triple,
-    encode_ops,
-    encode_triple,
+    decode_terms,
+    encode_record,
+    encode_terms,
+    pack_ids,
+    split_record,
+    unpack_ids,
 )
 from repro.durable.wal import (
     WriteAheadLog,
@@ -68,7 +82,7 @@ _metrics = get_metrics()
 _tracer = get_tracer()
 
 _CKPT_MAGIC = b"REPROCKP"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
 #: magic | version | last_seq | generation | body crc32 | body length
 _CKPT_HEADER = struct.Struct("<8sIQQIQ")
 _U64 = struct.Struct("<Q")
@@ -87,6 +101,10 @@ class RecoveryInfo:
     #: Metadata of the newest WAL batch on disk (even one the
     #: checkpoint already contains) — the service's acquisition cursor.
     last_meta: Optional[Dict] = field(default=None)
+    #: Sequence number and decoded ops of the newest WAL batch on disk
+    #: (None when the log is empty) — what crash repair re-evaluates.
+    last_seq: Optional[int] = field(default=None)
+    last_ops: Optional[List[Op]] = field(default=None)
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -121,6 +139,10 @@ class DurableStore:
         self.graph = graph if graph is not None else Graph()
         self._closed = False
         self._batches_since_checkpoint = 0
+        #: The dictionary cursor: terms with a smaller id are on disk
+        #: (in the checkpoint or an earlier WAL record).
+        self._durable_terms = 0
+        self._checkpoint_bytes = 0
         ckpt = self._checkpoint_path
         wal = self._wal_path
         if os.path.exists(ckpt):
@@ -175,9 +197,18 @@ class DurableStore:
         self._require_open()
         if not ops and meta is None:
             return None
-        payload = batch_payload(meta, encode_ops(ops))
+        # Every term interned since the previous record, not only those
+        # the ops name: an add a later clear() voided still interned its
+        # terms, and the ids after them must mean the same on replay.
+        graph = self.graph
+        terms = graph.terms(self._durable_terms)
+        payload = batch_payload(
+            meta,
+            encode_record(self._durable_terms, terms, ops, graph.term_id),
+        )
         seq = self._wal.append(payload)
         self._wal.sync()
+        self._durable_terms += len(terms)
         self._batches_since_checkpoint += 1
         return seq
 
@@ -209,15 +240,24 @@ class DurableStore:
         ):
             snap = self.graph.snapshot()
             last_seq = self._wal.last_seq
-            body = bytearray(_U64.pack(len(snap)))
-            for triple in snap.triples():
-                encode_triple(body, triple)
+            # The whole dictionary, dead terms included: ids stay what
+            # they are, so any later WAL record decodes against it.
+            terms = snap.terms()
+            body = b"".join(
+                (
+                    encode_terms(terms),
+                    _U64.pack(len(snap)),
+                    pack_ids(
+                        [tid for ids in snap.triples_ids() for tid in ids]
+                    ),
+                )
+            )
             header = _CKPT_HEADER.pack(
                 _CKPT_MAGIC,
                 _CKPT_VERSION,
                 last_seq,
                 snap.generation,
-                zlib.crc32(bytes(body)),
+                zlib.crc32(body),
                 len(body),
             )
             tmp = self._checkpoint_path + ".tmp"
@@ -238,6 +278,8 @@ class DurableStore:
             crashpoints.crash("graph-checkpoint.post-rename")
             self._wal.reset(last_seq)
             self._batches_since_checkpoint = 0
+            self._durable_terms = len(terms)
+            self._checkpoint_bytes = len(header) + len(body)
         if _metrics.enabled:
             _metrics.counter(
                 "durable_checkpoints_total",
@@ -246,7 +288,7 @@ class DurableStore:
             _metrics.gauge(
                 "durable_checkpoint_bytes",
                 "Size of the latest graph checkpoint",
-            ).set(len(header) + len(body))
+            ).set(self._checkpoint_bytes)
 
     # -- recovery --------------------------------------------------------
 
@@ -258,17 +300,27 @@ class DurableStore:
             replayed_records = 0
             replayed_ops = 0
             last_meta: Optional[Dict] = None
-            for record in self._wal.replayed:
-                meta, ops_bytes = split_batch_payload(record.payload)
+            last_ops: Optional[List[Op]] = None
+            records = self._wal.replayed
+            for record in records:
+                meta, body = split_batch_payload(record.payload)
                 if meta:
                     last_meta = meta
                 if record.seq <= last_seq:
                     continue  # the checkpoint already contains it
-                ops = decode_ops(ops_bytes)
-                self._apply(ops)
+                last_ops = self._decode(record.seq, body, intern=True)
+                self._apply(last_ops)
                 replayed_records += 1
-                replayed_ops += len(ops)
+                replayed_ops += len(last_ops)
+            if records and records[-1].seq <= last_seq:
+                # Contained in the checkpoint, so its terms are in the
+                # dictionary already: decode its ops for crash repair.
+                _, body = split_batch_payload(records[-1].payload)
+                last_ops = self._decode(
+                    records[-1].seq, body, intern=False
+                )
             self._batches_since_checkpoint = replayed_records
+            self._durable_terms = self.graph.term_count()
         seconds = time.perf_counter() - start
         if _metrics.enabled:
             gauge = _metrics.gauge(
@@ -286,7 +338,31 @@ class DurableStore:
             truncated_bytes=self._wal.truncated_bytes,
             seconds=seconds,
             last_meta=last_meta,
+            last_seq=records[-1].seq if records else None,
+            last_ops=last_ops,
         )
+
+    def _decode(self, seq: int, body: bytes, intern: bool) -> List[Op]:
+        """Decode WAL record ``seq``'s ops against the rebuilt
+        dictionary, first interning the record's new terms when
+        ``intern`` (a record the checkpoint contains has them
+        already)."""
+        graph = self.graph
+        try:
+            first_id, terms, offset = split_record(body)
+            if intern:
+                if first_id != graph.term_count():
+                    raise DurabilityError(
+                        f"record {seq} starts at term id {first_id}, "
+                        f"but the dictionary holds {graph.term_count()} "
+                        "terms"
+                    )
+                graph.extend_terms(terms)
+            return decode_ops(body, offset, graph.terms())
+        except (DurabilityError, ValueError) as error:
+            raise DurabilityError(
+                f"WAL {self._wal_path!r}: {error}"
+            ) from error
 
     def _load_checkpoint(self) -> Tuple[int, int]:
         path = self._checkpoint_path
@@ -312,16 +388,35 @@ class DurableStore:
                 "corrupt (completed checkpoints are installed "
                 "atomically, so this is not a crash artifact)"
             )
-        (count,) = _U64.unpack_from(body, 0)
-        offset = _U64.size
         graph = self.graph
-        for _ in range(count):
-            triple, offset = decode_triple(body, offset)
-            graph.add(*triple)
-        if offset != len(body):
+        if graph.term_count():
             raise DurabilityError(
-                f"checkpoint {path!r} has trailing bytes"
+                f"cannot recover checkpoint {path!r} into a graph whose "
+                f"dictionary already holds {graph.term_count()} terms"
             )
+        try:
+            terms, offset = decode_terms(body, 0)
+            if offset + _U64.size > len(body):
+                raise DurabilityError("truncated triple count")
+            (count,) = _U64.unpack_from(body, offset)
+            ids, offset = unpack_ids(body, offset + _U64.size, 3 * count)
+            if offset != len(body):
+                raise DurabilityError("trailing bytes")
+            if ids and max(ids) >= len(terms):
+                raise DurabilityError(
+                    f"triple names term id {max(ids)}, beyond the "
+                    f"{len(terms)}-term dictionary"
+                )
+            graph.extend_terms(terms)
+        except (DurabilityError, ValueError) as error:
+            raise DurabilityError(
+                f"checkpoint {path!r}: {error}"
+            ) from error
+        add = graph.add
+        nxt = iter([terms[tid] for tid in ids]).__next__
+        for _ in range(count):
+            add(nxt(), nxt(), nxt())
+        self._checkpoint_bytes = len(data)
         return last_seq, count
 
     def _apply(self, ops: List[Op]) -> None:
@@ -344,6 +439,8 @@ class DurableStore:
             "batches_since_checkpoint": self._batches_since_checkpoint,
             "checkpoint_interval": self.checkpoint_interval,
             "pending_ops": self.graph.pending_ops,
+            "durable_terms": self._durable_terms,
+            "checkpoint_bytes": self._checkpoint_bytes,
         }
 
     def close(self) -> None:

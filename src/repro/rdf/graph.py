@@ -106,6 +106,11 @@ class TripleReader:
         """Number of interned terms (the dictionary size)."""
         return len(self._id_to_term)
 
+    def terms(self, start: int = 0) -> List[Term]:
+        """The dictionary from id ``start`` on, in id order (a copy):
+        what the durable layer writes, whole or from its cursor."""
+        return self._id_to_term[start:]
+
     def triples_ids(
         self,
         si: Optional[int] = None,
@@ -480,6 +485,16 @@ class Graph(TripleReader):
             self._term_to_id[term] = tid
             self._id_to_term.append(term)
         return tid
+
+    def extend_terms(self, terms: List[Term]) -> None:
+        """Intern ``terms`` as the next ids, in order — how recovery
+        rebuilds a dictionary.  Raises ValueError, interning nothing
+        more, at a term the dictionary already holds: its id would not
+        be its position."""
+        for term in terms:
+            if term in self._term_to_id:
+                raise ValueError(f"term {term!r} is already interned")
+            self._intern(term)
 
     # -- mutation ------------------------------------------------------------
 

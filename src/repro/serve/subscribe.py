@@ -100,7 +100,7 @@ from repro.errors import DurabilityError
 from repro.geometry import Envelope, Geometry
 from repro.geometry.rtree import RTree
 from repro.obs import get_metrics, get_tracer
-from repro.rdf.graph import OP_ADD, OP_CLEAR, OP_REMOVE
+from repro.rdf.graph import OP_ADD, OP_CLEAR, OP_REMOVE, Op
 from repro.rdf.inference import RDFSInference
 from repro.rdf.namespace import NOA, RDFS, STRDF
 from repro.rdf.term import Literal, URI
@@ -1411,7 +1411,10 @@ class SubscriptionEngine:
     # -- recovery ----------------------------------------------------------
 
     def repair_tail(
-        self, wal_records, sequence: int
+        self,
+        wal_seq: Optional[int],
+        ops: Optional[List[Op]],
+        sequence: int,
     ) -> Optional[NotificationBatch]:
         """Regenerate the at-most-one batch a crash can swallow.
 
@@ -1419,30 +1422,22 @@ class SubscriptionEngine:
         point) and the notification-log append: the acquisition is
         durable but its notifications never reached the log.  Only the
         *last* WAL record can be in that state — any earlier record
-        was followed by a successful append.  Its ops are re-decoded
-        and evaluated against the recovered graph (which, the record
+        was followed by a successful append.  ``wal_seq`` and ``ops``
+        are that record's sequence and decoded ops, as the store's
+        recovery reports them (None when the log is empty); the ops
+        are evaluated against the recovered graph (which, the record
         being last, equals the state the original evaluation saw); the
         regenerated batch is stamped with the restart's imminent
         publication sequence, and the rebuilt seen-set guarantees no
         notification already in the log is emitted twice.
         """
-        from repro.durable.codec import decode_ops
-        from repro.durable.wal import REC_BATCH, split_batch_payload
-
-        last = None
-        for record in wal_records:
-            if record.kind == REC_BATCH:
-                last = record
-        if last is None:
+        if wal_seq is None or ops is None:
             return None
         logged = self.log.last_wal_seq if self.log else None
-        if logged is not None and last.seq <= logged:
+        if logged is not None and wal_seq <= logged:
             return None
-        _, ops_bytes = split_batch_payload(last.payload)
         return self.process_commit(
-            sequence,
-            delta_from_ops(decode_ops(ops_bytes)),
-            wal_seq=last.seq,
+            sequence, delta_from_ops(ops), wal_seq=wal_seq
         )
 
     # -- reporting ---------------------------------------------------------

@@ -531,17 +531,21 @@ class Strabon(_Endpoint):
     def add(self, s: Term, p: Term, o: Term) -> bool:
         return self.graph.add(s, p, o)
 
-    def reset_derived(self) -> None:
-        """Drop every structure derived from graph *content*.
+    def reset_derived(self, graph: Optional[Graph] = None) -> None:
+        """Drop every structure derived from graph *content*, and serve
+        ``graph`` from now on when one is given.
 
         Called after crash recovery rebuilds the graph wholesale
-        (checkpoint load + WAL replay): the spatial index's runs, the
+        (checkpoint load + WAL replay, into a fresh graph so that every
+        term keeps its id): the spatial index's runs, the
         candidate memo and the memoised snapshot view key on log
         positions and generation counters that restart in a recovered
         process, so they must be rebuilt from the recovered state
         rather than trusted.  The parsed-plan cache survives — it is
         keyed on query text alone.
         """
+        if graph is not None:
+            self.graph = graph
         self._index = _NO_INDEX
         self._candidate_cache.clear()
         self._last_view = None

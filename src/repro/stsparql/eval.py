@@ -586,10 +586,13 @@ class Evaluator:
             return
         tests = probe.tests
         passing = probe.passing
-        for obj in restriction:
-            oi = graph.term_id(obj)
-            if oi is None:
-                continue
+        # In id order, not the set's: the order of the matches (and so
+        # of the inserts an update derives from them) must follow the
+        # data, never the hash or memory layout of the process.
+        restricted = sorted(
+            oi for oi in map(graph.term_id, restriction) if oi is not None
+        )
+        for oi in restricted:
             hits = passing.get((pi, oi))
             if hits is None:
                 hits = []

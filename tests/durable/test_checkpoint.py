@@ -201,3 +201,155 @@ def test_randomized_mutation_history_recovers_exactly(store_dir, seed):
         assert _triple_set(recovered_graph) == live
     finally:
         recovered.close()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_recovered_dictionary_matches_id_for_id(store_dir, seed):
+    """Checkpoint plus replayed records rebuild the dictionary exactly:
+    ``term_for_id(i)`` is the same term before the close and after the
+    recovery, for every ``i`` — dead terms and terms interned by an
+    add a later clear voided included."""
+    rng = random.Random(100 + seed)
+    graph = Graph()
+    store = DurableStore(
+        store_dir, graph=graph, fsync="never", checkpoint_interval=3
+    )
+    graph.start_journal()
+    for batch in range(10):
+        for _ in range(rng.randrange(1, 8)):
+            n = rng.randrange(40)
+            if rng.random() < 0.7:
+                graph.add(*_triple(n, rng.choice("abc")))
+            else:
+                graph.remove(_uri(n), None, None)
+        if batch == 5:
+            graph.add(*_triple(500 + seed, "voided"))
+            graph.clear()
+        store.commit(graph.drain_journal(), meta={"batch": batch})
+        store.maybe_checkpoint()
+    assert store.stats()["durable_terms"] == graph.term_count()
+    expected = [graph.term_for_id(i) for i in range(graph.term_count())]
+    triples = _triple_set(graph)
+    store.close()
+
+    recovered = DurableStore(store_dir, graph=Graph(), fsync="never")
+    try:
+        rebuilt = recovered.graph
+        assert [
+            rebuilt.term_for_id(i) for i in range(rebuilt.term_count())
+        ] == expected
+        assert _triple_set(rebuilt) == triples
+        stats = recovered.stats()
+        assert stats["durable_terms"] == len(expected)
+        assert stats["checkpoint_bytes"] == os.path.getsize(
+            os.path.join(store_dir, DurableStore.CHECKPOINT_NAME)
+        )
+    finally:
+        recovered.close()
+
+
+@pytest.mark.parametrize("rewrites", [1, 5])
+def test_record_of_durable_terms_costs_13_bytes_per_op(store_dir, rewrites):
+    """A record that only re-adds terms already on disk carries an
+    empty term table and 4 + 13 x ops bytes of ops, however often those
+    terms were written before."""
+    from repro.durable.codec import split_record
+    from repro.durable.wal import WriteAheadLog, split_batch_payload
+
+    graph = Graph()
+    store = DurableStore(store_dir, graph=graph, fsync="never")
+    graph.start_journal()
+    triples = [_triple(n) for n in range(6)]
+    for _ in range(rewrites):
+        for triple in triples:
+            graph.add(*triple)
+        store.commit(graph.drain_journal())
+        for triple in triples:
+            graph.remove(*triple)
+        store.commit(graph.drain_journal())
+    for triple in triples:
+        graph.add(*triple)
+    ops = graph.drain_journal()
+    store.commit(ops)
+    store.close()
+    records, _, _, _ = WriteAheadLog._scan(
+        os.path.join(store_dir, DurableStore.WAL_NAME)
+    )
+    _, body = split_batch_payload(records[-1].payload)
+    first_id, terms, offset = split_record(body)
+    assert terms == []
+    assert first_id == graph.term_count()
+    assert len(body) - offset == 4 + 13 * len(ops)
+
+
+def test_recovery_reports_the_newest_record_for_crash_repair(
+    store_dir, monkeypatch
+):
+    graph = Graph()
+    store = DurableStore(store_dir, graph=graph, fsync="never")
+    graph.start_journal()
+    graph.add(*_triple(1))
+    store.commit(graph.drain_journal(), meta={"batch": 1})
+    graph.add(*_triple(2))
+    graph.remove(*_triple(1))
+    ops = graph.drain_journal()
+    seq = store.commit(ops, meta={"batch": 2})
+    # A crash between the checkpoint rename and the WAL reset: the log
+    # still holds records the checkpoint contains.
+    monkeypatch.setattr(store.wal, "reset", lambda base_seq=None: None)
+    store.checkpoint()
+    store.close()
+
+    recovered = DurableStore(store_dir, graph=Graph(), fsync="never")
+    try:
+        info = recovered.recovery
+        assert info.replayed_records == 0
+        assert info.last_seq == seq
+        assert info.last_ops == ops
+        assert info.last_meta == {"batch": 2}
+    finally:
+        recovered.close()
+
+
+def test_v1_checkpoint_is_refused_naming_the_file(store_dir):
+    import struct
+    import zlib
+
+    os.makedirs(store_dir)
+    path = os.path.join(store_dir, DurableStore.CHECKPOINT_NAME)
+    body = struct.pack("<Q", 0)  # a v1 body: zero full-term triples
+    with open(path, "wb") as fh:
+        fh.write(
+            struct.pack(
+                "<8sIQQIQ", b"REPROCKP", 1, 0, 0, zlib.crc32(body),
+                len(body),
+            )
+        )
+        fh.write(body)
+    with pytest.raises(DurabilityError, match="graph.ckpt"):
+        DurableStore(store_dir, graph=Graph(), fsync="never")
+
+
+def test_recovery_refuses_a_graph_with_a_dictionary(store_dir):
+    graph = Graph()
+    DurableStore(store_dir, graph=graph, fsync="never").close()
+    busy = Graph()
+    busy.add(*_triple(1))
+    with pytest.raises(DurabilityError, match="graph.ckpt"):
+        DurableStore(store_dir, graph=busy, fsync="never")
+
+
+def test_record_that_does_not_continue_the_dictionary_is_refused(
+    store_dir,
+):
+    graph = Graph()
+    store = DurableStore(store_dir, graph=graph, fsync="never")
+    graph.start_journal()
+    graph.add(*_triple(1))
+    store.commit(graph.drain_journal())
+    graph.add(*_triple(2))
+    store._durable_terms -= 1  # a record that re-sends one term
+    store.commit(graph.drain_journal())
+    store.close()
+    with pytest.raises(DurabilityError, match="wal.log"):
+        DurableStore(store_dir, graph=Graph(), fsync="never")

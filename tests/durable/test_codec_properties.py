@@ -4,7 +4,10 @@ Randomized with the stdlib ``random`` module under fixed seeds (no
 extra dependencies): each seed derives a reproducible batch of
 operations over URIs, blank nodes, and plain / typed / language-tagged
 literals — including non-ASCII lexical forms and WKT geometry literals,
-the two shapes the wildfire store actually persists.
+the two shapes the wildfire store actually persists.  Operations are
+encoded as term ids against a dictionary, the way the store writes
+them, and whole record streams are decoded into a fresh dictionary the
+way recovery rebuilds one.
 """
 
 from __future__ import annotations
@@ -18,11 +21,14 @@ from repro.durable.codec import (
     OP_CLEAR,
     OP_REMOVE,
     decode_ops,
-    decode_term,
+    decode_terms,
     encode_ops,
-    encode_term,
+    encode_record,
+    encode_terms,
+    split_record,
 )
 from repro.errors import DurabilityError
+from repro.rdf.graph import Graph
 from repro.rdf.term import BNode, Literal, URI
 
 #: Deliberately awkward strings: Greek toponyms (the paper's domain),
@@ -116,11 +122,31 @@ def _key(term):
     return ("lit", term.lexical, term.datatype, term.language)
 
 
+def _dictionary(ops):
+    """A term table holding every term ``ops`` name, in first-use
+    order, and its term -> id map."""
+    ids = {}
+    for _, triple in ops:
+        for term in triple or ():
+            ids.setdefault(term, len(ids))
+    return list(ids), ids
+
+
+def _decode_record(buf, dictionary):
+    """Recovery's decode of one record against ``dictionary``."""
+    first_id, terms, offset = split_record(buf)
+    if first_id != len(dictionary):
+        raise DurabilityError("record does not continue the dictionary")
+    dictionary = dictionary + terms
+    return terms, decode_ops(buf, offset, dictionary)
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_ops_roundtrip_randomized(seed):
     rng = random.Random(seed)
     ops = _random_batch(rng)
-    decoded = decode_ops(encode_ops(ops))
+    table, ids = _dictionary(ops)
+    decoded = decode_ops(encode_ops(ops, ids.get), 0, table)
     assert len(decoded) == len(ops)
     for (op_in, triple_in), (op_out, triple_out) in zip(ops, decoded):
         assert op_in == op_out
@@ -135,54 +161,123 @@ def test_ops_roundtrip_randomized(seed):
 @pytest.mark.parametrize("seed", range(25))
 def test_term_roundtrip_randomized(seed):
     rng = random.Random(1000 + seed)
-    for _ in range(50):
-        term = _random_term(rng)
-        out = bytearray()
-        encode_term(out, term)
-        decoded, end = decode_term(bytes(out), 0)
-        assert end == len(out)
-        assert _key(decoded) == _key(term)
+    terms = [_random_term(rng) for _ in range(50)]
+    for term in terms:
+        encoded = encode_terms([term])
+        decoded, end = decode_terms(encoded, 0)
+        assert end == len(encoded)
+        assert [_key(t) for t in decoded] == [_key(term)]
         # The wire form itself is stable: re-encoding the decoded term
         # produces identical bytes (the codec is canonical).
-        again = bytearray()
-        encode_term(again, decoded)
-        assert bytes(again) == bytes(out)
+        assert encode_terms(decoded) == encoded
+    # A whole table decodes in order, from any offset.
+    table = b"prefix" + encode_terms(terms)
+    decoded, end = decode_terms(table, 6)
+    assert end == len(table)
+    assert [_key(t) for t in decoded] == [_key(t) for t in terms]
 
 
 def test_geometry_literal_survives_lexically():
     wkt = "POLYGON ((21.52 37.91, 21.57 37.91, 21.56 37.88, 21.52 37.91))"
     term = Literal(wkt, datatype="http://strdf.di.uoa.gr/ontology#WKT")
-    out = bytearray()
-    encode_term(out, term)
-    decoded, _ = decode_term(bytes(out), 0)
+    (decoded,), _ = decode_terms(encode_terms([term]), 0)
     assert decoded.lexical == wkt
     assert decoded.datatype == term.datatype
+    assert decoded.is_geometry
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_truncation_never_passes_silently(seed):
-    """Every strict prefix of an encoded batch must raise, not return
+    """Every strict prefix of an encoded record must raise, not return
     garbage — this is what the WAL relies on when CRCs are bypassed."""
     rng = random.Random(2000 + seed)
     ops = _random_batch(rng)
     if not ops:
         ops = [(OP_ADD, _random_triple(rng))]
-    encoded = encode_ops(ops)
+    table, ids = _dictionary(ops)
+    encoded = encode_record(0, table, ops, ids.get)
     for cut in sorted(rng.sample(range(len(encoded)), min(12, len(encoded)))):
         with pytest.raises(DurabilityError):
-            decode_ops(encoded[:cut])
+            _decode_record(encoded[:cut], [])
 
 
 def test_trailing_bytes_are_corruption():
-    encoded = encode_ops([(OP_CLEAR, None)])
+    encoded = encode_ops([(OP_CLEAR, None)], {}.get)
     with pytest.raises(DurabilityError):
-        decode_ops(encoded + b"\x00")
+        decode_ops(encoded + b"\x00", 0, [])
 
 
 def test_unknown_opcode_and_kind_raise():
     with pytest.raises(DurabilityError):
-        decode_ops(b"\x01\x00\x00\x00\x7f")
+        decode_ops(b"\x01\x00\x00\x00\x7f", 0, [])
     with pytest.raises(DurabilityError):
-        decode_term(b"\x63", 0)
+        decode_terms(b"\x01\x00\x00\x00\x63", 0)
     with pytest.raises(DurabilityError):
-        encode_ops([(99, None)])
+        encode_ops([(99, None)], {}.get)
+
+
+def test_ids_beyond_the_dictionary_and_unknown_terms_raise():
+    triple = (URI("http://example.org/s"), URI("http://example.org/p"),
+              Literal("o"))
+    table, ids = _dictionary([(OP_ADD, triple)])
+    encoded = encode_ops([(OP_ADD, triple)], ids.get)
+    with pytest.raises(DurabilityError):
+        decode_ops(encoded, 0, table[:2])
+    with pytest.raises(DurabilityError):
+        encode_ops([(OP_ADD, triple)], {}.get)
+
+
+def _apply(graph, ops):
+    for opcode, triple in ops:
+        if opcode == OP_ADD:
+            graph.add(*triple)
+        elif opcode == OP_REMOVE:
+            graph.remove(*triple)
+        else:
+            graph.clear()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_record_stream_rebuilds_the_graph_and_its_ids(seed):
+    """Seeded random graphs written the way the store writes them —
+    each record carries the terms interned since the previous one from
+    a dictionary cursor — decode into a fresh graph with the same
+    triples and the same id for every term.  Batches include a clear
+    mid-batch, and an add-then-clear batch (whose voided add still
+    interned its terms) followed by a batch that uses later ids."""
+    rng = random.Random(3000 + seed)
+    graph = Graph()
+    graph.start_journal()
+    records = []
+    cursor = 0
+    for batch in range(10):
+        if batch == 4:
+            # Add-then-clear: the journal keeps only the clear.
+            for _ in range(rng.randrange(1, 6)):
+                graph.add(*_random_triple(rng))
+            graph.clear()
+        else:
+            for opcode, triple in _random_batch(rng):
+                if opcode == OP_ADD:
+                    graph.add(*triple)
+                elif opcode == OP_REMOVE:
+                    graph.remove(*triple)
+                elif rng.random() < 0.5:
+                    graph.clear()
+        ops = graph.drain_journal()
+        if batch == 4:
+            assert ops == [(OP_CLEAR, None)]
+        terms = graph.terms(cursor)
+        records.append(encode_record(cursor, terms, ops, graph.term_id))
+        cursor += len(terms)
+
+    rebuilt = Graph()
+    for record in records:
+        first_id, terms, offset = split_record(record)
+        assert first_id == rebuilt.term_count()
+        rebuilt.extend_terms(terms)
+        _apply(rebuilt, decode_ops(record, offset, rebuilt.terms()))
+    assert rebuilt.term_count() == graph.term_count()
+    for tid in range(graph.term_count()):
+        assert _key(rebuilt.term_for_id(tid)) == _key(graph.term_for_id(tid))
+    assert set(rebuilt.triples()) == set(graph.triples())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -164,6 +165,39 @@ class TestRegistryLog:
         log = RegistryLog(path)
         assert [d["id"] for d in log.documents] == ["a", "c"]
         log.close()
+
+
+    def test_add_stores_one_key_list_per_shape(self, tmp_path):
+        path = str(tmp_path / "registry.log")
+        docs = [
+            {"id": f"g{n}", "kind": "filter", "bbox": [n, 0, n + 1, 1]}
+            if n % 2
+            else {"id": f"f{n}", "kind": "fwi", "min_class": "high"}
+            for n in range(6)
+        ]
+        log = RegistryLog(path)
+        log.add(docs)
+        log.close()
+        with WriteAheadLog(path) as wal:
+            (record,) = wal.replayed
+        shapes = json.loads(record.payload)["add"]
+        assert [shape["keys"] for shape in shapes] == [
+            ["id", "kind", "min_class"],
+            ["id", "kind", "bbox"],
+        ]
+        assert [len(shape["rows"]) for shape in shapes] == [3, 3]
+        log = RegistryLog(path)
+        assert sorted(log.documents, key=lambda d: d["id"]) == sorted(
+            docs, key=lambda d: d["id"]
+        )
+        log.close()
+
+    def test_old_layout_is_refused_naming_the_file(self, tmp_path):
+        path = str(tmp_path / "registry.log")
+        with WriteAheadLog(path) as wal:
+            wal.append(b'{"add":[{"id":"a","kind":"filter"}]}')
+        with pytest.raises(DurabilityError, match="registry.log"):
+            RegistryLog(path)
 
 
 class TestCursorStore:

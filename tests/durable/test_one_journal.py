@@ -18,7 +18,7 @@ import random
 import pytest
 
 from repro.durable import DurableStore
-from repro.durable.codec import decode_ops
+from repro.durable.codec import decode_ops, split_record
 from repro.durable.wal import WriteAheadLog, split_batch_payload
 from repro.rdf.graph import OP_ADD, OP_CLEAR, OP_REMOVE
 from repro.rdf.namespace import NOA, RDF, STRDF
@@ -85,8 +85,12 @@ def _last_record_ops(store: DurableStore):
     records, _, _, _ = WriteAheadLog._scan(
         os.path.join(store.directory, DurableStore.WAL_NAME)
     )
-    _, ops_bytes = split_batch_payload(records[-1].payload)
-    return decode_ops(ops_bytes)
+    _, body = split_batch_payload(records[-1].payload)
+    first_id, terms, offset = split_record(body)
+    # The record carries exactly the terms interned since the last one.
+    assert first_id + len(terms) == store.graph.term_count()
+    assert terms == store.graph.terms(first_id)
+    return decode_ops(body, offset, store.graph.terms())
 
 
 @pytest.mark.parametrize("engine_first", [True, False])

@@ -120,5 +120,11 @@ def test_recovered_service_serves_monotonic_sequences(
         durability = reopened.health()["durability"]
         assert durability["committed_acquisitions"] == N_ACQUISITIONS
         assert durability["resume_skipped"] == N_ACQUISITIONS
+        # The dictionary cursor covers the whole recovered dictionary.
+        wal = durability["wal"]
+        assert wal["durable_terms"] == reopened.strabon.graph.term_count()
+        assert wal["checkpoint_bytes"] == os.path.getsize(
+            os.path.join(state_dir, "durable", "graph.ckpt")
+        )
     finally:
         reopened.close()
