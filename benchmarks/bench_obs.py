@@ -29,7 +29,7 @@ import pytest
 from benchmarks.conftest import CRISIS_START, paper_scale
 from repro import obs
 from repro.core.sciql_chain import SciQLChain
-from repro.core.config import RunOptions
+from repro.core.config import RunOptions, ServiceConfig
 from repro.core.service import FireMonitoringService
 from repro.obs import (
     build_snapshot,
@@ -67,7 +67,8 @@ def instrumented_run(greece, season):
         archive = os.path.join(workdir, "archive")
         os.makedirs(incoming)
         service = FireMonitoringService(
-            greece=greece, mode="teleios", workdir=workdir
+            greece=greece,
+            config=ServiceConfig(mode="teleios", workdir=workdir),
         )
         for k in range(N_ACQUISITIONS):
             when = CRISIS_START + timedelta(hours=12, minutes=15 * k)

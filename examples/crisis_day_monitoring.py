@@ -61,7 +61,10 @@ def main(with_faults: bool = False) -> None:
             use_files=with_faults,
         ),
     )
-    legacy = FireMonitoringService(greece=greece, mode="pre-teleios")
+    legacy = FireMonitoringService(
+        greece=greece,
+        config=ServiceConfig(mode="pre-teleios"),
+    )
 
     whens = [
         crisis_start.replace(hour=14) + timedelta(minutes=15 * step)

@@ -111,12 +111,17 @@ def main() -> None:
         acq = stale[0]
         print(f"   stale acquisition {acq.timestamp:%H:%M} dispatched "
               f"without {'/'.join(acq.missing_bands)}")
-        from repro.core import FireMonitoringService
+        from repro.core import (
+            FireMonitoringService,
+            RunOptions,
+            ServiceConfig,
+        )
 
         with FireMonitoringService(
-            greece=greece, mode="pre-teleios"
+            greece=greece,
+            config=ServiceConfig(mode="pre-teleios"),
         ) as service:
-            [outcome] = service.run([acq], season=season)
+            [outcome] = service.run([acq], RunOptions(season=season))
         print(f"   service outcome: status={outcome.status}")
         for error in outcome.errors:
             print(f"     {error}")

@@ -20,7 +20,7 @@ import threading
 from datetime import datetime, timedelta, timezone
 
 from repro import obs
-from repro.core import FireMonitoringService, RunOptions
+from repro.core import FireMonitoringService, RunOptions, ServiceConfig
 from repro.datasets import SyntheticGreece
 from repro.serve import ServeClient, serve_in_thread
 from repro.seviri.fires import FireSeason
@@ -39,7 +39,10 @@ def main() -> None:
     options = RunOptions(season=season)
 
     print("Ingesting the 13:00-13:30 UTC acquisitions...")
-    service = FireMonitoringService(greece=greece, mode="teleios")
+    service = FireMonitoringService(
+        greece=greece,
+        config=ServiceConfig(mode="teleios"),
+    )
     first = [
         crisis_start.replace(hour=13) + timedelta(minutes=15 * k)
         for k in range(3)

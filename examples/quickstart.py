@@ -10,7 +10,7 @@ Run:  python examples/quickstart.py
 
 from datetime import datetime, timezone
 
-from repro.core import FireMonitoringService, RunOptions
+from repro.core import FireMonitoringService, RunOptions, ServiceConfig
 from repro.datasets import SyntheticGreece
 from repro.seviri.fires import FireSeason
 
@@ -28,7 +28,10 @@ def main() -> None:
 
     print("Starting the TELEIOS fire monitoring service "
           "(MonetDB/SciQL chain + Strabon refinement)...")
-    service = FireMonitoringService(greece=greece, mode="teleios")
+    service = FireMonitoringService(
+        greece=greece,
+        config=ServiceConfig(mode="teleios"),
+    )
 
     when = crisis_start.replace(hour=14)
     print(f"\nProcessing the {when:%H:%M} UTC acquisition...")

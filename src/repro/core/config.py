@@ -1,7 +1,7 @@
 """Configuration surface of the monitoring service.
 
-One construction-time object (:class:`ServiceConfig`) replaces the
-8-kwarg service constructor, and one per-batch object
+One construction-time object (:class:`ServiceConfig`) is the service
+constructor's whole configuration, and one per-batch object
 (:class:`RunOptions`) carries everything that varies per
 :meth:`~repro.core.service.FireMonitoringService.run` call:
 
@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import Dict, Optional
 
 from repro.errors import ConfigurationError
 from repro.faults import CircuitBreaker, RetryPolicy
@@ -29,6 +29,11 @@ __all__ = ["ServiceConfig", "RunOptions", "FaultPolicy"]
 
 #: What :attr:`RunOptions.on_error` accepts.
 ON_ERROR_MODES = ("degrade", "raise")
+
+#: Field metadata of the :class:`ServiceConfig` fields a durable
+#: service does not persist: where this process keeps its files, and
+#: in-memory grid objects.
+_LOCAL = {"persisted": False}
 
 #: :class:`FaultPolicy` durations, each a non-negative number of seconds.
 _POLICY_SECONDS = (
@@ -133,20 +138,20 @@ class ServiceConfig:
     use_files: bool = False
     #: Working directory; a private temporary directory (cleaned up by
     #: ``close()``) is created when unset.
-    workdir: Optional[str] = None
+    workdir: Optional[str] = field(default=None, metadata=_LOCAL)
     #: File products into a :class:`~repro.core.archive.ProductArchive`.
     archive_products: bool = False
     #: Expected cloud fields per synthesised scene (Poisson).
     clouds_per_scene: float = 0.0
     #: Satellite grids; library defaults when unset.
-    raw_grid: Optional[object] = None
-    target_grid: Optional[object] = None
+    raw_grid: Optional[object] = field(default=None, metadata=_LOCAL)
+    target_grid: Optional[object] = field(default=None, metadata=_LOCAL)
     #: Durable-state directory (``repro.durable``).  When set, the RDF
-    #: store is write-ahead logged and the service checkpoints its
-    #: acquisition cursor there after every commit;
+    #: store is write-ahead logged, each commit's WAL record carrying
+    #: the acquisition cursor;
     #: ``FireMonitoringService.open(state_dir)`` resumes from it.
     #: Unset = the historical fully-in-memory behaviour.
-    state_dir: Optional[str] = None
+    state_dir: Optional[str] = field(default=None, metadata=_LOCAL)
     #: WAL fsync policy: ``"commit"`` (once per acquisition commit,
     #: the default), ``"always"`` (every append) or ``"never"``
     #: (benchmarks/tests — survives process crashes, not OS crashes).
@@ -185,6 +190,21 @@ class ServiceConfig:
                     "feeds the semantic refinement stage)"
                 )
             self.sources = self.sources_config()
+
+    def to_dict(self) -> Dict[str, object]:
+        """The persisted fields as plain values (``sources`` as its
+        :meth:`~repro.sources.SourcesConfig.to_dict`): what a durable
+        service saves in ``service.json`` and
+        :meth:`~repro.core.service.FireMonitoringService.open` feeds
+        back into this constructor."""
+        out: Dict[str, object] = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.metadata.get("persisted", True)
+        }
+        sources = self.sources_config()
+        out["sources"] = None if sources is None else sources.to_dict()
+        return out
 
     def sources_config(self):
         """The ``sources`` field normalised to a ``SourcesConfig``."""
@@ -239,13 +259,3 @@ class RunOptions:
             if self.fault_policy is not None
             else FaultPolicy()
         )
-
-    def merged(self, **overrides: object) -> "RunOptions":
-        """A copy with ``overrides`` applied (unknown names raise)."""
-        valid = {f.name for f in fields(RunOptions)}
-        unknown = set(overrides) - valid
-        if unknown:
-            raise ConfigurationError(
-                f"unknown run option(s): {sorted(unknown)}"
-            )
-        return replace(self, **overrides)

@@ -120,6 +120,9 @@ class AcquisitionOutcome:
     source_reports: List[Dict[str, object]] = field(
         default_factory=list
     )
+    #: The run's real-time window (:attr:`FaultPolicy.window_seconds`,
+    #: the 5-minute MSG1 cadence by default) that both stages must fit.
+    window_seconds: float = FaultPolicy.window_seconds
 
     @property
     def trace_id(self) -> Optional[str]:
@@ -140,8 +143,10 @@ class AcquisitionOutcome:
 
     @property
     def within_budget(self) -> bool:
-        """Both stages must fit in the 5-minute MSG1 window (§4.2.1)."""
-        return (self.chain_seconds + self.refinement_seconds) < 300.0
+        """Both stages must fit the run's real-time window (§4.2.1)."""
+        return (
+            self.chain_seconds + self.refinement_seconds
+        ) < self.window_seconds
 
 
 class _RunState:
@@ -168,27 +173,10 @@ class FireMonitoringService:
     def __init__(
         self,
         greece: Optional[SyntheticGreece] = None,
-        mode: str = "teleios",
-        seed: int = 42,
-        use_files: bool = False,
-        workdir: Optional[str] = None,
-        archive_products: bool = False,
-        clouds_per_scene: float = 0.0,
-        raw_grid: Optional[RawGrid] = None,
-        target_grid: Optional[TargetGrid] = None,
         config: Optional[ServiceConfig] = None,
     ) -> None:
         if config is None:
-            config = ServiceConfig(
-                mode=mode,
-                seed=seed,
-                use_files=use_files,
-                workdir=workdir,
-                archive_products=archive_products,
-                clouds_per_scene=clouds_per_scene,
-                raw_grid=raw_grid,
-                target_grid=target_grid,
-            )
+            config = ServiceConfig()
         config.validate()
         self.config = config
         self.mode = config.mode
@@ -296,7 +284,6 @@ class FireMonitoringService:
         self._last_committed_timestamp: Optional[datetime] = None
         self._last_wal_seq: Optional[int] = None
         self._resume_skipped = 0
-        self._service_state_path: Optional[str] = None
         if config.state_dir is not None:
             self._open_durable(config)
         elif self.mode == "teleios":
@@ -368,14 +355,15 @@ class FireMonitoringService:
     def _open_durable(self, config: ServiceConfig) -> None:
         """Attach (creating or recovering) the durable state under
         ``config.state_dir``; see DESIGN.md for the commit order."""
-        from repro.durable import DurableStore, load_service_state
+        from repro.durable import (
+            DurableStore,
+            load_service_state,
+            save_service_state,
+        )
 
         state_dir = config.state_dir
         assert state_dir is not None
         os.makedirs(state_dir, exist_ok=True)
-        self._service_state_path = os.path.join(
-            state_dir, "service.json"
-        )
         self._open_flight_recorder(state_dir)
         durable_dir = os.path.join(state_dir, "durable")
         fresh = not DurableStore.exists(durable_dir)
@@ -397,64 +385,42 @@ class FireMonitoringService:
                 # inference closure) must not outlive their source.
                 self.strabon.reset_derived(self.durable.graph)
         self.recovery = self.durable.recovery
-        saved = load_service_state(self._service_state_path)
-        committed = 0
-        last_ts: Optional[str] = None
-        published_sequence = 0
-        product_count = 0
-        if saved is not None:
-            committed = int(saved.get("committed", 0))
-            last_ts = saved.get("last_timestamp")
-            published_sequence = int(
-                saved.get("published_sequence", 0)
-            )
-            product_count = int(saved.get("product_count", 0))
-            counts = saved.get("status_counts") or {}
-            for status in OUTCOME_STATUSES:
-                if status in counts:
-                    self._status_counts[status] = int(counts[status])
-            self._refine_history = [
-                float(x) for x in saved.get("refine_history", [])
-            ]
-            if saved.get("breaker") == "open":
-                for _ in range(self._breaker.failure_threshold):
-                    self._breaker.record_failure()
-        # The WAL is the commit point: a crash between the WAL append
-        # and the service checkpoint leaves the WAL one acquisition
-        # ahead of service.json — its batch metadata wins the cursor.
-        wal_meta = (
-            self.recovery.last_meta
-            if self.recovery is not None
-            else None
-        )
-        if wal_meta and int(wal_meta.get("committed", 0)) > committed:
-            committed = int(wal_meta["committed"])
-            last_ts = wal_meta.get("timestamp")
-            status = wal_meta.get("status")
-            if status in self._status_counts:
-                self._status_counts[status] += 1
-            product_count = max(
-                product_count,
-                int(wal_meta.get("product_count", product_count)),
-            )
-        if self.refinement is not None:
-            # URI namespacing must continue where the recovered
-            # acquisitions left off, never restart at zero.
-            self.refinement.product_count = product_count
-        self._committed_acquisitions = committed
+        # The newest commit's metadata (its WAL record, or else the
+        # checkpoint that compacted it) is the whole service cursor.
+        meta = (
+            self.recovery.last_meta if self.recovery is not None else None
+        ) or {}
+        counts = meta.get("status_counts") or {}
+        for status in OUTCOME_STATUSES:
+            self._status_counts[status] = int(counts.get(status, 0))
+        if meta.get("breaker") == "open":
+            for _ in range(self._breaker.failure_threshold):
+                self._breaker.record_failure()
+        # URI namespacing must continue where the recovered
+        # acquisitions left off, never restart at zero.
+        self.refinement.product_count = int(meta.get("product_count", 0))
+        self._committed_acquisitions = int(meta.get("committed", 0))
+        last_ts = meta.get("timestamp")
         self._last_committed_timestamp = (
             datetime.fromisoformat(last_ts) if last_ts else None
         )
         # Publication numbering must never regress for a polling
-        # reader: resume above the highest sequence that may have been
-        # observed before the crash.  Durable subscription state rides
-        # in state_dir/subs/ — the registry, per-subscriber cursors
-        # and the notification log — and the at-most-one notification
-        # batch a crash can have swallowed (committed to the WAL, never
-        # logged) is regenerated before readers reconnect, stamped
-        # with the imminent initial publication's sequence.
+        # reader: resume above the sequence the newest commit reserved
+        # and the one the previous open published (service.json's
+        # floor — no commit may have followed it).  Durable
+        # subscription state rides in state_dir/subs/ — the registry,
+        # per-subscriber cursors and the notification log — and the
+        # at-most-one notification batch a crash can have swallowed
+        # (committed to the WAL, never logged) is regenerated before
+        # readers reconnect, stamped with the imminent initial
+        # publication's sequence.
+        state_path = os.path.join(state_dir, "service.json")
+        saved = load_service_state(state_path) or {}
         self._open_serving(
-            start_sequence=published_sequence,
+            start_sequence=max(
+                int(meta.get("sequence", 0)),
+                int(saved.get("published_sequence", 0)),
+            ),
             subs_dir=os.path.join(state_dir, "subs"),
             fsync=config.wal_fsync,
         )
@@ -469,12 +435,23 @@ class FireMonitoringService:
         )
         if repaired is not None:
             self.subscriptions.publish_batch(repaired)
-        self._save_service_state()
+        # The one service.json write: what the next open needs before
+        # the store is open (the configuration) plus the sequence
+        # floor, written before any reader can see this publication.
+        save_service_state(
+            state_path,
+            {
+                "version": 2,
+                "published_sequence": self.publisher.sequence,
+                "config": config.to_dict(),
+            },
+            fsync=config.wal_fsync != "never",
+        )
         _log.info(
             "durable state at %s: %s (committed=%d, published_seq=%d)",
             state_dir,
             "fresh" if fresh else "recovered",
-            committed,
+            self._committed_acquisitions,
             self.publisher.sequence,
         )
 
@@ -523,73 +500,20 @@ class FireMonitoringService:
             len(events),
         )
 
-    def _save_service_state(self, reserve_publish: bool = False) -> None:
-        """Atomically checkpoint the service-level cursor + context.
-
-        ``reserve_publish`` is set on the per-acquisition commit path,
-        where this write happens *before* the publication it covers:
-        the stored sequence is then ``current + 1`` — the number the
-        imminent publish will use — so a crash on either side of the
-        publish restarts numbering strictly above anything a reader
-        may have observed.
-        """
-        from repro.durable import save_service_state
-
-        assert self._service_state_path is not None
-        assert self.publisher is not None
-        save_service_state(
-            self._service_state_path,
-            {
-                "version": 1,
-                "committed": self._committed_acquisitions,
-                "last_timestamp": (
-                    None
-                    if self._last_committed_timestamp is None
-                    else self._last_committed_timestamp.isoformat()
-                ),
-                "published_sequence": self.publisher.sequence
-                + (1 if reserve_publish else 0),
-                "status_counts": dict(self._status_counts),
-                "product_count": (
-                    0
-                    if self.refinement is None
-                    else self.refinement.product_count
-                ),
-                "breaker": self._breaker.state,
-                "refine_history": self._refine_history[-8:],
-                "dead_letters": len(self.dead_letters),
-                "config": {
-                    "mode": self.config.mode,
-                    "seed": self.config.seed,
-                    "use_files": self.config.use_files,
-                    "archive_products": self.config.archive_products,
-                    "clouds_per_scene": self.config.clouds_per_scene,
-                    "wal_fsync": self.config.wal_fsync,
-                    "checkpoint_interval": (
-                        self.config.checkpoint_interval
-                    ),
-                    "sources": (
-                        None
-                        if self.sources is None
-                        else self.sources.config.to_dict()
-                    ),
-                },
-            },
-            fsync=self.config.wal_fsync != "never",
-        )
-
     def _durable_commit(
         self, outcome: AcquisitionOutcome, ops: List[Op]
     ) -> None:
         """Make one acquisition durable, *then* let it publish.
 
-        Order (each boundary is a registered crashpoint):
-
-        1. WAL append of ``ops`` + fsync — **the commit point**,
-        2. service.json atomic write — cursor + the sequence the
-           imminent publication will use (reserved *before* publishing
-           so a restart never reuses an observed sequence number),
-        3. (caller publishes, then compacts).
+        The WAL append of ``ops`` + fsync is **the commit point** and
+        the acquisition's only durable write: its metadata carries the
+        whole service cursor — the acquisition count and timestamp,
+        cumulative status counts, breaker state, the product count, and
+        the sequence the imminent publication will use (reserved
+        *before* publishing, so a restart never reuses an observed
+        sequence number).  The caller then publishes and compacts.
+        Refinement wall times stay out: they measure this process, and
+        durable bytes must follow the input alone.
         """
         if self.durable is None:
             return
@@ -609,16 +533,12 @@ class FireMonitoringService:
                         if outcome.timestamp is None
                         else outcome.timestamp.isoformat()
                     ),
-                    "status": outcome.status,
-                    "product_count": (
-                        0
-                        if self.refinement is None
-                        else self.refinement.product_count
-                    ),
-                }
+                    "status_counts": dict(self._status_counts),
+                    "breaker": self._breaker.state,
+                    "product_count": self.refinement.product_count,
+                    "sequence": self.publisher.sequence + 1,
+                },
             )
-            crashpoints.crash("commit.post-wal")
-            self._save_service_state(reserve_publish=True)
             crashpoints.crash("commit.pre-publish")
 
     # -- lifecycle ---------------------------------------------------------
@@ -657,23 +577,19 @@ class FireMonitoringService:
         self,
         requests: Iterable,
         options: Optional[RunOptions] = None,
-        **overrides,
     ) -> List[AcquisitionOutcome]:
         """Process a batch of acquisition requests, in order.
 
         ``requests`` may hold timestamps (scenes are synthesised),
         :class:`~repro.seviri.scene.SceneImage` objects, acquisitions
         dispatched by a :class:`~repro.seviri.monitor.SeviriMonitor`, or
-        raw chain inputs — mixed freely.  ``options`` (or keyword
-        ``overrides`` of individual :class:`RunOptions` fields) selects
-        the scene synthesis inputs and the failure semantics; see the
-        module docstring.
+        raw chain inputs — mixed freely.  ``options`` selects the scene
+        synthesis inputs and the failure semantics; see the module
+        docstring.
         """
         if self._closed:
             raise ServiceStateError("service is closed")
         options = options if options is not None else RunOptions()
-        if overrides:
-            options = options.merged(**overrides)
         options.validate()
         if self.sources is not None:
             # Bind the season to the federation (polar detections
@@ -750,7 +666,9 @@ class FireMonitoringService:
             except Exception as error:
                 if state.raise_on_error:
                     raise
-                outcome = self._failure_outcome(request, error, root)
+                outcome = self._failure_outcome(
+                    request, error, root, state
+                )
                 self._account_outcome(outcome)
                 return outcome
             outcome = self._stage_two(result, state, root)
@@ -758,7 +676,7 @@ class FireMonitoringService:
         return outcome
 
     def _failure_outcome(
-        self, request, error: BaseException, root
+        self, request, error: BaseException, root, state: _RunState
     ) -> AcquisitionOutcome:
         timestamp, sensor = request_identity(request)
         outcome = AcquisitionOutcome(
@@ -767,6 +685,7 @@ class FireMonitoringService:
             status="error",
             errors=[f"{type(error).__name__}: {error}"],
             trace_context=context_of(root),
+            window_seconds=state.policy.window_seconds,
         )
         root.set(status="error", error=type(error).__name__)
         _log.error(
@@ -805,6 +724,7 @@ class FireMonitoringService:
             stage_one_seconds=result.stage_seconds,
             errors=list(result.notes.reasons),
             trace_context=context_of(root),
+            window_seconds=state.policy.window_seconds,
         )
         degraded = result.notes.degraded
         with _tracer.span("stage.refine", hotspots=len(product)):
@@ -945,12 +865,12 @@ class FireMonitoringService:
         # degraded — a degraded product is still the best available
         # data), never mid-refinement: readers can only ever observe
         # complete per-acquisition states.  With durable state the
-        # acquisition is made crash-proof *first* (WAL fsync, then the
-        # service checkpoint) — publication follows durability, which
-        # is why a reader can never observe state that a recovery
-        # would roll back.  An "error" outcome mutated nothing and
-        # published nothing, so it is deliberately not committed: a
-        # restart reprocesses it, deterministically failing again.
+        # acquisition is made crash-proof *first* (the WAL fsync) —
+        # publication follows durability, which is why a reader can
+        # never observe state that a recovery would roll back.  An
+        # "error" outcome mutated nothing and published nothing, so it
+        # is deliberately not committed: a restart reprocesses it,
+        # deterministically failing again.
         if self.publisher is not None and outcome.status != "error":
             # The acquisition's root span has already closed; the
             # ambient context re-parents the publish span (and the

@@ -12,9 +12,12 @@ makes crash recovery a *tested, measured property*:
   live :class:`~repro.rdf.graph.Graph`'s drained mutation journal into
   the WAL, one record per commit, and compacts it
   into generation-stamped checkpoints serialized from the existing
-  O(1) copy-on-write ``snapshot()`` (the writer is never blocked);
-  plus the atomic ``service.json`` save/load used for the service-level
-  acquisition cursor.
+  O(1) copy-on-write ``snapshot()`` (the writer is never blocked).
+  Each record's metadata is the owner's commit state (the service's
+  acquisition cursor), and a checkpoint keeps the newest one; plus
+  the atomic JSON save/load behind ``service.json`` (written once per
+  open: the persisted configuration and a publication-sequence floor)
+  and the subscriber cursors.
 * :mod:`repro.durable.codec` — the dictionary-encoded codec shared by
   WAL records and checkpoints: a checkpoint is the graph's term table
   in id order plus u32 id triples, and a WAL record carries only the

@@ -1,6 +1,7 @@
 """Deterministic crash injection for the durability commit path.
 
-The WAL, checkpoint writer and service commit sequence call
+The WAL, the checkpoint writer, the service commit sequence and the
+atomic JSON writer (``service.json`` at open, subscriber cursors) call
 :func:`crash` (or :func:`fire` where the crash needs a deliberately
 torn write first) at *named* points.  A test arms exactly one point
 with :func:`arm` — optionally "crash only on the Nth pass" — forks the
@@ -39,7 +40,8 @@ __all__ = [
 #: (segfaults, unhandled exceptions) in the forking test harness.
 CRASH_EXIT = 86
 
-#: Every named crashpoint in the commit path, in commit order.
+#: Every named crashpoint: the per-acquisition commit path in commit
+#: order, then the one ``service.json`` write of an open.
 REGISTRY: Dict[str, str] = {
     "wal.append.torn": (
         "mid-WAL-append: the record frame is half-written (torn tail)"
@@ -47,17 +49,8 @@ REGISTRY: Dict[str, str] = {
     "wal.append.pre-sync": (
         "WAL record fully written but not yet fsynced"
     ),
-    "commit.post-wal": (
-        "after the WAL commit point, before the service checkpoint"
-    ),
-    "service-checkpoint.torn": (
-        "mid-service-checkpoint: temp file half-written"
-    ),
-    "service-checkpoint.pre-rename": (
-        "service checkpoint temp complete, before the atomic rename"
-    ),
     "commit.pre-publish": (
-        "service checkpoint durable, before the snapshot publish"
+        "after the WAL commit point, before the snapshot publish"
     ),
     "commit.post-publish": (
         "snapshot published, before periodic graph compaction"
@@ -71,6 +64,12 @@ REGISTRY: Dict[str, str] = {
     "graph-checkpoint.post-rename": (
         "graph checkpoint renamed in, before the WAL reset"
     ),
+    "service-checkpoint.torn": (
+        "mid-service.json write at open: temp file half-written"
+    ),
+    "service-checkpoint.pre-rename": (
+        "service.json temp complete, before the atomic rename"
+    ),
 }
 
 _armed: Optional[Tuple[str, int]] = None
@@ -81,8 +80,8 @@ def arm(name: str, hits: int = 1) -> None:
     """Arm ``name``: the ``hits``-th pass through it aborts the process.
 
     ``hits`` lets a test skip passes that happen during service
-    construction (the baseline checkpoint, the initial service state
-    write) and crash on a specific acquisition's commit instead.
+    construction (the baseline graph checkpoint) and crash on a
+    specific acquisition's commit instead.
     """
     global _armed, _passes
     if name not in REGISTRY:

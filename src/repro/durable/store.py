@@ -21,9 +21,13 @@ rename→reset window harmless: the old WAL's records are simply
 recognized as already contained.
 
 Both files are dictionary-encoded (:mod:`repro.durable.codec`).  A
-checkpoint (version 2) is the snapshot's whole term table in id order
-— dead terms included, so ids never change — then the triple count and
-the triples as u32 id triples.  Each WAL record carries the terms the
+checkpoint (version 3) is framed like a WAL batch: the metadata of the
+newest commit it contains, then the snapshot's whole term table in id
+order — dead terms included, so ids never change — then the triple
+count and the triples as u32 id triples.  A record's metadata is the
+owner's commit state (the service's acquisition cursor), so after a
+compaction resets the WAL the cursor is still on disk, in the
+checkpoint.  Each WAL record carries the terms the
 graph interned since the previous record (from the store's
 **dictionary cursor**, ``durable_terms`` in :meth:`DurableStore.stats`)
 and then the ops as ids.  Recovery rebuilds the dictionary in order
@@ -82,7 +86,7 @@ _metrics = get_metrics()
 _tracer = get_tracer()
 
 _CKPT_MAGIC = b"REPROCKP"
-_CKPT_VERSION = 2
+_CKPT_VERSION = 3
 #: magic | version | last_seq | generation | body crc32 | body length
 _CKPT_HEADER = struct.Struct("<8sIQQIQ")
 _U64 = struct.Struct("<Q")
@@ -98,8 +102,9 @@ class RecoveryInfo:
     replayed_ops: int
     truncated_bytes: int
     seconds: float
-    #: Metadata of the newest WAL batch on disk (even one the
-    #: checkpoint already contains) — the service's acquisition cursor.
+    #: Metadata of the newest commit on disk: the newest WAL batch's
+    #: (even one the checkpoint already contains), or else the
+    #: checkpoint's — the service's acquisition cursor.
     last_meta: Optional[Dict] = field(default=None)
     #: Sequence number and decoded ops of the newest WAL batch on disk
     #: (None when the log is empty) — what crash repair re-evaluates.
@@ -143,6 +148,8 @@ class DurableStore:
         #: (in the checkpoint or an earlier WAL record).
         self._durable_terms = 0
         self._checkpoint_bytes = 0
+        #: Metadata of the newest commit, written into each checkpoint.
+        self._last_meta: Optional[Dict] = None
         ckpt = self._checkpoint_path
         wal = self._wal_path
         if os.path.exists(ckpt):
@@ -191,8 +198,9 @@ class DurableStore:
         Returns the record's sequence number (None when there was
         nothing to write: no operations *and* no metadata).  Once this
         returns, the batch survives a crash — everything after it
-        (service checkpoint, publication, compaction) is recoverable
-        bookkeeping.
+        (publication, compaction) is recoverable bookkeeping.
+        ``meta`` is the owner's commit state; the newest one also rides
+        every later checkpoint.
         """
         self._require_open()
         if not ops and meta is None:
@@ -210,6 +218,8 @@ class DurableStore:
         self._wal.sync()
         self._durable_terms += len(terms)
         self._batches_since_checkpoint += 1
+        if meta:
+            self._last_meta = meta
         return seq
 
     def maybe_checkpoint(self) -> bool:
@@ -243,14 +253,12 @@ class DurableStore:
             # The whole dictionary, dead terms included: ids stay what
             # they are, so any later WAL record decodes against it.
             terms = snap.terms()
-            body = b"".join(
-                (
-                    encode_terms(terms),
-                    _U64.pack(len(snap)),
-                    pack_ids(
-                        [tid for ids in snap.triples_ids() for tid in ids]
-                    ),
-                )
+            ids = [tid for triple in snap.triples_ids() for tid in triple]
+            body = batch_payload(
+                self._last_meta,
+                b"".join(
+                    (encode_terms(terms), _U64.pack(len(snap)), pack_ids(ids))
+                ),
             )
             header = _CKPT_HEADER.pack(
                 _CKPT_MAGIC,
@@ -295,11 +303,10 @@ class DurableStore:
     def _recover(self) -> RecoveryInfo:
         start = time.perf_counter()
         with _tracer.span("durable.recover", directory=self.directory):
-            last_seq, triples = self._load_checkpoint()
+            last_seq, triples, last_meta = self._load_checkpoint()
             self._wal = WriteAheadLog(self._wal_path, fsync=self.fsync)
             replayed_records = 0
             replayed_ops = 0
-            last_meta: Optional[Dict] = None
             last_ops: Optional[List[Op]] = None
             records = self._wal.replayed
             for record in records:
@@ -321,6 +328,7 @@ class DurableStore:
                 )
             self._batches_since_checkpoint = replayed_records
             self._durable_terms = self.graph.term_count()
+            self._last_meta = last_meta
         seconds = time.perf_counter() - start
         if _metrics.enabled:
             gauge = _metrics.gauge(
@@ -364,7 +372,7 @@ class DurableStore:
                 f"WAL {self._wal_path!r}: {error}"
             ) from error
 
-    def _load_checkpoint(self) -> Tuple[int, int]:
+    def _load_checkpoint(self) -> Tuple[int, int, Optional[Dict]]:
         path = self._checkpoint_path
         with open(path, "rb") as fh:
             data = fh.read()
@@ -395,6 +403,7 @@ class DurableStore:
                 f"dictionary already holds {graph.term_count()} terms"
             )
         try:
+            meta, body = split_batch_payload(body)
             terms, offset = decode_terms(body, 0)
             if offset + _U64.size > len(body):
                 raise DurabilityError("truncated triple count")
@@ -417,7 +426,7 @@ class DurableStore:
         for _ in range(count):
             add(nxt(), nxt(), nxt())
         self._checkpoint_bytes = len(data)
-        return last_seq, count
+        return last_seq, count, meta or None
 
     def _apply(self, ops: List[Op]) -> None:
         graph = self.graph
@@ -472,7 +481,8 @@ class DurableStore:
 def save_service_state(
     path: str, state: Dict, fsync: bool = True
 ) -> None:
-    """Atomically replace the service checkpoint JSON at ``path``.
+    """Atomically replace the JSON document at ``path`` (an open's
+    ``service.json``, the subscriber cursors).
 
     Write-to-temp → fsync → rename, with the ``service-checkpoint.*``
     crashpoints at the torn-write and pre-rename boundaries: a crash at

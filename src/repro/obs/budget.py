@@ -91,13 +91,19 @@ class AcquisitionBudget:
         return entry
 
     def record_outcome(self, outcome: Any) -> AcquisitionRecord:
-        """Record a service ``AcquisitionOutcome`` (duck-typed)."""
-        return self.record(
+        """Record a service ``AcquisitionOutcome`` (duck-typed) against
+        the window its run enforced."""
+        entry = AcquisitionRecord(
             timestamp=getattr(outcome, "timestamp", None),
             chain_seconds=outcome.chain_seconds,
             refinement_seconds=getattr(outcome, "refinement_seconds", 0.0),
             sensor=getattr(outcome, "sensor", ""),
+            window_seconds=getattr(
+                outcome, "window_seconds", self.window_seconds
+            ),
         )
+        self.records.append(entry)
+        return entry
 
     # -- statistics -------------------------------------------------------
 

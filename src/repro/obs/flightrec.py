@@ -13,7 +13,7 @@ recovery span, and surfaces the crash site in ``health()``.
 
 Dump schema (``repro.obs/flightrec/v1``)::
 
-    {"schema": "...", "pid": ..., "reason": "crashpoint:commit.post-wal",
+    {"schema": "...", "pid": ..., "reason": "crashpoint:commit.pre-publish",
      "dumped_at": <unix time>, "events": [{"t": ..., "kind": ...,
      "name": ..., "trace_id": ..., "detail": {...}}, ...]}
 

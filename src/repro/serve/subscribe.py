@@ -116,7 +116,6 @@ __all__ = [
     "danger_class",
     "hotspot_record",
     "municipality_score",
-    "municipality_scores",
     "validate_standing_query",
 ]
 
@@ -673,28 +672,12 @@ def municipality_score(
     return score
 
 
-def municipality_scores(graph) -> Dict[str, float]:
-    """:func:`municipality_score` for every municipality at once (the
-    full-scan FWI paths: baseline and ``full_rescan`` batches)."""
-    scores: Dict[str, float] = {}
-    for record in iter_hotspot_records(graph):
-        if record.municipality is None or record.static:
-            continue
-        scores[record.municipality] = scores.get(
-            record.municipality, 0.0
-        ) + (record.confidence or 0.0)
-    for s in RDFSInference(graph).instances_of(_WEATHER):
-        municipality = graph.value(s, _MUNICIPALITY)
-        if municipality is None:
-            continue
-        contribution = graph.value(s, _DANGER_CONTRIBUTION)
-        try:
-            value = float(contribution.lexical)
-        except (AttributeError, TypeError, ValueError):
-            continue
-        key = _text(municipality)
-        scores[key] = scores.get(key, 0.0) + value
-    return scores
+def _municipalities(graph) -> Set[str]:
+    """Every object of ``noa:isInMunicipality`` — a hotspot whose
+    pixel straddles a boundary sits in each municipality it touches."""
+    return {
+        _text(o) for _, _, o in graph.triples(None, _MUNICIPALITY, None)
+    }
 
 
 def _municipality_matches(uri: Optional[str], wanted: str) -> bool:
@@ -1125,11 +1108,12 @@ class SubscriptionEngine:
     def _ensure_fwi_baseline(self, graph) -> None:
         if self._fwi_classes is not None:
             return
+        inference = RDFSInference(graph)
         classes: Dict[str, int] = {}
-        for municipality, score in municipality_scores(
-            graph
-        ).items():
-            index = danger_class(score)
+        for municipality in _municipalities(graph):
+            index = danger_class(
+                municipality_score(graph, inference, municipality)
+            )
             if index:
                 classes[municipality] = index
         self._fwi_classes = classes
@@ -1304,8 +1288,7 @@ class SubscriptionEngine:
         """Full-rescan fallback: recompute every municipality."""
         self._ensure_fwi_baseline(graph)
         assert self._fwi_classes is not None
-        scores = municipality_scores(graph)
-        touched = set(scores) | set(self._fwi_classes)
+        touched = _municipalities(graph) | set(self._fwi_classes)
         inference = RDFSInference(graph)
         for municipality in sorted(touched):
             self._fwi_transition(graph, inference, municipality, out)

@@ -14,9 +14,9 @@ them uniformly (see :mod:`repro.sources.federation`).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.seviri.fires import FireSeason
 
@@ -143,27 +143,14 @@ class SourcesConfig:
             raise ValueError("stations/static_sites must be >= 0")
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "polar": self.polar,
-            "weather": self.weather,
-            "stations": self.stations,
-            "seed": self.seed,
-            "polar_revisit_minutes": self.polar_revisit_minutes,
-            "polar_pass_minutes": self.polar_pass_minutes,
-            "fusion_window_minutes": self.fusion_window_minutes,
-            "fusion_window_degrees": self.fusion_window_degrees,
-            "single_source_decay": self.single_source_decay,
-            "static_sites": self.static_sites,
-            "breaker_threshold": self.breaker_threshold,
-            "breaker_recovery_seconds": self.breaker_recovery_seconds,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "SourcesConfig":
         known = {
-            key: payload[key]
-            for key in cls().to_dict()
-            if key in payload
+            f.name: payload[f.name]
+            for f in fields(cls)
+            if f.name in payload
         }
         config = cls(**known)  # type: ignore[arg-type]
         config.validate()

@@ -4,7 +4,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from repro.core.config import RunOptions
+from repro.core.config import RunOptions, ServiceConfig
 from repro.core.mapping import MapComposer, region_wkt
 from repro.core.products import Hotspot, HotspotProduct
 from repro.core.refinement import RefinementPipeline
@@ -89,7 +89,10 @@ class TestMapComposer:
 
 class TestService:
     def test_teleios_acquisition(self, greece, season):
-        service = FireMonitoringService(greece=greece, mode="teleios")
+        service = FireMonitoringService(
+            greece=greece,
+            config=ServiceConfig(mode="teleios"),
+        )
         outcome = service.run(
             [START + timedelta(hours=15)],
             RunOptions(season=season, on_error="raise"),
@@ -100,7 +103,10 @@ class TestService:
         assert outcome.within_budget
 
     def test_pre_teleios_has_no_refinement(self, greece, season):
-        service = FireMonitoringService(greece=greece, mode="pre-teleios")
+        service = FireMonitoringService(
+            greece=greece,
+            config=ServiceConfig(mode="pre-teleios"),
+        )
         outcome = service.run(
             [START + timedelta(hours=15)],
             RunOptions(season=season, on_error="raise"),
@@ -110,10 +116,16 @@ class TestService:
 
     def test_unknown_mode_rejected(self, greece):
         with pytest.raises(ValueError):
-            FireMonitoringService(greece=greece, mode="quantum")
+            FireMonitoringService(
+                greece=greece,
+                config=ServiceConfig(mode="quantum"),
+            )
 
     def test_export_product(self, greece, season, tmp_path):
-        service = FireMonitoringService(greece=greece, mode="pre-teleios")
+        service = FireMonitoringService(
+            greece=greece,
+            config=ServiceConfig(mode="pre-teleios"),
+        )
         outcome = service.run(
             [START + timedelta(hours=15)],
             RunOptions(season=season, on_error="raise"),
@@ -127,7 +139,10 @@ class TestService:
         assert len(read_shapefile(shp)) == len(outcome.raw_product)
 
     def test_timing_summary(self, greece, season):
-        service = FireMonitoringService(greece=greece, mode="pre-teleios")
+        service = FireMonitoringService(
+            greece=greece,
+            config=ServiceConfig(mode="pre-teleios"),
+        )
         service.run(
             [START + timedelta(hours=15)],
             RunOptions(season=season, on_error="raise"),
@@ -143,7 +158,10 @@ class TestService:
     def test_refinement_removes_sea_false_alarms(self, greece, season):
         # Find an acquisition with smoke-over-sea false alarms; the
         # refined count must never exceed the raw count.
-        service = FireMonitoringService(greece=greece, mode="teleios")
+        service = FireMonitoringService(
+            greece=greece,
+            config=ServiceConfig(mode="teleios"),
+        )
         outcome = service.run(
             [START + timedelta(hours=17)],
             RunOptions(season=season, on_error="raise"),

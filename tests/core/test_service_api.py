@@ -27,8 +27,10 @@ def service(greece):
 
 class TestConfigObjects:
     def test_legacy_kwargs_funnel_into_config(self, greece):
+        # The former constructor keywords are ServiceConfig fields.
         with FireMonitoringService(
-            greece=greece, mode="pre-teleios", use_files=True
+            greece=greece,
+            config=ServiceConfig(mode="pre-teleios", use_files=True),
         ) as svc:
             assert svc.config.mode == "pre-teleios"
             assert svc.config.use_files is True
@@ -41,23 +43,27 @@ class TestConfigObjects:
 
     def test_invalid_mode_is_configuration_error(self, greece):
         with pytest.raises(ConfigurationError):
-            FireMonitoringService(greece=greece, mode="turbo")
+            FireMonitoringService(
+                greece=greece,
+                config=ServiceConfig(mode="turbo"),
+            )
         # ConfigurationError is a ValueError: pre-redesign callers that
         # caught ValueError keep working.
         with pytest.raises(ValueError):
-            FireMonitoringService(greece=greece, mode="turbo")
+            FireMonitoringService(
+                greece=greece,
+                config=ServiceConfig(mode="turbo"),
+            )
 
     def test_invalid_run_options_rejected(self):
         with pytest.raises(ConfigurationError):
             RunOptions(on_error="explode").validate()
 
-    def test_merged_rejects_unknown_fields(self):
-        with pytest.raises(ConfigurationError, match="sensor_namee"):
-            RunOptions().merged(sensor_namee="MSG1")
-        merged = RunOptions().merged(sensor_name="MSG1", on_error="raise")
-        assert merged.sensor_name == "MSG1"
-        assert merged.on_error == "raise"
-        assert RunOptions().sensor_name == "MSG2"  # original untouched
+    def test_config_objects_are_the_only_surface(self, greece, service):
+        with pytest.raises(TypeError):
+            FireMonitoringService(greece=greece, mode="pre-teleios")
+        with pytest.raises(TypeError):
+            service.run([WHEN], on_error="raise")
 
     @pytest.mark.parametrize(
         "field, value",
@@ -103,13 +109,19 @@ class TestRun:
         assert all(o.status == "ok" for o in outcomes)
         assert service.outcomes == outcomes
 
-    def test_keyword_overrides_merge_into_options(self, service, season):
-        outcomes = service.run([WHEN], season=season, on_error="raise")
-        assert len(outcomes) == 1 and outcomes[0].ok
-
-    def test_unknown_override_raises(self, service, season):
-        with pytest.raises(ConfigurationError):
-            service.run([WHEN], season=season, retries=5)
+    def test_within_budget_uses_the_runs_window(self, service, season):
+        options = RunOptions(
+            season=season, fault_policy=FaultPolicy(window_seconds=0.001)
+        )
+        (outcome,) = service.run([WHEN], options)
+        assert outcome.status == "degraded"
+        assert any(
+            e.startswith("refinement skipped") and "0.001s window" in e
+            for e in outcome.errors
+        )
+        assert outcome.window_seconds == 0.001
+        assert outcome.within_budget is False
+        assert service.budget.records[-1].within_budget is False
 
     def test_mixed_request_kinds(self, service, season):
         scene = service.scene_generator.generate(
@@ -149,7 +161,10 @@ class TestLifecycle:
         assert not os.path.exists(workdir)
 
     def test_thematic_map_requires_teleios(self, greece):
-        with FireMonitoringService(greece=greece, mode="pre-teleios") as svc:
+        with FireMonitoringService(
+            greece=greece,
+            config=ServiceConfig(mode="pre-teleios"),
+        ) as svc:
             with pytest.raises(ServiceStateError):
                 svc.thematic_map()
 

@@ -4,7 +4,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from repro.core.config import RunOptions
+from repro.core.config import RunOptions, ServiceConfig
 from repro.core.service import FireMonitoringService
 from repro.seviri.acquisition import AcquisitionSchedule
 from repro.seviri.sensors import MSG1, MSG2
@@ -16,7 +16,8 @@ START = datetime(2007, 8, 24, tzinfo=timezone.utc)
 class TestMonitoringWindow:
     def test_interleaved_sensors_with_archive(self, greece, season):
         service = FireMonitoringService(
-            greece=greece, mode="teleios", archive_products=True
+            greece=greece,
+            config=ServiceConfig(mode="teleios", archive_products=True),
         )
         schedule = AcquisitionSchedule(
             START.date(), days=1, sensors=(MSG1, MSG2), include_modis=False
@@ -55,7 +56,10 @@ class TestMonitoringWindow:
         )
 
     def test_time_persistence_confirms_repeats(self, greece, season):
-        service = FireMonitoringService(greece=greece, mode="teleios")
+        service = FireMonitoringService(
+            greece=greece,
+            config=ServiceConfig(mode="teleios"),
+        )
         when = START + timedelta(hours=14)
         last = None
         options = RunOptions(

@@ -330,6 +330,61 @@ def test_v1_checkpoint_is_refused_naming_the_file(store_dir):
         DurableStore(store_dir, graph=Graph(), fsync="never")
 
 
+def test_v2_checkpoint_is_refused_naming_the_file(store_dir):
+    import struct
+    import zlib
+
+    from repro.durable.codec import encode_terms
+
+    os.makedirs(store_dir)
+    path = os.path.join(store_dir, DurableStore.CHECKPOINT_NAME)
+    # A v2 body: term table, triple count, id triples — no metadata.
+    body = encode_terms([]) + struct.pack("<Q", 0)
+    with open(path, "wb") as fh:
+        fh.write(
+            struct.pack(
+                "<8sIQQIQ", b"REPROCKP", 2, 0, 0, zlib.crc32(body),
+                len(body),
+            )
+        )
+        fh.write(body)
+    with pytest.raises(DurabilityError, match="graph.ckpt"):
+        DurableStore(store_dir, graph=Graph(), fsync="never")
+
+
+def test_checkpoint_keeps_the_newest_commit_metadata(store_dir):
+    graph = Graph()
+    store = DurableStore(store_dir, graph=graph, fsync="never")
+    graph.start_journal()
+    graph.add(*_triple(1))
+    store.commit(graph.drain_journal(), meta={"batch": 1})
+    graph.add(*_triple(2))
+    store.commit(graph.drain_journal(), meta={"batch": 2})
+    graph.add(*_triple(3))
+    store.commit(graph.drain_journal())  # no metadata: batch 2 stays
+    store.checkpoint()  # compacts: the WAL is empty from here on
+    expected = _triple_set(graph)
+    store.close()
+
+    recovered_graph = Graph()
+    recovered = DurableStore(store_dir, graph=recovered_graph, fsync="never")
+    try:
+        info = recovered.recovery
+        assert info.replayed_records == 0
+        assert info.last_seq is None  # nothing in the WAL
+        assert info.last_meta == {"batch": 2}
+        assert _triple_set(recovered_graph) == expected
+        # Compacting again without a new commit keeps the metadata.
+        recovered.checkpoint()
+    finally:
+        recovered.close()
+    again = DurableStore(store_dir, graph=Graph(), fsync="never")
+    try:
+        assert again.recovery.last_meta == {"batch": 2}
+    finally:
+        again.close()
+
+
 def test_recovery_refuses_a_graph_with_a_dictionary(store_dir):
     graph = Graph()
     DurableStore(store_dir, graph=graph, fsync="never").close()

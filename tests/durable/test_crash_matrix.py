@@ -12,10 +12,12 @@ stream resumes (skipping the committed prefix) to the oracle's final
 state.
 
 Crash-hit counts select *which* pass through a point aborts: service
-construction writes a baseline graph checkpoint and an initial
-``service.json``, so points on those paths crash on a later pass — the
-one inside acquisition 2's commit cycle (``checkpoint_interval=2``
-makes acquisition 2 trigger periodic compaction too).
+construction writes a baseline graph checkpoint, so the graph
+checkpoint points crash on a later pass — the one inside acquisition
+2's commit cycle (``checkpoint_interval=2`` makes acquisition 2 trigger
+periodic compaction too).  ``service.json`` is written once, at the
+end of an open, so its points crash on the first pass, before any
+acquisition.
 """
 
 from __future__ import annotations
@@ -42,9 +44,8 @@ pytestmark = pytest.mark.skipif(
 CRASH_HITS = {
     "wal.append.torn": 2,
     "wal.append.pre-sync": 2,
-    "commit.post-wal": 2,
-    "service-checkpoint.torn": 3,
-    "service-checkpoint.pre-rename": 3,
+    "service-checkpoint.torn": 1,
+    "service-checkpoint.pre-rename": 1,
     "commit.pre-publish": 2,
     "commit.post-publish": 2,
     "graph-checkpoint.torn": 2,
@@ -57,9 +58,13 @@ CRASH_HITS = {
 #: back to the cursor.  Every other point leaves acquisition 2's record
 #: intact in the file — including ``pre-sync``, because an injected
 #: process abort (unlike a kernel crash) never loses written-but-
-#: unfsynced page-cache data — so acquisition 2 survives.
+#: unfsynced page-cache data — so acquisition 2 survives.  The
+#: ``service.json`` points die inside the first open, before any
+#: acquisition.
 EXPECTED_CURSOR = {name: 2 for name in CRASH_HITS}
 EXPECTED_CURSOR["wal.append.torn"] = 1
+EXPECTED_CURSOR["service-checkpoint.torn"] = 0
+EXPECTED_CURSOR["service-checkpoint.pre-rename"] = 0
 
 
 def _service_config(state_dir: str) -> ServiceConfig:
@@ -101,7 +106,10 @@ def oracle(durable_greece, durable_season, acquisition_requests):
     """Per-cursor states of a service that never crashes (and never
     touches disk): ``oracle[k]`` is the capture after ``k``
     acquisitions."""
-    service = FireMonitoringService(greece=durable_greece, mode="teleios")
+    service = FireMonitoringService(
+        greece=durable_greece,
+        config=ServiceConfig(mode="teleios"),
+    )
     try:
         states = [_capture(service)]
         options = RunOptions(season=durable_season, on_error="raise")

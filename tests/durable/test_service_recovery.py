@@ -14,12 +14,14 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
+from datetime import timedelta
 
 import pytest
 
 from repro.core.config import RunOptions, ServiceConfig
 from repro.core.service import FireMonitoringService
 from repro.durable import CRASH_EXIT, crashpoints
+from repro.faults import FaultPlan, inject
 from repro.serve import ServeClient, serve_in_thread
 
 from tests.durable.conftest import N_ACQUISITIONS
@@ -126,5 +128,76 @@ def test_recovered_service_serves_monotonic_sequences(
         assert wal["checkpoint_bytes"] == os.path.getsize(
             os.path.join(state_dir, "durable", "graph.ckpt")
         )
+        sequence = reopened.publisher.sequence
     finally:
         reopened.close()
+
+    # Two opens in a row with no commit between them: the second must
+    # still number above the first one's (observable) publication.
+    again = FireMonitoringService.open(state_dir, greece=durable_greece)
+    try:
+        assert again.publisher.sequence > sequence
+    finally:
+        again.close()
+
+
+def _crash_after_a_compaction(state_dir, greece, season, requests):
+    # checkpoint_interval=1 compacts after every commit, so the WAL is
+    # empty when acquisition 5's append tears.  Acquisitions 2-4 fail
+    # refinement: three failures open the service's breaker.
+    service = FireMonitoringService(
+        greece=greece,
+        config=ServiceConfig(
+            state_dir=state_dir, wal_fsync="never", checkpoint_interval=1
+        ),
+    )
+    plan = FaultPlan()
+    for index in (1, 2, 3):
+        plan.raise_in("refine.municipalities", index=index)
+    crashpoints.arm("wal.append.torn", hits=len(requests))
+    with inject(plan):
+        service.run(requests, RunOptions(season=season))
+    os._exit(0)  # crashpoint never fired
+
+
+def test_a_crash_after_a_compaction_recovers_the_cursor_from_the_checkpoint(
+    tmp_path, durable_greece, durable_season, acquisition_requests
+):
+    state_dir = str(tmp_path / "state")
+    base = acquisition_requests[0]
+    requests = [base + timedelta(minutes=15 * k) for k in range(5)]
+    ctx = multiprocessing.get_context("fork")
+    child = ctx.Process(
+        target=_crash_after_a_compaction,
+        args=(state_dir, durable_greece, durable_season, requests),
+    )
+    child.start()
+    child.join(timeout=300)
+    assert child.exitcode == CRASH_EXIT
+
+    service = FireMonitoringService.open(state_dir, greece=durable_greece)
+    try:
+        health = service.health()
+        durability = health["durability"]
+        recovery = durability["recovery"]
+        assert recovery["replayed_records"] == 0
+        assert recovery["truncated_bytes"] > 0  # the torn append
+        assert service.recovery.last_seq is None  # the WAL is empty
+        assert durability["committed_acquisitions"] == 4
+        assert durability["last_committed_timestamp"] == (
+            requests[3].isoformat()
+        )
+        assert health["acquisitions"] == {
+            "ok": 1, "degraded": 3, "error": 0
+        }
+        assert health["circuit_breaker"] == "open"
+        # The aux-only publish plus four acquisitions reached readers.
+        assert health["snapshot"]["sequence"] > 5
+        assert service.config.checkpoint_interval == 1
+        # The cursor resumes at the torn acquisition.
+        outcomes = service.run(
+            requests, RunOptions(season=durable_season)
+        )
+        assert [o.timestamp for o in outcomes] == requests[4:]
+    finally:
+        service.close()

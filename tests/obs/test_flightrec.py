@@ -65,15 +65,15 @@ def test_dump_and_load_round_trip(tmp_path):
     recorder = FlightRecorder()
     recorder.configure(str(tmp_path / "flightrec"))
     recorder.record("acquisition", "2007-08-25T12:00:00Z")
-    recorder.record("crash", "commit.post-wal", pid=os.getpid())
-    path = recorder.dump("crashpoint:commit.post-wal")
+    recorder.record("crash", "commit.pre-publish", pid=os.getpid())
+    path = recorder.dump("crashpoint:commit.pre-publish")
     assert path is not None
     payload = load_dump(path)
     assert payload["schema"] == DUMP_SCHEMA
-    assert payload["reason"] == "crashpoint:commit.post-wal"
+    assert payload["reason"] == "crashpoint:commit.pre-publish"
     assert payload["pid"] == os.getpid()
     assert payload["events"][-1]["kind"] == "crash"
-    assert payload["events"][-1]["name"] == "commit.post-wal"
+    assert payload["events"][-1]["name"] == "commit.pre-publish"
     # The dump is complete JSON on disk with no temp residue.
     assert not [
         n for n in os.listdir(recorder.dump_dir) if ".tmp." in n

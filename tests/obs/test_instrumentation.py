@@ -14,7 +14,7 @@ from datetime import datetime, timezone
 
 import pytest
 
-from repro.core.config import RunOptions
+from repro.core.config import RunOptions, ServiceConfig
 from repro.core.service import FireMonitoringService
 from repro.obs import table2_from_spans, tree_report
 from repro.seviri.hrit import write_hrit_segments
@@ -26,7 +26,8 @@ WHEN = datetime(2007, 8, 24, 13, 0, tzinfo=timezone.utc)
 @pytest.fixture()
 def teleios(greece, tmp_path):
     return FireMonitoringService(
-        greece=greece, mode="teleios", workdir=str(tmp_path)
+        greece=greece,
+        config=ServiceConfig(mode="teleios", workdir=str(tmp_path)),
     )
 
 

@@ -15,7 +15,7 @@ from datetime import timedelta
 import pytest
 
 from tests.conftest import CRISIS_START
-from repro.core.config import RunOptions
+from repro.core.config import RunOptions, ServiceConfig
 from repro.core.service import FireMonitoringService
 
 INGESTED = [
@@ -32,8 +32,10 @@ EXTRA = [
 def served_service(greece, season):
     service = FireMonitoringService(
         greece=greece,
-        mode="teleios",
-        workdir=tempfile.mkdtemp(prefix="test_serve_"),
+        config=ServiceConfig(
+            mode="teleios",
+            workdir=tempfile.mkdtemp(prefix="test_serve_"),
+        ),
     )
     service.run(INGESTED, RunOptions(season=season, on_error="raise"))
     yield service

@@ -10,6 +10,7 @@ import pytest
 from repro.durable import WriteAheadLog
 from repro.errors import DurabilityError
 from repro.geometry import Envelope
+from repro.rdf.inference import RDFSInference
 from repro.rdf.namespace import NOA
 from repro.serve import SnapshotPublisher
 from repro.serve.subscribe import (
@@ -20,6 +21,7 @@ from repro.serve.subscribe import (
     SubscriptionRegistry,
     danger_class,
     delta_from_ops,
+    municipality_score,
     validate_standing_query,
 )
 from repro.stsparql import Strabon
@@ -540,6 +542,37 @@ class TestEngine:
         assert fwi[0]["subscription"] == sub.id
         assert fwi[0]["payload"]["danger_class"] == "moderate"
         assert fwi[0]["payload"]["previous_class"] == "low"
+
+    def test_fwi_baseline_credits_every_municipality_of_a_hotspot(self):
+        # A pixel straddling a boundary sits in both municipalities;
+        # the baseline must score it where per-commit transitions do.
+        strabon = Strabon()
+        a = "http://example.org/muni/A"
+        b = "http://example.org/muni/B"
+        subject = _insert_hotspot(
+            strabon, 1, 23.0, 38.0, confidence=1.0, municipality=a
+        )
+        strabon.update(
+            PREFIX
+            + f"INSERT DATA {{ <{subject}> noa:isInMunicipality <{b}> . }}"
+        )
+        engine = _engine_on(strabon)
+        graph = strabon.graph
+        inference = RDFSInference(graph)
+        expected = {
+            m: danger_class(municipality_score(graph, inference, m))
+            for m in (a, b)
+        }
+        assert expected == {a: 1, b: 1}
+        assert engine._fwi_classes == expected
+        # A commit touching only B leaves its class where it was.
+        engine.register({"kind": "fwi", "min_class": "low"})
+        _insert_hotspot(strabon, 2, 23.5, 38.5, confidence=0.0,
+                        municipality=b)
+        batch = engine.process_commit(2, _delta(strabon))
+        assert [
+            d for d in batch.notifications if d["kind"] == "fwi"
+        ] == []
 
     def test_fwi_min_class_filters_transitions(self):
         strabon = Strabon()

@@ -75,8 +75,10 @@ def test_incremental_equals_full_rerun_per_snapshot(
 ):
     service = FireMonitoringService(
         greece=diff_greece,
-        mode="teleios",
-        workdir=tempfile.mkdtemp(prefix="test_diff_"),
+        config=ServiceConfig(
+            mode="teleios",
+            workdir=tempfile.mkdtemp(prefix="test_diff_"),
+        ),
     )
     try:
         engine = service.subscriptions
@@ -177,8 +179,10 @@ def test_fanout_load_incremental_equals_full_rerun(
     incremental notification keys equal a full re-run's."""
     service = FireMonitoringService(
         greece=diff_greece,
-        mode="teleios",
-        workdir=tempfile.mkdtemp(prefix="test_fanout_"),
+        config=ServiceConfig(
+            mode="teleios",
+            workdir=tempfile.mkdtemp(prefix="test_fanout_"),
+        ),
     )
     try:
         engine = service.subscriptions
@@ -353,8 +357,9 @@ pytestmark_fork = pytest.mark.skipif(
 
 def _crash_mid_commit(state_dir, greece, season, requests, id_path):
     # Second pass through commit.pre-publish: acquisition 2 is WAL-
-    # committed (and service.json reserved) but its notification batch
-    # never reached the log — the exact window repair_tail covers.
+    # committed (its record reserving the publication sequence) but its
+    # notification batch never reached the log — the exact window
+    # repair_tail covers.
     crashpoints.arm("commit.pre-publish", hits=2)
     service = FireMonitoringService(
         greece=greece,
@@ -421,8 +426,10 @@ def test_crashed_subscriber_resumes_exactly_once(
         # Equivalence with a run that never crashed.
         oracle_service = FireMonitoringService(
             greece=diff_greece,
-            mode="teleios",
-            workdir=tempfile.mkdtemp(prefix="test_oracle_"),
+            config=ServiceConfig(
+                mode="teleios",
+                workdir=tempfile.mkdtemp(prefix="test_oracle_"),
+            ),
         )
         try:
             oracle_sub = oracle_service.subscriptions.register(

@@ -18,7 +18,7 @@ from datetime import timedelta
 
 from tests.conftest import CRISIS_START
 from repro import obs
-from repro.core.config import RunOptions
+from repro.core.config import RunOptions, ServiceConfig
 from repro.core.service import FireMonitoringService
 from repro.serve import http as http_module
 from repro.serve import serve_in_thread
@@ -56,7 +56,8 @@ def test_one_trace_spans_service_publish_and_http(
     obs.reset()
     obs.enable()
     service = FireMonitoringService(
-        greece=greece, mode="teleios", workdir=str(tmp_path)
+        greece=greece,
+        config=ServiceConfig(mode="teleios", workdir=str(tmp_path)),
     )
     whens = [
         CRISIS_START + timedelta(hours=13, minutes=15 * k)
