@@ -194,7 +194,7 @@ class ServiceConfig:
     def to_dict(self) -> Dict[str, object]:
         """The persisted fields as plain values (``sources`` as its
         :meth:`~repro.sources.SourcesConfig.to_dict`): what a durable
-        service saves in ``service.json`` and
+        service saves in ``service.json`` before it opens its store and
         :meth:`~repro.core.service.FireMonitoringService.open` feeds
         back into this constructor."""
         out: Dict[str, object] = {

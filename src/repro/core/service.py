@@ -367,9 +367,35 @@ class FireMonitoringService:
         self._open_flight_recorder(state_dir)
         durable_dir = os.path.join(state_dir, "durable")
         fresh = not DurableStore.exists(durable_dir)
+        state_path = os.path.join(state_dir, "service.json")
+        floor = int(
+            (load_service_state(state_path) or {}).get(
+                "published_sequence", 0
+            )
+        )
+
+        def save_state(start_sequence: int) -> None:
+            # The one service.json write per open: what the next open
+            # needs before the store is open (the configuration) plus
+            # the sequence floor — the number this open's first
+            # publication is about to use, so written before any
+            # reader can see it.
+            save_service_state(
+                state_path,
+                {
+                    "version": 2,
+                    "published_sequence": start_sequence + 1,
+                    "config": config.to_dict(),
+                },
+                fsync=config.wal_fsync != "never",
+            )
+
         with _tracer.span("durable.open", fresh=fresh):
             if fresh:
                 load_auxiliary_data(self.strabon, self.greece)
+                # Before the baseline checkpoint: a crash after it must
+                # still find the configuration.
+                save_state(floor)
             # Recovery rebuilds the term dictionary id for id, so it
             # starts from an empty graph; the checkpoint holds the
             # ontology the refinement pipeline loaded into this one.
@@ -406,21 +432,19 @@ class FireMonitoringService:
         )
         # Publication numbering must never regress for a polling
         # reader: resume above the sequence the newest commit reserved
-        # and the one the previous open published (service.json's
-        # floor — no commit may have followed it).  Durable
-        # subscription state rides in state_dir/subs/ — the registry,
-        # per-subscriber cursors and the notification log — and the
-        # at-most-one notification batch a crash can have swallowed
-        # (committed to the WAL, never logged) is regenerated before
-        # readers reconnect, stamped with the imminent initial
-        # publication's sequence.
-        state_path = os.path.join(state_dir, "service.json")
-        saved = load_service_state(state_path) or {}
+        # and the previous open's floor (no commit may have followed
+        # it).  Durable subscription state rides in state_dir/subs/ —
+        # the registry log (registrations, removals, acknowledged
+        # cursors) and the notification log — and the at-most-one
+        # notification batch a crash can have swallowed (committed to
+        # the WAL, never logged) is regenerated before readers
+        # reconnect, stamped with the imminent initial publication's
+        # sequence.
+        start_sequence = max(int(meta.get("sequence", 0)), floor)
+        if not fresh:
+            save_state(start_sequence)
         self._open_serving(
-            start_sequence=max(
-                int(meta.get("sequence", 0)),
-                int(saved.get("published_sequence", 0)),
-            ),
+            start_sequence=start_sequence,
             subs_dir=os.path.join(state_dir, "subs"),
             fsync=config.wal_fsync,
         )
@@ -435,18 +459,6 @@ class FireMonitoringService:
         )
         if repaired is not None:
             self.subscriptions.publish_batch(repaired)
-        # The one service.json write: what the next open needs before
-        # the store is open (the configuration) plus the sequence
-        # floor, written before any reader can see this publication.
-        save_service_state(
-            state_path,
-            {
-                "version": 2,
-                "published_sequence": self.publisher.sequence,
-                "config": config.to_dict(),
-            },
-            fsync=config.wal_fsync != "never",
-        )
         _log.info(
             "durable state at %s: %s (committed=%d, published_seq=%d)",
             state_dir,

@@ -16,8 +16,11 @@ makes crash recovery a *tested, measured property*:
   Each record's metadata is the owner's commit state (the service's
   acquisition cursor), and a checkpoint keeps the newest one; plus
   the atomic JSON save/load behind ``service.json`` (written once per
-  open: the persisted configuration and a publication-sequence floor)
-  and the subscriber cursors.
+  open, before the store: the persisted configuration and a
+  publication-sequence floor).
+* :mod:`repro.durable.cursors` — the subscription engine's two logs:
+  notification batches, and the registry log of registrations,
+  removals and acknowledged cursors.
 * :mod:`repro.durable.codec` — the dictionary-encoded codec shared by
   WAL records and checkpoints: a checkpoint is the graph's term table
   in id order plus u32 id triples, and a WAL record carries only the
@@ -49,7 +52,6 @@ from repro.durable.crashpoints import (
     disarm,
 )
 from repro.durable.cursors import (
-    CursorStore,
     NotificationBatch,
     NotificationLog,
     RegistryLog,
@@ -65,7 +67,6 @@ from repro.durable.wal import WalRecord, WriteAheadLog
 __all__ = [
     "CRASH_EXIT",
     "CRASHPOINTS",
-    "CursorStore",
     "DurableStore",
     "NotificationBatch",
     "NotificationLog",

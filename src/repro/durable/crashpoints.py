@@ -1,9 +1,9 @@
 """Deterministic crash injection for the durability commit path.
 
 The WAL, the checkpoint writer, the service commit sequence and the
-atomic JSON writer (``service.json`` at open, subscriber cursors) call
-:func:`crash` (or :func:`fire` where the crash needs a deliberately
-torn write first) at *named* points.  A test arms exactly one point
+atomic JSON writer (``service.json``, once per open, before the store)
+call :func:`crash` (or :func:`fire` where the crash needs a
+deliberately torn write first) at *named* points.  A test arms exactly one point
 with :func:`arm` — optionally "crash only on the Nth pass" — forks the
 process, and the child aborts with ``os._exit(CRASH_EXIT)`` the moment
 execution reaches the armed point.  The parent then recovers from the
@@ -41,7 +41,8 @@ __all__ = [
 CRASH_EXIT = 86
 
 #: Every named crashpoint: the per-acquisition commit path in commit
-#: order, then the one ``service.json`` write of an open.
+#: order, then the one ``service.json`` write of an open (on a first
+#: open, before the baseline checkpoint).
 REGISTRY: Dict[str, str] = {
     "wal.append.torn": (
         "mid-WAL-append: the record frame is half-written (torn tail)"
@@ -65,7 +66,7 @@ REGISTRY: Dict[str, str] = {
         "graph checkpoint renamed in, before the WAL reset"
     ),
     "service-checkpoint.torn": (
-        "mid-service.json write at open: temp file half-written"
+        "mid-service.json write of an open: temp file half-written"
     ),
     "service-checkpoint.pre-rename": (
         "service.json temp complete, before the atomic rename"

@@ -1,31 +1,29 @@
-"""Durable subscriber state: notification log, registry log, cursors.
+"""Durable subscriber state: the notification log and the registry log.
 
 The subscription engine (``repro.serve.subscribe``) must survive the
 same crashes the store does, with the same contract: a subscriber that
 acknowledged publication *S* and reconnects after a process restart
 receives exactly the notifications of publications ``> S`` — no loss,
-no duplicates.  Three small durable pieces make that hold:
+no duplicates.  Two append-only logs, framed by the same CRC'd
+:class:`~repro.durable.wal.WriteAheadLog` machinery as the triple WAL
+(torn tails are truncated on open, so a crash mid-append loses at most
+the un-fsynced tail record), make that hold:
 
-* :class:`NotificationLog` — an append-only log of per-publication
-  notification batches, framed by the same CRC'd
-  :class:`~repro.durable.wal.WriteAheadLog` machinery as the triple
-  WAL (torn tails are truncated on open, so a crash mid-append loses
-  at most the un-fsynced tail record).  Each record carries the
-  publication ``sequence`` it belongs to and the triple-WAL ``wal_seq``
-  whose delta produced it — the link the engine uses at recovery to
-  detect (and regenerate) a batch the crash window swallowed between
-  the triple-WAL fsync and the notification append.
-* :class:`RegistryLog` — the registered subscriptions, as an
-  append-only log of registration changes on the same framing, folded
-  into one record each time it is opened.
-* :class:`CursorStore` — one atomically-rewritten JSON file of
-  ``subscription id → highest acknowledged publication sequence``,
-  using the same write-temp → fsync → rename discipline as
-  ``service.json``.  Acks are monotonic: a stale or replayed ack never
-  moves a cursor backwards.
+* :class:`NotificationLog` — per-publication notification batches.
+  Each record carries the publication ``sequence`` it belongs to and
+  the triple-WAL ``wal_seq`` whose delta produced it — the link the
+  engine uses at recovery to detect (and regenerate) a batch the crash
+  window swallowed between the triple-WAL fsync and the notification
+  append.
+* :class:`RegistryLog` — what each subscriber did: registrations,
+  removals and acknowledged cursors (``subscription id → highest
+  acknowledged publication sequence``), one record per change, folded
+  into one record each time it is opened.  Acks are monotonic: a stale
+  or replayed ack never moves a cursor backwards.
 
-All three live under ``<state_dir>/subs/`` next to the store's own WAL
-and checkpoint; none is consulted on the serving read path.
+Both live under ``<state_dir>/subs/`` (``notifications.log`` and
+``registry.log``) next to the store's own WAL and checkpoint; neither
+is consulted on the serving read path.
 """
 
 from __future__ import annotations
@@ -35,12 +33,10 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.durable.store import load_service_state, save_service_state
 from repro.durable.wal import WriteAheadLog
 from repro.errors import DurabilityError
 
 __all__ = [
-    "CursorStore",
     "NotificationBatch",
     "NotificationLog",
     "RegistryLog",
@@ -168,8 +164,7 @@ class NotificationLog:
 
     Batches are retained in memory after replay/append — the SSE
     resume path serves ``after(cursor)`` straight from this list, so a
-    reconnecting subscriber never touches disk — until :meth:`compact`
-    drops the batches every live cursor has passed.  A record is one
+    reconnecting subscriber never touches disk.  A record is one
     :class:`NotificationBatch` in compact JSON: each notified subject's
     payload once plus a short reference per notification, so with
     thousands of geofence subscriptions (about 2.8k notifications from
@@ -252,25 +247,6 @@ class NotificationLog:
         with self._lock:
             return len(self._batches)
 
-    # -- maintenance -------------------------------------------------------
-
-    def compact(self, min_cursor: int) -> int:
-        """Drop batches every subscriber has acknowledged (sequence
-        ``<= min_cursor``); returns how many were dropped.  The log is
-        replaced through :meth:`WriteAheadLog.rewrite`, so the on-disk
-        file shrinks too, and a crash mid-compaction leaves either the
-        old log or the compacted one."""
-        with self._lock:
-            keep = [
-                b for b in self._batches if b.sequence > min_cursor
-            ]
-            dropped = len(self._batches) - len(keep)
-            if dropped == 0:
-                return 0
-            self._wal.rewrite(batch.to_payload() for batch in keep)
-            self._batches = keep
-            return dropped
-
     def close(self) -> None:
         self._wal.close()
 
@@ -282,29 +258,35 @@ class NotificationLog:
 
 
 class RegistryLog:
-    """The registered subscriptions, durable, as an append-only log.
+    """What each subscriber did, durable, as an append-only log.
 
-    Every registration change appends one CRC-framed record —
-    ``{"add": [shape, ...]}`` for a single or bulk registration,
-    ``{"remove": [id]}`` for a removal — and syncs per the fsync
-    policy, so a registration costs its own bytes, not a rewrite of
-    the whole registry.  An ``add`` stores each distinct key list once:
-    a shape is ``{"keys": [...], "rows": [[...], ...]}``, one row of
-    values per document with those keys, so 20 000 geofences of three
-    shapes write three key lists, not 20 000.  Opening replays the
-    records in order and, when there is more than one, folds them into
-    a single ``add`` record of the live documents through the atomic
+    Every change appends one CRC-framed record and syncs per the fsync
+    policy — ``{"add": [shape, ...]}`` for a single or bulk
+    registration, ``{"remove": [id]}`` for a removal, ``{"ack": [[id,
+    sequence]]}`` for an acknowledgement — so a change costs its own
+    bytes, not a rewrite of every subscriber's state.  An ``add``
+    stores each distinct key list once: a shape is ``{"keys": [...],
+    "rows": [[...], ...]}``, one row of values per document with those
+    keys, so 20 000 geofences of three shapes write three key lists,
+    not 20 000.  Opening replays the records in order — cursors fold
+    monotonically, a ``remove`` drops the subscription's cursor — and,
+    when there is more than one, folds them into a single record of
+    the live documents and their cursors through the atomic
     :meth:`~repro.durable.wal.WriteAheadLog.rewrite`, so the file holds
     the live registry plus one session's changes.  A log written in the
     old one-object-per-document layout is refused on open
-    (:class:`~repro.errors.DurabilityError` naming the file).  Not
-    thread-safe: the engine serialises writes under its lock.
+    (:class:`~repro.errors.DurabilityError` naming the file).  Appends
+    hold :attr:`lock`.
     """
 
     def __init__(self, path: str, fsync: str = "commit") -> None:
+        #: Serialises appends; re-entrant, because the engine guards its
+        #: cursor map with it around the append.
+        self.lock = threading.RLock()
         # crash_sites off, as for the notification log.
         self._wal = WriteAheadLog(path, fsync=fsync, crash_sites=False)
         live: Dict[str, Dict[str, Any]] = {}
+        cursors: Dict[str, int] = {}
         records = self._wal.replayed
         for record in records:
             doc = json.loads(record.payload.decode("utf-8"))
@@ -322,24 +304,41 @@ class RegistryLog:
                     live[str(sub["id"])] = sub
             for sub_id in doc.get("remove", ()):
                 live.pop(sub_id, None)
+            for sub_id, sequence in doc.get("ack", ()):
+                cursors[sub_id] = max(cursors.get(sub_id, 0), sequence)
         #: The live subscription documents, grouped by shape within
         #: each replayed record and in registration order within a
         #: shape.
         self.documents: List[Dict[str, Any]] = list(live.values())
+        #: ``subscription id → acknowledged sequence`` of the live
+        #: subscriptions (a removal drops its cursor).
+        self.cursors: Dict[str, int] = {
+            sub_id: sequence
+            for sub_id, sequence in cursors.items()
+            if sub_id in live
+        }
         if len(records) > 1:
-            self._wal.rewrite([_compact({"add": _shapes(self.documents)})])
+            fold: Dict[str, Any] = {"add": _shapes(self.documents)}
+            if self.cursors:
+                fold["ack"] = list(self.cursors.items())
+            self._wal.rewrite([_compact(fold)])
 
     def add(self, docs: Iterable[Dict[str, Any]]) -> None:
         """Durably record one (bulk) registration."""
         self._append({"add": _shapes(docs)})
 
     def remove(self, sub_id: str) -> None:
-        """Durably record one removal."""
+        """Durably record one removal (it drops the cursor too)."""
         self._append({"remove": [sub_id]})
 
+    def ack(self, sub_id: str, sequence: int) -> None:
+        """Durably record one acknowledged cursor."""
+        self._append({"ack": [[sub_id, sequence]]})
+
     def _append(self, doc: Dict[str, Any]) -> None:
-        self._wal.append(_compact(doc))
-        self._wal.sync()
+        with self.lock:
+            self._wal.append(_compact(doc))
+            self._wal.sync()
 
     def close(self) -> None:
         self._wal.close()
@@ -356,68 +355,3 @@ def _shapes(docs: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
         for keys, shape_rows in rows.items()
     ]
 
-
-class CursorStore:
-    """``subscription id → acknowledged publication sequence``, durable.
-
-    The whole map is tiny (one integer per subscription), so every ack
-    rewrites the file atomically — the same crash-safety argument as
-    ``service.json``: the file only ever appears via rename, so a
-    reader finds either the previous complete state or the new one,
-    never a torn write.
-    """
-
-    def __init__(self, path: str, fsync: bool = True) -> None:
-        self._path = path
-        self._fsync = fsync
-        self._lock = threading.Lock()
-        saved = load_service_state(path)
-        self._cursors: Dict[str, int] = (
-            {
-                str(k): int(v)
-                for k, v in (saved.get("cursors") or {}).items()
-            }
-            if saved is not None
-            else {}
-        )
-
-    def get(self, subscription_id: str) -> int:
-        """The acknowledged sequence (0 = nothing acknowledged yet)."""
-        with self._lock:
-            return self._cursors.get(subscription_id, 0)
-
-    def ack(self, subscription_id: str, sequence: int) -> int:
-        """Advance a cursor (monotonic — regressions are ignored) and
-        persist; returns the cursor now in effect."""
-        if sequence < 0:
-            raise ValueError("cursor sequence must be >= 0")
-        with self._lock:
-            current = self._cursors.get(subscription_id, 0)
-            if sequence <= current:
-                return current
-            self._cursors[subscription_id] = sequence
-            self._save()
-            return sequence
-
-    def forget(self, subscription_id: str) -> None:
-        """Drop a removed subscription's cursor."""
-        with self._lock:
-            if self._cursors.pop(subscription_id, None) is not None:
-                self._save()
-
-    def all(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._cursors)
-
-    def min_cursor(self) -> int:
-        """The slowest acknowledged cursor (0 when no cursors exist) —
-        the compaction horizon for the notification log."""
-        with self._lock:
-            return min(self._cursors.values()) if self._cursors else 0
-
-    def _save(self) -> None:
-        save_service_state(
-            self._path,
-            {"version": 1, "cursors": dict(self._cursors)},
-            fsync=self._fsync,
-        )

@@ -482,7 +482,7 @@ def save_service_state(
     path: str, state: Dict, fsync: bool = True
 ) -> None:
     """Atomically replace the JSON document at ``path`` (an open's
-    ``service.json``, the subscriber cursors).
+    ``service.json``).
 
     Write-to-temp → fsync → rename, with the ``service-checkpoint.*``
     crashpoints at the torn-write and pre-rename boundaries: a crash at

@@ -1,9 +1,10 @@
 """Hierarchical tracing spans.
 
 A :class:`Span` measures one named unit of work; spans opened while
-another span is active on the same thread become its children, so a
-recorded trace reconstructs the call tree of an acquisition (ingestion →
-vault → chain → annotation → refinement → dissemination).
+another span is active in the same thread or task become its children,
+so a recorded trace reconstructs the call tree of an acquisition
+(ingestion → vault → chain → annotation → refinement →
+dissemination).
 
 Two entry points on :class:`Tracer`:
 
@@ -16,24 +17,28 @@ Two entry points on :class:`Tracer`:
   tracer only when enabled.
 
 Both close the span and mark it failed if the body raises; the
-exception always propagates.  Spans are thread-safe: each thread keeps
-its own active-span stack, and the finished-span list is guarded by a
-lock.  No dependencies beyond the standard library.
+exception always propagates.  Spans are thread- and task-safe: the
+active-span stack is an immutable tuple in a :mod:`contextvars`
+variable, so each thread and each asyncio task sees its own (two
+requests interleaved on one event loop never parent under each
+other), and the finished-span list is guarded by a lock.  No
+dependencies beyond the standard library.
 
 Distributed tracing (:mod:`repro.obs.trace`) builds on two hooks here:
 
 * every span carries a ``trace_id``: inherited from its parent, from
-  the thread's *ambient* remote context (:meth:`Tracer.use_context`),
+  the task's *ambient* remote context (:meth:`Tracer.use_context`),
   or minted fresh for a new root,
 * a forked child must neither mis-parent its spans under the stack it
   inherited nor mint span ids that collide with the parent's —
   :meth:`Tracer.reset_after_fork` (wired to ``os.register_at_fork``
-  for the global tracer) clears the inherited thread-local state and
-  rebases the id counter into a random high range.
+  for the global tracer) drops the inherited stacks and rebases the id
+  counter into a random high range.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import itertools
 import os
@@ -198,7 +203,8 @@ class _SpanContext:
             trace_id=trace_id,
         )
         if recording:
-            tracer._stack().append(span)
+            spans = tracer._spans
+            spans.set(spans.get() + (span,))
         self._span = span
         return span
 
@@ -210,10 +216,10 @@ class _SpanContext:
             span.status = "error"
             span.error = f"{exc_type.__name__}: {exc}"
         tracer = self._tracer
-        stack = tracer._stack()
+        stack = tracer._spans.get()
         if span in stack:
             # Normally the top of the stack; tolerate interleaved exits.
-            stack.remove(span)
+            tracer._spans.set(tuple(s for s in stack if s is not span))
             tracer._record(span)
             if span.status == "error":
                 tracer._count_failure(span)
@@ -239,16 +245,17 @@ class _AmbientContext:
 
     def __enter__(self):
         if self._context is not None:
-            self._tracer._context_stack().append(self._context)
+            contexts = self._tracer._contexts
+            contexts.set(contexts.get() + (self._context,))
         return self._context
 
     def __exit__(self, *exc) -> bool:
         if self._context is not None:
-            stack = self._tracer._context_stack()
-            if stack and stack[-1] is self._context:
-                stack.pop()
-            elif self._context in stack:  # tolerate interleaved exits
-                stack.remove(self._context)
+            contexts = self._tracer._contexts
+            # Normally the top; tolerate interleaved exits.
+            contexts.set(
+                tuple(c for c in contexts.get() if c is not self._context)
+            )
         return False
 
 
@@ -262,7 +269,7 @@ class Tracer:
         #: any realistic run reaches).
         self.dropped = 0
         self._lock = threading.Lock()
-        self._local = threading.local()
+        self._new_stacks()
         self._finished: List[Span] = []
         self._counter = itertools.count(1)
         self.failure_counts: Dict[str, int] = {}
@@ -310,32 +317,32 @@ class Tracer:
     # -- distributed tracing ----------------------------------------------
 
     def use_context(self, context) -> _AmbientContext:
-        """Install ``context`` as the ambient remote parent for this thread.
+        """Install ``context`` as the ambient remote parent here.
 
-        While active, spans opened on this thread with an empty local
-        stack parent under ``context.span_id`` and inherit
+        While active, spans opened in this thread or task with an
+        empty local stack parent under ``context.span_id`` and inherit
         ``context.trace_id`` instead of starting a fresh trace.  Accepts
         ``None`` (no-op) so call sites need no branching.
         """
         return _AmbientContext(self, context)
 
     def ambient_context(self):
-        """The innermost ambient remote context on this thread, if any."""
-        stack = self._context_stack()
-        return stack[-1] if stack else None
+        """The innermost ambient remote context here, if any."""
+        contexts = self._contexts.get()
+        return contexts[-1] if contexts else None
 
     def reset_after_fork(self) -> None:
         """Make the tracer safe to use in a freshly forked child.
 
-        The child inherits the parent's thread-local span stack (so new
-        spans would mis-parent under spans it does not own), its
+        The child inherits the parent's span stack (so new spans would
+        mis-parent under spans it does not own), its
         finished-span list (the parent's spans, not the child's), and
         its span-id counter (ids repeating the parent's).  Clear the
         first two and rebase the counter into a random high range;
         ``enabled`` is preserved.
         """
         self._lock = threading.Lock()
-        self._local = threading.local()
+        self._new_stacks()
         self._finished = []
         self.failure_counts = {}
         self.dropped = 0
@@ -345,8 +352,8 @@ class Tracer:
     # -- introspection ----------------------------------------------------
 
     def current(self) -> Optional[Span]:
-        """The innermost open span on this thread, if any."""
-        stack = self._stack()
+        """The innermost open span in this thread or task, if any."""
+        stack = self._spans.get()
         return stack[-1] if stack else None
 
     def spans(self) -> List[Span]:
@@ -373,25 +380,26 @@ class Tracer:
     def _next_id(self) -> int:
         return next(self._counter)
 
-    def _stack(self) -> List[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
-    def _context_stack(self) -> list:
-        stack = getattr(self._local, "contexts", None)
-        if stack is None:
-            stack = self._local.contexts = []
-        return stack
+    def _new_stacks(self) -> None:
+        """Fresh span and ambient-context stacks.  A context variable
+        holds a tuple, never a list: a task that pushes sets its own
+        copy, so tasks and threads never share one stack, and fresh
+        variables hide whatever the old ones held (a forked child's
+        inherited stacks)."""
+        self._spans: contextvars.ContextVar = contextvars.ContextVar(
+            "repro_spans", default=()
+        )
+        self._contexts: contextvars.ContextVar = contextvars.ContextVar(
+            "repro_trace_contexts", default=()
+        )
 
     def _parentage(self):
-        """(parent span id, trace id) for a new span on this thread."""
-        stack = self._stack()
+        """(parent span id, trace id) for a new span here."""
+        stack = self._spans.get()
         if stack:
             top = stack[-1]
             return top.span_id, top.trace_id
-        contexts = self._context_stack()
+        contexts = self._contexts.get()
         if contexts:
             ctx = contexts[-1]
             return ctx.span_id, ctx.trace_id

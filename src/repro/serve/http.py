@@ -612,8 +612,8 @@ class HotspotServer:
                 raise _HttpError(
                     400, 'ack body must be {"sequence": <int >= 0>}'
                 )
-            # The durable ack rewrites cursors.json with fsyncs: off
-            # the event loop, like register and remove.
+            # The durable ack appends a registry-log record with an
+            # fsync: off the event loop, like register and remove.
             cursor = await self._in_thread(
                 engine.ack, sub_id, sequence, context=ctx
             )

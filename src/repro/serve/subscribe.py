@@ -91,7 +91,6 @@ from typing import (
 )
 
 from repro.durable.cursors import (
-    CursorStore,
     NotificationBatch,
     NotificationLog,
     RegistryLog,
@@ -867,16 +866,17 @@ class SubscriptionEngine:
 
     Single-writer like the store itself: :meth:`process_commit` and
     :meth:`publish_batch` run on the service's writer thread inside
-    the publish window; registration and acknowledgement arrive from
-    HTTP threads and synchronise on the engine lock.
+    the publish window; registration arrives from HTTP threads and
+    synchronises on the engine lock, acknowledgement on the cursor
+    lock alone.
 
-    With a ``state_dir`` the engine is durable: the registry, the
-    per-subscriber acknowledged cursors and the notification log live
-    under ``<state_dir>/`` and follow the store's commit order — the
-    triple WAL fsync is the commit point, the notification batch is
-    appended (fsynced) *before* the snapshot publish, and recovery
-    regenerates the at-most-one tail batch a crash between the two can
-    swallow (see :meth:`repair_tail`).
+    With a ``state_dir`` the engine is durable: the registry log (the
+    registrations, removals and acknowledged cursors) and the
+    notification log live under ``<state_dir>/`` and follow the
+    store's commit order — the triple WAL fsync is the commit point,
+    the notification batch is appended (fsynced) *before* the snapshot
+    publish, and recovery regenerates the at-most-one tail batch a
+    crash between the two can swallow (see :meth:`repair_tail`).
     """
 
     def __init__(
@@ -900,30 +900,33 @@ class SubscriptionEngine:
         self._eval_started: Dict[int, float] = {}
         self.state_dir = state_dir
         self.log: Optional[NotificationLog] = None
-        self.cursors: Optional[CursorStore] = None
-        #: Session-only cursors when there is no durable store.
-        self._mem_cursors: Dict[str, int] = {}
         self._registry_log: Optional[RegistryLog] = None
+        #: ``subscription id → acknowledged publication sequence``,
+        #: guarded by ``_cursor_lock`` (the registry log's lock when
+        #: durable) and never by the engine lock, so an ack does not
+        #: wait on a commit's evaluation.  Whoever needs both takes the
+        #: engine lock first.
+        self._cursors: Dict[str, int] = {}
+        self._cursor_lock = threading.RLock()
         if state_dir is not None:
             os.makedirs(state_dir, exist_ok=True)
-            legacy = os.path.join(state_dir, "registry.json")
-            if os.path.exists(legacy):
-                raise DurabilityError(
-                    f"{legacy!r} is a subscription registry in the old "
-                    "layout (rewritten whole per registration); this "
-                    "version keeps the registry in registry.log"
-                )
+            for name in ("registry.json", "cursors.json"):
+                legacy = os.path.join(state_dir, name)
+                if os.path.exists(legacy):
+                    raise DurabilityError(
+                        f"{legacy!r} is subscriber state in the old "
+                        "layout (rewritten whole per change); this "
+                        "version keeps it in registry.log"
+                    )
             self.log = NotificationLog(
                 os.path.join(state_dir, "notifications.log"),
                 fsync=fsync,
             )
-            self.cursors = CursorStore(
-                os.path.join(state_dir, "cursors.json"),
-                fsync=fsync != "never",
-            )
             self._registry_log = RegistryLog(
                 os.path.join(state_dir, "registry.log"), fsync=fsync
             )
+            self._cursor_lock = self._registry_log.lock
+            self._cursors = self._registry_log.cursors
             self.registry.add_many(
                 Subscription.from_dict(
                     doc,
@@ -1036,11 +1039,10 @@ class SubscriptionEngine:
             removed = self.registry.remove(sub_id)
             if removed:
                 self._seen.pop(sub_id, None)
-                self._mem_cursors.pop(sub_id, None)
-                if self.cursors is not None:
-                    self.cursors.forget(sub_id)
-                if self._registry_log is not None:
-                    self._registry_log.remove(sub_id)
+                with self._cursor_lock:
+                    self._cursors.pop(sub_id, None)
+                    if self._registry_log is not None:
+                        self._registry_log.remove(sub_id)
         self._export_gauges()
         return removed
 
@@ -1048,24 +1050,23 @@ class SubscriptionEngine:
 
     def ack(self, sub_id: str, sequence: int) -> int:
         """Advance a subscriber's acknowledged cursor (monotonic);
-        returns the cursor now in effect.  Durable when the engine is."""
-        if self.cursors is not None:
-            return self.cursors.ack(sub_id, sequence)
+        returns the cursor now in effect.  Durable when the engine is:
+        an ack that advances appends one registry-log record."""
         if sequence < 0:
             raise SubscriptionError("cursor sequence must be >= 0")
-        with self._lock:
-            current = self._mem_cursors.get(sub_id, 0)
-            if sequence > current:
-                self._mem_cursors[sub_id] = sequence
-                current = sequence
-            return current
+        with self._cursor_lock:
+            current = self._cursors.get(sub_id, 0)
+            if sequence <= current:
+                return current
+            if self._registry_log is not None:
+                self._registry_log.ack(sub_id, sequence)
+            self._cursors[sub_id] = sequence
+            return sequence
 
     def cursor(self, sub_id: str) -> int:
         """The acknowledged cursor (0 = nothing acknowledged yet)."""
-        if self.cursors is not None:
-            return self.cursors.get(sub_id)
-        with self._lock:
-            return self._mem_cursors.get(sub_id, 0)
+        with self._cursor_lock:
+            return self._cursors.get(sub_id, 0)
 
     def replay_after(self, sequence: int) -> List[NotificationBatch]:
         """Logged batches past a cursor — the SSE resume set (empty
@@ -1435,8 +1436,8 @@ class SubscriptionEngine:
         if self.log is not None:
             report["logged_batches"] = len(self.log)
             report["last_sequence"] = self.log.last_sequence
-        if self.cursors is not None:
-            report["cursors"] = self.cursors.all()
+        with self._cursor_lock:
+            report["cursors"] = dict(self._cursors)
         return report
 
     def _export_gauges(self) -> None:

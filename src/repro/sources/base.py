@@ -108,8 +108,9 @@ class SourcesConfig:
     """Federation configuration carried by ``ServiceConfig.sources``.
 
     Serialisable to/from a plain dict so the durable service can
-    persist it in ``service.json`` and restore the same federation on
-    recovery.
+    persist it in ``service.json`` (written before the store, so even a
+    crash in the first open keeps it) and restore the same federation
+    on recovery.
     """
 
     polar: bool = True

@@ -15,9 +15,9 @@ Crash-hit counts select *which* pass through a point aborts: service
 construction writes a baseline graph checkpoint, so the graph
 checkpoint points crash on a later pass — the one inside acquisition
 2's commit cycle (``checkpoint_interval=2`` makes acquisition 2 trigger
-periodic compaction too).  ``service.json`` is written once, at the
-end of an open, so its points crash on the first pass, before any
-acquisition.
+periodic compaction too).  ``service.json`` is written once per open,
+on a first open before the baseline checkpoint, so its points crash on
+the first pass, before the store exists: the reopen is a fresh open.
 """
 
 from __future__ import annotations
@@ -65,6 +65,12 @@ EXPECTED_CURSOR = {name: 2 for name in CRASH_HITS}
 EXPECTED_CURSOR["wal.append.torn"] = 1
 EXPECTED_CURSOR["service-checkpoint.torn"] = 0
 EXPECTED_CURSOR["service-checkpoint.pre-rename"] = 0
+
+#: Whether the reopen recovers a store: not when the crash landed
+#: before the first open's baseline checkpoint.
+EXPECTED_RECOVERED = {name: True for name in CRASH_HITS}
+EXPECTED_RECOVERED["service-checkpoint.torn"] = False
+EXPECTED_RECOVERED["service-checkpoint.pre-rename"] = False
 
 
 def _service_config(state_dir: str) -> ServiceConfig:
@@ -158,7 +164,7 @@ def test_crash_recover_resume(point, tmp_path, oracle,
     service = FireMonitoringService.open(state_dir, greece=durable_greece)
     try:
         durability = service.health()["durability"]
-        assert durability["recovered"] is True
+        assert durability["recovered"] is EXPECTED_RECOVERED[point]
         assert durability["committed_acquisitions"] == cursor
 
         # Recovery surfaces the dump: health() names the crash site.

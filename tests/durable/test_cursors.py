@@ -1,21 +1,24 @@
-"""Durable subscriber state: NotificationLog and CursorStore."""
+"""Durable subscriber state: the notification log, the registry log and
+the acknowledged cursors it carries."""
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 
 import pytest
 
+from repro.core.config import RunOptions, ServiceConfig
+from repro.core.service import FireMonitoringService
 from repro.durable import (
-    CursorStore,
     NotificationBatch,
     NotificationLog,
     RegistryLog,
     WriteAheadLog,
 )
-from repro.durable import wal as wal_module
 from repro.errors import DurabilityError
+from repro.serve.subscribe import SubscriptionEngine, SubscriptionError
 
 
 def _batch(sequence, wal_seq=None, subjects=()):
@@ -72,43 +75,6 @@ class TestNotificationLog:
             # The repaired batch carries no wal_seq; the recovery
             # anchor is still the newest batch that does.
             assert log.last_wal_seq == 7
-
-    def test_compact_drops_fully_acknowledged_batches(self, tmp_path):
-        path = str(tmp_path / "n.wal")
-        with NotificationLog(path) as log:
-            for seq in (2, 3, 4, 5):
-                log.append(_batch(seq, subjects=(f"s{seq}",)))
-            size_before = os.path.getsize(path)
-            assert log.compact(3) == 2
-            assert log.compact(3) == 0  # idempotent
-            assert [b.sequence for b in log.batches] == [4, 5]
-            assert os.path.getsize(path) < size_before
-        with NotificationLog(path) as log:
-            assert [b.sequence for b in log.batches] == [4, 5]
-
-    def test_compact_interrupted_mid_write_loses_nothing(
-        self, tmp_path, monkeypatch
-    ):
-        path = str(tmp_path / "n.wal")
-        with NotificationLog(path) as log:
-            for seq in (2, 3, 4, 5):
-                log.append(_batch(seq, subjects=(f"s{seq}",)))
-
-            class _Dies:
-                """A crash while the kept batches are being framed."""
-
-                @staticmethod
-                def crc32(_payload):
-                    raise OSError("injected crash")
-
-            with monkeypatch.context() as patch:
-                patch.setattr(wal_module, "zlib", _Dies)
-                with pytest.raises(OSError, match="injected"):
-                    log.compact(3)
-        with NotificationLog(path) as log:
-            kept = [b.sequence for b in log.batches]
-        # Either the old log or the compacted one, never neither.
-        assert kept in ([2, 3, 4, 5], [4, 5])
 
     def test_old_layout_record_is_refused(self, tmp_path):
         path = str(tmp_path / "n.wal")
@@ -200,43 +166,153 @@ class TestRegistryLog:
             RegistryLog(path)
 
 
-class TestCursorStore:
-    def test_ack_is_monotonic_and_persistent(self, tmp_path):
-        path = str(tmp_path / "cursors.json")
-        store = CursorStore(path)
-        assert store.get("sub-1") == 0
-        assert store.ack("sub-1", 4) == 4
-        assert store.ack("sub-1", 2) == 4  # stale ack ignored
-        assert store.ack("sub-1", 4) == 4  # replayed ack ignored
-        assert CursorStore(path).get("sub-1") == 4
+class TestCursorDurability:
+    """Acknowledged cursors are registry-log records of a durable
+    engine."""
 
-    def test_negative_ack_rejected(self, tmp_path):
-        store = CursorStore(str(tmp_path / "c.json"))
-        with pytest.raises(ValueError):
-            store.ack("sub-1", -1)
+    @staticmethod
+    def _engine(tmp_path):
+        return SubscriptionEngine(state_dir=str(tmp_path / "subs"))
 
-    def test_forget_drops_cursor(self, tmp_path):
-        path = str(tmp_path / "c.json")
-        store = CursorStore(path)
-        store.ack("sub-1", 3)
-        store.forget("sub-1")
-        store.forget("sub-never")  # unknown id is a no-op
-        assert store.get("sub-1") == 0
-        assert CursorStore(path).all() == {}
+    def test_an_ack_survives_a_restart(self, tmp_path):
+        engine = self._engine(tmp_path)
+        sub = engine.register({"kind": "filter"})
+        assert engine.cursor(sub.id) == 0
+        assert engine.ack(sub.id, 4) == 4
+        engine.close()
+        engine = self._engine(tmp_path)
+        assert engine.cursor(sub.id) == 4
+        assert engine.stats()["cursors"] == {sub.id: 4}
+        engine.close()
 
-    def test_min_cursor_is_the_compaction_horizon(self, tmp_path):
-        store = CursorStore(str(tmp_path / "c.json"))
-        assert store.min_cursor() == 0
-        store.ack("fast", 9)
-        store.ack("slow", 3)
-        assert store.min_cursor() == 3
-        store.forget("slow")
-        assert store.min_cursor() == 9
+    def test_an_ack_appends_one_registry_record(self, tmp_path):
+        engine = self._engine(tmp_path)
+        sub = engine.register({"kind": "filter"})
+        path = str(tmp_path / "subs" / "registry.log")
+        with open(path, "rb") as fh:
+            before = fh.read()
+        engine.ack(sub.id, 4)
+        assert engine.ack(sub.id, 2) == 4  # stale: nothing appended
+        engine.close()
+        with open(path, "rb") as fh:
+            assert fh.read().startswith(before)
+        with WriteAheadLog(path) as wal:
+            last = wal.replayed[-1].payload
+            assert len(wal.replayed) == 2
+        assert json.loads(last) == {"ack": [[sub.id, 4]]}
 
-    def test_file_appears_atomically(self, tmp_path):
-        path = str(tmp_path / "c.json")
-        store = CursorStore(path)
-        store.ack("sub-1", 1)
-        # Only the final file, never a temp sibling, is left behind.
-        siblings = os.listdir(str(tmp_path))
-        assert siblings == ["c.json"]
+    def test_a_replayed_older_ack_never_moves_a_cursor_back(
+        self, tmp_path
+    ):
+        engine = self._engine(tmp_path)
+        sub = engine.register({"kind": "filter"})
+        engine.ack(sub.id, 7)
+        engine.close()
+        # A stale ack logged after the newer one (replay folds by max).
+        log = RegistryLog(str(tmp_path / "subs" / "registry.log"))
+        log.ack(sub.id, 3)
+        log.close()
+        for _ in range(2):  # the first reopen folds, the second reads it
+            engine = self._engine(tmp_path)
+            assert engine.cursor(sub.id) == 7
+            assert engine.ack(sub.id, 3) == 7
+            assert engine.ack(sub.id, 7) == 7
+            engine.close()
+
+    def test_remove_drops_the_cursor_across_a_restart(self, tmp_path):
+        engine = self._engine(tmp_path)
+        gone = engine.register({"kind": "filter"})
+        kept = engine.register({"kind": "filter"})
+        engine.ack(gone.id, 3)
+        engine.ack(kept.id, 5)
+        assert engine.remove(gone.id)
+        assert engine.cursor(gone.id) == 0
+        engine.close()
+        for _ in range(2):
+            engine = self._engine(tmp_path)
+            assert engine.cursor(gone.id) == 0
+            assert engine.stats()["cursors"] == {kept.id: 5}
+            engine.close()
+
+    def test_a_torn_ack_loses_only_that_ack(self, tmp_path):
+        engine = self._engine(tmp_path)
+        sub = engine.register({"kind": "filter"})
+        engine.ack(sub.id, 5)
+        engine.ack(sub.id, 9)
+        engine.close()
+        path = str(tmp_path / "subs" / "registry.log")
+        with open(path, "r+b") as fh:
+            fh.truncate(os.path.getsize(path) - 3)
+        engine = self._engine(tmp_path)
+        assert engine.registry.get(sub.id) is not None
+        assert engine.cursor(sub.id) == 5
+        engine.close()
+
+    def test_an_ack_does_not_wait_on_a_commit(self, tmp_path):
+        engine = self._engine(tmp_path)
+        sub = engine.register({"kind": "filter"})
+        evaluating, done = threading.Event(), threading.Event()
+
+        def commit():  # holds the engine lock as process_commit does
+            with engine._lock:
+                evaluating.set()
+                done.wait(timeout=30)
+
+        writer = threading.Thread(target=commit)
+        writer.start()
+        try:
+            assert evaluating.wait(timeout=10)
+            acker = threading.Thread(target=engine.ack, args=(sub.id, 2))
+            acker.start()
+            acker.join(timeout=10)
+            assert not acker.is_alive()
+            assert engine.cursor(sub.id) == 2
+        finally:
+            done.set()
+            writer.join(timeout=30)
+            engine.close()
+
+    def test_negative_ack_is_a_subscription_error(self, tmp_path):
+        for engine in (SubscriptionEngine(), self._engine(tmp_path)):
+            sub = engine.register({"kind": "filter"})
+            with pytest.raises(SubscriptionError, match=">= 0"):
+                engine.ack(sub.id, -1)
+            assert engine.cursor(sub.id) == 0
+            engine.close()
+
+    def test_subs_holds_only_the_two_logs(
+        self, tmp_path, durable_greece, durable_season,
+        acquisition_requests,
+    ):
+        state_dir = str(tmp_path / "state")
+        service = FireMonitoringService(
+            greece=durable_greece,
+            config=ServiceConfig(state_dir=state_dir, wal_fsync="never"),
+        )
+        try:
+            sub = service.subscriptions.register({"kind": "filter"})
+            service.subscriptions.ack(sub.id, 1)
+            service.run(
+                acquisition_requests[:1],
+                RunOptions(season=durable_season, on_error="raise"),
+            )
+        finally:
+            service.close()
+        service = FireMonitoringService.open(
+            state_dir, greece=durable_greece
+        )
+        try:
+            assert service.subscriptions.cursor(sub.id) == 1
+        finally:
+            service.close()
+        assert sorted(os.listdir(os.path.join(state_dir, "subs"))) == [
+            "notifications.log",
+            "registry.log",
+        ]
+        leftovers = [
+            name
+            for _base, _dirs, names in os.walk(state_dir)
+            for name in names
+            if name.endswith(".tmp")
+        ]
+        assert leftovers == []

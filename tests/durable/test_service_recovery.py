@@ -201,3 +201,41 @@ def test_a_crash_after_a_compaction_recovers_the_cursor_from_the_checkpoint(
         assert [o.timestamp for o in outcomes] == requests[4:]
     finally:
         service.close()
+
+
+def _crash_in_the_first_open(state_dir, greece):
+    # The first pass through graph-checkpoint.post-rename is the
+    # baseline checkpoint the first open writes.
+    crashpoints.arm("graph-checkpoint.post-rename", hits=1)
+    FireMonitoringService(
+        greece=greece,
+        config=ServiceConfig(
+            state_dir=state_dir,
+            wal_fsync="never",
+            checkpoint_interval=2,
+            sources={"seed": 7},
+        ),
+    )
+    os._exit(0)  # crashpoint never fired
+
+
+def test_a_crash_after_the_baseline_checkpoint_keeps_the_configuration(
+    tmp_path, durable_greece
+):
+    state_dir = str(tmp_path / "state")
+    ctx = multiprocessing.get_context("fork")
+    child = ctx.Process(
+        target=_crash_in_the_first_open, args=(state_dir, durable_greece)
+    )
+    child.start()
+    child.join(timeout=300)
+    assert child.exitcode == CRASH_EXIT
+
+    service = FireMonitoringService.open(state_dir, greece=durable_greece)
+    try:
+        assert service.config.wal_fsync == "never"
+        assert service.config.checkpoint_interval == 2
+        assert service.config.sources is not None
+        assert service.config.sources.seed == 7
+    finally:
+        service.close()

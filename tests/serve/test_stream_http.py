@@ -9,6 +9,7 @@ import threading
 
 import pytest
 
+from repro import obs
 from repro.serve import (
     ServeClient,
     ServeError,
@@ -170,20 +171,21 @@ class TestCrud:
     def test_a_read_completes_while_an_ack_is_saving(
         self, client, monkeypatch
     ):
-        """The durable ack rewrites cursors.json with fsyncs; held, it
-        must stall only its own request, not the event loop."""
+        """The durable ack appends a registry-log record with an
+        fsync; held, it must stall only its own request, not the event
+        loop."""
         from repro.durable import cursors
 
         sub_id = client.subscribe({"kind": "filter"})["id"]
         saving, release = threading.Event(), threading.Event()
-        save = cursors.save_service_state
+        append = cursors.RegistryLog._append
 
-        def held_save(*args, **kwargs):
+        def held_append(*args, **kwargs):
             saving.set()
             release.wait(timeout=30)
-            return save(*args, **kwargs)
+            return append(*args, **kwargs)
 
-        monkeypatch.setattr(cursors, "save_service_state", held_save)
+        monkeypatch.setattr(cursors.RegistryLog, "_append", held_append)
         acker = threading.Thread(target=client.ack, args=(sub_id, 3))
         acker.start()
         try:
@@ -195,6 +197,51 @@ class TestCrud:
             acker.join(timeout=30)
         assert not acker.is_alive()
         assert client.subscription(sub_id)["cursor"] == 3
+
+    def test_interleaved_requests_each_root_their_own_span(
+        self, standin, client, monkeypatch
+    ):
+        """A request held across its pool hop must not become the
+        parent of a request the loop serves meanwhile."""
+        registering, release = threading.Event(), threading.Event()
+        register = standin.subscriptions.register
+
+        def held_register(doc):
+            registering.set()
+            release.wait(timeout=30)
+            return register(doc)
+
+        monkeypatch.setattr(
+            standin.subscriptions, "register", held_register
+        )
+        obs.disable()
+        obs.reset()
+        obs.enable()
+        try:
+            held = threading.Thread(
+                target=client.subscribe, args=({"kind": "filter"},)
+            )
+            held.start()
+            try:
+                assert registering.wait(timeout=10)
+                assert client.hotspots()["type"] == "FeatureCollection"
+            finally:
+                release.set()
+                held.join(timeout=30)
+            requests = [
+                span
+                for span in obs.get_tracer().spans()
+                if span.name == "serve.request"
+            ]
+        finally:
+            obs.disable()
+            obs.reset()
+        assert sorted(s.attributes["endpoint"] for s in requests) == [
+            "hotspots",
+            "subscriptions",
+        ]
+        assert [s.parent_id for s in requests] == [None, None]
+        assert requests[0].trace_id != requests[1].trace_id
 
     def test_stream_route_requires_get(self, client):
         with pytest.raises(ServeError) as exc:

@@ -809,6 +809,13 @@ class TestDurableState:
         )
         with pytest.raises(DurabilityError, match="registry.json"):
             SubscriptionEngine(state_dir=str(legacy))
+        old_cursors = tmp_path / "old-cursors"
+        old_cursors.mkdir()
+        (old_cursors / "cursors.json").write_text(
+            '{"version": 1, "cursors": {}}'
+        )
+        with pytest.raises(DurabilityError, match="cursors.json"):
+            SubscriptionEngine(state_dir=str(old_cursors))
         old_batches = tmp_path / "old-batches"
         old_batches.mkdir()
         with WriteAheadLog(str(old_batches / "notifications.log")) as log:
