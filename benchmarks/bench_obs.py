@@ -15,6 +15,17 @@ are persisted under ``benchmarks/out/``:
 Two pytest-benchmark timings compare the chain with tracing off and on —
 the disabled path must stay within noise of the uninstrumented baseline
 (<5% acceptance bound measured against ``bench_table2_chain_times``).
+
+``tracing.overhead_p50_ratio`` — p50 chain latency with ``repro.obs``
+on against off, over interleaved pairs — is the only check of what
+``repro.obs`` costs when it is enabled: the end-to-end benchmark's
+``trace.overhead_ratio`` prices ``benchmarks/e2e``'s own layer wrappers
+and runs with ``repro.obs`` off (``obs_enabled: false`` in its
+environment block).  So this gate must not be retired in favour of the
+e2e ratio.  The ratio divides a sub-millisecond difference by a chain
+of a few tens of milliseconds, so it takes the median of 21 pairs: with
+5, single noisy pairs moved it across the ``<= 0.05`` bar of
+``check_regression.py`` on a shared 2-vCPU machine.
 """
 
 from __future__ import annotations
@@ -50,7 +61,7 @@ N_ACQUISITIONS = 12 if paper_scale() else 4
 N_THROUGHPUT_SPANS = 50_000 if paper_scale() else 10_000
 
 #: Interleaved on/off acquisition timings for the overhead ratio.
-N_OVERHEAD_REPS = 9 if paper_scale() else 5
+N_OVERHEAD_REPS = 21
 
 _ARTIFACTS = {}
 
@@ -68,7 +79,7 @@ def instrumented_run(greece, season):
         os.makedirs(incoming)
         service = FireMonitoringService(
             greece=greece,
-            config=ServiceConfig(mode="teleios", workdir=workdir),
+            config=ServiceConfig(workdir=workdir),
         )
         for k in range(N_ACQUISITIONS):
             when = CRISIS_START + timedelta(hours=12, minutes=15 * k)
@@ -90,11 +101,11 @@ def instrumented_run(greece, season):
         metrics = obs.get_metrics()
         run = {
             "spans": spans,
-            "snapshot": build_snapshot(metrics, service.budget),
+            "snapshot": build_snapshot(metrics, service.outcomes),
             "prometheus": prometheus_text(metrics),
             "table2": table2_from_spans(spans).format(),
             "tree": tree_report(spans, max_spans=80),
-            "budget_report": service.budget.report(),
+            "budget_report": service.budget_report(),
             "registered": registered,
             "outcomes": outcomes,
             "shapefiles": shapefiles,

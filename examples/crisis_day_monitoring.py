@@ -5,7 +5,7 @@ Replays two hours of a simulated crisis afternoon at the MSG2 cadence
 production: scene → vault → SciQL chain → stRDF annotation → stSPARQL
 refinement → dissemination.  Prints a situation report per acquisition
 and a final summary comparing the TELEIOS service with the pre-TELEIOS
-configuration.
+chain (:class:`~repro.core.legacy.LegacyChain`) over the same scenes.
 
 The whole run executes under the observability layer (``repro.obs``):
 the final sections print the acquisition-budget report against the
@@ -28,6 +28,7 @@ from datetime import datetime, timedelta, timezone
 
 from repro import obs
 from repro.core import FireMonitoringService, RunOptions, ServiceConfig
+from repro.core.legacy import LegacyChain
 from repro.core.render import render_situation_map
 from repro.datasets import SyntheticGreece
 from repro.faults import FaultPlan, inject
@@ -54,18 +55,12 @@ def main(with_faults: bool = False) -> None:
     teleios = FireMonitoringService(
         greece=greece,
         config=ServiceConfig(
-            mode="teleios",
             archive_products=True,
             # Faults mangle HRIT segment bytes, so the faulted replay
             # must feed the chain through real files.
             use_files=with_faults,
         ),
     )
-    legacy = FireMonitoringService(
-        greece=greece,
-        config=ServiceConfig(mode="pre-teleios"),
-    )
-
     whens = [
         crisis_start.replace(hour=14) + timedelta(minutes=15 * step)
         for step in range(8)
@@ -76,7 +71,15 @@ def main(with_faults: bool = False) -> None:
         print(f"Injecting faults: {plan.describe()}\n")
     with inject(plan):
         outcomes = teleios.run(whens, RunOptions(season=season))
-    legacy_outcomes = legacy.run(whens, RunOptions(season=season))
+    # The pre-TELEIOS baseline: the legacy C-style chain alone, no
+    # refinement, over the same (fault-free) scenes.
+    legacy = LegacyChain(teleios.georeference)
+    legacy_seconds = [
+        legacy.process(
+            teleios.scene_generator.generate(when, season)
+        ).processing_seconds
+        for when in whens
+    ]
 
     print("time   | status   | raw  refined | chain(s) refine(s) | fires")
     print("-" * 64)
@@ -96,7 +99,6 @@ def main(with_faults: bool = False) -> None:
         )
         for error in outcome.errors:
             print(f"       |   what was sacrificed: {error}")
-    assert all(len(o.raw_product) >= 0 for o in legacy_outcomes)
 
     if with_faults:
         degraded = sum(1 for o in outcomes if o.degraded)
@@ -110,14 +112,16 @@ def main(with_faults: bool = False) -> None:
             print(f"  {record.reason} at {record.site}: {record.error}")
 
     print("\nSummary (averages per acquisition):")
-    for name, service in (("TELEIOS", teleios), ("pre-TELEIOS", legacy)):
-        summary = service.timing_summary()
-        refine = summary.get("refine_avg_s", 0.0)
-        print(
-            f"  {name:<12} chain {summary['chain_avg_s']:.3f}s"
-            + (f" + refinement {refine:.3f}s" if refine else
-               "  (no refinement stage)")
-        )
+    summary = obs.budget_summary(outcomes)
+    print(
+        f"  {'TELEIOS':<12} chain {summary['chain_avg_s']:.3f}s"
+        f" + refinement {summary['refinement_avg_s']:.3f}s"
+    )
+    print(
+        f"  {'pre-TELEIOS':<12} chain "
+        f"{sum(legacy_seconds) / len(legacy_seconds):.3f}s"
+        "  (no refinement stage)"
+    )
 
     last = outcomes[-1]
     raw = len(last.raw_product)
@@ -148,7 +152,6 @@ def main(with_faults: bool = False) -> None:
     print(render_situation_map(greece, last.raw_product.hotspots,
                                width=76, height=26))
     teleios.close()
-    legacy.close()
 
 
 if __name__ == "__main__":

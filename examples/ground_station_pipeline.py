@@ -111,16 +111,9 @@ def main() -> None:
         acq = stale[0]
         print(f"   stale acquisition {acq.timestamp:%H:%M} dispatched "
               f"without {'/'.join(acq.missing_bands)}")
-        from repro.core import (
-            FireMonitoringService,
-            RunOptions,
-            ServiceConfig,
-        )
+        from repro.core import FireMonitoringService, RunOptions
 
-        with FireMonitoringService(
-            greece=greece,
-            config=ServiceConfig(mode="pre-teleios"),
-        ) as service:
+        with FireMonitoringService(greece=greece) as service:
             [outcome] = service.run([acq], RunOptions(season=season))
         print(f"   service outcome: status={outcome.status}")
         for error in outcome.errors:

@@ -27,7 +27,7 @@ import threading
 from datetime import datetime, timedelta, timezone
 
 from repro import obs
-from repro.core import FireMonitoringService, RunOptions, ServiceConfig
+from repro.core import FireMonitoringService, RunOptions
 from repro.datasets import SyntheticGreece
 from repro.faults import FaultPlan, inject
 from repro.serve import ConsistencyToken, ServeClient
@@ -47,10 +47,7 @@ def main() -> None:
     options = RunOptions(season=season)
 
     print("Ingesting the 13:00-13:30 UTC acquisitions...")
-    service = FireMonitoringService(
-        greece=greece,
-        config=ServiceConfig(mode="teleios"),
-    )
+    service = FireMonitoringService(greece=greece)
     first = [
         crisis_start.replace(hour=13) + timedelta(minutes=15 * k)
         for k in range(3)

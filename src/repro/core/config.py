@@ -31,8 +31,7 @@ __all__ = ["ServiceConfig", "RunOptions", "FaultPolicy"]
 ON_ERROR_MODES = ("degrade", "raise")
 
 #: Field metadata of the :class:`ServiceConfig` fields a durable
-#: service does not persist: where this process keeps its files, and
-#: in-memory grid objects.
+#: service does not persist: where this process keeps its files.
 _LOCAL = {"persisted": False}
 
 #: :class:`FaultPolicy` durations, each a non-negative number of seconds.
@@ -128,9 +127,6 @@ class ServiceConfig:
     """Construction-time configuration of
     :class:`~repro.core.service.FireMonitoringService`."""
 
-    #: ``"teleios"`` (SciQL chain + semantic refinement) or
-    #: ``"pre-teleios"`` (legacy chain, no refinement).
-    mode: str = "teleios"
     #: Seed of the synthetic Greece built when none is supplied.
     seed: int = 42
     #: Feed the chain HRIT segment files through the Data Vault
@@ -141,11 +137,6 @@ class ServiceConfig:
     workdir: Optional[str] = field(default=None, metadata=_LOCAL)
     #: File products into a :class:`~repro.core.archive.ProductArchive`.
     archive_products: bool = False
-    #: Expected cloud fields per synthesised scene (Poisson).
-    clouds_per_scene: float = 0.0
-    #: Satellite grids; library defaults when unset.
-    raw_grid: Optional[object] = field(default=None, metadata=_LOCAL)
-    target_grid: Optional[object] = field(default=None, metadata=_LOCAL)
     #: Durable-state directory (``repro.durable``).  When set, the RDF
     #: store is write-ahead logged, each commit's WAL record carrying
     #: the acquisition cursor;
@@ -165,15 +156,6 @@ class ServiceConfig:
     sources: Optional[object] = None
 
     def validate(self) -> None:
-        if self.mode not in ("teleios", "pre-teleios"):
-            raise ConfigurationError(f"unknown mode {self.mode!r}")
-        if self.clouds_per_scene < 0:
-            raise ConfigurationError("clouds_per_scene must be >= 0")
-        if self.state_dir is not None and self.mode != "teleios":
-            raise ConfigurationError(
-                "state_dir requires mode='teleios' (the pre-TELEIOS "
-                "configuration has no semantic store to persist)"
-            )
         if self.wal_fsync not in ("always", "commit", "never"):
             raise ConfigurationError(
                 f"wal_fsync must be 'always', 'commit' or 'never', "
@@ -184,11 +166,6 @@ class ServiceConfig:
                 "checkpoint_interval must be >= 1"
             )
         if self.sources is not None:
-            if self.mode != "teleios":
-                raise ConfigurationError(
-                    "sources requires mode='teleios' (the federation "
-                    "feeds the semantic refinement stage)"
-                )
             self.sources = self.sources_config()
 
     def to_dict(self) -> Dict[str, object]:

@@ -6,12 +6,10 @@ chain (SciQL over MonetDB), products are annotated in stRDF, refined with
 linked geospatial data (stSPARQL over Strabon), and disseminated as
 shapefiles and thematic map layers.
 
-Two configurations are provided:
-
-* ``mode="teleios"`` — the paper's improved service (SciQL chain +
-  semantic refinement),
-* ``mode="pre-teleios"`` — the legacy configuration of Figure 1 (C-style
-  chain, no refinement), used as the comparison baseline.
+The service has one configuration, the paper's improved one: SciQL
+chain plus semantic refinement.  The pre-TELEIOS baseline of Figure 1
+is :class:`~repro.core.legacy.LegacyChain`, which the experiments and
+examples time on its own over the same scenes.
 
 The public surface is one constructor plus one batch method::
 
@@ -42,13 +40,13 @@ import os
 import shutil
 import tempfile
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Dict, Iterable, List, Optional
+from typing import Deque, Dict, Iterable, List, Optional
 
 from repro.core.archive import ProductArchive
 from repro.core.config import FaultPolicy, RunOptions, ServiceConfig
-from repro.core.legacy import LegacyChain
 from repro.core.mapping import MapComposer
 from repro.core.products import HotspotProduct
 from repro.core.refinement import OperationTiming, RefinementPipeline
@@ -60,10 +58,9 @@ from repro.core.runtime import (
 from repro.core.sciql_chain import SciQLChain
 from repro.datasets import SyntheticGreece, load_auxiliary_data
 from repro.durable import crashpoints
-from repro.errors import ServiceStateError
+from repro.errors import ConfigurationError, ServiceStateError
 from repro.faults import CircuitBreaker, DeadLetterBox, RetryPolicy
 from repro.obs import (
-    AcquisitionBudget,
     SloEngine,
     TraceContext,
     context_of,
@@ -71,6 +68,7 @@ from repro.obs import (
     get_metrics,
     get_tracer,
 )
+from repro.obs import budget as _budget
 from repro.obs import flightrec as _flightrec
 from repro.rdf.graph import Graph, Op
 from repro.serve.subscribe import delta_from_ops
@@ -85,6 +83,15 @@ _metrics = get_metrics()
 
 #: Outcome ``status`` values, from best to worst.
 OUTCOME_STATUSES = ("ok", "degraded", "error")
+
+#: Configuration keys a ``service.json`` may carry from before the
+#: service had one configuration, each with the one value the service
+#: now always runs with.
+_RETIRED_CONFIG = {"mode": "teleios", "clouds_per_scene": 0.0}
+
+#: Full refinements the "can stage two still fit the window?" estimate
+#: averages over.
+_REFINE_HISTORY = 8
 
 
 @dataclass
@@ -179,22 +186,12 @@ class FireMonitoringService:
             config = ServiceConfig()
         config.validate()
         self.config = config
-        self.mode = config.mode
         self.greece = (
             greece if greece is not None else SyntheticGreece(config.seed)
         )
-        raw = (
-            config.raw_grid if config.raw_grid is not None else RawGrid()
-        )
-        target = (
-            config.target_grid
-            if config.target_grid is not None
-            else TargetGrid()
-        )
-        self.scene_generator = SceneGenerator(
-            self.greece, raw=raw, clouds_per_scene=config.clouds_per_scene
-        )
-        self.georeference = GeoReference(raw, target)
+        raw = RawGrid()
+        self.scene_generator = SceneGenerator(self.greece, raw=raw)
+        self.georeference = GeoReference(raw, TargetGrid())
         self.use_files = config.use_files
         # A durable service keeps its working state (dead-letter box,
         # archive) *inside* state_dir so it survives restarts; only a
@@ -215,64 +212,45 @@ class FireMonitoringService:
             if config.archive_products
             else None
         )
-        if self.mode == "teleios":
-            self.chain = SciQLChain(self.georeference)
-            self.strabon = Strabon()
-            if config.state_dir is None:
-                load_auxiliary_data(self.strabon, self.greece)
-            # Multi-source acquisition federation (ISSUE 10): polar
-            # orbiter + weather stations behind per-source drivers;
-            # the refinement pipeline grows the ingest / cross-confirm
-            # / static-source stages when present.
-            sources_config = config.sources_config()
-            if sources_config is not None:
-                from repro.sources import SourceFederation
+        self.chain = SciQLChain(self.georeference)
+        self.strabon = Strabon()
+        if config.state_dir is None:
+            load_auxiliary_data(self.strabon, self.greece)
+        # Multi-source acquisition federation: polar orbiter + weather
+        # stations behind per-source drivers; the refinement pipeline
+        # grows the ingest / cross-confirm / static-source stages when
+        # present.
+        sources_config = config.sources_config()
+        if sources_config is not None:
+            from repro.sources import SourceFederation
 
-                self.sources: Optional[SourceFederation] = (
-                    SourceFederation.from_config(
-                        sources_config, self.greece
-                    )
-                )
-            else:
-                self.sources = None
-            self.refinement: Optional[RefinementPipeline] = (
-                RefinementPipeline(
-                    self.strabon, federation=self.sources
-                )
-            )
-            self.map_composer: Optional[MapComposer] = MapComposer(
-                self.strabon
+            self.sources: Optional[SourceFederation] = (
+                SourceFederation.from_config(sources_config, self.greece)
             )
         else:
-            self.chain = LegacyChain(self.georeference)
-            self.strabon = None  # type: ignore[assignment]
             self.sources = None
-            self.refinement = None
-            self.map_composer = None
-            self.publisher = None
+        self.refinement = RefinementPipeline(
+            self.strabon, federation=self.sources
+        )
+        self.map_composer = MapComposer(self.strabon)
+        #: Every accounted acquisition, in order; the budget report,
+        #: ``health()`` and the BENCH_obs snapshot all read it.
         self.outcomes: List[AcquisitionOutcome] = []
         self._status_counts: Dict[str, int] = {
             s: 0 for s in OUTCOME_STATUSES
         }
-        #: Per-acquisition accounting against the 5-minute window.
-        self.budget = AcquisitionBudget()
         #: Refinement circuit breaker shared by runs that do not bring
         #: their own :class:`FaultPolicy` (a run with an explicit policy
         #: gets a fresh breaker so repeated runs behave identically).
         self._breaker = FaultPolicy().build_breaker()
-        #: Full-refinement wall times driving the "can stage two still
-        #: fit the window?" estimate.
-        self._refine_history: List[float] = []
+        #: Recent full-refinement wall times driving the "can stage two
+        #: still fit the window?" estimate.
+        self._refine_history: Deque[float] = deque(maxlen=_REFINE_HISTORY)
         #: Rolling error-budget accounting for the 300 s acquisition
         #: budget and the serving-latency objective (the HTTP tier
         #: records into the same engine).
         self.slo = SloEngine(metrics=_metrics)
         self.slo.on_alert.append(self._on_slo_alert)
-        #: The serving layer's write → read hand-off and the
-        #: continuous-query engine (``repro.serve.subscribe``); both
-        #: built by :meth:`_open_serving` (None in legacy mode).
-        self.publisher = None
-        self.subscriptions = None
         #: Summary of the flight-recorder dump a previous crash left
         #: behind (``None`` on a clean start); surfaced in health().
         self._crash_report: Optional[Dict[str, object]] = None
@@ -286,7 +264,7 @@ class FireMonitoringService:
         self._resume_skipped = 0
         if config.state_dir is not None:
             self._open_durable(config)
-        elif self.mode == "teleios":
+        else:
             # An auxiliary-data-only snapshot is published immediately
             # so /hotspots is answerable (empty) before the first
             # acquisition lands.
@@ -300,8 +278,10 @@ class FireMonitoringService:
         fsync: str = "commit",
     ) -> None:
         """Start the graph's mutation journal and build the publisher
-        and the subscription engine, once the store holds its starting
-        state (auxiliary data loaded, or the durable state recovered).
+        (the serving layer's write → read hand-off) and the
+        continuous-query engine (``repro.serve.subscribe``), once the
+        store holds its starting state (auxiliary data loaded, or the
+        durable state recovered).
 
         From here on the graph records every mutation; each commit
         drains that one op list for the WAL record and the delta the
@@ -348,6 +328,12 @@ class FireMonitoringService:
         kwargs: Dict[str, object] = {}
         if saved is not None:
             kwargs.update(saved.get("config", {}))
+        for key, kept in _RETIRED_CONFIG.items():
+            if key in kwargs and kwargs.pop(key) != kept:
+                raise ConfigurationError(
+                    f"{state_dir}: saved configuration key {key!r} must "
+                    f"be {kept!r}, the only value the service runs with"
+                )
         kwargs.update(config_overrides)
         kwargs["state_dir"] = state_dir
         return cls(greece=greece, config=ServiceConfig(**kwargs))
@@ -529,7 +515,6 @@ class FireMonitoringService:
         """
         if self.durable is None:
             return
-        assert self.publisher is not None
         with _tracer.span(
             "durable.commit",
             acquisition=self._committed_acquisitions + 1,
@@ -570,8 +555,7 @@ class FireMonitoringService:
         if self._closed:
             return
         self._closed = True
-        if self.subscriptions is not None:
-            self.subscriptions.close()
+        self.subscriptions.close()
         if self.durable is not None:
             self.durable.close()
         if self._owns_workdir:
@@ -672,7 +656,7 @@ class FireMonitoringService:
     def _run_one(
         self, request, index: int, state: _RunState
     ) -> AcquisitionOutcome:
-        with _tracer.span("acquisition", mode=self.mode) as root:
+        with _tracer.span("acquisition") as root:
             try:
                 result = self._stage_one_with_retry(request, index, state)
             except Exception as error:
@@ -713,8 +697,8 @@ class FireMonitoringService:
         """Expected stage-two seconds: the policy's static reserve or
         the rolling mean of recent full refinements, whichever is
         larger."""
-        recent = self._refine_history[-8:]
-        rolling = sum(recent) / len(recent) if recent else 0.0
+        history = self._refine_history
+        rolling = sum(history) / len(history) if history else 0.0
         return max(state.policy.refinement_reserve_s, rolling)
 
     def _stage_two(
@@ -740,8 +724,7 @@ class FireMonitoringService:
         )
         degraded = result.notes.degraded
         with _tracer.span("stage.refine", hotspots=len(product)):
-            if self.refinement is not None:
-                degraded |= not self._refine(product, result, state, outcome)
+            degraded |= not self._refine(product, result, state, outcome)
             if self.archive is not None:
                 self.archive.store(product)
         if degraded:
@@ -766,7 +749,6 @@ class FireMonitoringService:
         (skip, truncation, failure) degrades the outcome.
         """
         refinement = self.refinement
-        assert refinement is not None
         remaining = state.policy.window_seconds - result.stage_seconds
         if not state.breaker.allow():
             outcome.errors.append(
@@ -871,7 +853,6 @@ class FireMonitoringService:
         self._status_counts[outcome.status] = (
             self._status_counts.get(outcome.status, 0) + 1
         )
-        self.budget.record_outcome(outcome)
         # Publish the refined state for readers.  Runs after stage two
         # for every acquisition that produced a product (ok *or*
         # degraded — a degraded product is still the best available
@@ -883,7 +864,7 @@ class FireMonitoringService:
         # "error" outcome mutated nothing and published nothing, so it
         # is deliberately not committed: a restart reprocesses it,
         # deterministically failing again.
-        if self.publisher is not None and outcome.status != "error":
+        if outcome.status != "error":
             # The acquisition's root span has already closed; the
             # ambient context re-parents the publish span (and the
             # durable-commit span inside it) into the same trace.
@@ -999,11 +980,6 @@ class FireMonitoringService:
         repartitions automatically.  Returns ``(manager, router
         handle)``; stop with ``handle.stop(); manager.stop_http()``.
         """
-        if self.publisher is None:
-            raise ServiceStateError(
-                "sharded serving needs the teleios publisher — "
-                "construct the service with mode='teleios'"
-            )
         from repro.serve.router import serve_router_in_thread
         from repro.serve.shard import ShardManager
 
@@ -1037,11 +1013,7 @@ class FireMonitoringService:
         return shp
 
     def thematic_map(self, **kwargs) -> Dict:
-        """The Figure 6 overlay map (teleios mode only)."""
-        if self.map_composer is None:
-            raise ServiceStateError(
-                "thematic maps need the teleios mode (Strabon endpoint)"
-            )
+        """The Figure 6 overlay map."""
         with _tracer.span("disseminate.map"):
             return self.map_composer.compose(**kwargs)
 
@@ -1067,30 +1039,29 @@ class FireMonitoringService:
         dead = len(self.dead_letters)
         report: Dict[str, object] = {
             "status": status,
-            "mode": self.mode,
             "acquisitions": dict(self._status_counts),
             "last_acquisition_status": last,
             "circuit_breaker": breaker_state,
             "dead_letters": dead,
-            "deadline_misses": self.budget.misses(),
+            "deadline_misses": _budget.budget_summary(self.outcomes)[
+                "deadline_misses"
+            ],
             "slo": self.slo.status(),
         }
-        if self.publisher is not None:
-            latest = self.publisher.latest()
-            report["snapshot"] = (
-                None
-                if latest is None
-                else {
-                    "sequence": latest.sequence,
-                    "generation": latest.generation,
-                    "triples": len(latest),
-                    "timestamp": None
-                    if latest.timestamp is None
-                    else latest.timestamp.isoformat(),
-                }
-            )
-        if self.subscriptions is not None:
-            report["subscriptions"] = self.subscriptions.stats()
+        latest = self.publisher.latest()
+        report["snapshot"] = (
+            None
+            if latest is None
+            else {
+                "sequence": latest.sequence,
+                "generation": latest.generation,
+                "triples": len(latest),
+                "timestamp": None
+                if latest.timestamp is None
+                else latest.timestamp.isoformat(),
+            }
+        )
+        report["subscriptions"] = self.subscriptions.stats()
         if self.sources is not None:
             report["sources"] = self.sources.status()
         if self.durable is not None:
@@ -1121,20 +1092,8 @@ class FireMonitoringService:
             ).set(dead)
         return report
 
-    def timing_summary(self) -> Dict[str, float]:
-        """Average per-acquisition stage timings across outcomes."""
-        if not self.outcomes:
-            return {}
-        n = len(self.outcomes)
-        return {
-            "chain_avg_s": sum(o.chain_seconds for o in self.outcomes) / n,
-            "refine_avg_s": sum(
-                o.refinement_seconds for o in self.outcomes
-            )
-            / n,
-            "acquisitions": float(n),
-        }
-
     def budget_report(self) -> str:
-        """The per-acquisition budget report (5-minute window, §4.2.1)."""
-        return self.budget.report()
+        """The per-acquisition budget report (5-minute window, §4.2.1)
+        over :attr:`outcomes`; :func:`repro.obs.budget_summary` gives
+        the same numbers as a dict."""
+        return _budget.budget_report(self.outcomes)

@@ -31,9 +31,9 @@ import os
 from typing import Any, Optional
 
 from repro.obs.budget import (
-    AcquisitionBudget,
-    AcquisitionRecord,
     Table2Breakdown,
+    budget_report,
+    budget_summary,
     table2_from_spans,
 )
 from repro.obs.export import (
@@ -73,8 +73,8 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "AcquisitionBudget",
-    "AcquisitionRecord",
+    "budget_summary",
+    "budget_report",
     "Table2Breakdown",
     "table2_from_spans",
     "prometheus_text",

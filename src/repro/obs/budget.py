@@ -2,10 +2,11 @@
 
 §4.2.1 of the paper: MSG1 delivers an image every 5 minutes, so the
 whole hotspot chain *plus* semantic refinement must finish inside 300
-seconds or the service falls behind the stream.  The
-:class:`AcquisitionBudget` records (chain, refinement) seconds per
-acquisition, exposes a rolling deadline-miss ratio and renders an
-operator report.
+seconds or the service falls behind the stream.
+:func:`budget_summary` and :func:`budget_report` read the service's
+acquisition outcomes (anything with ``chain_seconds``,
+``refinement_seconds`` and the ``window_seconds`` its run enforced)
+and give the deadline accounting and the operator report.
 
 :func:`table2_from_spans` regenerates the paper's Table 2 per-stage
 breakdown **purely from recorded spans** — no separate timing path.
@@ -14,14 +15,13 @@ breakdown **purely from recorded spans** — no separate timing path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import datetime
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Sequence
 
 from repro.obs.export import SpanLike, span_record
 
 __all__ = [
-    "AcquisitionRecord",
-    "AcquisitionBudget",
+    "budget_summary",
+    "budget_report",
     "StageStats",
     "Table2Breakdown",
     "table2_from_spans",
@@ -30,147 +30,61 @@ __all__ = [
 #: The MSG1 acquisition cadence (seconds) — the paper's real-time bound.
 DEFAULT_WINDOW_SECONDS = 300.0
 
-
-@dataclass
-class AcquisitionRecord:
-    """Budget accounting for one processed acquisition."""
-
-    timestamp: Optional[datetime]
-    chain_seconds: float
-    refinement_seconds: float = 0.0
-    sensor: str = ""
-    window_seconds: float = DEFAULT_WINDOW_SECONDS
-
-    @property
-    def total_seconds(self) -> float:
-        return self.chain_seconds + self.refinement_seconds
-
-    @property
-    def within_budget(self) -> bool:
-        return self.total_seconds < self.window_seconds
-
-    @property
-    def headroom_seconds(self) -> float:
-        """Seconds left in the window (negative on a miss)."""
-        return self.window_seconds - self.total_seconds
+#: The deadline-miss ratio covers this many most recent acquisitions
+#: (96 = 8 hours of MSG1 at 5-minute cadence).
+ROLLING_WINDOW = 96
 
 
-class AcquisitionBudget:
-    """Tracks how acquisitions fit the real-time window."""
+def budget_summary(outcomes: Sequence) -> Dict[str, float]:
+    """Stage averages and deadline accounting over ``outcomes``.
 
-    def __init__(
-        self,
-        window_seconds: float = DEFAULT_WINDOW_SECONDS,
-        rolling_window: int = 96,
-    ) -> None:
-        if window_seconds <= 0:
-            raise ValueError("window_seconds must be positive")
-        self.window_seconds = window_seconds
-        #: The deadline-miss ratio is computed over this many most
-        #: recent acquisitions (96 = 8 hours of MSG1 at 5-minute cadence).
-        self.rolling_window = rolling_window
-        self.records: List[AcquisitionRecord] = []
+    An acquisition misses its deadline when chain plus refinement
+    seconds reach the window of the run that processed it.
+    """
+    n = len(outcomes)
+    chain = [o.chain_seconds for o in outcomes]
+    refine = [o.refinement_seconds for o in outcomes]
+    total = [c + r for c, r in zip(chain, refine)]
+    headroom = [o.window_seconds - t for o, t in zip(outcomes, total)]
+    missed = [h <= 0 for h in headroom]
+    recent = missed[-ROLLING_WINDOW:]
+    return {
+        "acquisitions": float(n),
+        "window_seconds": DEFAULT_WINDOW_SECONDS,
+        "chain_avg_s": sum(chain) / n if n else 0.0,
+        "refinement_avg_s": sum(refine) / n if n else 0.0,
+        "total_avg_s": sum(total) / n if n else 0.0,
+        "total_max_s": max(total, default=0.0),
+        "headroom_min_s": min(headroom, default=DEFAULT_WINDOW_SECONDS),
+        "deadline_misses": sum(missed),
+        "deadline_miss_ratio": (
+            sum(recent) / len(recent) if recent else 0.0
+        ),
+    }
 
-    # -- recording --------------------------------------------------------
 
-    def record(
-        self,
-        timestamp: Optional[datetime],
-        chain_seconds: float,
-        refinement_seconds: float = 0.0,
-        sensor: str = "",
-    ) -> AcquisitionRecord:
-        entry = AcquisitionRecord(
-            timestamp=timestamp,
-            chain_seconds=chain_seconds,
-            refinement_seconds=refinement_seconds,
-            sensor=sensor,
-            window_seconds=self.window_seconds,
-        )
-        self.records.append(entry)
-        return entry
-
-    def record_outcome(self, outcome: Any) -> AcquisitionRecord:
-        """Record a service ``AcquisitionOutcome`` (duck-typed) against
-        the window its run enforced."""
-        entry = AcquisitionRecord(
-            timestamp=getattr(outcome, "timestamp", None),
-            chain_seconds=outcome.chain_seconds,
-            refinement_seconds=getattr(outcome, "refinement_seconds", 0.0),
-            sensor=getattr(outcome, "sensor", ""),
-            window_seconds=getattr(
-                outcome, "window_seconds", self.window_seconds
-            ),
-        )
-        self.records.append(entry)
-        return entry
-
-    # -- statistics -------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def misses(self) -> int:
-        return sum(1 for r in self.records if not r.within_budget)
-
-    def miss_ratio(self, last: Optional[int] = None) -> float:
-        """Deadline-miss ratio over the rolling window (0.0 when empty)."""
-        window = self.rolling_window if last is None else last
-        recent = self.records[-window:] if window else self.records
-        if not recent:
-            return 0.0
-        missed = sum(1 for r in recent if not r.within_budget)
-        return missed / len(recent)
-
-    def _mean(self, values: List[float]) -> float:
-        return sum(values) / len(values) if values else 0.0
-
-    def summary(self) -> Dict[str, float]:
-        chain = [r.chain_seconds for r in self.records]
-        refine = [r.refinement_seconds for r in self.records]
-        total = [r.total_seconds for r in self.records]
-        return {
-            "acquisitions": float(len(self.records)),
-            "window_seconds": self.window_seconds,
-            "chain_avg_s": self._mean(chain),
-            "refinement_avg_s": self._mean(refine),
-            "total_avg_s": self._mean(total),
-            "total_max_s": max(total) if total else 0.0,
-            "headroom_min_s": (
-                min(r.headroom_seconds for r in self.records)
-                if self.records
-                else self.window_seconds
-            ),
-            "deadline_miss_ratio": self.miss_ratio(),
-        }
-
-    # -- reporting --------------------------------------------------------
-
-    def report(self) -> str:
-        """Human-readable budget report for the operator console."""
-        s = self.summary()
-        n = int(s["acquisitions"])
-        lines = [
-            f"Acquisition budget: {self.window_seconds:.0f} s window, "
-            f"{n} acquisition(s)",
-        ]
-        if not n:
-            lines.append("  (no acquisitions recorded)")
-            return "\n".join(lines)
-        lines += [
-            f"  chain       avg {s['chain_avg_s']:8.3f} s",
-            f"  refinement  avg {s['refinement_avg_s']:8.3f} s",
-            f"  total       avg {s['total_avg_s']:8.3f} s   "
-            f"max {s['total_max_s']:8.3f} s",
-            f"  headroom    min {s['headroom_min_s']:8.3f} s",
-            f"  deadline misses: {self.misses()}/{n} "
-            f"(rolling ratio {s['deadline_miss_ratio']:.1%} over last "
-            f"{min(self.rolling_window, n)})",
-        ]
+def budget_report(outcomes: Sequence) -> str:
+    """Human-readable budget report for the operator console."""
+    s = budget_summary(outcomes)
+    n = len(outcomes)
+    lines = [
+        f"Acquisition budget: {DEFAULT_WINDOW_SECONDS:.0f} s window, "
+        f"{n} acquisition(s)",
+    ]
+    if not n:
+        lines.append("  (no acquisitions recorded)")
         return "\n".join(lines)
-
-    def reset(self) -> None:
-        self.records.clear()
+    lines += [
+        f"  chain       avg {s['chain_avg_s']:8.3f} s",
+        f"  refinement  avg {s['refinement_avg_s']:8.3f} s",
+        f"  total       avg {s['total_avg_s']:8.3f} s   "
+        f"max {s['total_max_s']:8.3f} s",
+        f"  headroom    min {s['headroom_min_s']:8.3f} s",
+        f"  deadline misses: {s['deadline_misses']}/{n} "
+        f"(rolling ratio {s['deadline_miss_ratio']:.1%} over last "
+        f"{min(ROLLING_WINDOW, n)})",
+    ]
+    return "\n".join(lines)
 
 
 # -- Table 2 regeneration from spans --------------------------------------

@@ -10,9 +10,9 @@ a tier-1 smoke test.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Sequence
 
-from repro.obs.budget import AcquisitionBudget
+from repro.obs.budget import budget_summary
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["SNAPSHOT_SCHEMA", "build_snapshot", "validate_snapshot",
@@ -37,9 +37,10 @@ def _stage_key(histogram: str, labels: Dict[str, str]) -> str:
 
 def build_snapshot(
     metrics: MetricsRegistry,
-    budget: Optional[AcquisitionBudget] = None,
+    outcomes: Sequence = (),
 ) -> Dict[str, Any]:
-    """Summarise an instrumented run as the BENCH_obs.json document."""
+    """Summarise an instrumented run — its metrics and the service's
+    acquisition outcomes — as the BENCH_obs.json document."""
     stages: Dict[str, Dict[str, float]] = {}
     for metric in metrics.collect():
         if metric["kind"] != "histogram":
@@ -54,23 +55,14 @@ def build_snapshot(
                 "p95_s": float(summary["p95"]),
                 "max_s": float(summary["max"]),
             }
-    if budget is not None:
-        budget_summary = budget.summary()
-        deadline = {
-            "window_seconds": float(budget.window_seconds),
-            "acquisitions": int(budget_summary["acquisitions"]),
-            "miss_ratio": float(budget_summary["deadline_miss_ratio"]),
-            "total_avg_s": float(budget_summary["total_avg_s"]),
-            "total_max_s": float(budget_summary["total_max_s"]),
-        }
-    else:
-        deadline = {
-            "window_seconds": 0.0,
-            "acquisitions": 0,
-            "miss_ratio": 0.0,
-            "total_avg_s": 0.0,
-            "total_max_s": 0.0,
-        }
+    budget = budget_summary(outcomes)
+    deadline = {
+        "window_seconds": float(budget["window_seconds"]),
+        "acquisitions": int(budget["acquisitions"]),
+        "miss_ratio": float(budget["deadline_miss_ratio"]),
+        "total_avg_s": float(budget["total_avg_s"]),
+        "total_max_s": float(budget["total_max_s"]),
+    }
     return {
         "schema": SNAPSHOT_SCHEMA,
         "stages": stages,
@@ -135,10 +127,10 @@ def validate_snapshot(document: Dict[str, Any]) -> None:
 def write_snapshot(
     path: str,
     metrics: MetricsRegistry,
-    budget: Optional[AcquisitionBudget] = None,
+    outcomes: Sequence = (),
 ) -> Dict[str, Any]:
     """Build, validate and persist a snapshot; returns the document."""
-    document = build_snapshot(metrics, budget)
+    document = build_snapshot(metrics, outcomes)
     validate_snapshot(document)
     with open(path, "w") as f:
         json.dump(document, f, indent=2, sort_keys=True)

@@ -4,12 +4,13 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from repro.core.config import RunOptions, ServiceConfig
+from repro.core.config import RunOptions
 from repro.core.mapping import MapComposer, region_wkt
 from repro.core.products import Hotspot, HotspotProduct
 from repro.core.refinement import RefinementPipeline
 from repro.core.service import FireMonitoringService
 from repro.geometry import Polygon
+from repro.obs import budget_summary
 
 START = datetime(2007, 8, 24, tzinfo=timezone.utc)
 
@@ -89,10 +90,7 @@ class TestMapComposer:
 
 class TestService:
     def test_teleios_acquisition(self, greece, season):
-        service = FireMonitoringService(
-            greece=greece,
-            config=ServiceConfig(mode="teleios"),
-        )
+        service = FireMonitoringService(greece=greece)
         outcome = service.run(
             [START + timedelta(hours=15)],
             RunOptions(season=season, on_error="raise"),
@@ -102,30 +100,8 @@ class TestService:
         assert len(outcome.refinement_timings) == 6
         assert outcome.within_budget
 
-    def test_pre_teleios_has_no_refinement(self, greece, season):
-        service = FireMonitoringService(
-            greece=greece,
-            config=ServiceConfig(mode="pre-teleios"),
-        )
-        outcome = service.run(
-            [START + timedelta(hours=15)],
-            RunOptions(season=season, on_error="raise"),
-        )[0]
-        assert outcome.refined_count is None
-        assert outcome.refinement_timings == []
-
-    def test_unknown_mode_rejected(self, greece):
-        with pytest.raises(ValueError):
-            FireMonitoringService(
-                greece=greece,
-                config=ServiceConfig(mode="quantum"),
-            )
-
     def test_export_product(self, greece, season, tmp_path):
-        service = FireMonitoringService(
-            greece=greece,
-            config=ServiceConfig(mode="pre-teleios"),
-        )
+        service = FireMonitoringService(greece=greece)
         outcome = service.run(
             [START + timedelta(hours=15)],
             RunOptions(season=season, on_error="raise"),
@@ -139,10 +115,7 @@ class TestService:
         assert len(read_shapefile(shp)) == len(outcome.raw_product)
 
     def test_timing_summary(self, greece, season):
-        service = FireMonitoringService(
-            greece=greece,
-            config=ServiceConfig(mode="pre-teleios"),
-        )
+        service = FireMonitoringService(greece=greece)
         service.run(
             [START + timedelta(hours=15)],
             RunOptions(season=season, on_error="raise"),
@@ -151,17 +124,15 @@ class TestService:
             [START + timedelta(hours=15, minutes=15)],
             RunOptions(season=season, on_error="raise"),
         )[0]
-        summary = service.timing_summary()
+        summary = budget_summary(service.outcomes)
         assert summary["acquisitions"] == 2.0
         assert summary["chain_avg_s"] > 0
+        assert summary["refinement_avg_s"] > 0
 
     def test_refinement_removes_sea_false_alarms(self, greece, season):
         # Find an acquisition with smoke-over-sea false alarms; the
         # refined count must never exceed the raw count.
-        service = FireMonitoringService(
-            greece=greece,
-            config=ServiceConfig(mode="teleios"),
-        )
+        service = FireMonitoringService(greece=greece)
         outcome = service.run(
             [START + timedelta(hours=17)],
             RunOptions(season=season, on_error="raise"),

@@ -14,6 +14,7 @@ from repro.core import (
     ServiceConfig,
 )
 from repro.errors import ConfigurationError, ServiceStateError
+from repro.obs import budget_summary
 from tests.conftest import CRISIS_START
 
 WHEN = CRISIS_START + timedelta(hours=12)
@@ -30,30 +31,16 @@ class TestConfigObjects:
         # The former constructor keywords are ServiceConfig fields.
         with FireMonitoringService(
             greece=greece,
-            config=ServiceConfig(mode="pre-teleios", use_files=True),
+            config=ServiceConfig(use_files=True, archive_products=True),
         ) as svc:
-            assert svc.config.mode == "pre-teleios"
             assert svc.config.use_files is True
+            assert svc.archive is not None
 
     def test_explicit_config_wins(self, greece):
-        config = ServiceConfig(mode="pre-teleios")
+        config = ServiceConfig(use_files=True)
         with FireMonitoringService(greece=greece, config=config) as svc:
             assert svc.config is config
-            assert svc.mode == "pre-teleios"
-
-    def test_invalid_mode_is_configuration_error(self, greece):
-        with pytest.raises(ConfigurationError):
-            FireMonitoringService(
-                greece=greece,
-                config=ServiceConfig(mode="turbo"),
-            )
-        # ConfigurationError is a ValueError: pre-redesign callers that
-        # caught ValueError keep working.
-        with pytest.raises(ValueError):
-            FireMonitoringService(
-                greece=greece,
-                config=ServiceConfig(mode="turbo"),
-            )
+            assert svc.use_files is True
 
     def test_invalid_run_options_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -61,7 +48,7 @@ class TestConfigObjects:
 
     def test_config_objects_are_the_only_surface(self, greece, service):
         with pytest.raises(TypeError):
-            FireMonitoringService(greece=greece, mode="pre-teleios")
+            FireMonitoringService(greece=greece, use_files=True)
         with pytest.raises(TypeError):
             service.run([WHEN], on_error="raise")
 
@@ -121,7 +108,7 @@ class TestRun:
         )
         assert outcome.window_seconds == 0.001
         assert outcome.within_budget is False
-        assert service.budget.records[-1].within_budget is False
+        assert budget_summary(service.outcomes)["deadline_misses"] == 1
 
     def test_mixed_request_kinds(self, service, season):
         scene = service.scene_generator.generate(
@@ -159,14 +146,6 @@ class TestLifecycle:
         with FireMonitoringService(greece=greece) as svc:
             workdir = svc.workdir
         assert not os.path.exists(workdir)
-
-    def test_thematic_map_requires_teleios(self, greece):
-        with FireMonitoringService(
-            greece=greece,
-            config=ServiceConfig(mode="pre-teleios"),
-        ) as svc:
-            with pytest.raises(ServiceStateError):
-                svc.thematic_map()
 
 
 class TestShimsRemoved:

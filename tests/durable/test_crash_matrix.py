@@ -112,10 +112,7 @@ def oracle(durable_greece, durable_season, acquisition_requests):
     """Per-cursor states of a service that never crashes (and never
     touches disk): ``oracle[k]`` is the capture after ``k``
     acquisitions."""
-    service = FireMonitoringService(
-        greece=durable_greece,
-        config=ServiceConfig(mode="teleios"),
-    )
+    service = FireMonitoringService(greece=durable_greece)
     try:
         states = [_capture(service)]
         options = RunOptions(season=durable_season, on_error="raise")

@@ -11,6 +11,7 @@ stays monotonic while the resumed ingest completes.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import threading
@@ -21,6 +22,7 @@ import pytest
 from repro.core.config import RunOptions, ServiceConfig
 from repro.core.service import FireMonitoringService
 from repro.durable import CRASH_EXIT, crashpoints
+from repro.errors import ConfigurationError
 from repro.faults import FaultPlan, inject
 from repro.serve import ServeClient, serve_in_thread
 
@@ -239,3 +241,48 @@ def test_a_crash_after_the_baseline_checkpoint_keeps_the_configuration(
         assert service.config.sources.seed == 7
     finally:
         service.close()
+
+
+def _add_saved_config_keys(state_dir, **keys):
+    path = os.path.join(state_dir, "service.json")
+    with open(path) as fh:
+        state = json.load(fh)
+    state["config"].update(keys)
+    with open(path, "w") as fh:
+        json.dump(state, fh)
+
+
+def test_a_service_json_with_the_retired_config_keys_reopens(
+    tmp_path, durable_greece, durable_season, acquisition_requests
+):
+    # A service.json written while the service still had a mode also
+    # saved "mode" and "clouds_per_scene".  Holding the values the
+    # service always runs with, they are dropped on open; any other
+    # value is refused by name.
+    state_dir = str(tmp_path / "state")
+    options = RunOptions(season=durable_season, on_error="raise")
+    service = FireMonitoringService(
+        greece=durable_greece,
+        config=ServiceConfig(state_dir=state_dir, wal_fsync="never"),
+    )
+    try:
+        service.run(acquisition_requests[:1], options)
+    finally:
+        service.close()
+    _add_saved_config_keys(state_dir, mode="teleios", clouds_per_scene=0.0)
+
+    reopened = FireMonitoringService.open(state_dir, greece=durable_greece)
+    try:
+        assert reopened.config.wal_fsync == "never"
+        outcomes = reopened.run(acquisition_requests, options)
+        assert [o.timestamp for o in outcomes] == acquisition_requests[1:]
+        assert all(o.status == "ok" for o in outcomes)
+        durability = reopened.health()["durability"]
+        assert durability["resume_skipped"] == 1
+        assert durability["committed_acquisitions"] == N_ACQUISITIONS
+    finally:
+        reopened.close()
+
+    _add_saved_config_keys(state_dir, clouds_per_scene=2.0)
+    with pytest.raises(ConfigurationError, match="clouds_per_scene"):
+        FireMonitoringService.open(state_dir, greece=durable_greece)

@@ -1,85 +1,129 @@
-"""Budget accounting and Table 2 regeneration from spans."""
+"""Budget accounting over service outcomes and Table 2 regeneration
+from spans."""
 
 from __future__ import annotations
 
 import io
-from datetime import datetime, timezone
+from datetime import timedelta
 from types import SimpleNamespace
 
 import pytest
 
+from repro.core import (
+    FaultPolicy,
+    FireMonitoringService,
+    RunOptions,
+)
+from repro.faults import FaultPlan, inject
 from repro.obs import (
-    AcquisitionBudget,
+    MetricsRegistry,
     Tracer,
+    budget_report,
+    budget_summary,
+    build_snapshot,
     read_spans_jsonl,
     table2_from_spans,
     write_spans_jsonl,
 )
+from tests.conftest import CRISIS_START
 
-WHEN = datetime(2007, 8, 24, 13, 0, tzinfo=timezone.utc)
+
+def _outcome(chain, refinement=0.0, window=300.0):
+    return SimpleNamespace(
+        chain_seconds=chain,
+        refinement_seconds=refinement,
+        window_seconds=window,
+    )
 
 
 def test_record_and_miss_ratio():
-    budget = AcquisitionBudget(window_seconds=300.0)
-    good = budget.record(WHEN, chain_seconds=2.0, refinement_seconds=1.0)
-    bad = budget.record(WHEN, chain_seconds=250.0,
-                        refinement_seconds=100.0)
-    assert good.within_budget
-    assert good.total_seconds == 3.0
-    assert good.headroom_seconds == 297.0
-    assert not bad.within_budget
-    assert bad.headroom_seconds == -50.0
-    assert len(budget) == 2
-    assert budget.misses() == 1
-    assert budget.miss_ratio() == 0.5
+    summary = budget_summary([_outcome(2.0, 1.0), _outcome(250.0, 100.0)])
+    assert summary["total_avg_s"] == 176.5
+    assert summary["headroom_min_s"] == -50.0
+    assert summary["deadline_misses"] == 1
+    assert summary["deadline_miss_ratio"] == 0.5
 
 
 def test_rolling_window_limits_miss_ratio():
-    budget = AcquisitionBudget(window_seconds=10.0, rolling_window=2)
-    budget.record(WHEN, chain_seconds=100.0)  # miss, but rolls out
-    budget.record(WHEN, chain_seconds=1.0)
-    budget.record(WHEN, chain_seconds=1.0)
-    assert budget.misses() == 1  # all-time
-    assert budget.miss_ratio() == 0.0  # last two only
-    assert budget.miss_ratio(last=3) == pytest.approx(1 / 3)
+    # One miss, then 96 on-time acquisitions: the miss rolls out of the
+    # ratio (the last 96 = 8 h of MSG1) but stays in the all-time count.
+    outcomes = [_outcome(400.0)] + [_outcome(1.0)] * 96
+    summary = budget_summary(outcomes)
+    assert summary["deadline_misses"] == 1
+    assert summary["deadline_miss_ratio"] == 0.0
+    assert budget_summary(outcomes[:3])["deadline_miss_ratio"] == (
+        pytest.approx(1 / 3)
+    )
 
 
 def test_record_outcome_duck_types_service_outcomes():
-    budget = AcquisitionBudget()
-    outcome = SimpleNamespace(
-        timestamp=WHEN,
-        sensor="MSG2",
-        chain_seconds=1.5,
-        refinement_seconds=0.5,
-    )
-    entry = budget.record_outcome(outcome)
-    assert entry.sensor == "MSG2"
-    assert entry.total_seconds == 2.0
+    # Each outcome is held to the window of the run that produced it.
+    summary = budget_summary([_outcome(1.5, 0.5, window=1.0)])
+    assert summary["deadline_misses"] == 1
+    assert summary["headroom_min_s"] == -1.0
 
 
 def test_summary_and_report():
-    budget = AcquisitionBudget(window_seconds=300.0)
-    empty = budget.report()
-    assert "no acquisitions recorded" in empty
-    budget.record(WHEN, chain_seconds=4.0, refinement_seconds=2.0)
-    budget.record(WHEN, chain_seconds=400.0)
-    summary = budget.summary()
+    assert budget_report([]) == (
+        "Acquisition budget: 300 s window, 0 acquisition(s)\n"
+        "  (no acquisitions recorded)"
+    )
+    outcomes = [_outcome(4.0, 2.0), _outcome(400.0)]
+    summary = budget_summary(outcomes)
     assert summary["acquisitions"] == 2.0
     assert summary["chain_avg_s"] == pytest.approx(202.0)
-    assert summary["total_avg_s"] == pytest.approx(203.0)
+    assert summary["refinement_avg_s"] == pytest.approx(1.0)
     assert summary["total_max_s"] == 400.0
-    assert summary["headroom_min_s"] == -100.0
-    assert summary["deadline_miss_ratio"] == 0.5
-    report = budget.report()
-    assert "300 s window, 2 acquisition(s)" in report
-    assert "deadline misses: 1/2" in report
-    budget.reset()
-    assert len(budget) == 0
+    assert budget_report(outcomes) == (
+        "Acquisition budget: 300 s window, 2 acquisition(s)\n"
+        "  chain       avg  202.000 s\n"
+        "  refinement  avg    1.000 s\n"
+        "  total       avg  203.000 s   max  400.000 s\n"
+        "  headroom    min -100.000 s\n"
+        "  deadline misses: 1/2 (rolling ratio 50.0% over last 2)"
+    )
 
 
-def test_invalid_window_rejected():
-    with pytest.raises(ValueError):
-        AcquisitionBudget(window_seconds=0.0)
+def test_report_health_and_snapshot_agree_on_the_service_outcomes(
+    greece, season
+):
+    when = CRISIS_START + timedelta(hours=12)
+    with FireMonitoringService(greece=greece) as service:
+        service.run([when], RunOptions(season=season))
+        service.run(
+            [when + timedelta(minutes=15)],
+            RunOptions(
+                season=season,
+                fault_policy=FaultPolicy(window_seconds=0.001),
+            ),
+        )
+        with inject(FaultPlan().raise_in("stage.chain", times=99)):
+            service.run(
+                [when + timedelta(minutes=30)], RunOptions(season=season)
+            )
+        assert [o.status for o in service.outcomes] == [
+            "ok", "degraded", "error",
+        ]
+        deadline = build_snapshot(MetricsRegistry(), service.outcomes)[
+            "deadline"
+        ]
+        misses = service.health()["deadline_misses"]
+        report = service.budget_report()
+    # Only the 1 ms window is missed; the error outcome spent nothing.
+    assert misses == 1
+    assert deadline["acquisitions"] == 3
+    assert deadline["window_seconds"] == 300.0
+    assert deadline["miss_ratio"] == pytest.approx(1 / 3)
+    assert report.splitlines()[0] == (
+        "Acquisition budget: 300 s window, 3 acquisition(s)"
+    )
+    assert (
+        f"max {deadline['total_max_s']:8.3f} s" in report
+    )
+    assert report.endswith(
+        f"deadline misses: {misses}/3 (rolling ratio "
+        f"{deadline['miss_ratio']:.1%} over last 3)"
+    )
 
 
 def _chain_trace(tracer: Tracer, chain: str) -> None:

@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.config import RunOptions, ServiceConfig
 from repro.core.service import FireMonitoringService
-from repro.obs import table2_from_spans, tree_report
+from repro.obs import budget_summary, table2_from_spans, tree_report
 from repro.seviri.hrit import write_hrit_segments
 from repro.seviri.monitor import SeviriMonitor
 
@@ -27,7 +27,7 @@ WHEN = datetime(2007, 8, 24, 13, 0, tzinfo=timezone.utc)
 def teleios(greece, tmp_path):
     return FireMonitoringService(
         greece=greece,
-        config=ServiceConfig(mode="teleios", workdir=str(tmp_path)),
+        config=ServiceConfig(workdir=str(tmp_path)),
     )
 
 
@@ -39,7 +39,7 @@ def test_outcome_fields_populated_with_tracing_disabled(
     assert len(outcome.refinement_timings) == 6
     assert all(t.seconds >= 0.0 for t in outcome.refinement_timings)
     assert outcome.refined_count is not None
-    assert len(teleios.budget) == 1
+    assert len(teleios.outcomes) == 1
     # Nothing was recorded: observability defaults to off.
     from repro import obs
 
@@ -182,7 +182,7 @@ def test_zero_hotspot_acquisition_still_reports_budget(
     report = teleios.budget_report()
     assert "1 acquisition(s)" in report
     assert "deadline misses: 0/1" in report
-    assert teleios.budget.miss_ratio() == 0.0
+    assert budget_summary(teleios.outcomes)["deadline_miss_ratio"] == 0.0
 
 
 def test_failed_acquisition_closes_spans_and_counts_failure(

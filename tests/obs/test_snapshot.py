@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
 from repro.obs import (
-    AcquisitionBudget,
     MetricsRegistry,
     SNAPSHOT_SCHEMA,
     build_snapshot,
@@ -24,6 +24,14 @@ BENCH_SNAPSHOT = os.path.join(
     "out",
     "BENCH_obs.json",
 )
+
+
+def _outcome(chain_seconds, refinement_seconds=0.0):
+    return SimpleNamespace(
+        chain_seconds=chain_seconds,
+        refinement_seconds=refinement_seconds,
+        window_seconds=300.0,
+    )
 
 
 def _populated_registry() -> MetricsRegistry:
@@ -46,9 +54,7 @@ def _populated_registry() -> MetricsRegistry:
 
 
 def test_build_snapshot_shapes_stages_and_deadline():
-    budget = AcquisitionBudget()
-    budget.record(None, chain_seconds=0.3, refinement_seconds=0.1)
-    document = build_snapshot(_populated_registry(), budget)
+    document = build_snapshot(_populated_registry(), [_outcome(0.3, 0.1)])
     validate_snapshot(document)
     assert document["schema"] == SNAPSHOT_SCHEMA
     assert "chain/sciql/classify" in document["stages"]
@@ -73,7 +79,7 @@ def test_build_snapshot_without_budget_is_still_valid():
 
 
 def test_validate_snapshot_rejects_malformed_documents():
-    good = build_snapshot(_populated_registry(), AcquisitionBudget())
+    good = build_snapshot(_populated_registry(), [])
     for mutate in (
         lambda d: d.pop("schema"),
         lambda d: d.update(schema="other/v9"),
@@ -96,10 +102,8 @@ def test_validate_snapshot_rejects_malformed_documents():
 
 def test_write_snapshot_round_trips(tmp_path):
     path = tmp_path / "BENCH_obs.json"
-    budget = AcquisitionBudget()
-    budget.record(None, chain_seconds=1.0)
     document = write_snapshot(
-        str(path), _populated_registry(), budget
+        str(path), _populated_registry(), [_outcome(1.0)]
     )
     with open(path) as f:
         reloaded = json.load(f)

@@ -33,7 +33,6 @@ def served_service(greece, season):
     service = FireMonitoringService(
         greece=greece,
         config=ServiceConfig(
-            mode="teleios",
             workdir=tempfile.mkdtemp(prefix="test_serve_"),
         ),
     )

@@ -76,7 +76,6 @@ def test_incremental_equals_full_rerun_per_snapshot(
     service = FireMonitoringService(
         greece=diff_greece,
         config=ServiceConfig(
-            mode="teleios",
             workdir=tempfile.mkdtemp(prefix="test_diff_"),
         ),
     )
@@ -180,7 +179,6 @@ def test_fanout_load_incremental_equals_full_rerun(
     service = FireMonitoringService(
         greece=diff_greece,
         config=ServiceConfig(
-            mode="teleios",
             workdir=tempfile.mkdtemp(prefix="test_fanout_"),
         ),
     )
@@ -427,7 +425,6 @@ def test_crashed_subscriber_resumes_exactly_once(
         oracle_service = FireMonitoringService(
             greece=diff_greece,
             config=ServiceConfig(
-                mode="teleios",
                 workdir=tempfile.mkdtemp(prefix="test_oracle_"),
             ),
         )

@@ -57,7 +57,7 @@ def test_one_trace_spans_service_publish_and_http(
     obs.enable()
     service = FireMonitoringService(
         greece=greece,
-        config=ServiceConfig(mode="teleios", workdir=str(tmp_path)),
+        config=ServiceConfig(workdir=str(tmp_path)),
     )
     whens = [
         CRISIS_START + timedelta(hours=13, minutes=15 * k)

@@ -73,8 +73,6 @@ def test_service_config_normalises_sources():
         ServiceConfig(
             sources={"single_source_decay": 2.0}
         ).validate()
-    with pytest.raises(ConfigurationError):
-        ServiceConfig(mode="pre-teleios", sources=True).validate()
 
 
 def test_source_uri_roundtrip():
