@@ -7,8 +7,9 @@
   executed by :class:`repro.arraydb.MonetDB` (§3.1, Figure 4),
 * :mod:`repro.core.products` — hotspot products and shapefile export,
 * :mod:`repro.core.annotation` — products → stRDF (NOA ontology, §3.2.2),
-* :mod:`repro.core.refinement` — the six refinement operations of
-  Figure 8 as stSPARQL updates over Strabon (§3.2.4),
+* :mod:`repro.core.refinement` — the refinement operations as
+  stSPARQL updates over Strabon (§3.2.4): Figure 8's six, nine when
+  federated,
 * :mod:`repro.core.mapping` — the five map-overlay queries (Figure 6),
 * :mod:`repro.core.validation` — the Table 1 MODIS cross-validation,
 * :mod:`repro.core.service` — the end-to-end real-time service.

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from datetime import datetime, timezone
-from typing import List, Optional, Sequence, Tuple, Union
+from datetime import datetime
+from types import SimpleNamespace
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -104,12 +105,8 @@ def classify_grids(
 
 @dataclass
 class ChainTimings:
-    """Per-stage wall times of the most recent image (seconds).
-
-    Populated from the tracing spans the chains open per stage (see
-    :mod:`repro.obs`); the field set is unchanged from the original
-    ad-hoc ``perf_counter`` ladder for backward compatibility.
-    """
+    """Per-stage wall times of the most recent image (seconds), read
+    from the ``chain.<stage>`` spans of :meth:`_Chain.process`."""
 
     decode: float = 0.0
     crop: float = 0.0
@@ -117,7 +114,7 @@ class ChainTimings:
     classify: float = 0.0
     vectorize: float = 0.0
 
-    #: The §3.1 stage names, in chain order.
+    #: The §3.1 stage names, in chain order — the one list of them.
     STAGES = ("decode", "crop", "georeference", "classify", "vectorize")
 
     @classmethod
@@ -145,16 +142,57 @@ class ChainTimings:
 
     @property
     def total(self) -> float:
-        return (
-            self.decode
-            + self.crop
-            + self.georeference
-            + self.classify
-            + self.vectorize
+        return sum(getattr(self, stage) for stage in self.STAGES)
+
+
+class _Chain:
+    """What both §3.1 chains share around their stage bodies.
+
+    A chain supplies one ``_<stage>(run)`` method per
+    :attr:`ChainTimings.STAGES` entry.  ``run`` starts with the
+    ``input`` and carries what one stage hands the next; the stages
+    must leave ``timestamp``, ``sensor`` and ``hotspots`` on it.
+    """
+
+    name = ""
+
+    def __init__(self) -> None:
+        self.timings = ChainTimings()
+
+    def process(self, chain_input: ChainInput) -> HotspotProduct:
+        """Run the full chain on one acquisition.
+
+        Every stage runs inside a ``chain.<stage>`` span under one
+        ``chain.process`` span; :attr:`timings` is rebuilt from the
+        stage spans (one timing mechanism).
+        """
+        run = SimpleNamespace(input=chain_input)
+        spans = {}
+        with _tracer.measure("chain.process", chain=self.name) as root:
+            for stage in ChainTimings.STAGES:
+                with _tracer.measure(f"chain.{stage}") as spans[stage]:
+                    getattr(self, f"_{stage}")(run)
+            root.set(sensor=run.sensor, hotspots=len(run.hotspots))
+        self.timings = ChainTimings.from_spans(**spans)
+        self.timings.record_metrics(_metrics, self.name)
+        _log.debug(
+            "%s chain %s %s: %d hotspot(s) in %.3fs",
+            self.name,
+            run.sensor,
+            run.timestamp,
+            len(run.hotspots),
+            self.timings.total,
+        )
+        return HotspotProduct(
+            sensor=run.sensor,
+            timestamp=run.timestamp,
+            chain=self.name,
+            hotspots=run.hotspots,
+            processing_seconds=self.timings.total,
         )
 
 
-class LegacyChain:
+class LegacyChain(_Chain):
     """Direct-numpy processing chain (decode → crop → georef → classify →
     vectorise)."""
 
@@ -163,75 +201,47 @@ class LegacyChain:
     def __init__(
         self, georeference: GeoReference, cloud_mask: bool = True
     ) -> None:
+        super().__init__()
         self.georeference = georeference
         self.cloud_mask = cloud_mask
-        self.timings = ChainTimings()
 
-    def process(self, chain_input: ChainInput) -> HotspotProduct:
-        """Run the full chain on one acquisition."""
-        with _tracer.measure("chain.process", chain=self.name) as root:
-            with _tracer.measure("chain.decode") as s_decode:
-                t039_raw, t108_raw, timestamp, sensor = self._decode(
-                    chain_input
-                )
-            with _tracer.measure("chain.crop") as s_crop:
-                window = self.georeference.crop_window()
-                i_lo, i_hi, j_lo, j_hi = window
-                c039 = t039_raw[i_lo:i_hi, j_lo:j_hi]
-                c108 = t108_raw[i_lo:i_hi, j_lo:j_hi]
-            with _tracer.measure("chain.georeference") as s_geo:
-                g039 = self.georeference.resample(c039, window)
-                g108 = self.georeference.resample(c108, window)
-            with _tracer.measure("chain.classify") as s_classify:
-                target = self.georeference.target
-                lon, lat = target.mesh()
-                zenith = solar_zenith_deg(timestamp, lon, lat)
-                confidence = classify_grids(
-                    g039, g108, zenith, cloud_mask=self.cloud_mask
-                )
-            with _tracer.measure("chain.vectorize") as s_vectorize:
-                hotspots = vectorize_confidence(
-                    confidence, target, timestamp, sensor, self.name
-                )
-            root.set(sensor=sensor, hotspots=len(hotspots))
-        self.timings = ChainTimings.from_spans(
-            decode=s_decode,
-            crop=s_crop,
-            georeference=s_geo,
-            classify=s_classify,
-            vectorize=s_vectorize,
-        )
-        self.timings.record_metrics(_metrics, self.name)
-        _log.debug(
-            "legacy chain %s %s: %d hotspot(s) in %.3fs",
-            sensor,
-            timestamp,
-            len(hotspots),
-            self.timings.total,
-        )
-        return HotspotProduct(
-            sensor=sensor,
-            timestamp=timestamp,
-            chain=self.name,
-            hotspots=hotspots,
-            processing_seconds=self.timings.total,
-        )
-
-    @staticmethod
-    def _decode(
-        chain_input: ChainInput,
-    ) -> Tuple[np.ndarray, np.ndarray, datetime, str]:
+    def _decode(self, run) -> None:
+        chain_input = run.input
         if isinstance(chain_input, SceneImage):
-            return (
-                chain_input.t039,
-                chain_input.t108,
-                chain_input.timestamp,
-                chain_input.sensor_name,
-            )
+            run.t039, run.t108 = chain_input.t039, chain_input.t108
+            run.timestamp = chain_input.timestamp
+            run.sensor = chain_input.sensor_name
+            return
         paths039, paths108 = chain_input
-        header039, t039 = read_hrit_image(list(paths039))
-        _header108, t108 = read_hrit_image(list(paths108))
-        return (t039, t108, header039.timestamp, header039.sensor)
+        header039, run.t039 = read_hrit_image(list(paths039))
+        _header108, run.t108 = read_hrit_image(list(paths108))
+        run.timestamp, run.sensor = header039.timestamp, header039.sensor
+
+    def _crop(self, run) -> None:
+        run.window = self.georeference.crop_window()
+        i_lo, i_hi, j_lo, j_hi = run.window
+        run.t039 = run.t039[i_lo:i_hi, j_lo:j_hi]
+        run.t108 = run.t108[i_lo:i_hi, j_lo:j_hi]
+
+    def _georeference(self, run) -> None:
+        run.t039 = self.georeference.resample(run.t039, run.window)
+        run.t108 = self.georeference.resample(run.t108, run.window)
+
+    def _classify(self, run) -> None:
+        lon, lat = self.georeference.target.mesh()
+        zenith = solar_zenith_deg(run.timestamp, lon, lat)
+        run.confidence = classify_grids(
+            run.t039, run.t108, zenith, cloud_mask=self.cloud_mask
+        )
+
+    def _vectorize(self, run) -> None:
+        run.hotspots = vectorize_confidence(
+            run.confidence,
+            self.georeference.target,
+            run.timestamp,
+            run.sensor,
+            self.name,
+        )
 
 
 def vectorize_confidence(

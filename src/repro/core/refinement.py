@@ -1,6 +1,6 @@
 """The semantic refinement pipeline (§3.2.4, measured in Figure 8).
 
-Six operations run per acquisition, in the paper's order:
+Six paper operations run per acquisition, in the paper's order:
 
 1. **Store** — annotate the product in RDF and insert it,
 2. **Municipalities** — associate each hotspot with the municipality it
@@ -12,6 +12,10 @@ Six operations run per acquisition, in the paper's order:
    (the paper's strdf:union / strdf:intersection update, verbatim),
 6. **TimePersistence** — confirm hotspots re-detected within the last
    hour; mark isolated ones unconfirmed.
+
+With a source federation, three more make nine: **SourceIngest** after
+Store, **CrossConfirm** and **StaticSources** before TimePersistence.
+``_OPERATION_TABLE`` is the one list of them.
 
 Every operation is an stSPARQL query/update executed by Strabon, and every
 call returns its wall time so the Figure 8 benchmark can plot them.
@@ -26,11 +30,12 @@ refinement request is answered from a cached parse.
 
 from __future__ import annotations
 
+import functools
 import logging
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.core.annotation import (
     _float_literal,
@@ -42,7 +47,6 @@ from repro.core.annotation import (
 from repro.core.products import HotspotProduct
 from repro.faults import trip as faults_trip
 from repro.obs import get_metrics, get_tracer
-from repro.obs.span import Span
 from repro.ontology.noa import (
     CONFIRMATION_CONFIRMED,
     load_noa_ontology,
@@ -217,56 +221,80 @@ WHERE {
 
 @dataclass
 class OperationTiming:
-    """Wall time of one refinement operation on one acquisition.
-
-    Backed by the tracing-span primitive of :mod:`repro.obs` — the
-    public fields are unchanged; :meth:`from_span` is how the pipeline
-    now builds instances.
-    """
+    """Wall time of one refinement operation on one acquisition."""
 
     operation: str
     timestamp: datetime
     seconds: float
     detail: Dict[str, int] = field(default_factory=dict)
 
-    @classmethod
-    def from_span(
-        cls,
-        span: Span,
-        operation: str,
-        timestamp: datetime,
-        detail: Optional[Dict[str, int]] = None,
-    ) -> "OperationTiming":
-        """Build from a closed span measuring the operation."""
-        detail = dict(detail or {})
-        span.set(operation=operation, **detail)
+
+#: Every refinement operation, in pipeline order, marked True for
+#: Figure 8's six paper operations and False for the three that run
+#: only with a source federation (ingest right after Store so the
+#: spatial rules see one graph; confirm/static-flag before Time
+#: Persistence so its NOT-EXISTS respects cross-source confirmations).
+#: A label's slug, ``label.lower().replace(" ", "_")``, names the
+#: method that runs it, its ``refine.<slug>`` span and its fault site.
+_OPERATION_TABLE = (
+    ("Store", True),
+    ("Source Ingest", False),
+    ("Municipalities", True),
+    ("Delete In Sea", True),
+    ("Invalid For Fires", True),
+    ("Refine In Coast", True),
+    ("Cross Confirm", False),
+    ("Static Sources", False),
+    ("Time Persistence", True),
+)
+
+
+def _slug(label: str) -> str:
+    return label.lower().replace(" ", "_")
+
+
+_LABELS = {_slug(label): label for label, _paper in _OPERATION_TABLE}
+
+
+def _operation(body: Callable[..., Dict[str, int]]):
+    """Time the refinement operation ``body``, named after its slug.
+
+    ``body(self, subject, ...)`` does the work and returns its detail
+    counts; ``subject`` is the product or the acquisition timestamp.
+    The wrapper runs it inside the ``refine.<slug>`` span, records the
+    label and counts on the span, feeds ``refine_operation_seconds``
+    and returns the :class:`OperationTiming`.
+    """
+    slug = body.__name__
+    label = _LABELS[slug]
+
+    @functools.wraps(body)
+    def timed(self, subject, *args, **kwargs) -> OperationTiming:
+        timestamp = (
+            subject.timestamp
+            if isinstance(subject, HotspotProduct)
+            else subject
+        )
+        with _tracer.measure(f"refine.{slug}") as span:
+            detail = body(self, subject, *args, **kwargs)
+        span.set(operation=label, **detail)
         if _metrics.enabled:
             _metrics.histogram(
                 "refine_operation_seconds",
                 "Wall seconds per semantic-refinement operation",
-            ).observe(span.duration, operation=operation)
-        return cls(operation, timestamp, span.duration, detail)
+            ).observe(span.duration, operation=label)
+        _log.debug("refinement %s at %s: %s", label, timestamp, detail)
+        return OperationTiming(label, timestamp, span.duration, detail)
+
+    return timed
 
 
 class RefinementPipeline:
-    """Runs the six refinement operations against a Strabon endpoint."""
+    """Runs the refinement operations against a Strabon endpoint: the
+    six paper operations, nine with a source federation."""
 
-    #: Figure 8's operation order and labels.
-    OPERATIONS = (
-        "Store",
-        "Municipalities",
-        "Delete In Sea",
-        "Invalid For Fires",
-        "Refine In Coast",
-        "Time Persistence",
-    )
-
-    #: Labels of the three federation operations (ISSUE 10).
-    SOURCE_OPERATIONS = (
-        "Source Ingest",
-        "Cross Confirm",
-        "Static Sources",
-    )
+    #: Figure 8's six operations, in order.
+    OPERATIONS = tuple(label for label, paper in _OPERATION_TABLE if paper)
 
     def __init__(
         self,
@@ -281,29 +309,13 @@ class RefinementPipeline:
         self.persistence_min_detections = persistence_min_detections
         self.federation = federation
         self.static_min_prior_detections = static_min_prior_detections
-        #: The operation labels *this* pipeline runs, in order.  The
-        #: class-level :attr:`OPERATIONS` stays the paper's six; a
-        #: federation-backed pipeline interleaves the three
-        #: multi-source stages (ingest right after Store so the
-        #: spatial rules see one graph; confirm/static-flag before
-        #: Time Persistence so its NOT-EXISTS respects cross-source
-        #: confirmations).
-        if federation is None:
-            self.operations = tuple(self.OPERATIONS)
-        else:
-            self.operations = (
-                "Store",
-                "Source Ingest",
-                "Municipalities",
-                "Delete In Sea",
-                "Invalid For Fires",
-                "Refine In Coast",
-                "Cross Confirm",
-                "Static Sources",
-                "Time Persistence",
-            )
+        #: The operation labels *this* pipeline runs, in order.
+        self.operations = tuple(
+            label
+            for label, paper in _OPERATION_TABLE
+            if paper or federation is not None
+        )
         self.last_source_reports: List = []
-        self.timings: List[OperationTiming] = []
         self._product_count = 0
         # Persistence floor for the static-heat-source flag, baked
         # into the HAVING clause like the confirmation threshold.
@@ -364,55 +376,45 @@ WHERE {{
 
     # -- operations --------------------------------------------------------
 
-    def store(self, product: HotspotProduct) -> OperationTiming:
+    @_operation
+    def store(self, product: HotspotProduct) -> Dict[str, int]:
         """Operation 1: insert the product's RDF representation."""
-        with _tracer.measure("refine.store") as span:
-            with _tracer.span("annotation"):
-                added, _uris = annotate_product(
-                    self.strabon.graph, product, self._product_count
-                )
+        with _tracer.span("annotation"):
+            added, _uris = annotate_product(
+                self.strabon.graph, product, self._product_count
+            )
         self._product_count += 1
-        timing = OperationTiming.from_span(
-            span,
-            "Store",
-            product.timestamp,
-            {"triples": added, "hotspots": len(product)},
-        )
-        self.timings.append(timing)
-        return timing
+        return {"triples": added, "hotspots": len(product)}
 
-    def municipalities(self, timestamp: datetime) -> OperationTiming:
+    @_operation
+    def municipalities(self, timestamp: datetime) -> Dict[str, int]:
         """Operation 2: hotspot → municipality association."""
-        return self._run(
-            "Municipalities", timestamp, _MUNICIPALITIES_UPDATE
-        )
+        return self._update(_MUNICIPALITIES_UPDATE, timestamp)
 
-    def delete_in_sea(self, timestamp: datetime) -> OperationTiming:
+    @_operation
+    def delete_in_sea(self, timestamp: datetime) -> Dict[str, int]:
         """Operation 3: the paper's first update statement, scoped to one
         acquisition (hotspots intersecting no coastline polygon lie
         entirely in the sea)."""
-        return self._run(
-            "Delete In Sea", timestamp, _DELETE_IN_SEA_UPDATE
-        )
+        return self._update(_DELETE_IN_SEA_UPDATE, timestamp)
 
-    def invalid_for_fires(self, timestamp: datetime) -> OperationTiming:
+    @_operation
+    def invalid_for_fires(self, timestamp: datetime) -> Dict[str, int]:
         """Operation 4: drop hotspots over fully inconsistent land-cover
         classes (urban fabric, industrial units, permanent crops) that do
         not also touch fire-consistent (forest / semi-natural) cover —
         the paper's first false-alarm scenario."""
-        return self._run(
-            "Invalid For Fires", timestamp, _INVALID_FOR_FIRES_UPDATE
-        )
+        return self._update(_INVALID_FOR_FIRES_UPDATE, timestamp)
 
-    def refine_in_coast(self, timestamp: datetime) -> OperationTiming:
+    @_operation
+    def refine_in_coast(self, timestamp: datetime) -> Dict[str, int]:
         """Operation 5: the paper's second update statement verbatim —
         replace the geometry of partially-at-sea hotspots with its
         intersection with the union of coastline polygons."""
-        return self._run(
-            "Refine In Coast", timestamp, _REFINE_IN_COAST_UPDATE
-        )
+        return self._update(_REFINE_IN_COAST_UPDATE, timestamp)
 
-    def time_persistence(self, timestamp: datetime) -> OperationTiming:
+    @_operation
+    def time_persistence(self, timestamp: datetime) -> Dict[str, int]:
         """Operation 6: confirmation by temporal persistence.
 
         A hotspot is *confirmed* when the same location was detected at
@@ -426,25 +428,18 @@ WHERE {{
             "__ts": _ts_param(timestamp),
             "__window_start": _ts_param(window_start),
         }
-        with _tracer.measure("refine.time_persistence") as span:
-            confirmed = self.strabon.update(self._confirm_update, params)
-            self.strabon.update(_MARK_UNCONFIRMED_UPDATE, params)
-        timing = OperationTiming.from_span(
-            span,
-            "Time Persistence",
-            timestamp,
-            {"confirmed": confirmed.added},
-        )
-        self.timings.append(timing)
-        return timing
+        confirmed = self.strabon.update(self._confirm_update, params)
+        self.strabon.update(_MARK_UNCONFIRMED_UPDATE, params)
+        return {"confirmed": confirmed.added}
 
     # -- multi-source operations (ISSUE 10) --------------------------------
 
+    @_operation
     def source_ingest(
         self,
         product: HotspotProduct,
         fault_index: Optional[int] = None,
-    ) -> OperationTiming:
+    ) -> Dict[str, int]:
         """Federation operation A: poll every driver and annotate.
 
         A lost source is a *gap*, not a failure: the federation
@@ -455,34 +450,27 @@ WHERE {{
         """
         assert self.federation is not None
         window_degrees = self.federation.config.fusion_window_degrees
-        with _tracer.measure("refine.source_ingest") as span:
-            batches, reports = self.federation.collect(
-                product.timestamp, fault_index=fault_index
-            )
-            added = 0
-            observations = 0
-            for batch in batches:
-                added += annotate_source_batch(
-                    self.strabon.graph,
-                    batch,
-                    footprint_degrees=window_degrees,
-                )
-                observations += len(batch)
-        self.last_source_reports = reports
-        timing = OperationTiming.from_span(
-            span,
-            "Source Ingest",
-            product.timestamp,
-            {
-                "triples": added,
-                "observations": observations,
-                "gaps": sum(1 for r in reports if r.is_gap),
-            },
+        batches, reports = self.federation.collect(
+            product.timestamp, fault_index=fault_index
         )
-        self.timings.append(timing)
-        return timing
+        added = 0
+        observations = 0
+        for batch in batches:
+            added += annotate_source_batch(
+                self.strabon.graph,
+                batch,
+                footprint_degrees=window_degrees,
+            )
+            observations += len(batch)
+        self.last_source_reports = reports
+        return {
+            "triples": added,
+            "observations": observations,
+            "gaps": sum(1 for r in reports if r.is_gap),
+        }
 
-    def cross_confirm(self, timestamp: datetime) -> OperationTiming:
+    @_operation
+    def cross_confirm(self, timestamp: datetime) -> Dict[str, int]:
         """Federation operation B: dedup/confirm across sources.
 
         A hotspot whose footprint any federated detection touched
@@ -505,75 +493,51 @@ WHERE {{
             "__ts": _ts_param(timestamp),
             "__window_start": _ts_param(window_start),
         }
-        with _tracer.measure("refine.cross_confirm") as span:
-            matches: Dict[str, Dict[str, float]] = {}
-            for row in self.strabon.select(
-                _CROSS_MATCH_QUERY, params
-            ):
-                key = row["h"].value
-                name = source_name(row["src"])
-                detection_conf = float(row["dConf"].value)
-                per = matches.setdefault(key, {})
-                per[name] = max(
-                    per.get(name, 0.0), detection_conf
+        matches: Dict[str, Dict[str, float]] = {}
+        for row in self.strabon.select(_CROSS_MATCH_QUERY, params):
+            key = row["h"].value
+            name = source_name(row["src"])
+            detection_conf = float(row["dConf"].value)
+            per = matches.setdefault(key, {})
+            per[name] = max(per.get(name, 0.0), detection_conf)
+        graph = self.strabon.graph
+        confirmed = 0
+        decayed = 0
+        hot_rows = sorted(
+            self.strabon.select(_ACQ_SURVIVORS_QUERY, params),
+            key=lambda r: r["h"].value,
+        )
+        for row in hot_rows:
+            node = row["h"]
+            confidence = float(row["conf"].value)
+            per = matches.get(node.value)
+            if per:
+                fused = fused_confidence(
+                    [confidence] + [per[name] for name in sorted(per)]
                 )
-            graph = self.strabon.graph
-            confirmed = 0
-            decayed = 0
-            hot_rows = sorted(
-                self.strabon.select(_ACQ_SURVIVORS_QUERY, params),
-                key=lambda r: r["h"].value,
-            )
-            for row in hot_rows:
-                node = row["h"]
-                confidence = float(row["conf"].value)
-                per = matches.get(node.value)
-                if per:
-                    fused = fused_confidence(
-                        [confidence]
-                        + [per[name] for name in sorted(per)]
+                graph.remove(s=node, p=NOA.hasConfidence)
+                graph.add(node, NOA.hasConfidence, _float_literal(fused))
+                graph.remove(s=node, p=NOA.hasConfirmation)
+                graph.add(
+                    node, NOA.hasConfirmation, CONFIRMATION_CONFIRMED
+                )
+                for name in sorted(per):
+                    graph.add(
+                        node, NOA.crossConfirmedBy, source_uri(name)
                     )
+                confirmed += 1
+            else:
+                value = round(confidence * config.single_source_decay, 6)
+                if value != confidence:
                     graph.remove(s=node, p=NOA.hasConfidence)
                     graph.add(
-                        node,
-                        NOA.hasConfidence,
-                        _float_literal(fused),
+                        node, NOA.hasConfidence, _float_literal(value)
                     )
-                    graph.remove(s=node, p=NOA.hasConfirmation)
-                    graph.add(
-                        node,
-                        NOA.hasConfirmation,
-                        CONFIRMATION_CONFIRMED,
-                    )
-                    for name in sorted(per):
-                        graph.add(
-                            node,
-                            NOA.crossConfirmedBy,
-                            source_uri(name),
-                        )
-                    confirmed += 1
-                else:
-                    value = round(
-                        confidence * config.single_source_decay, 6
-                    )
-                    if value != confidence:
-                        graph.remove(s=node, p=NOA.hasConfidence)
-                        graph.add(
-                            node,
-                            NOA.hasConfidence,
-                            _float_literal(value),
-                        )
-                    decayed += 1
-        timing = OperationTiming.from_span(
-            span,
-            "Cross Confirm",
-            timestamp,
-            {"confirmed": confirmed, "decayed": decayed},
-        )
-        self.timings.append(timing)
-        return timing
+                decayed += 1
+        return {"confirmed": confirmed, "decayed": decayed}
 
-    def static_sources(self, timestamp: datetime) -> OperationTiming:
+    @_operation
+    def static_sources(self, timestamp: datetime) -> Dict[str, int]:
         """Federation operation C: flag persistent industrial heat.
 
         The temporal-persistence rule: a hotspot over a known static
@@ -582,19 +546,10 @@ WHERE {{
         serving and subscription tiers exclude flagged hotspots from
         alerts (this-is-fine's industrial filtering).
         """
-        with _tracer.measure("refine.static_sources") as span:
-            result = self.strabon.update(
-                self._static_update,
-                {"__ts": _ts_param(timestamp)},
-            )
-        timing = OperationTiming.from_span(
-            span,
-            "Static Sources",
-            timestamp,
-            {"flagged": result.added},
+        result = self.strabon.update(
+            self._static_update, {"__ts": _ts_param(timestamp)}
         )
-        self.timings.append(timing)
-        return timing
+        return {"flagged": result.added}
 
     # -- orchestration -----------------------------------------------------
 
@@ -604,56 +559,38 @@ WHERE {{
         deadline: Optional[float] = None,
         fault_index: Optional[int] = None,
     ) -> List[OperationTiming]:
-        """Run the six operations for one product; returns their timings.
+        """Run :attr:`operations` for one product; returns their timings.
 
         ``deadline`` (a ``time.monotonic`` instant) makes the loop
         *cooperatively* truncating: before each operation the remaining
         time is checked and the pipeline stops cleanly once the window
         is spent.  Truncation — detectable by the caller as
-        ``len(timings) < len(OPERATIONS)`` — is preferred over a
+        ``len(timings) < len(operations)`` — is preferred over a
         preemptive timeout because an abandoned refinement thread would
         keep mutating the shared RDF store mid-update.
 
         Each operation is also a fault site (``refine.<slug>``) so the
         injection harness can fail or delay refinement of acquisition
-        ``fault_index`` specifically.
+        ``fault_index`` specifically.  Operations are looked up by name
+        at call time, so a wrapper installed on the class is honoured.
         """
         ts = product.timestamp
-        steps = [("store", lambda: self.store(product))]
-        if self.federation is not None:
-            steps.append(
-                (
-                    "source_ingest",
-                    lambda: self.source_ingest(product, fault_index),
-                )
-            )
-        steps += [
-            ("municipalities", lambda: self.municipalities(ts)),
-            ("delete_in_sea", lambda: self.delete_in_sea(ts)),
-            ("invalid_for_fires", lambda: self.invalid_for_fires(ts)),
-            ("refine_in_coast", lambda: self.refine_in_coast(ts)),
-        ]
-        if self.federation is not None:
-            steps += [
-                ("cross_confirm", lambda: self.cross_confirm(ts)),
-                ("static_sources", lambda: self.static_sources(ts)),
-            ]
-        steps.append(
-            ("time_persistence", lambda: self.time_persistence(ts))
-        )
+        # The operations that take more than the timestamp.
+        args = {"store": (product,), "source_ingest": (product, fault_index)}
         out: List[OperationTiming] = []
         with _tracer.span("refinement", hotspots=len(product)) as span:
-            for slug, step in steps:
+            for label in self.operations:
+                slug = _slug(label)
                 if deadline is not None and time.monotonic() >= deadline:
                     span.set(truncated_at=slug)
                     break
                 faults_trip(f"refine.{slug}", index=fault_index)
-                out.append(step())
+                out.append(getattr(self, slug)(*args.get(slug, (ts,))))
         _log.debug(
             "refined acquisition %s: %d/%d operation(s), %.3fs total",
             ts,
             len(out),
-            len(steps),
+            len(self.operations),
             sum(t.seconds for t in out),
         )
         return out
@@ -666,25 +603,10 @@ WHERE {{
             _SURVIVORS_AT_QUERY, {"__ts": _ts_param(timestamp)}
         )
 
-    def _run(
-        self, operation: str, timestamp: datetime, update_text: str
-    ) -> OperationTiming:
-        slug = operation.lower().replace(" ", "_")
-        params = {"__ts": _ts_param(timestamp)}
-        with _tracer.measure(f"refine.{slug}") as span:
-            result = self.strabon.update(update_text, params)
-        timing = OperationTiming.from_span(
-            span,
-            operation,
-            timestamp,
-            {"added": result.added, "removed": result.removed},
+    def _update(
+        self, update_text: str, timestamp: datetime
+    ) -> Dict[str, int]:
+        result = self.strabon.update(
+            update_text, {"__ts": _ts_param(timestamp)}
         )
-        if result.removed:
-            _log.debug(
-                "refinement %s at %s removed %d triple(s)",
-                operation,
-                timestamp,
-                result.removed,
-            )
-        self.timings.append(timing)
-        return timing
+        return {"added": result.added, "removed": result.removed}

@@ -20,19 +20,15 @@ executed as-is in the test suite.
 
 from __future__ import annotations
 
-import logging
 import os
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
-
-from repro.obs import get_metrics, get_tracer
 
 from repro.arraydb import MonetDB
 from repro.arraydb.array import Dimension, SciQLArray
 from repro.arraydb.types import DOUBLE
-from repro.core.legacy import ChainTimings, vectorize_confidence
-from repro.core.products import CONFIDENCE_BY_CLASS, Hotspot, HotspotProduct
+from repro.core.legacy import ChainInput, _Chain, vectorize_confidence
 from repro.core.thresholds import threshold_grids
 from repro.seviri.geo import GeoReference
 from repro.seviri.hrit import (
@@ -43,12 +39,6 @@ from repro.seviri.hrit import (
 )
 from repro.seviri.scene import SceneImage
 from repro.seviri.solar import solar_zenith_deg
-
-ChainInput = Union[SceneImage, Tuple[Sequence[str], Sequence[str]]]
-
-_log = logging.getLogger(__name__)
-_tracer = get_tracer()
-_metrics = get_metrics()
 
 
 def figure4_query(
@@ -127,7 +117,7 @@ FROM (
 """
 
 
-class SciQLChain:
+class SciQLChain(_Chain):
     """The in-DBMS processing chain of the paper."""
 
     name = "sciql"
@@ -139,13 +129,13 @@ class SciQLChain:
         use_vault: bool = True,
         cloud_mask: bool = True,
     ) -> None:
+        super().__init__()
         self.georeference = georeference
         self.db = db if db is not None else MonetDB()
         self.use_vault = use_vault
         self.cloud_mask = cloud_mask
         if use_vault:
             self.db.vault.register_driver(HRITDriver())
-        self.timings = ChainTimings()
         self._setup_static_arrays()
 
     # -- one-time setup ------------------------------------------------------
@@ -192,13 +182,14 @@ class SciQLChain:
 
     # -- per-acquisition stages ------------------------------------------
 
+    def _decode(self, run) -> None:
+        """Bring the two raw band images into the catalog."""
+        run.timestamp, run.sensor = self._ingest(run.input)
+
     def _ingest(
         self, chain_input: ChainInput
     ) -> Tuple[object, str]:
-        """Bring the two raw band images into the catalog.
-
-        Returns (timestamp, sensor_name).
-        """
+        """Returns (timestamp, sensor_name)."""
         if isinstance(chain_input, SceneImage):
             self.db.register_array("raw_T039", chain_input.t039)
             self.db.register_array("raw_T108", chain_input.t108)
@@ -230,7 +221,7 @@ class SciQLChain:
         self.db.register_array("raw_T108", t108)
         return header.timestamp, header.sensor
 
-    def _crop(self) -> None:
+    def _crop(self, run) -> None:
         i_lo, i_hi, j_lo, j_hi = self._window
         for band in ("T039", "T108"):
             self.db.execute(
@@ -239,7 +230,7 @@ class SciQLChain:
                 f"[{i_lo}:{i_hi}][{j_lo}:{j_hi}]"
             )
 
-    def _georeference(self) -> None:
+    def _georeference(self, run) -> None:
         for band in ("T039", "T108"):
             self.db.execute(
                 f"INSERT INTO geo_{band} "
@@ -260,6 +251,7 @@ class SciQLChain:
             self.db.execute(
                 f"UPDATE geo_T108 SET v = NULL WHERE v < {CLOUD_T108_MAX}"
             )
+        self._load_thresholds(run.timestamp)
 
     def _load_thresholds(self, timestamp) -> None:
         target = self.georeference.target
@@ -278,66 +270,21 @@ class SciQLChain:
             }[attr]
             thresholds.set_attribute(key, np.asarray(grid))
 
-    def _classify(self):
-        return self.db.execute(_CLASSIFY_SQL)
+    def _classify(self, run) -> None:
+        run.result = self.db.execute(_CLASSIFY_SQL)
 
-    # -- the chain -------------------------------------------------------
-
-    def process(self, chain_input: ChainInput) -> HotspotProduct:
-        """Run the full in-DBMS chain on one acquisition.
-
-        Every stage runs inside a tracing span; :attr:`timings` is
-        rebuilt from the span durations (one timing mechanism).
-        """
-        with _tracer.measure("chain.process", chain=self.name) as root:
-            with _tracer.measure("chain.decode") as s_decode:
-                timestamp, sensor = self._ingest(chain_input)
-            with _tracer.measure("chain.crop") as s_crop:
-                self._crop()
-            with _tracer.measure("chain.georeference") as s_geo:
-                self._georeference()
-                self._load_thresholds(timestamp)
-            with _tracer.measure("chain.classify") as s_classify:
-                result = self._classify()
-            with _tracer.measure("chain.vectorize") as s_vectorize:
-                hotspots = self._output(result, timestamp, sensor)
-            root.set(sensor=sensor, hotspots=len(hotspots))
-        self.timings = ChainTimings.from_spans(
-            decode=s_decode,
-            crop=s_crop,
-            georeference=s_geo,
-            classify=s_classify,
-            vectorize=s_vectorize,
-        )
-        self.timings.record_metrics(_metrics, self.name)
-        _log.debug(
-            "sciql chain %s %s: %d hotspot(s) in %.3fs",
-            sensor,
-            timestamp,
-            len(hotspots),
-            self.timings.total,
-        )
-        return HotspotProduct(
-            sensor=sensor,
-            timestamp=timestamp,
-            chain=self.name,
-            hotspots=hotspots,
-            processing_seconds=self.timings.total,
-        )
-
-    def _output(self, result, timestamp, sensor) -> List[Hotspot]:
+    def _vectorize(self, run) -> None:
         """§3.1.4: select fire pixels and emit WKT polygon hotspots."""
         target = self.georeference.target
-        nx, ny = target.nx, target.ny
-        confidence = np.zeros((nx, ny), dtype=np.int64)
+        confidence = np.zeros((target.nx, target.ny), dtype=np.int64)
+        result = run.result
         xs = result.column("x").values
         ys = result.column("y").values
         cs = result.column("confidence").values
-        nulls = result.column("confidence").is_null()
-        keep = ~nulls
+        keep = ~result.column("confidence").is_null()
         confidence[xs[keep], ys[keep]] = cs[keep]
-        return vectorize_confidence(
-            confidence, target, timestamp, sensor, self.name
+        run.hotspots = vectorize_confidence(
+            confidence, target, run.timestamp, run.sensor, self.name
         )
 
     def confidence_grid(self, chain_input: ChainInput) -> np.ndarray:

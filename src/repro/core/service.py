@@ -751,18 +751,18 @@ class FireMonitoringService:
         refinement = self.refinement
         remaining = state.policy.window_seconds - result.stage_seconds
         if not state.breaker.allow():
-            outcome.errors.append(
-                "refinement skipped: circuit breaker open"
+            return self._degrade(
+                outcome,
+                "breaker-open",
+                "refinement skipped: circuit breaker open",
             )
-            self._count_degradation("breaker-open")
-            return False
         if remaining <= 0 or self._refine_estimate(state) > remaining:
-            outcome.errors.append(
+            return self._degrade(
+                outcome,
+                "window-exhausted",
                 f"refinement skipped: {remaining:.1f}s left of the "
-                f"{state.policy.window_seconds:g}s window"
+                f"{state.policy.window_seconds:g}s window",
             )
-            self._count_degradation("window-exhausted")
-            return False
         deadline = time.monotonic() + remaining
         try:
             outcome.refinement_timings = refinement.refine_acquisition(
@@ -772,11 +772,11 @@ class FireMonitoringService:
             state.breaker.record_failure()
             if state.raise_on_error:
                 raise
-            outcome.errors.append(
-                f"refinement failed: {type(error).__name__}: {error}"
+            return self._degrade(
+                outcome,
+                "refinement-failed",
+                f"refinement failed: {type(error).__name__}: {error}",
             )
-            self._count_degradation("refinement-failed")
-            return False
         state.breaker.record_success()
         if outcome.refinement_timings:
             outcome.refined_count = len(
@@ -788,12 +788,13 @@ class FireMonitoringService:
         if full:
             self._refine_history.append(outcome.refinement_seconds)
         else:
-            outcome.errors.append(
+            self._degrade(
+                outcome,
+                "refinement-truncated",
                 f"refinement truncated at the window deadline "
                 f"({len(outcome.refinement_timings)}/"
-                f"{len(refinement.operations)} operations)"
+                f"{len(refinement.operations)} operations)",
             )
-            self._count_degradation("refinement-truncated")
         # Losing a federated source is its own degradation-ladder
         # rung: the acquisition keeps serving on the remaining feeds
         # and the gap rides the provenance the snapshot publishes.
@@ -806,13 +807,16 @@ class FireMonitoringService:
             reports = refinement.last_source_reports
             outcome.source_reports = [r.to_dict() for r in reports]
             gaps = [r for r in reports if r.is_gap]
-            for gap in gaps:
-                outcome.errors.append(
-                    f"source {gap.source} unavailable "
-                    f"({gap.status}): {gap.error}"
-                )
             if gaps:
-                self._count_degradation("source-outage")
+                self._degrade(
+                    outcome,
+                    "source-outage",
+                    *(
+                        f"source {gap.source} unavailable "
+                        f"({gap.status}): {gap.error}"
+                        for gap in gaps
+                    ),
+                )
         return full and not gaps
 
     def _on_slo_alert(self, alert: Dict[str, object]) -> None:
@@ -839,13 +843,17 @@ class FireMonitoringService:
             alert["threshold"],
         )
 
-    def _count_degradation(self, reason: str) -> None:
+    def _degrade(self, outcome, reason: str, *errors: str) -> bool:
+        """One degradation-ladder rung: note ``errors`` on the outcome
+        and count ``reason``; returns False, the rung's verdict."""
+        outcome.errors.extend(errors)
         get_flight_recorder().record("degradation", reason)
         if _metrics.enabled:
             _metrics.counter(
                 "acquisitions_degraded_total",
                 "Acquisitions that completed in degraded mode",
             ).inc(reason=reason)
+        return False
 
     def _account_outcome(self, outcome: AcquisitionOutcome) -> None:
         product = outcome.raw_product

@@ -18,7 +18,8 @@ the un-fsynced tail record), make that hold:
 * :class:`RegistryLog` — what each subscriber did: registrations,
   removals and acknowledged cursors (``subscription id → highest
   acknowledged publication sequence``), one record per change, folded
-  into one record each time it is opened.  Acks are monotonic: a stale
+  into one record each time it is opened and whenever the records a
+  fold would drop outgrow the live ones.  Acks are monotonic: a stale
   or replayed ack never moves a cursor backwards.
 
 Both live under ``<state_dir>/subs/`` (``notifications.log`` and
@@ -33,6 +34,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
+from repro.durable import crashpoints
 from repro.durable.wal import WriteAheadLog
 from repro.errors import DurabilityError
 
@@ -269,24 +271,40 @@ class RegistryLog:
     "rows": [[...], ...]}``, one row of values per document with those
     keys, so 20 000 geofences of three shapes write three key lists,
     not 20 000.  Opening replays the records in order — cursors fold
-    monotonically, a ``remove`` drops the subscription's cursor — and,
-    when there is more than one, folds them into a single record of
-    the live documents and their cursors through the atomic
-    :meth:`~repro.durable.wal.WriteAheadLog.rewrite`, so the file holds
-    the live registry plus one session's changes.  A log written in the
-    old one-object-per-document layout is refused on open
-    (:class:`~repro.errors.DurabilityError` naming the file).  Appends
+    monotonically, a ``remove`` drops the subscription's cursor.
+
+    The log keeps the live documents and cursors as they change, and
+    *folds* them into a single record through the atomic
+    :meth:`~repro.durable.wal.WriteAheadLog.rewrite`: on open when
+    there is more than one record, and after an ack or a removal once
+    the bytes a fold would drop — superseded acks, removed
+    registrations and the removals themselves — exceed both the live
+    bytes and ``_FOLD_FLOOR_BYTES``.  Registrations never trigger a
+    fold.  So the file stays within a small multiple of the live
+    registry however many acks a long-running service takes.  The
+    ``registry-fold.pre-rewrite`` / ``registry-fold.post-rewrite``
+    crashpoints bracket the rewrite.  A log written in the old
+    one-object-per-document layout is refused on open
+    (:class:`~repro.errors.DurabilityError` naming the file).  Changes
     hold :attr:`lock`.
     """
 
     def __init__(self, path: str, fsync: str = "commit") -> None:
-        #: Serialises appends; re-entrant, because the engine guards its
+        #: Serialises changes; re-entrant, because the engine guards its
         #: cursor map with it around the append.
         self.lock = threading.RLock()
         # crash_sites off, as for the notification log.
         self._wal = WriteAheadLog(path, fsync=fsync, crash_sites=False)
-        live: Dict[str, Dict[str, Any]] = {}
-        cursors: Dict[str, int] = {}
+        #: ``subscription id → document`` of the live subscriptions,
+        #: grouped by shape within each replayed record and in
+        #: registration order within a shape.
+        self._live: Dict[str, Dict[str, Any]] = {}
+        #: ``subscription id → acknowledged sequence``; a removal drops
+        #: the subscription's cursor.
+        self.cursors: Dict[str, int] = {}
+        #: Bytes of the file a fold would drop (estimated for removed
+        #: rows and cursors).
+        self._dead = 0
         records = self._wal.replayed
         for record in records:
             doc = json.loads(record.payload.decode("utf-8"))
@@ -301,47 +319,91 @@ class RegistryLog:
                 keys = shape["keys"]
                 for row in shape["rows"]:
                     sub = dict(zip(keys, row))
-                    live[str(sub["id"])] = sub
+                    self._live[str(sub["id"])] = sub
             for sub_id in doc.get("remove", ()):
-                live.pop(sub_id, None)
+                self._live.pop(sub_id, None)
+                self.cursors.pop(sub_id, None)
             for sub_id, sequence in doc.get("ack", ()):
-                cursors[sub_id] = max(cursors.get(sub_id, 0), sequence)
-        #: The live subscription documents, grouped by shape within
-        #: each replayed record and in registration order within a
-        #: shape.
-        self.documents: List[Dict[str, Any]] = list(live.values())
-        #: ``subscription id → acknowledged sequence`` of the live
-        #: subscriptions (a removal drops its cursor).
-        self.cursors: Dict[str, int] = {
-            sub_id: sequence
-            for sub_id, sequence in cursors.items()
-            if sub_id in live
-        }
+                self.cursors[sub_id] = max(
+                    self.cursors.get(sub_id, 0), sequence
+                )
+        for sub_id in [s for s in self.cursors if s not in self._live]:
+            del self.cursors[sub_id]
         if len(records) > 1:
-            fold: Dict[str, Any] = {"add": _shapes(self.documents)}
-            if self.cursors:
-                fold["ack"] = list(self.cursors.items())
-            self._wal.rewrite([_compact(fold)])
+            self._fold()
+
+    @property
+    def documents(self) -> List[Dict[str, Any]]:
+        """The live subscription documents."""
+        with self.lock:
+            return list(self._live.values())
 
     def add(self, docs: Iterable[Dict[str, Any]]) -> None:
         """Durably record one (bulk) registration."""
-        self._append({"add": _shapes(docs)})
+        docs = list(docs)
+        with self.lock:
+            self._append({"add": _shapes(docs)})
+            for doc in docs:
+                self._live[str(doc["id"])] = doc
 
     def remove(self, sub_id: str) -> None:
         """Durably record one removal (it drops the cursor too)."""
-        self._append({"remove": [sub_id]})
+        with self.lock:
+            self._dead += self._append({"remove": [sub_id]})
+            doc = self._live.pop(sub_id, None)
+            if doc is not None:
+                self._dead += len(_compact(list(doc.values())))
+            cursor = self.cursors.pop(sub_id, None)
+            if cursor is not None:
+                self._dead += len(_compact([sub_id, cursor]))
+            self._fold_if_due()
 
     def ack(self, sub_id: str, sequence: int) -> None:
         """Durably record one acknowledged cursor."""
-        self._append({"ack": [[sub_id, sequence]]})
-
-    def _append(self, doc: Dict[str, Any]) -> None:
         with self.lock:
-            self._wal.append(_compact(doc))
-            self._wal.sync()
+            size = self._append({"ack": [[sub_id, sequence]]})
+            prior = self.cursors.get(sub_id)
+            if prior is not None:
+                # This record or the one it supersedes is dead.
+                self._dead += size
+            self.cursors[sub_id] = max(prior or 0, sequence)
+            self._fold_if_due()
+
+    def _append(self, doc: Dict[str, Any]) -> int:
+        """Append and sync one record; returns the bytes it took."""
+        before = self._wal.size_bytes()
+        self._wal.append(_compact(doc))
+        self._wal.sync()
+        return self._wal.size_bytes() - before
+
+    def _fold_if_due(self) -> None:
+        live = self._wal.size_bytes() - self._dead
+        if self._dead > max(live, _FOLD_FLOOR_BYTES):
+            self._fold()
+
+    def _fold(self) -> None:
+        """Rewrite the log as one record of the live documents and
+        their cursors."""
+        fold: Dict[str, Any] = {"add": _shapes(self._live.values())}
+        cursors = [
+            (sub_id, sequence)
+            for sub_id, sequence in self.cursors.items()
+            if sub_id in self._live
+        ]
+        if cursors:
+            fold["ack"] = cursors
+        crashpoints.crash("registry-fold.pre-rewrite")
+        self._wal.rewrite([_compact(fold)])
+        crashpoints.crash("registry-fold.post-rewrite")
+        self._dead = 0
 
     def close(self) -> None:
         self._wal.close()
+
+
+#: A fold never runs while it would drop fewer bytes than this, so a
+#: small registry is not rewritten every few acks.
+_FOLD_FLOOR_BYTES = 64 * 1024
 
 
 def _shapes(docs: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:

@@ -119,7 +119,8 @@ class StageStats:
 class Table2Breakdown:
     """Per-chain, per-stage timing table reconstructed from spans."""
 
-    #: chain name → stage name → stats; "TOTAL" holds root durations.
+    #: chain name → stage name → stats, stages in the order the chain
+    #: opened them; "TOTAL" holds root durations and prints last.
     chains: Dict[str, Dict[str, StageStats]]
     acquisition_count: int
 
@@ -132,10 +133,7 @@ class Table2Breakdown:
         ]
         for chain in sorted(self.chains):
             stages = self.chains[chain]
-            ordered = [s for s in _STAGE_ORDER if s in stages]
-            ordered += sorted(
-                s for s in stages if s not in _STAGE_ORDER and s != "TOTAL"
-            )
+            ordered = [s for s in stages if s != "TOTAL"]
             if "TOTAL" in stages:
                 ordered.append("TOTAL")
             for stage in ordered:
@@ -146,9 +144,6 @@ class Table2Breakdown:
                 )
         return "\n".join(lines)
 
-
-#: Presentation order of the §3.1 chain stages.
-_STAGE_ORDER = ("decode", "crop", "georeference", "classify", "vectorize")
 
 #: Span names emitted by the instrumented chains.
 CHAIN_ROOT_SPAN = "chain.process"
@@ -161,7 +156,11 @@ def table2_from_spans(spans: Iterable[SpanLike]) -> Table2Breakdown:
     Works on live :class:`~repro.obs.span.Span` objects or on records
     read back from a JSON-lines span log.
     """
-    records = [span_record(s) for s in spans]
+    # Span ids are allocated as spans open, so id order lists each
+    # chain's stages in the order the chain ran them.
+    records = sorted(
+        (span_record(s) for s in spans), key=lambda r: r["span_id"]
+    )
     roots = {
         r["span_id"]: r for r in records if r["name"] == CHAIN_ROOT_SPAN
     }

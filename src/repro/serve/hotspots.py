@@ -209,12 +209,7 @@ class HotspotTable:
     ) -> "HotspotTable":
         """The table a publication of ``view`` carries, given the
         previous publication and the commit's delta since it."""
-        if (
-            previous is None
-            or delta is None
-            or delta.full_rescan
-            or delta.schema_changed
-        ):
+        if previous is None or delta is None or delta.full_rescan:
             return cls.full(view.snapshot)
         return previous.hotspots.apply(delta.stars(view.snapshot))
 

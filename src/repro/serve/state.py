@@ -1,7 +1,8 @@
 """Snapshot publication: the hand-off point between writer and readers.
 
 The monitoring service is a single-writer system — one thread ingests
-acquisitions and runs the six-step semantic refinement against the live
+acquisitions and runs the semantic refinement (six paper operations,
+nine when federated) against the live
 Strabon store.  The serving layer must never expose that store directly:
 mid-refinement the graph holds *torn* state (hotspots stored but not yet
 municipality-tagged, sea hotspots not yet deleted, survivors not yet

@@ -431,13 +431,11 @@ class DeltaBatch:
 
     subjects: Tuple[str, ...] = ()
     municipalities: Tuple[str, ...] = ()
-    #: A ``clear`` was journaled — subject-local reasoning is void and
-    #: the evaluator falls back to a full scan for this batch.
+    #: Subject-local reasoning is void, so consumers fall back to a
+    #: full scan for this batch: a ``clear`` was journaled, or an
+    #: ``rdfs:subClassOf`` triple changed (which subjects are hotspots
+    #: may have changed beyond ``subjects``).
     full_rescan: bool = False
-    #: An ``rdfs:subClassOf`` triple changed — which subjects are
-    #: hotspots may have changed beyond ``subjects``, so consumers fall
-    #: back to a full scan as for ``full_rescan``.
-    schema_changed: bool = False
     _stars: Dict[str, Optional[HotspotRecord]] = field(
         default_factory=dict, compare=False, repr=False
     )
@@ -525,7 +523,6 @@ def delta_from_ops(ops: Sequence) -> DeltaBatch:
     subjects: Set[str] = set()
     municipalities: Set[str] = set()
     full_rescan = False
-    schema_changed = False
     for opcode, triple in ops:
         if opcode == OP_CLEAR:
             full_rescan = True
@@ -539,12 +536,11 @@ def delta_from_ops(ops: Sequence) -> DeltaBatch:
         if p == _MUNICIPALITY:
             municipalities.add(_text(o))
         elif p == _SUBCLASS:
-            schema_changed = True
+            full_rescan = True
     return DeltaBatch(
         subjects=tuple(sorted(subjects)),
         municipalities=tuple(sorted(municipalities)),
         full_rescan=full_rescan,
-        schema_changed=schema_changed,
     )
 
 
@@ -1040,9 +1036,9 @@ class SubscriptionEngine:
             if removed:
                 self._seen.pop(sub_id, None)
                 with self._cursor_lock:
-                    self._cursors.pop(sub_id, None)
                     if self._registry_log is not None:
                         self._registry_log.remove(sub_id)
+                    self._cursors.pop(sub_id, None)
         self._export_gauges()
         return removed
 
@@ -1188,7 +1184,7 @@ class SubscriptionEngine:
         self, delta: DeltaBatch, source, out: _BatchBuilder
     ) -> None:
         graph = _source_graph(source)
-        if delta.full_rescan or delta.schema_changed:
+        if delta.full_rescan:
             self._evaluate_records(
                 list(iter_hotspot_records(graph)),
                 source,

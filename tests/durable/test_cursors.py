@@ -4,6 +4,7 @@ the acknowledged cursors it carries."""
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import threading
 
@@ -12,10 +13,13 @@ import pytest
 from repro.core.config import RunOptions, ServiceConfig
 from repro.core.service import FireMonitoringService
 from repro.durable import (
+    CRASH_EXIT,
     NotificationBatch,
     NotificationLog,
     RegistryLog,
     WriteAheadLog,
+    crashpoints,
+    cursors,
 )
 from repro.errors import DurabilityError
 from repro.serve.subscribe import SubscriptionEngine, SubscriptionError
@@ -164,6 +168,82 @@ class TestRegistryLog:
             wal.append(b'{"add":[{"id":"a","kind":"filter"}]}')
         with pytest.raises(DurabilityError, match="registry.log"):
             RegistryLog(path)
+
+
+def _ack_until_killed(subs_dir, point, progress_path):
+    """Child body: register, remove one, then ack round-robin until
+    the armed fold crashpoint kills the process.  Each ack is written
+    to ``progress_path`` before it is made."""
+    crashpoints.arm(point)
+    engine = SubscriptionEngine(state_dir=subs_dir, fsync="never")
+    subs = engine.register_many([{"kind": "filter"}] * 12)
+    engine.remove(subs[0].id)
+    with open(progress_path, "w") as progress:
+        for sequence in range(1, 100_000):
+            for sub in subs[1:]:
+                progress.write(f"{sub.id} {sequence}\n")
+                progress.flush()
+                engine.ack(sub.id, sequence)
+    os._exit(0)  # no fold ran: the cell is broken
+
+
+class TestRegistryFold:
+    """The registry log folds by size under acks, not only at open."""
+
+    def test_repeated_acks_keep_the_log_bounded(self, tmp_path):
+        subs_dir = str(tmp_path / "subs")
+        path = os.path.join(subs_dir, "registry.log")
+        engine = SubscriptionEngine(state_dir=subs_dir, fsync="never")
+        subs = engine.register_many([{"kind": "filter"}] * 20)
+        sizes = []
+        for sequence in range(1, 1001):
+            for sub in subs:
+                engine.ack(sub.id, sequence)
+            sizes.append(os.path.getsize(path))
+        # Unfolded, 20 000 acks would take ~40 B each.
+        assert max(sizes) < 2 * cursors._FOLD_FLOOR_BYTES
+        assert min(sizes[10:]) < max(sizes), "no fold ran"
+        engine.close()
+        engine = SubscriptionEngine(state_dir=subs_dir, fsync="never")
+        assert engine.stats()["cursors"] == {sub.id: 1000 for sub in subs}
+        engine.close()
+
+    def test_registrations_alone_never_fold(self, tmp_path):
+        path = str(tmp_path / "registry.log")
+        log = RegistryLog(path, fsync="never")
+        for n in range(2000):
+            log.add([{"id": f"s{n}", "kind": "filter", "bbox": [n, 0, 1, 1]}])
+        log.close()
+        with WriteAheadLog(path) as wal:
+            assert len(wal.replayed) == 2000
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork()")
+    @pytest.mark.parametrize(
+        "point", ["registry-fold.pre-rewrite", "registry-fold.post-rewrite"]
+    )
+    def test_a_crash_beside_a_fold_loses_nothing(self, tmp_path, point):
+        subs_dir = str(tmp_path / "subs")
+        progress = str(tmp_path / "progress")
+        child = multiprocessing.get_context("fork").Process(
+            target=_ack_until_killed, args=(subs_dir, point, progress)
+        )
+        child.start()
+        child.join(timeout=120)
+        assert child.exitcode == CRASH_EXIT
+        expected = {}
+        with open(progress) as fh:
+            for line in fh:
+                sub_id, sequence = line.split()
+                expected[sub_id] = int(sequence)
+        assert len(expected) == 11
+        for _ in range(2):  # the first reopen folds, the second reads it
+            engine = SubscriptionEngine(state_dir=subs_dir)
+            assert sorted(s.id for s in engine.registry.list()) == sorted(
+                expected
+            )
+            # The ack that triggered the fold was synced before it.
+            assert engine.stats()["cursors"] == expected
+            engine.close()
 
 
 class TestCursorDurability:

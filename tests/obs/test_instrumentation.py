@@ -16,11 +16,30 @@ import pytest
 
 from repro.core.config import RunOptions, ServiceConfig
 from repro.core.service import FireMonitoringService
+from repro.faults import FaultPlan, inject
 from repro.obs import budget_summary, table2_from_spans, tree_report
+from repro.seviri.fires import FireSeason
 from repro.seviri.hrit import write_hrit_segments
 from repro.seviri.monitor import SeviriMonitor
 
 WHEN = datetime(2007, 8, 24, 13, 0, tzinfo=timezone.utc)
+
+
+#: The nine refinement operations of a federated service, in order.
+FEDERATED_OPERATIONS = (
+    "Store",
+    "Source Ingest",
+    "Municipalities",
+    "Delete In Sea",
+    "Invalid For Fires",
+    "Refine In Coast",
+    "Cross Confirm",
+    "Static Sources",
+    "Time Persistence",
+)
+FEDERATED_SLUGS = [
+    label.lower().replace(" ", "_") for label in FEDERATED_OPERATIONS
+]
 
 
 @pytest.fixture()
@@ -29,6 +48,36 @@ def teleios(greece, tmp_path):
         greece=greece,
         config=ServiceConfig(workdir=str(tmp_path)),
     )
+
+
+@pytest.fixture()
+def federated_season(greece):
+    """A season of the test's own: a federated run attaches its static
+    heat sources to the season it is given."""
+    return FireSeason(greece, WHEN.replace(hour=0), days=1, seed=7)
+
+
+@pytest.fixture()
+def federated(greece, tmp_path):
+    service = FireMonitoringService(
+        greece=greece,
+        config=ServiceConfig(
+            workdir=str(tmp_path),
+            sources={"seed": 7, "polar_revisit_minutes": 15},
+        ),
+    )
+    yield service
+    service.close()
+
+
+def _refine_spans(spans):
+    """Names of the spans directly under ``refinement``, in order."""
+    (refinement,) = [s for s in spans if s.name == "refinement"]
+    return [
+        s.name
+        for s in sorted(spans, key=lambda s: s.span_id)
+        if s.parent_id == refinement.span_id
+    ]
 
 
 def test_outcome_fields_populated_with_tracing_disabled(
@@ -203,3 +252,50 @@ def test_failed_acquisition_closes_spans_and_counts_failure(
     assert metrics.get("span_failures_total").value(
         span="acquisition"
     ) == 1
+
+
+def test_federated_refinement_runs_the_operation_table(
+    observability, federated, federated_season
+):
+    (outcome,) = federated.run(
+        [WHEN], RunOptions(season=federated_season, on_error="raise")
+    )
+    assert outcome.status == "ok"
+    spans = observability.get_tracer().spans()
+    assert _refine_spans(spans) == [
+        f"refine.{slug}" for slug in FEDERATED_SLUGS
+    ]
+    assert [t.operation for t in outcome.refinement_timings] == list(
+        FEDERATED_OPERATIONS
+    )
+    histogram = observability.get_metrics().get("refine_operation_seconds")
+    assert sorted(
+        labels["operation"] for labels, _summary in histogram.samples()
+    ) == sorted(FEDERATED_OPERATIONS)
+    for label in FEDERATED_OPERATIONS:
+        assert histogram.count(operation=label) == 1
+
+
+@pytest.mark.parametrize("slug", FEDERATED_SLUGS)
+def test_a_fault_at_each_refine_op_degrades_there(
+    observability, federated, federated_season, slug
+):
+    plan = FaultPlan().raise_in(f"refine.{slug}", times=99)
+    with inject(plan):
+        (outcome,) = federated.run(
+            [WHEN], RunOptions(season=federated_season)
+        )
+    assert outcome.status == "degraded"
+    assert any(
+        error.startswith("refinement failed: FaultInjected")
+        for error in outcome.errors
+    )
+    # Every operation before the faulted one ran; it and the rest
+    # did not.
+    done = FEDERATED_SLUGS[: FEDERATED_SLUGS.index(slug)]
+    spans = observability.get_tracer().spans()
+    assert _refine_spans(spans) == [f"refine.{s}" for s in done]
+    degraded = observability.get_metrics().get(
+        "acquisitions_degraded_total"
+    )
+    assert degraded.value(reason="refinement-failed") == 1

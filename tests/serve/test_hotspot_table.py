@@ -307,7 +307,7 @@ def test_table_tracks_random_star_mutations(seed, monkeypatch, pinned):
             graph.add(FLARE, RDFS.subClassOf, NOA.Hotspot)
             expect_full = True
         delta = delta_from_ops(graph.drain_journal())
-        assert (delta.full_rescan or delta.schema_changed) == expect_full
+        assert delta.full_rescan == expect_full
         full_builds.clear()
         published = publisher.publish(strabon, delta=delta)
         assert len(full_builds) == int(expect_full), f"batch {batch}"

@@ -332,10 +332,12 @@ class TestDeltaExtraction:
         delta = delta_from_ops(
             [(OP_ADD, (flare, RDFS.subClassOf, NOA.Hotspot))]
         )
-        assert delta.schema_changed and not delta.full_rescan
+        assert delta.full_rescan
+        # Unlike a clear, the schema change keeps its subjects.
+        assert delta.subjects == ("http://example.org/Flare",)
         assert not delta_from_ops(
             [(OP_ADD, (flare, NOA.hasConfidence, NOA.Hotspot))]
-        ).schema_changed
+        ).full_rescan
 
 
 class TestEngine:
