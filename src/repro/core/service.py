@@ -41,7 +41,7 @@ import shutil
 import tempfile
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime
 from typing import Deque, Dict, Iterable, List, Optional
 
@@ -590,9 +590,15 @@ class FireMonitoringService:
         if self.sources is not None:
             # Bind the season to the federation (polar detections
             # sample its ground truth) and seed the static-site
-            # catalogue + events before any scene is synthesised.
-            # Idempotent.
-            self.sources.prepare(options.season, self.strabon.graph)
+            # catalogue before any scene is synthesised; scenes come
+            # from the federation's copy, which holds the static
+            # sites' heat.  Idempotent.
+            options = replace(
+                options,
+                season=self.sources.prepare(
+                    options.season, self.strabon.graph
+                ),
+            )
         if self._last_committed_timestamp is not None:
             # Resuming a replayed request stream: acquisitions at or
             # before the durable cursor are already in the store.

@@ -266,7 +266,10 @@ class RegistryLog:
     policy — ``{"add": [shape, ...]}`` for a single or bulk
     registration, ``{"remove": [id]}`` for a removal, ``{"ack": [[id,
     sequence]]}`` for an acknowledgement — so a change costs its own
-    bytes, not a rewrite of every subscriber's state.  An ``add``
+    bytes, not a rewrite of every subscriber's state.  A registration
+    that primed matches adds ``"primed": [[id, [subject, ...]], ...]``
+    to its record: the hotspots the subscription starts out having
+    seen, which a restart restores without ever delivering them.  An ``add``
     stores each distinct key list once: a shape is ``{"keys": [...],
     "rows": [[...], ...]}``, one row of values per document with those
     keys, so 20 000 geofences of three shapes write three key lists,
@@ -302,6 +305,9 @@ class RegistryLog:
         #: ``subscription id → acknowledged sequence``; a removal drops
         #: the subscription's cursor.
         self.cursors: Dict[str, int] = {}
+        #: ``subscription id → subjects primed at registration``; a
+        #: removal drops them.
+        self.primed: Dict[str, List[str]] = {}
         #: Bytes of the file a fold would drop (estimated for removed
         #: rows and cursors).
         self._dead = 0
@@ -320,15 +326,20 @@ class RegistryLog:
                 for row in shape["rows"]:
                     sub = dict(zip(keys, row))
                     self._live[str(sub["id"])] = sub
+            for sub_id, subjects in doc.get("primed", ()):
+                self.primed[sub_id] = subjects
             for sub_id in doc.get("remove", ()):
                 self._live.pop(sub_id, None)
                 self.cursors.pop(sub_id, None)
+                self.primed.pop(sub_id, None)
             for sub_id, sequence in doc.get("ack", ()):
                 self.cursors[sub_id] = max(
                     self.cursors.get(sub_id, 0), sequence
                 )
         for sub_id in [s for s in self.cursors if s not in self._live]:
             del self.cursors[sub_id]
+        for sub_id in [s for s in self.primed if s not in self._live]:
+            del self.primed[sub_id]
         if len(records) > 1:
             self._fold()
 
@@ -338,13 +349,22 @@ class RegistryLog:
         with self.lock:
             return list(self._live.values())
 
-    def add(self, docs: Iterable[Dict[str, Any]]) -> None:
-        """Durably record one (bulk) registration."""
+    def add(
+        self,
+        docs: Iterable[Dict[str, Any]],
+        primed: Optional[Dict[str, List[str]]] = None,
+    ) -> None:
+        """Durably record one (bulk) registration and the subjects it
+        primed (``id → subjects``)."""
         docs = list(docs)
+        record: Dict[str, Any] = {"add": _shapes(docs)}
+        if primed:
+            record["primed"] = list(primed.items())
         with self.lock:
-            self._append({"add": _shapes(docs)})
+            self._append(record)
             for doc in docs:
                 self._live[str(doc["id"])] = doc
+            self.primed.update(primed or {})
 
     def remove(self, sub_id: str) -> None:
         """Durably record one removal (it drops the cursor too)."""
@@ -356,6 +376,9 @@ class RegistryLog:
             cursor = self.cursors.pop(sub_id, None)
             if cursor is not None:
                 self._dead += len(_compact([sub_id, cursor]))
+            subjects = self.primed.pop(sub_id, None)
+            if subjects is not None:
+                self._dead += len(_compact([sub_id, subjects]))
             self._fold_if_due()
 
     def ack(self, sub_id: str, sequence: int) -> None:
@@ -392,6 +415,13 @@ class RegistryLog:
         ]
         if cursors:
             fold["ack"] = cursors
+        primed = [
+            (sub_id, subjects)
+            for sub_id, subjects in self.primed.items()
+            if sub_id in self._live
+        ]
+        if primed:
+            fold["primed"] = primed
         crashpoints.crash("registry-fold.pre-rewrite")
         self._wal.rewrite([_compact(fold)])
         crashpoints.crash("registry-fold.post-rewrite")

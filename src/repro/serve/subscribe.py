@@ -21,14 +21,23 @@ Three subscription families:
   changed hotspot against 100k subscriptions is a point probe, not a
   scan.
 * ``stsparql`` — a restricted stSPARQL SELECT over the hotspot star,
-  using ``?h`` as the hotspot variable.  Incremental evaluation runs
-  each standing query once per commit, seeded through the engine's
-  ``params=`` with one ``?h`` row per changed subject it has not yet
-  notified (``VALUES`` semantics), so the query text stays constant
-  (plan-cache friendly), there is one engine call per query, and cost
-  scales with the delta, not the graph.  Every operator of the
-  accepted fragment acts row by row on the seed, so the batch answer
-  is the union of the per-subject answers.
+  using ``?h`` as the hotspot variable.  Standing queries are
+  evaluated **once per shape**: at registration the literal constants
+  of a query's FILTER expressions are lifted out, and queries whose
+  remaining text is equal share one shape query, whose inline
+  ``VALUES`` block carries a hidden subscription-id column and one
+  column per lifted constant (the Gao et al. continuous queries that
+  differ only in their constants, evaluated together).  Each commit
+  makes one engine call per shape, seeded through ``params=`` with one
+  ``?h`` row per changed subject some member has not yet notified;
+  the id column of each answer row says whom it matches.  The shape
+  text only changes with its membership (plan-cache friendly), and
+  cost scales with the delta and the number of shapes, not with the
+  graph or the number of queries.  Every operator of the accepted
+  fragment acts row by row on the seed, and the ``VALUES`` block is
+  joined after the seeded star — a join too, row by row, never a
+  cross product in front of the star — so the batch answer is still
+  the union of the per-subject answers, split by member.
 * ``fwi`` — per-municipality fire-danger classes in the spirit of the
   Fire Weather Index rules of Gao et al. (arXiv 1411.2186): the class
   is a pure function of the live fire evidence inside each
@@ -209,6 +218,104 @@ def _contains(node, kind) -> bool:
     return False
 
 
+def _lift_constants(query: str) -> Tuple[str, str, Tuple[str, ...]]:
+    """Split a standing query into its shape and its constants.
+
+    Returns ``(template, prefix, constants)``: ``template`` is
+    ``query`` with the i-th literal of its FILTER expressions replaced
+    by the variable ``?<prefix>i``, and ``constants`` holds the
+    literals' texts.  ``prefix`` starts no variable name of ``query``,
+    so the variables the shape adds cannot collide with the user's;
+    queries with equal templates also have equal prefixes.
+    """
+    from repro.stsparql.lexer import tokenize
+    from repro.stsparql.parser import filter_literal_spans
+
+    names = {tok.value[1:] for tok in tokenize(query) if tok.kind == "var"}
+    prefix = "__shape_"
+    while any(name.startswith(prefix) for name in names):
+        prefix = "_" + prefix
+    pieces: List[str] = []
+    constants: List[str] = []
+    end = 0
+    for index, (start, stop) in enumerate(filter_literal_spans(query)):
+        pieces += [query[end:start], f"?{prefix}{index}"]
+        constants.append(query[start:stop])
+        end = stop
+    pieces.append(query[end:])
+    return "".join(pieces), prefix, tuple(constants)
+
+
+class _Shape:
+    """Standing queries that are equal but for their FILTER literals.
+
+    ``template`` is their common text (:func:`_lift_constants`), and
+    each member maps a subscription id to the literal texts it lifted.
+    :meth:`text` is the one query that evaluates members together: the
+    template projecting ``?h`` and a hidden ``?<prefix>id`` column, with
+    a ``VALUES`` block opening its WHERE group — the id naming the
+    member, then one column per lifted literal.  Each member's rows of
+    that query are exactly its own query's rows, because the block
+    binds the constants before any other element of the group reads
+    them (the engine still joins it after a seeded star: the planner
+    places it).  Only ``?h`` is read from a row, so the members' own
+    projections need not survive.
+    """
+
+    def __init__(self, template: str, prefix: str, arity: int) -> None:
+        from repro.stsparql.lexer import tokenize
+
+        self.template = template
+        self.id_var = prefix + "id"
+        self._columns = " ".join(
+            [f"?{self.id_var}"] + [f"?{prefix}{i}" for i in range(arity)]
+        )
+        self.members: Dict[str, Tuple[str, ...]] = {}
+        self._text: Optional[str] = None
+        # The projection runs from SELECT to the WHERE group's brace,
+        # the first one outside the parentheses of an expression.
+        tokens = iter(tokenize(template))
+        select = next(
+            t for t in tokens if (t.kind, t.value) == ("keyword", "select")
+        )
+        depth = 0
+        for token in tokens:
+            if token.kind != "op":
+                continue
+            if token.value == "{" and not depth:
+                break
+            depth += {"(": 1, ")": -1}.get(token.value, 0)
+        self._head = (
+            f"{template[: select.pos]}SELECT ?h ?{self.id_var} WHERE {{"
+        )
+        self._body = template[token.pos + 1 :]
+
+    def add(self, sub_id: str, constants: Tuple[str, ...]) -> None:
+        self.members[sub_id] = constants
+        self._text = None
+
+    def discard(self, sub_id: str) -> None:
+        self.members.pop(sub_id, None)
+        self._text = None
+
+    def text(self, members: Sequence[str]) -> str:
+        """The shape's query over ``members`` (ids of its members)."""
+        whole = len(members) == len(self.members)
+        if whole and self._text is not None:
+            return self._text
+        rows = " ".join(
+            "(" + " ".join((Literal(m).n3(),) + self.members[m]) + ")"
+            for m in members
+        )
+        text = (
+            f"{self._head} VALUES ({self._columns}) {{ {rows} }} "
+            f"{self._body}"
+        )
+        if whole:
+            self._text = text
+        return text
+
+
 def validate_standing_query(text: str) -> None:
     """Refuse standing queries outside the incremental fragment.
 
@@ -225,6 +332,9 @@ def validate_standing_query(text: str) -> None:
     * no subselects, which are evaluated once from the evaluator's
       seed rather than per seed row, so a batch seeded with many
       changed subjects would not be the union of per-subject runs.
+
+    Inline ``VALUES`` blocks are accepted: a block is joined with each
+    row like a triple pattern, so it keeps the answer subject-local.
     """
     from repro.stsparql import ast
     from repro.stsparql.parser import parse
@@ -708,6 +818,9 @@ class SubscriptionRegistry:
         self._tombstones: Set[str] = set()
         self._global_filters: Dict[str, Subscription] = {}
         self._queries: Dict[str, Subscription] = {}
+        #: Standing-query shapes by template, and each query's shape.
+        self._shapes: Dict[str, _Shape] = {}
+        self._shape_of: Dict[str, _Shape] = {}
         self._fwi: Dict[str, Subscription] = {}
 
     def __len__(self) -> int:
@@ -735,6 +848,14 @@ class SubscriptionRegistry:
                         self._rebuild()
             elif sub.kind == "stsparql":
                 self._queries[sub.id] = sub
+                template, prefix, constants = _lift_constants(sub.query)
+                shape = self._shapes.get(template)
+                if shape is None:
+                    shape = self._shapes[template] = _Shape(
+                        template, prefix, len(constants)
+                    )
+                shape.add(sub.id, constants)
+                self._shape_of[sub.id] = shape
             else:
                 self._fwi[sub.id] = sub
             return sub
@@ -755,6 +876,11 @@ class SubscriptionRegistry:
                 return False
             self._global_filters.pop(sub_id, None)
             self._queries.pop(sub_id, None)
+            shape = self._shape_of.pop(sub_id, None)
+            if shape is not None:
+                shape.discard(sub_id)
+                if not shape.members:
+                    del self._shapes[shape.template]
             self._fwi.pop(sub_id, None)
             self._pending = [
                 p for p in self._pending if p.id != sub_id
@@ -778,6 +904,26 @@ class SubscriptionRegistry:
     def standing_queries(self) -> List[Subscription]:
         with self._lock:
             return list(self._queries.values())
+
+    def shapes(
+        self, among: Optional[Iterable[Subscription]] = None
+    ) -> List[Tuple[_Shape, List[str]]]:
+        """Each standing-query shape with its member ids, in
+        registration order — only the members in ``among`` when
+        given."""
+        with self._lock:
+            if among is None:
+                return [
+                    (shape, list(shape.members))
+                    for shape in self._shapes.values()
+                ]
+            grouped: Dict[str, Tuple[_Shape, List[str]]] = {}
+            for sub in among:
+                shape = self._shape_of[sub.id]
+                grouped.setdefault(shape.template, (shape, []))[1].append(
+                    sub.id
+                )
+            return list(grouped.values())
 
     def fwi_subscriptions(self) -> List[Subscription]:
         with self._lock:
@@ -939,14 +1085,18 @@ class SubscriptionEngine:
         """Replaying the notification log restores exactly-once: every
         previously delivered (subscription, subject) pair re-enters
         the seen-set, so regenerated or repaired batches can never
-        duplicate a notification that already reached the log."""
-        assert self.log is not None
+        duplicate a notification that already reached the log.  The
+        pairs registration primed come back from the registry log,
+        so a later change to a primed hotspot stays silent too."""
+        assert self.log is not None and self._registry_log is not None
         for batch in self.log.batches:
             for subscription, kind, index in batch.refs:
                 if kind != "fwi":
                     self._seen.setdefault(subscription, set()).add(
                         batch.subjects[index][0]
                     )
+        for subscription, subjects in self._registry_log.primed.items():
+            self._seen.setdefault(subscription, set()).update(subjects)
 
     # -- wiring ------------------------------------------------------------
 
@@ -999,9 +1149,9 @@ class SubscriptionEngine:
         )
         with self._lock:
             self.registry.add(sub)
-            self._prime([sub])
+            primed = self._prime([sub])
             if self._registry_log is not None:
-                self._registry_log.add([sub.to_dict()])
+                self._registry_log.add([sub.to_dict()], primed)
         self._export_gauges()
         return sub
 
@@ -1024,9 +1174,9 @@ class SubscriptionEngine:
         ]
         with self._lock:
             self.registry.add_many(subs)
-            self._prime(subs)
+            primed = self._prime(subs)
             if self._registry_log is not None:
-                self._registry_log.add(s.to_dict() for s in subs)
+                self._registry_log.add((s.to_dict() for s in subs), primed)
         self._export_gauges()
         return subs
 
@@ -1071,25 +1221,31 @@ class SubscriptionEngine:
             return []
         return self.log.after(sequence)
 
-    def _prime(self, subs: List[Subscription]) -> None:
+    def _prime(self, subs: List[Subscription]) -> Dict[str, List[str]]:
+        """Mark the new subscriptions' current matches as seen; returns
+        them (``id → sorted subjects``, matchless ones left out) for
+        the registry log, so a restart restores them too."""
         source = self._priming_source()
         if source is None:
-            return
+            return {}
         graph = _source_graph(source)
         filters = [s for s in subs if s.kind == "filter"]
         queries = [s for s in subs if s.kind == "stsparql"]
         if filters:
             self._match_filters(iter_hotspot_records(graph), among=filters)
-        for sub in queries:
-            rows = source.select(sub.query)
-            for row in rows:
-                h = row.get("h")
-                if h is not None:
-                    self._seen.setdefault(sub.id, set()).add(
-                        _text(h)
-                    )
+        for shape, members in self.registry.shapes(among=queries):
+            for sub_id, subjects in self._shape_matches(
+                source, shape, members
+            ).items():
+                if subjects:
+                    self._seen.setdefault(sub_id, set()).update(subjects)
         if any(s.kind == "fwi" for s in subs):
             self._ensure_fwi_baseline(graph)
+        return {
+            sub.id: sorted(self._seen[sub.id])
+            for sub in subs
+            if self._seen.get(sub.id)
+        }
 
     def _priming_source(self):
         if self._publisher is not None:
@@ -1213,27 +1369,7 @@ class SubscriptionEngine:
         graph = _source_graph(source)
         # filter family: point probe per changed hotspot.
         self._match_filters(records, out)
-        # stsparql family: one evaluation per standing query, seeded
-        # with a ?h row per pending changed subject — constant text,
-        # cached plan, one engine call however large the delta.
-        for sub in self.registry.standing_queries():
-            seen = self._seen.setdefault(sub.id, set())
-            pending = [
-                record
-                for record in records
-                if not record.static and record.subject not in seen
-            ]
-            if not pending:
-                continue
-            rows = source.select(
-                sub.query,
-                params=[{"h": URI(r.subject)} for r in pending],
-            )
-            matched = {_text(row["h"]) for row in rows}
-            for record in pending:
-                if record.subject in matched:
-                    seen.add(record.subject)
-                    out.hotspot(sub, record)
+        self._match_queries(source, records, out, seeded=True)
         # fwi family: recompute only the touched municipalities.
         if municipalities is None:
             self._fwi_full(graph, out)
@@ -1242,6 +1378,77 @@ class SubscriptionEngine:
             inference = RDFSInference(graph)
             for municipality in sorted(municipalities):
                 self._fwi_transition(graph, inference, municipality, out)
+
+    def _match_queries(
+        self,
+        source,
+        records: List[HotspotRecord],
+        out: _BatchBuilder,
+        seeded: bool,
+    ) -> None:
+        """The stsparql family over ``records``: one engine call per
+        query shape.  ``seeded``, the call is seeded with a ``?h`` row
+        per subject some member has pending (VALUES semantics), so its
+        cost follows the delta; otherwise it runs over the whole
+        source.  A member notifies its pending records it matched, in
+        registry order, then record order."""
+        subs = self.registry.standing_queries()
+        pending: Dict[str, List[HotspotRecord]] = {}
+        for sub in subs:
+            seen = self._seen.setdefault(sub.id, set())
+            pending[sub.id] = [
+                record
+                for record in records
+                if not record.static and record.subject not in seen
+            ]
+        matched: Dict[str, Set[str]] = {}
+        for shape, members in self.registry.shapes():
+            wanted = {
+                record.subject
+                for member in members
+                for record in pending[member]
+            }
+            if not wanted:
+                continue
+            subjects = (
+                [r.subject for r in records if r.subject in wanted]
+                if seeded
+                else None
+            )
+            matched.update(
+                self._shape_matches(source, shape, members, subjects)
+            )
+        for sub in subs:
+            hits = matched.get(sub.id)
+            if not hits:
+                continue
+            seen = self._seen[sub.id]
+            for record in pending[sub.id]:
+                if record.subject in hits:
+                    seen.add(record.subject)
+                    out.hotspot(sub, record)
+
+    @staticmethod
+    def _shape_matches(
+        source,
+        shape: _Shape,
+        members: List[str],
+        subjects: Optional[List[str]] = None,
+    ) -> Dict[str, Set[str]]:
+        """``member id → ?h subjects`` its query matches: one engine
+        call, seeded with ``subjects`` when given."""
+        params = (
+            None
+            if subjects is None
+            else [{"h": URI(subject)} for subject in subjects]
+        )
+        found: Dict[str, Set[str]] = {member: set() for member in members}
+        for row in source.select(shape.text(members), params=params):
+            h = row.get("h")
+            member = row.get(shape.id_var)
+            if h is not None and member is not None:
+                found[member.lexical].add(_text(h))
+        return found
 
     def _fwi_transition(
         self,
@@ -1324,21 +1531,7 @@ class SubscriptionEngine:
     ) -> None:
         records = list(iter_hotspot_records(graph))
         self._match_filters(records, out)
-        by_subject = {r.subject: r for r in records}
-        for sub in self.registry.standing_queries():
-            seen = self._seen.setdefault(sub.id, set())
-            for row in source.select(sub.query):
-                h = row.get("h")
-                if h is None:
-                    continue
-                subject = _text(h)
-                if subject in seen:
-                    continue
-                record = by_subject.get(subject)
-                if record is None or record.static:
-                    continue
-                seen.add(subject)
-                out.hotspot(sub, record)
+        self._match_queries(source, records, out, seeded=False)
         self._fwi_full(graph, out)
 
     # -- delivery ----------------------------------------------------------

@@ -13,6 +13,7 @@ serving with provenance noting the gap".
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass
 from datetime import datetime
@@ -142,19 +143,23 @@ class SourceFederation:
 
     def prepare(
         self, season: Optional[FireSeason], graph: Graph
-    ) -> None:
-        """Bind the season and seed the static-site catalogue.
+    ) -> Optional[FireSeason]:
+        """Bind the season and seed the static-site catalogue; returns
+        the season the run synthesises its scenes from.
 
-        Idempotent: static events are injected once per season and the
-        catalogue triples only add what is missing, so a recovered
-        durable service (whose WAL already replayed them) journals
-        nothing new.
+        The static sites' heat events join a copy of ``season``, never
+        the caller's own.  Idempotent: the catalogue triples only add
+        what is missing, so a recovered durable service (whose WAL
+        already replayed them) journals nothing new.
         """
-        self.season = season
         if season is not None and self.static_sites:
+            season = copy.copy(season)
+            season.events = list(season.events)
             attach_static_sites(season, self.static_sites)
+        self.season = season
         if self.static_sites:
             load_static_sites(graph, self.static_sites)
+        return season
 
     # -- acquisition -------------------------------------------------------
 

@@ -92,10 +92,27 @@ class PatternElement:
 
 
 @dataclass(frozen=True)
+class InlineData:
+    """An inline ``VALUES`` block (SPARQL 1.1 §10.2): a constant
+    relation over ``columns``, one tuple of terms per row (None is
+    ``UNDEF``, an unbound cell)."""
+
+    columns: Tuple[Variable, ...]
+    rows: Tuple[Tuple[Optional[Term], ...], ...]
+
+    def variables(self) -> List[Variable]:
+        return list(self.columns)
+
+
+@dataclass(frozen=True)
 class BGP(PatternElement):
-    """A basic graph pattern: a conjunctive block of triple patterns."""
+    """A basic graph pattern: a conjunctive block of triple patterns,
+    plus the ``VALUES`` blocks written among them — joins commute, so
+    the planner places each block among the patterns like one more
+    relation."""
 
     triples: Tuple[TriplePattern, ...]
+    values: Tuple[InlineData, ...] = ()
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,10 @@ temporal relations, envelope-pruned spatial predicates) or memoised per
 code of :class:`~repro.stsparql.eval.Evaluator`, whose planner, probes
 and solution modifiers the engine inherits.
 
+An inline ``VALUES`` block is a small batch of its own, joined on the
+variables it shares at the step the planner gives it among its BGP's
+patterns.
+
 OPTIONAL, MINUS and ``FILTER (NOT) EXISTS`` evaluate their pattern
 under each row's bindings, once per batch (:meth:`ColumnarEvaluator.
 _correlate`): the distinct bindings become seed rows tagged with a
@@ -36,6 +40,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from repro.obs import get_metrics
+from repro.geometry import Polygon
 from repro.rdf.namespace import RDF, STRDF
 from repro.rdf.temporal import Period
 from repro.rdf.term import Term, Variable
@@ -384,10 +389,16 @@ class ColumnarEvaluator(Evaluator):
         for step, pattern in enumerate(ordered):
             if not batch.length:
                 break
-            probe = self._probe(pattern, star, domain)
-            batch = self._extend_batch(
-                batch, pattern, group_filters, probe
-            )
+            if isinstance(pattern, ast.InlineData):
+                probe = _Probe()
+                batch = self._join_batch(
+                    batch, self._rows_batch(_data_rows(pattern))
+                )
+            else:
+                probe = self._probe(pattern, star, domain)
+                batch = self._extend_batch(
+                    batch, pattern, group_filters, probe
+                )
             domain = _bound_domain(batch)
             if batch.length and _filters_due(ordered, step, domain):
                 for f in _evaluable_filters(group_filters, applied, domain):
@@ -905,7 +916,10 @@ class ColumnarEvaluator(Evaluator):
         predicate in ``SPATIAL_PREDICATE_NAMES`` implies envelope
         interaction, so a pruned pair is a definite False — unless a
         side is not a geometry at all, which per-row evaluation treats
-        as an error (``valid`` False here).
+        as an error (``valid`` False here).  For the intersection
+        predicates a pair is a definite True, with no exact test, when
+        one side is a box (:func:`_is_box`, such as a region or
+        viewport rectangle) holding the other's envelope.
         """
         sides: List[Tuple[str, Any]] = []
         for arg in expr.args:
@@ -939,10 +953,10 @@ class ColumnarEvaluator(Evaluator):
         combos, inverse = np.unique(mat, axis=0, return_inverse=True)
         inverse = inverse.reshape(-1)
 
-        terms_a, ok_a, env_a, inv_a = self._side_geometries(
+        terms_a, ok_a, env_a, box_a, inv_a = self._side_geometries(
             combos[:, 0]
         )
-        terms_b, ok_b, env_b, inv_b = self._side_geometries(
+        terms_b, ok_b, env_b, box_b, inv_b = self._side_geometries(
             combos[:, 1]
         )
         a = env_a[inv_a]
@@ -957,6 +971,13 @@ class ColumnarEvaluator(Evaluator):
             & (b[:, 3] >= a[:, 1])
         )
         res = np.zeros(len(combos), dtype=bool)
+        if SPATIAL_PREDICATE_NAMES[expr.name] in _INTERSECTS_NAMES:
+            # A box meets every geometry whose envelope lies inside
+            # it: those pairs are a definite True with no exact test.
+            res = (box_a[inv_a] & _inside(b, a)) | (
+                box_b[inv_b] & _inside(a, b)
+            )
+            overlap &= ~res
         # A pruned pair is a definite False only when both sides
         # really are geometries; per-row evaluation errors otherwise.
         # Envelope-interacting pairs all have real geometries on both
@@ -985,13 +1006,14 @@ class ColumnarEvaluator(Evaluator):
 
     def _side_geometries(
         self, ids: np.ndarray
-    ) -> Tuple[List[Any], np.ndarray, np.ndarray, np.ndarray]:
+    ) -> Tuple[List[Any], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Distinct-term geometry lookup for one spatial-pair side.
 
-        Returns ``(terms, ok, env, inverse)`` over the distinct ids:
-        the decoded terms, whether each coerces to a geometry, and the
+        Returns ``(terms, ok, env, box, inverse)`` over the distinct
+        ids: the decoded terms, whether each coerces to a geometry, the
         envelopes as an ``(n, 4)`` minx/miny/maxx/maxy array (NaN rows
-        for non-geometries and empty geometries).  Stored terms
+        for non-geometries and empty geometries), and whether each is a
+        box (:func:`_is_box`).  Stored terms
         memoise on the graph itself — term ids are append-only for the
         graph's lifetime, so entries never invalidate.
         """
@@ -1010,6 +1032,7 @@ class ColumnarEvaluator(Evaluator):
         terms: List[Any] = []
         ok = np.zeros(len(uniq), dtype=bool)
         env = np.full((len(uniq), 4), np.nan, dtype=np.float64)
+        box = np.zeros(len(uniq), dtype=bool)
         for i, raw in enumerate(uniq):
             tid = int(raw)
             entry = cache.get(tid) if tid < LOCAL_BASE else None
@@ -1020,18 +1043,19 @@ class ColumnarEvaluator(Evaluator):
                 except ExpressionError:
                     geom = None
                 if geom is None or geom.is_empty:
-                    box = None
+                    bounds = None
                 else:
                     e = geom.envelope
-                    box = (e.minx, e.miny, e.maxx, e.maxy)
-                entry = (term, geom is not None, box)
+                    bounds = (e.minx, e.miny, e.maxx, e.maxy)
+                entry = (term, geom is not None, bounds, _is_box(geom))
                 if tid < LOCAL_BASE:
                     cache[tid] = entry
             terms.append(entry[0])
             ok[i] = entry[1]
             if entry[2] is not None:
                 env[i] = entry[2]
-        return terms, ok, env, inverse
+            box[i] = entry[3]
+        return terms, ok, env, box, inverse
 
     def _scalar_side(
         self, arg: ast.Expression, batch: Batch
@@ -1350,12 +1374,16 @@ class ColumnarEvaluator(Evaluator):
     def _subselect_batch(
         self, query: ast.SelectQuery, batch: Batch
     ) -> Batch:
-        """Join the batch with the subselect's solutions on the
-        variables they share (an unbound side agrees with anything)."""
+        """Join the batch with the subselect's solutions."""
         solutions = self.select(query)
         if batch.length == 0:
             return batch
-        sub = self._rows_batch(solutions.rows)
+        return self._join_batch(batch, self._rows_batch(solutions.rows))
+
+    def _join_batch(self, batch: Batch, sub: Batch) -> Batch:
+        """Each batch row extended by every ``sub`` row that agrees
+        with it on the variables they share (an unbound side agrees
+        with anything), batch row by batch row in ``sub`` order."""
         shared = [v for v in sub.columns if v in batch.columns]
         combos, inverse = _distinct_combos(batch, shared)
         matches = []
@@ -1371,6 +1399,53 @@ class ColumnarEvaluator(Evaluator):
         starts = np.cumsum(counts) - counts
         pos = np.concatenate(matches)[starts[inverse[row_idx]] + within]
         return _merge_join(batch, sub, row_idx, pos)
+
+
+#: Local names of the spatial predicates that mean "the geometries
+#: share a point".
+_INTERSECTS_NAMES = frozenset(("anyInteract", "intersects", "sfIntersects"))
+
+
+def _is_box(geom: Any) -> bool:
+    """Whether ``geom`` is a polygon equal to its envelope: no holes,
+    and a ring through the envelope's four corners along axis-parallel
+    edges."""
+    if not isinstance(geom, Polygon) or geom.holes:
+        return False
+    ring = list(geom.shell.coordinates())
+    e = geom.envelope
+    corners = {
+        (e.minx, e.miny), (e.minx, e.maxy), (e.maxx, e.miny), (e.maxx, e.maxy)
+    }
+    return (
+        len(ring) == 5
+        and len(corners) == 4
+        and set(ring) == corners
+        and all(p[0] == q[0] or p[1] == q[1] for p, q in zip(ring, ring[1:]))
+    )
+
+
+def _inside(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
+    """Per row: does envelope ``inner`` lie within envelope ``outer``
+    (``(n, 4)`` minx/miny/maxx/maxy arrays; NaN rows never do)?"""
+    return (
+        (inner[:, 0] >= outer[:, 0])
+        & (inner[:, 1] >= outer[:, 1])
+        & (inner[:, 2] <= outer[:, 2])
+        & (inner[:, 3] <= outer[:, 3])
+    )
+
+
+def _data_rows(block: ast.InlineData) -> List[Row]:
+    """A ``VALUES`` block's rows as bindings (UNDEF cells unbound)."""
+    return [
+        {
+            var.name: term
+            for var, term in zip(block.columns, row)
+            if term is not None
+        }
+        for row in block.rows
+    ]
 
 
 def _expand(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -396,8 +396,8 @@ class _Endpoint:
         every seed row, so a query with one is not a per-mapping
         union).  A single mapping is the one-row case; an empty
         sequence has no solutions.  The subscription engine evaluates
-        each standing query once per commit this way, seeded with the
-        commit's changed subjects.
+        each standing-query shape once per commit this way, seeded
+        with the commit's changed subjects.
 
         With ``explain=True`` the request still executes, but the
         return value is a JSON-style dict describing the execution:

@@ -13,7 +13,9 @@ before the next pattern that binds a new variable (patterns that only
 check bound variables — ``?m a gag:Dhmos`` with ``?m`` bound — run
 first: filters bind nothing, so the rows are the same and the cheap
 membership probe spares an exact spatial test), and otherwise where the
-group lists it; OPTIONAL is a left join, MINUS and ``FILTER (NOT)
+group lists it; a ``VALUES`` block is one more relation of the BGP it
+is written among, joined where the planner places it; OPTIONAL is a
+left join, MINUS and ``FILTER (NOT)
 EXISTS`` evaluate their pattern under each row's bindings, subselects
 evaluate independently and join on shared variables.
 
@@ -67,6 +69,8 @@ Row = Dict[str, Term]
 Value = Any
 #: A subject check: does the holder with this term id pass?
 HolderTest = Callable[[int], bool]
+#: One step of a BGP's join order: a triple pattern or a VALUES block.
+Step = Union[ast.TriplePattern, ast.InlineData]
 #: One subject check of a BGP star: the pattern it comes from, that
 #: pattern's text (for EXPLAIN) and the test.
 StarCheck = Tuple[ast.TriplePattern, str, HolderTest]
@@ -433,11 +437,12 @@ class Evaluator:
         bgp: ast.BGP,
         bound: Set[str],
         group_filters: List[ast.Filter],
-    ) -> Tuple[List[ast.TriplePattern], Optional[dict]]:
+    ) -> Tuple[List[Step], Optional[dict]]:
         """Greedy selectivity ordering, shared by both engines.
 
-        Repeatedly picks the cheapest remaining pattern given the
-        variables bound so far (:meth:`_estimate`).  When the evaluator
+        Repeatedly picks the cheapest remaining step — a triple pattern
+        or one of the BGP's ``VALUES`` blocks — given the variables
+        bound so far (:meth:`_estimate`).  When the evaluator
         carries an ``explain_log``, the chosen order and the estimates
         that drove it are recorded there in an entry (returned as the
         second element; None when not explaining) whose per-step lists
@@ -447,10 +452,10 @@ class Evaluator:
         and ``probe_checks``, the subject checks pushed into it (None
         for other steps).
         """
-        remaining = list(bgp.triples)
+        remaining: List[Step] = [*bgp.triples, *bgp.values]
         spatial_pairs = _spatial_filter_pairs(group_filters)
         bound = set(bound)
-        ordered: List[ast.TriplePattern] = []
+        ordered: List[Step] = []
         estimates: List[int] = []
         while remaining:
             best_idx = min(
@@ -480,10 +485,18 @@ class Evaluator:
 
     def _estimate(
         self,
-        pattern: ast.TriplePattern,
+        pattern: Step,
         bound: Set[str],
         spatial_pairs: Sequence[Tuple[str, str]] = (),
     ) -> int:
+        if isinstance(pattern, ast.InlineData):
+            # A VALUES block joins on a bound column like a pattern on
+            # a bound subject; otherwise every row it holds multiplies
+            # the batch, like a pattern on a fresh subject with that
+            # many matches.  So it follows a star anchored on bound
+            # subjects, and leads an unanchored one it is smaller than.
+            shared = any(v.name in bound for v in pattern.columns)
+            return (0 if shared else 4000) + min(len(pattern.rows), 999)
         # A parameter with one value in every seed row is a constant
         # for the whole evaluation, so it estimates like the constant
         # it stands for; one that varies plans as a bound column.
@@ -954,7 +967,10 @@ def _term_json(term: Term) -> dict:
     return out
 
 
-def _pattern_text(pattern: ast.TriplePattern) -> str:
+def _pattern_text(pattern: Step) -> str:
+    if isinstance(pattern, ast.InlineData):
+        names = " ".join(v.n3() for v in pattern.columns)
+        return f"VALUES ({names}) [{len(pattern.rows)} rows]"
     return " ".join(
         term.n3()
         for term in (pattern.subject, pattern.predicate, pattern.object)
@@ -973,8 +989,8 @@ def _pattern_variables(pattern: ast.GroupGraphPattern) -> Set[str]:
 
     def walk_pattern(p: ast.PatternElement) -> None:
         if isinstance(p, ast.BGP):
-            for triple in p.triples:
-                for var in triple.variables():
+            for step in (*p.triples, *p.values):
+                for var in step.variables():
                     out.add(var.name)
         elif isinstance(p, ast.Filter):
             out.update(_expr_variables(p.expression))
@@ -1051,7 +1067,7 @@ def _contains_bound_call(expr: ast.Expression) -> bool:
 
 
 def _filters_due(
-    ordered: Sequence[ast.TriplePattern], step: int, domain: Set[str]
+    ordered: Sequence[Step], step: int, domain: Set[str]
 ) -> bool:
     """Whether filters that are evaluable after BGP step ``step`` run now.
 

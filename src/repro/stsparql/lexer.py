@@ -30,6 +30,8 @@ KEYWORDS = {
     "offset",
     "as",
     "bind",
+    "values",
+    "undef",
     "delete",
     "insert",
     "data",

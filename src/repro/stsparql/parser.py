@@ -2,8 +2,9 @@
 
 Accepts the query and update language used throughout the paper: SELECT
 (with DISTINCT, expression projections, GROUP BY / HAVING with spatial
-aggregates, ORDER BY, LIMIT/OFFSET, OPTIONAL, UNION, BIND, subqueries),
-ASK, and the update forms DELETE/INSERT ... WHERE and INSERT/DELETE DATA.
+aggregates, ORDER BY, LIMIT/OFFSET, OPTIONAL, UNION, BIND, inline
+``VALUES`` blocks, subqueries), ASK, and the update forms DELETE/INSERT
+... WHERE and INSERT/DELETE DATA.
 
 The parser is deliberately lenient about stray ``.`` separators after
 FILTERs — the queries printed in the paper use that style.
@@ -317,11 +318,15 @@ class Parser:
         self.expect("op", "{")
         elements: List[ast.PatternElement] = []
         pending_triples: List[ast.TriplePattern] = []
+        pending_values: List[ast.InlineData] = []
 
         def flush() -> None:
-            if pending_triples:
-                elements.append(ast.BGP(tuple(pending_triples)))
+            if pending_triples or pending_values:
+                elements.append(
+                    ast.BGP(tuple(pending_triples), tuple(pending_values))
+                )
                 pending_triples.clear()
+                pending_values.clear()
 
         while True:
             tok = self.peek()
@@ -361,6 +366,11 @@ class Parser:
                 var = Variable(self.expect("var").value)
                 self.expect("op", ")")
                 elements.append(ast.Bind(expr, var))
+                self.accept("op", ".")
+                continue
+            if self.at_keyword("values"):
+                # Joined with the triples around it, as one BGP.
+                pending_values.append(self._parse_inline_data())
                 self.accept("op", ".")
                 continue
             if self.at_keyword("select"):
@@ -406,6 +416,52 @@ class Parser:
                     continue
         flush()
         return ast.GroupGraphPattern(tuple(elements))
+
+    def _parse_inline_data(self) -> ast.InlineData:
+        """``VALUES ?x { t ... }`` or ``VALUES (?x ?y) { (t t) ... }``."""
+        self.expect("keyword", "values")
+        single = self.peek().kind == "var"
+        columns: List[Variable] = []
+        if single:
+            columns.append(Variable(self.next().value))
+        else:
+            self.expect("op", "(")
+            while self.peek().kind == "var":
+                columns.append(Variable(self.next().value))
+            self.expect("op", ")")
+        if len({c.name for c in columns}) != len(columns):
+            raise SparqlParseError("VALUES names a variable twice")
+        self.expect("op", "{")
+        rows: List[Tuple[Optional[Term], ...]] = []
+        while not self.accept("op", "}"):
+            if single:
+                rows.append((self._parse_data_value(),))
+                continue
+            start = self.expect("op", "(")
+            row: List[Optional[Term]] = []
+            while not self.accept("op", ")"):
+                row.append(self._parse_data_value())
+            if len(row) != len(columns):
+                raise SparqlParseError(
+                    f"VALUES row at offset {start.pos} has {len(row)} "
+                    f"values for {len(columns)} variables"
+                )
+            rows.append(tuple(row))
+        return ast.InlineData(tuple(columns), tuple(rows))
+
+    def _parse_data_value(self) -> Optional[Term]:
+        """One ``VALUES`` cell: an IRI, a literal, or None for UNDEF."""
+        tok = self.peek()
+        if self.accept("keyword", "undef"):
+            return None
+        if tok.kind in ("iri", "pname", "string", "number") or (
+            tok.kind == "keyword" and tok.value in ("true", "false")
+        ):
+            return self._parse_graph_term()
+        raise SparqlParseError(
+            f"VALUES data must be IRIs, literals or UNDEF, found "
+            f"{tok.value!r} at offset {tok.pos}"
+        )
 
     def _parse_triples_block(self) -> List[ast.TriplePattern]:
         triples: List[ast.TriplePattern] = []
@@ -680,7 +736,7 @@ def _pattern_as_template(
 ) -> Tuple[ast.TriplePattern, ...]:
     triples: List[ast.TriplePattern] = []
     for element in pattern.elements:
-        if isinstance(element, ast.BGP):
+        if isinstance(element, ast.BGP) and not element.values:
             triples.extend(element.triples)
         else:
             raise SparqlParseError(
@@ -692,3 +748,47 @@ def _pattern_as_template(
 def parse(text: str) -> ast.Query:
     """Parse stSPARQL text into an AST."""
     return Parser(text).parse_query()
+
+
+class _FilterLiteralParser(Parser):
+    """A parser that notes where FILTER expressions hold literals."""
+
+    def __init__(self, text: str) -> None:
+        super().__init__(text)
+        self.spans: List[Tuple[int, int]] = []
+        self._filters = 0
+
+    def _parse_constraint(self) -> ast.Expression:
+        self._filters += 1
+        try:
+            return super()._parse_constraint()
+        finally:
+            self._filters -= 1
+
+    def _parse_primary(self) -> ast.Expression:
+        first = self.peek()
+        expr = super()._parse_primary()
+        if self._filters and (
+            first.kind in ("string", "number")
+            or (first.kind == "keyword" and first.value in ("true", "false"))
+        ):
+            last = self.tokens[self.idx - 1]
+            self.spans.append((first.pos, last.pos + len(last.value)))
+        return expr
+
+
+def filter_literal_spans(text: str) -> List[Tuple[int, int]]:
+    """The ``(start, end)`` text offsets of the literal constants in
+    ``text``'s FILTER expressions (EXISTS patterns' FILTERs included),
+    in text order.
+
+    Each span is a whole expression operand — a string with its
+    datatype or language tag, a number with its sign, ``true`` or
+    ``false`` — so putting a variable bound to the same term in its
+    place keeps the query's meaning.  A number whose sign the parser
+    folds into a binary ``+``/``-`` (``?x -1``) is not an operand and
+    has no span.
+    """
+    parser = _FilterLiteralParser(text)
+    parser.parse_query()
+    return sorted(parser.spans)

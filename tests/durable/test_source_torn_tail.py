@@ -51,8 +51,6 @@ def _sources_config(state_dir):
 
 
 def _make_season(greece):
-    # Fresh per service: the federation's prepare() injects static-
-    # site events into the season it is handed.
     return FireSeason(greece, CRISIS_START, days=1, seed=SEASON_SEED)
 
 

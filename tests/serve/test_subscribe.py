@@ -301,6 +301,90 @@ class TestRegistry:
         }
 
 
+def _query_sub(sub_id: str, where: str, select: str = "?h"):
+    return Subscription.from_dict(
+        {
+            "kind": "stsparql",
+            "query": PREFIX + f"SELECT {select} WHERE {{ {where} }}",
+        },
+        sub_id,
+        0,
+    )
+
+
+class TestShapes:
+    FLOOR = "?h a noa:Hotspot ; noa:hasConfidence ?c . FILTER(?c >= {})"
+
+    def test_queries_equal_but_for_filter_literals_share_a_shape(self):
+        registry = SubscriptionRegistry()
+        registry.add_many(
+            [
+                _query_sub("a", self.FLOOR.format('"0.5"')),
+                _query_sub("b", self.FLOOR.format("0.7")),
+                _query_sub("c", self.FLOOR.format("0.7")),  # same text
+                _query_sub("d", "?h a noa:Hotspot ."),  # no literal
+                _query_sub("e", "?h a noa:Hotspot .", select="*"),
+            ]
+        )
+        shapes = registry.shapes()
+        assert [members for _, members in shapes] == [
+            ["a", "b", "c"],
+            ["d"],
+            ["e"],
+        ]
+        floors, plain, star = (shape for shape, _ in shapes)
+        assert floors.members == {
+            "a": ('"0.5"',), "b": ("0.7",), "c": ("0.7",),
+        }
+        assert "SELECT ?h ?__shape_id WHERE { VALUES (?__shape_id " + (
+            '?__shape_0) { ("a" "0.5") }  ?h a noa:Hotspot ; '
+            "noa:hasConfidence ?c . FILTER(?c >= ?__shape_0) }"
+        ) in floors.text(["a"])
+        assert 'WHERE { VALUES (?__shape_id) { ("d") }  ?h' in plain.text(
+            ["d"]
+        )
+        assert star.text(["e"]).endswith(
+            'SELECT ?h ?__shape_id WHERE { VALUES (?__shape_id) { ("e") }'
+            "  ?h a noa:Hotspot . }"
+        )
+        assert registry.remove("a") and registry.remove("d")
+        assert [members for _, members in registry.shapes()] == [
+            ["b", "c"],
+            ["e"],
+        ]
+        assert '"0.5"' not in floors.text(["b", "c"])
+
+    def test_lifted_literals_keep_each_query_s_answer(self):
+        strabon = Strabon()
+        engine = _engine_on(strabon)
+        wheres = [
+            self.FLOOR.format('"0.5"'),
+            self.FLOOR.format('"0.9"'),
+            # A literal inside OPTIONAL and one with a language tag.
+            '?h a noa:Hotspot . OPTIONAL { ?h noa:hasConfidence ?c . '
+            'FILTER(?c = "0.8") } FILTER(bound(?c) && "x"@en != "y")',
+            # The user's own variable in the shape's namespace.
+            '?h noa:hasConfidence ?__shape_0 . FILTER(?__shape_0 < "0.7")',
+        ]
+        subs = engine.register_many(
+            [
+                {"kind": "stsparql", "query": PREFIX + f"SELECT ?h WHERE {{ {w} }}"}
+                for w in wheres
+            ]
+        )
+        assert len(engine.registry.shapes()) == 3
+        _insert_hotspot(strabon, 1, 23.0, 38.0, confidence=0.8)
+        _insert_hotspot(strabon, 2, 23.1, 38.0, confidence=0.6)
+        batch = engine.process_commit(2, _delta(strabon))
+        hot = "http://example.org/hotspot/"
+        assert batch.keys() == [
+            (subs[0].id, hot + "1"),
+            (subs[0].id, hot + "2"),
+            (subs[2].id, hot + "1"),
+            (subs[3].id, hot + "2"),
+        ]
+
+
 class TestDeltaExtraction:
     def test_collects_subjects_and_municipalities(self):
         from repro.durable.codec import OP_ADD, OP_REMOVE
@@ -463,9 +547,10 @@ class TestEngine:
         assert incremental == full == {"http://example.org/hotspot/1"}
 
     @pytest.mark.parametrize("hotspots", [5, 50])
-    def test_one_engine_call_per_standing_query_with_pending_subjects(
+    def test_one_engine_call_per_shape_with_pending_subjects(
         self, hotspots, monkeypatch
     ):
+        """Two floors share one shape, the region query is another."""
         strabon = Strabon()
         engine = _engine_on(strabon)
         def floor(value):
@@ -507,7 +592,7 @@ class TestEngine:
         for n in range(hotspots):
             _insert_hotspot(strabon, n, 23.0 + n * 0.01, 38.0)
         batch, engine_calls = commit(2)
-        assert engine_calls == 3  # every query has pending subjects
+        assert engine_calls == 2  # every shape has pending subjects
         mine = [
             d
             for d in batch.notifications
@@ -515,7 +600,8 @@ class TestEngine:
         ]
         assert len(mine) == hotspots
         # Touch every hotspot again: ``everything`` and the region
-        # query have seen them all, the 0.99 floor none.
+        # query have seen them all, the 0.99 floor none, so only the
+        # floors' shape runs.
         for n in range(hotspots):
             strabon.update(
                 PREFIX
@@ -802,6 +888,49 @@ class TestDurableState:
                 reopened.close()
         with WriteAheadLog(os.path.join(state_dir, "registry.log")) as log:
             assert len(log.replayed) == 1
+
+    def test_primed_matches_stay_silent_after_a_restart(self, tmp_path):
+        state_dir = str(tmp_path / "subs")
+        strabon = Strabon()
+        subject = _insert_hotspot(strabon, 1, 23.5, 38.0)
+        engine = _durable_engine(strabon, state_dir)
+        try:
+            subs = [
+                engine.register({"kind": "filter"}),
+                engine.register(
+                    {
+                        "kind": "stsparql",
+                        "query": PREFIX
+                        + "SELECT ?h WHERE { ?h a noa:Hotspot ; "
+                        + 'noa:hasConfidence ?c . FILTER(?c >= "0.5") }',
+                    }
+                ),
+            ]
+            assert all(subject in engine._seen[s.id] for s in subs)
+        finally:
+            engine.close()
+        for sequence in (2, 3):  # the first reopen folds the log
+            reopened = _durable_engine(strabon, state_dir)
+            try:
+                # A later change to the primed hotspot's star.
+                strabon.update(
+                    PREFIX
+                    + f"INSERT DATA {{ <{subject}> noa:hasConfirmation "
+                    + f"noa:confirmed{sequence} . }}"
+                )
+                batch = reopened.process_commit(sequence, _delta(strabon))
+                assert batch.refs == ()
+                # Primed pairs live in the registry log: never replayed.
+                assert all(
+                    not b.refs for b in reopened.replay_after(0)
+                )
+            finally:
+                reopened.close()
+        with WriteAheadLog(os.path.join(state_dir, "registry.log")) as log:
+            (record,) = log.replayed
+        assert json.loads(record.payload)["primed"] == [
+            [s.id, [subject]] for s in subs
+        ]
 
     def test_old_layout_state_is_refused(self, tmp_path):
         legacy = tmp_path / "legacy"

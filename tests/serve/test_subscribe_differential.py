@@ -6,6 +6,10 @@ Two independent guarantees:
   incremental (delta-driven) evaluation produced equals what a full
   re-run of every standing query over that snapshot would produce,
   across all three subscription families.
+* **One evaluation per shape** — evaluating the standing queries of a
+  shape with one engine call equals the per-query loop they replaced
+  (kept below as the oracle): the same notifications in the same
+  order, the same seen-sets, the same batch bytes.
 * **Exactly-once across crashes** — a durable service killed between
   the triple-WAL commit and the notification-log append regenerates
   the swallowed batch on recovery; the union of notifications over the
@@ -28,8 +32,17 @@ from repro.core.config import RunOptions, ServiceConfig
 from repro.core.service import FireMonitoringService
 from repro.datasets import SyntheticGreece
 from repro.durable import CRASH_EXIT, crashpoints
-from repro.serve.subscribe import SubscriptionEngine
+from repro.rdf.namespace import NOA, RDF, STRDF
+from repro.rdf.term import Literal, URI
+from repro.serve import SnapshotPublisher
+from repro.serve.subscribe import (
+    Subscription,
+    SubscriptionEngine,
+    _text,
+    delta_from_ops,
+)
 from repro.seviri.fires import FireSeason
+from repro.stsparql import Strabon
 
 from tests.durable.conftest import CRISIS_START
 
@@ -218,6 +231,179 @@ def test_fanout_load_incremental_equals_full_rerun(
         assert {"filter", "stsparql"} <= kinds
     finally:
         service.close()
+
+
+class PerQueryEngine(SubscriptionEngine):
+    """The oracle: every standing query evaluated by its own engine
+    call, seeded with its own pending subjects — the loop per-shape
+    evaluation replaced."""
+
+    def _prime(self, subs):
+        queries = [s for s in subs if s.kind == "stsparql"]
+        primed = super()._prime([s for s in subs if s not in queries])
+        source = self._priming_source()
+        for sub in queries:
+            for row in source.select(sub.query):
+                self._seen.setdefault(sub.id, set()).add(_text(row["h"]))
+        return primed
+
+    def _match_queries(self, source, records, out, seeded):
+        for sub in self.registry.standing_queries():
+            seen = self._seen.setdefault(sub.id, set())
+            pending = [
+                r for r in records if not r.static and r.subject not in seen
+            ]
+            if not pending:
+                continue
+            params = [{"h": URI(r.subject)} for r in pending]
+            rows = source.select(sub.query, params if seeded else None)
+            matched = {_text(row["h"]) for row in rows}
+            for record in pending:
+                if record.subject in matched:
+                    seen.add(record.subject)
+                    out.hotspot(sub, record)
+
+
+def _standing_query(rng, kind=None):
+    """One standing query of a random shape (or of shape ``kind``)
+    with random constants."""
+    kind = rng.randrange(5) if kind is None else kind
+    if kind == 0:  # one lifted constant
+        where = (
+            "?h a noa:Hotspot ; noa:hasConfidence ?c . "
+            f"FILTER(?c >= {rng.choice((0.3, 0.5, 0.7))})"
+        )
+    elif kind == 1:  # a region
+        x, y = rng.uniform(20, 25), rng.uniform(35, 39)
+        wkt = (
+            f"POLYGON (({x} {y}, {x + 3} {y}, {x + 3} {y + 3}, "
+            f"{x} {y + 3}, {x} {y}))"
+        )
+        where = (
+            "?h a noa:Hotspot ; strdf:hasGeometry ?g . "
+            f'FILTER(strdf:anyInteract("{wkt}"^^strdf:WKT, ?g))'
+        )
+    elif kind == 2:  # two lifted constants
+        low = rng.choice((0.2, 0.4))
+        where = (
+            "?h a noa:Hotspot ; noa:hasConfidence ?c . "
+            f"FILTER(?c >= {low} && ?c < {low + 0.5})"
+        )
+    elif kind == 3:  # no literal at all
+        where = "?h a noa:Hotspot ; noa:isInMunicipality ?m ."
+    else:  # a literal inside an OPTIONAL
+        where = (
+            "?h a noa:Hotspot . OPTIONAL { ?h noa:hasConfirmation ?k . "
+            f'FILTER(str(?k) = "{NOA.base}confirmed") }} '
+            f"FILTER(bound(?k) || {rng.choice(('true', 'false'))})"
+        )
+    return {
+        "kind": "stsparql",
+        "query": PREFIX
+        + "PREFIX strdf: <http://strdf.di.uoa.gr/ontology#>\n"
+        + f"SELECT ?h WHERE {{ {where} }}",
+    }
+
+
+def _hotspot(graph, rng, n):
+    subject = URI(f"http://example.org/hotspot/{n}")
+    x, y = rng.uniform(20, 28), rng.uniform(35, 42)
+    graph.add(subject, RDF.type, NOA.Hotspot)
+    graph.add(
+        subject,
+        STRDF.hasGeometry,
+        Literal(f"POINT ({x} {y})", datatype=STRDF.WKT),
+    )
+    graph.add(subject, NOA.hasConfidence, Literal(rng.random()))
+    graph.add(
+        subject,
+        NOA.isInMunicipality,
+        URI(f"http://example.org/muni/{rng.randrange(4)}"),
+    )
+    return subject
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_one_call_per_shape_equals_the_per_query_loop(seed, monkeypatch):
+    rng = random.Random(seed)
+    strabon = Strabon()
+    for n in range(6):
+        _hotspot(strabon.graph, rng, n)
+    publisher = SnapshotPublisher()
+    engines = [SubscriptionEngine(), PerQueryEngine()]
+    for engine in engines:
+        engine.bind(strabon, publisher)
+    strabon.graph.start_journal()
+    publisher.publish(strabon)
+
+    def register(docs):
+        subs = engines[0].register_many(docs)
+        for sub in subs:
+            engines[1].registry.add(sub)
+        engines[1]._prime(subs)
+        return subs
+
+    docs = [_standing_query(rng) for _ in range(rng.randrange(8, 14))]
+    docs.append(dict(docs[0]))  # two subscriptions, identical text
+    docs += [_standing_query(rng, kind) for kind in (2, 3)]
+    subs = register(docs)
+    shapes = len(engines[0].registry.shapes())
+    assert shapes < len(subs)
+    hotspots = 6
+    calls = notified = 0
+    query = Strabon.query
+    counted = []
+
+    def counting(self, *args, **kwargs):
+        counted.append(args[0])
+        return query(self, *args, **kwargs)
+
+    for step in range(6):
+        graph = strabon.graph
+        for _ in range(rng.randrange(1, 6)):
+            _hotspot(graph, rng, hotspots)
+            hotspots += 1
+        for n in rng.sample(range(hotspots), 2):
+            subject = URI(f"http://example.org/hotspot/{n}")
+            graph.add(subject, NOA.hasConfirmation, NOA.confirmed)
+            graph.remove(subject, NOA.hasConfidence, None)
+            graph.add(subject, NOA.hasConfidence, Literal(rng.random()))
+        if step == 2:  # a member registered mid-run
+            register([_standing_query(rng)])
+        if step == 4:  # a member removed mid-run: its shape shrinks
+            gone = rng.choice(engines[0].registry.standing_queries())
+            for engine in engines:
+                engine.remove(gone.id)
+        delta = delta_from_ops(graph.drain_journal())
+        sequence = publisher.sequence + 1
+        counted.clear()
+        monkeypatch.setattr(Strabon, "query", counting)
+        got = engines[0].process_commit(sequence, delta)
+        monkeypatch.setattr(Strabon, "query", query)
+        want = engines[1].process_commit(sequence, delta)
+        assert got.to_payload() == want.to_payload(), f"step {step}"
+        assert len(counted) <= len(engines[0].registry.shapes())
+        calls += len(counted)
+        notified += len(got.refs)
+        publisher.publish(strabon)
+        assert engines[0]._seen == engines[1]._seen, f"step {step}"
+    assert calls and notified, "the run never notified a standing query"
+    # The full re-run path, over subscriptions that have seen nothing.
+    fresh = [
+        Subscription.from_dict(_standing_query(rng), f"fresh{n}", 0)
+        for n in range(4)
+    ]
+    for engine in engines:
+        for sub in fresh:
+            engine.registry.add(sub)
+    snapshot = publisher.require_latest()
+    full = [
+        engine.evaluate_full(snapshot.view, snapshot.sequence + 1)
+        for engine in engines
+    ]
+    assert full[0].to_payload() == full[1].to_payload()
+    assert any(ref[0].startswith("fresh") for ref in full[0].refs)
+    assert engines[0]._seen == engines[1]._seen
 
 
 def test_full_rescan_races_source_outage(diff_greece, diff_requests):

@@ -2,10 +2,9 @@
 
 The differential and outage-matrix tests each build several full
 services, so the geography is the cheap deterministic one
-(``detail=1``).  Seasons are handed out per test: the federation's
-``prepare`` injects static-site events into the season it is given,
-and two services with *different* federation seeds must not share one
-mutated season.
+(``detail=1``).  Seasons are handed out per test; the federation
+adds its static-site events to its own copy of the season it is
+given, never to the season itself.
 """
 
 from __future__ import annotations

@@ -5,9 +5,10 @@ Two generators, each driven by one integer seed:
 * :func:`check_query_seed` builds a small random stRDF graph — subjects
   share geometry literals the way re-detected pixels do, and classes
   form ``rdfs:subClassOf`` chains — and random queries nesting
-  OPTIONAL, MINUS, ``FILTER (NOT) EXISTS`` (also inside ``||``) and
-  UNION, whose operators see columns bound in some rows and unbound in
-  others.  Every query runs on the engine and on the row-wise
+  OPTIONAL, MINUS, ``FILTER (NOT) EXISTS`` (also inside ``||``), UNION
+  and inline ``VALUES`` blocks (with ``UNDEF`` cells, leading a group
+  or after its triples), whose operators see columns bound in some rows
+  and unbound in others.  Every query runs on the engine and on the row-wise
   reference evaluator of ``reference.py``; the solutions must be equal.
 * :func:`check_template_seed` builds a small random world in the
   paper's vocabulary and runs every refinement update template, with
@@ -130,13 +131,34 @@ class QueryGenerator:
             return f"!bound(?{rng.choice(self.NUMBERS + self.SHAPES)})"
         return f"bound(?{rng.choice(self.NODES + self.NUMBERS)})"
 
+    def values(self) -> str:
+        """A VALUES block over one or two of the node and number
+        variables: subjects, numbers ``ex:q`` holds, and ``UNDEF``."""
+        rng = self.rng
+        names = rng.sample(self.NODES + self.NUMBERS, rng.randrange(1, 3))
+
+        def cell(name: str) -> str:
+            if rng.random() < 0.2:
+                return "UNDEF"
+            if name in self.NODES:
+                return f"ex:s{rng.randrange(9)}"
+            return str(rng.randrange(4))
+
+        rows = [[cell(n) for n in names] for _ in range(rng.randrange(4))]
+        if len(names) == 1 and rng.random() < 0.5:
+            cells = " ".join(row[0] for row in rows)
+            return f"VALUES ?{names[0]} {{ {cells} }}"
+        head = " ".join(f"?{n}" for n in names)
+        body = " ".join("(" + " ".join(row) + ")" for row in rows)
+        return f"VALUES ({head}) {{ {body} }}"
+
     def exists(self, depth: int) -> str:
         negated = "NOT " if self.rng.random() < 0.5 else ""
         return f"{negated}EXISTS {self.group(depth)}"
 
     def element(self, depth: int) -> str:
         rng = self.rng
-        kinds = ["triple", "filter", "bind"]
+        kinds = ["triple", "filter", "bind", "values"]
         if depth > 0:
             kinds += [
                 "optional", "optional", "minus", "exists", "exists_or",
@@ -145,6 +167,8 @@ class QueryGenerator:
         kind = rng.choice(kinds)
         if kind == "triple":
             return self.triple()
+        if kind == "values":
+            return self.values()
         if kind == "filter":
             return f"FILTER({self.condition()})"
         if kind == "bind":
@@ -168,9 +192,12 @@ class QueryGenerator:
         return self.group(sub)
 
     def group(self, depth: int) -> str:
-        # A leading triple (sometimes under an OPTIONAL or UNION) so the
-        # group binds something, then a few random elements.
+        # A leading triple (sometimes under an OPTIONAL or UNION, or
+        # after a VALUES block) so the group binds something, then a
+        # few random elements.
         parts = [self.triple()]
+        if self.rng.random() < 0.2:
+            parts.insert(0, self.values())
         parts += [
             self.element(depth) for _ in range(self.rng.randrange(1, 4))
         ]

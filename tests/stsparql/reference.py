@@ -5,7 +5,8 @@ the engine against.
 :class:`~repro.stsparql.columnar.ColumnarEvaluator` and keeps its
 planner, probes, expressions and solution modifiers, but replaces the
 columnar group operators with the plain per-row ones: bindings are one
-dict per row, a BGP step extends each row by its matches, OPTIONAL,
+dict per row, a BGP step extends each row by its matches (a ``VALUES``
+step by its compatible data rows), OPTIONAL,
 MINUS and ``FILTER (NOT) EXISTS`` evaluate their pattern once per row
 (seeded with that row), and a subselect joins on shared variables.
 Nothing in ``src/`` uses it; it is built here on the *same* graph as
@@ -19,7 +20,7 @@ from repro.rdf.inference import RDFSInference
 from repro.rdf.namespace import RDF
 from repro.rdf.term import Variable
 from repro.stsparql import ast
-from repro.stsparql.columnar import ColumnarEvaluator
+from repro.stsparql.columnar import ColumnarEvaluator, _data_rows
 from repro.stsparql.errors import ExpressionError, SparqlEvalError
 from repro.stsparql.eval import (
     SolutionSet,
@@ -161,15 +162,26 @@ class ReferenceEvaluator(ColumnarEvaluator):
         star = self._star_checks(bgp, group_filters)
         for step, pattern in enumerate(ordered):
             self._check_deadline()
-            probe = self._probe(pattern, star, domain)
             next_rows: List[Row] = []
-            for row in rows:
-                restriction = self._spatial_restriction(
-                    pattern, row, group_filters
-                )
-                next_rows.extend(
-                    self._match_triple(pattern, row, restriction, probe)
-                )
+            if isinstance(pattern, ast.InlineData):
+                # A VALUES block: each row joined with every data row
+                # it is compatible with (UNDEF cells bind nothing).
+                probe = _Probe()
+                data = _data_rows(pattern)
+                for row in rows:
+                    for values in data:
+                        merged = _merge(row, values)
+                        if merged is not None:
+                            next_rows.append(merged)
+            else:
+                probe = self._probe(pattern, star, domain)
+                for row in rows:
+                    restriction = self._spatial_restriction(
+                        pattern, row, group_filters
+                    )
+                    next_rows.extend(
+                        self._match_triple(pattern, row, restriction, probe)
+                    )
             rows = next_rows
             domain = set(rows[0]) if rows else set()
             if rows and _filters_due(ordered, step, domain):

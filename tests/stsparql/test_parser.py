@@ -193,3 +193,63 @@ class TestErrors:
     def test_rejects(self, bad):
         with pytest.raises(SparqlParseError):
             parse(bad)
+
+
+class TestValues:
+    def test_block_joins_the_triples_around_it(self):
+        q = parse(
+            "SELECT * WHERE { ?s ?p ?o . VALUES (?o ?t) "
+            '{ (1 "a") (noa:x UNDEF) } ?s a ?c }'
+        )
+        (bgp,) = q.pattern.elements
+        assert len(bgp.triples) == 2
+        (block,) = bgp.values
+        assert block.columns == (Variable("o"), Variable("t"))
+        assert block.rows == (
+            (Literal("1", datatype=XSD_INTEGER), Literal("a")),
+            (NOA.x, None),
+        )
+
+    def test_single_variable_form(self):
+        q = parse("SELECT * WHERE { VALUES ?x { 1 UNDEF true } }")
+        (bgp,) = q.pattern.elements
+        assert bgp.triples == ()
+        assert [row[0] for row in bgp.values[0].rows] == [
+            Literal("1", datatype=XSD_INTEGER),
+            None,
+            Literal("true", datatype=XSD_BOOLEAN),
+        ]
+
+    def test_block_inside_optional_and_union(self):
+        q = parse(
+            "SELECT * WHERE { ?s ?p ?o OPTIONAL { VALUES ?o { 1 } } "
+            "{ VALUES ?s { noa:a } } UNION { ?s a ?c } }"
+        )
+        _, optional, union = q.pattern.elements
+        assert optional.pattern.elements[0].values
+        assert union.left.elements[0].values
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "SELECT * WHERE { VALUES (?a ?b) { (1) } }",  # arity
+            "SELECT * WHERE { VALUES (?a) { (1 2) } }",  # arity
+            "SELECT * WHERE { VALUES ?a { ?b } }",  # a variable
+            "SELECT * WHERE { VALUES ?a { (1) } }",  # a row, one column
+            "SELECT * WHERE { VALUES ?a { filter } }",  # a keyword
+            "SELECT * WHERE { VALUES (?a ?a) { (1 1) } }",  # twice
+            "SELECT * WHERE { VALUES (?a) { (1 ",  # unterminated
+            "SELECT * WHERE { VALUES { (1) } }",  # no variables
+        ],
+    )
+    def test_malformed_blocks_raise_a_parse_error(self, bad):
+        with pytest.raises(SparqlParseError):
+            parse(bad)
+
+    def test_delete_where_refuses_a_block(self):
+        with pytest.raises(SparqlParseError):
+            parse("DELETE WHERE { ?s ?p ?o VALUES ?o { 1 } }")
+
+
+XSD_INTEGER = "http://www.w3.org/2001/XMLSchema#integer"
+XSD_BOOLEAN = "http://www.w3.org/2001/XMLSchema#boolean"

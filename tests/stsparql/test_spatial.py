@@ -217,3 +217,58 @@ class TestSpatialIndexAssist:
         without = {(row["x"], row["y"]) for row in no_index.select(query)}
         assert with_index == without
         assert len(with_index) == 5  # 3 self-pairs + (a,b) + (b,a)
+
+
+class TestBoxContainment:
+    """A box (a polygon equal to its envelope) meets every geometry
+    whose envelope lies inside it; the engine answers those pairs
+    without the exact test, and must agree with the per-row
+    reference."""
+
+    SHAPES = {
+        "inside": "POLYGON ((1 1, 2 1, 2 2, 1 1))",
+        "edge": "POINT (0 3)",
+        "crossing": "LINESTRING (-1 1, 1 1)",
+        "outside": "POINT (9 9)",
+        "multi": "MULTIPOINT ((1 1), (3 3))",
+        # Inside the box; outside the bow tie and the triangle, though
+        # inside their envelopes.
+        "gap": "POINT (2 0.5)",
+        "corner": "POINT (3 3.5)",
+    }
+    REGIONS = [
+        "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))",  # a box
+        "POLYGON ((0 0, 4 4, 4 0, 0 4, 0 0))",  # a bow tie: no box
+        "POLYGON ((0 0, 4 0, 0 4, 0 0))",  # a triangle: no box
+    ]
+
+    def test_matches_the_reference(self):
+        from reference import reference_select
+
+        engine = Strabon()
+        engine.load_turtle(
+            "@prefix noa: <http://teleios.di.uoa.gr/ontologies/"
+            "noaOntology.owl#> .\n"
+            "@prefix strdf: <http://strdf.di.uoa.gr/ontology#> .\n"
+            + "".join(
+                f'noa:{name} strdf:hasGeometry "{wkt}"^^strdf:geometry .\n'
+                for name, wkt in self.SHAPES.items()
+            )
+        )
+        for region in self.REGIONS:
+            text = (
+                PREFIX + "SELECT ?s WHERE { ?s strdf:hasGeometry ?g . "
+                f'FILTER(strdf:anyInteract("{region}"^^strdf:WKT, ?g)) }}'
+            )
+            assert engine.select(text) == reference_select(engine, text)
+        inside = {
+            row["s"].local_name()
+            for row in engine.select(
+                PREFIX + "SELECT ?s WHERE { ?s strdf:hasGeometry ?g . "
+                f'FILTER(strdf:anyInteract("{self.REGIONS[0]}"'
+                "^^strdf:WKT, ?g)) }"
+            )
+        }
+        assert inside == {
+            "inside", "edge", "crossing", "multi", "gap", "corner",
+        }
