@@ -547,6 +547,79 @@ class TestEngine:
         assert incremental == full == {"http://example.org/hotspot/1"}
 
     @pytest.mark.parametrize("hotspots", [5, 50])
+    def test_one_engine_call_per_standing_query_with_pending_subjects(
+        self, hotspots, monkeypatch
+    ):
+        """Queries of distinct shapes each cost one call when pending."""
+        strabon = Strabon()
+        engine = _engine_on(strabon)
+        everything = engine.register(
+            {
+                "kind": "stsparql",
+                "query": PREFIX
+                + "SELECT ?h WHERE { ?h a noa:Hotspot ; "
+                + 'noa:hasConfidence ?c . FILTER(?c >= "0.0") }',
+            }
+        )
+        # ``>`` where the first has ``>=``: equal but for the operator,
+        # so a shape of its own.
+        engine.register(
+            {
+                "kind": "stsparql",
+                "query": PREFIX
+                + "SELECT ?h WHERE { ?h a noa:Hotspot ; "
+                + 'noa:hasConfidence ?c . FILTER(?c > "0.99") }',
+            }
+        )
+        engine.register(
+            {
+                "kind": "stsparql",
+                "query": PREFIX
+                + "SELECT ?h WHERE { ?h a noa:Hotspot ; "
+                + "strdf:hasGeometry ?g . FILTER(strdf:anyInteract("
+                + '"POLYGON ((20 36, 25 36, 25 40, 20 40, 20 36))"'
+                + f"^^{WKT}, ?g)) }}",
+            }
+        )
+        assert len(engine.registry.shapes()) == 3
+        calls = []
+        query = Strabon.query
+
+        def counted(self, *args, **kwargs):
+            calls.append(args[0])
+            return query(self, *args, **kwargs)
+
+        def commit(sequence):
+            calls.clear()
+            monkeypatch.setattr(Strabon, "query", counted)
+            try:
+                batch = engine.process_commit(sequence, _delta(strabon))
+            finally:
+                monkeypatch.setattr(Strabon, "query", query)
+            return batch, len(calls)
+
+        for n in range(hotspots):
+            _insert_hotspot(strabon, n, 23.0 + n * 0.01, 38.0)
+        batch, engine_calls = commit(2)
+        assert engine_calls == 3  # every query has pending subjects
+        mine = [
+            d
+            for d in batch.notifications
+            if d["subscription"] == everything.id
+        ]
+        assert len(mine) == hotspots
+        # Touch every hotspot again: ``everything`` and the region
+        # query have seen them all, the strict 0.99 floor none.
+        for n in range(hotspots):
+            strabon.update(
+                PREFIX
+                + f"INSERT DATA {{ <http://example.org/hotspot/{n}> "
+                + 'noa:hasConfidence "0.6" . }'
+            )
+        _, engine_calls = commit(3)
+        assert engine_calls == 1
+
+    @pytest.mark.parametrize("hotspots", [5, 50])
     def test_one_engine_call_per_shape_with_pending_subjects(
         self, hotspots, monkeypatch
     ):
