@@ -1,11 +1,12 @@
 """Continuous-subscription benchmark (``BENCH_subscribe.json``).
 
-Three measurements per subscription-count series point (1k / 10k /
-100k geofenced subscriptions):
+Measurements per subscription-count series point (1k / 10k / 100k
+geofenced subscriptions):
 
 * **Registration** — bulk :meth:`SubscriptionEngine.register_many`
-  wall time (one R-tree pack plus one priming scan over the published
-  snapshot), reported as subscriptions per second.
+  wall time (one R-tree pack, then priming probes the packed tree once
+  per hotspot of the published snapshot), reported as subscriptions
+  per second.
 * **Incremental vs full re-run** — one acquisition's delta is
   committed through :meth:`process_commit` (the production path: delta
   records probed against the geofence index) and, against the *same*
@@ -21,6 +22,13 @@ Three measurements per subscription-count series point (1k / 10k /
   size per notification (``log_bytes_per_notification``, ungated):
   each matched hotspot's payload is stored once however many
   subscriptions it notifies.
+* **Single-subscription churn** (largest point only) — 200 single
+  :meth:`SubscriptionEngine.register` calls, then 200
+  :meth:`SubscriptionEngine.remove` calls of the same subscriptions,
+  each timed alone (``single_op_ms``).  Each one inserts into or
+  deletes from the geofence tree; ``headline.single_op_ms_p99`` is
+  gated by an absolute bound in ``check_regression.py``, so an
+  operation that re-packs the whole tree shows up as a stall.
 
 The store is deliberately modest (hundreds of hotspots) while the
 subscription count scales to 100k: the quantity under test is how
@@ -31,6 +39,7 @@ and the delta-driven engine stays ~ delta x log(subscriptions).
 
 from __future__ import annotations
 
+import math
 import random
 import time
 
@@ -49,6 +58,8 @@ N_INITIAL = 480
 N_DELTA = 24
 #: Timing repeats (best-of) for the full re-run measurement.
 REPEATS = 3
+#: Single registrations (then removals) timed at the largest point.
+N_CHURN = 200
 #: The synthetic Greece-ish envelope subscriptions geofence within.
 ENVELOPE = (20.0, 34.0, 29.0, 42.0)
 
@@ -134,6 +145,7 @@ def _series_point(count: int) -> dict:
     full_keys = set(full.keys())
     mismatches = len(incremental_keys ^ full_keys)
 
+    churn = _single_op_churn(engine, rng) if count == SERIES[-1] else None
     engine.close()
     return {
         "subscriptions": count,
@@ -148,6 +160,28 @@ def _series_point(count: int) -> dict:
         "differential_mismatches": mismatches,
         "log_bytes_per_notification": len(batch.to_payload())
         / max(1, len(batch.refs)),
+        **({"single_op_ms": churn} if churn else {}),
+    }
+
+
+def _single_op_churn(engine, rng) -> dict:
+    """Time ``N_CHURN`` single registrations, then their removals."""
+    times = []
+    ids = []
+    for doc in _subscription_docs(N_CHURN, rng):
+        t0 = time.perf_counter()
+        ids.append(engine.register(doc).id)
+        times.append(time.perf_counter() - t0)
+    for sub_id in ids:
+        t0 = time.perf_counter()
+        assert engine.remove(sub_id)
+        times.append(time.perf_counter() - t0)
+    times.sort()
+    return {
+        "ops": len(times),
+        "p50": times[len(times) // 2] * 1e3,
+        "p99": times[math.ceil(0.99 * len(times)) - 1] * 1e3,
+        "max": times[-1] * 1e3,
     }
 
 
@@ -175,6 +209,7 @@ def subscribe_run():
             "registration_subs_per_s": top["registration"][
                 "subs_per_s"
             ],
+            "single_op_ms_p99": top["single_op_ms"]["p99"],
             "differential_mismatches": sum(
                 point["differential_mismatches"]
                 for point in series.values()
@@ -249,7 +284,12 @@ def teardown_module(module):
             f"{point['differential_mismatches']:>4}"
         )
     headline = run["headline"]
+    churn = run["series"][str(SERIES[-1])]["single_op_ms"]
     lines += [
+        "",
+        f"single register/remove at {SERIES[-1]}: "
+        f"p50 {churn['p50']:.2f} ms, p99 {churn['p99']:.2f} ms, "
+        f"max {churn['max']:.2f} ms ({churn['ops']} ops)",
         "",
         f"headline: {headline['speedup_incremental_vs_full']:.1f}x "
         f"at {headline['subscriptions']} subscriptions "

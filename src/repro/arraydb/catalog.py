@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
 from repro.arraydb.array import SciQLArray
 from repro.arraydb.errors import CatalogError
@@ -40,9 +40,6 @@ class Catalog:
         if obj is None:
             raise CatalogError(f"no table or array named {name!r}")
         return obj
-
-    def try_get(self, name: str) -> Optional[Relation]:
-        return self._objects.get(self._key(name))
 
     def exists(self, name: str) -> bool:
         return self._key(name) in self._objects

@@ -286,13 +286,3 @@ class SciQLChain(_Chain):
         run.hotspots = vectorize_confidence(
             confidence, target, run.timestamp, run.sensor, self.name
         )
-
-    def confidence_grid(self, chain_input: ChainInput) -> np.ndarray:
-        """Convenience: run the chain and return the dense confidence grid
-        (used by the cross-check tests against the legacy chain)."""
-        product = self.process(chain_input)
-        target = self.georeference.target
-        grid = np.zeros((target.nx, target.ny), dtype=np.int64)
-        for h in product.hotspots:
-            grid[h.x, h.y] = 2 if h.confidence >= 1.0 else 1
-        return grid

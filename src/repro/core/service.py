@@ -47,7 +47,6 @@ from typing import Deque, Dict, Iterable, List, Optional
 
 from repro.core.archive import ProductArchive
 from repro.core.config import FaultPolicy, RunOptions, ServiceConfig
-from repro.core.mapping import MapComposer
 from repro.core.products import HotspotProduct
 from repro.core.refinement import OperationTiming, RefinementPipeline
 from repro.core.runtime import (
@@ -232,7 +231,6 @@ class FireMonitoringService:
         self.refinement = RefinementPipeline(
             self.strabon, federation=self.sources
         )
-        self.map_composer = MapComposer(self.strabon)
         #: Every accounted acquisition, in order; the budget report,
         #: ``health()`` and the BENCH_obs snapshot all read it.
         self.outcomes: List[AcquisitionOutcome] = []
@@ -1025,11 +1023,6 @@ class FireMonitoringService:
         product.filename = shp
         _log.debug("disseminated %d hotspot(s) to %s", len(product), shp)
         return shp
-
-    def thematic_map(self, **kwargs) -> Dict:
-        """The Figure 6 overlay map."""
-        with _tracer.span("disseminate.map"):
-            return self.map_composer.compose(**kwargs)
 
     # -- reporting -------------------------------------------------------
 

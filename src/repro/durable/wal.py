@@ -92,7 +92,6 @@ class WriteAheadLog:
         #: WAL's commit order; secondary logs (the notification log)
         #: opt out so they do not shift that counting.
         self.crash_sites = crash_sites
-        self._records_replayed = 0
         self._truncated_bytes = 0
         if os.path.exists(path):
             records, end, base_seq, truncated = self._scan(path)
@@ -115,7 +114,6 @@ class WriteAheadLog:
                         "Bytes discarded from torn WAL tails",
                     ).inc(truncated)
             self._fh.seek(0, os.SEEK_END)
-            self._records_replayed = len(records)
             if _metrics.enabled and records:
                 _metrics.counter(
                     "wal_records_replayed_total",
@@ -145,10 +143,6 @@ class WriteAheadLog:
     def replayed(self) -> List[WalRecord]:
         """Records recovered when this log was opened."""
         return list(self._replayed)
-
-    @property
-    def records_replayed(self) -> int:
-        return self._records_replayed
 
     @property
     def truncated_bytes(self) -> int:

@@ -6,7 +6,6 @@ fast-path: two geometries whose envelopes are disjoint cannot interact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Tuple
 
@@ -131,12 +130,6 @@ class Envelope:
             self.maxx + margin,
             self.maxy + margin,
         )
-
-    def distance(self, other: "Envelope") -> float:
-        """Minimum distance between the rectangles (0 when they intersect)."""
-        dx = max(other.minx - self.maxx, self.minx - other.maxx, 0.0)
-        dy = max(other.miny - self.maxy, self.miny - other.maxy, 0.0)
-        return math.hypot(dx, dy)
 
     def corners(self) -> Iterator[Coordinate]:
         yield (self.minx, self.miny)

@@ -1,14 +1,13 @@
 """R-tree spatial index.
 
 Strabon accelerates spatial joins with an index over geometry envelopes; we
-do the same.  The tree supports both incremental insertion (quadratic-split
-R-tree) and Sort-Tile-Recursive bulk loading, envelope queries and
-nearest-neighbour search.
+do the same.  The tree supports Sort-Tile-Recursive bulk loading,
+incremental insertion (quadratic-split R-tree), deletion (Guttman's, without
+reinsertion) and envelope queries.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
@@ -145,6 +144,54 @@ class RTree:
         sibling.recompute_envelope()
         return sibling
 
+    # -- deletion --------------------------------------------------------
+
+    def remove(self, envelope: Envelope, item: Any) -> bool:
+        """Remove the entry holding ``item`` (by identity), inserted
+        under ``envelope``; False when there is none.
+
+        Guttman's delete without reinsertion: the entry is looked for
+        only under nodes whose envelope contains ``envelope``, emptied
+        nodes are dropped, the envelopes along the path shrink, and a
+        root left with one child is replaced by it.  Underfull nodes
+        stay (they only cost probe time), so a removal never re-packs.
+        """
+        path = self._find(self._root, envelope, item)
+        if path is None:
+            return False
+        self._size -= 1
+        for depth in range(len(path) - 1, 0, -1):
+            node = path[depth]
+            if node.entries or node.children:
+                node.recompute_envelope()
+            else:
+                path[depth - 1].children.remove(node)
+        self._root.recompute_envelope()
+        while not self._root.is_leaf and len(self._root.children) == 1:
+            self._root = self._root.children[0]
+        if not self._root.is_leaf and not self._root.children:
+            self._root = _Node(is_leaf=True)
+        return True
+
+    def _find(
+        self, node: _Node, envelope: Envelope, item: Any
+    ) -> Optional[List[_Node]]:
+        """Drop ``item``'s entry from the subtree at ``node``; the path
+        from ``node`` to the leaf that held it, or None."""
+        if node.envelope is None or not node.envelope.contains(envelope):
+            return None
+        if node.is_leaf:
+            for index, (_, payload) in enumerate(node.entries):
+                if payload is item:
+                    del node.entries[index]
+                    return [node]
+            return None
+        for child in node.children:
+            path = self._find(child, envelope, item)
+            if path is not None:
+                return [node] + path
+        return None
+
     # -- queries ---------------------------------------------------------
 
     def search(self, envelope: Envelope) -> Iterator[Any]:
@@ -165,38 +212,6 @@ class RTree:
 
     def search_point(self, x: float, y: float) -> Iterator[Any]:
         yield from self.search(Envelope(x, y, x, y))
-
-    def nearest(self, x: float, y: float, k: int = 1) -> List[Any]:
-        """The ``k`` payloads whose envelopes are nearest to ``(x, y)``."""
-        if self._root.envelope is None:
-            return []
-        probe = Envelope(x, y, x, y)
-        heap: List[Tuple[float, int, Any, bool]] = []
-        counter = 0
-        heapq.heappush(heap, (0.0, counter, self._root, False))
-        results: List[Any] = []
-        while heap and len(results) < k:
-            dist, _, obj, is_item = heapq.heappop(heap)
-            if is_item:
-                results.append(obj)
-                continue
-            node: _Node = obj
-            if node.is_leaf:
-                for env, item in node.entries:
-                    counter += 1
-                    heapq.heappush(
-                        heap, (env.distance(probe), counter, item, True)
-                    )
-            else:
-                for child in node.children:
-                    if child.envelope is None:
-                        continue
-                    counter += 1
-                    heapq.heappush(
-                        heap,
-                        (child.envelope.distance(probe), counter, child, False),
-                    )
-        return results
 
     def items(self) -> Iterator[Tuple[Envelope, Any]]:
         stack = [self._root]

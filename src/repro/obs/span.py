@@ -326,11 +326,6 @@ class Tracer:
         """
         return _AmbientContext(self, context)
 
-    def ambient_context(self):
-        """The innermost ambient remote context here, if any."""
-        contexts = self._contexts.get()
-        return contexts[-1] if contexts else None
-
     def reset_after_fork(self) -> None:
         """Make the tracer safe to use in a freshly forked child.
 

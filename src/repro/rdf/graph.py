@@ -57,7 +57,7 @@ from typing import (
 )
 
 from repro.errors import SnapshotWriteError
-from repro.rdf.term import Literal, Term, URI
+from repro.rdf.term import Literal, Term
 
 Triple = Tuple[Term, Term, Term]
 _Pattern = Tuple[Optional[Term], Optional[Term], Optional[Term]]
@@ -313,18 +313,6 @@ class TripleReader:
         for s, p, o in self.triples():
             if isinstance(o, Literal) and o.is_geometry:
                 yield (s, p, o)
-
-    def namespaces_used(self) -> Set[str]:
-        """Distinct URI prefixes present in the graph (diagnostics)."""
-        bases: Set[str] = set()
-        for term in self._id_to_term:
-            if isinstance(term, URI):
-                value = term.value
-                for sep in ("#", "/"):
-                    if sep in value:
-                        bases.add(value.rsplit(sep, 1)[0] + sep)
-                        break
-        return bases
 
     def copy(self) -> "Graph":
         """A fresh, independent *mutable* graph with the same triples."""

@@ -141,10 +141,6 @@ FWI_THRESHOLDS = (0.5, 1.5, 3.0, 5.0)
 
 SUBSCRIPTION_KINDS = ("filter", "stsparql", "fwi")
 
-#: Tombstoned R-tree entries tolerated before a rebuild (the R-tree
-#: has no delete; removals are filtered at probe time until then).
-_TOMBSTONE_REBUILD = 64
-
 _HOTSPOT = NOA.Hotspot
 _SUBCLASS = RDFS.subClassOf
 _GEOMETRY = STRDF.hasGeometry
@@ -438,7 +434,13 @@ class Subscription:
                 raise SubscriptionError(
                     "bbox must be [minx, miny, maxx, maxy]"
                 )
-            bbox = Envelope(*(_finite(v, "bbox") for v in raw))
+            minx, miny, maxx, maxy = (_finite(v, "bbox") for v in raw)
+            if minx > maxx or miny > maxy:
+                raise SubscriptionError(
+                    "bbox must have minx <= maxx and miny <= maxy, "
+                    f"got {list(raw)!r}"
+                )
+            bbox = Envelope(minx, miny, maxx, maxy)
         min_confidence = doc.get("min_confidence")
         if min_confidence is not None:
             min_confidence = _finite(min_confidence, "min_confidence")
@@ -802,20 +804,23 @@ class SubscriptionRegistry:
 
     Geofenced ``filter`` subscriptions are indexed by their bounding
     box so matching a changed hotspot is a point probe —
-    O(log subscriptions) — instead of a scan.  The R-tree has no
-    delete, so removals are tombstoned and filtered at probe time; the
-    index is rebuilt (STR bulk-load) once tombstones pile up.  Fresh
-    registrations go to a side list probed linearly and folded into
-    the tree on the next rebuild, keeping single registrations O(log n)
-    amortised and bulk registration one packing pass.
+    O(log subscriptions) — instead of a scan.  The tree is the only
+    spatial structure and is exact after every call: a single
+    registration inserts into it, a removal deletes from it, and bulk
+    registration (reopen included) packs every live geofence once
+    (STR bulk-load).  A probe returns geofences in the order of the
+    last pack, then of single registration, whatever shape later
+    inserts and removals give the tree — so a notification batch's
+    bytes do not depend on it.
     """
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
         self._subs: Dict[str, Subscription] = {}
-        self._rtree: Optional[RTree] = None
-        self._pending: List[Subscription] = []
-        self._tombstones: Set[str] = set()
+        self._rtree = RTree()
+        #: Each geofence's place in probe order.
+        self._rank: Dict[str, int] = {}
+        self._next_rank = 0
         self._global_filters: Dict[str, Subscription] = {}
         self._queries: Dict[str, Subscription] = {}
         #: Standing-query shapes by template, and each query's shape.
@@ -827,47 +832,54 @@ class SubscriptionRegistry:
         with self._lock:
             return len(self._subs)
 
-    def add(
-        self, sub: Subscription, defer_rebuild: bool = False
-    ) -> Subscription:
+    def add(self, sub: Subscription) -> Subscription:
         with self._lock:
-            if sub.id in self._subs:
-                raise SubscriptionError(
-                    f"duplicate subscription id {sub.id!r}"
-                )
-            self._subs[sub.id] = sub
-            if sub.kind == "filter":
-                if sub.bbox is None:
-                    self._global_filters[sub.id] = sub
-                else:
-                    self._pending.append(sub)
-                    if (
-                        not defer_rebuild
-                        and len(self._pending) > _TOMBSTONE_REBUILD
-                    ):
-                        self._rebuild()
-            elif sub.kind == "stsparql":
-                self._queries[sub.id] = sub
-                template, prefix, constants = _lift_constants(sub.query)
-                shape = self._shapes.get(template)
-                if shape is None:
-                    shape = self._shapes[template] = _Shape(
-                        template, prefix, len(constants)
-                    )
-                shape.add(sub.id, constants)
-                self._shape_of[sub.id] = shape
-            else:
-                self._fwi[sub.id] = sub
+            self._index(sub)
+            if sub.kind == "filter" and sub.bbox is not None:
+                self._rtree.insert(sub.bbox, sub)
+                self._rank[sub.id] = self._next_rank
+                self._next_rank += 1
             return sub
 
     def add_many(self, subs: Iterable[Subscription]) -> None:
-        """Bulk registration: one STR bulk-load instead of n inserts
-        (per-add threshold rebuilds are deferred to the single pack at
-        the end — they would make bulk registration quadratic)."""
+        """Bulk registration: one STR pack of every live geofence
+        instead of n inserts."""
         with self._lock:
-            for sub in subs:
-                self.add(sub, defer_rebuild=True)
-            self._rebuild()
+            try:
+                for sub in subs:
+                    self._index(sub)
+            finally:
+                self._rtree = RTree.bulk_load(
+                    (s.bbox, s)
+                    for s in self._subs.values()
+                    if s.kind == "filter" and s.bbox is not None
+                )
+                self._rank = {
+                    s.id: rank
+                    for rank, (_, s) in enumerate(self._rtree.items())
+                }
+                self._next_rank = len(self._rank)
+
+    def _index(self, sub: Subscription) -> None:
+        """Record ``sub`` everywhere but the geofence tree."""
+        if sub.id in self._subs:
+            raise SubscriptionError(f"duplicate subscription id {sub.id!r}")
+        self._subs[sub.id] = sub
+        if sub.kind == "filter":
+            if sub.bbox is None:
+                self._global_filters[sub.id] = sub
+        elif sub.kind == "stsparql":
+            self._queries[sub.id] = sub
+            template, prefix, constants = _lift_constants(sub.query)
+            shape = self._shapes.get(template)
+            if shape is None:
+                shape = self._shapes[template] = _Shape(
+                    template, prefix, len(constants)
+                )
+            shape.add(sub.id, constants)
+            self._shape_of[sub.id] = shape
+        else:
+            self._fwi[sub.id] = sub
 
     def remove(self, sub_id: str) -> bool:
         with self._lock:
@@ -882,13 +894,9 @@ class SubscriptionRegistry:
                 if not shape.members:
                     del self._shapes[shape.template]
             self._fwi.pop(sub_id, None)
-            self._pending = [
-                p for p in self._pending if p.id != sub_id
-            ]
             if sub.kind == "filter" and sub.bbox is not None:
-                self._tombstones.add(sub_id)
-                if len(self._tombstones) > _TOMBSTONE_REBUILD:
-                    self._rebuild()
+                self._rtree.remove(sub.bbox, sub)
+                del self._rank[sub_id]
             return True
 
     def get(self, sub_id: str) -> Optional[Subscription]:
@@ -906,19 +914,19 @@ class SubscriptionRegistry:
             return list(self._queries.values())
 
     def shapes(
-        self, among: Optional[Iterable[Subscription]] = None
+        self, subs: Optional[Iterable[Subscription]] = None
     ) -> List[Tuple[_Shape, List[str]]]:
         """Each standing-query shape with its member ids, in
-        registration order — only the members in ``among`` when
+        registration order — only the members in ``subs`` when
         given."""
         with self._lock:
-            if among is None:
+            if subs is None:
                 return [
                     (shape, list(shape.members))
                     for shape in self._shapes.values()
                 ]
             grouped: Dict[str, Tuple[_Shape, List[str]]] = {}
-            for sub in among:
+            for sub in subs:
                 shape = self._shape_of[sub.id]
                 grouped.setdefault(shape.template, (shape, []))[1].append(
                     sub.id
@@ -939,18 +947,6 @@ class SubscriptionRegistry:
                 "fwi": len(self._fwi),
             }
 
-    def _rebuild(self) -> None:
-        live = [
-            s
-            for s in self._subs.values()
-            if s.kind == "filter" and s.bbox is not None
-        ]
-        self._rtree = RTree.bulk_load(
-            (s.bbox, s) for s in live
-        )
-        self._pending = []
-        self._tombstones = set()
-
     def geofence_candidates(
         self, lon: float, lat: float
     ) -> List[Subscription]:
@@ -958,21 +954,10 @@ class SubscriptionRegistry:
         at (lon, lat): a point probe of the geofence index plus the
         bbox-less filters (which see everything)."""
         with self._lock:
-            if self._rtree is None and (
-                self._pending or self._tombstones
-            ):
-                self._rebuild()
-            out: List[Subscription] = []
-            if self._rtree is not None:
-                for sub in self._rtree.search_point(lon, lat):
-                    if sub.id in self._tombstones:
-                        continue
-                    if sub.id not in self._subs:
-                        continue
-                    out.append(sub)
-            for sub in self._pending:
-                if sub.bbox.contains_point(lon, lat):
-                    out.append(sub)
+            out = sorted(
+                self._rtree.search_point(lon, lat),
+                key=lambda sub: self._rank[sub.id],
+            )
             out.extend(self._global_filters.values())
             return out
 
@@ -1123,12 +1108,6 @@ class SubscriptionEngine:
         with self._lock:
             self._listeners.append(listener)
 
-    def remove_listener(self, listener) -> None:
-        with self._lock:
-            self._listeners = [
-                cb for cb in self._listeners if cb is not listener
-            ]
-
     # -- registration ------------------------------------------------------
 
     def register(self, doc: Dict[str, Any]) -> Subscription:
@@ -1158,7 +1137,8 @@ class SubscriptionEngine:
     def register_many(
         self, docs: Iterable[Dict[str, Any]]
     ) -> List[Subscription]:
-        """Bulk registration (one R-tree pack, one priming scan)."""
+        """Bulk registration: one R-tree pack, then priming probes it
+        once per live hotspot."""
         sequence = (
             self._publisher.sequence
             if self._publisher is not None
@@ -1232,8 +1212,15 @@ class SubscriptionEngine:
         filters = [s for s in subs if s.kind == "filter"]
         queries = [s for s in subs if s.kind == "stsparql"]
         if filters:
-            self._match_filters(iter_hotspot_records(graph), among=filters)
-        for shape, members in self.registry.shapes(among=queries):
+            records = iter_hotspot_records(graph)
+            if all(sub.bbox is not None for sub in filters):
+                # Hotspots outside every new geofence need no probe.
+                area = Envelope.union_all(sub.bbox for sub in filters)
+                records = (
+                    r for r in records if area.contains_point(r.lon, r.lat)
+                )
+            self._match_filters(records, only={sub.id for sub in filters})
+        for shape, members in self.registry.shapes(subs=queries):
             for sub_id, subjects in self._shape_matches(
                 source, shape, members
             ).items():
@@ -1304,27 +1291,21 @@ class SubscriptionEngine:
         self,
         records: Iterable[HotspotRecord],
         out: Optional[_BatchBuilder] = None,
-        among: Optional[List[Subscription]] = None,
+        only: Optional[Set[str]] = None,
     ) -> None:
         """The filter family over ``records``: every hotspot against the
-        registry's geofence probe, or against the filters ``among``
-        (priming new registrations, a linear bbox test).  A match not
-        yet seen is marked seen and, with ``out``, notified.  Static
-        heat sources never alert."""
+        registry's geofence probe, keeping only the ids in ``only`` when
+        given (priming new registrations).  A match not yet seen is
+        marked seen and, with ``out``, notified.  Static heat sources
+        never alert."""
         for record in records:
             if record.static:
                 continue
-            if among is None:
-                candidates = self.registry.geofence_candidates(
-                    record.lon, record.lat
-                )
-            else:
-                candidates = [
-                    sub
-                    for sub in among
-                    if sub.bbox is None
-                    or sub.bbox.contains_point(record.lon, record.lat)
-                ]
+            candidates = self.registry.geofence_candidates(
+                record.lon, record.lat
+            )
+            if only is not None:
+                candidates = [sub for sub in candidates if sub.id in only]
             for sub in candidates:
                 seen = self._seen.get(sub.id)
                 if seen is not None and record.subject in seen:

@@ -31,11 +31,6 @@ class Sensor:
     def is_geostationary(self) -> bool:
         return self.revisit_minutes > 0
 
-    #: Approximate pixel size in degrees at Greek latitudes.
-    @property
-    def pixel_deg(self) -> float:
-        return self.pixel_km / 111.0
-
 
 MSG1 = Sensor(
     name="MSG1",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List
 
 from repro.geometry import Geometry
 
@@ -56,6 +56,3 @@ class Shapefile:
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def attribute_column(self, name: str) -> List[Any]:
-        return [r.attributes.get(name) for r in self.records]

@@ -135,12 +135,6 @@ class SolutionSet:
             )
         return [row.get(name) for row in self.rows]
 
-    def as_tuples(self) -> List[Tuple[Optional[Term], ...]]:
-        variables = self.variables
-        return [
-            tuple(row.get(v) for v in variables) for row in self.rows
-        ]
-
     def _canonical_rows(self) -> List[Tuple]:
         """Order-insensitive fingerprint: one sortable key per row."""
         names = sorted(self.variable_index)

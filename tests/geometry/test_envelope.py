@@ -1,7 +1,5 @@
 """Envelope behaviour."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -65,13 +63,6 @@ class TestRelations:
 
     def test_intersection_disjoint_is_none(self):
         assert Envelope(0, 0, 1, 1).intersection(Envelope(5, 5, 6, 6)) is None
-
-    def test_distance(self):
-        d = Envelope(0, 0, 1, 1).distance(Envelope(4, 5, 6, 7))
-        assert d == pytest.approx(math.hypot(3, 4))
-
-    def test_distance_zero_when_intersecting(self):
-        assert Envelope(0, 0, 2, 2).distance(Envelope(1, 1, 3, 3)) == 0.0
 
     def test_expand(self):
         assert Envelope(0, 0, 1, 1).expand(0.5).as_tuple() == (

@@ -1,6 +1,6 @@
 """R-tree index: correctness against brute force."""
 
-import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +30,6 @@ class TestBasics:
         tree = RTree()
         assert len(tree) == 0
         assert list(tree.search(Envelope(0, 0, 1, 1))) == []
-        assert tree.nearest(0, 0) == []
 
     def test_single_item(self):
         tree = RTree()
@@ -67,23 +66,55 @@ class TestBasics:
         assert sorted(p for _, p in tree.items()) == list(range(25))
 
 
-class TestNearest:
-    def test_nearest_single(self):
-        tree = RTree.bulk_load(
-            [(Envelope(i, 0, i, 0), i) for i in range(10)]
-        )
-        assert tree.nearest(3.2, 0) == [3]
+class _Item:
+    """A payload compared by identity, as ``RTree.remove`` finds it."""
 
-    def test_nearest_k_ordering(self):
-        tree = RTree.bulk_load(
-            [(Envelope(i, 0, i, 0), i) for i in range(10)]
-        )
-        got = tree.nearest(0.1, 0, k=3)
-        assert got == [0, 1, 2]
+    __slots__ = ("n",)
 
-    def test_nearest_more_than_size(self):
-        tree = RTree.bulk_load([(Envelope(0, 0, 1, 1), "only")])
-        assert tree.nearest(9, 9, k=5) == ["only"]
+    def __init__(self, n: int) -> None:
+        self.n = n
+
+
+class TestRemove:
+    def test_remove_missing_returns_false(self):
+        tree = RTree.bulk_load([(Envelope(0, 0, 1, 1), "a")])
+        assert not tree.remove(Envelope(0, 0, 1, 1), "b")
+        assert not tree.remove(Envelope(5, 5, 6, 6), "a")
+        assert len(tree) == 1
+
+    def test_remove_goes_by_identity_not_envelope(self):
+        env = Envelope(0, 0, 1, 1)
+        first, second = _Item(1), _Item(2)
+        tree = RTree()
+        tree.insert(env, first)
+        tree.insert(env, second)
+        assert tree.remove(env, first)
+        assert not tree.remove(env, first)
+        assert list(tree.search(env)) == [second]
+
+    def test_remove_everything_then_reuse(self):
+        items = [
+            (Envelope(i, j, i + 1, j + 1), _Item(i * 10 + j))
+            for i in range(10)
+            for j in range(10)
+        ]
+        tree = RTree.bulk_load(items, max_entries=4)
+        for env, item in items:
+            assert tree.remove(env, item)
+        assert len(tree) == 0
+        assert tree.envelope is None
+        assert list(tree.search(Envelope(-1, -1, 20, 20))) == []
+        tree.insert(Envelope(3, 3, 4, 4), "again")
+        assert list(tree.search(Envelope(0, 0, 5, 5))) == ["again"]
+
+    def test_envelope_shrinks_along_the_path(self):
+        tree = RTree(max_entries=4)
+        far = _Item(0)
+        tree.insert(Envelope(50, 50, 60, 60), far)
+        for n in range(1, 20):
+            tree.insert(Envelope(n, n, n + 1, n + 1), _Item(n))
+        assert tree.remove(Envelope(50, 50, 60, 60), far)
+        assert tree.envelope == Envelope(1, 1, 20, 20)
 
 
 class TestAgainstBruteForce:
@@ -95,19 +126,6 @@ class TestAgainstBruteForce:
         expected = {i for e, i in items if e.intersects(probe)}
         assert set(tree.search(probe)) == expected
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(env_strategy, min_size=1, max_size=40), finite, finite)
-    def test_nearest_equals_bruteforce(self, envs, x, y):
-        items = [(e, i) for i, e in enumerate(envs)]
-        tree = RTree.bulk_load(items)
-        probe = Envelope(x, y, x, y)
-        best = min(items, key=lambda item: item[0].distance(probe))
-        got = tree.nearest(x, y, k=1)[0]
-        got_env = envs[got]
-        assert got_env.distance(probe) == pytest.approx(
-            best[0].distance(probe)
-        )
-
     @settings(max_examples=20, deadline=None)
     @given(st.lists(env_strategy, min_size=0, max_size=50))
     def test_incremental_insert_consistency(self, envs):
@@ -117,3 +135,48 @@ class TestAgainstBruteForce:
         assert len(tree) == len(envs)
         everything = Envelope(-200, -200, 200, 200)
         assert set(tree.search(everything)) == set(range(len(envs)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(env_strategy, max_size=30),
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("insert"), env_strategy),
+                st.tuples(st.just("remove"), st.integers(0, 1000)),
+                st.tuples(st.just("bulk_load"), st.none()),
+            ),
+            max_size=80,
+        ),
+        env_strategy,
+    )
+    def test_interleaved_updates_equal_bruteforce(self, initial, ops, probe):
+        """Random bulk_load / insert / remove sequences: every search is
+        the brute-force multiset, and a removed item never comes back."""
+        live = [(env, _Item(n)) for n, env in enumerate(initial)]
+        tree = RTree.bulk_load(live, max_entries=4)
+        removed = set()
+        everything = Envelope(-200, -200, 200, 200)
+        for step, (op, arg) in enumerate(ops):
+            if op == "insert":
+                entry = (arg, _Item(len(initial) + step))
+                tree.insert(*entry)
+                live.append(entry)
+            elif op == "remove" and live:
+                env, item = live.pop(arg % len(live))
+                assert tree.remove(env, item)
+                assert not tree.remove(env, item)
+                removed.add(item.n)
+            elif op == "bulk_load":
+                tree = RTree.bulk_load(live, max_entries=4)
+            assert len(tree) == len(live)
+            for window in (probe, everything):
+                got = Counter(item.n for item in tree.search(window))
+                want = Counter(
+                    item.n for env, item in live if env.intersects(window)
+                )
+                assert got == want
+            assert not removed & {item.n for item in tree.search(everything)}
+        if live:
+            assert tree.envelope == Envelope.union_all(e for e, _ in live)
+        else:
+            assert tree.envelope is None

@@ -112,6 +112,20 @@ class TestCrud:
         with pytest.raises(SubscriptionError, match="kind"):
             client.subscribe({"kind": "teleport"})
 
+    def test_inverted_geofence_is_422(self, handle, client):
+        conn = http.client.HTTPConnection(*handle.address, timeout=10)
+        conn.request(
+            "POST",
+            "/v1/subscriptions",
+            body=json.dumps({"kind": "filter", "bbox": [25, 38, 24, 39]}),
+            headers={"Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        assert response.status == 422
+        assert b"bbox" in response.read()
+        conn.close()
+        assert client.subscriptions()["count"] == 0
+
     def test_non_finite_or_off_fragment_subscription_is_422(self, client):
         nan = float("nan")
         with pytest.raises(SubscriptionError, match="finite"):

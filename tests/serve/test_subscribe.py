@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 import os
+import random
 
 import pytest
 
 from repro.durable import WriteAheadLog
 from repro.errors import DurabilityError
-from repro.geometry import Envelope
+from repro.geometry import Envelope, RTree
 from repro.rdf.inference import RDFSInference
 from repro.rdf.namespace import NOA
 from repro.serve import SnapshotPublisher
@@ -81,6 +82,13 @@ class TestValidation:
             Subscription.from_dict(
                 {"kind": "filter", "bbox": [1, 2, 3]}, "x", 0
             )
+
+    @pytest.mark.parametrize(
+        "bbox", [[25, 38, 24, 39], [24, 39, 25, 38], [25, 39, 24, 38]]
+    )
+    def test_rejects_inverted_bbox(self, bbox):
+        with pytest.raises(SubscriptionError, match="bbox"):
+            Subscription.from_dict({"kind": "filter", "bbox": bbox}, "x", 0)
 
     def test_rejects_non_boolean_confirmed(self):
         with pytest.raises(SubscriptionError):
@@ -280,6 +288,90 @@ class TestRegistry:
         }
         assert hits == {"sub0"}
 
+    def test_probe_order_is_pack_order_then_registration_order(self):
+        """Inserts and removals reshape the tree but not the order a
+        probe returns geofences in, so batch bytes do not move."""
+        registry = SubscriptionRegistry()
+        registry.add_many(
+            [self._sub(n, [0.0, 0.0, 10.0 + n, 10.0 + n]) for n in range(40)]
+        )
+        packed = [s.id for s in registry.geofence_candidates(5.0, 5.0)]
+        assert sorted(packed) == sorted(f"sub{n}" for n in range(40))
+        registry.add(self._sub(100, [4.0, 4.0, 6.0, 6.0]))
+        registry.add(self._sub(101, [-50.0, -50.0, 50.0, 50.0]))
+        assert registry.remove(packed[3])
+        hits = [s.id for s in registry.geofence_candidates(5.0, 5.0)]
+        assert hits == packed[:3] + packed[4:] + ["sub100", "sub101"]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_churn_probes_equal_a_scan_of_live_filters(self, seed):
+        rng = random.Random(seed)
+        registry = SubscriptionRegistry()
+        live = {}
+        made = iter(range(10**6))
+
+        def fresh() -> Subscription:
+            bbox = None
+            if rng.random() < 0.9:
+                x, y = rng.uniform(0, 40), rng.uniform(0, 40)
+                bbox = [x, y, x + rng.uniform(0, 8), y + rng.uniform(0, 8)]
+            return self._sub(next(made), bbox)
+
+        for _ in range(300):
+            roll = rng.random()
+            if roll < 0.45:
+                sub = registry.add(fresh())
+                live[sub.id] = sub
+            elif roll < 0.55:
+                batch = [fresh() for _ in range(rng.randint(0, 40))]
+                registry.add_many(batch)
+                live.update((sub.id, sub) for sub in batch)
+            elif live and roll < 0.95:
+                sub_id = rng.choice(sorted(live))
+                assert registry.remove(sub_id)
+                del live[sub_id]
+            else:
+                assert not registry.remove("sub-unknown")
+            for _ in range(5):
+                x, y = rng.uniform(-2, 50), rng.uniform(-2, 50)
+                got = [s.id for s in registry.geofence_candidates(x, y)]
+                want = [
+                    s.id
+                    for s in live.values()
+                    if s.bbox is None or s.bbox.contains_point(x, y)
+                ]
+                assert sorted(got) == sorted(want)
+        assert len(registry) == len(live)
+
+    def test_single_adds_and_removes_never_repack(self, monkeypatch):
+        def fence(n: int, x: float, y: float) -> Subscription:
+            return self._sub(n, [x, y, x + 0.5, y + 0.5])
+
+        registry = SubscriptionRegistry()
+        registry.add_many(
+            fence(n, n % 200 * 0.1, n // 200 * 0.1) for n in range(20_000)
+        )
+        packs = []
+        bulk_load = RTree.bulk_load
+
+        def counting_bulk_load(*args, **kwargs):
+            packs.append(1)
+            return bulk_load(*args, **kwargs)
+
+        monkeypatch.setattr(RTree, "bulk_load", counting_bulk_load)
+        for n in range(200):
+            registry.add(fence(20_000 + n, n * 0.1, 5.0))
+        for n in range(200):
+            assert registry.remove(f"sub{n * 97}")
+        assert packs == []
+        assert len(registry.geofence_candidates(10.05, 5.5)) == len(
+            [
+                s
+                for s in registry.list()
+                if s.bbox.contains_point(10.05, 5.5)
+            ]
+        )
+
     def test_duplicate_ids_are_refused(self):
         registry = SubscriptionRegistry()
         registry.add(self._sub(0))
@@ -467,6 +559,62 @@ class TestEngine:
         )
         batch = engine.process_commit(2, _delta(strabon))
         assert batch.refs == ()  # it matched before "now"
+
+    @pytest.mark.parametrize("bulk", [False, True])
+    def test_priming_marks_exactly_the_brute_force_pairs(self, bulk):
+        rng = random.Random(11)
+        strabon = Strabon()
+        hotspots = {}
+        for n in range(30):
+            lon = round(rng.uniform(20, 28), 3)
+            lat = round(rng.uniform(34, 42), 3)
+            confidence = round(rng.uniform(0.1, 1.0), 2)
+            subject = _insert_hotspot(strabon, n, lon, lat, confidence)
+            hotspots[subject] = (lon, lat, confidence)
+        engine = _engine_on(strabon)
+        docs = []
+        for _ in range(40):
+            doc = {"kind": "filter"}
+            if rng.random() < 0.85:
+                x, y = rng.uniform(19, 28), rng.uniform(33, 42)
+                doc["bbox"] = [
+                    round(x, 3),
+                    round(y, 3),
+                    round(x + rng.uniform(0.5, 4), 3),
+                    round(y + rng.uniform(0.5, 4), 3),
+                ]
+            if rng.random() < 0.5:
+                doc["min_confidence"] = round(rng.uniform(0.2, 0.9), 2)
+            docs.append(doc)
+        subs = engine.register_many(docs[:10])
+        if bulk:
+            subs += engine.register_many(docs[10:])
+        else:
+            subs += [engine.register(doc) for doc in docs[10:]]
+        for sub in subs:
+            want = {
+                subject
+                for subject, (lon, lat, confidence) in hotspots.items()
+                if (sub.bbox is None or sub.bbox.contains_point(lon, lat))
+                and (
+                    sub.min_confidence is None
+                    or confidence >= sub.min_confidence
+                )
+            }
+            assert engine._seen.get(sub.id, set()) == want
+
+    def test_register_many_with_an_inverted_geofence_registers_nothing(
+        self,
+    ):
+        engine = _engine_on(Strabon())
+        with pytest.raises(SubscriptionError, match="bbox"):
+            engine.register_many(
+                [
+                    {"kind": "filter", "bbox": [20, 36, 25, 40]},
+                    {"kind": "filter", "bbox": [25, 38, 24, 39]},
+                ]
+            )
+        assert len(engine.registry) == 0
 
     def test_geofence_excludes_outside_hotspots(self):
         strabon = Strabon()
