@@ -4,9 +4,10 @@ Measurements per subscription-count series point (1k / 10k / 100k
 geofenced subscriptions):
 
 * **Registration** — bulk :meth:`SubscriptionEngine.register_many`
-  wall time (one R-tree pack, then priming probes the packed tree once
-  per hotspot of the published snapshot), reported as subscriptions
-  per second.
+  wall time (the batch validated column-wise, one R-tree pack of the
+  box column, then priming probes the packed tree once per hotspot of
+  the published snapshot inside the new fences' envelope), reported as
+  subscriptions per second.
 * **Incremental vs full re-run** — one acquisition's delta is
   committed through :meth:`process_commit` (the production path: delta
   records probed against the geofence index) and, against the *same*
@@ -29,6 +30,10 @@ geofenced subscriptions):
   deletes from the geofence tree; ``headline.single_op_ms_p99`` is
   gated by an absolute bound in ``check_regression.py``, so an
   operation that re-packs the whole tree shows up as a stall.
+* **Reopen** (largest point only) — the same documents registered on a
+  durable engine, which is closed and reopened; ``headline.reopen_s``
+  is the reopen's wall time: replaying ``registry.log`` (column blocks
+  read with ``np.frombuffer``) and packing the geofences.
 
 The store is deliberately modest (hundreds of hotspots) while the
 subscription count scales to 100k: the quantity under test is how
@@ -41,6 +46,8 @@ from __future__ import annotations
 
 import math
 import random
+import shutil
+import tempfile
 import time
 
 import pytest
@@ -145,7 +152,8 @@ def _series_point(count: int) -> dict:
     full_keys = set(full.keys())
     mismatches = len(incremental_keys ^ full_keys)
 
-    churn = _single_op_churn(engine, rng) if count == SERIES[-1] else None
+    largest = count == SERIES[-1]
+    churn = _single_op_churn(engine, rng) if largest else None
     engine.close()
     return {
         "subscriptions": count,
@@ -161,7 +169,26 @@ def _series_point(count: int) -> dict:
         "log_bytes_per_notification": len(batch.to_payload())
         / max(1, len(batch.refs)),
         **({"single_op_ms": churn} if churn else {}),
+        **({"reopen_s": _durable_reopen(docs)} if largest else {}),
     }
+
+
+def _durable_reopen(docs) -> float:
+    """Register ``docs`` on a durable engine, close it, and time the
+    reopen."""
+    state_dir = tempfile.mkdtemp(prefix="bench-subscribe-")
+    try:
+        engine = SubscriptionEngine(state_dir=state_dir)
+        engine.register_many(docs)
+        engine.close()
+        t0 = time.perf_counter()
+        engine = SubscriptionEngine(state_dir=state_dir)
+        wall = time.perf_counter() - t0
+        assert len(engine.registry) == len(docs)
+        engine.close()
+        return wall
+    finally:
+        shutil.rmtree(state_dir, ignore_errors=True)
 
 
 def _single_op_churn(engine, rng) -> dict:
@@ -210,6 +237,7 @@ def subscribe_run():
                 "subs_per_s"
             ],
             "single_op_ms_p99": top["single_op_ms"]["p99"],
+            "reopen_s": top["reopen_s"],
             "differential_mismatches": sum(
                 point["differential_mismatches"]
                 for point in series.values()
@@ -290,6 +318,7 @@ def teardown_module(module):
         f"single register/remove at {SERIES[-1]}: "
         f"p50 {churn['p50']:.2f} ms, p99 {churn['p99']:.2f} ms, "
         f"max {churn['max']:.2f} ms ({churn['ops']} ops)",
+        f"durable reopen at {SERIES[-1]}: {headline['reopen_s']:.3f} s",
         "",
         f"headline: {headline['speedup_incremental_vs_full']:.1f}x "
         f"at {headline['subscriptions']} subscriptions "

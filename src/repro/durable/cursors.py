@@ -19,8 +19,10 @@ the un-fsynced tail record), make that hold:
   removals and acknowledged cursors (``subscription id → highest
   acknowledged publication sequence``), one record per change, folded
   into one record each time it is opened and whenever the records a
-  fold would drop outgrow the live ones.  Acks are monotonic: a stale
-  or replayed ack never moves a cursor backwards.
+  fold would drop outgrow the live ones.  ``filter`` registrations are
+  :class:`FilterRows` column blocks, read back with ``np.frombuffer``.
+  Acks are monotonic: a stale or replayed ack never moves a cursor
+  backwards.
 
 Both live under ``<state_dir>/subs/`` (``notifications.log`` and
 ``registry.log``) next to the store's own WAL and checkpoint; neither
@@ -30,15 +32,30 @@ is consulted on the serving read path.
 from __future__ import annotations
 
 import json
+import math
+import struct
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
+
+import numpy as np
 
 from repro.durable import crashpoints
 from repro.durable.wal import WriteAheadLog
 from repro.errors import DurabilityError
 
 __all__ = [
+    "FilterRows",
     "NotificationBatch",
     "NotificationLog",
     "RegistryLog",
@@ -263,33 +280,40 @@ class RegistryLog:
     """What each subscriber did, durable, as an append-only log.
 
     Every change appends one CRC-framed record and syncs per the fsync
-    policy — ``{"add": [shape, ...]}`` for a single or bulk
-    registration, ``{"remove": [id]}`` for a removal, ``{"ack": [[id,
-    sequence]]}`` for an acknowledgement — so a change costs its own
-    bytes, not a rewrite of every subscriber's state.  A registration
-    that primed matches adds ``"primed": [[id, [subject, ...]], ...]``
-    to its record: the hotspots the subscription starts out having
-    seen, which a restart restores without ever delivering them.  An ``add``
-    stores each distinct key list once: a shape is ``{"keys": [...],
-    "rows": [[...], ...]}``, one row of values per document with those
-    keys, so 20 000 geofences of three shapes write three key lists,
-    not 20 000.  Opening replays the records in order — cursors fold
-    monotonically, a ``remove`` drops the subscription's cursor.
+    policy — an ``add`` for a single or bulk registration, ``{"remove":
+    [id]}`` for a removal, ``{"ack": [[id, sequence]]}`` for an
+    acknowledgement — so a change costs its own bytes, not a rewrite of
+    every subscriber's state.
 
-    The log keeps the live documents and cursors as they change, and
-    *folds* them into a single record through the atomic
+    An ``add`` that registers ``filter`` subscriptions is one binary
+    :class:`FilterRows` record: a JSON head, then one fixed-width block
+    per column, so 20 000 geofences cost their ids and boxes (44 B
+    each) and replay is ``np.frombuffer``.  The head carries what the
+    record holds besides: ``stsparql`` / ``fwi`` documents as ``"add":
+    [shape, ...]``, each distinct key list once (``{"keys": [...],
+    "rows": [[...], ...]}``), and, for a registration that primed
+    matches, ``"primed": [[id, [subject, ...]], ...]``: the hotspots the
+    subscription starts out having seen, which a restart restores
+    without ever delivering them.  A registration without filters is
+    that head alone, as a JSON record.  Opening replays the records in
+    order — cursors fold monotonically, a ``remove`` drops the
+    subscription's cursor.
+
+    The log keeps the live documents, filter rows and cursors as they
+    change, and *folds* them into a single record through the atomic
     :meth:`~repro.durable.wal.WriteAheadLog.rewrite`: on open when
     there is more than one record, and after an ack or a removal once
     the bytes a fold would drop — superseded acks, removed
     registrations and the removals themselves — exceed both the live
-    bytes and ``_FOLD_FLOOR_BYTES``.  Registrations never trigger a
-    fold.  So the file stays within a small multiple of the live
-    registry however many acks a long-running service takes.  The
+    bytes and ``_FOLD_FLOOR_BYTES``.  The fold writes the live filters
+    as one column block.  Registrations never trigger a fold.  So the
+    file stays within a small multiple of the live registry however
+    many acks a long-running service takes.  The
     ``registry-fold.pre-rewrite`` / ``registry-fold.post-rewrite``
-    crashpoints bracket the rewrite.  A log written in the old
-    one-object-per-document layout is refused on open
-    (:class:`~repro.errors.DurabilityError` naming the file).  Changes
-    hold :attr:`lock`.
+    crashpoints bracket the rewrite.  A log written in an older layout
+    — one object per document, or filters as JSON rows — is refused on
+    open (:class:`~repro.errors.DurabilityError` naming the file).
+    Changes hold :attr:`lock`.
     """
 
     def __init__(self, path: str, fsync: str = "commit") -> None:
@@ -298,10 +322,18 @@ class RegistryLog:
         self.lock = threading.RLock()
         # crash_sites off, as for the notification log.
         self._wal = WriteAheadLog(path, fsync=fsync, crash_sites=False)
-        #: ``subscription id → document`` of the live subscriptions,
-        #: grouped by shape within each replayed record and in
-        #: registration order within a shape.
-        self._live: Dict[str, Dict[str, Any]] = {}
+        #: ``subscription id → document`` of the live ``stsparql`` and
+        #: ``fwi`` subscriptions, grouped by shape within each replayed
+        #: record and in registration order within a shape.
+        self._docs: Dict[str, Dict[str, Any]] = {}
+        #: The filter rows of each add, in log order.
+        self._filters: List[FilterRows] = []
+        #: Filters removed since those rows were read: :attr:`filters`
+        #: drops them.
+        self._removed: Set[str] = set()
+        #: Log bytes per row of the latest filter block (what a filter's
+        #: removal adds to the bytes a fold would drop).
+        self._row_bytes = 0
         #: ``subscription id → acknowledged sequence``; a removal drops
         #: the subscription's cursor.
         self.cursors: Dict[str, int] = {}
@@ -312,67 +344,141 @@ class RegistryLog:
         #: rows and cursors).
         self._dead = 0
         records = self._wal.replayed
-        for record in records:
-            doc = json.loads(record.payload.decode("utf-8"))
-            for shape in doc.get("add", ()):
-                if not (isinstance(shape, dict) and "keys" in shape):
-                    self._wal.close()
-                    raise DurabilityError(
-                        f"{path!r} is a subscription registry in the "
-                        "old layout (one object per document); this "
-                        "version reads only key-list records"
-                    )
-                keys = shape["keys"]
-                for row in shape["rows"]:
-                    sub = dict(zip(keys, row))
-                    self._live[str(sub["id"])] = sub
-            for sub_id, subjects in doc.get("primed", ()):
-                self.primed[sub_id] = subjects
-            for sub_id in doc.get("remove", ()):
-                self._live.pop(sub_id, None)
-                self.cursors.pop(sub_id, None)
-                self.primed.pop(sub_id, None)
-            for sub_id, sequence in doc.get("ack", ()):
-                self.cursors[sub_id] = max(
-                    self.cursors.get(sub_id, 0), sequence
-                )
-        for sub_id in [s for s in self.cursors if s not in self._live]:
-            del self.cursors[sub_id]
-        for sub_id in [s for s in self.primed if s not in self._live]:
-            del self.primed[sub_id]
+        try:
+            for record in records:
+                self._replay(record.payload)
+        except (DurabilityError, ValueError) as error:
+            self._wal.close()
+            raise DurabilityError(f"{path!r}: {error}") from error
+        if self.cursors or self.primed:
+            live = set(self._docs).union(self.filters.ids)
+            for sub_id in [s for s in self.cursors if s not in live]:
+                del self.cursors[sub_id]
+            for sub_id in [s for s in self.primed if s not in live]:
+                del self.primed[sub_id]
         if len(records) > 1:
             self._fold()
 
+    def _replay(self, payload: bytes) -> None:
+        if payload.startswith(_FILTER_MAGIC):
+            doc, rows = FilterRows.decode(payload)
+            self._keep_filters(rows, len(payload))
+            acked = doc.pop("acked", None)
+            if acked is not None:
+                for sub_id, sequence in zip(rows.ids, acked.tolist()):
+                    if sequence:
+                        self.cursors[sub_id] = max(
+                            self.cursors.get(sub_id, 0), sequence
+                        )
+        else:
+            doc = json.loads(payload.decode("utf-8"))
+        for shape in doc.get("add", ()):
+            if not (isinstance(shape, dict) and "keys" in shape):
+                raise DurabilityError(
+                    "a subscription registry in the old layout (one "
+                    "object per document); this version reads only "
+                    "key-list records"
+                )
+            keys = shape["keys"]
+            for row in shape["rows"]:
+                sub = dict(zip(keys, row))
+                if sub.get("kind", "filter") == "filter":
+                    raise DurabilityError(
+                        "filter subscriptions as JSON rows (the old "
+                        "layout); this version reads filters only as "
+                        "column blocks"
+                    )
+                self._docs[str(sub["id"])] = sub
+        for sub_id, subjects in doc.get("primed", ()):
+            self.primed[sub_id] = subjects
+        for sub_id in doc.get("remove", ()):
+            if self._docs.pop(sub_id, None) is None:
+                self._removed.add(sub_id)
+            self.cursors.pop(sub_id, None)
+            self.primed.pop(sub_id, None)
+        for sub_id, sequence in doc.get("ack", ()):
+            self.cursors[sub_id] = max(self.cursors.get(sub_id, 0), sequence)
+
+    def _keep_filters(self, rows: FilterRows, size: int) -> None:
+        if len(rows):
+            self._filters.append(rows)
+            self._row_bytes = size // len(rows)
+
     @property
     def documents(self) -> List[Dict[str, Any]]:
-        """The live subscription documents."""
+        """Every live subscription document, the filters' rendered from
+        their rows."""
         with self.lock:
-            return list(self._live.values())
+            return list(self._docs.values()) + self.filters.documents()
+
+    @property
+    def json_documents(self) -> List[Dict[str, Any]]:
+        """The live ``stsparql`` and ``fwi`` documents."""
+        with self.lock:
+            return list(self._docs.values())
+
+    @property
+    def filters(self) -> FilterRows:
+        """The live filter rows, in log order."""
+        with self.lock:
+            rows = FilterRows.concat(self._filters)
+            if self._removed:
+                gone = self._removed
+                rows = rows.take(
+                    np.array(
+                        [i for i, s in enumerate(rows.ids) if s not in gone],
+                        dtype=np.intp,
+                    )
+                )
+                self._removed = set()
+            self._filters = [rows] if len(rows) else []
+            return rows
 
     def add(
         self,
-        docs: Iterable[Dict[str, Any]],
+        docs: Iterable[Dict[str, Any]] = (),
         primed: Optional[Dict[str, List[str]]] = None,
+        filters: Optional[FilterRows] = None,
     ) -> None:
-        """Durably record one (bulk) registration and the subjects it
-        primed (``id → subjects``)."""
+        """Durably record one (bulk) registration — ``filters`` rows and
+        the documents of other kinds (a ``filter`` document among
+        ``docs`` joins the rows) — and the subjects it primed (``id →
+        subjects``)."""
         docs = list(docs)
-        record: Dict[str, Any] = {"add": _shapes(docs)}
+        rows = [doc for doc in docs if doc.get("kind", "filter") == "filter"]
+        if rows:
+            docs = [
+                doc for doc in docs if doc.get("kind", "filter") != "filter"
+            ]
+            filters = FilterRows.concat(
+                ([filters] if filters is not None else [])
+                + [FilterRows.from_documents(rows)]
+            )
+        record: Dict[str, Any] = {}
+        if docs:
+            record["add"] = _shapes(docs)
         if primed:
             record["primed"] = list(primed.items())
         with self.lock:
-            self._append(record)
+            if filters is not None and len(filters):
+                size = self._append_bytes(filters.encode(record))
+                self._keep_filters(filters, size)
+            else:
+                self._append(record)
             for doc in docs:
-                self._live[str(doc["id"])] = doc
+                self._docs[str(doc["id"])] = doc
             self.primed.update(primed or {})
 
     def remove(self, sub_id: str) -> None:
         """Durably record one removal (it drops the cursor too)."""
         with self.lock:
             self._dead += self._append({"remove": [sub_id]})
-            doc = self._live.pop(sub_id, None)
+            doc = self._docs.pop(sub_id, None)
             if doc is not None:
                 self._dead += len(_compact(list(doc.values())))
+            else:
+                self._removed.add(sub_id)
+                self._dead += self._row_bytes
             cursor = self.cursors.pop(sub_id, None)
             if cursor is not None:
                 self._dead += len(_compact([sub_id, cursor]))
@@ -393,9 +499,12 @@ class RegistryLog:
             self._fold_if_due()
 
     def _append(self, doc: Dict[str, Any]) -> int:
-        """Append and sync one record; returns the bytes it took."""
+        """Append and sync one JSON record; returns the bytes it took."""
+        return self._append_bytes(_compact(doc))
+
+    def _append_bytes(self, payload: bytes) -> int:
         before = self._wal.size_bytes()
-        self._wal.append(_compact(doc))
+        self._wal.append(payload)
         self._wal.sync()
         return self._wal.size_bytes() - before
 
@@ -405,25 +514,35 @@ class RegistryLog:
             self._fold()
 
     def _fold(self) -> None:
-        """Rewrite the log as one record of the live documents and
-        their cursors."""
-        fold: Dict[str, Any] = {"add": _shapes(self._live.values())}
+        """Rewrite the log as one record of the live documents, filter
+        rows, cursors and primed subjects."""
+        fold: Dict[str, Any] = {}
+        if self._docs:
+            fold["add"] = _shapes(self._docs.values())
+        # The filters' cursors are a column of their block.
         cursors = [
             (sub_id, sequence)
             for sub_id, sequence in self.cursors.items()
-            if sub_id in self._live
+            if sub_id in self._docs
         ]
         if cursors:
             fold["ack"] = cursors
-        primed = [
-            (sub_id, subjects)
-            for sub_id, subjects in self.primed.items()
-            if sub_id in self._live
-        ]
-        if primed:
-            fold["primed"] = primed
+        if self.primed:
+            fold["primed"] = list(self.primed.items())
+        rows = self.filters
+        if len(rows):
+            acked = self.cursors
+            payload = rows.encode(
+                fold,
+                acked=np.array(
+                    [acked.get(sub_id, 0) for sub_id in rows.ids],
+                    dtype=np.int64,
+                ),
+            )
+        else:
+            payload = _compact(fold)
         crashpoints.crash("registry-fold.pre-rewrite")
-        self._wal.rewrite([_compact(fold)])
+        self._wal.rewrite([payload])
         crashpoints.crash("registry-fold.post-rewrite")
         self._dead = 0
 
@@ -447,3 +566,327 @@ def _shapes(docs: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
         for keys, shape_rows in rows.items()
     ]
 
+
+class FilterRows:
+    """``filter`` subscriptions as columns, one row per subscription.
+
+    * ``ids`` — the subscription ids (a list of str);
+    * ``boxes`` — an ``(n, 4)`` float64 array of ``minx, miny, maxx,
+      maxy``, a NaN row for a filter without a geofence;
+    * ``floors`` — the confidence floor, NaN for none;
+    * ``confirmed`` — int8: −1 for either, 0 for unconfirmed only, 1 for
+      confirmed only;
+    * ``municipality`` — int32 index into ``names``, −1 for none;
+    * ``created`` — int64 ``created_sequence``.
+
+    It is the registry log's binary ``add`` block (:meth:`encode`,
+    :meth:`decode`) and the batch the subscription registry indexes.
+    """
+
+    __slots__ = (
+        "ids",
+        "boxes",
+        "floors",
+        "confirmed",
+        "municipality",
+        "names",
+        "created",
+    )
+
+    #: The array attributes, one value (a box: four) per row.
+    COLUMNS = ("boxes", "floors", "confirmed", "municipality", "created")
+
+    def __init__(
+        self,
+        ids: List[str],
+        boxes: np.ndarray,
+        floors: np.ndarray,
+        confirmed: np.ndarray,
+        municipality: np.ndarray,
+        names: List[str],
+        created: np.ndarray,
+    ) -> None:
+        self.ids = ids
+        self.boxes = boxes
+        self.floors = floors
+        self.confirmed = confirmed
+        self.municipality = municipality
+        self.names = names
+        self.created = created
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @classmethod
+    def empty(cls, ids: Sequence[str] = ()) -> "FilterRows":
+        """Rows of ``ids`` (none by default) with no predicate at all,
+        registered at sequence 0."""
+        n = len(ids)
+        return cls(
+            list(ids),
+            np.full((n, 4), np.nan),
+            np.full(n, np.nan),
+            np.full(n, -1, dtype=np.int8),
+            np.full(n, -1, dtype=np.int32),
+            [],
+            np.zeros(n, dtype=np.int64),
+        )
+
+    @classmethod
+    def from_documents(cls, docs: List[Dict[str, Any]]) -> "FilterRows":
+        """Rows of subscription documents in the ``to_dict`` layout
+        (trusted: nothing is validated)."""
+        rows = cls.empty([str(doc["id"]) for doc in docs])
+        codes: Dict[str, int] = {}
+        for i, doc in enumerate(docs):
+            if doc.get("bbox") is not None:
+                rows.boxes[i] = doc["bbox"]
+            if doc.get("min_confidence") is not None:
+                rows.floors[i] = doc["min_confidence"]
+            if doc.get("confirmed") is not None:
+                rows.confirmed[i] = int(doc["confirmed"])
+            if doc.get("municipality") is not None:
+                name = str(doc["municipality"])
+                rows.municipality[i] = codes.setdefault(name, len(codes))
+            rows.created[i] = int(doc.get("created_sequence", 0))
+        rows.names = list(codes)
+        return rows
+
+    def row(self, i: int) -> Tuple[Any, ...]:
+        """Row ``i`` as Python values: ``(id, bbox list or None, floor
+        or None, confirmed or None, municipality or None,
+        created_sequence)``."""
+        box = self.boxes[i].tolist()
+        floor = float(self.floors[i])
+        confirmed = int(self.confirmed[i])
+        code = int(self.municipality[i])
+        return (
+            self.ids[i],
+            None if math.isnan(box[0]) else box,
+            None if math.isnan(floor) else floor,
+            None if confirmed < 0 else bool(confirmed),
+            None if code < 0 else self.names[code],
+            int(self.created[i]),
+        )
+
+    def documents(self) -> List[Dict[str, Any]]:
+        """Each row as its subscription's ``to_dict`` document."""
+        out = []
+        for i in range(len(self)):
+            sub_id, bbox, floor, confirmed, municipality, created = (
+                self.row(i)
+            )
+            doc: Dict[str, Any] = {
+                "id": sub_id,
+                "kind": "filter",
+                "created_sequence": created,
+            }
+            for key, value in (
+                ("bbox", bbox),
+                ("min_confidence", floor),
+                ("municipality", municipality),
+                ("confirmed", confirmed),
+            ):
+                if value is not None:
+                    doc[key] = value
+            out.append(doc)
+        return out
+
+    def take(self, index: np.ndarray) -> "FilterRows":
+        """The rows at ``index``, in that order."""
+        return FilterRows(
+            [self.ids[i] for i in index.tolist()],
+            self.boxes[index],
+            self.floors[index],
+            self.confirmed[index],
+            self.municipality[index],
+            self.names,
+            self.created[index],
+        )
+
+    @staticmethod
+    def concat(parts: Sequence["FilterRows"]) -> "FilterRows":
+        """The rows of ``parts``, in order, with one name table."""
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return FilterRows.empty()
+        codes: Dict[str, int] = {}
+        municipality = []
+        for part in parts:
+            remap = np.array(
+                [codes.setdefault(name, len(codes)) for name in part.names]
+                + [-1],
+                dtype=np.int32,
+            )
+            municipality.append(remap[part.municipality])
+        return FilterRows(
+            [sub_id for part in parts for sub_id in part.ids],
+            np.concatenate([part.boxes for part in parts]),
+            np.concatenate([part.floors for part in parts]),
+            np.concatenate([part.confirmed for part in parts]),
+            np.concatenate(municipality),
+            list(codes),
+            np.concatenate([part.created for part in parts]),
+        )
+
+    # -- the binary record -------------------------------------------------
+
+    def encode(
+        self,
+        head: Optional[Dict[str, Any]] = None,
+        acked: Optional[np.ndarray] = None,
+    ) -> bytes:
+        """One registry-log record: ``_FILTER_MAGIC``, the byte length
+        of a compact JSON head, the head, then one fixed-width block per
+        column whose rows differ.
+
+        The head holds the row count, the id width, the municipality
+        names, the value of each column that is the same on every row
+        (``"shared"``: written once, not per row), the names of the
+        columns written as blocks, and ``head``'s own keys (the JSON
+        documents, primed subjects and cursors a record also carries).
+        Blocks follow in :data:`_COLUMN_BLOCKS` order — with ``acked``,
+        each row's acknowledged cursor (0 for none), as the last — then
+        the ids, UTF-8 and NUL-padded to the widest.
+        """
+        columns = [
+            (name, dtype, getattr(self, name))
+            for name, dtype, _ in _COLUMN_BLOCKS
+        ]
+        if acked is not None:
+            columns.append(("acked", "<i8", acked))
+        doc: Dict[str, Any] = dict(head or {})
+        width, ids = _encode_ids(self.ids)
+        doc.update(rows=len(self), id_width=width, names=self.names)
+        shared: Dict[str, Any] = {}
+        blocks: List[str] = []
+        data = []
+        for name, dtype, column in columns:
+            if len(column) and np.array_equal(
+                column,
+                np.broadcast_to(column[0], column.shape),
+                equal_nan=True,
+            ):
+                shared[name] = _json_value(column[0])
+            else:
+                blocks.append(name)
+                data.append(column.astype(dtype, copy=False).tobytes())
+        doc.update(shared=shared, blocks=blocks)
+        header = _compact(doc)
+        return b"".join(
+            [_FILTER_MAGIC, struct.pack("<I", len(header)), header]
+            + data
+            + [ids]
+        )
+
+    @classmethod
+    def decode(
+        cls, payload: bytes
+    ) -> Tuple[Dict[str, Any], "FilterRows"]:
+        """``(head, rows)`` of an :meth:`encode` record — the head with
+        an ``"acked"`` array when the record carries cursors; ValueError
+        when the record is malformed."""
+        try:
+            (size,) = struct.unpack_from("<I", payload, len(_FILTER_MAGIC))
+            offset = len(_FILTER_MAGIC) + 4
+            head = json.loads(payload[offset : offset + size])
+            offset += size
+            n, width = int(head.pop("rows")), int(head.pop("id_width"))
+            names = [str(name) for name in head.pop("names")]
+            shared = head.pop("shared")
+            blocks = head.pop("blocks")
+            columns = {}
+            for name, dtype, per_row in _COLUMN_BLOCKS + _ACKED:
+                shape = (n, per_row) if per_row > 1 else (n,)
+                if name in shared:
+                    value = shared[name]
+                    columns[name] = np.full(
+                        shape, np.nan if value is None else value, dtype=dtype
+                    )
+                elif name in blocks:
+                    block = np.frombuffer(
+                        payload, dtype=dtype, count=n * per_row, offset=offset
+                    )
+                    offset += block.nbytes
+                    columns[name] = block.reshape(shape).copy()
+            ids = payload[offset : offset + n * width]
+            offset += n * width
+        except (struct.error, KeyError, TypeError) as error:
+            raise ValueError(f"malformed filter block: {error}") from error
+        if offset != len(payload) or len(ids) != n * width:
+            raise ValueError(
+                f"filter block of {n} rows is {len(payload)} bytes, "
+                f"expected {offset}"
+            )
+        acked = columns.pop("acked", None)
+        if acked is not None:
+            head["acked"] = acked
+        rows = cls(_decode_ids(ids, n, width), names=names, **columns)
+        rows._check()
+        return head, rows
+
+    def _check(self) -> None:
+        boxes = self.boxes
+        fenced = ~np.isnan(boxes).any(axis=1)
+        if not (
+            (np.isnan(boxes[~fenced]).all())
+            and np.isfinite(boxes[fenced]).all()
+            and (boxes[fenced, 0] <= boxes[fenced, 2]).all()
+            and (boxes[fenced, 1] <= boxes[fenced, 3]).all()
+            and not np.isinf(self.floors).any()
+            and np.isin(self.confirmed, (-1, 0, 1)).all()
+            and (self.municipality >= -1).all()
+            and (self.municipality < len(self.names)).all()
+        ):
+            raise ValueError("filter block holds an invalid row")
+
+
+#: A binary registry-log record starts with these bytes (a JSON record
+#: starts with ``{``).
+_FILTER_MAGIC = b"\x00RGF"
+
+#: (attribute, on-disk dtype, values per row) of each column block.
+_COLUMN_BLOCKS = (
+    ("boxes", "<f8", 4),
+    ("floors", "<f8", 1),
+    ("created", "<i8", 1),
+    ("municipality", "<i4", 1),
+    ("confirmed", "<i1", 1),
+)
+#: The acknowledged-cursor column a fold adds.
+_ACKED = (("acked", "<i8", 1),)
+
+
+def _encode_ids(ids: List[str]) -> Tuple[int, bytes]:
+    """``(width, block)``: the ids UTF-8 encoded and NUL-padded to the
+    widest."""
+    text = "".join(ids)
+    widths = set(map(len, ids))
+    if len(widths) == 1 and text.isascii():
+        return widths.pop(), text.encode("ascii")
+    raw = [sub_id.encode("utf-8") for sub_id in ids]
+    width = max(map(len, raw), default=0)
+    return width, b"".join(sub_id.ljust(width, b"\0") for sub_id in raw)
+
+
+def _decode_ids(block: bytes, count: int, width: int) -> List[str]:
+    if not width:
+        return [""] * count
+    if block.isascii() and b"\0" not in block:
+        text = block.decode("ascii")
+        return [text[i : i + width] for i in range(0, count * width, width)]
+    return [
+        block[i : i + width].rstrip(b"\0").decode("utf-8")
+        for i in range(0, count * width, width)
+    ]
+
+
+def _json_value(value: np.ndarray) -> Any:
+    """A shared column value for the JSON head (NaN as null)."""
+    out = value.tolist()
+    if isinstance(out, list):
+        return None if any(map(math.isnan, out)) else out
+    if isinstance(out, float) and math.isnan(out):
+        return None
+    return out

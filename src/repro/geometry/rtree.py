@@ -1,34 +1,79 @@
 """R-tree spatial index.
 
 Strabon accelerates spatial joins with an index over geometry envelopes; we
-do the same.  The tree supports Sort-Tile-Recursive bulk loading,
+do the same.  The tree supports Sort-Tile-Recursive bulk loading (the tile
+order computed in numpy, from an ``(n, 4)`` box array or from envelopes),
 incremental insertion (quadratic-split R-tree), deletion (Guttman's, without
 reinsertion) and envelope queries.
+
+A leaf keeps its entries as two flat lists — the boxes' coordinates, four
+floats per entry, and the payloads — so a packed tree costs a few objects
+per leaf, not per entry: 20 000 geofences packed by row number are about
+1 300 leaves.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+import numpy as np
 
 from repro.geometry.envelope import Envelope
 
 
 class _Node:
-    __slots__ = ("is_leaf", "children", "entries", "envelope")
+    __slots__ = ("is_leaf", "children", "boxes", "items", "envelope")
 
-    def __init__(self, is_leaf: bool) -> None:
+    def __init__(
+        self,
+        is_leaf: bool,
+        children: Optional[List["_Node"]] = None,
+        boxes: Optional[List[float]] = None,
+        items: Optional[List[Any]] = None,
+    ) -> None:
         self.is_leaf = is_leaf
-        self.children: List["_Node"] = []
-        self.entries: List[Tuple[Envelope, Any]] = []
+        self.children: List["_Node"] = [] if children is None else children
+        #: Leaf entries: ``minx, miny, maxx, maxy`` per entry, flat, and
+        #: the payloads, in the same order.
+        self.boxes: List[float] = [] if boxes is None else boxes
+        self.items: List[Any] = [] if items is None else items
         self.envelope: Optional[Envelope] = None
 
     def recompute_envelope(self) -> None:
         if self.is_leaf:
-            envs = [env for env, _ in self.entries]
+            b = self.boxes
+            self.envelope = (
+                Envelope(
+                    min(b[0::4]), min(b[1::4]), max(b[2::4]), max(b[3::4])
+                )
+                if b
+                else None
+            )
         else:
             envs = [c.envelope for c in self.children if c.envelope]
-        self.envelope = Envelope.union_all(envs) if envs else None
+            self.envelope = Envelope.union_all(envs) if envs else None
+
+    def entries(self) -> List[Tuple[Envelope, Any]]:
+        b = self.boxes
+        return [
+            (Envelope(b[j], b[j + 1], b[j + 2], b[j + 3]), item)
+            for j, item in zip(range(0, len(b), 4), self.items)
+        ]
+
+    def set_entries(self, entries: List[Tuple[Envelope, Any]]) -> None:
+        self.boxes = [c for env, _ in entries for c in env.as_tuple()]
+        self.items = [item for _, item in entries]
+        self.recompute_envelope()
 
 
 class RTree:
@@ -49,20 +94,52 @@ class RTree:
         max_entries: int = 16,
     ) -> "RTree":
         """Sort-Tile-Recursive packing: near-optimal leaves for static data."""
-        tree = cls(max_entries=max_entries)
         entries = list(items)
-        tree._size = len(entries)
-        if not entries:
+        boxes = np.array(
+            [env.as_tuple() for env, _ in entries], dtype=np.float64
+        ).reshape(-1, 4)
+        return cls.pack(boxes, [item for _, item in entries], max_entries)
+
+    @classmethod
+    def pack(
+        cls,
+        boxes: np.ndarray,
+        items: Sequence[Any],
+        max_entries: int = 16,
+    ) -> "RTree":
+        """STR packing of an ``(n, 4)`` array of ``minx, miny, maxx,
+        maxy`` rows; entry ``i`` carries ``items[i]`` (from a sequence,
+        or a numpy array such as row numbers)."""
+        tree = cls(max_entries=max_entries)
+        n = len(boxes)
+        tree._size = n
+        if not n:
             return tree
-        leaves = [
-            _make_leaf(chunk) for chunk in _str_pack(entries, max_entries)
-        ]
-        level = leaves
-        while len(level) > 1:
-            packed = _str_pack(
-                [(node.envelope, node) for node in level], max_entries
+        order, starts = _str_tiles(boxes, max_entries)
+        flat = boxes[order].ravel().tolist()
+        if isinstance(items, np.ndarray):
+            payloads = items[order].tolist()
+        else:
+            payloads = [items[i] for i in order.tolist()]
+        level = [
+            _Node(
+                True,
+                boxes=flat[4 * start : 4 * end],
+                items=payloads[start:end],
             )
-            level = [_make_branch([n for _, n in chunk]) for chunk in packed]
+            for start, end in zip(starts.tolist(), starts[1:].tolist() + [n])
+        ]
+        envelopes = _tile_envelopes(boxes[order], starts, level)
+        while len(level) > 1:
+            order, starts = _str_tiles(envelopes, max_entries)
+            nodes = [level[i] for i in order.tolist()]
+            level = [
+                _Node(False, children=nodes[start:end])
+                for start, end in zip(
+                    starts.tolist(), starts[1:].tolist() + [len(nodes)]
+                )
+            ]
+            envelopes = _tile_envelopes(envelopes[order], starts, level)
         tree._root = level[0]
         return tree
 
@@ -89,9 +166,14 @@ class RTree:
         self, node: _Node, envelope: Envelope, item: Any
     ) -> Optional[_Node]:
         if node.is_leaf:
-            node.entries.append((envelope, item))
-            node.recompute_envelope()
-            if len(node.entries) > self._max:
+            node.boxes.extend(envelope.as_tuple())
+            node.items.append(item)
+            node.envelope = (
+                envelope
+                if node.envelope is None
+                else node.envelope.union(envelope)
+            )
+            if len(node.items) > self._max:
                 return self._split_leaf(node)
             return None
         child = self._choose_subtree(node, envelope)
@@ -124,13 +206,11 @@ class RTree:
 
     def _split_leaf(self, node: _Node) -> _Node:
         group_a, group_b = _quadratic_split(
-            node.entries, key=lambda e: e[0], min_fill=self._min
+            node.entries(), key=lambda e: e[0], min_fill=self._min
         )
-        node.entries = group_a
-        node.recompute_envelope()
+        node.set_entries(group_a)
         sibling = _Node(is_leaf=True)
-        sibling.entries = group_b
-        sibling.recompute_envelope()
+        sibling.set_entries(group_b)
         return sibling
 
     def _split_branch(self, node: _Node) -> _Node:
@@ -147,8 +227,9 @@ class RTree:
     # -- deletion --------------------------------------------------------
 
     def remove(self, envelope: Envelope, item: Any) -> bool:
-        """Remove the entry holding ``item`` (by identity), inserted
-        under ``envelope``; False when there is none.
+        """Remove the entry holding ``item`` (an equal payload: the same
+        object, for objects compared by identity, or the same row
+        number), inserted under ``envelope``; False when there is none.
 
         Guttman's delete without reinsertion: the entry is looked for
         only under nodes whose envelope contains ``envelope``, emptied
@@ -162,7 +243,7 @@ class RTree:
         self._size -= 1
         for depth in range(len(path) - 1, 0, -1):
             node = path[depth]
-            if node.entries or node.children:
+            if node.items or node.children:
                 node.recompute_envelope()
             else:
                 path[depth - 1].children.remove(node)
@@ -181,9 +262,10 @@ class RTree:
         if node.envelope is None or not node.envelope.contains(envelope):
             return None
         if node.is_leaf:
-            for index, (_, payload) in enumerate(node.entries):
-                if payload is item:
-                    del node.entries[index]
+            for index, payload in enumerate(node.items):
+                if payload is item or payload == item:
+                    del node.items[index]
+                    del node.boxes[4 * index : 4 * index + 4]
                     return [node]
             return None
         for child in node.children:
@@ -198,14 +280,29 @@ class RTree:
         """Yield payloads whose envelopes intersect ``envelope``."""
         if self._root.envelope is None:
             return
+        minx, miny = envelope.minx, envelope.miny
+        maxx, maxy = envelope.maxx, envelope.maxy
         stack = [self._root]
         while stack:
             node = stack.pop()
-            if node.envelope is None or not node.envelope.intersects(envelope):
+            env = node.envelope
+            if (
+                env is None
+                or env.minx > maxx
+                or env.maxx < minx
+                or env.miny > maxy
+                or env.maxy < miny
+            ):
                 continue
             if node.is_leaf:
-                for env, item in node.entries:
-                    if env.intersects(envelope):
+                b = node.boxes
+                for j, item in zip(range(0, len(b), 4), node.items):
+                    if (
+                        b[j] <= maxx
+                        and b[j + 2] >= minx
+                        and b[j + 1] <= maxy
+                        and b[j + 3] >= miny
+                    ):
                         yield item
             else:
                 stack.extend(node.children)
@@ -213,12 +310,20 @@ class RTree:
     def search_point(self, x: float, y: float) -> Iterator[Any]:
         yield from self.search(Envelope(x, y, x, y))
 
+    def payloads(self) -> List[Any]:
+        """Every payload, in the order :meth:`items` yields them."""
+        return [item for node in self._leaves() for item in node.items]
+
     def items(self) -> Iterator[Tuple[Envelope, Any]]:
+        for node in self._leaves():
+            yield from node.entries()
+
+    def _leaves(self) -> Iterator[_Node]:
         stack = [self._root]
         while stack:
             node = stack.pop()
             if node.is_leaf:
-                yield from node.entries
+                yield node
             else:
                 stack.extend(node.children)
 
@@ -263,32 +368,48 @@ def _quadratic_split(items: list, key: Callable, min_fill: int):
     return group_a, group_b
 
 
-def _str_pack(entries: list, max_entries: int) -> List[list]:
-    """Sort-Tile-Recursive tiling of (envelope, payload) pairs."""
-    n = len(entries)
+def _str_tiles(
+    boxes: np.ndarray, max_entries: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Sort-Tile-Recursive tiling of an ``(n, 4)`` box array.
+
+    Returns the tile order (a permutation of the rows) and where each
+    tile starts in it.  The boxes are cut by centre x into about
+    sqrt(n / max_entries) vertical slices, each slice is ordered by
+    centre y and cut into tiles of ``max_entries``; both sorts are
+    stable, so equal centres keep their input order.
+    """
+    n = len(boxes)
     leaf_count = math.ceil(n / max_entries)
     slice_count = max(1, math.ceil(math.sqrt(leaf_count)))
-    by_x = sorted(entries, key=lambda e: e[0].center[0])
     slice_size = math.ceil(n / slice_count)
-    chunks: List[list] = []
-    for s in range(0, n, slice_size):
-        vertical = sorted(
-            by_x[s : s + slice_size], key=lambda e: e[0].center[1]
-        )
-        for t in range(0, len(vertical), max_entries):
-            chunks.append(vertical[t : t + max_entries])
-    return chunks
+    cx = (boxes[:, 0] + boxes[:, 2]) / 2.0
+    cy = (boxes[:, 1] + boxes[:, 3]) / 2.0
+    order = np.argsort(cx, kind="stable")
+    starts = []
+    for start in range(0, n, slice_size):
+        part = order[start : start + slice_size]
+        order[start : start + slice_size] = part[
+            np.argsort(cy[part], kind="stable")
+        ]
+        starts.extend(range(start, start + len(part), max_entries))
+    return order, np.array(starts, dtype=np.intp)
 
 
-def _make_leaf(entries: list) -> _Node:
-    node = _Node(is_leaf=True)
-    node.entries = list(entries)
-    node.recompute_envelope()
-    return node
-
-
-def _make_branch(children: List[_Node]) -> _Node:
-    node = _Node(is_leaf=False)
-    node.children = children
-    node.recompute_envelope()
-    return node
+def _tile_envelopes(
+    boxes: np.ndarray, starts: np.ndarray, nodes: List[_Node]
+) -> np.ndarray:
+    """Each tile's envelope, from boxes already in tile order; node
+    ``i`` of ``nodes`` is tile ``i`` and takes its envelope."""
+    envelopes = np.stack(
+        [
+            np.minimum.reduceat(boxes[:, 0], starts),
+            np.minimum.reduceat(boxes[:, 1], starts),
+            np.maximum.reduceat(boxes[:, 2], starts),
+            np.maximum.reduceat(boxes[:, 3], starts),
+        ],
+        axis=1,
+    )
+    for node, env in zip(nodes, envelopes.tolist()):
+        node.envelope = Envelope(*env)
+    return envelopes

@@ -17,9 +17,10 @@ Three subscription families:
 
 * ``filter`` — the ``/hotspots`` predicate vocabulary as a standing
   query: bounding-box geofence, confidence floor, municipality,
-  confirmation status.  Geofences live in an R-tree, so matching one
-  changed hotspot against 100k subscriptions is a point probe, not a
-  scan.
+  confirmation status.  Filters are rows of numpy columns, not objects
+  (:class:`SubscriptionRegistry`), and their geofences live in an
+  R-tree over row numbers, so matching one changed hotspot against
+  100k subscriptions is a point probe, not a scan.
 * ``stsparql`` — a restricted stSPARQL SELECT over the hotspot star,
   using ``?h`` as the hotspot variable.  Standing queries are
   evaluated **once per shape**: at registration the literal constants
@@ -83,10 +84,12 @@ equivalence run-for-run; the delivery contract across crashes lives in
 from __future__ import annotations
 
 import math
+import os
 import threading
 import time
-import uuid
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field, fields, is_dataclass
+from itertools import chain
 from typing import (
     Any,
     Callable,
@@ -99,7 +102,10 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from repro.durable.cursors import (
+    FilterRows,
     NotificationBatch,
     NotificationLog,
     RegistryLog,
@@ -482,6 +488,20 @@ class Subscription:
             created_sequence=created_sequence,
         )
 
+    @classmethod
+    def from_row(cls, row: Tuple[Any, ...]) -> "Subscription":
+        """A ``filter`` subscription from :meth:`FilterRows.row`."""
+        sub_id, bbox, floor, confirmed, municipality, created = row
+        return cls(
+            id=sub_id,
+            kind="filter",
+            bbox=None if bbox is None else Envelope(*bbox),
+            min_confidence=floor,
+            municipality=municipality,
+            confirmed=confirmed,
+            created_sequence=created,
+        )
+
     def to_dict(self) -> Dict[str, Any]:
         doc: Dict[str, Any] = {
             "id": self.id,
@@ -583,6 +603,11 @@ class _BatchBuilder:
 
     def hotspot(self, sub: "Subscription", record: HotspotRecord) -> None:
         """``sub`` matched the hotspot ``record``."""
+        self.match(sub.id, sub.kind, record)
+
+    def match(self, sub_id: str, kind: str, record: HotspotRecord) -> None:
+        """Subscription ``sub_id`` (of ``kind``) matched the hotspot
+        ``record``."""
         index = self._hotspots.get(record.subject)
         if index is None:
             index = self._hotspots[record.subject] = len(self.subjects)
@@ -600,7 +625,7 @@ class _BatchBuilder:
                     },
                 )
             )
-        self.refs.append((sub.id, sub.kind, index))
+        self.refs.append((sub_id, kind, index))
 
     def transition(
         self,
@@ -753,6 +778,41 @@ def iter_hotspot_records(graph) -> Iterable[HotspotRecord]:
             yield record
 
 
+def _hotspots_in(
+    source, graph, area: Optional[Envelope]
+) -> Iterable[HotspotRecord]:
+    """The live hotspot stars located in ``area`` (every one when
+    None).  Candidates come from the source's spatial index — the
+    subjects holding a geometry whose envelope meets ``area`` — so only
+    the stars near it are read; without an index, every star is.  A
+    store without hotspots is not probed at all (its index may not be
+    built yet)."""
+    inference = RDFSInference(graph)
+    if next(inference.instances_of(_HOTSPOT), None) is None:
+        return
+    if area is None:
+        yield from iter_hotspot_records(graph)
+        return
+    literals = source.spatial_search(area)
+    if literals is None:
+        records: Iterable[Optional[HotspotRecord]] = iter_hotspot_records(
+            graph
+        )
+    else:
+        subjects = {
+            subject
+            for literal in literals
+            for subject in graph.subjects(_GEOMETRY, literal)
+        }
+        records = (
+            hotspot_record(graph, inference, subject)
+            for subject in sorted(subjects, key=_text)
+        )
+    for record in records:
+        if record is not None and area.contains_point(record.lon, record.lat):
+            yield record
+
+
 def municipality_score(
     graph, inference: RDFSInference, municipality: str
 ) -> float:
@@ -799,29 +859,223 @@ def _municipality_matches(uri: Optional[str], wanted: str) -> bool:
 # -- the registry ----------------------------------------------------------
 
 
-class SubscriptionRegistry:
-    """Thread-safe subscription store with an R-tree geofence index.
+def _mint_ids(count: int) -> List[str]:
+    """``count`` fresh subscription ids, 12 hex characters each, from
+    one ``os.urandom`` call."""
+    text = os.urandom(6 * count).hex()
+    return [text[i : i + 12] for i in range(0, 12 * count, 12)]
 
-    Geofenced ``filter`` subscriptions are indexed by their bounding
-    box so matching a changed hotspot is a point probe —
-    O(log subscriptions) — instead of a scan.  The tree is the only
-    spatial structure and is exact after every call: a single
-    registration inserts into it, a removal deletes from it, and bulk
-    registration (reopen included) packs every live geofence once
-    (STR bulk-load).  A probe returns geofences in the order of the
-    last pack, then of single registration, whatever shape later
-    inserts and removals give the tree — so a notification batch's
-    bytes do not depend on it.
+
+_NONE = type(None)
+_BOX_TYPES = (_NONE, list, tuple)
+_NUMBER_TYPES = (_NONE, float, int)
+_FLAG_TYPES = (_NONE, bool)
+_NAME_TYPES = (_NONE, str)
+
+
+def _numbers(values: List[Any]) -> Optional[np.ndarray]:
+    """``values`` (floats and ints) as float64, or None when one does
+    not fit."""
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        return None
+
+
+def _parse_batch(
+    docs: List[Any], ids: List[str], sequence: int
+) -> Tuple[FilterRows, Dict[int, Subscription]]:
+    """Validate a batch of subscription documents, ``ids[k]`` naming
+    ``docs[k]``.
+
+    Returns the ``filter`` documents as rows, in document order, and
+    the other subscriptions by position.  The documents of the plain
+    shape — a dict whose bbox is a 4-list or tuple of floats and ints,
+    whose floor is a float or an int, ``confirmed`` a boolean and
+    municipality a string — are checked with array operations; every
+    other document, and every plain one an array check refuses, goes
+    through :meth:`Subscription.from_dict` in document order.  So the
+    batch accepts and refuses exactly what ``from_dict`` does, and
+    raises its error for the first document it refuses.
+    """
+    n = len(docs)
+    dicts = [doc if type(doc) is dict else {"kind": None} for doc in docs]
+    bboxes = [doc.get("bbox") for doc in dicts]
+    floors = [doc.get("min_confidence") for doc in dicts]
+    flags = [doc.get("confirmed") for doc in dicts]
+    names = [doc.get("municipality") for doc in dicts]
+    plain = [
+        doc.get("kind", "filter") == "filter"
+        and doc.get("query") is None
+        and type(bbox) in _BOX_TYPES
+        and (bbox is None or len(bbox) == 4)
+        and type(floor) in _NUMBER_TYPES
+        and type(flag) in _FLAG_TYPES
+        and type(name) in _NAME_TYPES
+        for doc, bbox, floor, flag, name in zip(
+            dicts, bboxes, floors, flags, names
+        )
+    ]
+    boxes = np.full((n, 4), np.nan)
+    fenced = [k for k in range(n) if plain[k] and bboxes[k] is not None]
+    flat = list(chain.from_iterable(bboxes[k] for k in fenced))
+    if set(map(type, flat)) - {float, int}:
+        for k in fenced:
+            if any(type(v) not in (float, int) for v in bboxes[k]):
+                plain[k] = False
+        fenced = [k for k in fenced if plain[k]]
+        flat = list(chain.from_iterable(bboxes[k] for k in fenced))
+    suspects = [k for k, ok in enumerate(plain) if not ok]
+    values = _numbers(flat)
+    if values is not None:
+        values = values.reshape(-1, 4)
+        boxes[fenced] = values
+        suspects += np.asarray(fenced, dtype=np.intp)[
+            ~np.isfinite(values).all(axis=1)
+            | (values[:, 0] > values[:, 2])
+            | (values[:, 1] > values[:, 3])
+        ].tolist()
+    else:
+        suspects += fenced
+    floor_column = np.full(n, np.nan)
+    floored = [k for k in range(n) if plain[k] and floors[k] is not None]
+    values = _numbers([floors[k] for k in floored])
+    if values is not None:
+        floor_column[floored] = values
+        suspects += np.asarray(floored, dtype=np.intp)[
+            ~np.isfinite(values)
+        ].tolist()
+    else:
+        suspects += floored
+    confirmed = np.full(n, -1, dtype=np.int8)
+    if any(flag is not None for flag in flags):
+        confirmed[:] = [
+            int(flag) if type(flag) is bool else -1 for flag in flags
+        ]
+    codes: Dict[str, int] = {}
+    municipality = np.full(n, -1, dtype=np.int32)
+    if any(name is not None for name in names):
+        municipality[:] = [
+            codes.setdefault(name, len(codes)) if type(name) is str else -1
+            for name in names
+        ]
+    objects: Dict[int, Subscription] = {}
+    for k in sorted(set(suspects)):
+        sub = Subscription.from_dict(
+            docs[k], sub_id=ids[k], created_sequence=sequence
+        )
+        if sub.kind != "filter":
+            objects[k] = sub
+            continue
+        boxes[k] = np.nan if sub.bbox is None else sub.bbox.as_tuple()
+        floor_column[k] = (
+            np.nan if sub.min_confidence is None else sub.min_confidence
+        )
+        confirmed[k] = -1 if sub.confirmed is None else int(sub.confirmed)
+        municipality[k] = (
+            -1
+            if sub.municipality is None
+            else codes.setdefault(sub.municipality, len(codes))
+        )
+    rows = np.ones(n, dtype=bool)
+    rows[list(objects)] = False
+    return (
+        FilterRows(
+            [ids[k] for k in np.flatnonzero(rows).tolist()]
+            if objects
+            else ids,
+            boxes[rows],
+            floor_column[rows],
+            confirmed[rows],
+            municipality[rows],
+            list(codes),
+            np.full(int(rows.sum()), sequence, dtype=np.int64),
+        ),
+        objects,
+    )
+
+
+class _Registered(SequenceABC):
+    """What a registration returns: the new subscriptions in document
+    order.  ``len()`` builds nothing; a filter's :class:`Subscription`
+    is built from its row when the item is read."""
+
+    __slots__ = ("_rows", "_objects", "_row_of")
+
+    def __init__(
+        self, rows: FilterRows, objects: Dict[int, Subscription], count: int
+    ) -> None:
+        self._rows = rows
+        self._objects = objects
+        is_filter = np.ones(count, dtype=bool)
+        is_filter[list(objects)] = False
+        self._row_of = np.cumsum(is_filter) - 1
+
+    def __len__(self) -> int:
+        return len(self._row_of)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        index = range(len(self))[index]
+        sub = self._objects.get(index)
+        if sub is None:
+            sub = Subscription.from_row(
+                self._rows.row(int(self._row_of[index]))
+            )
+        return sub
+
+    def __add__(self, other: Iterable[Subscription]) -> List[Subscription]:
+        return list(self) + list(other)
+
+    def __radd__(self, other: Iterable[Subscription]) -> List[Subscription]:
+        return list(other) + list(self)
+
+
+class SubscriptionRegistry:
+    """Thread-safe subscription store: ``filter`` subscriptions as
+    columns, their geofences in an R-tree over row numbers.
+
+    A filter subscription is a row of the registry's
+    :class:`~repro.durable.cursors.FilterRows` columns — bbox,
+    confidence floor, confirmation, municipality code,
+    ``created_sequence`` and id — and its :class:`Subscription` is built
+    only when asked for (:meth:`get`, :meth:`list`,
+    :meth:`geofence_candidates`).  ``stsparql`` and ``fwi``
+    subscriptions stay objects.
+
+    Geofenced rows are indexed by an R-tree whose leaves carry row
+    numbers, so matching a changed hotspot is a point probe —
+    O(log subscriptions) — instead of a scan, and the predicates of all
+    of a commit's candidate pairs are tested column-wise
+    (:meth:`filter_matches`).  The tree is the only spatial structure
+    and is exact after every call: a single registration inserts its
+    row, a removal deletes it (its row stays unused until the next
+    pack), and bulk registration (reopen included) packs every live
+    geofence once from the box column (STR, the tile order computed in
+    numpy), after dropping the rows removals left.  A probe returns
+    geofences in the order of the last pack, then of single
+    registration, whatever shape later inserts and removals give the
+    tree — so a notification batch's bytes do not depend on it.
     """
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
-        self._subs: Dict[str, Subscription] = {}
+        #: The filter rows; its arrays have room to grow, rows past
+        #: ``len(ids)`` are unused.
+        self._table = FilterRows.empty()
+        self._codes: Dict[str, int] = {}
+        #: Live filter id → row (a removed row keeps its id in the
+        #: table until the next pack drops it).
+        self._row: Dict[str, int] = {}
         self._rtree = RTree()
-        #: Each geofence's place in probe order.
-        self._rank: Dict[str, int] = {}
+        #: Each geofenced row's place in probe order.
+        self._rank: List[int] = []
         self._next_rank = 0
-        self._global_filters: Dict[str, Subscription] = {}
+        #: Live rows without a geofence, in registration order.
+        self._global: List[int] = []
+        #: ``stsparql`` and ``fwi`` subscriptions.
+        self._subs: Dict[str, Subscription] = {}
         self._queries: Dict[str, Subscription] = {}
         #: Standing-query shapes by template, and each query's shape.
         self._shapes: Dict[str, _Shape] = {}
@@ -830,45 +1084,132 @@ class SubscriptionRegistry:
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._subs)
+            return len(self._row) + len(self._subs)
 
     def add(self, sub: Subscription) -> Subscription:
-        with self._lock:
-            self._index(sub)
-            if sub.kind == "filter" and sub.bbox is not None:
-                self._rtree.insert(sub.bbox, sub)
-                self._rank[sub.id] = self._next_rank
-                self._next_rank += 1
-            return sub
+        """Register one subscription (a geofence is inserted into the
+        tree)."""
+        if sub.kind == "filter":
+            self.add_rows(
+                FilterRows.from_documents([sub.to_dict()]), pack=False
+            )
+        else:
+            self.add_rows(FilterRows.empty(), [sub], pack=False)
+        return sub
 
     def add_many(self, subs: Iterable[Subscription]) -> None:
         """Bulk registration: one STR pack of every live geofence
         instead of n inserts."""
+        subs = list(subs)
+        self.add_rows(
+            FilterRows.from_documents(
+                [sub.to_dict() for sub in subs if sub.kind == "filter"]
+            ),
+            [sub for sub in subs if sub.kind != "filter"],
+        )
+
+    def add_rows(
+        self,
+        rows: FilterRows,
+        others: Sequence[Subscription] = (),
+        pack: bool = True,
+    ) -> int:
+        """Register filter ``rows`` and subscriptions of other kinds,
+        all or none; returns the row number of the first new filter.
+        With ``pack`` every live geofence is packed once, else each new
+        one is inserted into the tree."""
         with self._lock:
-            try:
-                for sub in subs:
-                    self._index(sub)
-            finally:
-                self._rtree = RTree.bulk_load(
-                    (s.bbox, s)
-                    for s in self._subs.values()
-                    if s.kind == "filter" and s.bbox is not None
+            self._refuse_known(rows.ids + [sub.id for sub in others])
+            for sub in others:
+                self._index(sub)
+            start = len(self._table)
+            self._append(rows)
+            if pack:
+                self._pack()
+                return len(self._table) - len(rows)
+            for row in range(start, len(self._table)):
+                box = self._table.boxes[row].tolist()
+                if math.isnan(box[0]):
+                    self._global.append(row)
+                else:
+                    self._rtree.insert(Envelope(*box), row)
+                    self._rank[row] = self._next_rank
+                    self._next_rank += 1
+            return start
+
+    def _refuse_known(self, ids: List[str]) -> None:
+        fresh = set(ids)
+        if (
+            len(fresh) == len(ids)
+            and self._row.keys().isdisjoint(fresh)
+            and self._subs.keys().isdisjoint(fresh)
+        ):
+            return
+        fresh = set()
+        for sub_id in ids:
+            if sub_id in self._row or sub_id in self._subs or sub_id in fresh:
+                raise SubscriptionError(
+                    f"duplicate subscription id {sub_id!r}"
                 )
-                self._rank = {
-                    s.id: rank
-                    for rank, (_, s) in enumerate(self._rtree.items())
-                }
-                self._next_rank = len(self._rank)
+            fresh.add(sub_id)
+
+    def _append(self, rows: FilterRows) -> None:
+        table = self._table
+        start = len(table)
+        end = start + len(rows)
+        if end > len(table.floors):
+            capacity = max(end, 2 * len(table.floors), 64)
+            for name in FilterRows.COLUMNS:
+                old = getattr(table, name)
+                new = np.empty((capacity,) + old.shape[1:], dtype=old.dtype)
+                new[:start] = old[:start]
+                setattr(table, name, new)
+        table.boxes[start:end] = rows.boxes
+        table.floors[start:end] = rows.floors
+        table.confirmed[start:end] = rows.confirmed
+        table.created[start:end] = rows.created
+        remap = np.array(
+            [self._code(name) for name in rows.names] + [-1], dtype=np.int32
+        )
+        table.municipality[start:end] = remap[rows.municipality]
+        table.ids.extend(rows.ids)
+        self._row.update(zip(rows.ids, range(start, end)))
+        self._rank.extend([0] * len(rows))
+
+    def _code(self, name: str) -> int:
+        code = self._codes.get(name)
+        if code is None:
+            code = self._codes[name] = len(self._table.names)
+            self._table.names.append(name)
+        return code
+
+    def _pack(self) -> None:
+        """Drop the rows removals left, then STR-pack every live
+        geofence; probe order becomes the packed tree's."""
+        table = self._table
+        if len(self._row) < len(table):
+            live = np.array(sorted(self._row.values()), dtype=np.intp)
+            for name in FilterRows.COLUMNS:
+                column = getattr(table, name)
+                column[: len(live)] = column[live]
+            table.ids = [table.ids[row] for row in live.tolist()]
+            self._row = dict(zip(table.ids, range(len(live))))
+        count = len(table)
+        fenced = ~np.isnan(table.boxes[:count, 0])
+        rows = np.flatnonzero(fenced)
+        self._rtree = RTree.pack(table.boxes[rows], rows)
+        rank = np.zeros(count, dtype=np.int64)
+        rank[np.array(self._rtree.payloads(), dtype=np.intp)] = np.arange(
+            len(rows)
+        )
+        self._rank = rank.tolist()
+        self._next_rank = len(rows)
+        self._global = np.flatnonzero(~fenced).tolist()
 
     def _index(self, sub: Subscription) -> None:
-        """Record ``sub`` everywhere but the geofence tree."""
-        if sub.id in self._subs:
-            raise SubscriptionError(f"duplicate subscription id {sub.id!r}")
+        """Record a ``stsparql`` or ``fwi`` subscription."""
         self._subs[sub.id] = sub
-        if sub.kind == "filter":
-            if sub.bbox is None:
-                self._global_filters[sub.id] = sub
-        elif sub.kind == "stsparql":
+        if sub.kind == "stsparql":
             self._queries[sub.id] = sub
             template, prefix, constants = _lift_constants(sub.query)
             shape = self._shapes.get(template)
@@ -883,10 +1224,17 @@ class SubscriptionRegistry:
 
     def remove(self, sub_id: str) -> bool:
         with self._lock:
+            row = self._row.pop(sub_id, None)
+            if row is not None:
+                box = self._table.boxes[row].tolist()
+                if math.isnan(box[0]):
+                    self._global.remove(row)
+                else:
+                    self._rtree.remove(Envelope(*box), row)
+                return True
             sub = self._subs.pop(sub_id, None)
             if sub is None:
                 return False
-            self._global_filters.pop(sub_id, None)
             self._queries.pop(sub_id, None)
             shape = self._shape_of.pop(sub_id, None)
             if shape is not None:
@@ -894,20 +1242,36 @@ class SubscriptionRegistry:
                 if not shape.members:
                     del self._shapes[shape.template]
             self._fwi.pop(sub_id, None)
-            if sub.kind == "filter" and sub.bbox is not None:
-                self._rtree.remove(sub.bbox, sub)
-                del self._rank[sub_id]
             return True
+
+    def discard(self, ids: Sequence[str]) -> None:
+        """Take back a registration that could not be made durable:
+        one subscription is removed, more are dropped and the geofences
+        re-packed."""
+        with self._lock:
+            if len(ids) == 1:
+                self.remove(ids[0])
+                return
+            for sub_id in ids:
+                if self._row.pop(sub_id, None) is None:
+                    self.remove(sub_id)
+            self._pack()
 
     def get(self, sub_id: str) -> Optional[Subscription]:
         with self._lock:
+            row = self._row.get(sub_id)
+            if row is not None:
+                return Subscription.from_row(self._table.row(row))
             return self._subs.get(sub_id)
 
     def list(self) -> List[Subscription]:
         with self._lock:
-            return sorted(
-                self._subs.values(), key=lambda s: s.id
-            )
+            subs = [
+                Subscription.from_row(self._table.row(row))
+                for row in self._row.values()
+            ]
+            subs.extend(self._subs.values())
+        return sorted(subs, key=lambda s: s.id)
 
     def standing_queries(self) -> List[Subscription]:
         with self._lock:
@@ -940,49 +1304,99 @@ class SubscriptionRegistry:
     def counts(self) -> Dict[str, int]:
         with self._lock:
             return {
-                "filter": len(self._subs)
-                - len(self._queries)
-                - len(self._fwi),
+                "filter": len(self._row),
                 "stsparql": len(self._queries),
                 "fwi": len(self._fwi),
             }
+
+    def _probe(self, lon: float, lat: float) -> List[int]:
+        rows = sorted(
+            self._rtree.search_point(lon, lat), key=self._rank.__getitem__
+        )
+        rows.extend(self._global)
+        return rows
 
     def geofence_candidates(
         self, lon: float, lat: float
     ) -> List[Subscription]:
         """Filter subscriptions whose predicates could match a hotspot
         at (lon, lat): a point probe of the geofence index plus the
-        bbox-less filters (which see everything)."""
+        bbox-less filters (which see everything), in probe order."""
         with self._lock:
-            out = sorted(
-                self._rtree.search_point(lon, lat),
-                key=lambda sub: self._rank[sub.id],
-            )
-            out.extend(self._global_filters.values())
-            return out
+            return [
+                Subscription.from_row(self._table.row(row))
+                for row in self._probe(lon, lat)
+            ]
 
-    @staticmethod
     def filter_matches(
-        sub: Subscription, record: HotspotRecord
-    ) -> bool:
-        """The non-spatial predicates (bbox was the index probe)."""
-        if sub.min_confidence is not None:
-            if (
-                record.confidence is None
-                or record.confidence < sub.min_confidence
-            ):
-                return False
-        if sub.confirmed is not None:
-            if record.confirmed is None:
-                return False
-            if record.confirmed != sub.confirmed:
-                return False
-        if sub.municipality is not None:
-            if not _municipality_matches(
-                record.municipality, sub.municipality
-            ):
-                return False
-        return True
+        self, records: Sequence[HotspotRecord], since_row: int = 0
+    ) -> List[Tuple[int, str]]:
+        """``(record index, subscription id)`` for every filter
+        subscription that matches a record: records in order, each
+        one's matches in probe order.  Only rows from ``since_row`` on
+        (a registration's new rows) when given.  Static heat sources
+        match nothing.
+
+        Each record's candidates come from one point probe; the
+        confidence, confirmation and municipality predicates are then
+        tested over every (record, candidate) pair at once.
+        """
+        with self._lock:
+            which: List[int] = []
+            rows: List[int] = []
+            for index, record in enumerate(records):
+                if record.static:
+                    continue
+                found = self._probe(record.lon, record.lat)
+                if since_row:
+                    found = [row for row in found if row >= since_row]
+                which.extend([index] * len(found))
+                rows.extend(found)
+            if not rows:
+                return []
+            table = self._table
+            at = np.array(rows, dtype=np.intp)
+            of = np.array(which, dtype=np.intp)
+            floors = table.floors[at]
+            confidence = np.array(
+                [
+                    np.nan if r.confidence is None else r.confidence
+                    for r in records
+                ]
+            )[of]
+            keep = np.isnan(floors) | (confidence >= floors)
+            flags = table.confirmed[at]
+            confirmed = np.array(
+                [
+                    -2 if r.confirmed is None else int(r.confirmed)
+                    for r in records
+                ],
+                dtype=np.int8,
+            )[of]
+            keep &= (flags < 0) | (flags == confirmed)
+            codes = table.municipality[at]
+            if (codes >= 0).any():
+                # A name matches a hotspot's municipality URI, or that
+                # URI's local name.
+                uri, local = (
+                    np.array(column, dtype=np.int32)[of]
+                    for column in zip(
+                        *(self._municipality_codes(r) for r in records)
+                    )
+                )
+                keep &= (codes < 0) | (codes == uri) | (codes == local)
+            ids = table.ids
+            return [
+                (index, ids[row])
+                for index, row in zip(of[keep].tolist(), at[keep].tolist())
+            ]
+
+    def _municipality_codes(self, record: HotspotRecord) -> Tuple[int, int]:
+        uri = record.municipality
+        if uri is None:
+            return -2, -2
+        local = uri.rsplit("#", 1)[-1].rsplit("/", 1)[-1]
+        return self._codes.get(uri, -2), self._codes.get(local, -2)
 
 
 # -- the engine ------------------------------------------------------------
@@ -1012,8 +1426,6 @@ class SubscriptionEngine:
         fsync: str = "commit",
         slo=None,
     ) -> None:
-        import os
-
         self.registry = SubscriptionRegistry()
         self._lock = threading.RLock()
         self._seen: Dict[str, Set[str]] = {}
@@ -1054,13 +1466,16 @@ class SubscriptionEngine:
             )
             self._cursor_lock = self._registry_log.lock
             self._cursors = self._registry_log.cursors
-            self.registry.add_many(
-                Subscription.from_dict(
-                    doc,
-                    sub_id=str(doc["id"]),
-                    created_sequence=int(doc.get("created_sequence", 0)),
-                )
-                for doc in self._registry_log.documents
+            self.registry.add_rows(
+                self._registry_log.filters,
+                [
+                    Subscription.from_dict(
+                        doc,
+                        sub_id=str(doc["id"]),
+                        created_sequence=int(doc.get("created_sequence", 0)),
+                    )
+                    for doc in self._registry_log.json_documents
+                ],
             )
             self._rebuild_seen()
 
@@ -1116,49 +1531,51 @@ class SubscriptionEngine:
         Priming evaluates the new subscription against the latest
         *published* snapshot and marks current matches as seen without
         notifying — a standing query starts "from now", it does not
-        replay history.
+        replay history.  A geofence is inserted into the tree.
         """
-        sequence = (
-            self._publisher.sequence
-            if self._publisher is not None
-            else 0
-        )
-        sub = Subscription.from_dict(
-            doc, sub_id=uuid.uuid4().hex[:12], created_sequence=sequence
-        )
-        with self._lock:
-            self.registry.add(sub)
-            primed = self._prime([sub])
-            if self._registry_log is not None:
-                self._registry_log.add([sub.to_dict()], primed)
-        self._export_gauges()
-        return sub
+        return self._register([doc], pack=False)[0]
 
     def register_many(
         self, docs: Iterable[Dict[str, Any]]
-    ) -> List[Subscription]:
-        """Bulk registration: one R-tree pack, then priming probes it
-        once per live hotspot."""
+    ) -> Sequence[Subscription]:
+        """Bulk registration: the batch validated column-wise, one
+        R-tree pack, then priming probes it once per live hotspot in the
+        new fences' joint envelope.  Returns the new subscriptions in
+        document order, each built when it is read."""
+        return self._register(list(docs), pack=True)
+
+    def _register(
+        self, docs: List[Dict[str, Any]], pack: bool
+    ) -> _Registered:
+        """Register ``docs`` all or none: when priming or the
+        registry-log append raises, the index and seen-set entries are
+        taken back before the error propagates, so nothing is notified
+        that a restart would not know."""
         sequence = (
             self._publisher.sequence
             if self._publisher is not None
             else 0
         )
-        subs = [
-            Subscription.from_dict(
-                doc,
-                sub_id=uuid.uuid4().hex[:12],
-                created_sequence=sequence,
-            )
-            for doc in docs
-        ]
+        ids = _mint_ids(len(docs))
+        rows, objects = _parse_batch(docs, ids, sequence)
+        others = list(objects.values())
         with self._lock:
-            self.registry.add_many(subs)
-            primed = self._prime(subs)
-            if self._registry_log is not None:
-                self._registry_log.add((s.to_dict() for s in subs), primed)
+            start = self.registry.add_rows(rows, others, pack=pack)
+            try:
+                primed = self._prime(others, rows, start)
+                if self._registry_log is not None:
+                    self._registry_log.add(
+                        (sub.to_dict() for sub in others),
+                        primed,
+                        filters=rows,
+                    )
+            except BaseException:
+                self.registry.discard(ids)
+                for sub_id in ids:
+                    self._seen.pop(sub_id, None)
+                raise
         self._export_gauges()
-        return subs
+        return _Registered(rows, objects, len(docs))
 
     def remove(self, sub_id: str) -> bool:
         with self._lock:
@@ -1201,37 +1618,49 @@ class SubscriptionEngine:
             return []
         return self.log.after(sequence)
 
-    def _prime(self, subs: List[Subscription]) -> Dict[str, List[str]]:
-        """Mark the new subscriptions' current matches as seen; returns
-        them (``id → sorted subjects``, matchless ones left out) for
-        the registry log, so a restart restores them too."""
+    def _prime(
+        self,
+        others: Sequence[Subscription],
+        rows: Optional[FilterRows] = None,
+        start: int = 0,
+    ) -> Dict[str, List[str]]:
+        """Mark the new subscriptions' current matches as seen —
+        ``others`` and the filter ``rows`` (registry rows from
+        ``start`` on) — and return them (``id → sorted subjects``,
+        matchless ones left out) for the registry log, so a restart
+        restores them too."""
+        rows = FilterRows.empty() if rows is None else rows
         source = self._priming_source()
         if source is None:
             return {}
         graph = _source_graph(source)
-        filters = [s for s in subs if s.kind == "filter"]
-        queries = [s for s in subs if s.kind == "stsparql"]
-        if filters:
-            records = iter_hotspot_records(graph)
-            if all(sub.bbox is not None for sub in filters):
-                # Hotspots outside every new geofence need no probe.
-                area = Envelope.union_all(sub.bbox for sub in filters)
-                records = (
-                    r for r in records if area.contains_point(r.lon, r.lat)
+        if len(rows):
+            boxes = rows.boxes
+            area = (
+                None
+                if np.isnan(boxes[:, 0]).any()
+                else Envelope(
+                    *boxes[:, :2].min(axis=0).tolist(),
+                    *boxes[:, 2:].max(axis=0).tolist(),
                 )
-            self._match_filters(records, only={sub.id for sub in filters})
+            )
+            self._match_filters(
+                list(_hotspots_in(source, graph, area)), since_row=start
+            )
+        queries = [s for s in others if s.kind == "stsparql"]
         for shape, members in self.registry.shapes(subs=queries):
             for sub_id, subjects in self._shape_matches(
                 source, shape, members
             ).items():
                 if subjects:
                     self._seen.setdefault(sub_id, set()).update(subjects)
-        if any(s.kind == "fwi" for s in subs):
+        if any(s.kind == "fwi" for s in others):
             self._ensure_fwi_baseline(graph)
+        seen = self._seen
         return {
-            sub.id: sorted(self._seen[sub.id])
-            for sub in subs
-            if self._seen.get(sub.id)
+            sub_id: sorted(seen[sub_id])
+            for sub_id in rows.ids + [sub.id for sub in others]
+            if seen.get(sub_id)
         }
 
     def _priming_source(self):
@@ -1289,33 +1718,28 @@ class SubscriptionEngine:
 
     def _match_filters(
         self,
-        records: Iterable[HotspotRecord],
+        records: List[HotspotRecord],
         out: Optional[_BatchBuilder] = None,
-        only: Optional[Set[str]] = None,
+        since_row: int = 0,
     ) -> None:
-        """The filter family over ``records``: every hotspot against the
-        registry's geofence probe, keeping only the ids in ``only`` when
-        given (priming new registrations).  A match not yet seen is
-        marked seen and, with ``out``, notified.  Static heat sources
-        never alert."""
-        for record in records:
-            if record.static:
+        """The filter family over ``records``
+        (:meth:`SubscriptionRegistry.filter_matches`; only the rows from
+        ``since_row`` on when priming a registration).  A match not yet
+        seen is marked seen and, with ``out``, notified."""
+        seen = self._seen
+        for index, sub_id in self.registry.filter_matches(
+            records, since_row
+        ):
+            record = records[index]
+            subjects = seen.get(sub_id)
+            if subjects is None:
+                seen[sub_id] = {record.subject}
+            elif record.subject in subjects:
                 continue
-            candidates = self.registry.geofence_candidates(
-                record.lon, record.lat
-            )
-            if only is not None:
-                candidates = [sub for sub in candidates if sub.id in only]
-            for sub in candidates:
-                seen = self._seen.get(sub.id)
-                if seen is not None and record.subject in seen:
-                    continue
-                if SubscriptionRegistry.filter_matches(sub, record):
-                    self._seen.setdefault(sub.id, set()).add(
-                        record.subject
-                    )
-                    if out is not None:
-                        out.hotspot(sub, record)
+            else:
+                subjects.add(record.subject)
+            if out is not None:
+                out.match(sub_id, "filter", record)
 
     def _evaluate_delta(
         self, delta: DeltaBatch, source, out: _BatchBuilder

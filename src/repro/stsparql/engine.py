@@ -310,6 +310,15 @@ class _Endpoint:
         self._candidate_cache.put(key, (geom, index, result))
         return result
 
+    def spatial_search(self, envelope: Envelope) -> Optional[Set[Literal]]:
+        """Geometry literals whose envelope intersects ``envelope``
+        (None when the index is disabled); the set may include literals
+        no triple holds any more."""
+        index = self._ensure_rtree()
+        if index is None:
+            return None
+        return set(index.search(envelope))
+
     # -- request execution -------------------------------------------------
 
     def _evaluator(

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import struct
 import threading
 
 import pytest
@@ -21,6 +22,7 @@ from repro.durable import (
     crashpoints,
     cursors,
 )
+from repro.durable.cursors import FilterRows
 from repro.errors import DurabilityError
 from repro.serve.subscribe import SubscriptionEngine, SubscriptionError
 
@@ -137,10 +139,17 @@ class TestRegistryLog:
         log.close()
 
 
-    def test_add_stores_one_key_list_per_shape(self, tmp_path):
+    def test_add_keeps_filters_as_columns_and_others_as_key_lists(
+        self, tmp_path
+    ):
         path = str(tmp_path / "registry.log")
         docs = [
-            {"id": f"g{n}", "kind": "filter", "bbox": [n, 0, n + 1, 1]}
+            {
+                "id": f"g{n}",
+                "kind": "filter",
+                "created_sequence": 4,
+                "bbox": [n, 0, n + 1, 1],
+            }
             if n % 2
             else {"id": f"f{n}", "kind": "fwi", "min_class": "high"}
             for n in range(6)
@@ -150,16 +159,95 @@ class TestRegistryLog:
         log.close()
         with WriteAheadLog(path) as wal:
             (record,) = wal.replayed
-        shapes = json.loads(record.payload)["add"]
-        assert [shape["keys"] for shape in shapes] == [
-            ["id", "kind", "min_class"],
-            ["id", "kind", "bbox"],
+        head, rows = FilterRows.decode(record.payload)
+        assert [shape["keys"] for shape in head["add"]] == [
+            ["id", "kind", "min_class"]
         ]
-        assert [len(shape["rows"]) for shape in shapes] == [3, 3]
+        assert len(head["add"][0]["rows"]) == 3
+        assert rows.ids == ["g1", "g3", "g5"]
+        # Columns equal on every row are written once, in the head: the
+        # boxes (4 float64) and the ids (2 bytes) are the only blocks.
+        (head_size,) = struct.unpack_from("<I", record.payload, 4)
+        assert len(record.payload) == 8 + head_size + 3 * (32 + 2)
         log = RegistryLog(path)
         assert sorted(log.documents, key=lambda d: d["id"]) == sorted(
             docs, key=lambda d: d["id"]
         )
+        log.close()
+
+    def test_a_torn_binary_add_is_truncated_on_open(self, tmp_path):
+        path = str(tmp_path / "registry.log")
+        log = RegistryLog(path)
+        log.add([{"id": "a", "kind": "filter", "bbox": [1, 2, 3, 4]}])
+        kept = os.path.getsize(path)
+        log.add(
+            [
+                {"id": f"t{n}", "kind": "filter", "bbox": [n, 0, n + 1, 1]}
+                for n in range(100)
+            ]
+        )
+        log.close()
+        # A crash inside the second add's column blocks.
+        with open(path, "r+b") as fh:
+            fh.truncate(kept + 2000)
+        log = RegistryLog(path)
+        assert [d["id"] for d in log.documents] == ["a"]
+        assert os.path.getsize(path) == kept
+        log.add([{"id": "b", "kind": "filter"}])
+        log.close()
+        log = RegistryLog(path)
+        assert [d["id"] for d in log.documents] == ["a", "b"]
+        assert log.documents[0]["bbox"] == [1.0, 2.0, 3.0, 4.0]
+        log.close()
+
+    def test_filters_as_json_rows_are_refused_naming_the_file(
+        self, tmp_path
+    ):
+        path = str(tmp_path / "registry.log")
+        with WriteAheadLog(path) as wal:
+            wal.append(
+                b'{"add":[{"keys":["id","kind","bbox"],'
+                b'"rows":[["a","filter",[1,2,3,4]]]}]}'
+            )
+        with pytest.raises(DurabilityError, match="registry.log.*JSON rows"):
+            RegistryLog(path)
+
+    def test_a_malformed_column_block_is_refused_naming_the_file(
+        self, tmp_path
+    ):
+        path = str(tmp_path / "registry.log")
+        payload = FilterRows.from_documents(
+            [{"id": "a", "kind": "filter", "bbox": [1, 2, 3, 4]}]
+        ).encode()
+        with WriteAheadLog(path) as wal:
+            wal.append(payload[:-5])
+        with pytest.raises(DurabilityError, match="registry.log"):
+            RegistryLog(path)
+
+    def test_the_fold_writes_cursors_as_a_column(self, tmp_path):
+        path = str(tmp_path / "registry.log")
+        log = RegistryLog(path)
+        log.add(
+            [{"id": f"g{n}", "kind": "filter"} for n in range(50)]
+            + [{"id": "f", "kind": "fwi", "min_class": "low"}]
+        )
+        for n in range(0, 50, 2):
+            log.ack(f"g{n}", n + 1)
+        log.ack("f", 9)
+        log.close()
+        log = RegistryLog(path)  # folds
+        log.close()
+        with WriteAheadLog(path) as wal:
+            (record,) = wal.replayed
+        head, rows = FilterRows.decode(record.payload)
+        assert head["ack"] == [["f", 9]]
+        assert head["acked"].tolist() == [
+            n + 1 if n % 2 == 0 else 0 for n in range(50)
+        ]
+        log = RegistryLog(path)
+        assert log.cursors == {
+            **{f"g{n}": n + 1 for n in range(0, 50, 2)}, "f": 9,
+        }
         log.close()
 
     def test_old_layout_is_refused_naming_the_file(self, tmp_path):

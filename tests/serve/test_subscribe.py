@@ -9,6 +9,7 @@ import random
 import pytest
 
 from repro.durable import WriteAheadLog
+from repro.durable.cursors import FilterRows
 from repro.errors import DurabilityError
 from repro.geometry import Envelope, RTree
 from repro.rdf.inference import RDFSInference
@@ -1149,9 +1150,9 @@ class TestDurableState:
                 reopened.close()
         with WriteAheadLog(os.path.join(state_dir, "registry.log")) as log:
             (record,) = log.replayed
-        assert json.loads(record.payload)["primed"] == [
-            [s.id, [subject]] for s in subs
-        ]
+        head, rows = FilterRows.decode(record.payload)
+        assert rows.ids == [subs[0].id]
+        assert head["primed"] == [[s.id, [subject]] for s in subs]
 
     def test_old_layout_state_is_refused(self, tmp_path):
         legacy = tmp_path / "legacy"
