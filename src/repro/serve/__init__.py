@@ -15,8 +15,11 @@ store while the ingest/refinement writer keeps running:
   (``repro.serve.hotspots``),
 * :class:`HotspotServer` / :func:`serve_in_thread` — the stdlib-only
   asyncio HTTP endpoint; every route lives under ``/v1/`` and answers
-  from the latest publication — hotspot-table reads on the event loop,
-  stSPARQL on its thread pool (``repro.serve.http``),
+  from the latest publication — hotspot-table and stSPARQL reads on the
+  event loop, stSPARQL under a deadline every engine operator checks;
+  only blocking work (subscription writes, which fsync, the health
+  report and the router's fan-out legs) goes to its thread pool
+  (``repro.serve.http``),
 * :class:`ShardManager` / :class:`TileLayout` — spatial partitioning
   of the published store by target-grid tile, one engine + publisher
   per shard (``repro.serve.shard``),

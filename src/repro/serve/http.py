@@ -17,8 +17,9 @@ exposing its endpoints under ``/v1/`` (any other path answers
   ..., "explain": ..., "timeout_s": ...}`` — the same keyword contract
   as :meth:`Strabon.query`).  Updates are refused
   with **403** — writes go through the monitoring service, never
-  through the serving layer; a request overrunning ``timeout_s``
-  answers **408**.
+  through the serving layer; a request overrunning its deadline —
+  ``timeout_s``, never more than :data:`READ_DEADLINE_S` — answers
+  **408**.
 * ``GET /v1/metrics`` — the Prometheus exposition of the process
   registry.
 * ``GET /v1/health`` — the monitoring service's degradation status
@@ -43,16 +44,22 @@ named by incoming ``x-trace-id`` / ``x-parent-span`` headers (or roots
 a fresh one); responses carrying a snapshot embed both the publishing
 acquisition's ``trace_id`` and the request's own ``request_trace_id``.
 
-Where a request runs follows what it costs.  ``/v1/hotspots`` is a
-filter over the publication's already-encoded hotspot table — bounded
-and cheaper than a thread hand-off — so it is answered on the event
-loop.  ``/v1/stsparql`` (unbounded evaluation), ``/v1/health`` and the
-subscription writes (which fsync) run on a thread pool
-(``read_workers`` wide), so slow work overlaps and never holds up the
-loop's hotspot reads, streams or accepts.  Every request is answered
-from one atomically-published
-:class:`~repro.serve.state.PublishedSnapshot`, so a response can never
-observe half-refined acquisition state.
+Where a request runs follows what it costs.  Reads are answered on the
+event loop: ``/v1/hotspots`` is a filter over the publication's
+already-encoded hotspot table, and ``/v1/stsparql`` evaluates on the
+publication's frozen view under a deadline that every engine operator
+and the result encoding check (:data:`READ_DEADLINE_S` at most), so no
+read holds the loop much past it.  A thread hand-off would cost more
+than it spares: the cross-thread wake-up about doubled an overlay
+SELECT's latency.  What blocks instead of
+computing runs on a thread pool (``read_workers`` wide): the
+subscription writes (register, remove and ack append to the registry
+log with an fsync), ``/v1/health`` (the report waits on the
+subscription engine's cursor lock, which an ack holds across its
+fsync) and, on the router, the fan-out legs (each waits on a shard's
+HTTP answer).  Every request is answered from one
+atomically-published :class:`~repro.serve.state.PublishedSnapshot`, so
+a response can never observe half-refined acquisition state.
 
 :func:`serve_in_thread` runs the whole server (loop included) on a
 daemon thread — the shape tests, examples and the load benchmark use.
@@ -96,6 +103,7 @@ from repro.serve.sse import (
 from repro.serve.state import ConsistencyToken
 from repro.serve.subscribe import SubscriptionError
 from repro.stsparql.errors import QueryTimeoutError, SparqlError
+from repro.stsparql.eval import SolutionSet
 
 _tracer = get_tracer()
 _metrics = get_metrics()
@@ -119,6 +127,12 @@ STREAM_KEEPALIVE_S = 15.0
 #: Request bodies beyond this are refused (a read endpoint has no
 #: business accepting megabytes).
 MAX_BODY_BYTES = 1 << 20
+
+#: Longest an ``/v1/stsparql`` read may run, in seconds: it holds the
+#: event loop, and every connection and stream with it, for that long.
+#: 4x the serving latency objective and ~100x the slowest Figure-6
+#: overlay; a request's ``timeout_s`` can only lower it.
+READ_DEADLINE_S = 1.0
 
 
 class _HttpError(Exception):
@@ -460,8 +474,13 @@ class HotspotServer:
     # -- endpoint bodies ---------------------------------------------------
 
     def _in_thread(self, fn, *args, context=None):
-        """Run ``fn`` on the read executor, under the request's trace
-        context (worker threads have no ambient request state)."""
+        """Run ``fn`` on the thread pool, under the request's trace
+        context (worker threads have no ambient request state).
+
+        Only for work that blocks rather than computes — an fsync, a
+        lock the writer holds, a shard's HTTP answer: reads compute,
+        under a deadline, on the loop, which a hand-off would cost more
+        than it spares."""
         if context is None:
             return asyncio.get_running_loop().run_in_executor(
                 self._executor, fn, *args
@@ -881,36 +900,47 @@ class HotspotServer:
         fields = self._parse_query_body(body)
         explain = fields["explain"]
         published = self._latest()
-        result = await self._in_thread(
-            lambda: published.view.query(
-                fields["query"],
-                params=fields["params"],
-                explain=explain,
-                timeout=fields["timeout_s"],
-            ),
-            context=ctx,
+        timeout_s = fields["timeout_s"]
+        budget = (
+            READ_DEADLINE_S
+            if timeout_s is None
+            else min(timeout_s, READ_DEADLINE_S)
         )
-        from repro.stsparql.eval import SolutionSet
-
-        if explain:
-            # The executed plan (engine, join order, estimates), not
-            # the solutions.
-            payload: Any = dict(result)
-        elif isinstance(result, SolutionSet):
-            payload = result.to_sparql_json()
-        elif isinstance(result, bool):
-            payload = {"head": {}, "boolean": result}
-        else:  # CONSTRUCT — triple count only over HTTP
-            payload = {"triples": len(result)}
-        payload = dict(payload)
-        payload["snapshot"] = {
+        deadline = time.perf_counter() + budget
+        # On the loop, inside the request's span: the engine and the
+        # encoding below check the deadline, so the stall is bounded.
+        result = published.view.query(
+            fields["query"],
+            params=fields["params"],
+            explain=explain,
+            timeout=budget,
+        )
+        snapshot = {
             "sequence": published.sequence,
             "generation": published.generation,
             "trace_id": published.trace_id,
         }
         if ctx is not None:
-            payload["snapshot"]["request_trace_id"] = ctx.trace_id
-        payload["provenance"] = self._provenance(published, ctx)
+            snapshot["request_trace_id"] = ctx.trace_id
+        members = {
+            "snapshot": snapshot,
+            "provenance": self._provenance(published, ctx),
+        }
+        if isinstance(result, SolutionSet) and not explain:
+            # The solutions are encoded under the deadline; the
+            # provenance members are appended to the encoded document.
+            document = result.sparql_json_bytes(deadline)
+            tail = json.dumps(members).encode("utf-8")
+            return _response(200, document[:-1] + b", " + tail[1:])
+        if explain:
+            # The executed plan (engine, join order, estimates), not
+            # the solutions.
+            payload: Dict[str, Any] = dict(result)
+        elif isinstance(result, bool):
+            payload = {"head": {}, "boolean": result}
+        else:  # CONSTRUCT — triple count only over HTTP
+            payload = {"triples": len(result)}
+        payload.update(members)
         return _json_response(200, payload)
 
 

@@ -48,6 +48,7 @@ from repro.stsparql import ast
 from repro.stsparql.errors import ExpressionError, SparqlEvalError
 from repro.stsparql.eval import (
     _COMPARISON_OPS,
+    DEADLINE_BLOCK,
     Evaluator,
     Row,
     SolutionSet,
@@ -308,7 +309,7 @@ class ColumnarEvaluator(Evaluator):
             (name, col.tolist()) for name, col in batch.columns.items()
         ]
         rows: List[Row] = []
-        for i in range(batch.length):
+        for i in self._checked(range(batch.length), DEADLINE_BLOCK):
             row: Row = {}
             for name, values in columns:
                 tid = values[i]
@@ -355,9 +356,7 @@ class ColumnarEvaluator(Evaluator):
             elif isinstance(element, ast.Optional_):
                 batch = self._optional_batch(element.pattern, batch)
             elif isinstance(element, ast.UnionPattern):
-                left = self._eval_group_batch(element.left, batch)
-                right = self._eval_group_batch(element.right, batch)
-                batch = _concat_batches([left, right])
+                batch = self._union_batch(element, batch)
             elif isinstance(element, ast.Bind):
                 batch = self._bind_batch(element, batch)
             elif isinstance(element, ast.MinusPattern):
@@ -447,11 +446,13 @@ class ColumnarEvaluator(Evaluator):
         if not index_join:
             fast = self._vector_extend(batch, pattern)
             if fast is not None:
+                self._check_deadline()
                 return fast
         names = sorted(combo_names)
         match_cache: Dict[Tuple[int, ...], Tuple] = {}
         pieces: List[Batch] = []
         for start in range(0, batch.length, CHUNK_ROWS):
+            self._check_deadline()
             pieces.append(
                 self._extend_chunk(
                     batch.slice(start, start + CHUNK_ROWS),
@@ -663,7 +664,7 @@ class ColumnarEvaluator(Evaluator):
         n = batch.length
         combos, inverse = _distinct_combos(batch, combo_names)
         results = []
-        for combo in combos.tolist():
+        for combo in self._checked(combos.tolist()):
             key = tuple(combo)
             res = match_cache.get(key)
             if res is None:
@@ -797,7 +798,29 @@ class ColumnarEvaluator(Evaluator):
 
     # -- filters --------------------------------------------------------
 
+    def _by_chunks(self, operator, arg: Any, batch: Batch) -> Batch:
+        """``operator(arg, batch)`` for a row-wise operator that keeps
+        the batch's columns, one ``CHUNK_ROWS`` slice at a time with the
+        deadline checked between slices.  The distinct-combination sort
+        and the array formulas are single numpy calls no deadline check
+        can interrupt (a 3.5-million-row cross product sorts for
+        seconds), so a large batch never reaches them whole."""
+        if batch.length <= CHUNK_ROWS:
+            return operator(arg, batch)
+        pieces = []
+        for start in range(0, batch.length, CHUNK_ROWS):
+            self._check_deadline()
+            pieces.append(
+                operator(arg, batch.slice(start, start + CHUNK_ROWS))
+            )
+        return _concat_batches(pieces)
+
     def _filter_batch(
+        self, expr: ast.Expression, batch: Batch
+    ) -> Batch:
+        return self._by_chunks(self._filter_chunk, expr, batch)
+
+    def _filter_chunk(
         self, expr: ast.Expression, batch: Batch
     ) -> Batch:
         if batch.length == 0:
@@ -826,7 +849,7 @@ class ColumnarEvaluator(Evaluator):
             return np.full(batch.length, passes, dtype=bool)
         combos, inverse = _distinct_combos(batch, names)
         results = np.empty(len(combos), dtype=bool)
-        for ci, combo in enumerate(combos):
+        for ci, combo in self._checked(enumerate(combos)):
             row = self._combo_row(names, combo)
             results[ci] = self._filter_passes(expr, row)
         if _metrics.enabled:
@@ -919,7 +942,9 @@ class ColumnarEvaluator(Evaluator):
         as an error (``valid`` False here).  For the intersection
         predicates a pair is a definite True, with no exact test, when
         one side is a box (:func:`_is_box`, such as a region or
-        viewport rectangle) holding the other's envelope.
+        viewport rectangle) holding the other's envelope, or when both
+        sides are boxes (pixel footprints, detection squares) whose
+        envelopes interact.
         """
         sides: List[Tuple[str, Any]] = []
         for arg in expr.args:
@@ -973,9 +998,14 @@ class ColumnarEvaluator(Evaluator):
         res = np.zeros(len(combos), dtype=bool)
         if SPATIAL_PREDICATE_NAMES[expr.name] in _INTERSECTS_NAMES:
             # A box meets every geometry whose envelope lies inside
-            # it: those pairs are a definite True with no exact test.
-            res = (box_a[inv_a] & _inside(b, a)) | (
-                box_b[inv_b] & _inside(a, b)
+            # it, and two boxes whose envelopes interact meet: those
+            # pairs are a definite True with no exact test.
+            boxed_a = box_a[inv_a]
+            boxed_b = box_b[inv_b]
+            res = (
+                (boxed_a & _inside(b, a))
+                | (boxed_b & _inside(a, b))
+                | (boxed_a & boxed_b & overlap)
             )
             overlap &= ~res
         # A pruned pair is a definite False only when both sides
@@ -990,7 +1020,7 @@ class ColumnarEvaluator(Evaluator):
                 "Distinct pairs reaching the exact spatial predicate "
                 "after envelope pruning",
             ).observe(float(np.count_nonzero(overlap)))
-        for ci in np.nonzero(overlap)[0]:
+        for ci in self._checked(np.nonzero(overlap)[0]):
             row = {}
             if sides[0][0] == "var":
                 row[sides[0][1]] = terms_a[inv_a[ci]]
@@ -1033,7 +1063,7 @@ class ColumnarEvaluator(Evaluator):
         ok = np.zeros(len(uniq), dtype=bool)
         env = np.full((len(uniq), 4), np.nan, dtype=np.float64)
         box = np.zeros(len(uniq), dtype=bool)
-        for i, raw in enumerate(uniq):
+        for i, raw in self._checked(enumerate(uniq)):
             tid = int(raw)
             entry = cache.get(tid) if tid < LOCAL_BASE else None
             if entry is None:
@@ -1080,7 +1110,7 @@ class ColumnarEvaluator(Evaluator):
                     _ERR
                     if tid == UNBOUND
                     else to_value(self._decode(int(tid)))
-                    for tid in uniq
+                    for tid in self._checked(uniq)
                 ]
                 return values, inverse.reshape(-1)
             return (
@@ -1263,7 +1293,7 @@ class ColumnarEvaluator(Evaluator):
         else:
             masks, group = bound[:1], np.zeros(len(combos), dtype=np.intp)
         pieces: List[Batch] = []
-        for gi, mask in enumerate(masks):
+        for gi, mask in self._checked(enumerate(masks)):
             ids = np.flatnonzero(group == gi)
             seed = {
                 name: combos[ids, j]
@@ -1301,7 +1331,9 @@ class ColumnarEvaluator(Evaluator):
         )
         # A solution agrees with its row unless a BIND rebound a
         # variable the row binds.
-        return _merge_join(batch, sub, row_idx, pos)
+        merged = _merge_join(batch, sub, row_idx, pos)
+        self._check_deadline()
+        return merged
 
     def _exists_mask(
         self, pattern: ast.GroupGraphPattern, batch: Batch
@@ -1338,6 +1370,9 @@ class ColumnarEvaluator(Evaluator):
         return bool(self._exists_mask(expr.pattern, only)[0])
 
     def _bind_batch(self, element: ast.Bind, batch: Batch) -> Batch:
+        return self._by_chunks(self._bind_chunk, element, batch)
+
+    def _bind_chunk(self, element: ast.Bind, batch: Batch) -> Batch:
         if batch.length == 0:
             return batch
         probe = self._with_exists(element.expression, batch)
@@ -1348,7 +1383,7 @@ class ColumnarEvaluator(Evaluator):
         dest = (
             old.copy() if old is not None else _empty_column(batch.length)
         )
-        for ci, combo in enumerate(combos):
+        for ci, combo in self._checked(enumerate(combos)):
             row = self._combo_row(names, combo)
             try:
                 value = self._eval_expr(element.expression, row)
@@ -1360,6 +1395,16 @@ class ColumnarEvaluator(Evaluator):
         columns[var] = dest
         return Batch(batch.length, columns)
 
+    def _union_batch(
+        self, element: ast.UnionPattern, batch: Batch
+    ) -> Batch:
+        """Both branches under the batch's bindings, stacked."""
+        left = self._eval_group_batch(element.left, batch)
+        right = self._eval_group_batch(element.right, batch)
+        union = _concat_batches([left, right])
+        self._check_deadline()
+        return union
+
     def _minus_batch(
         self, pattern: ast.GroupGraphPattern, batch: Batch
     ) -> Batch:
@@ -1367,9 +1412,11 @@ class ColumnarEvaluator(Evaluator):
         solution."""
         if batch.length == 0:
             return batch
-        return batch.take(
+        kept = batch.take(
             np.flatnonzero(~self._exists_mask(pattern, batch))
         )
+        self._check_deadline()
+        return kept
 
     def _subselect_batch(
         self, query: ast.SelectQuery, batch: Batch
@@ -1387,7 +1434,7 @@ class ColumnarEvaluator(Evaluator):
         shared = [v for v in sub.columns if v in batch.columns]
         combos, inverse = _distinct_combos(batch, shared)
         matches = []
-        for combo in combos.tolist():
+        for combo in self._checked(combos.tolist()):
             agree = np.ones(sub.length, dtype=bool)
             for name, tid in zip(shared, combo):
                 if tid != UNBOUND:

@@ -52,7 +52,12 @@ from repro.rdf.turtle import parse_turtle
 from repro.stsparql import ast
 from repro.stsparql.columnar import ColumnarEvaluator
 from repro.stsparql.errors import ExpressionError, SparqlEvalError
-from repro.stsparql.eval import Row, SolutionSet
+from repro.stsparql.eval import (
+    DEADLINE_BLOCK,
+    Row,
+    SolutionSet,
+    deadline_checked,
+)
 from repro.stsparql.functions import to_term
 from repro.stsparql.parser import parse
 
@@ -162,17 +167,23 @@ class _LogIndex:
     Every pack drops literals that no triple holds any more.  Until its
     run is re-packed such a stale candidate is harmless: candidates are
     joined against the graph's actual triples and the exact spatial
-    predicate still runs.
+    predicate still runs.  ``generation`` is the graph generation of
+    the latest pack: the index holds every literal a triple held then.
     """
 
-    __slots__ = ("epoch", "indexed", "runs")
+    __slots__ = ("epoch", "indexed", "runs", "generation")
 
     def __init__(
-        self, epoch: int, indexed: int, runs: Tuple[RTree, ...]
+        self,
+        epoch: int,
+        indexed: int,
+        runs: Tuple[RTree, ...],
+        generation: int,
     ) -> None:
         self.epoch = epoch
         self.indexed = indexed
         self.runs = runs
+        self.generation = generation
 
     def covers(self, graph) -> bool:
         return (
@@ -219,11 +230,13 @@ class _LogIndex:
                 entries.append((geom.envelope, lit))
         if entries:
             runs.append(RTree.bulk_load(entries))
-        return _LogIndex(epoch, start + len(ids), tuple(runs))
+        return _LogIndex(
+            epoch, start + len(ids), tuple(runs), graph.generation
+        )
 
 
 #: Covers nothing, so the first probe builds from log position 0.
-_NO_INDEX = _LogIndex(-1, 0, ())
+_NO_INDEX = _LogIndex(-1, 0, (), -1)
 
 
 class _Endpoint:
@@ -275,8 +288,9 @@ class _Endpoint:
 
         Only log positions appended since the last probe are packed, so
         a mutation that adds no geometry costs nothing here.  A frozen
-        snapshot's log never grows: its view builds one run, once, and
-        concurrent first readers serialise on the lock.
+        snapshot's log never grows: its view packs the positions its
+        starting index lacks once, and concurrent first readers
+        serialise on the lock.
         """
         if not self._spatial_index_enabled:
             return None
@@ -380,7 +394,9 @@ class _Endpoint:
             )
         )
         built = Graph()
-        built.add_all(_instantiate(parsed.template, solutions.rows))
+        built.add_all(
+            _instantiate(parsed.template, solutions.rows, deadline)
+        )
         return built, "construct", len(built)
 
     def query(
@@ -567,12 +583,13 @@ class Strabon(_Endpoint):
         """A read-only endpoint over a frozen snapshot of the graph.
 
         The snapshot is copy-on-write (taking one is O(1)); the view
-        shares this engine's parsed-plan cache, builds its own R-tree
-        and candidate cache over the frozen state, and may be queried
-        from any number of threads while this engine keeps mutating the
-        live graph.  While the graph is unmutated, repeated calls return
-        the *same* view, so derived indexes are built once per published
-        generation.
+        shares this engine's parsed-plan cache, starts its spatial index
+        from this engine's (packing only the geometry-log positions that
+        index lacks), keeps its own candidate cache over the frozen
+        state, and may be queried from any number of threads while this
+        engine keeps mutating the live graph.  While the graph is
+        unmutated, repeated calls return the *same* view, so derived
+        indexes are built once per published generation.
         """
         snap = self.graph.snapshot()
         view = self._last_view
@@ -583,6 +600,7 @@ class Strabon(_Endpoint):
             plan_cache=self.plan_cache,
             enable_inference=self._inference is not None,
             enable_spatial_index=self._spatial_index_enabled,
+            index=self._index,
         )
         self._last_view = view
         return view
@@ -618,8 +636,10 @@ class Strabon(_Endpoint):
             return UpdateResult(removed=removed, added=added)
         evaluator = self._evaluator(initial, explain_log, deadline)
         bindings = evaluator.update_bindings(request.where_pattern)
-        to_remove = _instantiate(request.delete_template, bindings)
-        to_add = _instantiate(request.insert_template, bindings)
+        to_remove = _instantiate(
+            request.delete_template, bindings, deadline
+        )
+        to_add = _instantiate(request.insert_template, bindings, deadline)
         removed = 0
         for s, p, o in to_remove:
             if (s, p, o) in self.graph:
@@ -636,17 +656,25 @@ class SnapshotView(_Endpoint):
     """A read-only stSPARQL endpoint over a :class:`GraphSnapshot`.
 
     The scale-out read path of the serving layer: the HTTP server's
-    worker threads evaluate cached plans against a frozen,
-    generation-stamped snapshot while the live store keeps refining the
-    next acquisition.  The view
+    event loop (and any other reader thread) evaluates cached plans
+    against a frozen, generation-stamped snapshot while the live store
+    keeps refining the next acquisition.  The view
 
     * shares the owning engine's parsed-plan LRU (thread-safe), so a
       request parsed by any reader — or by the writer — is a cache hit
       for every other one,
-    * lazily builds **one** R-tree (from the snapshot's geometry-log
-      prefix — no triple scan, no runs shared with the writer) and
-      candidate cache per snapshot, shared by all reader threads (the
-      snapshot never changes, so no invalidation is ever needed),
+    * starts its spatial index from ``index``, the writer's immutable
+      R-tree runs, when they were packed in the snapshot's log epoch at
+      or before its generation, and on its first spatial probe packs
+      only the log positions past them (all of them without a usable
+      ``index``; no triple scan either way).  Sharing is sound: a pack
+      drops only literals no triple held at pack time, and a literal a
+      triple holds again was re-appended to the log
+      (:meth:`~repro.rdf.graph.Graph.add`), past the shared runs; a
+      literal the snapshot no longer holds is a harmless stale
+      candidate.  The index and the candidate cache are per snapshot
+      and shared by all readers (the snapshot never changes, so no
+      invalidation is ever needed),
     * refuses updates with :class:`~repro.errors.SnapshotWriteError`.
     """
 
@@ -658,6 +686,7 @@ class SnapshotView(_Endpoint):
         plan_cache: Optional[LRUCache] = None,
         enable_inference: bool = True,
         enable_spatial_index: bool = True,
+        index: Optional[_LogIndex] = None,
     ) -> None:
         super().__init__(
             snapshot,
@@ -666,6 +695,12 @@ class SnapshotView(_Endpoint):
             enable_spatial_index,
             snapshot.build_lock,
         )
+        if (
+            index is not None
+            and index.epoch == snapshot.geometry_epoch
+            and index.generation <= snapshot.generation
+        ):
+            self._index = index
         self.snapshot = snapshot
         self._span_attributes = {
             "snapshot": True,
@@ -700,17 +735,18 @@ def _ground(tmpl: ast.TriplePattern):
 
 
 def _instantiate(
-    templates, bindings: List[Row]
+    templates, bindings: List[Row], deadline: Optional[float] = None
 ) -> List[tuple]:
     """The distinct triples the templates make from the bindings.
 
     A triple with an unbound variable, a literal subject or a
     predicate that is not an IRI is skipped (SPARQL 1.1 Update
-    §3.1.3): it is neither inserted nor deleted.
+    §3.1.3): it is neither inserted nor deleted.  ``deadline`` is
+    checked every block of bindings.
     """
     out: List[tuple] = []
     seen: Set[tuple] = set()
-    for row in bindings:
+    for row in deadline_checked(bindings, deadline, DEADLINE_BLOCK):
         for tmpl in templates:
             triple = []
             for term in (tmpl.subject, tmpl.predicate, tmpl.object):

@@ -18,10 +18,12 @@ class SparqlEvalError(SparqlError, Permanent):
 class QueryTimeoutError(SparqlError, Transient):
     """Raised when a request overran its ``timeout=`` budget.
 
-    The deadline is cooperative: evaluators check it at group and BGP
-    boundaries, so a timed-out query stops between operators, never
-    mid-row.  Transient — the same request may fit the budget against a
-    smaller snapshot or a warmer cache.
+    The deadline is cooperative: every operator checks it inside its
+    loops — before each item when an item may evaluate an expression or
+    probe an index, before each block of rows when it only copies them —
+    and so does result encoding, so a timed-out query stops within one
+    item or block of its deadline.  Transient — the same request may fit
+    the budget against a smaller snapshot or a warmer cache.
     """
 
 

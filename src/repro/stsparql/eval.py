@@ -32,6 +32,8 @@ so the solutions are unchanged (:class:`_Probe`).
 
 from __future__ import annotations
 
+import json
+import time
 from typing import (
     AbstractSet,
     Any,
@@ -45,6 +47,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    TypeVar,
     Union,
 )
 
@@ -54,7 +57,7 @@ from repro.rdf.namespace import RDF
 from repro.rdf.term import Literal, Term, URI, Variable
 from repro.stsparql import ast
 from repro.stsparql.aggregates import resolve_aggregate
-from repro.stsparql.errors import ExpressionError
+from repro.stsparql.errors import ExpressionError, QueryTimeoutError
 from repro.stsparql.functions import (
     SPATIAL_PREDICATE_NAMES,
     as_geometry,
@@ -76,6 +79,41 @@ Step = Union[ast.TriplePattern, ast.InlineData]
 StarCheck = Tuple[ast.TriplePattern, str, HolderTest]
 
 _COMPARISON_OPS = frozenset(("=", "!=", "<", "<=", ">", ">="))
+
+#: Rows a loop that only copies rows (decoding, DISTINCT, result
+#: encoding) handles between two deadline checks; a loop whose items
+#: may each evaluate an expression or probe an index checks every item.
+DEADLINE_BLOCK = 64
+
+_T = TypeVar("_T")
+
+
+def check_deadline(deadline: Optional[float]) -> None:
+    """Raise :class:`QueryTimeoutError` once ``time.perf_counter()``
+    has passed ``deadline`` (None: no deadline)."""
+    if deadline is not None and time.perf_counter() > deadline:
+        raise QueryTimeoutError("query exceeded its timeout budget")
+
+
+def deadline_checked(
+    items: Iterable[_T], deadline: Optional[float], block: int = 1
+) -> Iterable[_T]:
+    """``items``, with ``deadline`` checked before every ``block`` of
+    them; ``items`` itself when there is no deadline, so an unbounded
+    loop pays nothing."""
+    if deadline is None:
+        return items
+    return _checked(items, deadline, block)
+
+
+def _checked(
+    items: Iterable[_T], deadline: float, block: int
+) -> Iterator[_T]:
+    clock = time.perf_counter
+    for i, item in enumerate(items):
+        if not i % block and clock() > deadline:
+            raise QueryTimeoutError("query exceeded its timeout budget")
+        yield item
 
 
 class _Probe:
@@ -168,21 +206,39 @@ class SolutionSet:
 
     __hash__ = None  # mutable container
 
-    def to_sparql_json(self) -> dict:
-        """W3C SPARQL 1.1 Query Results JSON Format (a plain dict)."""
-        bindings = []
-        for row in self.rows:
-            encoded = {}
-            for name in self.variables:
+    def to_sparql_json(self, deadline: Optional[float] = None) -> dict:
+        """W3C SPARQL 1.1 Query Results JSON Format (a plain dict): the
+        document :meth:`sparql_json_bytes` encodes."""
+        return json.loads(self.sparql_json_bytes(deadline))
+
+    def sparql_json_bytes(self, deadline: Optional[float] = None) -> bytes:
+        """The W3C SPARQL 1.1 Query Results JSON document, encoded as
+        ``json.dumps`` encodes it (``head``, then ``results``).
+
+        Each distinct term is encoded once.  ``deadline`` (a
+        ``time.perf_counter()`` value) is checked every block of rows:
+        an encoding past it raises
+        :class:`~repro.stsparql.errors.QueryTimeoutError`.
+        """
+        keys = [(name, json.dumps(name) + ": ") for name in self.variables]
+        encoded: Dict[Term, str] = {}
+        bindings: List[str] = []
+        for row in deadline_checked(self.rows, deadline, DEADLINE_BLOCK):
+            fields = []
+            for name, key in keys:
                 term = row.get(name)
                 if term is None:
                     continue
-                encoded[name] = _term_json(term)
-            bindings.append(encoded)
-        return {
-            "head": {"vars": list(self.variables)},
-            "results": {"bindings": bindings},
-        }
+                text = encoded.get(term)
+                if text is None:
+                    text = encoded[term] = json.dumps(_term_json(term))
+                fields.append(key + text)
+            bindings.append("{" + ", ".join(fields) + "}")
+        head = json.dumps({"vars": self.variables})
+        return (
+            '{"head": ' + head + ', "results": {"bindings": ['
+            + ", ".join(bindings) + "]}}"
+        ).encode("utf-8")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SolutionSet {self.variables} x {len(self.rows)} rows>"
@@ -239,8 +295,9 @@ class Evaluator:
         #: appends its chosen join order and cardinality estimates.
         self.explain_log: Optional[List[dict]] = None
         #: Cooperative evaluation deadline (``time.perf_counter()``
-        #: value) set by the engine's ``timeout=``; checked between
-        #: operators, ``None`` means unbounded.
+        #: value) set by the engine's ``timeout=``; checked by every
+        #: operator, before each block of the rows it loops over.
+        #: ``None`` means unbounded.
         self.deadline: Optional[float] = None
         # Per-evaluation memos of the probe subject checks: each BGP's
         # star, and each class's subclass closure as term ids.
@@ -248,15 +305,12 @@ class Evaluator:
         self._class_ids: Dict[Term, Set[int]] = {}
 
     def _check_deadline(self) -> None:
-        if self.deadline is not None:
-            import time
+        check_deadline(self.deadline)
 
-            if time.perf_counter() > self.deadline:
-                from repro.stsparql.errors import QueryTimeoutError
-
-                raise QueryTimeoutError(
-                    "query exceeded its timeout budget"
-                )
+    def _checked(self, items: Iterable[_T], block: int = 1) -> Iterable[_T]:
+        """``items`` under this evaluation's deadline
+        (:func:`deadline_checked`)."""
+        return deadline_checked(items, self.deadline, block)
 
     # -- solution modifiers ----------------------------------------------
 
@@ -285,7 +339,7 @@ class Evaluator:
         if query.distinct:
             seen: Set[Tuple] = set()
             deduped: List[Row] = []
-            for row in out_rows:
+            for row in self._checked(out_rows, DEADLINE_BLOCK):
                 key = tuple((v, row.get(v)) for v in variables)
                 if key not in seen:
                     seen.add(key)
@@ -304,7 +358,7 @@ class Evaluator:
     ) -> List[str]:
         if query.select_star:
             names: List[str] = []
-            for row in rows:
+            for row in self._checked(rows, DEADLINE_BLOCK):
                 for name in row:
                     if name not in names:
                         names.append(name)
@@ -317,7 +371,7 @@ class Evaluator:
         if query.select_star:
             return rows
         out: List[Row] = []
-        for row in rows:
+        for row in self._checked(rows):
             new_row: Row = {}
             for proj in query.projections:
                 if proj.expression is None:
@@ -338,7 +392,7 @@ class Evaluator:
     ) -> List[Row]:
         groups: Dict[Tuple, List[Row]] = {}
         if query.group_by:
-            for row in rows:
+            for row in self._checked(rows):
                 key = []
                 for expr in query.group_by:
                     try:
@@ -349,7 +403,7 @@ class Evaluator:
         else:
             groups[()] = rows
         out: List[Row] = []
-        for key, group_rows in groups.items():
+        for key, group_rows in self._checked(groups.items()):
             base: Row = dict(group_rows[0]) if group_rows else {}
             # Restrict the representative row to the grouping variables so
             # non-key variables never leak out of a group.
@@ -405,16 +459,21 @@ class Evaluator:
                 parts.append(rank)
             return parts
 
-        ordered = sorted(rows, key=key)
-        for i, cond in enumerate(conditions):
+        # Sort keys are computed under the deadline, then row indices
+        # are sorted by them (as stable as sorting the rows).
+        keys = [key(row) for row in self._checked(rows)]
+        ordered = sorted(range(len(rows)), key=keys.__getitem__)
+        for cond in conditions:
             if cond.descending:
                 # Stable multi-key descending sort: resort on that key.
+                ranks = [
+                    _order_rank_safe(self, cond, row)
+                    for row in self._checked(rows)
+                ]
                 ordered = sorted(
-                    ordered,
-                    key=lambda r, c=cond: _order_rank_safe(self, c, r),
-                    reverse=True,
+                    ordered, key=ranks.__getitem__, reverse=True
                 )
-        return ordered
+        return [rows[i] for i in ordered]
 
     # -- filters ---------------------------------------------------------
 
@@ -599,7 +658,7 @@ class Evaluator:
         restricted = sorted(
             oi for oi in map(graph.term_id, restriction) if oi is not None
         )
-        for oi in restricted:
+        for oi in self._checked(restricted):
             hits = passing.get((pi, oi))
             if hits is None:
                 hits = []
@@ -755,7 +814,7 @@ class Evaluator:
         graph = self.graph
         row = dict(self.constants)
         out: Set[int] = set()
-        for oi in graph.object_ids(None, pi):
+        for oi in self._checked(graph.object_ids(None, pi)):
             row[name] = graph.term_for_id(oi)
             if all(self._filter_passes(e, row) for e in exprs):
                 out.add(oi)
@@ -933,7 +992,7 @@ class Evaluator:
         if expr.arg is None:  # COUNT(*)
             return impl([1] * len(group_rows), expr.distinct)
         values: List[Value] = []
-        for row in group_rows:
+        for row in self._checked(group_rows):
             try:
                 values.append(self._eval_expr(expr.arg, row))
             except ExpressionError:

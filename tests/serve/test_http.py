@@ -14,7 +14,7 @@ import pytest
 
 from tests.serve.conftest import EXTRA
 from repro.serve import ServeClient, serve_in_thread
-from repro.serve.http import MAX_BODY_BYTES
+from repro.serve.http import MAX_BODY_BYTES, READ_DEADLINE_S
 
 PREFIX = (
     "PREFIX noa: "
@@ -253,6 +253,53 @@ def test_stsparql_rejects_malformed_bodies_with_400(server, document):
     assert status == 400, answer
 
 
+#: A cross product of every geometry holder with every other, filtered
+#: per pair by a polygon union: far more work than any read deadline.
+CROSS = PREFIX + (
+    "PREFIX strdf: <http://strdf.di.uoa.gr/ontology#>\n"
+    "SELECT ?a ?b WHERE { ?a strdf:hasGeometry ?g . "
+    "?b strdf:hasGeometry ?h . "
+    "FILTER(strdf:area(strdf:union(?g, ?h)) > 0) }"
+)
+
+
+@pytest.mark.parametrize("timeout_s", [None, 0.2])
+def test_an_overrunning_read_answers_408_without_stalling_the_loop(
+    server, timeout_s
+):
+    """The read runs on the event loop under min(timeout_s,
+    READ_DEADLINE_S): it answers 408 by then, and a /v1/hotspots read on
+    another connection, queued behind it, completes by then too."""
+    budget = READ_DEADLINE_S if timeout_s is None else timeout_s
+    body = {"query": CROSS}
+    if timeout_s is not None:
+        body["timeout_s"] = timeout_s
+    answers = {}
+
+    def timed(key, method, path, payload=None):
+        started = time.perf_counter()
+        answer = _request(server, method, path, payload)
+        answers[key] = (answer, time.perf_counter() - started)
+
+    reader = threading.Thread(
+        target=timed,
+        args=("cross", "POST", "/v1/stsparql", json.dumps(body)),
+        daemon=True,
+    )
+    reader.start()
+    time.sleep(0.05)
+    timed("hotspots", "GET", "/v1/hotspots")
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    (status, error), elapsed = answers["cross"]
+    assert status == 408, error
+    assert "QueryTimeoutError" in error["error"]
+    assert elapsed <= budget + 0.25
+    (status, collection), elapsed = answers["hotspots"]
+    assert status == 200 and collection["features"]
+    assert elapsed <= budget + 0.25
+
+
 def test_stsparql_ignores_unknown_body_fields(server):
     status, result = _request(
         server,
@@ -296,10 +343,10 @@ def test_metrics_and_unknown_routes(server):
     assert status == 405
 
 
-def test_hotspots_do_not_queue_behind_a_busy_read_pool(served_service):
-    """/v1/hotspots is answered on the event loop: with every read
-    worker held, it still completes, while /v1/stsparql waits for a
-    free worker."""
+def test_reads_do_not_queue_behind_a_busy_read_pool(served_service):
+    """/v1/hotspots and /v1/stsparql are answered on the event loop:
+    with every pool worker held, both still complete, while a
+    subscription write (which fsyncs) waits for a free worker."""
     gate = threading.Event()
     held = threading.Barrier(3)
 
@@ -318,21 +365,38 @@ def test_hotspots_do_not_queue_behind_a_busy_read_pool(served_service):
             )
             assert status == 200
             assert collection["features"]
+            status, answer = _request(
+                handle, "POST", "/v1/stsparql", SELECT, timeout=5
+            )
+            assert status == 200
+            assert answer["results"]["bindings"]
 
             answered = []
-            reader = threading.Thread(
+            writer = threading.Thread(
                 target=lambda: answered.append(
-                    _request(handle, "POST", "/v1/stsparql", SELECT)
+                    _request(
+                        handle,
+                        "POST",
+                        "/v1/subscriptions",
+                        json.dumps({"kind": "filter"}),
+                    )
                 ),
                 daemon=True,
             )
-            reader.start()
-            reader.join(timeout=0.5)
-            assert reader.is_alive() and answered == []
+            writer.start()
+            writer.join(timeout=0.5)
+            assert writer.is_alive() and answered == []
         finally:
             gate.set()
-        reader.join(timeout=30)
-        assert answered and answered[0][0] == 200
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert answered and answered[0][0] == 201
+        status, _ = _request(
+            handle,
+            "DELETE",
+            f"/v1/subscriptions/{answered[0][1]['id']}",
+        )
+        assert status == 200
 
 
 def test_stop_with_an_idle_keep_alive_client_is_quiet(served_service):

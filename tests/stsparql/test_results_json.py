@@ -76,3 +76,28 @@ class TestSparqlJson:
         ).to_sparql_json()
         text = json.dumps(doc)
         assert json.loads(text) == doc
+
+    def test_bytes_are_the_json_dumps_of_the_document(self, engine):
+        """The encoder writes what ``json.dumps`` makes of the W3C
+        document built term by term."""
+        from repro.stsparql.eval import _term_json
+
+        result = engine.select(
+            PREFIX
+            + "SELECT ?h ?c ?l WHERE { ?h noa:conf ?c . "
+            "OPTIONAL { ?h rdfs:label ?l } }"
+        )
+        document = {
+            "head": {"vars": result.variables},
+            "results": {
+                "bindings": [
+                    {
+                        name: _term_json(row[name])
+                        for name in result.variables
+                        if name in row
+                    }
+                    for row in result.rows
+                ]
+            },
+        }
+        assert result.sparql_json_bytes() == json.dumps(document).encode()

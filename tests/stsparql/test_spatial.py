@@ -1,9 +1,15 @@
 """Spatial function and aggregate evaluation (the strdf:* vocabulary)."""
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.geometry import Polygon, loads_wkt
-from repro.stsparql import Strabon
+from repro.geometry.predicates import intersects
+from repro.rdf import Literal, NOA
+from repro.rdf.namespace import STRDF
+from repro.stsparql import Strabon, columnar
 
 PREFIX = (
     "PREFIX noa: <http://teleios.di.uoa.gr/ontologies/noaOntology.owl#>\n"
@@ -272,3 +278,74 @@ class TestBoxContainment:
         assert inside == {
             "inside", "edge", "crossing", "multi", "gap", "corner",
         }
+
+
+#: A box on a quarter-degree grid — so boxes share edges and corners,
+#: nest and coincide — optionally nudged by 1e-9 (a near miss where it
+#: would have touched).
+_BOXES = st.builds(
+    lambda x, y, w, h, nudge: (
+        x / 4 + nudge, y / 4, (x + w) / 4 + nudge, (y + h) / 4
+    ),
+    st.integers(0, 8),
+    st.integers(0, 8),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.sampled_from([0.0, 0.0, 1e-9, -1e-9]),
+)
+
+
+def _box_wkt(box) -> str:
+    x0, y0, x1, y1 = box
+    return (
+        f"POLYGON (({x0!r} {y0!r}, {x1!r} {y0!r}, {x1!r} {y1!r}, "
+        f"{x0!r} {y1!r}, {x0!r} {y0!r}))"
+    )
+
+
+class TestBoxPairs:
+    """Two boxes whose envelopes interact share a point: the engine
+    answers those pairs with no exact test, and must agree with
+    :func:`~repro.geometry.predicates.intersects` on every pair."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        left=st.lists(_BOXES, min_size=1, max_size=5),
+        right=st.lists(_BOXES, min_size=1, max_size=5),
+    )
+    def test_matches_exact_intersects(self, left, right):
+        engine = Strabon()
+        wkt = STRDF.base + "WKT"
+        for side, boxes in (("left", left), ("right", right)):
+            for i, box in enumerate(boxes):
+                engine.add(
+                    NOA.term(f"{side}{i}"),
+                    NOA.term(side),
+                    Literal(_box_wkt(box), datatype=wkt),
+                )
+        text = (
+            PREFIX + "SELECT ?a ?b WHERE { ?a noa:left ?ga . "
+            "?b noa:right ?gb . FILTER(strdf:anyInteract(?ga, ?gb)) }"
+        )
+        exact = []
+        original = columnar.ColumnarEvaluator._eval_expr
+
+        def counting(evaluator, expr, row, group_rows=None):
+            exact.append(expr)
+            return original(evaluator, expr, row, group_rows)
+
+        with mock.patch.object(
+            columnar.ColumnarEvaluator, "_eval_expr", counting
+        ):
+            answer = {
+                (row["a"].local_name(), row["b"].local_name())
+                for row in engine.select(text)
+            }
+        want = {
+            (f"left{i}", f"right{j}")
+            for i, a in enumerate(left)
+            for j, b in enumerate(right)
+            if intersects(loads_wkt(_box_wkt(a)), loads_wkt(_box_wkt(b)))
+        }
+        assert answer == want
+        assert exact == []  # every pair settled by its envelopes
