@@ -19,8 +19,9 @@ makes crash recovery a *tested, measured property*:
   open, before the store: the persisted configuration and a
   publication-sequence floor).
 * :mod:`repro.durable.cursors` — the subscription engine's two logs:
-  notification batches, and the registry log of registrations,
-  removals and acknowledged cursors.
+  notification batches, and the registry log of registrations (one
+  column block of :class:`~repro.durable.cursors.SubscriptionRows`
+  each, whatever the kinds), removals and acknowledged cursors.
 * :mod:`repro.durable.codec` — the dictionary-encoded codec shared by
   WAL records and checkpoints: a checkpoint is the graph's term table
   in id order plus u32 id triples, and a WAL record carries only the

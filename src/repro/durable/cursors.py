@@ -19,10 +19,11 @@ the un-fsynced tail record), make that hold:
   removals and acknowledged cursors (``subscription id → highest
   acknowledged publication sequence``), one record per change, folded
   into one record each time it is opened and whenever the records a
-  fold would drop outgrow the live ones.  ``filter`` registrations are
-  :class:`FilterRows` column blocks, read back with ``np.frombuffer``.
-  Acks are monotonic: a stale or replayed ack never moves a cursor
-  backwards.
+  fold would drop outgrow the live ones.  A registration of any kind
+  is one :class:`SubscriptionRows` column block, read back with
+  ``np.frombuffer``; a registration as JSON rows (an older layout) is
+  refused.  Acks are monotonic: a stale or replayed ack never moves a
+  cursor backwards.
 
 Both live under ``<state_dir>/subs/`` (``notifications.log`` and
 ``registry.log``) next to the store's own WAL and checkpoint; neither
@@ -39,7 +40,6 @@ from dataclasses import dataclass
 from typing import (
     Any,
     Dict,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -55,10 +55,11 @@ from repro.durable.wal import WriteAheadLog
 from repro.errors import DurabilityError
 
 __all__ = [
-    "FilterRows",
+    "KINDS",
     "NotificationBatch",
     "NotificationLog",
     "RegistryLog",
+    "SubscriptionRows",
 ]
 
 
@@ -285,35 +286,33 @@ class RegistryLog:
     acknowledgement — so a change costs its own bytes, not a rewrite of
     every subscriber's state.
 
-    An ``add`` that registers ``filter`` subscriptions is one binary
-    :class:`FilterRows` record: a JSON head, then one fixed-width block
-    per column, so 20 000 geofences cost their ids and boxes (44 B
-    each) and replay is ``np.frombuffer``.  The head carries what the
-    record holds besides: ``stsparql`` / ``fwi`` documents as ``"add":
-    [shape, ...]``, each distinct key list once (``{"keys": [...],
-    "rows": [[...], ...]}``), and, for a registration that primed
-    matches, ``"primed": [[id, [subject, ...]], ...]``: the hotspots the
-    subscription starts out having seen, which a restart restores
-    without ever delivering them.  A registration without filters is
-    that head alone, as a JSON record.  Opening replays the records in
-    order — cursors fold monotonically, a ``remove`` drops the
-    subscription's cursor.
+    An ``add``, whatever kinds it registers, is one binary
+    :class:`SubscriptionRows` record: a JSON head, then one fixed-width
+    block per column, so 20 000 geofences cost their ids and boxes
+    (44 B each) and replay is ``np.frombuffer``.  The head carries, for
+    a registration that primed matches, ``"primed": [[id, [subject,
+    ...]], ...]``: the hotspots the subscription starts out having
+    seen, which a restart restores without ever delivering them.
+    Opening replays the records in order, so the rows come back in
+    registration order; cursors fold monotonically, and a ``remove``
+    drops the subscription's row, cursor and primed subjects.
 
-    The log keeps the live documents, filter rows and cursors as they
+    The log keeps the live rows, cursors and primed subjects as they
     change, and *folds* them into a single record through the atomic
     :meth:`~repro.durable.wal.WriteAheadLog.rewrite`: on open when
     there is more than one record, and after an ack or a removal once
     the bytes a fold would drop — superseded acks, removed
     registrations and the removals themselves — exceed both the live
-    bytes and ``_FOLD_FLOOR_BYTES``.  The fold writes the live filters
-    as one column block.  Registrations never trigger a fold.  So the
-    file stays within a small multiple of the live registry however
-    many acks a long-running service takes.  The
+    bytes and ``_FOLD_FLOOR_BYTES``.  The fold writes the live rows as
+    one column block, with every subscription's cursor as its
+    ``acked`` column.  Registrations never trigger a fold.  So the file
+    stays within a small multiple of the live registry however many
+    acks a long-running service takes.  The
     ``registry-fold.pre-rewrite`` / ``registry-fold.post-rewrite``
-    crashpoints bracket the rewrite.  A log written in an older layout
-    — one object per document, or filters as JSON rows — is refused on
-    open (:class:`~repro.errors.DurabilityError` naming the file).
-    Changes hold :attr:`lock`.
+    crashpoints bracket the rewrite.  An ``add`` of JSON documents or
+    JSON key-list rows (older layouts), of any kind, is refused on open
+    (:class:`~repro.errors.DurabilityError` naming the file).  Changes
+    hold :attr:`lock`.
     """
 
     def __init__(self, path: str, fsync: str = "commit") -> None:
@@ -322,17 +321,13 @@ class RegistryLog:
         self.lock = threading.RLock()
         # crash_sites off, as for the notification log.
         self._wal = WriteAheadLog(path, fsync=fsync, crash_sites=False)
-        #: ``subscription id → document`` of the live ``stsparql`` and
-        #: ``fwi`` subscriptions, grouped by shape within each replayed
-        #: record and in registration order within a shape.
-        self._docs: Dict[str, Dict[str, Any]] = {}
-        #: The filter rows of each add, in log order.
-        self._filters: List[FilterRows] = []
-        #: Filters removed since those rows were read: :attr:`filters`
-        #: drops them.
+        #: The rows of every add, in log order.
+        self._rows = SubscriptionRows([])
+        #: Subscriptions removed since those rows were read:
+        #: :attr:`rows` drops them.
         self._removed: Set[str] = set()
-        #: Log bytes per row of the latest filter block (what a filter's
-        #: removal adds to the bytes a fold would drop).
+        #: Log bytes per row of the latest add (what a removal adds to
+        #: the bytes a fold would drop).
         self._row_bytes = 0
         #: ``subscription id → acknowledged sequence``; a removal drops
         #: the subscription's cursor.
@@ -351,140 +346,80 @@ class RegistryLog:
             self._wal.close()
             raise DurabilityError(f"{path!r}: {error}") from error
         if self.cursors or self.primed:
-            live = set(self._docs).union(self.filters.ids)
-            for sub_id in [s for s in self.cursors if s not in live]:
-                del self.cursors[sub_id]
-            for sub_id in [s for s in self.primed if s not in live]:
-                del self.primed[sub_id]
+            live = set(self.rows.ids)
+            for held in (self.cursors, self.primed):
+                for sub_id in [s for s in held if s not in live]:
+                    del held[sub_id]
         if len(records) > 1:
             self._fold()
 
     def _replay(self, payload: bytes) -> None:
-        if payload.startswith(_FILTER_MAGIC):
-            doc, rows = FilterRows.decode(payload)
-            self._keep_filters(rows, len(payload))
-            acked = doc.pop("acked", None)
-            if acked is not None:
-                for sub_id, sequence in zip(rows.ids, acked.tolist()):
-                    if sequence:
-                        self.cursors[sub_id] = max(
-                            self.cursors.get(sub_id, 0), sequence
-                        )
+        if payload.startswith(_MAGIC):
+            doc, rows = SubscriptionRows.decode(payload)
+            self._keep(rows, len(payload))
+            for sub_id, sequence in zip(rows.ids, doc.pop("acked").tolist()):
+                if sequence:
+                    self.cursors[sub_id] = max(
+                        self.cursors.get(sub_id, 0), sequence
+                    )
         else:
             doc = json.loads(payload.decode("utf-8"))
-        for shape in doc.get("add", ()):
-            if not (isinstance(shape, dict) and "keys" in shape):
-                raise DurabilityError(
-                    "a subscription registry in the old layout (one "
-                    "object per document); this version reads only "
-                    "key-list records"
-                )
-            keys = shape["keys"]
-            for row in shape["rows"]:
-                sub = dict(zip(keys, row))
-                if sub.get("kind", "filter") == "filter":
-                    raise DurabilityError(
-                        "filter subscriptions as JSON rows (the old "
-                        "layout); this version reads filters only as "
-                        "column blocks"
-                    )
-                self._docs[str(sub["id"])] = sub
+        if "add" in doc:
+            raise DurabilityError(
+                "subscriptions as JSON rows (an older layout); this "
+                "version reads registrations only as column blocks"
+            )
         for sub_id, subjects in doc.get("primed", ()):
             self.primed[sub_id] = subjects
         for sub_id in doc.get("remove", ()):
-            if self._docs.pop(sub_id, None) is None:
-                self._removed.add(sub_id)
+            self._removed.add(sub_id)
             self.cursors.pop(sub_id, None)
             self.primed.pop(sub_id, None)
         for sub_id, sequence in doc.get("ack", ()):
             self.cursors[sub_id] = max(self.cursors.get(sub_id, 0), sequence)
 
-    def _keep_filters(self, rows: FilterRows, size: int) -> None:
+    def _keep(self, rows: "SubscriptionRows", size: int) -> None:
         if len(rows):
-            self._filters.append(rows)
+            self._rows.extend(rows)
             self._row_bytes = size // len(rows)
 
     @property
-    def documents(self) -> List[Dict[str, Any]]:
-        """Every live subscription document, the filters' rendered from
-        their rows."""
+    def rows(self) -> "SubscriptionRows":
+        """The live subscriptions, in registration order: the log's own
+        table, cut to its live rows (read it before the next change)."""
         with self.lock:
-            return list(self._docs.values()) + self.filters.documents()
-
-    @property
-    def json_documents(self) -> List[Dict[str, Any]]:
-        """The live ``stsparql`` and ``fwi`` documents."""
-        with self.lock:
-            return list(self._docs.values())
-
-    @property
-    def filters(self) -> FilterRows:
-        """The live filter rows, in log order."""
-        with self.lock:
-            rows = FilterRows.concat(self._filters)
-            if self._removed:
+            rows = self._rows
+            if self._removed or len(rows.floors) > len(rows):
                 gone = self._removed
-                rows = rows.take(
+                self._rows = rows = rows.take(
                     np.array(
                         [i for i, s in enumerate(rows.ids) if s not in gone],
                         dtype=np.intp,
                     )
                 )
                 self._removed = set()
-            self._filters = [rows] if len(rows) else []
             return rows
 
     def add(
         self,
-        docs: Iterable[Dict[str, Any]] = (),
+        rows: "SubscriptionRows",
         primed: Optional[Dict[str, List[str]]] = None,
-        filters: Optional[FilterRows] = None,
     ) -> None:
-        """Durably record one (bulk) registration — ``filters`` rows and
-        the documents of other kinds (a ``filter`` document among
-        ``docs`` joins the rows) — and the subjects it primed (``id →
-        subjects``)."""
-        docs = list(docs)
-        rows = [doc for doc in docs if doc.get("kind", "filter") == "filter"]
-        if rows:
-            docs = [
-                doc for doc in docs if doc.get("kind", "filter") != "filter"
-            ]
-            filters = FilterRows.concat(
-                ([filters] if filters is not None else [])
-                + [FilterRows.from_documents(rows)]
-            )
-        record: Dict[str, Any] = {}
-        if docs:
-            record["add"] = _shapes(docs)
-        if primed:
-            record["primed"] = list(primed.items())
+        """Durably record one (bulk) registration — its ``rows`` — and
+        the subjects it primed (``id → subjects``)."""
+        record = {"primed": list(primed.items())} if primed else {}
         with self.lock:
-            if filters is not None and len(filters):
-                size = self._append_bytes(filters.encode(record))
-                self._keep_filters(filters, size)
-            else:
-                self._append(record)
-            for doc in docs:
-                self._docs[str(doc["id"])] = doc
+            self._keep(rows, self._append_bytes(rows.encode(record)))
             self.primed.update(primed or {})
 
     def remove(self, sub_id: str) -> None:
         """Durably record one removal (it drops the cursor too)."""
         with self.lock:
-            self._dead += self._append({"remove": [sub_id]})
-            doc = self._docs.pop(sub_id, None)
-            if doc is not None:
-                self._dead += len(_compact(list(doc.values())))
-            else:
-                self._removed.add(sub_id)
-                self._dead += self._row_bytes
-            cursor = self.cursors.pop(sub_id, None)
-            if cursor is not None:
-                self._dead += len(_compact([sub_id, cursor]))
-            subjects = self.primed.pop(sub_id, None)
-            if subjects is not None:
-                self._dead += len(_compact([sub_id, subjects]))
+            self._dead += self._append({"remove": [sub_id]}) + self._row_bytes
+            self._removed.add(sub_id)
+            for held in (self.cursors, self.primed):
+                if sub_id in held:
+                    self._dead += len(_compact([sub_id, held.pop(sub_id)]))
             self._fold_if_due()
 
     def ack(self, sub_id: str, sequence: int) -> None:
@@ -514,33 +449,17 @@ class RegistryLog:
             self._fold()
 
     def _fold(self) -> None:
-        """Rewrite the log as one record of the live documents, filter
-        rows, cursors and primed subjects."""
-        fold: Dict[str, Any] = {}
-        if self._docs:
-            fold["add"] = _shapes(self._docs.values())
-        # The filters' cursors are a column of their block.
-        cursors = [
-            (sub_id, sequence)
-            for sub_id, sequence in self.cursors.items()
-            if sub_id in self._docs
-        ]
-        if cursors:
-            fold["ack"] = cursors
-        if self.primed:
-            fold["primed"] = list(self.primed.items())
-        rows = self.filters
-        if len(rows):
-            acked = self.cursors
-            payload = rows.encode(
-                fold,
-                acked=np.array(
-                    [acked.get(sub_id, 0) for sub_id in rows.ids],
-                    dtype=np.int64,
-                ),
-            )
-        else:
-            payload = _compact(fold)
+        """Rewrite the log as one record of the live rows, cursors and
+        primed subjects."""
+        rows = self.rows
+        cursors = self.cursors
+        payload = rows.encode(
+            {"primed": list(self.primed.items())} if self.primed else {},
+            acked=np.array(
+                [cursors.get(sub_id, 0) for sub_id in rows.ids],
+                dtype=np.int64,
+            ),
+        )
         crashpoints.crash("registry-fold.pre-rewrite")
         self._wal.rewrite([payload])
         crashpoints.crash("registry-fold.post-rewrite")
@@ -554,181 +473,130 @@ class RegistryLog:
 #: small registry is not rewritten every few acks.
 _FOLD_FLOOR_BYTES = 64 * 1024
 
+#: The subscription kinds, by their code in the ``kind`` column.
+KINDS = ("filter", "stsparql", "fwi")
 
-def _shapes(docs: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """``docs`` as one ``{"keys", "rows"}`` entry per distinct key
-    list, in order of first appearance."""
-    rows: Dict[Tuple[str, ...], List[List[Any]]] = {}
-    for doc in docs:
-        rows.setdefault(tuple(doc), []).append(list(doc.values()))
-    return [
-        {"keys": list(keys), "rows": shape_rows}
-        for keys, shape_rows in rows.items()
-    ]
+#: The number of danger classes (``repro.serve.subscribe.
+#: DANGER_CLASSES``): a ``min_class`` is below it.
+_CLASSES = 5
+
+#: (attribute, on-disk dtype, values per row, default) of each column,
+#: in block order.  A default is "no predicate": the row of a ``filter``
+#: registered at sequence 0 without any.
+_COLUMNS = (
+    ("boxes", "<f8", 4, np.nan),
+    ("floors", "<f8", 1, np.nan),
+    ("created", "<i8", 1, 0),
+    ("municipality", "<i4", 1, -1),
+    ("confirmed", "<i1", 1, -1),
+    ("kind", "<i1", 1, 0),
+    ("min_class", "<i1", 1, 0),
+    ("query", "<i4", 1, -1),
+)
+#: The acknowledged-cursor column a fold adds.
+_ACKED = (("acked", "<i8", 1, 0),)
+#: About what one ``[start, stop)`` range costs in a record's head: a
+#: column lists its ranges only when they cost less than the rows they
+#: skip.
+_RANGE_BYTES = 16
+#: (table, column) of the coded columns: codes into a list of texts.
+_CODED = (("names", "municipality"), ("queries", "query"))
+
+#: A binary registry-log record starts with these bytes (a JSON record
+#: starts with ``{``).
+_MAGIC = b"\x00RGF"
 
 
-class FilterRows:
-    """``filter`` subscriptions as columns, one row per subscription.
+class SubscriptionRows:
+    """Subscriptions of every kind as columns, one row per subscription.
 
     * ``ids`` — the subscription ids (a list of str);
+    * ``kind`` — int8 index into :data:`KINDS`;
     * ``boxes`` — an ``(n, 4)`` float64 array of ``minx, miny, maxx,
-      maxy``, a NaN row for a filter without a geofence;
+      maxy``, a NaN row for no geofence;
     * ``floors`` — the confidence floor, NaN for none;
     * ``confirmed`` — int8: −1 for either, 0 for unconfirmed only, 1 for
       confirmed only;
     * ``municipality`` — int32 index into ``names``, −1 for none;
+    * ``min_class`` — int8: the danger class an ``fwi`` row notifies
+      from (0 on other kinds);
+    * ``query`` — int32 index into ``queries``, the standing-query
+      texts, −1 on rows that are not ``stsparql``;
     * ``created`` — int64 ``created_sequence``.
 
-    It is the registry log's binary ``add`` block (:meth:`encode`,
-    :meth:`decode`) and the batch the subscription registry indexes.
+    It is what the subscription validator returns, the table the
+    subscription registry keeps, and the registry log's binary
+    record (:meth:`encode`, :meth:`decode`).
     """
 
-    __slots__ = (
-        "ids",
-        "boxes",
-        "floors",
-        "confirmed",
-        "municipality",
-        "names",
-        "created",
-    )
-
     #: The array attributes, one value (a box: four) per row.
-    COLUMNS = ("boxes", "floors", "confirmed", "municipality", "created")
+    COLUMNS = tuple(name for name, _, _, _ in _COLUMNS)
+
+    __slots__ = ("ids", "names", "queries") + COLUMNS
 
     def __init__(
         self,
         ids: List[str],
-        boxes: np.ndarray,
-        floors: np.ndarray,
-        confirmed: np.ndarray,
-        municipality: np.ndarray,
-        names: List[str],
-        created: np.ndarray,
+        names: Sequence[str] = (),
+        queries: Sequence[str] = (),
+        **columns: np.ndarray,
     ) -> None:
+        """Rows of ``ids``; a column not given holds its default on
+        every row."""
+        n = len(ids)
         self.ids = ids
-        self.boxes = boxes
-        self.floors = floors
-        self.confirmed = confirmed
-        self.municipality = municipality
-        self.names = names
-        self.created = created
+        self.names = list(names)
+        self.queries = list(queries)
+        for name, dtype, per_row, default in _COLUMNS:
+            column = columns.get(name)
+            if column is None:
+                shape = (n, per_row) if per_row > 1 else (n,)
+                column = np.full(shape, default, dtype=dtype)
+            setattr(self, name, column)
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    @classmethod
-    def empty(cls, ids: Sequence[str] = ()) -> "FilterRows":
-        """Rows of ``ids`` (none by default) with no predicate at all,
-        registered at sequence 0."""
-        n = len(ids)
-        return cls(
-            list(ids),
-            np.full((n, 4), np.nan),
-            np.full(n, np.nan),
-            np.full(n, -1, dtype=np.int8),
-            np.full(n, -1, dtype=np.int32),
-            [],
-            np.zeros(n, dtype=np.int64),
+    def take(self, index: np.ndarray) -> "SubscriptionRows":
+        """The rows at ``index``, in that order, with the name and query
+        tables cut to what they use."""
+        columns = {name: getattr(self, name)[index] for name in self.COLUMNS}
+        names, columns["municipality"] = _used(
+            self.names, columns["municipality"]
+        )
+        queries, columns["query"] = _used(self.queries, columns["query"])
+        return SubscriptionRows(
+            [self.ids[i] for i in index.tolist()], names, queries, **columns
         )
 
-    @classmethod
-    def from_documents(cls, docs: List[Dict[str, Any]]) -> "FilterRows":
-        """Rows of subscription documents in the ``to_dict`` layout
-        (trusted: nothing is validated)."""
-        rows = cls.empty([str(doc["id"]) for doc in docs])
-        codes: Dict[str, int] = {}
-        for i, doc in enumerate(docs):
-            if doc.get("bbox") is not None:
-                rows.boxes[i] = doc["bbox"]
-            if doc.get("min_confidence") is not None:
-                rows.floors[i] = doc["min_confidence"]
-            if doc.get("confirmed") is not None:
-                rows.confirmed[i] = int(doc["confirmed"])
-            if doc.get("municipality") is not None:
-                name = str(doc["municipality"])
-                rows.municipality[i] = codes.setdefault(name, len(codes))
-            rows.created[i] = int(doc.get("created_sequence", 0))
-        rows.names = list(codes)
-        return rows
-
-    def row(self, i: int) -> Tuple[Any, ...]:
-        """Row ``i`` as Python values: ``(id, bbox list or None, floor
-        or None, confirmed or None, municipality or None,
-        created_sequence)``."""
-        box = self.boxes[i].tolist()
-        floor = float(self.floors[i])
-        confirmed = int(self.confirmed[i])
-        code = int(self.municipality[i])
-        return (
-            self.ids[i],
-            None if math.isnan(box[0]) else box,
-            None if math.isnan(floor) else floor,
-            None if confirmed < 0 else bool(confirmed),
-            None if code < 0 else self.names[code],
-            int(self.created[i]),
-        )
-
-    def documents(self) -> List[Dict[str, Any]]:
-        """Each row as its subscription's ``to_dict`` document."""
-        out = []
-        for i in range(len(self)):
-            sub_id, bbox, floor, confirmed, municipality, created = (
-                self.row(i)
-            )
-            doc: Dict[str, Any] = {
-                "id": sub_id,
-                "kind": "filter",
-                "created_sequence": created,
-            }
-            for key, value in (
-                ("bbox", bbox),
-                ("min_confidence", floor),
-                ("municipality", municipality),
-                ("confirmed", confirmed),
-            ):
-                if value is not None:
-                    doc[key] = value
-            out.append(doc)
-        return out
-
-    def take(self, index: np.ndarray) -> "FilterRows":
-        """The rows at ``index``, in that order."""
-        return FilterRows(
-            [self.ids[i] for i in index.tolist()],
-            self.boxes[index],
-            self.floors[index],
-            self.confirmed[index],
-            self.municipality[index],
-            self.names,
-            self.created[index],
-        )
-
-    @staticmethod
-    def concat(parts: Sequence["FilterRows"]) -> "FilterRows":
-        """The rows of ``parts``, in order, with one name table."""
-        if len(parts) == 1:
-            return parts[0]
-        if not parts:
-            return FilterRows.empty()
-        codes: Dict[str, int] = {}
-        municipality = []
-        for part in parts:
-            remap = np.array(
-                [codes.setdefault(name, len(codes)) for name in part.names]
-                + [-1],
-                dtype=np.int32,
-            )
-            municipality.append(remap[part.municipality])
-        return FilterRows(
-            [sub_id for part in parts for sub_id in part.ids],
-            np.concatenate([part.boxes for part in parts]),
-            np.concatenate([part.floors for part in parts]),
-            np.concatenate([part.confirmed for part in parts]),
-            np.concatenate(municipality),
-            list(codes),
-            np.concatenate([part.created for part in parts]),
-        )
+    def extend(self, rows: "SubscriptionRows") -> int:
+        """Append ``rows``, their names and query texts coded into this
+        table's; returns the first new row number.  The arrays grow
+        geometrically, so rows past ``len(self)`` are unused."""
+        start = len(self)
+        end = start + len(rows)
+        if end > len(self.floors):
+            capacity = max(end, 2 * len(self.floors))
+            for name in self.COLUMNS:
+                old = getattr(self, name)
+                new = np.empty((capacity,) + old.shape[1:], dtype=old.dtype)
+                new[:start] = old[:start]
+                setattr(self, name, new)
+        for name in self.COLUMNS:
+            getattr(self, name)[start:end] = getattr(rows, name)[: len(rows)]
+        for name, column in _CODED:
+            table = getattr(self, name)
+            codes = {text: code for code, text in enumerate(table)}
+            for text in getattr(rows, name):
+                if text not in codes:
+                    codes[text] = len(table)
+                    table.append(text)
+            remap = [codes[text] for text in getattr(rows, name)] + [-1]
+            getattr(self, column)[start:end] = np.array(
+                remap, dtype=np.int32
+            )[getattr(rows, column)[: len(rows)]]
+        self.ids.extend(rows.ids)
+        return start
 
     # -- the binary record -------------------------------------------------
 
@@ -737,98 +605,126 @@ class FilterRows:
         head: Optional[Dict[str, Any]] = None,
         acked: Optional[np.ndarray] = None,
     ) -> bytes:
-        """One registry-log record: ``_FILTER_MAGIC``, the byte length
-        of a compact JSON head, the head, then one fixed-width block per
-        column whose rows differ.
+        """One registry-log record: ``_MAGIC``, the byte length of a
+        compact JSON head, the head, then the column blocks and the ids.
 
         The head holds the row count, the id width, the municipality
-        names, the value of each column that is the same on every row
-        (``"shared"``: written once, not per row), the names of the
-        columns written as blocks, and ``head``'s own keys (the JSON
-        documents, primed subjects and cursors a record also carries).
-        Blocks follow in :data:`_COLUMN_BLOCKS` order — with ``acked``,
-        each row's acknowledged cursor (0 for none), as the last — then
-        the ids, UTF-8 and NUL-padded to the widest.
+        names, the query texts, ``head``'s own keys (the subjects a
+        registration primed) and how each column is written.  A column
+        at its default on every row is not written; one equal on every
+        row otherwise is its value, once, in ``"shared"``.  Any other
+        is a block (``"blocks"``) of every row, or, when listing them
+        costs less than the rows they skip, of the ``[start, stop)``
+        ranges of rows where it is not its default that ``"ranges"``
+        names — so a column that few rows set (``kind``, ``min_class``
+        and ``query`` beside thousands of filters) costs only those
+        rows.  Blocks follow in
+        :data:`_COLUMNS` order — with ``acked``, each row's
+        acknowledged cursor (0 for none), as the last — then the ids,
+        UTF-8 and NUL-padded to the widest.
         """
         columns = [
-            (name, dtype, getattr(self, name))
-            for name, dtype, _ in _COLUMN_BLOCKS
+            (name, dtype, getattr(self, name), default)
+            for name, dtype, _, default in _COLUMNS
         ]
         if acked is not None:
-            columns.append(("acked", "<i8", acked))
+            columns.append(("acked", "<i8", acked, 0))
         doc: Dict[str, Any] = dict(head or {})
         width, ids = _encode_ids(self.ids)
-        doc.update(rows=len(self), id_width=width, names=self.names)
+        doc.update(
+            rows=len(self), id_width=width, names=self.names,
+            queries=self.queries,
+        )
         shared: Dict[str, Any] = {}
         blocks: List[str] = []
+        ranges: Dict[str, List[List[int]]] = {}
         data = []
-        for name, dtype, column in columns:
-            if len(column) and np.array_equal(
-                column,
-                np.broadcast_to(column[0], column.shape),
-                equal_nan=True,
-            ):
-                shared[name] = _json_value(column[0])
+        for name, dtype, column, default in columns:
+            if not len(column):
+                continue
+            if not _differs(column, column[0]).any():
+                if _differs(column[:1], default)[0]:
+                    shared[name] = _json_value(column[0])
+                continue
+            written = _differs(column, default)
+            runs = _runs(written)
+            if _RANGE_BYTES * len(runs) < column[~written].nbytes:
+                ranges[name] = runs
             else:
-                blocks.append(name)
-                data.append(column.astype(dtype, copy=False).tobytes())
+                written[:] = True
+            blocks.append(name)
+            data.append(column[written].astype(dtype, copy=False).tobytes())
         doc.update(shared=shared, blocks=blocks)
+        if ranges:
+            doc["ranges"] = ranges
         header = _compact(doc)
         return b"".join(
-            [_FILTER_MAGIC, struct.pack("<I", len(header)), header]
-            + data
-            + [ids]
+            [_MAGIC, struct.pack("<I", len(header)), header] + data + [ids]
         )
 
     @classmethod
     def decode(
         cls, payload: bytes
-    ) -> Tuple[Dict[str, Any], "FilterRows"]:
+    ) -> Tuple[Dict[str, Any], "SubscriptionRows"]:
         """``(head, rows)`` of an :meth:`encode` record — the head with
-        an ``"acked"`` array when the record carries cursors; ValueError
-        when the record is malformed."""
+        the ``"acked"`` column (zeros when the record carries no
+        cursors); ValueError when the record is malformed.  A column the
+        record does not name holds its default, so a block of filters
+        written before the ``kind``, ``min_class`` and ``query`` columns
+        existed reads as filters."""
         try:
-            (size,) = struct.unpack_from("<I", payload, len(_FILTER_MAGIC))
-            offset = len(_FILTER_MAGIC) + 4
+            (size,) = struct.unpack_from("<I", payload, len(_MAGIC))
+            offset = len(_MAGIC) + 4
             head = json.loads(payload[offset : offset + size])
             offset += size
             n, width = int(head.pop("rows")), int(head.pop("id_width"))
             names = [str(name) for name in head.pop("names")]
+            queries = [str(text) for text in head.pop("queries", ())]
             shared = head.pop("shared")
             blocks = head.pop("blocks")
+            ranges = head.pop("ranges", {})
             columns = {}
-            for name, dtype, per_row in _COLUMN_BLOCKS + _ACKED:
+            for name, dtype, per_row, default in _COLUMNS + _ACKED:
                 shape = (n, per_row) if per_row > 1 else (n,)
-                if name in shared:
-                    value = shared[name]
-                    columns[name] = np.full(
-                        shape, np.nan if value is None else value, dtype=dtype
+                fill = shared.get(name, default)
+                column = np.full(
+                    shape, np.nan if fill is None else fill, dtype=dtype
+                )
+                if name in blocks:
+                    spans = ranges.get(name, [[0, n]])
+                    at = np.concatenate(
+                        [np.arange(a, b, dtype=np.intp) for a, b in spans]
+                        + [np.empty(0, dtype=np.intp)]
                     )
-                elif name in blocks:
                     block = np.frombuffer(
-                        payload, dtype=dtype, count=n * per_row, offset=offset
+                        payload,
+                        dtype=dtype,
+                        count=len(at) * per_row,
+                        offset=offset,
                     )
                     offset += block.nbytes
-                    columns[name] = block.reshape(shape).copy()
+                    column[at] = block.reshape((len(at),) + shape[1:])
+                columns[name] = column
             ids = payload[offset : offset + n * width]
             offset += n * width
-        except (struct.error, KeyError, TypeError) as error:
-            raise ValueError(f"malformed filter block: {error}") from error
+        except (struct.error, KeyError, TypeError, IndexError) as error:
+            raise ValueError(
+                f"malformed subscription block: {error!r}"
+            ) from error
         if offset != len(payload) or len(ids) != n * width:
             raise ValueError(
-                f"filter block of {n} rows is {len(payload)} bytes, "
+                f"subscription block of {n} rows is {len(payload)} bytes, "
                 f"expected {offset}"
             )
-        acked = columns.pop("acked", None)
-        if acked is not None:
-            head["acked"] = acked
-        rows = cls(_decode_ids(ids, n, width), names=names, **columns)
+        head["acked"] = columns.pop("acked")
+        rows = cls(_decode_ids(ids, n, width), names, queries, **columns)
         rows._check()
         return head, rows
 
     def _check(self) -> None:
         boxes = self.boxes
         fenced = ~np.isnan(boxes).any(axis=1)
+        stsparql = self.kind == KINDS.index("stsparql")
         if not (
             (np.isnan(boxes[~fenced]).all())
             and np.isfinite(boxes[fenced]).all()
@@ -838,24 +734,36 @@ class FilterRows:
             and np.isin(self.confirmed, (-1, 0, 1)).all()
             and (self.municipality >= -1).all()
             and (self.municipality < len(self.names)).all()
+            and ((self.kind >= 0) & (self.kind < len(KINDS))).all()
+            and ((self.min_class >= 0) & (self.min_class < _CLASSES)).all()
+            and (self.query < len(self.queries)).all()
+            and np.array_equal(self.query >= 0, stsparql)
         ):
-            raise ValueError("filter block holds an invalid row")
+            raise ValueError("subscription block holds an invalid row")
 
 
-#: A binary registry-log record starts with these bytes (a JSON record
-#: starts with ``{``).
-_FILTER_MAGIC = b"\x00RGF"
+def _used(table: List[str], codes: np.ndarray) -> Tuple[List[str], np.ndarray]:
+    """``table`` cut to the entries ``codes`` use, and ``codes``
+    renumbered to match."""
+    used = np.unique(codes[codes >= 0])
+    remap = np.full(len(table) + 1, -1, dtype=codes.dtype)
+    remap[used] = np.arange(len(used))
+    return [table[code] for code in used.tolist()], remap[codes]
 
-#: (attribute, on-disk dtype, values per row) of each column block.
-_COLUMN_BLOCKS = (
-    ("boxes", "<f8", 4),
-    ("floors", "<f8", 1),
-    ("created", "<i8", 1),
-    ("municipality", "<i4", 1),
-    ("confirmed", "<i1", 1),
-)
-#: The acknowledged-cursor column a fold adds.
-_ACKED = (("acked", "<i8", 1),)
+
+def _differs(column: np.ndarray, value: Any) -> np.ndarray:
+    """Per row, whether ``column`` differs from ``value`` (NaN equals
+    NaN)."""
+    same = column == value
+    if column.dtype.kind == "f":
+        same |= np.isnan(column) & np.isnan(value)
+    return ~same.reshape(len(column), -1).all(axis=1)
+
+
+def _runs(mask: np.ndarray) -> List[List[int]]:
+    """The ``[start, stop)`` ranges of ``mask``'s true rows."""
+    edges = np.flatnonzero(np.diff(mask.astype(np.int8), prepend=0, append=0))
+    return edges.reshape(-1, 2).tolist()
 
 
 def _encode_ids(ids: List[str]) -> Tuple[int, bytes]:
@@ -887,6 +795,4 @@ def _json_value(value: np.ndarray) -> Any:
     out = value.tolist()
     if isinstance(out, list):
         return None if any(map(math.isnan, out)) else out
-    if isinstance(out, float) and math.isnan(out):
-        return None
-    return out
+    return None if isinstance(out, float) and math.isnan(out) else out

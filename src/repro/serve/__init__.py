@@ -31,8 +31,11 @@ store while the ingest/refinement writer keeps running:
   as the in-process engines, plus subscription CRUD and an
   :class:`SseStream` reader (``repro.serve.client``),
 * :class:`SubscriptionEngine` / :class:`Subscription` — continuous
-  stSPARQL subscriptions with incremental per-commit evaluation and
-  durable exactly-once delivery (``repro.serve.subscribe``),
+  subscriptions (geofence filters, stSPARQL standing queries, FWI
+  danger classes) as rows of one column table, with incremental
+  per-commit evaluation and durable exactly-once delivery; a
+  :class:`Subscription` is a view of its row
+  (``repro.serve.subscribe``),
 * :class:`SseHub` — the push fan-out bridging the writer thread to
   ``/v1/stream`` SSE channels (``repro.serve.sse``).
 """

@@ -13,14 +13,17 @@ record and collapses it with :func:`delta_from_ops` into the delta this
 engine and the publisher's hotspot table both consume, and crash
 repair rebuilds the same delta from the decoded WAL record.
 
-Three subscription families:
+Three subscription families, all rows of one column table
+(:class:`SubscriptionRegistry`, kept as
+:class:`~repro.durable.cursors.SubscriptionRows`), checked by one
+column-wise validator and logged as one binary record per
+registration:
 
 * ``filter`` — the ``/hotspots`` predicate vocabulary as a standing
   query: bounding-box geofence, confidence floor, municipality,
-  confirmation status.  Filters are rows of numpy columns, not objects
-  (:class:`SubscriptionRegistry`), and their geofences live in an
-  R-tree over row numbers, so matching one changed hotspot against
-  100k subscriptions is a point probe, not a scan.
+  confirmation status.  Their geofences live in an R-tree over row
+  numbers, so matching one changed hotspot against 100k subscriptions
+  is a point probe, not a scan.
 * ``stsparql`` — a restricted stSPARQL SELECT over the hotspot star,
   using ``?h`` as the hotspot variable.  Standing queries are
   evaluated **once per shape**: at registration the literal constants
@@ -45,7 +48,8 @@ Three subscription families:
   municipality — hotspot confidences plus the weather-station
   ``noa:hasDangerContribution`` observations the multi-source
   federation feeds in — and a subscription fires on every class
-  *transition* at or above its ``min_class``.
+  *transition* at or above its ``min_class``, in its municipality when
+  it names one; the recipients are picked column-wise.
 
 Hotspots the federation flagged as **static heat sources**
 (``noa:matchesStaticSource`` — refineries, industrial flares) are
@@ -105,10 +109,11 @@ from typing import (
 import numpy as np
 
 from repro.durable.cursors import (
-    FilterRows,
+    KINDS,
     NotificationBatch,
     NotificationLog,
     RegistryLog,
+    SubscriptionRows,
 )
 from repro.errors import DurabilityError
 from repro.geometry import Envelope, Geometry
@@ -145,7 +150,14 @@ DANGER_CLASSES = ("low", "moderate", "high", "very-high", "extreme")
 #: Summed-confidence boundaries between consecutive danger classes.
 FWI_THRESHOLDS = (0.5, 1.5, 3.0, 5.0)
 
-SUBSCRIPTION_KINDS = ("filter", "stsparql", "fwi")
+SUBSCRIPTION_KINDS = KINDS
+#: Kind codes of the registry's ``kind`` column; a removed row's is −1.
+_FILTER, _STSPARQL, _FWI = range(len(KINDS))
+_REMOVED = -1
+
+#: A standing query split by :func:`validate_standing_query`:
+#: ``(template, prefix, constants)``.
+Lifted = Tuple[str, str, Tuple[str, ...]]
 
 _HOTSPOT = NOA.Hotspot
 _SUBCLASS = RDFS.subClassOf
@@ -220,38 +232,10 @@ def _contains(node, kind) -> bool:
     return False
 
 
-def _lift_constants(query: str) -> Tuple[str, str, Tuple[str, ...]]:
-    """Split a standing query into its shape and its constants.
-
-    Returns ``(template, prefix, constants)``: ``template`` is
-    ``query`` with the i-th literal of its FILTER expressions replaced
-    by the variable ``?<prefix>i``, and ``constants`` holds the
-    literals' texts.  ``prefix`` starts no variable name of ``query``,
-    so the variables the shape adds cannot collide with the user's;
-    queries with equal templates also have equal prefixes.
-    """
-    from repro.stsparql.lexer import tokenize
-    from repro.stsparql.parser import filter_literal_spans
-
-    names = {tok.value[1:] for tok in tokenize(query) if tok.kind == "var"}
-    prefix = "__shape_"
-    while any(name.startswith(prefix) for name in names):
-        prefix = "_" + prefix
-    pieces: List[str] = []
-    constants: List[str] = []
-    end = 0
-    for index, (start, stop) in enumerate(filter_literal_spans(query)):
-        pieces += [query[end:start], f"?{prefix}{index}"]
-        constants.append(query[start:stop])
-        end = stop
-    pieces.append(query[end:])
-    return "".join(pieces), prefix, tuple(constants)
-
-
 class _Shape:
     """Standing queries that are equal but for their FILTER literals.
 
-    ``template`` is their common text (:func:`_lift_constants`), and
+    ``template`` is their common text (:func:`validate_standing_query`), and
     each member maps a subscription id to the literal texts it lifted.
     :meth:`text` is the one query that evaluates members together: the
     template projecting ``?h`` and a hidden ``?<prefix>id`` column, with
@@ -318,8 +302,9 @@ class _Shape:
         return text
 
 
-def validate_standing_query(text: str) -> None:
-    """Refuse standing queries outside the incremental fragment.
+def validate_standing_query(text: str) -> Lifted:
+    """Refuse standing queries outside the incremental fragment, and
+    split an accepted one into its shape and its constants.
 
     A standing query must be a plain SELECT over the hotspot star
     using ``?h`` as the hotspot variable:
@@ -337,12 +322,21 @@ def validate_standing_query(text: str) -> None:
 
     Inline ``VALUES`` blocks are accepted: a block is joined with each
     row like a triple pattern, so it keeps the answer subject-local.
+
+    Returns ``(template, prefix, constants)``, from the one parse:
+    ``template`` is ``text`` with the i-th literal of its FILTER
+    expressions replaced by the variable ``?<prefix>i``, and
+    ``constants`` holds the literals' texts.  ``prefix`` starts no
+    variable name of ``text``, so the variables the shape adds cannot
+    collide with the user's; queries with equal templates also have
+    equal prefixes.
     """
     from repro.stsparql import ast
-    from repro.stsparql.parser import parse
+    from repro.stsparql.parser import FilterLiteralParser
 
     try:
-        parsed = parse(text)
+        parser = FilterLiteralParser(text)
+        parsed = parser.parse_query()
     except Exception as error:
         raise SubscriptionError(
             f"standing query does not parse: {error}"
@@ -382,6 +376,19 @@ def validate_standing_query(text: str) -> None:
             "a triple pattern of the WHERE clause before any other "
             "use, and project it"
         )
+    names = {tok.value[1:] for tok in parser.tokens if tok.kind == "var"}
+    prefix = "__shape_"
+    while any(name.startswith(prefix) for name in names):
+        prefix = "_" + prefix
+    pieces: List[str] = []
+    constants: List[str] = []
+    end = 0
+    for index, (start, stop) in enumerate(sorted(parser.spans)):
+        pieces += [text[end:start], f"?{prefix}{index}"]
+        constants.append(text[start:stop])
+        end = stop
+    pieces.append(text[end:])
+    return "".join(pieces), prefix, tuple(constants)
 
 
 def _finite(value: Any, name: str) -> float:
@@ -393,7 +400,7 @@ def _finite(value: Any, name: str) -> float:
         raise SubscriptionError(f"{name} must be numeric, not a boolean")
     try:
         number = float(value)
-    except (TypeError, ValueError) as error:
+    except (TypeError, ValueError, OverflowError) as error:
         raise SubscriptionError(f"bad {name}: {error}") from error
     if not math.isfinite(number):
         raise SubscriptionError(f"{name} must be finite, got {value!r}")
@@ -402,7 +409,9 @@ def _finite(value: Any, name: str) -> float:
 
 @dataclass(frozen=True)
 class Subscription:
-    """One registered standing query."""
+    """One registered standing query: a view of its registry row, built
+    for :meth:`SubscriptionRegistry.get` and ``list``, the HTTP
+    handlers and what a registration returns."""
 
     id: str
     kind: str
@@ -416,91 +425,6 @@ class Subscription:
     #: observes acquisitions committed after it (current matches are
     #: primed into the seen-set, not notified).
     created_sequence: int = 0
-
-    @classmethod
-    def from_dict(
-        cls, doc: Dict[str, Any], sub_id: str, created_sequence: int
-    ) -> "Subscription":
-        if not isinstance(doc, dict):
-            raise SubscriptionError(
-                "subscription must be a JSON object"
-            )
-        kind = doc.get("kind", "filter")
-        if kind not in SUBSCRIPTION_KINDS:
-            raise SubscriptionError(
-                f"kind must be one of {'/'.join(SUBSCRIPTION_KINDS)}, "
-                f"got {kind!r}"
-            )
-        bbox = None
-        if doc.get("bbox") is not None:
-            raw = doc["bbox"]
-            if not (
-                isinstance(raw, (list, tuple)) and len(raw) == 4
-            ):
-                raise SubscriptionError(
-                    "bbox must be [minx, miny, maxx, maxy]"
-                )
-            minx, miny, maxx, maxy = (_finite(v, "bbox") for v in raw)
-            if minx > maxx or miny > maxy:
-                raise SubscriptionError(
-                    "bbox must have minx <= maxx and miny <= maxy, "
-                    f"got {list(raw)!r}"
-                )
-            bbox = Envelope(minx, miny, maxx, maxy)
-        min_confidence = doc.get("min_confidence")
-        if min_confidence is not None:
-            min_confidence = _finite(min_confidence, "min_confidence")
-        confirmed = doc.get("confirmed")
-        if confirmed is not None and not isinstance(confirmed, bool):
-            raise SubscriptionError("confirmed must be a boolean")
-        municipality = doc.get("municipality")
-        if municipality is not None:
-            municipality = str(municipality)
-        query = doc.get("query")
-        min_class = 0
-        if kind == "stsparql":
-            if not query:
-                raise SubscriptionError(
-                    "stsparql subscriptions need a query"
-                )
-            validate_standing_query(query)
-        elif query is not None:
-            raise SubscriptionError(
-                f"{kind} subscriptions do not take a query"
-            )
-        if kind == "fwi":
-            name = doc.get("min_class", "high")
-            if name not in DANGER_CLASSES:
-                raise SubscriptionError(
-                    f"min_class must be one of "
-                    f"{'/'.join(DANGER_CLASSES)}, got {name!r}"
-                )
-            min_class = DANGER_CLASSES.index(name)
-        return cls(
-            id=sub_id,
-            kind=kind,
-            bbox=bbox,
-            min_confidence=min_confidence,
-            municipality=municipality,
-            confirmed=confirmed,
-            query=query,
-            min_class=min_class,
-            created_sequence=created_sequence,
-        )
-
-    @classmethod
-    def from_row(cls, row: Tuple[Any, ...]) -> "Subscription":
-        """A ``filter`` subscription from :meth:`FilterRows.row`."""
-        sub_id, bbox, floor, confirmed, municipality, created = row
-        return cls(
-            id=sub_id,
-            kind="filter",
-            bbox=None if bbox is None else Envelope(*bbox),
-            min_confidence=floor,
-            municipality=municipality,
-            confirmed=confirmed,
-            created_sequence=created,
-        )
 
     def to_dict(self) -> Dict[str, Any]:
         doc: Dict[str, Any] = {
@@ -601,10 +525,6 @@ class _BatchBuilder:
         self.refs: List[Tuple[str, str, int]] = []
         self._hotspots: Dict[str, int] = {}
 
-    def hotspot(self, sub: "Subscription", record: HotspotRecord) -> None:
-        """``sub`` matched the hotspot ``record``."""
-        self.match(sub.id, sub.kind, record)
-
     def match(self, sub_id: str, kind: str, record: HotspotRecord) -> None:
         """Subscription ``sub_id`` (of ``kind``) matched the hotspot
         ``record``."""
@@ -628,16 +548,14 @@ class _BatchBuilder:
         self.refs.append((sub_id, kind, index))
 
     def transition(
-        self,
-        subs: List["Subscription"],
-        municipality: str,
-        payload: Dict[str, Any],
+        self, ids: List[str], municipality: str, payload: Dict[str, Any]
     ) -> None:
-        """A municipality's danger class moved, notified to ``subs``."""
-        if subs:
+        """A municipality's danger class moved, notified to the ``fwi``
+        subscriptions ``ids``."""
+        if ids:
             index = len(self.subjects)
             self.subjects.append((municipality, payload))
-            self.refs.extend((sub.id, sub.kind, index) for sub in subs)
+            self.refs.extend((sub_id, "fwi", index) for sub_id in ids)
 
     def batch(
         self, sequence: int, wal_seq: Optional[int] = None
@@ -847,15 +765,6 @@ def _municipalities(graph) -> Set[str]:
     }
 
 
-def _municipality_matches(uri: Optional[str], wanted: str) -> bool:
-    if uri is None:
-        return False
-    if uri == wanted:
-        return True
-    local = uri.rsplit("#", 1)[-1].rsplit("/", 1)[-1]
-    return local == wanted
-
-
 # -- the registry ----------------------------------------------------------
 
 
@@ -882,41 +791,116 @@ def _numbers(values: List[Any]) -> Optional[np.ndarray]:
         return None
 
 
+def _parse_document(
+    doc: Any,
+    names: Dict[str, int],
+    texts: Dict[str, int],
+    lifted: Dict[str, Lifted],
+) -> Tuple[Any, ...]:
+    """One subscription document checked in full: its row's values in
+    the :data:`_PARSED` columns, None for a column's default —
+    municipality and query as codes into ``names`` and ``texts``, which
+    grow — or the :class:`SubscriptionError` that refuses it.  A
+    standing query is parsed once per text: its lifted form goes into
+    ``lifted``."""
+    if not isinstance(doc, dict):
+        raise SubscriptionError("subscription must be a JSON object")
+    kind = doc.get("kind", "filter")
+    if kind not in SUBSCRIPTION_KINDS:
+        raise SubscriptionError(
+            f"kind must be one of {'/'.join(SUBSCRIPTION_KINDS)}, "
+            f"got {kind!r}"
+        )
+    bbox = doc.get("bbox")
+    if bbox is not None:
+        if not (isinstance(bbox, (list, tuple)) and len(bbox) == 4):
+            raise SubscriptionError("bbox must be [minx, miny, maxx, maxy]")
+        box = [_finite(v, "bbox") for v in bbox]
+        if box[0] > box[2] or box[1] > box[3]:
+            raise SubscriptionError(
+                "bbox must have minx <= maxx and miny <= maxy, "
+                f"got {list(bbox)!r}"
+            )
+        bbox = box
+    floor = doc.get("min_confidence")
+    if floor is not None:
+        floor = _finite(floor, "min_confidence")
+    confirmed = doc.get("confirmed")
+    if confirmed is not None and not isinstance(confirmed, bool):
+        raise SubscriptionError("confirmed must be a boolean")
+    municipality = doc.get("municipality")
+    if municipality is not None:
+        municipality = names.setdefault(str(municipality), len(names))
+    query = doc.get("query")
+    if kind == "stsparql":
+        if not query:
+            raise SubscriptionError("stsparql subscriptions need a query")
+        if not isinstance(query, str) or query not in lifted:
+            lifted[query] = validate_standing_query(query)
+        query = texts.setdefault(query, len(texts))
+    elif query is not None:
+        raise SubscriptionError(f"{kind} subscriptions do not take a query")
+    min_class = 0
+    if kind == "fwi":
+        name = doc.get("min_class", "high")
+        if name not in DANGER_CLASSES:
+            raise SubscriptionError(
+                f"min_class must be one of {'/'.join(DANGER_CLASSES)}, "
+                f"got {name!r}"
+            )
+        min_class = DANGER_CLASSES.index(name)
+    kind = SUBSCRIPTION_KINDS.index(kind)
+    return kind, bbox, floor, confirmed, municipality, query, min_class
+
+
+#: The columns :func:`_parse_document` returns values for.
+_PARSED = (
+    "kind", "boxes", "floors", "confirmed", "municipality", "query",
+    "min_class",
+)
+
+
 def _parse_batch(
     docs: List[Any], ids: List[str], sequence: int
-) -> Tuple[FilterRows, Dict[int, Subscription]]:
-    """Validate a batch of subscription documents, ``ids[k]`` naming
-    ``docs[k]``.
+) -> Tuple[SubscriptionRows, Dict[str, Lifted]]:
+    """The subscription validator: documents, ``ids[k]`` naming
+    ``docs[k]``, as rows in document order, and each standing query's
+    lifted form by text (:func:`validate_standing_query`).
 
-    Returns the ``filter`` documents as rows, in document order, and
-    the other subscriptions by position.  The documents of the plain
-    shape — a dict whose bbox is a 4-list or tuple of floats and ints,
-    whose floor is a float or an int, ``confirmed`` a boolean and
-    municipality a string — are checked with array operations; every
-    other document, and every plain one an array check refuses, goes
-    through :meth:`Subscription.from_dict` in document order.  So the
-    batch accepts and refuses exactly what ``from_dict`` does, and
-    raises its error for the first document it refuses.
+    ``filter`` and ``fwi`` documents of the plain shape (a dict; a bbox
+    of four floats and ints; a float or int floor; a boolean
+    ``confirmed``; a string municipality; no query; for ``fwi`` a
+    named ``min_class``) are checked with array operations.  The rest,
+    and every plain one an array check refuses, go through
+    :func:`_parse_document` in document order, so the batch raises the
+    error of the first document it refuses.
     """
     n = len(docs)
     dicts = [doc if type(doc) is dict else {"kind": None} for doc in docs]
+    kinds = [doc.get("kind", "filter") for doc in dicts]
     bboxes = [doc.get("bbox") for doc in dicts]
     floors = [doc.get("min_confidence") for doc in dicts]
     flags = [doc.get("confirmed") for doc in dicts]
     names = [doc.get("municipality") for doc in dicts]
     plain = [
-        doc.get("kind", "filter") == "filter"
+        (
+            kind == "filter"
+            or (
+                kind == "fwi"
+                and doc.get("min_class", "high") in DANGER_CLASSES
+            )
+        )
         and doc.get("query") is None
         and type(bbox) in _BOX_TYPES
         and (bbox is None or len(bbox) == 4)
         and type(floor) in _NUMBER_TYPES
         and type(flag) in _FLAG_TYPES
         and type(name) in _NAME_TYPES
-        for doc, bbox, floor, flag, name in zip(
-            dicts, bboxes, floors, flags, names
+        for doc, kind, bbox, floor, flag, name in zip(
+            dicts, kinds, bboxes, floors, flags, names
         )
     ]
-    boxes = np.full((n, 4), np.nan)
+    rows = SubscriptionRows(ids, created=np.full(n, sequence, dtype=np.int64))
     fenced = [k for k in range(n) if plain[k] and bboxes[k] is not None]
     flat = list(chain.from_iterable(bboxes[k] for k in fenced))
     if set(map(type, flat)) - {float, int}:
@@ -929,7 +913,7 @@ def _parse_batch(
     values = _numbers(flat)
     if values is not None:
         values = values.reshape(-1, 4)
-        boxes[fenced] = values
+        rows.boxes[fenced] = values
         suspects += np.asarray(fenced, dtype=np.intp)[
             ~np.isfinite(values).all(axis=1)
             | (values[:, 0] > values[:, 2])
@@ -937,123 +921,103 @@ def _parse_batch(
         ].tolist()
     else:
         suspects += fenced
-    floor_column = np.full(n, np.nan)
     floored = [k for k in range(n) if plain[k] and floors[k] is not None]
     values = _numbers([floors[k] for k in floored])
     if values is not None:
-        floor_column[floored] = values
+        rows.floors[floored] = values
         suspects += np.asarray(floored, dtype=np.intp)[
             ~np.isfinite(values)
         ].tolist()
     else:
         suspects += floored
-    confirmed = np.full(n, -1, dtype=np.int8)
     if any(flag is not None for flag in flags):
-        confirmed[:] = [
+        rows.confirmed[:] = [
             int(flag) if type(flag) is bool else -1 for flag in flags
         ]
     codes: Dict[str, int] = {}
-    municipality = np.full(n, -1, dtype=np.int32)
     if any(name is not None for name in names):
-        municipality[:] = [
+        rows.municipality[:] = [
             codes.setdefault(name, len(codes)) if type(name) is str else -1
             for name in names
         ]
-    objects: Dict[int, Subscription] = {}
+    fwi = [k for k in range(n) if plain[k] and kinds[k] == "fwi"]
+    if fwi:
+        rows.kind[fwi] = _FWI
+        rows.min_class[fwi] = [
+            DANGER_CLASSES.index(dicts[k].get("min_class", "high"))
+            for k in fwi
+        ]
+    texts: Dict[str, int] = {}
+    lifted: Dict[str, Lifted] = {}
     for k in sorted(set(suspects)):
-        sub = Subscription.from_dict(
-            docs[k], sub_id=ids[k], created_sequence=sequence
-        )
-        if sub.kind != "filter":
-            objects[k] = sub
-            continue
-        boxes[k] = np.nan if sub.bbox is None else sub.bbox.as_tuple()
-        floor_column[k] = (
-            np.nan if sub.min_confidence is None else sub.min_confidence
-        )
-        confirmed[k] = -1 if sub.confirmed is None else int(sub.confirmed)
-        municipality[k] = (
-            -1
-            if sub.municipality is None
-            else codes.setdefault(sub.municipality, len(codes))
-        )
-    rows = np.ones(n, dtype=bool)
-    rows[list(objects)] = False
-    return (
-        FilterRows(
-            [ids[k] for k in np.flatnonzero(rows).tolist()]
-            if objects
-            else ids,
-            boxes[rows],
-            floor_column[rows],
-            confirmed[rows],
-            municipality[rows],
-            list(codes),
-            np.full(int(rows.sum()), sequence, dtype=np.int64),
-        ),
-        objects,
+        values = _parse_document(docs[k], codes, texts, lifted)
+        for column, value in zip(_PARSED, values):
+            if value is not None:
+                getattr(rows, column)[k] = value
+    rows.names, rows.queries = list(codes), list(texts)
+    return rows, lifted
+
+
+def _view(rows: SubscriptionRows, row: int) -> Subscription:
+    """Row ``row`` of ``rows`` as a :class:`Subscription`."""
+    box = rows.boxes[row].tolist()
+    floor = float(rows.floors[row])
+    code = int(rows.municipality[row])
+    confirmed = int(rows.confirmed[row])
+    query = int(rows.query[row])
+    return Subscription(
+        id=rows.ids[row],
+        kind=SUBSCRIPTION_KINDS[rows.kind[row]],
+        bbox=None if math.isnan(box[0]) else Envelope(*box),
+        min_confidence=None if math.isnan(floor) else floor,
+        municipality=None if code < 0 else rows.names[code],
+        confirmed=None if confirmed < 0 else bool(confirmed),
+        query=None if query < 0 else rows.queries[query],
+        min_class=int(rows.min_class[row]),
+        created_sequence=int(rows.created[row]),
     )
 
 
 class _Registered(SequenceABC):
     """What a registration returns: the new subscriptions in document
-    order.  ``len()`` builds nothing; a filter's :class:`Subscription`
-    is built from its row when the item is read."""
+    order.  ``len()`` builds nothing; a :class:`Subscription` is built
+    from its row when the item is read."""
 
-    __slots__ = ("_rows", "_objects", "_row_of")
+    __slots__ = ("_rows",)
 
-    def __init__(
-        self, rows: FilterRows, objects: Dict[int, Subscription], count: int
-    ) -> None:
+    def __init__(self, rows: SubscriptionRows) -> None:
         self._rows = rows
-        self._objects = objects
-        is_filter = np.ones(count, dtype=bool)
-        is_filter[list(objects)] = False
-        self._row_of = np.cumsum(is_filter) - 1
 
     def __len__(self) -> int:
-        return len(self._row_of)
+        return len(self._rows)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
-        index = range(len(self))[index]
-        sub = self._objects.get(index)
-        if sub is None:
-            sub = Subscription.from_row(
-                self._rows.row(int(self._row_of[index]))
-            )
-        return sub
-
-    def __add__(self, other: Iterable[Subscription]) -> List[Subscription]:
-        return list(self) + list(other)
-
-    def __radd__(self, other: Iterable[Subscription]) -> List[Subscription]:
-        return list(other) + list(self)
+        return _view(self._rows, range(len(self))[index])
 
 
 class SubscriptionRegistry:
-    """Thread-safe subscription store: ``filter`` subscriptions as
-    columns, their geofences in an R-tree over row numbers.
+    """Thread-safe subscription store: one column table of every kind,
+    the geofences of its filters in an R-tree over row numbers.
 
-    A filter subscription is a row of the registry's
-    :class:`~repro.durable.cursors.FilterRows` columns — bbox,
-    confidence floor, confirmation, municipality code,
-    ``created_sequence`` and id — and its :class:`Subscription` is built
-    only when asked for (:meth:`get`, :meth:`list`,
-    :meth:`geofence_candidates`).  ``stsparql`` and ``fwi``
-    subscriptions stay objects.
+    A subscription is a row of a
+    :class:`~repro.durable.cursors.SubscriptionRows` table, in
+    registration order; its :class:`Subscription` is a view built only
+    when asked for.  A kind's subscriptions are a mask over the
+    ``kind`` column (a removed row's kind is −1 until the next pack
+    drops the row); a standing query's row is also a member of its
+    :class:`_Shape`, and :meth:`fwi_recipients` picks the ``fwi`` rows
+    a danger-class move notifies column-wise.
 
-    Geofenced rows are indexed by an R-tree whose leaves carry row
-    numbers, so matching a changed hotspot is a point probe —
-    O(log subscriptions) — instead of a scan, and the predicates of all
-    of a commit's candidate pairs are tested column-wise
-    (:meth:`filter_matches`).  The tree is the only spatial structure
-    and is exact after every call: a single registration inserts its
-    row, a removal deletes it (its row stays unused until the next
-    pack), and bulk registration (reopen included) packs every live
-    geofence once from the box column (STR, the tile order computed in
-    numpy), after dropping the rows removals left.  A probe returns
+    Only ``filter`` rows are matched by geometry: a changed hotspot is
+    a point probe of the tree (O(log subscriptions)) plus the bbox-less
+    filters, and the predicates of all of a commit's candidate pairs
+    are tested column-wise (:meth:`filter_matches`).  The tree is exact
+    after every call: a single registration inserts its row, a removal
+    deletes it, and bulk registration (reopen included) drops the rows
+    removals left and packs every live geofence once from the box
+    column (STR, the tile order computed in numpy).  A probe returns
     geofences in the order of the last pack, then of single
     registration, whatever shape later inserts and removals give the
     tree — so a notification batch's bytes do not depend on it.
@@ -1061,74 +1025,68 @@ class SubscriptionRegistry:
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
-        #: The filter rows; its arrays have room to grow, rows past
-        #: ``len(ids)`` are unused.
-        self._table = FilterRows.empty()
+        #: The rows (grown by :meth:`SubscriptionRows.extend`).
+        self._table = SubscriptionRows([])
+        #: Each municipality name's code in the table.
         self._codes: Dict[str, int] = {}
-        #: Live filter id → row (a removed row keeps its id in the
-        #: table until the next pack drops it).
+        #: Each query code's lifted form.
+        self._lifted: List[Lifted] = []
+        #: Live id → row (a removed row keeps its id in the table until
+        #: the next pack drops it).
         self._row: Dict[str, int] = {}
         self._rtree = RTree()
         #: Each geofenced row's place in probe order.
         self._rank: List[int] = []
         self._next_rank = 0
-        #: Live rows without a geofence, in registration order.
+        #: Live filter rows without a geofence, in registration order.
         self._global: List[int] = []
-        #: ``stsparql`` and ``fwi`` subscriptions.
-        self._subs: Dict[str, Subscription] = {}
-        self._queries: Dict[str, Subscription] = {}
-        #: Standing-query shapes by template, and each query's shape.
+        #: Standing-query shapes by template.
         self._shapes: Dict[str, _Shape] = {}
-        self._shape_of: Dict[str, _Shape] = {}
-        self._fwi: Dict[str, Subscription] = {}
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._row) + len(self._subs)
-
-    def add(self, sub: Subscription) -> Subscription:
-        """Register one subscription (a geofence is inserted into the
-        tree)."""
-        if sub.kind == "filter":
-            self.add_rows(
-                FilterRows.from_documents([sub.to_dict()]), pack=False
-            )
-        else:
-            self.add_rows(FilterRows.empty(), [sub], pack=False)
-        return sub
-
-    def add_many(self, subs: Iterable[Subscription]) -> None:
-        """Bulk registration: one STR pack of every live geofence
-        instead of n inserts."""
-        subs = list(subs)
-        self.add_rows(
-            FilterRows.from_documents(
-                [sub.to_dict() for sub in subs if sub.kind == "filter"]
-            ),
-            [sub for sub in subs if sub.kind != "filter"],
-        )
+            return len(self._row)
 
     def add_rows(
         self,
-        rows: FilterRows,
-        others: Sequence[Subscription] = (),
+        rows: SubscriptionRows,
+        lifted: Optional[Dict[str, Lifted]] = None,
         pack: bool = True,
     ) -> int:
-        """Register filter ``rows`` and subscriptions of other kinds,
-        all or none; returns the row number of the first new filter.
-        With ``pack`` every live geofence is packed once, else each new
-        one is inserted into the tree."""
+        """Register ``rows``, all or none; returns the row number of the
+        first.  ``lifted`` holds standing queries' lifted forms by text
+        (the validator's); a text it lacks, as on a reopen, is lifted
+        here.  With ``pack`` every live geofence is packed once, else
+        each new one is inserted into the tree."""
         with self._lock:
-            self._refuse_known(rows.ids + [sub.id for sub in others])
-            for sub in others:
-                self._index(sub)
-            start = len(self._table)
-            self._append(rows)
+            self._refuse_known(rows.ids)
+            table = self._table
+            known = set(table.queries)
+            self._lifted += [
+                (lifted or {}).get(text) or validate_standing_query(text)
+                for text in rows.queries
+                if text not in known
+            ]
+            start = table.extend(rows)
+            self._codes = {name: code for code, name in enumerate(table.names)}
+            self._row.update(zip(rows.ids, range(start, len(table))))
+            self._rank.extend([0] * len(rows))
+            new = table.kind[start : len(table)] == _STSPARQL
+            for row in (start + np.flatnonzero(new)).tolist():
+                template, prefix, constants = self._lifted[table.query[row]]
+                shape = self._shapes.get(template)
+                if shape is None:
+                    shape = self._shapes[template] = _Shape(
+                        template, prefix, len(constants)
+                    )
+                shape.add(table.ids[row], constants)
             if pack:
                 self._pack()
                 return len(self._table) - len(rows)
-            for row in range(start, len(self._table)):
-                box = self._table.boxes[row].tolist()
+            for row in range(start, len(table)):
+                if table.kind[row] != _FILTER:
+                    continue
+                box = table.boxes[row].tolist()
                 if math.isnan(box[0]):
                     self._global.append(row)
                 else:
@@ -1139,63 +1097,31 @@ class SubscriptionRegistry:
 
     def _refuse_known(self, ids: List[str]) -> None:
         fresh = set(ids)
-        if (
-            len(fresh) == len(ids)
-            and self._row.keys().isdisjoint(fresh)
-            and self._subs.keys().isdisjoint(fresh)
-        ):
+        if len(fresh) == len(ids) and self._row.keys().isdisjoint(fresh):
             return
         fresh = set()
         for sub_id in ids:
-            if sub_id in self._row or sub_id in self._subs or sub_id in fresh:
+            if sub_id in self._row or sub_id in fresh:
                 raise SubscriptionError(
                     f"duplicate subscription id {sub_id!r}"
                 )
             fresh.add(sub_id)
 
-    def _append(self, rows: FilterRows) -> None:
-        table = self._table
-        start = len(table)
-        end = start + len(rows)
-        if end > len(table.floors):
-            capacity = max(end, 2 * len(table.floors), 64)
-            for name in FilterRows.COLUMNS:
-                old = getattr(table, name)
-                new = np.empty((capacity,) + old.shape[1:], dtype=old.dtype)
-                new[:start] = old[:start]
-                setattr(table, name, new)
-        table.boxes[start:end] = rows.boxes
-        table.floors[start:end] = rows.floors
-        table.confirmed[start:end] = rows.confirmed
-        table.created[start:end] = rows.created
-        remap = np.array(
-            [self._code(name) for name in rows.names] + [-1], dtype=np.int32
-        )
-        table.municipality[start:end] = remap[rows.municipality]
-        table.ids.extend(rows.ids)
-        self._row.update(zip(rows.ids, range(start, end)))
-        self._rank.extend([0] * len(rows))
-
-    def _code(self, name: str) -> int:
-        code = self._codes.get(name)
-        if code is None:
-            code = self._codes[name] = len(self._table.names)
-            self._table.names.append(name)
-        return code
-
     def _pack(self) -> None:
         """Drop the rows removals left, then STR-pack every live
         geofence; probe order becomes the packed tree's."""
         table = self._table
-        if len(self._row) < len(table):
-            live = np.array(sorted(self._row.values()), dtype=np.intp)
-            for name in FilterRows.COLUMNS:
+        count = len(table)
+        if len(self._row) < count:
+            live = np.flatnonzero(table.kind[:count] >= 0)
+            for name in SubscriptionRows.COLUMNS:
                 column = getattr(table, name)
                 column[: len(live)] = column[live]
             table.ids = [table.ids[row] for row in live.tolist()]
             self._row = dict(zip(table.ids, range(len(live))))
-        count = len(table)
-        fenced = ~np.isnan(table.boxes[:count, 0])
+            count = len(live)
+        filters = table.kind[:count] == _FILTER
+        fenced = filters & ~np.isnan(table.boxes[:count, 0])
         rows = np.flatnonzero(fenced)
         self._rtree = RTree.pack(table.boxes[rows], rows)
         rank = np.zeros(count, dtype=np.int64)
@@ -1204,110 +1130,103 @@ class SubscriptionRegistry:
         )
         self._rank = rank.tolist()
         self._next_rank = len(rows)
-        self._global = np.flatnonzero(~fenced).tolist()
-
-    def _index(self, sub: Subscription) -> None:
-        """Record a ``stsparql`` or ``fwi`` subscription."""
-        self._subs[sub.id] = sub
-        if sub.kind == "stsparql":
-            self._queries[sub.id] = sub
-            template, prefix, constants = _lift_constants(sub.query)
-            shape = self._shapes.get(template)
-            if shape is None:
-                shape = self._shapes[template] = _Shape(
-                    template, prefix, len(constants)
-                )
-            shape.add(sub.id, constants)
-            self._shape_of[sub.id] = shape
-        else:
-            self._fwi[sub.id] = sub
+        self._global = np.flatnonzero(filters & ~fenced).tolist()
 
     def remove(self, sub_id: str) -> bool:
+        """Take a subscription out: its geofence leaves the tree, its
+        row stays (kind −1) until the next pack drops it."""
         with self._lock:
             row = self._row.pop(sub_id, None)
-            if row is not None:
-                box = self._table.boxes[row].tolist()
+            if row is None:
+                return False
+            table = self._table
+            if table.kind[row] == _FILTER:
+                box = table.boxes[row].tolist()
                 if math.isnan(box[0]):
                     self._global.remove(row)
                 else:
                     self._rtree.remove(Envelope(*box), row)
-                return True
-            sub = self._subs.pop(sub_id, None)
-            if sub is None:
-                return False
-            self._queries.pop(sub_id, None)
-            shape = self._shape_of.pop(sub_id, None)
-            if shape is not None:
+            elif table.kind[row] == _STSPARQL:
+                shape = self._shapes[self._lifted[table.query[row]][0]]
                 shape.discard(sub_id)
                 if not shape.members:
                     del self._shapes[shape.template]
-            self._fwi.pop(sub_id, None)
+            table.kind[row] = _REMOVED
             return True
-
-    def discard(self, ids: Sequence[str]) -> None:
-        """Take back a registration that could not be made durable:
-        one subscription is removed, more are dropped and the geofences
-        re-packed."""
-        with self._lock:
-            if len(ids) == 1:
-                self.remove(ids[0])
-                return
-            for sub_id in ids:
-                if self._row.pop(sub_id, None) is None:
-                    self.remove(sub_id)
-            self._pack()
 
     def get(self, sub_id: str) -> Optional[Subscription]:
         with self._lock:
             row = self._row.get(sub_id)
-            if row is not None:
-                return Subscription.from_row(self._table.row(row))
-            return self._subs.get(sub_id)
+            return None if row is None else _view(self._table, row)
 
     def list(self) -> List[Subscription]:
         with self._lock:
-            subs = [
-                Subscription.from_row(self._table.row(row))
-                for row in self._row.values()
-            ]
-            subs.extend(self._subs.values())
+            subs = [_view(self._table, row) for row in self._row.values()]
         return sorted(subs, key=lambda s: s.id)
+
+    def _rows_of(self, kind: int) -> List[int]:
+        """The live rows of kind code ``kind``, in registration order."""
+        table = self._table
+        return np.flatnonzero(table.kind[: len(table)] == kind).tolist()
+
+    def query_ids(self) -> List[str]:
+        """The standing queries' ids, in registration order."""
+        with self._lock:
+            return [self._table.ids[row] for row in self._rows_of(_STSPARQL)]
 
     def standing_queries(self) -> List[Subscription]:
         with self._lock:
-            return list(self._queries.values())
+            return [_view(self._table, r) for r in self._rows_of(_STSPARQL)]
+
+    def fwi_subscriptions(self) -> List[Subscription]:
+        with self._lock:
+            return [_view(self._table, r) for r in self._rows_of(_FWI)]
 
     def shapes(
-        self, subs: Optional[Iterable[Subscription]] = None
+        self, ids: Optional[Iterable[str]] = None
     ) -> List[Tuple[_Shape, List[str]]]:
         """Each standing-query shape with its member ids, in
-        registration order — only the members in ``subs`` when
-        given."""
+        registration order — only the members in ``ids`` when given."""
         with self._lock:
-            if subs is None:
+            if ids is None:
                 return [
                     (shape, list(shape.members))
                     for shape in self._shapes.values()
                 ]
+            table = self._table
             grouped: Dict[str, Tuple[_Shape, List[str]]] = {}
-            for sub in subs:
-                shape = self._shape_of[sub.id]
-                grouped.setdefault(shape.template, (shape, []))[1].append(
-                    sub.id
-                )
+            for sub_id in ids:
+                template = self._lifted[table.query[self._row[sub_id]]][0]
+                grouped.setdefault(
+                    template, (self._shapes[template], [])
+                )[1].append(sub_id)
             return list(grouped.values())
-
-    def fwi_subscriptions(self) -> List[Subscription]:
-        with self._lock:
-            return list(self._fwi.values())
 
     def counts(self) -> Dict[str, int]:
         with self._lock:
-            return {
-                "filter": len(self._row),
-                "stsparql": len(self._queries),
-                "fwi": len(self._fwi),
-            }
+            kind = self._table.kind[: len(self._table)]
+            counts = np.bincount(
+                kind[kind >= 0], minlength=len(SUBSCRIPTION_KINDS)
+            )
+            return dict(zip(SUBSCRIPTION_KINDS, counts.tolist()))
+
+    def fwi_recipients(self, municipality: str, danger: int) -> List[str]:
+        """The ``fwi`` subscriptions that ``municipality`` moving to the
+        danger class ``danger`` notifies, in registration order: those
+        whose ``min_class`` is at most ``danger`` and whose
+        municipality, if any, names it (its URI or the URI's local
+        name)."""
+        with self._lock:
+            table = self._table
+            count = len(table)
+            codes = table.municipality[:count]
+            uri, local = self._municipality_codes(municipality)
+            keep = (
+                (table.kind[:count] == _FWI)
+                & (table.min_class[:count] <= danger)
+                & ((codes < 0) | (codes == uri) | (codes == local))
+            )
+            return [table.ids[row] for row in np.flatnonzero(keep).tolist()]
 
     def _probe(self, lon: float, lat: float) -> List[int]:
         rows = sorted(
@@ -1323,10 +1242,7 @@ class SubscriptionRegistry:
         at (lon, lat): a point probe of the geofence index plus the
         bbox-less filters (which see everything), in probe order."""
         with self._lock:
-            return [
-                Subscription.from_row(self._table.row(row))
-                for row in self._probe(lon, lat)
-            ]
+            return [_view(self._table, row) for row in self._probe(lon, lat)]
 
     def filter_matches(
         self, records: Sequence[HotspotRecord], since_row: int = 0
@@ -1381,7 +1297,10 @@ class SubscriptionRegistry:
                 uri, local = (
                     np.array(column, dtype=np.int32)[of]
                     for column in zip(
-                        *(self._municipality_codes(r) for r in records)
+                        *(
+                            self._municipality_codes(r.municipality)
+                            for r in records
+                        )
                     )
                 )
                 keep &= (codes < 0) | (codes == uri) | (codes == local)
@@ -1391,8 +1310,9 @@ class SubscriptionRegistry:
                 for index, row in zip(of[keep].tolist(), at[keep].tolist())
             ]
 
-    def _municipality_codes(self, record: HotspotRecord) -> Tuple[int, int]:
-        uri = record.municipality
+    def _municipality_codes(self, uri: Optional[str]) -> Tuple[int, int]:
+        """The codes of a municipality URI and of its local name (−2
+        for a name no row holds)."""
         if uri is None:
             return -2, -2
         local = uri.rsplit("#", 1)[-1].rsplit("/", 1)[-1]
@@ -1466,17 +1386,7 @@ class SubscriptionEngine:
             )
             self._cursor_lock = self._registry_log.lock
             self._cursors = self._registry_log.cursors
-            self.registry.add_rows(
-                self._registry_log.filters,
-                [
-                    Subscription.from_dict(
-                        doc,
-                        sub_id=str(doc["id"]),
-                        created_sequence=int(doc.get("created_sequence", 0)),
-                    )
-                    for doc in self._registry_log.json_documents
-                ],
-            )
+            self.registry.add_rows(self._registry_log.rows)
             self._rebuild_seen()
 
     # -- durable state -----------------------------------------------------
@@ -1557,25 +1467,20 @@ class SubscriptionEngine:
             else 0
         )
         ids = _mint_ids(len(docs))
-        rows, objects = _parse_batch(docs, ids, sequence)
-        others = list(objects.values())
+        rows, lifted = _parse_batch(docs, ids, sequence)
         with self._lock:
-            start = self.registry.add_rows(rows, others, pack=pack)
+            start = self.registry.add_rows(rows, lifted, pack=pack)
             try:
-                primed = self._prime(others, rows, start)
+                primed = self._prime(rows, start)
                 if self._registry_log is not None:
-                    self._registry_log.add(
-                        (sub.to_dict() for sub in others),
-                        primed,
-                        filters=rows,
-                    )
+                    self._registry_log.add(rows, primed)
             except BaseException:
-                self.registry.discard(ids)
                 for sub_id in ids:
+                    self.registry.remove(sub_id)
                     self._seen.pop(sub_id, None)
                 raise
         self._export_gauges()
-        return _Registered(rows, objects, len(docs))
+        return _Registered(rows)
 
     def remove(self, sub_id: str) -> bool:
         with self._lock:
@@ -1619,23 +1524,19 @@ class SubscriptionEngine:
         return self.log.after(sequence)
 
     def _prime(
-        self,
-        others: Sequence[Subscription],
-        rows: Optional[FilterRows] = None,
-        start: int = 0,
+        self, rows: SubscriptionRows, start: int
     ) -> Dict[str, List[str]]:
         """Mark the new subscriptions' current matches as seen —
-        ``others`` and the filter ``rows`` (registry rows from
-        ``start`` on) — and return them (``id → sorted subjects``,
-        matchless ones left out) for the registry log, so a restart
-        restores them too."""
-        rows = FilterRows.empty() if rows is None else rows
+        ``rows``, the registry's rows from ``start`` on — and return
+        them (``id → sorted subjects``, matchless ones left out) for the
+        registry log, so a restart restores them too."""
         source = self._priming_source()
         if source is None:
             return {}
         graph = _source_graph(source)
-        if len(rows):
-            boxes = rows.boxes
+        filters = rows.kind == _FILTER
+        if filters.any():
+            boxes = rows.boxes[filters]
             area = (
                 None
                 if np.isnan(boxes[:, 0]).any()
@@ -1647,21 +1548,26 @@ class SubscriptionEngine:
             self._match_filters(
                 list(_hotspots_in(source, graph, area)), since_row=start
             )
-        queries = [s for s in others if s.kind == "stsparql"]
-        for shape, members in self.registry.shapes(subs=queries):
+        queries = np.flatnonzero(rows.kind == _STSPARQL).tolist()
+        self._prime_queries(source, [rows.ids[k] for k in queries])
+        if (rows.kind == _FWI).any():
+            self._ensure_fwi_baseline(graph)
+        seen = self._seen
+        return {
+            sub_id: sorted(seen[sub_id])
+            for sub_id in rows.ids
+            if seen.get(sub_id)
+        }
+
+    def _prime_queries(self, source, ids: List[str]) -> None:
+        """Mark what the standing queries ``ids`` match in ``source``
+        as seen: one engine call per shape."""
+        for shape, members in self.registry.shapes(ids):
             for sub_id, subjects in self._shape_matches(
                 source, shape, members
             ).items():
                 if subjects:
                     self._seen.setdefault(sub_id, set()).update(subjects)
-        if any(s.kind == "fwi" for s in others):
-            self._ensure_fwi_baseline(graph)
-        seen = self._seen
-        return {
-            sub_id: sorted(seen[sub_id])
-            for sub_id in rows.ids + [sub.id for sub in others]
-            if seen.get(sub_id)
-        }
 
     def _priming_source(self):
         if self._publisher is not None:
@@ -1797,11 +1703,11 @@ class SubscriptionEngine:
         cost follows the delta; otherwise it runs over the whole
         source.  A member notifies its pending records it matched, in
         registry order, then record order."""
-        subs = self.registry.standing_queries()
+        ids = self.registry.query_ids()
         pending: Dict[str, List[HotspotRecord]] = {}
-        for sub in subs:
-            seen = self._seen.setdefault(sub.id, set())
-            pending[sub.id] = [
+        for sub_id in ids:
+            seen = self._seen.setdefault(sub_id, set())
+            pending[sub_id] = [
                 record
                 for record in records
                 if not record.static and record.subject not in seen
@@ -1823,15 +1729,15 @@ class SubscriptionEngine:
             matched.update(
                 self._shape_matches(source, shape, members, subjects)
             )
-        for sub in subs:
-            hits = matched.get(sub.id)
+        for sub_id in ids:
+            hits = matched.get(sub_id)
             if not hits:
                 continue
-            seen = self._seen[sub.id]
-            for record in pending[sub.id]:
+            seen = self._seen[sub_id]
+            for record in pending[sub_id]:
                 if record.subject in hits:
                     seen.add(record.subject)
-                    out.hotspot(sub, record)
+                    out.match(sub_id, "stsparql", record)
 
     @staticmethod
     def _shape_matches(
@@ -1874,17 +1780,7 @@ class SubscriptionEngine:
         else:
             self._fwi_classes.pop(municipality, None)
         out.transition(
-            [
-                sub
-                for sub in self.registry.fwi_subscriptions()
-                if new_index >= sub.min_class
-                and (
-                    sub.municipality is None
-                    or _municipality_matches(
-                        municipality, sub.municipality
-                    )
-                )
-            ],
+            self.registry.fwi_recipients(municipality, new_index),
             municipality,
             {
                 "danger_class": DANGER_CLASSES[new_index],
@@ -1925,19 +1821,14 @@ class SubscriptionEngine:
                     if self._fwi_classes is None
                     else dict(self._fwi_classes)
                 )
-            self._evaluate_full_locked(graph, source, out)
+            records = list(iter_hotspot_records(graph))
+            self._match_filters(records, out)
+            self._match_queries(source, records, out, seeded=False)
+            self._fwi_full(graph, out)
             if not commit:
                 self._seen = saved_seen
                 self._fwi_classes = saved_fwi
         return out.batch(sequence)
-
-    def _evaluate_full_locked(
-        self, graph, source, out: _BatchBuilder
-    ) -> None:
-        records = list(iter_hotspot_records(graph))
-        self._match_filters(records, out)
-        self._match_queries(source, records, out, seeded=False)
-        self._fwi_full(graph, out)
 
     # -- delivery ----------------------------------------------------------
 

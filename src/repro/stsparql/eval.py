@@ -448,31 +448,16 @@ class Evaluator:
     def _order(
         self, rows: List[Row], conditions: Sequence[ast.OrderCondition]
     ) -> List[Row]:
-        def key(row: Row):
-            parts = []
-            for cond in conditions:
-                try:
-                    value = self._eval_expr(cond.expression, row)
-                    rank = _order_rank(value)
-                except ExpressionError:
-                    rank = (0, "")
-                parts.append(rank)
-            return parts
-
-        # Sort keys are computed under the deadline, then row indices
-        # are sorted by them (as stable as sorting the rows).
-        keys = [key(row) for row in self._checked(rows)]
-        ordered = sorted(range(len(rows)), key=keys.__getitem__)
-        for cond in conditions:
-            if cond.descending:
-                # Stable multi-key descending sort: resort on that key.
-                ranks = [
-                    _order_rank_safe(self, cond, row)
-                    for row in self._checked(rows)
-                ]
-                ordered = sorted(
-                    ordered, key=ranks.__getitem__, reverse=True
-                )
+        # Each key's ranks are computed once, under the deadline; then
+        # the row indices are stable-sorted by one key at a time, last
+        # key first, so each key only breaks the ties of those before it.
+        ranks: List[List[Any]] = [[] for _ in conditions]
+        for row in self._checked(rows):
+            for column, cond in zip(ranks, conditions):
+                column.append(_order_rank_safe(self, cond, row))
+        ordered = list(range(len(rows)))
+        for column, cond in reversed(list(zip(ranks, conditions))):
+            ordered.sort(key=column.__getitem__, reverse=cond.descending)
         return [rows[i] for i in ordered]
 
     # -- filters ---------------------------------------------------------

@@ -750,8 +750,18 @@ def parse(text: str) -> ast.Query:
     return Parser(text).parse_query()
 
 
-class _FilterLiteralParser(Parser):
-    """A parser that notes where FILTER expressions hold literals."""
+class FilterLiteralParser(Parser):
+    """A parser that notes where FILTER expressions hold literals.
+
+    After :meth:`parse_query`, ``spans`` holds the ``(start, end)`` text
+    offsets of the literal constants in the query's FILTER expressions
+    (EXISTS patterns' FILTERs included).  Each span is a whole
+    expression operand — a string with its datatype or language tag, a
+    number with its sign, ``true`` or ``false`` — so putting a variable
+    bound to the same term in its place keeps the query's meaning.  A
+    number whose sign the parser folds into a binary ``+``/``-``
+    (``?x -1``) is not an operand and has no span.
+    """
 
     def __init__(self, text: str) -> None:
         super().__init__(text)
@@ -775,20 +785,3 @@ class _FilterLiteralParser(Parser):
             last = self.tokens[self.idx - 1]
             self.spans.append((first.pos, last.pos + len(last.value)))
         return expr
-
-
-def filter_literal_spans(text: str) -> List[Tuple[int, int]]:
-    """The ``(start, end)`` text offsets of the literal constants in
-    ``text``'s FILTER expressions (EXISTS patterns' FILTERs included),
-    in text order.
-
-    Each span is a whole expression operand — a string with its
-    datatype or language tag, a number with its sign, ``true`` or
-    ``false`` — so putting a variable bound to the same term in its
-    place keeps the query's meaning.  A number whose sign the parser
-    folds into a binary ``+``/``-`` (``?x -1``) is not an operand and
-    has no span.
-    """
-    parser = _FilterLiteralParser(text)
-    parser.parse_query()
-    return sorted(parser.spans)

@@ -9,6 +9,7 @@ import os
 import struct
 import threading
 
+import numpy as np
 import pytest
 
 from repro.core.config import RunOptions, ServiceConfig
@@ -22,9 +23,11 @@ from repro.durable import (
     crashpoints,
     cursors,
 )
-from repro.durable.cursors import FilterRows
+from repro.durable.cursors import SubscriptionRows
 from repro.errors import DurabilityError
 from repro.serve.subscribe import SubscriptionEngine, SubscriptionError
+
+from tests.serve.subscription_oracle import rows_of
 
 
 def _batch(sequence, wal_seq=None, subjects=()):
@@ -107,17 +110,28 @@ class TestNotificationLog:
             assert log.last_sequence == 3
 
 
+def _rows(*docs):
+    """Valid subscription documents as rows; each document's ``id``
+    names it."""
+    return rows_of(
+        [{k: v for k, v in doc.items() if k != "id"} for doc in docs],
+        [doc["id"] for doc in docs],
+    )
+
+
 class TestRegistryLog:
     def test_replay_folds_changes_into_one_record(self, tmp_path):
         path = str(tmp_path / "registry.log")
         log = RegistryLog(path)
-        log.add([{"id": "a", "kind": "filter"}])
-        log.add([{"id": "b", "kind": "fwi"}, {"id": "c", "kind": "filter"}])
+        log.add(_rows({"id": "a", "kind": "filter"}))
+        log.add(
+            _rows({"id": "b", "kind": "fwi"}, {"id": "c", "kind": "filter"})
+        )
         log.remove("b")
         log.close()
         for _ in range(2):
             log = RegistryLog(path)
-            assert [d["id"] for d in log.documents] == ["a", "c"]
+            assert log.rows.ids == ["a", "c"]
             log.close()
         with WriteAheadLog(path) as wal:
             assert len(wal.replayed) == 1
@@ -125,79 +139,81 @@ class TestRegistryLog:
     def test_fold_survives_a_torn_append(self, tmp_path):
         path = str(tmp_path / "registry.log")
         log = RegistryLog(path)
-        log.add([{"id": "a", "kind": "filter"}])
-        log.add([{"id": "b", "kind": "filter"}])
+        log.add(_rows({"id": "a", "kind": "filter"}))
+        log.add(_rows({"id": "b", "kind": "filter"}))
         log.close()
         with open(path, "r+b") as fh:
             fh.truncate(os.path.getsize(path) - 3)
         log = RegistryLog(path)
-        assert [d["id"] for d in log.documents] == ["a"]
-        log.add([{"id": "c", "kind": "filter"}])
+        assert log.rows.ids == ["a"]
+        log.add(_rows({"id": "c", "kind": "filter"}))
         log.close()
         log = RegistryLog(path)
-        assert [d["id"] for d in log.documents] == ["a", "c"]
+        assert log.rows.ids == ["a", "c"]
         log.close()
 
-
-    def test_add_keeps_filters_as_columns_and_others_as_key_lists(
-        self, tmp_path
-    ):
+    def test_an_add_of_every_kind_is_one_column_block(self, tmp_path):
         path = str(tmp_path / "registry.log")
         docs = [
-            {
-                "id": f"g{n}",
-                "kind": "filter",
-                "created_sequence": 4,
-                "bbox": [n, 0, n + 1, 1],
-            }
-            if n % 2
-            else {"id": f"f{n}", "kind": "fwi", "min_class": "high"}
-            for n in range(6)
+            {"id": f"g{n:02d}", "kind": "filter", "bbox": [n, 0, n + 1, 1]}
+            for n in range(40)
+        ] + [
+            {"id": f"f{n:02d}", "kind": "fwi", "min_class": "high"}
+            for n in range(10)
         ]
         log = RegistryLog(path)
-        log.add(docs)
+        log.add(_rows(*docs))
         log.close()
         with WriteAheadLog(path) as wal:
             (record,) = wal.replayed
-        head, rows = FilterRows.decode(record.payload)
-        assert [shape["keys"] for shape in head["add"]] == [
-            ["id", "kind", "min_class"]
-        ]
-        assert len(head["add"][0]["rows"]) == 3
-        assert rows.ids == ["g1", "g3", "g5"]
-        # Columns equal on every row are written once, in the head: the
-        # boxes (4 float64) and the ids (2 bytes) are the only blocks.
+        head, rows = SubscriptionRows.decode(record.payload)
+        assert "add" not in head
+        assert rows.ids == [doc["id"] for doc in docs]
+        # A column equal on every row is written once, in the head; any
+        # other only on the row ranges where it is not its default: the
+        # boxes (4 float64) of the filters, the kind and min_class
+        # (int8) of the fwi rows, then every id (3 bytes).
         (head_size,) = struct.unpack_from("<I", record.payload, 4)
-        assert len(record.payload) == 8 + head_size + 3 * (32 + 2)
-        log = RegistryLog(path)
-        assert sorted(log.documents, key=lambda d: d["id"]) == sorted(
-            docs, key=lambda d: d["id"]
+        assert json.loads(record.payload[8 : 8 + head_size])["ranges"] == {
+            "boxes": [[0, 40]], "kind": [[40, 50]], "min_class": [[40, 50]],
+        }
+        assert len(record.payload) == (
+            8 + head_size + 40 * 32 + 10 * (1 + 1) + 50 * 3
         )
+        log = RegistryLog(path)
+        again = log.rows
         log.close()
+        assert again.ids == rows.ids
+        for name in SubscriptionRows.COLUMNS:
+            assert np.array_equal(
+                getattr(again, name), getattr(rows, name), equal_nan=True
+            ), name
 
     def test_a_torn_binary_add_is_truncated_on_open(self, tmp_path):
         path = str(tmp_path / "registry.log")
         log = RegistryLog(path)
-        log.add([{"id": "a", "kind": "filter", "bbox": [1, 2, 3, 4]}])
+        log.add(_rows({"id": "a", "kind": "filter", "bbox": [1, 2, 3, 4]}))
         kept = os.path.getsize(path)
         log.add(
-            [
-                {"id": f"t{n}", "kind": "filter", "bbox": [n, 0, n + 1, 1]}
-                for n in range(100)
-            ]
+            _rows(
+                *(
+                    {"id": f"t{n}", "kind": "filter", "bbox": [n, 0, n + 1, 1]}
+                    for n in range(100)
+                )
+            )
         )
         log.close()
         # A crash inside the second add's column blocks.
         with open(path, "r+b") as fh:
             fh.truncate(kept + 2000)
         log = RegistryLog(path)
-        assert [d["id"] for d in log.documents] == ["a"]
+        assert log.rows.ids == ["a"]
         assert os.path.getsize(path) == kept
-        log.add([{"id": "b", "kind": "filter"}])
+        log.add(_rows({"id": "b", "kind": "filter"}))
         log.close()
         log = RegistryLog(path)
-        assert [d["id"] for d in log.documents] == ["a", "b"]
-        assert log.documents[0]["bbox"] == [1.0, 2.0, 3.0, 4.0]
+        assert log.rows.ids == ["a", "b"]
+        assert log.rows.boxes[0].tolist() == [1.0, 2.0, 3.0, 4.0]
         log.close()
 
     def test_filters_as_json_rows_are_refused_naming_the_file(
@@ -212,12 +228,68 @@ class TestRegistryLog:
         with pytest.raises(DurabilityError, match="registry.log.*JSON rows"):
             RegistryLog(path)
 
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_json_key_list_adds_of_any_kind_are_refused_naming_the_file(
+        self, tmp_path, binary
+    ):
+        """The older layout kept standing queries and FWI subscriptions
+        as JSON key-list rows, alone or in the head of a filter block."""
+        path = str(tmp_path / "registry.log")
+        add = {
+            "add": [
+                {
+                    "keys": ["id", "kind", "min_class"],
+                    "rows": [["f", "fwi", "high"]],
+                }
+            ]
+        }
+        payload = (
+            _rows({"id": "g", "kind": "filter"}).encode(add)
+            if binary
+            else json.dumps(add).encode()
+        )
+        with WriteAheadLog(path) as wal:
+            wal.append(payload)
+        with pytest.raises(DurabilityError, match="registry.log.*JSON rows"):
+            RegistryLog(path)
+
+    def test_a_filter_block_without_the_kind_columns_reads_as_filters(
+        self, tmp_path
+    ):
+        """A block written before the kind, min_class and query columns
+        existed names none of them: its rows are filters."""
+        path = str(tmp_path / "registry.log")
+        rows = _rows(
+            {"id": "a", "kind": "filter", "bbox": [1, 2, 3, 4]},
+            {"id": "b", "kind": "filter", "min_confidence": 0.5},
+        )
+        payload = rows.encode()
+        (size,) = struct.unpack_from("<I", payload, 4)
+        head = json.loads(payload[8 : 8 + size])
+        assert not {"kind", "min_class", "query"} & (
+            set(head["shared"]) | set(head["blocks"])
+        )
+        del head["queries"]
+        header = json.dumps(head, separators=(",", ":")).encode()
+        with WriteAheadLog(path) as wal:
+            wal.append(
+                payload[:4]
+                + struct.pack("<I", len(header))
+                + header
+                + payload[8 + size :]
+            )
+        log = RegistryLog(path)
+        assert log.rows.ids == ["a", "b"]
+        assert log.rows.kind.tolist() == [0, 0]
+        assert log.rows.query.tolist() == [-1, -1]
+        log.close()
+
     def test_a_malformed_column_block_is_refused_naming_the_file(
         self, tmp_path
     ):
         path = str(tmp_path / "registry.log")
-        payload = FilterRows.from_documents(
-            [{"id": "a", "kind": "filter", "bbox": [1, 2, 3, 4]}]
+        payload = _rows(
+            {"id": "a", "kind": "filter", "bbox": [1, 2, 3, 4]}
         ).encode()
         with WriteAheadLog(path) as wal:
             wal.append(payload[:-5])
@@ -228,8 +300,10 @@ class TestRegistryLog:
         path = str(tmp_path / "registry.log")
         log = RegistryLog(path)
         log.add(
-            [{"id": f"g{n}", "kind": "filter"} for n in range(50)]
-            + [{"id": "f", "kind": "fwi", "min_class": "low"}]
+            _rows(
+                *[{"id": f"g{n}", "kind": "filter"} for n in range(50)],
+                {"id": "f", "kind": "fwi", "min_class": "low"},
+            )
         )
         for n in range(0, 50, 2):
             log.ack(f"g{n}", n + 1)
@@ -239,11 +313,11 @@ class TestRegistryLog:
         log.close()
         with WriteAheadLog(path) as wal:
             (record,) = wal.replayed
-        head, rows = FilterRows.decode(record.payload)
-        assert head["ack"] == [["f", 9]]
+        head, rows = SubscriptionRows.decode(record.payload)
+        assert "ack" not in head
         assert head["acked"].tolist() == [
             n + 1 if n % 2 == 0 else 0 for n in range(50)
-        ]
+        ] + [9]
         log = RegistryLog(path)
         assert log.cursors == {
             **{f"g{n}": n + 1 for n in range(0, 50, 2)}, "f": 9,
@@ -300,7 +374,9 @@ class TestRegistryFold:
         path = str(tmp_path / "registry.log")
         log = RegistryLog(path, fsync="never")
         for n in range(2000):
-            log.add([{"id": f"s{n}", "kind": "filter", "bbox": [n, 0, 1, 1]}])
+            log.add(
+                _rows({"id": f"s{n}", "kind": "filter", "bbox": [n, 0, n + 1, 1]})
+            )
         log.close()
         with WriteAheadLog(path) as wal:
             assert len(wal.replayed) == 2000

@@ -44,3 +44,15 @@ def served_service(greece, season):
 @pytest.fixture(scope="package")
 def serve_options(season):
     return RunOptions(season=season, on_error="raise")
+
+
+@pytest.fixture
+def counter_ids(monkeypatch):
+    """Subscription ids minted from a counter (see
+    :class:`~tests.serve.subscription_oracle.CounterIds`)."""
+    from repro.serve import subscribe
+    from tests.serve.subscription_oracle import CounterIds
+
+    ids = CounterIds()
+    monkeypatch.setattr(subscribe, "_mint_ids", ids)
+    return ids

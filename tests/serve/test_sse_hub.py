@@ -18,6 +18,8 @@ from repro.serve.subscribe import (
 )
 from repro.stsparql import Strabon
 
+from tests.serve.subscription_oracle import add_many
+
 
 def _batch(streamed: int, others: int) -> NotificationBatch:
     refs = [
@@ -147,8 +149,7 @@ def _golden_batch(state_dir=None):
     engine.bind(strabon, publisher)
     strabon.graph.start_journal()
     publisher.publish(strabon)
-    for sub in GOLDEN_SUBS:
-        engine.registry.add(sub)
+    add_many(engine.registry, GOLDEN_SUBS)
     rows = []
     spots = ((23.5, 38.0, 0.9), (25.0, 38.5, 0.6), (23.25, 37.5, 0.95))
     for n, (lon, lat, confidence) in enumerate(spots, 1):

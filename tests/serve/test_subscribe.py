@@ -9,7 +9,7 @@ import random
 import pytest
 
 from repro.durable import WriteAheadLog
-from repro.durable.cursors import FilterRows
+from repro.durable.cursors import SubscriptionRows
 from repro.errors import DurabilityError
 from repro.geometry import Envelope, RTree
 from repro.rdf.inference import RDFSInference
@@ -23,10 +23,14 @@ from repro.serve.subscribe import (
     SubscriptionRegistry,
     danger_class,
     delta_from_ops,
+    _parse_batch,
+    _Registered,
     municipality_score,
     validate_standing_query,
 )
 from repro.stsparql import Strabon
+
+from tests.serve.subscription_oracle import add_many, add_one, from_dict
 
 PREFIX = (
     "PREFIX noa: "
@@ -73,14 +77,21 @@ def _engine_on(strabon: Strabon) -> SubscriptionEngine:
     return engine
 
 
+def _validate(doc, sub_id: str, sequence: int) -> Subscription:
+    """One document through the subscription validator, as the
+    subscription it registers."""
+    (sub,) = _Registered(_parse_batch([doc], [sub_id], sequence)[0])
+    return sub
+
+
 class TestValidation:
     def test_rejects_unknown_kind(self):
         with pytest.raises(SubscriptionError):
-            Subscription.from_dict({"kind": "nope"}, "x", 0)
+            _validate({"kind": "nope"}, "x", 0)
 
     def test_rejects_bad_bbox(self):
         with pytest.raises(SubscriptionError):
-            Subscription.from_dict(
+            _validate(
                 {"kind": "filter", "bbox": [1, 2, 3]}, "x", 0
             )
 
@@ -89,20 +100,20 @@ class TestValidation:
     )
     def test_rejects_inverted_bbox(self, bbox):
         with pytest.raises(SubscriptionError, match="bbox"):
-            Subscription.from_dict({"kind": "filter", "bbox": bbox}, "x", 0)
+            _validate({"kind": "filter", "bbox": bbox}, "x", 0)
 
     def test_rejects_non_boolean_confirmed(self):
         with pytest.raises(SubscriptionError):
-            Subscription.from_dict(
+            _validate(
                 {"kind": "filter", "confirmed": "yes"}, "x", 0
             )
 
     def test_fwi_min_class_must_be_named(self):
         with pytest.raises(SubscriptionError):
-            Subscription.from_dict(
+            _validate(
                 {"kind": "fwi", "min_class": "apocalyptic"}, "x", 0
             )
-        sub = Subscription.from_dict(
+        sub = _validate(
             {"kind": "fwi", "min_class": "extreme"}, "x", 0
         )
         assert sub.min_class == DANGER_CLASSES.index("extreme")
@@ -201,18 +212,18 @@ class TestValidation:
     )
     def test_rejects_non_finite_numbers(self, doc):
         with pytest.raises(SubscriptionError):
-            Subscription.from_dict(doc, "x", 0)
+            _validate(doc, "x", 0)
 
     def test_filter_subscriptions_take_no_query(self):
         with pytest.raises(SubscriptionError):
-            Subscription.from_dict(
+            _validate(
                 {"kind": "filter", "query": "SELECT ?h WHERE {}"},
                 "x",
                 0,
             )
 
     def test_round_trips_through_dict(self):
-        sub = Subscription.from_dict(
+        sub = _validate(
             {
                 "kind": "filter",
                 "bbox": [20.0, 36.0, 25.0, 40.0],
@@ -223,7 +234,7 @@ class TestValidation:
             7,
         )
         doc = sub.to_dict()
-        again = Subscription.from_dict(
+        again = _validate(
             doc, doc["id"], doc["created_sequence"]
         )
         assert again == sub
@@ -248,13 +259,14 @@ class TestDangerClass:
 
 class TestRegistry:
     def _sub(self, n: int, bbox=None) -> Subscription:
-        return Subscription.from_dict(
+        return from_dict(
             {"kind": "filter", "bbox": bbox}, f"sub{n}", 0
         )
 
     def test_point_probe_finds_only_covering_geofences(self):
         registry = SubscriptionRegistry()
-        registry.add_many(
+        add_many(
+            registry,
             [
                 self._sub(0, [0.0, 0.0, 10.0, 10.0]),
                 self._sub(1, [20.0, 20.0, 30.0, 30.0]),
@@ -268,7 +280,8 @@ class TestRegistry:
 
     def test_removal_tombstones_until_rebuild(self):
         registry = SubscriptionRegistry()
-        registry.add_many(
+        add_many(
+            registry,
             [
                 self._sub(n, [0.0, 0.0, 10.0, 10.0])
                 for n in range(3)
@@ -283,7 +296,7 @@ class TestRegistry:
 
     def test_pending_inserts_are_probed_before_rebuild(self):
         registry = SubscriptionRegistry()
-        registry.add(self._sub(0, [0.0, 0.0, 10.0, 10.0]))
+        add_one(registry, self._sub(0, [0.0, 0.0, 10.0, 10.0]))
         hits = {
             s.id for s in registry.geofence_candidates(5.0, 5.0)
         }
@@ -293,13 +306,14 @@ class TestRegistry:
         """Inserts and removals reshape the tree but not the order a
         probe returns geofences in, so batch bytes do not move."""
         registry = SubscriptionRegistry()
-        registry.add_many(
+        add_many(
+            registry,
             [self._sub(n, [0.0, 0.0, 10.0 + n, 10.0 + n]) for n in range(40)]
         )
         packed = [s.id for s in registry.geofence_candidates(5.0, 5.0)]
         assert sorted(packed) == sorted(f"sub{n}" for n in range(40))
-        registry.add(self._sub(100, [4.0, 4.0, 6.0, 6.0]))
-        registry.add(self._sub(101, [-50.0, -50.0, 50.0, 50.0]))
+        add_one(registry, self._sub(100, [4.0, 4.0, 6.0, 6.0]))
+        add_one(registry, self._sub(101, [-50.0, -50.0, 50.0, 50.0]))
         assert registry.remove(packed[3])
         hits = [s.id for s in registry.geofence_candidates(5.0, 5.0)]
         assert hits == packed[:3] + packed[4:] + ["sub100", "sub101"]
@@ -321,11 +335,11 @@ class TestRegistry:
         for _ in range(300):
             roll = rng.random()
             if roll < 0.45:
-                sub = registry.add(fresh())
+                sub = add_one(registry, fresh())
                 live[sub.id] = sub
             elif roll < 0.55:
                 batch = [fresh() for _ in range(rng.randint(0, 40))]
-                registry.add_many(batch)
+                add_many(registry, batch)
                 live.update((sub.id, sub) for sub in batch)
             elif live and roll < 0.95:
                 sub_id = rng.choice(sorted(live))
@@ -349,8 +363,9 @@ class TestRegistry:
             return self._sub(n, [x, y, x + 0.5, y + 0.5])
 
         registry = SubscriptionRegistry()
-        registry.add_many(
-            fence(n, n % 200 * 0.1, n // 200 * 0.1) for n in range(20_000)
+        add_many(
+            registry,
+            [fence(n, n % 200 * 0.1, n // 200 * 0.1) for n in range(20_000)],
         )
         packs = []
         bulk_load = RTree.bulk_load
@@ -361,7 +376,7 @@ class TestRegistry:
 
         monkeypatch.setattr(RTree, "bulk_load", counting_bulk_load)
         for n in range(200):
-            registry.add(fence(20_000 + n, n * 0.1, 5.0))
+            add_one(registry, fence(20_000 + n, n * 0.1, 5.0))
         for n in range(200):
             assert registry.remove(f"sub{n * 97}")
         assert packs == []
@@ -375,15 +390,16 @@ class TestRegistry:
 
     def test_duplicate_ids_are_refused(self):
         registry = SubscriptionRegistry()
-        registry.add(self._sub(0))
+        add_one(registry, self._sub(0))
         with pytest.raises(SubscriptionError):
-            registry.add(self._sub(0))
+            add_one(registry, self._sub(0))
 
     def test_counts_by_kind(self):
         registry = SubscriptionRegistry()
-        registry.add(self._sub(0))
-        registry.add(
-            Subscription.from_dict(
+        add_one(registry, self._sub(0))
+        add_one(
+            registry,
+            from_dict(
                 {"kind": "fwi", "min_class": "low"}, "f", 0
             )
         )
@@ -395,7 +411,7 @@ class TestRegistry:
 
 
 def _query_sub(sub_id: str, where: str, select: str = "?h"):
-    return Subscription.from_dict(
+    return from_dict(
         {
             "kind": "stsparql",
             "query": PREFIX + f"SELECT {select} WHERE {{ {where} }}",
@@ -410,7 +426,8 @@ class TestShapes:
 
     def test_queries_equal_but_for_filter_literals_share_a_shape(self):
         registry = SubscriptionRegistry()
-        registry.add_many(
+        add_many(
+            registry,
             [
                 _query_sub("a", self.FLOOR.format('"0.5"')),
                 _query_sub("b", self.FLOOR.format("0.7")),
@@ -587,7 +604,7 @@ class TestEngine:
             if rng.random() < 0.5:
                 doc["min_confidence"] = round(rng.uniform(0.2, 0.9), 2)
             docs.append(doc)
-        subs = engine.register_many(docs[:10])
+        subs = list(engine.register_many(docs[:10]))
         if bulk:
             subs += engine.register_many(docs[10:])
         else:
@@ -678,7 +695,7 @@ class TestEngine:
             }
         )
         oracle = SubscriptionEngine()
-        oracle.registry.add(sub)
+        add_one(oracle.registry, sub)
         oracle.evaluate_full(strabon, 1)
         _insert_hotspot(strabon, 1, 23.0, 38.0, confidence=0.99)
         for n in (2, 3, 4):
@@ -1150,8 +1167,8 @@ class TestDurableState:
                 reopened.close()
         with WriteAheadLog(os.path.join(state_dir, "registry.log")) as log:
             (record,) = log.replayed
-        head, rows = FilterRows.decode(record.payload)
-        assert rows.ids == [subs[0].id]
+        head, rows = SubscriptionRows.decode(record.payload)
+        assert rows.ids == [s.id for s in subs]
         assert head["primed"] == [[s.id, [subject]] for s in subs]
 
     def test_old_layout_state_is_refused(self, tmp_path):

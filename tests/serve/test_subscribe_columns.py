@@ -26,9 +26,19 @@ from repro.serve.subscribe import (
 from repro.stsparql import Strabon
 from repro.stsparql.engine import SnapshotView
 
+from tests.serve.subscription_oracle import (
+    add_many,
+    add_one,
+    from_dict,
+    municipality_matches,
+)
 from tests.serve.test_subscribe import PREFIX, _delta, _insert_hotspot
 
 QUERY = PREFIX + "SELECT ?h WHERE { ?h a <http://example.org/T> }"
+FLOOR_QUERY = (
+    PREFIX + "SELECT ?h WHERE { ?h a noa:Hotspot ; noa:hasConfidence ?c . "
+    'FILTER(?c >= "0.5") }'
+)
 
 _numbers = st.one_of(
     st.floats(),
@@ -59,15 +69,31 @@ _boxes = st.one_of(
 _documents = st.fixed_dictionaries(
     {},
     optional={
-        "kind": st.sampled_from(["filter", "filter", "fwi", "stsparql", "x"]),
+        "kind": st.sampled_from(
+            ["filter", "filter", "fwi", "fwi", "stsparql", "stsparql", "x"]
+        ),
         "bbox": _boxes,
         "min_confidence": _values,
         "confirmed": _values,
         "municipality": st.one_of(
             st.none(), st.sampled_from(["A", "B", "C"]), st.integers(0, 3)
         ),
-        "query": st.sampled_from([None, QUERY, "SELECT nonsense"]),
-        "min_class": st.sampled_from(["low", "extreme", "apocalyptic"]),
+        "query": st.sampled_from(
+            [
+                None,
+                QUERY,
+                FLOOR_QUERY,
+                FLOOR_QUERY.replace("0.5", "0.7"),
+                QUERY + " ORDER BY ?h",
+                "SELECT nonsense",
+                "",
+                5,
+                [QUERY],
+            ]
+        ),
+        "min_class": st.sampled_from(
+            ["low", "extreme", "apocalyptic", None, 2, ["high"]]
+        ),
     },
 )
 _batches = st.lists(
@@ -92,18 +118,24 @@ class TestBatchValidation:
     @settings(max_examples=400, deadline=None)
     @given(_batches)
     def test_batch_verdicts_equal_from_dict(self, docs):
+        """Every kind: the batch accepts what the one-document oracle
+        accepts, with the same subscriptions, and refuses with the
+        oracle's error for the first document it refuses."""
         ids = [f"id{k}" for k in range(len(docs))]
         want, want_error = _verdict(
             lambda: [
-                Subscription.from_dict(doc, ids[k], 3)
+                from_dict(doc, ids[k], 3)
                 for k, doc in enumerate(docs)
             ]
         )
         got, got_error = _verdict(lambda: _parse_batch(docs, ids, 3))
         assert got_error == want_error
         if want_error is None:
-            rows, objects = got
-            assert list(_Registered(rows, objects, len(docs))) == want
+            rows, lifted = got
+            assert list(_Registered(rows)) == want
+            assert sorted(lifted) == sorted(
+                {sub.query for sub in want if sub.kind == "stsparql"}
+            )
 
     @pytest.mark.parametrize(
         "bad",
@@ -129,11 +161,24 @@ class TestBatchValidation:
         assert len(reopened.registry) == 0
         reopened.close()
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"min_confidence": 2**1040},
+            {"bbox": [0, 0, 1, 2**1040]},
+            {"kind": "fwi", "bbox": [0, 0, 2**1040, 1]},
+        ],
+    )
+    def test_an_integer_too_large_for_a_float_is_refused(self, doc):
+        """JSON integers have no size limit; one no float can hold is a
+        SubscriptionError (an HTTP 422), not an OverflowError."""
+        with pytest.raises(SubscriptionError, match="too large"):
+            SubscriptionEngine().register_many([{"kind": "filter"}, doc])
+
     def test_numeric_strings_are_accepted_as_from_dict_accepts_them(self):
         docs = [{"bbox": ["20", " 36", "21.5", 37], "min_confidence": "0.5"}]
-        rows, objects = _parse_batch(docs, ["a"], 0)
-        (sub,) = _Registered(rows, objects, 1)
-        assert sub == Subscription.from_dict(docs[0], "a", 0)
+        (sub,) = _Registered(_parse_batch(docs, ["a"], 0)[0])
+        assert sub == from_dict(docs[0], "a", 0)
 
     def test_ids_are_twelve_hex_characters(self):
         engine = SubscriptionEngine()
@@ -168,7 +213,7 @@ def _brute_matches(sub, record) -> bool:
         return False
     if sub.confirmed is not None and record.confirmed != sub.confirmed:
         return False
-    if sub.municipality is not None and not subscribe._municipality_matches(
+    if sub.municipality is not None and not municipality_matches(
         record.municipality, sub.municipality
     ):
         return False
@@ -200,17 +245,17 @@ class TestColumnChurn:
                 doc["confirmed"] = rng.random() < 0.5
             if rng.random() < 0.3:
                 doc["municipality"] = rng.choice(["A", "B", "C", "muni#A"])
-            return Subscription.from_dict(doc, f"s{next(made)}", 0)
+            return from_dict(doc, f"s{next(made)}", 0)
 
         for _ in range(300):
             roll = rng.random()
             if roll < 0.45:
-                sub = registry.add(fresh())
+                sub = add_one(registry, fresh())
                 live[sub.id] = sub
                 rank[sub.id] = len(rank) + 10**6
             elif roll < 0.55:
                 batch = [fresh() for _ in range(rng.randint(0, 40))]
-                registry.add_many(batch)
+                add_many(registry, batch)
                 live.update((sub.id, sub) for sub in batch)
                 # A pack orders every live geofence afresh.
                 table = registry._table
@@ -275,19 +320,10 @@ def _bound(strabon, state_dir=None):
     return engine
 
 
-def _counter_ids(monkeypatch):
-    counter = itertools.count()
-    monkeypatch.setattr(
-        subscribe,
-        "_mint_ids",
-        lambda n: [f"{next(counter):012x}" for _ in range(n)],
-    )
-
-
 class TestPriming:
     @pytest.mark.parametrize("seed", range(3))
     def test_index_priming_equals_the_full_scan(
-        self, seed, store480, monkeypatch
+        self, seed, store480, monkeypatch, counter_ids
     ):
         """Priming reads only the stars the spatial index puts near the
         new fences; the primed sets equal the full-scan path's."""
@@ -308,7 +344,7 @@ class TestPriming:
                 monkeypatch.setattr(
                     SnapshotView, "spatial_search", lambda self, area: None
                 )
-            _counter_ids(monkeypatch)
+            counter_ids.next = 0
             engine = _bound(store480)
             engine.register_many(docs[:30])
             for doc in docs[30:45]:
@@ -442,3 +478,100 @@ class TestReopen:
             )
             reopened.close()
             assert after == before
+
+    def test_a_reopen_keeps_registration_order(self, tmp_path, counter_ids):
+        """Standing queries and FWI subscriptions come back in
+        registration order whatever fields each document set, so a
+        shape's member order (its ``VALUES`` text) and a commit's refs
+        are the same after a restart."""
+        floor = (
+            PREFIX + "SELECT ?h WHERE {{ ?h a noa:Hotspot ; "
+            "noa:hasConfidence ?c . FILTER(?c >= {}) }}"
+        )
+        docs = [
+            {"kind": "stsparql", "query": floor.format('"0.1"')},
+            {
+                "kind": "stsparql",
+                "query": floor.format('"0.2"'),
+                "bbox": [20, 34, 28, 42],
+            },
+            {"kind": "stsparql", "query": floor.format('"0.3"')},
+            {"kind": "fwi", "min_class": "low"},
+            {"kind": "fwi", "min_class": "low", "municipality": "A"},
+            {"kind": "fwi", "min_class": "low"},
+        ]
+        strabon = Strabon()
+        publisher = SnapshotPublisher()
+        strabon.graph.start_journal()
+        publisher.publish(strabon)
+
+        def engine(name):
+            engine = SubscriptionEngine(state_dir=str(tmp_path / name))
+            engine.bind(strabon, publisher)
+            return engine
+
+        def order(engine):
+            registry = engine.registry
+            return (
+                [s.id for s in registry.standing_queries()],
+                [s.id for s in registry.fwi_subscriptions()],
+                [
+                    (members, shape.text(members))
+                    for shape, members in registry.shapes()
+                ],
+            )
+
+        engines = []
+        for name in ("kept", "reopened"):
+            counter_ids.next = 0
+            engines.append(engine(name))
+            engines[-1].register_many(docs)
+        before = order(engines[1])
+        assert before[0] + before[1] == [f"{k:012x}" for k in range(6)]
+        engines[1].close()
+        engines[1] = engine("reopened")
+        assert order(engines[1]) == before == order(engines[0])
+        _insert_hotspot(strabon, 1, 23.5, 38.0, confidence=0.9)
+        delta = _delta(strabon)
+        batches = [engine.process_commit(2, delta) for engine in engines]
+        assert batches[1].refs == batches[0].refs
+        assert [ref[0] for ref in batches[0].refs] == [
+            f"{k:012x}" for k in range(6)
+        ]
+        for engine in engines:
+            engine.close()
+
+    def test_each_standing_query_is_parsed_once(self, tmp_path, monkeypatch):
+        """``alert_fanout``'s standing queries: registering them parses
+        each distinct text once (validation and constant lifting share
+        the parse), and so does a reopen."""
+        from benchmarks.e2e import workloads
+        from repro.stsparql.parser import Parser
+
+        docs = [
+            doc
+            for doc in workloads.bulk_subscriptions(
+                workloads.WORKLOADS["alert_fanout"], 8803
+            )
+            if doc["kind"] == "stsparql"
+        ]
+        assert len(docs) == 40
+        texts = len({doc["query"] for doc in docs})
+        calls = []
+        parse_query = Parser.parse_query
+
+        def counted(self):
+            calls.append(1)
+            return parse_query(self)
+
+        monkeypatch.setattr(Parser, "parse_query", counted)
+        state_dir = str(tmp_path / "subs")
+        engine = SubscriptionEngine(state_dir=state_dir)
+        engine.register_many(docs)
+        engine.close()
+        assert len(calls) == texts <= 40
+        calls.clear()
+        reopened = SubscriptionEngine(state_dir=state_dir)
+        assert len(reopened.registry.shapes()) == 2
+        reopened.close()
+        assert len(calls) == texts

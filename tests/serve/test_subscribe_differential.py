@@ -35,16 +35,12 @@ from repro.durable import CRASH_EXIT, crashpoints
 from repro.rdf.namespace import NOA, RDF, STRDF
 from repro.rdf.term import Literal, URI
 from repro.serve import SnapshotPublisher
-from repro.serve.subscribe import (
-    Subscription,
-    SubscriptionEngine,
-    _text,
-    delta_from_ops,
-)
+from repro.serve.subscribe import SubscriptionEngine, _text, delta_from_ops
 from repro.seviri.fires import FireSeason
 from repro.stsparql import Strabon
 
 from tests.durable.conftest import CRISIS_START
+from tests.serve.subscription_oracle import add_many, from_dict
 
 PREFIX = (
     "PREFIX noa: "
@@ -102,8 +98,7 @@ def test_incremental_equals_full_rerun_per_snapshot(
         # priming it against the initial publication mirrors the live
         # engine's registration-time priming and FWI baseline.
         oracle = SubscriptionEngine()
-        for sub in engine.registry.list():
-            oracle.registry.add(sub)
+        add_many(oracle.registry, engine.registry.list())
         initial = service.publisher.require_latest()
         oracle.evaluate_full(
             initial.view, initial.sequence, commit=True
@@ -199,8 +194,7 @@ def test_fanout_load_incremental_equals_full_rerun(
         engine = service.subscriptions
         engine.register_many(_fanout_docs(diff_greece))
         oracle = SubscriptionEngine()
-        for sub in engine.registry.list():
-            oracle.registry.add(sub)
+        add_many(oracle.registry, engine.registry.list())
         initial = service.publisher.require_latest()
         oracle.evaluate_full(initial.view, initial.sequence)
 
@@ -238,14 +232,11 @@ class PerQueryEngine(SubscriptionEngine):
     call, seeded with its own pending subjects — the loop per-shape
     evaluation replaced."""
 
-    def _prime(self, subs):
-        queries = [s for s in subs if s.kind == "stsparql"]
-        primed = super()._prime([s for s in subs if s not in queries])
-        source = self._priming_source()
-        for sub in queries:
-            for row in source.select(sub.query):
-                self._seen.setdefault(sub.id, set()).add(_text(row["h"]))
-        return primed
+    def _prime_queries(self, source, ids):
+        for sub_id in ids:
+            query = self.registry.get(sub_id).query
+            for row in source.select(query):
+                self._seen.setdefault(sub_id, set()).add(_text(row["h"]))
 
     def _match_queries(self, source, records, out, seeded):
         for sub in self.registry.standing_queries():
@@ -261,7 +252,7 @@ class PerQueryEngine(SubscriptionEngine):
             for record in pending:
                 if record.subject in matched:
                     seen.add(record.subject)
-                    out.hotspot(sub, record)
+                    out.match(sub.id, sub.kind, record)
 
 
 def _standing_query(rng, kind=None):
@@ -324,7 +315,9 @@ def _hotspot(graph, rng, n):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_one_call_per_shape_equals_the_per_query_loop(seed, monkeypatch):
+def test_one_call_per_shape_equals_the_per_query_loop(
+    seed, monkeypatch, counter_ids
+):
     rng = random.Random(seed)
     strabon = Strabon()
     for n in range(6):
@@ -337,10 +330,11 @@ def test_one_call_per_shape_equals_the_per_query_loop(seed, monkeypatch):
     publisher.publish(strabon)
 
     def register(docs):
+        # The same ids in both engines: the batches' bytes must match.
+        start = counter_ids.next
         subs = engines[0].register_many(docs)
-        for sub in subs:
-            engines[1].registry.add(sub)
-        engines[1]._prime(subs)
+        counter_ids.next = start
+        engines[1].register_many(docs)
         return subs
 
     docs = [_standing_query(rng) for _ in range(rng.randrange(8, 14))]
@@ -390,12 +384,11 @@ def test_one_call_per_shape_equals_the_per_query_loop(seed, monkeypatch):
     assert calls and notified, "the run never notified a standing query"
     # The full re-run path, over subscriptions that have seen nothing.
     fresh = [
-        Subscription.from_dict(_standing_query(rng), f"fresh{n}", 0)
+        from_dict(_standing_query(rng), f"fresh{n}", 0)
         for n in range(4)
     ]
     for engine in engines:
-        for sub in fresh:
-            engine.registry.add(sub)
+        add_many(engine.registry, fresh)
     snapshot = publisher.require_latest()
     full = [
         engine.evaluate_full(snapshot.view, snapshot.sequence + 1)
@@ -436,8 +429,7 @@ def test_full_rescan_races_source_outage(diff_greece, diff_requests):
             engine.register(doc)
 
         oracle = SubscriptionEngine()
-        for sub in engine.registry.list():
-            oracle.registry.add(sub)
+        add_many(oracle.registry, engine.registry.list())
         initial = service.publisher.require_latest()
         oracle.evaluate_full(
             initial.view, initial.sequence, commit=True

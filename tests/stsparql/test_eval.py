@@ -1,5 +1,8 @@
 """stSPARQL evaluation: joins, filters, OPTIONAL, UNION, modifiers."""
 
+import functools
+import random
+
 import pytest
 
 from repro.rdf import Literal, NOA, RDF, RDFS, XSD
@@ -183,6 +186,58 @@ class TestModifiers:
         )
         confs = [float(row["c"].lexical) for row in r]
         assert confs == sorted(confs, reverse=True)
+
+    def test_order_by_ranks_by_the_first_key_first(self):
+        s = Strabon()
+        s.load_turtle(
+            "@prefix noa: <http://teleios.di.uoa.gr/ontologies/noaOntology.owl#> .\n"
+            "noa:x noa:a 1 ; noa:b 5 .\n"
+            "noa:y noa:a 2 ; noa:b 9 .\n"
+            "noa:z noa:a 1 ; noa:b 7 .\n"
+        )
+        r = s.select(
+            PREFIX + "SELECT ?s ?a ?b WHERE { ?s noa:a ?a ; noa:b ?b } "
+            "ORDER BY ?a DESC(?b)"
+        )
+        assert [row["s"].local_name() for row in r] == ["z", "x", "y"]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_order_by_mixed_directions_equals_a_comparator(self, seed):
+        rng = random.Random(seed)
+        names = ("a", "b", "c")
+        rows = {
+            f"s{n:02d}": [rng.randrange(3) for _ in names] for n in range(25)
+        }
+        s = Strabon()
+        s.load_turtle(
+            "@prefix noa: <http://teleios.di.uoa.gr/ontologies/noaOntology.owl#> .\n"
+            + "".join(
+                f"noa:{subject} "
+                + " ; ".join(f"noa:{n} {v}" for n, v in zip(names, values))
+                + " .\n"
+                for subject, values in rows.items()
+            )
+        )
+        descending = [rng.random() < 0.5 for _ in names]
+        keys = " ".join(
+            f"DESC(?{n})" if down else f"?{n}"
+            for n, down in zip(names, descending)
+        )
+        r = s.select(
+            PREFIX + "SELECT ?s ?a ?b ?c WHERE "
+            "{ ?s noa:a ?a ; noa:b ?b ; noa:c ?c } "
+            f"ORDER BY {keys} ?s"
+        )
+
+        def compare(left, right):
+            for i, down in enumerate(descending):
+                if rows[left][i] != rows[right][i]:
+                    sign = -1 if rows[left][i] < rows[right][i] else 1
+                    return -sign if down else sign
+            return (left > right) - (left < right)
+
+        want = sorted(rows, key=functools.cmp_to_key(compare))
+        assert [row["s"].local_name() for row in r] == want
 
     def test_limit_offset(self, engine):
         r = engine.select(
