@@ -13,7 +13,9 @@ geofenced subscriptions):
   records probed against the geofence index) and, against the *same*
   pre-commit engine state, through :meth:`evaluate_full` with
   ``commit=False`` (every standing query over the whole snapshot minus
-  the seen-set).  The headline bar — asserted here at the largest
+  the seen-set).  Both are the best of ``REPEATS`` runs from that one
+  state: every commit but the last is undone
+  (:meth:`SubscriptionEngine.evaluation_undone`).  The headline bar — asserted here at the largest
   count — is incremental >= 10x faster than the full re-run.
 * **Differential** — the notification key set the incremental path
   produced must equal the full re-run's at every series point;
@@ -49,6 +51,7 @@ import random
 import shutil
 import tempfile
 import time
+from contextlib import nullcontext
 
 import pytest
 
@@ -63,7 +66,8 @@ SERIES = (1_000, 10_000, 100_000)
 N_INITIAL = 480
 #: Hotspots the measured acquisition inserts (one delta batch).
 N_DELTA = 24
-#: Timing repeats (best-of) for the full re-run measurement.
+#: Timing repeats (best-of) for the incremental and full re-run
+#: measurements.
 REPEATS = 3
 #: Single registrations (then removals) timed at the largest point.
 N_CHURN = 200
@@ -142,13 +146,26 @@ def _series_point(count: int) -> dict:
         full = engine.evaluate_full(strabon, 2, commit=False)
         full_wall = min(full_wall, time.perf_counter() - t0)
 
-    t0 = time.perf_counter()
-    batch = engine.process_commit(
-        2, delta_from_ops(strabon.graph.drain_journal())
-    )
-    incremental_wall = time.perf_counter() - t0
+    # The production path, timed as the best of REPEATS commits of the
+    # drained ops, each on the same pre-commit state (every commit but
+    # the last is undone) and with a fresh DeltaBatch (the batch
+    # memoises the stars it reads), so the gated number is not one
+    # sample.
+    ops = strabon.graph.drain_journal()
+    incremental_wall = float("inf")
+    keys = []
+    for repeat in range(REPEATS):
+        undo = repeat < REPEATS - 1
+        with engine.evaluation_undone() if undo else nullcontext():
+            t0 = time.perf_counter()
+            batch = engine.process_commit(2, delta_from_ops(ops))
+            incremental_wall = min(
+                incremental_wall, time.perf_counter() - t0
+            )
+        keys.append(set(batch.keys()))
+    assert all(k == keys[0] for k in keys)
 
-    incremental_keys = set(batch.keys())
+    incremental_keys = keys[-1]
     full_keys = set(full.keys())
     mismatches = len(incremental_keys ^ full_keys)
 

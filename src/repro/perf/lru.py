@@ -10,6 +10,12 @@ Eviction is strictly least-recently-used: every :meth:`get` hit and
 every :meth:`put` refreshes recency.  Unlike the clear-the-world
 behaviour it replaces, a full cache under sustained load keeps its hot
 working set and only sheds the coldest entry per insert.
+
+A cache whose entries differ widely in size (encoded query answers) is
+bounded by bytes as well: with ``maxbytes`` every entry is weighed once
+on insert by ``sizeof(key, value)``, and the coldest entries go until
+the total fits.  A single entry heavier than the whole budget is never
+held.
 """
 
 from __future__ import annotations
@@ -68,14 +74,32 @@ class LRUCache:
 
     All operations take an internal lock, so one instance may be shared
     between the HTTP server's read threads and the ingest thread.
+
+    ``maxbytes`` adds a byte bound beside the entry bound; ``sizeof``
+    (given with it) weighs an entry.
     """
 
-    def __init__(self, maxsize: int, name: str = "") -> None:
+    def __init__(
+        self,
+        maxsize: int,
+        name: str = "",
+        maxbytes: Optional[int] = None,
+        sizeof: Optional[Callable[[Hashable, Any], int]] = None,
+    ) -> None:
         if maxsize < 1:
             raise ValueError("LRU cache needs maxsize >= 1")
+        if (maxbytes is None) != (sizeof is None):
+            raise ValueError("maxbytes and sizeof go together")
+        if maxbytes is not None and maxbytes < 1:
+            raise ValueError("LRU cache needs maxbytes >= 1")
         self.name = name
         self._maxsize = maxsize
+        self._maxbytes = maxbytes
+        self._sizeof = sizeof
         self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
+        #: Each entry's weight, kept only under a byte bound.
+        self._sizes: Dict[Hashable, int] = {}
+        self._bytes = 0
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
@@ -100,12 +124,25 @@ class LRUCache:
             return self._data.get(key, default)
 
     def put(self, key: Hashable, value: Any) -> None:
+        maxbytes = self._maxbytes
+        size = 0 if maxbytes is None else self._sizeof(key, value)
         with self._lock:
+            if maxbytes is not None:
+                self._bytes -= self._sizes.pop(key, 0)
+                if size > maxbytes:
+                    self._data.pop(key, None)
+                    return
+                self._sizes[key] = size
+                self._bytes += size
             if key in self._data:
                 self._data.move_to_end(key)
             self._data[key] = value
-            while len(self._data) > self._maxsize:
-                self._data.popitem(last=False)
+            while len(self._data) > self._maxsize or (
+                maxbytes is not None and self._bytes > maxbytes
+            ):
+                old, _ = self._data.popitem(last=False)
+                if maxbytes is not None:
+                    self._bytes -= self._sizes.pop(old)
                 self._evictions += 1
 
     def get_or_compute(
@@ -140,10 +177,18 @@ class LRUCache:
     def maxsize(self) -> int:
         return self._maxsize
 
+    @property
+    def nbytes(self) -> int:
+        """Total weight of the held entries (0 without a byte bound)."""
+        with self._lock:
+            return self._bytes
+
     def clear(self) -> None:
         """Drop entries (counters survive — they describe the lifetime)."""
         with self._lock:
             self._data.clear()
+            self._sizes.clear()
+            self._bytes = 0
 
     def reset_stats(self) -> None:
         with self._lock:

@@ -16,7 +16,8 @@ store while the ingest/refinement writer keeps running:
 * :class:`HotspotServer` / :func:`serve_in_thread` — the stdlib-only
   asyncio HTTP endpoint; every route lives under ``/v1/`` and answers
   from the latest publication — hotspot-table and stSPARQL reads on the
-  event loop, stSPARQL under a deadline every engine operator checks;
+  event loop, stSPARQL under a deadline every engine operator checks,
+  a repeated SELECT from the publication's memo of encoded answers;
   only blocking work (subscription writes, which fsync, the health
   report and the router's fan-out legs) goes to its thread pool
   (``repro.serve.http``),

@@ -49,7 +49,10 @@ event loop: ``/v1/hotspots`` is a filter over the publication's
 already-encoded hotspot table, and ``/v1/stsparql`` evaluates on the
 publication's frozen view under a deadline that every engine operator
 and the result encoding check (:data:`READ_DEADLINE_S` at most), so no
-read holds the loop much past it.  A thread hand-off would cost more
+read holds the loop much past it.  A SELECT the publication already
+answered (same text, same ``params``) is answered from the encoded
+document it keeps (``PublishedSnapshot.answers``), with no engine call,
+whatever its deadline.  A thread hand-off would cost more
 than it spares: the cross-thread wake-up about doubled an overlay
 SELECT's latency.  What blocks instead of
 computing runs on a thread pool (``read_workers`` wide): the
@@ -100,7 +103,7 @@ from repro.serve.sse import (
     format_comment,
     frame_sequence,
 )
-from repro.serve.state import ConsistencyToken
+from repro.serve.state import ANSWER_MEMO_LARGEST, ConsistencyToken
 from repro.serve.subscribe import SubscriptionError
 from repro.stsparql.errors import QueryTimeoutError, SparqlError
 from repro.stsparql.eval import SolutionSet
@@ -900,6 +903,33 @@ class HotspotServer:
         fields = self._parse_query_body(body)
         explain = fields["explain"]
         published = self._latest()
+        snapshot = {
+            "sequence": published.sequence,
+            "generation": published.generation,
+            "trace_id": published.trace_id,
+        }
+        if ctx is not None:
+            snapshot["request_trace_id"] = ctx.trace_id
+        members = {
+            "snapshot": snapshot,
+            "provenance": self._provenance(published, ctx),
+        }
+        # A SELECT this publication already answered is answered from
+        # its memo: no parse, plan, evaluation or encoding.  The key
+        # leaves out timeout_s, which bounds the work, not the answer.
+        key = (fields["query"], _params_key(fields["params"]))
+        if not explain:
+            document = published.answers.get(key)
+            if _metrics.enabled:
+                _metrics.counter(
+                    "stsparql_answer_memo_hits_total"
+                    if document is not None
+                    else "stsparql_answer_memo_misses_total",
+                    "/v1/stsparql reads answered from (or missing) "
+                    "the publication's answer memo",
+                ).inc()
+            if document is not None:
+                return _select_response(document, members)
         timeout_s = fields["timeout_s"]
         budget = (
             READ_DEADLINE_S
@@ -915,23 +945,13 @@ class HotspotServer:
             explain=explain,
             timeout=budget,
         )
-        snapshot = {
-            "sequence": published.sequence,
-            "generation": published.generation,
-            "trace_id": published.trace_id,
-        }
-        if ctx is not None:
-            snapshot["request_trace_id"] = ctx.trace_id
-        members = {
-            "snapshot": snapshot,
-            "provenance": self._provenance(published, ctx),
-        }
         if isinstance(result, SolutionSet) and not explain:
             # The solutions are encoded under the deadline; the
             # provenance members are appended to the encoded document.
             document = result.sparql_json_bytes(deadline)
-            tail = json.dumps(members).encode("utf-8")
-            return _response(200, document[:-1] + b", " + tail[1:])
+            if len(document) <= ANSWER_MEMO_LARGEST:
+                published.answers.put(key, document)
+            return _select_response(document, members)
         if explain:
             # The executed plan (engine, join order, estimates), not
             # the solutions.
@@ -942,6 +962,18 @@ class HotspotServer:
             payload = {"triples": len(result)}
         payload.update(members)
         return _json_response(200, payload)
+
+
+def _params_key(params: Optional[Dict[str, Any]]) -> str:
+    """``params`` in one canonical text (``""`` without them)."""
+    return "" if params is None else json.dumps(params, sort_keys=True)
+
+
+def _select_response(document: bytes, members: Dict[str, Any]) -> bytes:
+    """A SELECT's encoded SPARQL-JSON document with this request's
+    ``snapshot`` and ``provenance`` members appended."""
+    tail = json.dumps(members).encode("utf-8")
+    return _response(200, document[:-1] + b", " + tail[1:])
 
 
 class ServerHandle:

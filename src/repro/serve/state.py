@@ -20,7 +20,10 @@ they hold it — publication never invalidates an in-flight read.
 A publication also carries the ``/v1/hotspots`` read model — its
 :class:`~repro.serve.hotspots.HotspotTable` — built on the writer
 thread before the swap, so the table and the view a reader gets always
-describe the same state.
+describe the same state.  Beside it sits ``answers``, the memo of the
+encoded ``/v1/stsparql`` SELECT answers this state has given: the state
+never changes, so an answer stays right for as long as the publication
+lives, and nothing ever invalidates it.
 """
 
 from __future__ import annotations
@@ -32,12 +35,39 @@ from datetime import datetime
 from typing import Optional
 
 from repro.obs import get_metrics, get_tracer
+from repro.perf.lru import LRUCache
 from repro.serve.hotspots import HotspotTable
 from repro.serve.subscribe import DeltaBatch
 from repro.stsparql import SnapshotView, Strabon
 
 _metrics = get_metrics()
 _tracer = get_tracer()
+
+#: Bytes of encoded SELECT answers (query text and params included) one
+#: publication keeps; the least recently used answer goes first.  The
+#: 72 Figure-6 overlay answers of a ``crisis_ingest`` read phase total
+#: ~0.4 MB.
+ANSWER_MEMO_BYTES = 4 << 20
+#: An answer larger than this is never kept, so one huge read cannot
+#: flush every overlay.
+ANSWER_MEMO_LARGEST = ANSWER_MEMO_BYTES // 8
+
+
+def _answer_weight(key: tuple, document: bytes) -> int:
+    text, params = key
+    return len(text) + len(params) + len(document)
+
+
+def _answer_memo() -> LRUCache:
+    """An empty memo of encoded SELECT answers, keyed by (query text,
+    canonical params); bounded by :data:`ANSWER_MEMO_BYTES` alone
+    (every entry weighs at least one byte, so the entry bound never
+    binds first)."""
+    return LRUCache(
+        ANSWER_MEMO_BYTES,
+        maxbytes=ANSWER_MEMO_BYTES,
+        sizeof=_answer_weight,
+    )
 
 
 @dataclass(frozen=True)
@@ -115,6 +145,12 @@ class PublishedSnapshot:
     generation: int
     #: The served hotspots of this state (``/v1/hotspots`` filters it).
     hotspots: HotspotTable = field(repr=False, compare=False)
+    #: Encoded SPARQL-JSON documents of the SELECTs this state answered
+    #: over ``/v1/stsparql`` (see :func:`_answer_memo`).  Lock-safe: two
+    #: servers on two loops may answer from one publication.
+    answers: LRUCache = field(
+        default_factory=_answer_memo, repr=False, compare=False
+    )
     #: Acquisition timestamp that triggered this publication (None for
     #: the initial — auxiliary-data-only — publication).
     timestamp: Optional[datetime] = None

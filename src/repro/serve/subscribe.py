@@ -92,6 +92,7 @@ import os
 import threading
 import time
 from collections.abc import Sequence as SequenceABC
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields, is_dataclass
 from itertools import chain
 from typing import (
@@ -1811,24 +1812,33 @@ class SubscriptionEngine:
         """
         graph = _source_graph(source)
         out = _BatchBuilder()
-        with self._lock:
-            if not commit:
-                saved_seen = {
-                    k: set(v) for k, v in self._seen.items()
-                }
-                saved_fwi = (
-                    None
-                    if self._fwi_classes is None
-                    else dict(self._fwi_classes)
-                )
+        with self._lock, (
+            nullcontext() if commit else self.evaluation_undone()
+        ):
             records = list(iter_hotspot_records(graph))
             self._match_filters(records, out)
             self._match_queries(source, records, out, seeded=False)
             self._fwi_full(graph, out)
-            if not commit:
+        return out.batch(sequence)
+
+    @contextmanager
+    def evaluation_undone(self):
+        """Undo, on exit, what evaluating changes in the engine: the
+        seen-sets and the FWI classes.  Benchmarks time an evaluation
+        repeatedly against one pre-state this way; a logged batch (on
+        a durable engine) is not undone."""
+        with self._lock:
+            saved_seen = {k: set(v) for k, v in self._seen.items()}
+            saved_fwi = (
+                None
+                if self._fwi_classes is None
+                else dict(self._fwi_classes)
+            )
+            try:
+                yield
+            finally:
                 self._seen = saved_seen
                 self._fwi_classes = saved_fwi
-        return out.batch(sequence)
 
     # -- delivery ----------------------------------------------------------
 

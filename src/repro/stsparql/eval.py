@@ -317,16 +317,30 @@ class Evaluator:
     def _apply_modifiers(
         self, query: ast.SelectQuery, rows: List[Row]
     ) -> SolutionSet:
+        """SPARQL's solution-modifier order (§18.2.4): the SELECT
+        expressions extend each solution, ORDER BY sorts the extended
+        solutions (so a key need not be projected), then projection,
+        DISTINCT and the OFFSET/LIMIT slice."""
         uses_aggregates = query.group_by or any(
             _contains_aggregate(p.expression)
             for p in query.projections
             if p.expression is not None
         )
+        # Only a sort needs the unprojected variables kept past the
+        # SELECT expressions; SELECT * keeps them anyway.
+        extend = bool(query.order_by) and not query.select_star
         if uses_aggregates:
-            out_rows = self._evaluate_grouped(query, rows)
+            out_rows = self._evaluate_grouped(query, rows, extend)
         else:
-            out_rows = self._evaluate_plain(query, rows)
+            out_rows = self._evaluate_plain(query, rows, extend)
         variables = self._header(query, rows)
+        if query.order_by:
+            out_rows = self._order(out_rows, query.order_by)
+        if extend:
+            out_rows = [
+                {v: row[v] for v in variables if v in row}
+                for row in self._checked(out_rows, DEADLINE_BLOCK)
+            ]
         return self._finalise(query, out_rows, variables)
 
     def _finalise(
@@ -335,7 +349,7 @@ class Evaluator:
         out_rows: List[Row],
         variables: List[str],
     ) -> SolutionSet:
-        """DISTINCT / ORDER BY / OFFSET / LIMIT over projected rows."""
+        """DISTINCT / OFFSET / LIMIT over projected, ordered rows."""
         if query.distinct:
             seen: Set[Tuple] = set()
             deduped: List[Row] = []
@@ -345,8 +359,6 @@ class Evaluator:
                     seen.add(key)
                     deduped.append(row)
             out_rows = deduped
-        if query.order_by:
-            out_rows = self._order(out_rows, query.order_by)
         if query.offset:
             out_rows = out_rows[query.offset:]
         if query.limit is not None:
@@ -366,13 +378,15 @@ class Evaluator:
         return [p.variable.name for p in query.projections]
 
     def _evaluate_plain(
-        self, query: ast.SelectQuery, rows: List[Row]
+        self, query: ast.SelectQuery, rows: List[Row], extend: bool
     ) -> List[Row]:
+        """Each row's SELECT bindings: the projection, or with
+        ``extend`` the whole solution extended by them."""
         if query.select_star:
             return rows
         out: List[Row] = []
         for row in self._checked(rows):
-            new_row: Row = {}
+            new_row: Row = dict(row) if extend else {}
             for proj in query.projections:
                 if proj.expression is None:
                     term = row.get(proj.variable.name)
@@ -388,8 +402,10 @@ class Evaluator:
         return out
 
     def _evaluate_grouped(
-        self, query: ast.SelectQuery, rows: List[Row]
+        self, query: ast.SelectQuery, rows: List[Row], extend: bool
     ) -> List[Row]:
+        """One row per kept group: its SELECT bindings, with ``extend``
+        after the group key's variables."""
         groups: Dict[Tuple, List[Row]] = {}
         if query.group_by:
             for row in self._checked(rows):
@@ -426,7 +442,7 @@ class Evaluator:
                     break
             if not keep:
                 continue
-            new_row: Row = {}
+            new_row: Row = dict(rep) if extend else {}
             for proj in query.projections:
                 if proj.expression is None:
                     term = rep.get(proj.variable.name)
@@ -1282,6 +1298,10 @@ def _order_rank(value: Value):
         return (2, float(value))
     if isinstance(value, str):
         return (3, value)
+    if isinstance(value, URI):
+        # By the IRI string: its N3 form's closing ">" would sort
+        # noa:s2 after noa:s23.
+        return (4, value.value)
     return (4, str(value))
 
 

@@ -125,3 +125,46 @@ def test_registry_exposes_named_caches():
     assert stats["hits"] == 1 and stats["size"] == 1
     with pytest.raises(ValueError):
         register_cache(LRUCache(4))  # unnamed
+
+
+def _value_len(key, value):
+    return len(value)
+
+
+def test_a_byte_bound_evicts_the_coldest_entries_until_the_total_fits():
+    cache = LRUCache(100, maxbytes=10, sizeof=_value_len)
+    cache.put("a", b"xxxx")
+    cache.put("b", b"yyyy")
+    assert cache.nbytes == 8
+    cache.get("a")  # "b" is now coldest
+    cache.put("c", b"zzz")
+    assert cache.keys() == ["a", "c"] and cache.nbytes == 7
+    cache.put("a", b"x")  # a replacement is reweighed
+    assert cache.nbytes == 4
+    assert cache.stats().evictions == 1
+    cache.clear()
+    assert cache.nbytes == 0
+
+
+def test_an_entry_heavier_than_the_byte_bound_is_never_held():
+    cache = LRUCache(100, maxbytes=10, sizeof=_value_len)
+    cache.put("a", b"xxxx")
+    cache.put("big", b"y" * 11)
+    assert "big" not in cache and cache.keys() == ["a"]
+    cache.put("a", b"z" * 11)  # nor does it keep the old value
+    assert "a" not in cache and cache.nbytes == 0
+
+
+def test_sizeof_weighs_key_and_value():
+    cache = LRUCache(
+        100, maxbytes=12, sizeof=lambda key, value: len(key) + len(value)
+    )
+    cache.put("abcd", b"1234")
+    cache.put("ef", b"56")
+    assert cache.nbytes == 12
+    cache.put("g", b"")
+    assert cache.keys() == ["ef", "g"] and cache.nbytes == 5
+    with pytest.raises(ValueError):
+        LRUCache(4, maxbytes=0, sizeof=_value_len)
+    with pytest.raises(ValueError):
+        LRUCache(4, maxbytes=10)

@@ -565,6 +565,21 @@ class TestEngine:
         second = engine.process_commit(3, _delta(strabon))
         assert second.refs == ()
 
+    def test_an_undone_commit_leaves_the_pre_commit_state(self):
+        strabon = Strabon()
+        engine = _engine_on(strabon)
+        engine.register({"kind": "filter"})
+        _insert_hotspot(strabon, 1, 23.7, 38.0)
+        ops = strabon.graph.drain_journal()
+        with engine.evaluation_undone():
+            undone = engine.process_commit(2, delta_from_ops(ops))
+        kept = engine.process_commit(2, delta_from_ops(ops))
+        assert len(undone.notifications) == 1
+        assert set(undone.keys()) == set(kept.keys())
+        # The kept commit marked the subject seen: no repeat.
+        again = engine.process_commit(2, delta_from_ops(ops))
+        assert again.refs == ()
+
     def test_priming_suppresses_pre_existing_matches(self):
         strabon = Strabon()
         _insert_hotspot(strabon, 1, 23.7, 38.0)

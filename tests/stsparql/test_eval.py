@@ -239,6 +239,60 @@ class TestModifiers:
         want = sorted(rows, key=functools.cmp_to_key(compare))
         assert [row["s"].local_name() for row in r] == want
 
+    @staticmethod
+    def _numbered():
+        """s2 (a=1), s23 (a=2) and s3 (a=2, with a twin value)."""
+        s = Strabon()
+        s.load_turtle(
+            "@prefix noa: <http://teleios.di.uoa.gr/ontologies/noaOntology.owl#> .\n"
+            "noa:s2 noa:a 1 .\n"
+            "noa:s23 noa:a 2 .\n"
+            "noa:s3 noa:a 2 .\n"
+        )
+        return s
+
+    def test_order_by_an_unprojected_key(self):
+        r = self._numbered().select(
+            PREFIX + "SELECT ?s WHERE { ?s noa:a ?a } ORDER BY DESC(?a) ?s"
+        )
+        assert r.variables == ["s"]
+        assert [row["s"].local_name() for row in r] == ["s23", "s3", "s2"]
+        assert all(set(row) == {"s"} for row in r)
+
+    def test_iris_order_by_their_iri_string(self):
+        r = self._numbered().select(
+            PREFIX + "SELECT ?s WHERE { ?s noa:a ?a } ORDER BY ?s"
+        )
+        assert [row["s"].local_name() for row in r] == ["s2", "s23", "s3"]
+
+    def test_order_by_a_projected_expression(self):
+        r = self._numbered().select(
+            PREFIX + "SELECT ?s ((?a * 10) AS ?x) WHERE { ?s noa:a ?a } "
+            "ORDER BY DESC(?x) ?s"
+        )
+        assert [
+            (row["s"].local_name(), int(row["x"].lexical)) for row in r
+        ] == [("s23", 20), ("s3", 20), ("s2", 10)]
+
+    def test_distinct_with_order_by(self):
+        r = self._numbered().select(
+            PREFIX + "SELECT DISTINCT ?a WHERE { ?s noa:a ?a } "
+            "ORDER BY DESC(?a)"
+        )
+        assert [int(row["a"].lexical) for row in r] == [2, 1]
+        # An unprojected key orders the rows DISTINCT then collapses.
+        r = self._numbered().select(
+            PREFIX + "SELECT DISTINCT ?a WHERE { ?s noa:a ?a } ORDER BY ?s"
+        )
+        assert [int(row["a"].lexical) for row in r] == [1, 2]
+
+    def test_limit_offset_slice_the_ordered_rows(self):
+        r = self._numbered().select(
+            PREFIX + "SELECT ?s WHERE { ?s noa:a ?a } "
+            "ORDER BY DESC(?a) ?s LIMIT 2 OFFSET 1"
+        )
+        assert [row["s"].local_name() for row in r] == ["s3", "s2"]
+
     def test_limit_offset(self, engine):
         r = engine.select(
             PREFIX
