@@ -15,18 +15,29 @@ Three measurements over the ``repro.durable`` layer:
   grows the WAL far beyond the live graph; the ratio of WAL bytes
   replaced to checkpoint bytes written is the space the compaction
   earns back.
+* **Checkpoint of a realistic store** — the auxiliary data of
+  ``SyntheticGreece(seed=42, detail=2, municipality_count=150,
+  land_cover_count=200)`` (long WKT geometries, many URIs) plus seeded
+  hotspot stars: bytes per triple of the checkpoint, and the median
+  seconds to write it and to load it back into an empty graph.  The
+  other sections hold short literals, so only this one sees what the
+  term-table compression and the id columns save.
 """
 
 from __future__ import annotations
 
 import os
+import random
 import shutil
+import statistics
 import tempfile
 import time
+from datetime import datetime, timedelta, timezone
 
 from benchmarks.conftest import paper_scale
 from repro.durable import DurableStore
 from repro.rdf.graph import Graph
+from repro.rdf.namespace import NOA, RDF, STRDF, XSD
 from repro.rdf.term import Literal, URI
 
 #: Operation batches per throughput run (one batch ≈ one acquisition).
@@ -40,6 +51,10 @@ RECOVERY_LENGTHS = (
 #: Rolling-update rounds for the compaction measurement.
 COMPACTION_ROUNDS = 200 if paper_scale() else 64
 COMPACTION_SUBJECTS = 150
+#: Hotspot stars beside the auxiliary data in the checkpoint section,
+#: and the write / load repetitions whose median it reports.
+CHECKPOINT_HOTSPOTS = 3000
+CHECKPOINT_REPEATS = 5
 
 _ARTIFACTS = {}
 
@@ -179,6 +194,96 @@ def _compaction() -> dict:
     }
 
 
+def _hotspot_star(graph: Graph, rng: random.Random, n: int) -> None:
+    """One refined hotspot: class, confidence, acquisition time,
+    sensor, chain, producer and a pixel footprint polygon."""
+    h = NOA.term(f"hotspot_{n}")
+    when = datetime(2007, 8, 24, tzinfo=timezone.utc) + timedelta(
+        minutes=15 * (n // 40)
+    )
+    x = round(rng.uniform(20.5, 27.0), 4)
+    y = round(rng.uniform(34.5, 41.5), 4)
+    ring = ", ".join(
+        f"{x + dx:.4f} {y + dy:.4f}"
+        for dx, dy in ((0, 0), (0.03, 0), (0.03, 0.03), (0, 0.03), (0, 0))
+    )
+    graph.add(h, RDF.type, NOA.Hotspot)
+    graph.add(
+        h,
+        NOA.hasConfidence,
+        Literal(f"{rng.random():.3f}", datatype=XSD.base + "float"),
+    )
+    graph.add(
+        h,
+        NOA.hasAcquisitionDateTime,
+        Literal(when.isoformat(), datatype=XSD.base + "dateTime"),
+    )
+    graph.add(
+        h,
+        NOA.isDerivedFromSensor,
+        Literal("MSG2", datatype=XSD.base + "string"),
+    )
+    graph.add(
+        h,
+        NOA.isFromProcessingChain,
+        Literal("cloud-masked", datatype=XSD.base + "string"),
+    )
+    graph.add(h, NOA.isProducedBy, NOA.noa)
+    graph.add(
+        h,
+        STRDF.hasGeometry,
+        Literal(f"POLYGON (({ring}))", datatype=_WKT),
+    )
+
+
+def _checkpoint_section() -> dict:
+    from repro.datasets import SyntheticGreece
+    from repro.datasets.loader import load_auxiliary_data
+    from repro.stsparql import Strabon
+
+    strabon = Strabon()
+    load_auxiliary_data(
+        strabon,
+        SyntheticGreece(
+            seed=42, detail=2, municipality_count=150, land_cover_count=200
+        ),
+    )
+    graph = strabon.graph
+    rng = random.Random(42)
+    for n in range(CHECKPOINT_HOTSPOTS):
+        _hotspot_star(graph, rng, n)
+    directory = _fresh_dir()
+    try:
+        store = DurableStore(directory, graph=graph, fsync="never")
+        writes = []
+        for _ in range(CHECKPOINT_REPEATS):
+            t0 = time.perf_counter()
+            store.checkpoint()
+            writes.append(time.perf_counter() - t0)
+        store.close()
+        ckpt_bytes = os.path.getsize(
+            os.path.join(directory, DurableStore.CHECKPOINT_NAME)
+        )
+        loads = []
+        for _ in range(CHECKPOINT_REPEATS):
+            t0 = time.perf_counter()
+            loaded = DurableStore(directory, graph=Graph(), fsync="never")
+            loads.append(time.perf_counter() - t0)
+            assert len(loaded.graph) == len(graph)
+            loaded.close()
+            del loaded  # freed here, not inside the next timing
+    finally:
+        shutil.rmtree(directory, ignore_errors=True)
+    return {
+        "triples": len(graph),
+        "terms": graph.term_count(),
+        "bytes": ckpt_bytes,
+        "bytes_per_triple": ckpt_bytes / len(graph),
+        "write_seconds": statistics.median(writes),
+        "load_seconds": statistics.median(loads),
+    }
+
+
 def test_wal_throughput_and_recovery_and_compaction():
     wal = {
         policy: _append_throughput(policy)
@@ -186,11 +291,13 @@ def test_wal_throughput_and_recovery_and_compaction():
     }
     recovery = [_recovery_point(n) for n in RECOVERY_LENGTHS]
     compaction = _compaction()
+    checkpoint = _checkpoint_section()
 
     # Sanity bars (loose; the regression gate does the precise work).
     assert wal["never"]["batches_per_s"] > 50
     assert recovery[-1]["triples_per_s"] > 1000
     assert compaction["ratio"] > 2.0
+    assert checkpoint["bytes_per_triple"] < 20.0
     # Recovery grows with the log — the point compaction exists.
     assert recovery[-1]["seconds"] > recovery[0]["seconds"] * 0.5
 
@@ -204,6 +311,7 @@ def test_wal_throughput_and_recovery_and_compaction():
             "triples_per_s": recovery[-1]["triples_per_s"],
         },
         "compaction": compaction,
+        "checkpoint": checkpoint,
     }
     _ARTIFACTS["run"] = run
 
@@ -217,6 +325,7 @@ def teardown_module(module):
     write_bench_json("durable", run)
     wal = run["wal"]
     compaction = run["compaction"]
+    checkpoint = run["checkpoint"]
     lines = [
         "Durable store: WAL throughput, recovery scaling, compaction",
         "",
@@ -239,5 +348,11 @@ def teardown_module(module):
         f"{compaction['checkpoint_mb']:.2f} MB checkpoint "
         f"({compaction['ratio']:.1f}x) in "
         f"{compaction['checkpoint_s']*1e3:.1f} ms",
+        "",
+        f"checkpoint of {checkpoint['triples']} triples "
+        f"({checkpoint['terms']} terms): {checkpoint['bytes']} B "
+        f"({checkpoint['bytes_per_triple']:.1f} B/triple), written in "
+        f"{checkpoint['write_seconds']*1e3:.1f} ms, loaded in "
+        f"{checkpoint['load_seconds']*1e3:.1f} ms",
     ]
     report("durable", "\n".join(lines))

@@ -117,6 +117,11 @@ WATCHED = {
             TIMING_THRESHOLD,
         ),
         ("compaction.ratio", "higher", None),
+        # A checkpoint of the auxiliary data plus hotspot stars: its
+        # size is a function of the input, so the bar is tight; its
+        # load is a wall-clock number.
+        ("checkpoint.bytes_per_triple", "lower", 0.10),
+        ("checkpoint.load_seconds", "lower", TIMING_THRESHOLD),
     ],
 }
 

@@ -23,9 +23,10 @@ makes crash recovery a *tested, measured property*:
   column block of :class:`~repro.durable.cursors.SubscriptionRows`
   each, whatever the kinds), removals and acknowledged cursors.
 * :mod:`repro.durable.codec` — the dictionary-encoded codec shared by
-  WAL records and checkpoints: a checkpoint is the graph's term table
-  in id order plus u32 id triples, and a WAL record carries only the
-  terms interned since the previous one (from the store's dictionary
+  WAL records and checkpoints: term tables are written as zlib blocks,
+  a checkpoint is the graph's term table in id order plus three
+  compressed u32 id columns, and a WAL record carries only the terms
+  interned since the previous one (from the store's dictionary
   cursor) plus its ops as u32 ids.
 * :mod:`repro.durable.crashpoints` — the deterministic crash-injection
   registry: named points in the commit path where a test can arm a

@@ -4,8 +4,8 @@ The durable form is dictionary-encoded like the live
 :class:`~repro.rdf.graph.Graph`: a term's text is written once, when
 it enters the graph's dictionary, and everything after that names it
 by its u32 term id.  Ids are append-only for a graph's lifetime, so an
-id written in one record means the same term in every later one.  Two
-shapes, shared by WAL records and checkpoint bodies:
+id written in one record means the same term in every later one.
+Shapes shared by WAL records and checkpoint bodies:
 
 * a **term table** — a run of terms in id order: u32 count | one kind
   byte per term (URI / blank node / plain, typed or language-tagged
@@ -14,28 +14,47 @@ shapes, shared by WAL records and checkpoint bodies:
   plain literal has one string; a typed or language-tagged literal two
   (lexical form, then datatype or tag).  Encoding joins and encodes
   the strings in one call, decoding slices one decoded text;
+* a **block** — u32 raw length with the top bit set | u32 packed
+  length | the raw bytes as one zlib stream at level
+  :data:`BLOCK_LEVEL`.  :func:`encode_terms` writes a term table as a
+  block: its text is mostly WKT and URIs, which repeat heavily and
+  deflate to about a fifth.  The level and the layout are constants,
+  so the bytes are a function of the terms;
 * an **operation batch** — u32 count | one opcode byte per operation
   | three u32 term ids per add / remove (a clear carries none).  The
   ids go through one ``struct`` call, never one per term.
 
 A WAL record (:func:`encode_record`) is u32 ``first_id`` | the term
-table of the terms interned since the previous record | the
+block of the terms interned since the previous record | the
 operation batch; ``first_id`` is the dictionary cursor of the writer
 (:class:`~repro.durable.store.DurableStore`), so replay can check that
 the record continues the dictionary it rebuilt.  Re-adding terms the
 store already wrote costs 13 bytes per operation, however often they
 were written before.
 
+Earlier writers stored the term table raw, in records and checkpoints
+alike.  :func:`decode_terms` reads both: a raw table starts with its
+term count, and no count has the top bit set (a WAL payload is at most
+1 GiB, so it cannot hold 2^31 kind bytes), while a block's first u32
+always has it.  So one decoder opens every record and checkpoint ever
+written, and the next record or checkpoint is a block.
+
 Everything is little-endian.  Decoding validates lengths, kind and
 opcode bytes and id ranges, and raises
 :class:`~repro.errors.DurabilityError` on anything malformed — framing
 CRCs catch torn writes before this layer ever sees them, so a decode
-failure here means real corruption.
+failure here means real corruption.  Inflating is bounded: a declared
+raw length above deflate's best ratio (1032:1) over the packed bytes
+is refused before any work, and the stream is inflated to at most the
+declared length, so a corrupt length can neither allocate beyond it
+nor run past the block; a stream that ends short of it, runs on, or
+leaves bytes over is refused too.
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import DurabilityError
@@ -46,8 +65,11 @@ __all__ = [
     "OP_ADD",
     "OP_REMOVE",
     "OP_CLEAR",
+    "BLOCK_LEVEL",
     "encode_terms",
     "decode_terms",
+    "pack_block",
+    "unpack_block",
     "pack_ids",
     "unpack_ids",
     "encode_ops",
@@ -57,6 +79,18 @@ __all__ = [
 ]
 
 _U32 = struct.Struct("<I")
+#: A block's header: flagged raw length | packed length.
+_BLOCK = struct.Struct("<II")
+#: The top bit of a block's first u32, never set in a term count.
+_BLOCK_FLAG = 0x80000000
+#: Deflate's best ratio: no valid stream inflates beyond 1032x.
+_MAX_RATIO = 1032
+
+#: zlib level of every block.  The fastest one: a term table's repeats
+#: (URI prefixes, WKT coordinate runs) are near and long, so level 1
+#: already finds most of them, and it keeps a commit's compression
+#: under a millisecond.
+BLOCK_LEVEL = 1
 
 # Term kind bytes.
 _K_URI = 1
@@ -96,8 +130,8 @@ def unpack_ids(
     return ids, offset + 4 * count
 
 
-def encode_terms(terms: Iterable[Term]) -> bytes:
-    """The term table of ``terms``, in the order given."""
+def _term_table(terms: Iterable[Term]) -> bytes:
+    """The raw term table of ``terms``, in the order given."""
     kinds = bytearray()
     strings: List[str] = []
     for term in terms:
@@ -133,8 +167,62 @@ def encode_terms(terms: Iterable[Term]) -> bytes:
     )
 
 
+def pack_block(raw: bytes) -> bytes:
+    """``raw`` as one block: flagged raw length, packed length, zlib
+    stream at :data:`BLOCK_LEVEL`."""
+    if len(raw) >= _BLOCK_FLAG:
+        raise DurabilityError(f"cannot pack a {len(raw)}-byte block")
+    packed = zlib.compress(raw, BLOCK_LEVEL)
+    return _BLOCK.pack(len(raw) | _BLOCK_FLAG, len(packed)) + packed
+
+
+def unpack_block(buf: bytes, offset: int, what: str) -> Tuple[bytes, int]:
+    """Inflate the block at ``offset`` → ``(raw bytes, next_offset)``,
+    never past its declared lengths."""
+    head, offset = _take(buf, offset, _BLOCK.size, what)
+    flagged, size = _BLOCK.unpack(head)
+    if not flagged & _BLOCK_FLAG:
+        raise DurabilityError(f"{what} is not a block")
+    raw_size = flagged ^ _BLOCK_FLAG
+    packed, offset = _take(buf, offset, size, what)
+    if raw_size > _MAX_RATIO * size:
+        raise DurabilityError(
+            f"{what} declares {raw_size} bytes from {size} packed ones"
+        )
+    inflater = zlib.decompressobj()
+    try:
+        # One byte over the declared size tells a stream that runs on.
+        raw = inflater.decompress(packed, raw_size + 1)
+    except zlib.error as error:
+        raise DurabilityError(f"corrupt {what}: {error}") from error
+    if len(raw) != raw_size or not inflater.eof or inflater.unused_data:
+        raise DurabilityError(
+            f"{what} does not inflate to its declared {raw_size} bytes"
+        )
+    return raw, offset
+
+
+def encode_terms(terms: Iterable[Term]) -> bytes:
+    """The term table of ``terms``, in the order given, as a block."""
+    return pack_block(_term_table(terms))
+
+
 def decode_terms(buf: bytes, offset: int = 0) -> Tuple[List[Term], int]:
-    """Decode one term table at ``offset`` → ``(terms, next_offset)``."""
+    """Decode the term block, or an earlier writer's raw term table, at
+    ``offset`` → ``(terms, next_offset)``."""
+    first, _ = _take_u32(buf, offset, "term count")
+    if not first & _BLOCK_FLAG:
+        return _decode_table(buf, offset)
+    raw, offset = unpack_block(buf, offset, "term block")
+    terms, end = _decode_table(raw, 0)
+    if end != len(raw):
+        raise DurabilityError(
+            f"{len(raw) - end} trailing byte(s) in term block"
+        )
+    return terms, offset
+
+
+def _decode_table(buf: bytes, offset: int) -> Tuple[List[Term], int]:
     count, offset = _take_u32(buf, offset, "term count")
     kinds, offset = _take(buf, offset, count, "term kinds")
     unknown = set(kinds) - _KINDS
@@ -158,17 +246,20 @@ def decode_terms(buf: bytes, offset: int = 0) -> Tuple[List[Term], int]:
         start += length
     nxt = iter(strings).__next__
     terms: List[Term] = []
-    for kind in kinds:
-        if kind == _K_URI:
-            terms.append(URI(nxt()))
-        elif kind == _K_TYPED:
-            terms.append(Literal(nxt(), datatype=nxt()))
-        elif kind == _K_PLAIN:
-            terms.append(Literal(nxt()))
-        elif kind == _K_LANG:
-            terms.append(Literal(nxt(), language=nxt()))
-        else:
-            terms.append(BNode(nxt()))
+    try:
+        for kind in kinds:
+            if kind == _K_URI:
+                terms.append(URI(nxt()))
+            elif kind == _K_TYPED:
+                terms.append(Literal(nxt(), datatype=nxt()))
+            elif kind == _K_PLAIN:
+                terms.append(Literal(nxt()))
+            elif kind == _K_LANG:
+                terms.append(Literal(nxt(), language=nxt()))
+            else:
+                terms.append(BNode(nxt()))
+    except ValueError as error:  # an empty URI
+        raise DurabilityError(f"corrupt term: {error}") from error
     return terms, offset
 
 

@@ -21,19 +21,34 @@ rename→reset window harmless: the old WAL's records are simply
 recognized as already contained.
 
 Both files are dictionary-encoded (:mod:`repro.durable.codec`).  A
-checkpoint (version 3) is framed like a WAL batch: the metadata of the
+checkpoint (version 4) is framed like a WAL batch: the metadata of the
 newest commit it contains, then the snapshot's whole term table in id
-order — dead terms included, so ids never change — then the triple
-count and the triples as u32 id triples.  A record's metadata is the
-owner's commit state (the service's acquisition cursor), so after a
-compaction resets the WAL the cursor is still on disk, in the
+order as one compressed block — dead terms included, so ids never
+change — then the u64 triple count and the triples as three
+compressed blocks of u32 ids, the subject, predicate and object
+columns in ``triples_ids()`` order.  The columns come off the SPO
+index by C-level iteration (:meth:`~repro.rdf.graph.TripleReader.id_columns`),
+never through a Python list of every id; the subject and predicate
+columns are runs, so they pack to almost nothing.  A record's metadata
+is the owner's commit state (the service's acquisition cursor), so
+after a compaction resets the WAL the cursor is still on disk, in the
 checkpoint.  Each WAL record carries the terms the
 graph interned since the previous record (from the store's
 **dictionary cursor**, ``durable_terms`` in :meth:`DurableStore.stats`)
 and then the ops as ids.  Recovery rebuilds the dictionary in order
 into an empty graph, checking that every record starts where the
 dictionary ends, so ``term_for_id`` answers the same after a restart
-as before it.
+as before it.  The checkpoint's triples go in by
+:meth:`~repro.rdf.graph.Graph.load_ids`, one pass over the id columns
+that fills the indexes, predicate counts and geometry log exactly as
+adding them one by one would, with the cycle collector paused.
+
+A version-3 checkpoint (raw term table, interleaved u32 id triples)
+and WAL records with raw term tables, which the previous release
+wrote, still open: the codec tells a raw table from a block by its
+first u32, and version 3's id triples are split into the same three
+columns.  The next checkpoint is version 4.  Versions 1 and 2 are
+refused.
 
 Checkpoints carry a whole-body CRC; a checkpoint that fails it raises
 :class:`~repro.errors.DurabilityError` (unlike a torn WAL *tail*,
@@ -44,13 +59,17 @@ means real corruption, not a crash).
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import struct
 import time
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.durable import crashpoints
 from repro.durable.codec import (
@@ -62,8 +81,9 @@ from repro.durable.codec import (
     decode_terms,
     encode_record,
     encode_terms,
-    pack_ids,
+    pack_block,
     split_record,
+    unpack_block,
     unpack_ids,
 )
 from repro.durable.wal import (
@@ -86,7 +106,9 @@ _metrics = get_metrics()
 _tracer = get_tracer()
 
 _CKPT_MAGIC = b"REPROCKP"
-_CKPT_VERSION = 3
+_CKPT_VERSION = 4
+#: The previous version, still read: its triples are u32 id triples.
+_CKPT_VERSION_ID_TRIPLES = 3
 #: magic | version | last_seq | generation | body crc32 | body length
 _CKPT_HEADER = struct.Struct("<8sIQQIQ")
 _U64 = struct.Struct("<Q")
@@ -253,11 +275,17 @@ class DurableStore:
             # The whole dictionary, dead terms included: ids stay what
             # they are, so any later WAL record decodes against it.
             terms = snap.terms()
-            ids = [tid for triple in snap.triples_ids() for tid in triple]
             body = batch_payload(
                 self._last_meta,
                 b"".join(
-                    (encode_terms(terms), _U64.pack(len(snap)), pack_ids(ids))
+                    (
+                        encode_terms(terms),
+                        _U64.pack(len(snap)),
+                        *(
+                            pack_block(column.astype("<u4").tobytes())
+                            for column in snap.id_columns()
+                        ),
+                    )
                 ),
             )
             header = _CKPT_HEADER.pack(
@@ -385,7 +413,7 @@ class DurableStore:
             raise DurabilityError(
                 f"{path!r} is not a checkpoint (bad magic {magic!r})"
             )
-        if version != _CKPT_VERSION:
+        if version not in (_CKPT_VERSION, _CKPT_VERSION_ID_TRIPLES):
             raise DurabilityError(
                 f"unsupported checkpoint version {version} in {path!r}"
             )
@@ -403,28 +431,23 @@ class DurableStore:
                 f"dictionary already holds {graph.term_count()} terms"
             )
         try:
-            meta, body = split_batch_payload(body)
-            terms, offset = decode_terms(body, 0)
-            if offset + _U64.size > len(body):
-                raise DurabilityError("truncated triple count")
-            (count,) = _U64.unpack_from(body, offset)
-            ids, offset = unpack_ids(body, offset + _U64.size, 3 * count)
-            if offset != len(body):
-                raise DurabilityError("trailing bytes")
-            if ids and max(ids) >= len(terms):
-                raise DurabilityError(
-                    f"triple names term id {max(ids)}, beyond the "
-                    f"{len(terms)}-term dictionary"
+            with _collector_paused():
+                meta, body = split_batch_payload(body)
+                terms, offset = decode_terms(body, 0)
+                if offset + _U64.size > len(body):
+                    raise DurabilityError("truncated triple count")
+                (count,) = _U64.unpack_from(body, offset)
+                columns, offset = _read_columns(
+                    body, offset + _U64.size, count, version
                 )
-            graph.extend_terms(terms)
+                if offset != len(body):
+                    raise DurabilityError("trailing bytes")
+                graph.extend_terms(terms)
+                graph.load_ids(*columns)
         except (DurabilityError, ValueError) as error:
             raise DurabilityError(
                 f"checkpoint {path!r}: {error}"
             ) from error
-        add = graph.add
-        nxt = iter([terms[tid] for tid in ids]).__next__
-        for _ in range(count):
-            add(nxt(), nxt(), nxt())
         self._checkpoint_bytes = len(data)
         return last_seq, count, meta or None
 
@@ -473,6 +496,45 @@ class DurableStore:
             f"<DurableStore {self.directory!r} "
             f"last_seq={self._wal.last_seq}>"
         )
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cycle collector (when it runs) for a checkpoint load.
+
+    The load allocates every term and index container of the graph at
+    once and frees none of them, so each collection it triggers would
+    rescan a growing heap for nothing: on a 26k-triple store that was
+    two thirds of the load.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def _read_columns(
+    body: bytes, offset: int, count: int, version: int
+) -> Tuple[Tuple[Sequence[int], ...], int]:
+    """A checkpoint's ``count`` triples as (subject, predicate, object)
+    id columns → ``(columns, next_offset)``: three blocks of u32s, or
+    in a version-3 checkpoint one run of u32 id triples."""
+    if version == _CKPT_VERSION_ID_TRIPLES:
+        ids, offset = unpack_ids(body, offset, 3 * count)
+        return (ids[0::3], ids[1::3], ids[2::3]), offset
+    columns = []
+    for role in ("subject", "predicate", "object"):
+        raw, offset = unpack_block(body, offset, f"{role} column")
+        if len(raw) != 4 * count:
+            raise DurabilityError(
+                f"{role} column holds {len(raw)} bytes, not 4 x {count}"
+            )
+        columns.append(np.frombuffer(raw, "<u4").tolist())
+    return tuple(columns), offset
 
 
 # -- service-level state -------------------------------------------------

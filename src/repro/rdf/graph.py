@@ -45,16 +45,20 @@ Two concrete classes share the read path (:class:`TripleReader`):
 from __future__ import annotations
 
 import threading
+from itertools import chain
 from typing import (
     AbstractSet,
     Dict,
     Iterator,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
     Union,
 )
+
+import numpy as np
 
 from repro.errors import SnapshotWriteError
 from repro.rdf.term import Literal, Term
@@ -158,6 +162,36 @@ class TripleReader:
                 for pred, objs in list(by_p.items()):
                     for obj in list(objs):
                         yield (subj, pred, obj)
+
+    def id_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every triple as three u32 id columns (subjects, predicates,
+        objects), in :meth:`triples_ids` order.
+
+        Read off the SPO index by C-level iteration: the objects as
+        they lie in the buckets, the subjects and predicates repeated
+        per bucket, so no Python object is made per id.
+        """
+        spo = self._spo
+        by_subject = spo.values()
+        leaves = list(chain.from_iterable(map(dict.values, by_subject)))
+        per_leaf = np.fromiter(map(len, leaves), np.intp, len(leaves))
+        leaf_subjects = np.repeat(
+            np.fromiter(spo.keys(), np.uint32, len(spo)),
+            np.fromiter(map(len, by_subject), np.intp, len(spo)),
+        )
+        leaf_predicates = np.fromiter(
+            chain.from_iterable(map(dict.keys, by_subject)),
+            np.uint32,
+            len(leaves),
+        )
+        objects = np.fromiter(
+            chain.from_iterable(leaves), np.uint32, self._size
+        )
+        return (
+            np.repeat(leaf_subjects, per_leaf),
+            np.repeat(leaf_predicates, per_leaf),
+            objects,
+        )
 
     def object_ids(
         self, si: Optional[int], pi: int
@@ -483,6 +517,92 @@ class Graph(TripleReader):
             if term in self._term_to_id:
                 raise ValueError(f"term {term!r} is already interned")
             self._intern(term)
+
+    def load_ids(
+        self,
+        subjects: Sequence[int],
+        predicates: Sequence[int],
+        objects: Sequence[int],
+    ) -> None:
+        """Fill a graph that holds no triples with the id triples
+        ``zip(subjects, predicates, objects)`` of its dictionary, in one
+        pass — how recovery loads a checkpoint.
+
+        Builds exactly what :meth:`add` of each triple in turn would:
+        the three indexes with every dict and set filled in the same
+        order (so iteration orders match too), the predicate counts,
+        the geometry log (an object's first triple logs a geometry
+        literal) and the generation.  Not journaled.  Raises ValueError,
+        leaving the graph empty, on an id beyond the dictionary or a
+        repeated triple.
+        """
+        if self._size or self._ops is not None:
+            raise ValueError(
+                "load_ids needs an empty graph that is not journaling"
+            )
+        terms = self._id_to_term
+        if not len(subjects) == len(predicates) == len(objects):
+            raise ValueError("id columns of different lengths")
+        for column in (subjects, predicates, objects):
+            if len(column) and (
+                min(column) < 0 or max(column) >= len(terms)
+            ):
+                raise ValueError(
+                    f"triple names a term id beyond the {len(terms)}-term "
+                    "dictionary"
+                )
+        spo: Dict[int, Dict[int, Set[int]]] = {}
+        pos: Dict[int, Dict[int, Set[int]]] = {}
+        osp: Dict[int, Dict[int, Set[int]]] = {}
+        geometries: List[int] = []
+        for s, p, o in zip(subjects, predicates, objects):
+            by_p = spo.get(s)
+            if by_p is None:
+                spo[s] = {p: {o}}
+            else:
+                leaf = by_p.get(p)
+                if leaf is None:
+                    by_p[p] = {o}
+                else:
+                    leaf.add(o)
+            by_o = pos.get(p)
+            if by_o is None:
+                pos[p] = {o: {s}}
+            else:
+                leaf = by_o.get(o)
+                if leaf is None:
+                    by_o[o] = {s}
+                else:
+                    leaf.add(s)
+            by_s = osp.get(o)
+            if by_s is None:
+                osp[o] = {s: {p}}
+                term = terms[o]
+                if isinstance(term, Literal) and term.is_geometry:
+                    geometries.append(o)
+            else:
+                leaf = by_s.get(s)
+                if leaf is None:
+                    by_s[s] = {p}
+                else:
+                    leaf.add(p)
+        counts = {
+            p: sum(map(len, by_o.values())) for p, by_o in pos.items()
+        }
+        size = sum(counts.values())
+        if size != len(objects):
+            raise ValueError(
+                f"{len(objects) - size} repeated triple(s) in the load"
+            )
+        # New containers, all the writer's: snapshots of the empty
+        # graph keep the ones they hold.
+        self._spo, self._pos, self._osp = spo, pos, osp
+        self._predicate_counts = counts
+        self._shared = False
+        self._base = ({}, {}, {})
+        self._geometry_log.extend(geometries)
+        self._size = size
+        self._generation += size
 
     # -- mutation ------------------------------------------------------------
 

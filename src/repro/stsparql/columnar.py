@@ -34,7 +34,17 @@ dictionary is consulted first — so id equality is term equality.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -164,12 +174,17 @@ def _concat_batches(batches: Sequence[Batch]) -> Batch:
 
 
 def _distinct_combos(
-    batch: Batch, names: Sequence[str]
+    batch: Batch,
+    names: Sequence[str],
+    check: Optional[Callable[[], None]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(combos, inverse)`` over the named columns.
 
-    ``combos`` is a ``(k, len(names))`` matrix of distinct value rows,
-    ``inverse`` maps each batch row to its combo index.
+    ``combos`` is a ``(k, len(names))`` matrix of distinct value rows
+    in sorted order, ``inverse`` maps each batch row to its combo
+    index.  With a deadline ``check``, a batch above ``CHUNK_ROWS``
+    is sorted one slice at a time with ``check`` called between
+    slices, and the slices' distinct rows are merged in a last sort.
     """
     if not names:
         return (
@@ -177,8 +192,26 @@ def _distinct_combos(
             np.zeros(batch.length, dtype=np.intp),
         )
     mat = np.stack([batch.columns[name] for name in names], axis=1)
-    combos, inverse = np.unique(mat, axis=0, return_inverse=True)
-    return combos, inverse.reshape(-1)
+    if check is None or batch.length <= CHUNK_ROWS:
+        combos, inverse = np.unique(mat, axis=0, return_inverse=True)
+        return combos, inverse.reshape(-1)
+    parts, inverses = [], []
+    for start in range(0, batch.length, CHUNK_ROWS):
+        check()
+        part, inverse = np.unique(
+            mat[start:start + CHUNK_ROWS], axis=0, return_inverse=True
+        )
+        parts.append(part)
+        inverses.append(inverse.reshape(-1))
+    check()
+    combos, merged = np.unique(
+        np.concatenate(parts), axis=0, return_inverse=True
+    )
+    merged = merged.reshape(-1)
+    offsets = np.cumsum([0] + [len(part) for part in parts])
+    return combos, np.concatenate(
+        [merged[at + inverse] for at, inverse in zip(offsets, inverses)]
+    )
 
 
 #: Per-graph predicate join views, invalidated by graph generation.
@@ -624,19 +657,21 @@ class ColumnarEvaluator(Evaluator):
             counts = (right - left).astype(np.int64)
         else:
             counts = np.full(n, rel_size, dtype=np.int64)
-        row_idx, within = _expand(counts)
-        if checks:
-            sel = order[left[row_idx] + within]
-            for col, key in checks[1:]:
-                ok = key[sel] == col[row_idx]
-                row_idx, sel = row_idx[ok], sel[ok]
-        else:
-            sel = within
-        out_cols = {
-            name: c[row_idx] for name, c in batch.columns.items()
-        }
-        for name, key in produces:
-            out_cols[name] = key[sel]
+        pieces = []
+        for row_idx, within in self._expand_checked(counts):
+            if checks:
+                sel = order[left[row_idx] + within]
+                for col, key in checks[1:]:
+                    ok = key[sel] == col[row_idx]
+                    row_idx, sel = row_idx[ok], sel[ok]
+            else:
+                sel = within
+            out_cols = {
+                name: c[row_idx] for name, c in batch.columns.items()
+            }
+            for name, key in produces:
+                out_cols[name] = key[sel]
+            pieces.append(Batch(int(len(row_idx)), out_cols))
         if _metrics.enabled:
             _metrics.counter(
                 "stsparql_columnar_batches_total",
@@ -650,7 +685,31 @@ class ColumnarEvaluator(Evaluator):
                 "stsparql_columnar_vector_joins_total",
                 "Patterns joined by sorted-array index arithmetic",
             ).inc()
-        return Batch(int(len(row_idx)), out_cols)
+        return pieces[0] if len(pieces) == 1 else _concat_batches(pieces)
+
+    def _expand_checked(
+        self, counts: np.ndarray
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """:func:`_expand` of ``counts`` in slices of input rows whose
+        output stays within ``CHUNK_ROWS`` (a row with more matches is
+        a slice of its own), with the deadline checked between slices:
+        a product's rows are built a chunk at a time, never in one
+        uninterruptible call.  Yields ``(row_idx, within)`` with
+        ``row_idx`` indexing the whole of ``counts``."""
+        ends = np.cumsum(counts)
+        start = 0
+        while True:
+            base = int(ends[start - 1]) if start else 0
+            stop = max(
+                int(np.searchsorted(ends, base + CHUNK_ROWS, side="right")),
+                start + 1,
+            )
+            row_idx, within = _expand(counts[start:stop])
+            yield row_idx + start, within
+            if stop >= len(counts):
+                return
+            start = stop
+            self._check_deadline()
 
     def _extend_chunk(
         self,
@@ -1285,7 +1344,9 @@ class ColumnarEvaluator(Evaluator):
         names = sorted(
             n for n in _pattern_variables(pattern) if n in batch.columns
         )
-        combos, inverse = _distinct_combos(batch, names)
+        combos, inverse = _distinct_combos(
+            batch, names, self._check_deadline
+        )
         bound = combos != UNBOUND
         if names:
             masks, group = np.unique(bound, axis=0, return_inverse=True)
@@ -1432,7 +1493,9 @@ class ColumnarEvaluator(Evaluator):
         with it on the variables they share (an unbound side agrees
         with anything), batch row by batch row in ``sub`` order."""
         shared = [v for v in sub.columns if v in batch.columns]
-        combos, inverse = _distinct_combos(batch, shared)
+        combos, inverse = _distinct_combos(
+            batch, shared, self._check_deadline
+        )
         matches = []
         for combo in self._checked(combos.tolist()):
             agree = np.ones(sub.length, dtype=bool)

@@ -34,7 +34,7 @@ def artifact():
 
 def test_schema_has_every_required_section(artifact):
     assert artifact["schema"] == "bench-durable/1"
-    for section in ("wal", "recovery", "compaction"):
+    for section in ("wal", "recovery", "compaction", "checkpoint"):
         assert section in artifact, f"missing section {section!r}"
 
 
@@ -61,3 +61,16 @@ def test_compaction_earns_its_keep(artifact):
     assert compaction["ratio"] > 2.0
     assert compaction["wal_mb_before"] > compaction["checkpoint_mb"]
     assert compaction["live_triples"] > 0
+
+
+def test_checkpoint_of_a_realistic_store_was_measured(artifact):
+    checkpoint = artifact["checkpoint"]
+    assert checkpoint["triples"] > 20000
+    assert checkpoint["terms"] > 0
+    assert checkpoint["bytes_per_triple"] == pytest.approx(
+        checkpoint["bytes"] / checkpoint["triples"]
+    )
+    # Compressed term table and id columns: the raw form took ~48.
+    assert checkpoint["bytes_per_triple"] < 20.0
+    assert checkpoint["write_seconds"] > 0
+    assert checkpoint["load_seconds"] > 0

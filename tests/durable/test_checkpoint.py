@@ -4,13 +4,31 @@ from __future__ import annotations
 
 import os
 import random
+import struct
+import zlib
 
 import pytest
 
 from repro.durable import DurableStore
+from repro.durable.codec import (
+    OP_ADD,
+    OP_REMOVE,
+    decode_ops,
+    decode_terms,
+    split_record,
+)
+from repro.durable.wal import (
+    WriteAheadLog,
+    batch_payload,
+    split_batch_payload,
+)
 from repro.errors import DurabilityError
 from repro.rdf.graph import Graph
 from repro.rdf.term import Literal, URI
+
+from tests.durable import v3_format
+
+_WKT = "http://strdf.di.uoa.gr/ontology#WKT"
 
 
 def _uri(n: int) -> URI:
@@ -21,8 +39,61 @@ def _triple(n: int, value: str = "v"):
     return (_uri(n), _uri(1000), Literal(f"{value}{n}"))
 
 
+def _geometry_triple(n: int):
+    """A footprint several subjects share (``n`` mod 7)."""
+    return (
+        _uri(n),
+        _uri(1001),
+        Literal(f"POINT ({n % 7} {n % 5})", datatype=_WKT),
+    )
+
+
 def _triple_set(graph: Graph):
     return set(graph.triples())
+
+
+def _fingerprint(graph: Graph):
+    """Everything the indexes' fill order shows: the dictionary, the
+    triples in iteration order, the geometry log, the predicate
+    counts in key order, the size."""
+    return (
+        graph.terms(),
+        list(graph.triples_ids()),
+        graph.geometry_terms(0),
+        list(graph._predicate_counts.items()),
+        len(graph),
+    )
+
+
+def _rebuilt_add_by_add(store_dir: str) -> Graph:
+    """The state in ``store_dir`` rebuilt one ``Graph.add`` at a time:
+    the checkpoint's triples in their stored order, then the ops of
+    the WAL records newer than it."""
+    fields, _, terms, columns = v3_format.read_checkpoint(
+        os.path.join(store_dir, DurableStore.CHECKPOINT_NAME)
+    )
+    last_seq = fields[2]
+    graph = Graph()
+    graph.extend_terms(terms)
+    for s, p, o in zip(*columns):
+        graph.add(terms[s], terms[p], terms[o])
+    records = WriteAheadLog._scan(
+        os.path.join(store_dir, DurableStore.WAL_NAME)
+    )[0]
+    for record in records:
+        if record.seq <= last_seq:
+            continue
+        _, body = split_batch_payload(record.payload)
+        _, new_terms, offset = split_record(body)
+        graph.extend_terms(new_terms)
+        for opcode, triple in decode_ops(body, offset, graph.terms()):
+            if opcode == OP_ADD:
+                graph.add(*triple)
+            elif opcode == OP_REMOVE:
+                graph._remove_exact(*triple)
+            else:
+                graph.clear()
+    return graph
 
 
 @pytest.fixture()
@@ -170,7 +241,10 @@ def test_stale_wal_without_checkpoint_is_discarded(store_dir):
 @pytest.mark.parametrize("seed", range(5))
 def test_randomized_mutation_history_recovers_exactly(store_dir, seed):
     """Seeded random add/remove/commit/checkpoint interleavings: the
-    recovered graph always equals the live one at the last commit."""
+    recovered graph always equals the live one at the last commit, and
+    the checkpoint's one-pass load builds exactly what adding its
+    triples one by one would (same iteration order, geometry log and
+    predicate counts)."""
     rng = random.Random(seed)
     graph = Graph()
     store = DurableStore(
@@ -184,9 +258,13 @@ def test_randomized_mutation_history_recovers_exactly(store_dir, seed):
     for _ in range(rng.randrange(5, 15)):
         for _ in range(rng.randrange(1, 10)):
             n = rng.randrange(30)
-            if rng.random() < 0.7:
+            roll = rng.random()
+            if roll < 0.5:
                 graph.add(*_triple(n))
                 live.add(_triple(n))
+            elif roll < 0.7:
+                graph.add(*_geometry_triple(n))
+                live.add(_geometry_triple(n))
             else:
                 graph.remove(_uri(n), None, None)
                 live = {t for t in live if t[0] != _uri(n)}
@@ -199,6 +277,10 @@ def test_randomized_mutation_history_recovers_exactly(store_dir, seed):
     recovered = DurableStore(store_dir, graph=recovered_graph, fsync="never")
     try:
         assert _triple_set(recovered_graph) == live
+        assert recovered_graph.geometry_terms(0)
+        assert _fingerprint(recovered_graph) == _fingerprint(
+            _rebuilt_add_by_add(store_dir)
+        )
     finally:
         recovered.close()
 
@@ -254,7 +336,11 @@ def test_record_of_durable_terms_costs_13_bytes_per_op(store_dir, rewrites):
     empty term table and 4 + 13 x ops bytes of ops, however often those
     terms were written before."""
     from repro.durable.codec import split_record
-    from repro.durable.wal import WriteAheadLog, split_batch_payload
+    from repro.durable.wal import (
+    WriteAheadLog,
+    batch_payload,
+    split_batch_payload,
+)
 
     graph = Graph()
     store = DurableStore(store_dir, graph=graph, fsync="never")
@@ -407,4 +493,100 @@ def test_record_that_does_not_continue_the_dictionary_is_refused(
     store.commit(graph.drain_journal())
     store.close()
     with pytest.raises(DurabilityError, match="wal.log"):
+        DurableStore(store_dir, graph=Graph(), fsync="never")
+
+
+def _raw_term_count(body: bytes) -> int:
+    """The u32 after a record's ``first_id``: a raw table's term count,
+    or a block's flagged length."""
+    return struct.unpack_from("<I", body, 4)[0]
+
+
+def test_version_3_state_opens_resumes_and_checkpoints_as_version_4(
+    store_dir,
+):
+    """A state dir in the version-3 form (checkpoint with a raw term
+    table and id triples, WAL records with raw term tables) recovers
+    the same dictionary, triples and cursor through the one decoder,
+    takes new commits, and its next checkpoint is version 4."""
+    graph = Graph()
+    store = DurableStore(store_dir, graph=graph, fsync="never")
+    graph.start_journal()
+    for batch in range(6):
+        for n in range(batch * 5, batch * 5 + 8):
+            graph.add(*_triple(n))
+            graph.add(*_geometry_triple(n))
+        graph.remove(_uri(batch * 3), None, None)
+        store.commit(graph.drain_journal(), meta={"batch": batch})
+        if batch == 2:
+            store.checkpoint()
+    expected = (graph.terms(), _triple_set(graph))
+    store.close()
+
+    assert v3_format.downgrade(store_dir) == 3
+    assert v3_format.checkpoint_version(store_dir) == 3
+    for record in WriteAheadLog._scan(
+        os.path.join(store_dir, DurableStore.WAL_NAME)
+    )[0]:
+        _, body = split_batch_payload(record.payload)
+        assert not _raw_term_count(body) & 0x80000000
+
+    recovered = DurableStore(store_dir, graph=Graph(), fsync="never")
+    try:
+        rebuilt = recovered.graph
+        assert (rebuilt.terms(), _triple_set(rebuilt)) == expected
+        assert recovered.recovery.replayed_records == 3
+        assert recovered.recovery.last_meta == {"batch": 5}
+        assert rebuilt.geometry_terms(0)
+        rebuilt.start_journal()
+        rebuilt.add(*_triple(500, "resumed"))
+        recovered.commit(rebuilt.drain_journal(), meta={"batch": 6})
+        expected = (rebuilt.terms(), _triple_set(rebuilt))
+        recovered.checkpoint()
+        assert v3_format.checkpoint_version(store_dir) == 4
+    finally:
+        recovered.close()
+    again = DurableStore(store_dir, graph=Graph(), fsync="never")
+    try:
+        assert (again.graph.terms(), _triple_set(again.graph)) == expected
+        assert again.recovery.last_meta == {"batch": 6}
+    finally:
+        again.close()
+
+
+def test_version_4_checkpoint_stores_compressed_id_columns(store_dir):
+    """The term table and the three id columns are blocks; a column
+    whose length disagrees with the triple count is corruption."""
+    graph = Graph()
+    store = DurableStore(store_dir, graph=graph, fsync="never")
+    graph.start_journal()
+    for n in range(200):
+        graph.add(*_triple(n))
+        graph.add(*_geometry_triple(n))
+    store.commit(graph.drain_journal())
+    store.checkpoint()
+    store.close()
+    path = os.path.join(store_dir, DurableStore.CHECKPOINT_NAME)
+    _, _, _, columns = v3_format.read_checkpoint(path)
+    assert len(columns[0]) == len(graph) == 400
+    assert list(zip(*columns)) == list(graph.triples_ids())
+    # Far below 12 bytes per triple: the subject and predicate columns
+    # are runs.
+    with open(path, "rb") as fh:
+        data = fh.read()
+    assert len(data) < 6 * len(graph) + len(graph.terms()) * 12
+
+    # Re-frame the checkpoint with a triple count one too high: the
+    # columns no longer match it.
+    header = v3_format.CHECKPOINT_HEADER
+    meta, body = split_batch_payload(data[header.size:])
+    _, offset = decode_terms(body, 0)
+    (count,) = struct.unpack_from("<Q", body, offset)
+    bad = body[:offset] + struct.pack("<Q", count + 1) + body[offset + 8:]
+    bad = batch_payload(meta, bad)
+    fields = list(header.unpack_from(data, 0))
+    fields[4:] = [zlib.crc32(bad), len(bad)]
+    with open(path, "wb") as fh:
+        fh.write(header.pack(*fields) + bad)
+    with pytest.raises(DurabilityError, match="column"):
         DurableStore(store_dir, graph=Graph(), fsync="never")

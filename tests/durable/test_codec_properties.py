@@ -13,8 +13,10 @@ way recovery rebuilds one.
 from __future__ import annotations
 
 import random
+import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.durable.codec import (
     OP_ADD,
@@ -25,11 +27,15 @@ from repro.durable.codec import (
     encode_ops,
     encode_record,
     encode_terms,
+    pack_block,
     split_record,
+    unpack_block,
 )
 from repro.errors import DurabilityError
 from repro.rdf.graph import Graph
 from repro.rdf.term import BNode, Literal, URI
+
+from tests.durable.v3_format import raw_term_table
 
 #: Deliberately awkward strings: Greek toponyms (the paper's domain),
 #: combining marks, astral-plane emoji, embedded quotes and newlines.
@@ -175,6 +181,92 @@ def test_term_roundtrip_randomized(seed):
     decoded, end = decode_terms(table, 6)
     assert end == len(table)
     assert [_key(t) for t in decoded] == [_key(t) for t in terms]
+
+
+#: Term lists drawn through the seeded generator above, plus arbitrary
+#: text as plain and language-tagged literals.
+_TERM_LISTS = st.lists(
+    st.one_of(
+        st.randoms(use_true_random=False).map(_random_term),
+        st.text().map(Literal),
+        st.text().map(lambda text: Literal(text, language="el")),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_TERM_LISTS)
+def test_term_block_roundtrip(terms):
+    """A term table round-trips through its compressed block from any
+    offset, and the block is a function of the terms."""
+    block = encode_terms(terms)
+    assert struct.unpack_from("<I", block)[0] & 0x80000000
+    decoded, end = decode_terms(b"prefix" + block + b"suffix", 6)
+    assert end == 6 + len(block)
+    assert [_key(t) for t in decoded] == [_key(t) for t in terms]
+    assert encode_terms(decoded) == block
+
+
+def _seeded_block(seed: int) -> bytes:
+    rng = random.Random(4000 + seed)
+    return encode_terms([_random_term(rng) for _ in range(30)])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_truncated_term_block_raises(seed):
+    block = _seeded_block(seed)
+    for cut in range(len(block)):
+        with pytest.raises(DurabilityError):
+            decode_terms(block[:cut], 0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_flipped_byte_in_term_block_raises(seed):
+    """Every byte of the block inverted in turn — lengths, zlib header,
+    deflate data, checksum — is refused, never a zlib.error."""
+    block = _seeded_block(seed)
+    for at in range(len(block)):
+        flipped = bytearray(block)
+        flipped[at] ^= 0xFF
+        with pytest.raises(DurabilityError):
+            decode_terms(bytes(flipped), 0)
+
+
+@pytest.mark.parametrize("delta", [-5, -1, 1, 7])
+def test_declared_raw_length_that_disagrees_raises(delta):
+    block = _seeded_block(0)
+    flagged, size = struct.unpack_from("<II", block)
+    lying = struct.pack("<II", flagged + delta, size) + block[8:]
+    with pytest.raises(DurabilityError):
+        decode_terms(lying, 0)
+
+
+def test_absurd_declared_raw_length_is_refused_before_inflating():
+    """A raw length past deflate's 1032:1 ceiling is corruption, found
+    without allocating anything near it."""
+    packed = pack_block(b"\x00" * 64)
+    _, size = struct.unpack_from("<II", packed)
+    absurd = struct.pack("<II", 0xFFFFFFFF, size) + packed[8:]
+    with pytest.raises(DurabilityError, match="declares"):
+        unpack_block(absurd, 0, "block")
+    # A stream that inflates past its declared size stops one byte
+    # beyond it.
+    short = struct.pack("<II", 0x80000000 | 63, size) + packed[8:]
+    with pytest.raises(DurabilityError, match="63"):
+        unpack_block(short, 0, "block")
+
+
+def test_raw_term_table_still_decodes():
+    """An earlier writer's raw table (no flag bit) goes through the
+    same decoder."""
+    rng = random.Random(5000)
+    terms = [_random_term(rng) for _ in range(60)]
+    raw = raw_term_table(terms)
+    decoded, end = decode_terms(raw, 0)
+    assert end == len(raw)
+    assert [_key(t) for t in decoded] == [_key(t) for t in terms]
+    assert encode_terms(decoded) == encode_terms(terms)
 
 
 def test_geometry_literal_survives_lexically():

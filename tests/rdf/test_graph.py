@@ -147,6 +147,92 @@ class TestProperties:
         assert full == by_s == by_p == by_o
 
 
+def _layout(graph):
+    """The three indexes with every dict and set in iteration order."""
+    return [
+        [(a, [(b, list(leaf)) for b, leaf in inner.items()])
+         for a, inner in index.items()]
+        for index in (graph._spo, graph._pos, graph._osp)
+    ]
+
+
+def _dictionary():
+    """Nine URIs, then geometry and plain literals (ids 9 to 16)."""
+    terms = [NOA.term(f"t{i}") for i in range(9)]
+    terms += [
+        Literal(f"POINT ({i} {i})", datatype=STRDF.WKT) for i in range(4)
+    ]
+    terms += [Literal(f"v{i}") for i in range(4)]
+    return terms
+
+
+class TestBulkLoad:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 8), st.integers(0, 3), st.integers(0, 16)
+            ),
+            unique=True,
+            max_size=80,
+        )
+    )
+    def test_load_ids_builds_what_adds_build(self, triples):
+        """In any order, not only the grouped order a checkpoint
+        stores: the same indexes filled in the same order, geometry
+        log, predicate counts, size and generation."""
+        terms = _dictionary()
+        added = Graph()
+        added.extend_terms(terms)
+        for s, p, o in triples:
+            added.add(terms[s], terms[p], terms[o])
+        loaded = Graph()
+        loaded.extend_terms(terms)
+        loaded.load_ids(*zip(*triples) if triples else ((), (), ()))
+        assert _layout(loaded) == _layout(added)
+        assert loaded.geometry_terms(0) == added.geometry_terms(0)
+        assert list(loaded._predicate_counts.items()) == list(
+            added._predicate_counts.items()
+        )
+        assert len(loaded) == len(added) == len(triples)
+        assert loaded.generation == added.generation
+        columns = [c.tolist() for c in loaded.id_columns()]
+        assert list(zip(*columns)) == list(loaded.triples_ids())
+
+    def test_load_ids_after_a_snapshot_leaves_the_snapshot_empty(self):
+        terms = _dictionary()
+        g = Graph()
+        g.extend_terms(terms)
+        snap = g.snapshot()
+        g.load_ids([0, 1], [2, 2], [9, 9])
+        assert len(snap) == 0 and not list(snap.triples_ids())
+        assert snap.geometry_terms(0) == []
+        assert g.geometry_terms(0) == [9]
+        assert g.snapshot() is not snap
+        g.add(terms[0], terms[2], terms[10])  # the writer's own buckets
+        assert g.count_ids(0, 2, None) == 2
+
+    def test_load_ids_refuses_bad_input(self):
+        terms = _dictionary()
+        g = Graph()
+        g.extend_terms(terms)
+        with pytest.raises(ValueError, match="repeated"):
+            g.load_ids([0, 0], [1, 1], [2, 2])
+        with pytest.raises(ValueError, match="dictionary"):
+            g.load_ids([0], [1], [len(terms)])
+        with pytest.raises(ValueError, match="lengths"):
+            g.load_ids([0, 1], [1], [2])
+        assert len(g) == 0 and not list(g.triples_ids())
+        g.add(terms[0], terms[1], terms[2])
+        with pytest.raises(ValueError, match="empty"):
+            g.load_ids([3], [1], [2])
+        journaled = Graph()
+        journaled.extend_terms(terms)
+        journaled.start_journal()
+        with pytest.raises(ValueError, match="journal"):
+            journaled.load_ids([3], [1], [2])
+
+
 def test_journal_records_only_effective_mutations():
     graph = Graph()
     graph.start_journal()

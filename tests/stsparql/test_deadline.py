@@ -265,3 +265,52 @@ def test_a_large_filter_runs_in_chunks_under_the_deadline(engine, monkeypatch):
     with pytest.raises(QueryTimeoutError):
         engine.query(text, timeout=60.0)
     assert chunks == [5, 5]
+
+
+def test_a_vector_join_product_expands_in_chunks_under_the_deadline(
+    monkeypatch,
+):
+    """A cross product through the sorted-array join builds its rows
+    one ``CHUNK_ROWS`` slice of output at a time, with the deadline
+    checked between slices: 1 500 holders make 2.25 million rows, so
+    the query stops at its 0.02 s deadline within a slice of it rather
+    than after building them all in one call."""
+    big = Strabon()
+    for i in range(1500):
+        big.add(NOA.term(f"a{i}"), NOA.term("p"), Literal(i))
+    sizes = []
+    original = columnar._expand
+
+    def recording(counts):
+        row_idx, within = original(counts)
+        sizes.append(len(row_idx))
+        return row_idx, within
+
+    monkeypatch.setattr(columnar, "_expand", recording)
+    text = PREFIX + "SELECT ?a ?b WHERE { ?a noa:p ?x . ?b noa:p ?y }"
+    with pytest.raises(QueryTimeoutError):
+        big.snapshot_view().query(text, timeout=0.02)
+    assert len(sizes) > 1
+    assert max(sizes) <= columnar.CHUNK_ROWS
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "?a a noa:Hotspot . ?b a noa:Hotspot . ",
+        STAR + "OPTIONAL { ?h rdfs:label ?l } ",
+        STAR + "FILTER NOT EXISTS { ?h rdfs:label ?l } ",
+        STAR + "{ SELECT ?h WHERE { ?h rdfs:label ?l } } ",
+    ],
+)
+def test_chunked_expansion_and_combinations_answer_as_one_call(
+    engine, monkeypatch, body
+):
+    """Vector-join expansion and the distinct combinations of OPTIONAL,
+    EXISTS and subselect joins give the unchunked answer when the
+    batch spans many ``CHUNK_ROWS`` slices."""
+    text = PREFIX + "SELECT * WHERE { " + body + "}"
+    whole = engine.select(text)
+    assert len(whole)
+    monkeypatch.setattr(columnar, "CHUNK_ROWS", 5)
+    assert engine.select(text) == whole
