@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Union
+from typing import Dict, Union
 
 from repro.arraydb.array import SciQLArray
 from repro.arraydb.errors import CatalogError
@@ -55,9 +55,6 @@ class Catalog:
         if not isinstance(obj, SciQLArray):
             raise CatalogError(f"{name!r} is not an array")
         return obj
-
-    def names(self) -> List[str]:
-        return sorted(obj.name for obj in self._objects.values())
 
     def __len__(self) -> int:
         return len(self._objects)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -12,7 +12,7 @@ from repro.arraydb.array import SciQLArray
 from repro.arraydb.catalog import Catalog
 from repro.arraydb.sql import ast
 from repro.arraydb.sql.executor import Executor
-from repro.arraydb.sql.parser import parse_script, parse_statement
+from repro.arraydb.sql.parser import parse_statement
 from repro.arraydb.table import ResultTable, Table
 from repro.arraydb.vault import DataVault
 from repro.obs import get_metrics, get_tracer, is_enabled
@@ -30,7 +30,6 @@ _PARSED_STATEMENTS = 64
 class ExecStats:
     """Timing of the most recent :meth:`MonetDB.execute` call."""
 
-    statement_count: int = 0
     parse_seconds: float = 0.0
     exec_seconds: float = 0.0
     rows_scanned: int = 0
@@ -103,32 +102,12 @@ class MonetDB:
         t2 = time.perf_counter()
         self._executor_kind = type(stmt).__name__
         self.last_stats = ExecStats(
-            1,
             t1 - t0,
             t2 - t1,
             rows_scanned=self._executor.rows_scanned - scanned_before,
             rows_out=len(result) if result is not None else 0,
         )
         return result
-
-    def execute_script(self, sql: str) -> List[Optional[ResultTable]]:
-        """Run a ``;``-separated script; returns per-statement results."""
-        t0 = time.perf_counter()
-        statements = parse_script(sql)
-        t1 = time.perf_counter()
-        scanned_before = self._executor.rows_scanned
-        results = [self._executor.execute(s) for s in statements]
-        t2 = time.perf_counter()
-        self.last_stats = ExecStats(
-            len(statements),
-            t1 - t0,
-            t2 - t1,
-            rows_scanned=self._executor.rows_scanned - scanned_before,
-            rows_out=sum(len(r) for r in results if r is not None),
-        )
-        return results
-
-    # -- programmatic shortcuts ------------------------------------------
 
     def register_array(
         self,
@@ -148,6 +127,3 @@ class MonetDB:
 
     def get_table(self, name: str) -> Table:
         return self.catalog.get_table(name)
-
-    def table_names(self) -> List[str]:
-        return self.catalog.names()

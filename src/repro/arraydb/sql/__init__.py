@@ -1,5 +1,5 @@
 """SciQL front-end: lexer, parser and vectorised executor."""
 
-from repro.arraydb.sql.parser import parse_statement, parse_script
+from repro.arraydb.sql.parser import parse_statement
 
-__all__ = ["parse_statement", "parse_script"]
+__all__ = ["parse_statement"]

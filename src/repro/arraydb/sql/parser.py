@@ -68,14 +68,6 @@ class Parser:
         self.expect("eof")
         return stmt
 
-    def parse_script(self) -> List[ast.Statement]:
-        statements: List[ast.Statement] = []
-        while self.peek().kind != "eof":
-            statements.append(self._parse_single())
-            while self.accept("op", ";"):
-                pass
-        return statements
-
     def _parse_single(self) -> ast.Statement:
         if self.at_keyword("select"):
             return self._parse_select()
@@ -544,8 +536,3 @@ class Parser:
 def parse_statement(text: str) -> ast.Statement:
     """Parse a single SciQL statement (trailing ``;`` allowed)."""
     return Parser(text).parse_statement()
-
-
-def parse_script(text: str) -> List[ast.Statement]:
-    """Parse a ``;``-separated sequence of statements."""
-    return Parser(text).parse_script()

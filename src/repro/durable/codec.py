@@ -288,10 +288,14 @@ def encode_ops(
 
 
 def decode_ops(
-    buf: bytes, offset: int, terms: Sequence[Term]
+    buf: bytes,
+    offset: int,
+    term_count: int,
+    term_for_id: Callable[[int], Term],
 ) -> List[Op]:
-    """Decode the operation batch at ``offset`` against the dictionary
-    ``terms`` (strict: it must end the buffer, and every id must be in
+    """Decode the operation batch at ``offset`` against a dictionary of
+    ``term_count`` terms, read through ``term_for_id`` without copying
+    it (strict: the batch must end the buffer, and every id must be in
     the dictionary)."""
     count, offset = _take_u32(buf, offset, "operation count")
     opcodes, offset = _take(buf, offset, count, "opcodes")
@@ -305,12 +309,12 @@ def decode_ops(
         raise DurabilityError(
             f"{len(buf) - offset} trailing byte(s) after operation batch"
         )
-    if ids and max(ids) >= len(terms):
+    if ids and max(ids) >= term_count:
         raise DurabilityError(
             f"operation names term id {max(ids)}, beyond the "
-            f"{len(terms)}-term dictionary"
+            f"{term_count}-term dictionary"
         )
-    nxt = iter([terms[tid] for tid in ids]).__next__
+    nxt = iter([term_for_id(tid) for tid in ids]).__next__
     return [
         (OP_CLEAR, None)
         if opcode == OP_CLEAR

@@ -394,7 +394,9 @@ class DurableStore:
                         "terms"
                     )
                 graph.extend_terms(terms)
-            return decode_ops(body, offset, graph.terms())
+            return decode_ops(
+                body, offset, graph.term_count(), graph.term_for_id
+            )
         except (DurabilityError, ValueError) as error:
             raise DurabilityError(
                 f"WAL {self._wal_path!r}: {error}"

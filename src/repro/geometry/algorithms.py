@@ -88,25 +88,6 @@ def segments_properly_cross(
     return d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0 and d1 != d2 and d3 != d4
 
 
-def segment_intersection_point(
-    a1: Coordinate, a2: Coordinate, b1: Coordinate, b2: Coordinate
-) -> Optional[Coordinate]:
-    """Intersection point of the two segments' supporting lines clipped to
-    both segments, or ``None`` if the segments do not intersect in a single
-    point (parallel / disjoint / collinear-overlapping cases return None)."""
-    r = (a2[0] - a1[0], a2[1] - a1[1])
-    s = (b2[0] - b1[0], b2[1] - b1[1])
-    denom = r[0] * s[1] - r[1] * s[0]
-    if abs(denom) < EPS:
-        return None
-    qp = (b1[0] - a1[0], b1[1] - a1[1])
-    t = (qp[0] * s[1] - qp[1] * s[0]) / denom
-    u = (qp[0] * r[1] - qp[1] * r[0]) / denom
-    if -EPS <= t <= 1 + EPS and -EPS <= u <= 1 + EPS:
-        return (a1[0] + t * r[0], a1[1] + t * r[1])
-    return None
-
-
 def segment_line_parameters(
     a1: Coordinate, a2: Coordinate, b1: Coordinate, b2: Coordinate
 ) -> Optional[Tuple[float, float]]:
@@ -266,19 +247,3 @@ def ring_centroid(ring: Sequence[Coordinate]) -> Coordinate:
         cx += (x1 + x2) * f
         cy += (y1 + y2) * f
     return (cx / (6.0 * a), cy / (6.0 * a))
-
-
-def ring_is_simple(ring: Sequence[Coordinate]) -> bool:
-    """True when no two non-adjacent edges of the ring intersect."""
-    pts = ensure_open(ring)
-    n = len(pts)
-    if n < 3:
-        return False
-    edges = [(pts[i], pts[(i + 1) % n]) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i + 1 or (i == 0 and j == n - 1):
-                continue
-            if segments_intersect(*edges[i], *edges[j]):
-                return False
-    return True

@@ -26,10 +26,6 @@ class Ellipsoid:
         return 1.0 / self.inverse_flattening
 
     @property
-    def semi_minor(self) -> float:
-        return self.semi_major * (1.0 - self.flattening)
-
-    @property
     def eccentricity_sq(self) -> float:
         f = self.flattening
         return f * (2.0 - f)

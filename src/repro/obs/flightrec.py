@@ -83,17 +83,6 @@ class FlightRecorder:
             self._events.append(event)
         return event
 
-    def record_span(self, span: Any) -> None:
-        """Summarise a finished span into the ring (no attributes)."""
-        self.record(
-            "span",
-            span.name,
-            trace_id=getattr(span, "trace_id", None),
-            duration_s=round(span.duration, 6),
-            status=span.status,
-            **({"error": span.error} if span.error else {}),
-        )
-
     def events(self) -> List[Dict[str, Any]]:
         with self._lock:
             return list(self._events)

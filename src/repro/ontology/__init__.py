@@ -4,12 +4,10 @@ from repro.ontology.noa import (
     CONFIRMATION_CONFIRMED,
     CONFIRMATION_UNCONFIRMED,
     noa_ontology_triples,
-    noa_ontology_turtle,
 )
 
 __all__ = [
     "CONFIRMATION_CONFIRMED",
     "CONFIRMATION_UNCONFIRMED",
     "noa_ontology_triples",
-    "noa_ontology_turtle",
 ]

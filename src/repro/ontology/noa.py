@@ -109,12 +109,3 @@ def _uri(value: str):
 def load_noa_ontology(graph: Graph) -> int:
     """Insert the ontology into ``graph``; returns triples added."""
     return graph.add_all(noa_ontology_triples())
-
-
-def noa_ontology_turtle() -> str:
-    """The ontology serialised as Turtle (the paper publishes it as OWL)."""
-    from repro.rdf import serialize_turtle
-
-    g = Graph()
-    load_noa_ontology(g)
-    return serialize_turtle(g)

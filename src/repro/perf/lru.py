@@ -145,24 +145,6 @@ class LRUCache:
                     self._bytes -= self._sizes.pop(old)
                 self._evictions += 1
 
-    def get_or_compute(
-        self, key: Hashable, compute: Callable[[], Any]
-    ) -> Any:
-        """Return the cached value, computing and inserting on a miss.
-
-        ``compute`` runs outside the lock: concurrent missers may both
-        compute, and the last insert wins — acceptable for the pure
-        functions cached here, and it keeps slow computations (WKT
-        parsing, query parsing) from serialising every other cache user.
-        """
-        sentinel = _SENTINEL
-        value = self.get(key, sentinel)
-        if value is not sentinel:
-            return value
-        value = compute()
-        self.put(key, value)
-        return value
-
     def __contains__(self, key: Hashable) -> bool:
         with self._lock:
             return key in self._data
@@ -190,10 +172,6 @@ class LRUCache:
             self._sizes.clear()
             self._bytes = 0
 
-    def reset_stats(self) -> None:
-        with self._lock:
-            self._hits = self._misses = self._evictions = 0
-
     def keys(self) -> List[Hashable]:
         """Current keys, least-recently-used first."""
         with self._lock:
@@ -208,13 +186,6 @@ class LRUCache:
                 len(self._data),
                 self._maxsize,
             )
-
-
-class _Sentinel:
-    __slots__ = ()
-
-
-_SENTINEL = _Sentinel()
 
 
 #: Process-wide caches that opted into introspection, by name.  The

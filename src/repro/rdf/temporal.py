@@ -107,9 +107,5 @@ class Period:
             return self
         return Period(start, end)
 
-    @property
-    def duration_seconds(self) -> float:
-        return (self.end - self.start).total_seconds()
-
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return self.lexical()

@@ -76,8 +76,3 @@ def solar_zenith_deg(
     if np.isscalar(lon_deg) and np.isscalar(lat_deg):
         return float(zenith)
     return zenith
-
-
-def is_daytime(when_utc: datetime, lon_deg: float, lat_deg: float) -> bool:
-    """True when the sun is above the EUMETSAT 'day' threshold (70°)."""
-    return float(solar_zenith_deg(when_utc, lon_deg, lat_deg)) < 70.0

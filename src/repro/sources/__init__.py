@@ -2,9 +2,8 @@
 
 Per-source drivers (polar orbiter, weather stations) alongside the
 geostationary SEVIRI stream, with spatio-temporal dedup/fusion,
-static-heat-source simulation, a FIRMS-style Data Vault driver, and
-the federation layer that turns source failures into provenance
-instead of crashes.
+static-heat-source simulation, and the federation layer that turns
+source failures into provenance instead of crashes.
 """
 
 from repro.sources.base import (
@@ -35,11 +34,6 @@ from repro.sources.static import (
     simulate_static_sites,
     static_site_events,
 )
-from repro.sources.vault import (
-    FirmsCsvDriver,
-    read_firms_csv,
-    write_firms_csv,
-)
 from repro.sources.weather import (
     WeatherStation,
     WeatherStationDriver,
@@ -55,7 +49,6 @@ __all__ = [
     "STATUS_IDLE",
     "STATUS_OK",
     "STATUS_OUTAGE",
-    "FirmsCsvDriver",
     "FusedCluster",
     "PolarOrbiterDriver",
     "SourceBatch",
@@ -73,10 +66,8 @@ __all__ = [
     "fuse",
     "fused_confidence",
     "load_static_sites",
-    "read_firms_csv",
     "simulate_static_sites",
     "simulate_stations",
     "sort_observations",
     "static_site_events",
-    "write_firms_csv",
 ]

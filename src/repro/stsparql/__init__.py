@@ -13,15 +13,12 @@ Entry point: :class:`repro.stsparql.engine.Strabon`.
 from repro.stsparql.engine import SnapshotView, Strabon
 from repro.stsparql.errors import SparqlError, SparqlParseError, SparqlEvalError
 from repro.stsparql.eval import SolutionSet
-from repro.stsparql.builder import SelectBuilder, UpdateBuilder
 
 __all__ = [
-    "SelectBuilder",
     "SnapshotView",
     "SolutionSet",
     "SparqlError",
     "SparqlEvalError",
     "SparqlParseError",
     "Strabon",
-    "UpdateBuilder",
 ]

@@ -59,17 +59,3 @@ class TestInsertColumnsList:
         db.execute("INSERT INTO t (a) VALUES (9)")
         r = db.execute("SELECT b FROM t WHERE a = 9")
         assert r.to_dicts() == [{"b": None}]
-
-
-class TestScript:
-    def test_execute_script(self):
-        db = MonetDB()
-        results = db.execute_script(
-            """
-            CREATE TABLE s (v INTEGER);
-            INSERT INTO s VALUES (1), (2);
-            SELECT SUM(v) AS total FROM s;
-            """
-        )
-        assert results[-1].to_dicts() == [{"total": 3}]
-        assert db.last_stats.statement_count == 3

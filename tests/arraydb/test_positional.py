@@ -44,9 +44,9 @@ def _setup(db: MonetDB, layout: dict) -> None:
         arr.null_masks["v"][...] = nulls
 
 
-def _state(db: MonetDB) -> dict:
+def _state(db: MonetDB, layout) -> dict:
     out = {}
-    for name in db.table_names():
+    for name in sorted(layout):
         arr = db.get_array(name)
         out[name] = (arr.values["v"].tolist(), arr.null_masks["v"].tolist())
     return out
@@ -59,7 +59,7 @@ def _run(layout, statements):
     for sql in statements:
         result = db.execute(sql)
         results.append(None if result is None else result.to_dicts())
-    return results, _state(db)
+    return results, _state(db, layout)
 
 
 class _Spy:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.arraydb.errors import SQLParseError
-from repro.arraydb.sql import parse_script, parse_statement
+from repro.arraydb.sql import parse_statement
 from repro.arraydb.sql import ast
 
 
@@ -117,13 +117,6 @@ class TestSelectGrammar:
     def test_string_escaping(self):
         stmt = parse_statement("SELECT 'it''s fine' FROM t")
         assert stmt.items[0].expression.value == "it's fine"
-
-    def test_script_parsing(self):
-        statements = parse_script(
-            "CREATE TABLE t (a INTEGER); INSERT INTO t VALUES (1);;"
-            "SELECT * FROM t"
-        )
-        assert len(statements) == 3
 
 
 class TestErrors:

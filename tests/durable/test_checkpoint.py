@@ -86,7 +86,9 @@ def _rebuilt_add_by_add(store_dir: str) -> Graph:
         _, body = split_batch_payload(record.payload)
         _, new_terms, offset = split_record(body)
         graph.extend_terms(new_terms)
-        for opcode, triple in decode_ops(body, offset, graph.terms()):
+        for opcode, triple in decode_ops(
+            body, offset, graph.term_count(), graph.term_for_id
+        ):
             if opcode == OP_ADD:
                 graph.add(*triple)
             elif opcode == OP_REMOVE:
@@ -128,6 +130,38 @@ def test_commit_recover_roundtrip(store_dir):
         assert recovered.recovery.replayed_records == 2
         assert recovered.recovery.last_meta == {"batch": 2}
         assert _triple_set(recovered_graph) == expected
+    finally:
+        recovered.close()
+
+
+def test_wal_replay_copies_the_dictionary_at_most_once(
+    store_dir, monkeypatch
+):
+    """Each replayed record decodes against the live dictionary; a
+    per-record copy makes replay quadratic in the record count."""
+    graph = Graph()
+    store = DurableStore(store_dir, graph=graph, fsync="never")
+    graph.start_journal()
+    for n in range(20):
+        graph.add(*_triple(n))
+        store.commit(graph.drain_journal())
+    expected = _fingerprint(graph)
+    store.close()
+
+    copies = []
+    terms = Graph.terms
+
+    def counting_terms(self, start=0):
+        copies.append(start)
+        return terms(self, start)
+
+    monkeypatch.setattr(Graph, "terms", counting_terms)
+    recovered = DurableStore(store_dir, graph=Graph(), fsync="never")
+    try:
+        assert recovered.recovery.replayed_records == 20
+        assert len(copies) <= 1
+        monkeypatch.undo()
+        assert _fingerprint(recovered.graph) == expected
     finally:
         recovered.close()
 

@@ -144,7 +144,9 @@ def _decode_record(buf, dictionary):
     if first_id != len(dictionary):
         raise DurabilityError("record does not continue the dictionary")
     dictionary = dictionary + terms
-    return terms, decode_ops(buf, offset, dictionary)
+    return terms, decode_ops(
+        buf, offset, len(dictionary), dictionary.__getitem__
+    )
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -152,7 +154,9 @@ def test_ops_roundtrip_randomized(seed):
     rng = random.Random(seed)
     ops = _random_batch(rng)
     table, ids = _dictionary(ops)
-    decoded = decode_ops(encode_ops(ops, ids.get), 0, table)
+    decoded = decode_ops(
+        encode_ops(ops, ids.get), 0, len(table), table.__getitem__
+    )
     assert len(decoded) == len(ops)
     for (op_in, triple_in), (op_out, triple_out) in zip(ops, decoded):
         assert op_in == op_out
@@ -296,12 +300,12 @@ def test_truncation_never_passes_silently(seed):
 def test_trailing_bytes_are_corruption():
     encoded = encode_ops([(OP_CLEAR, None)], {}.get)
     with pytest.raises(DurabilityError):
-        decode_ops(encoded + b"\x00", 0, [])
+        decode_ops(encoded + b"\x00", 0, 0, [].__getitem__)
 
 
 def test_unknown_opcode_and_kind_raise():
     with pytest.raises(DurabilityError):
-        decode_ops(b"\x01\x00\x00\x00\x7f", 0, [])
+        decode_ops(b"\x01\x00\x00\x00\x7f", 0, 0, [].__getitem__)
     with pytest.raises(DurabilityError):
         decode_terms(b"\x01\x00\x00\x00\x63", 0)
     with pytest.raises(DurabilityError):
@@ -314,7 +318,7 @@ def test_ids_beyond_the_dictionary_and_unknown_terms_raise():
     table, ids = _dictionary([(OP_ADD, triple)])
     encoded = encode_ops([(OP_ADD, triple)], ids.get)
     with pytest.raises(DurabilityError):
-        decode_ops(encoded, 0, table[:2])
+        decode_ops(encoded, 0, 2, table.__getitem__)
     with pytest.raises(DurabilityError):
         encode_ops([(OP_ADD, triple)], {}.get)
 
@@ -368,7 +372,12 @@ def test_record_stream_rebuilds_the_graph_and_its_ids(seed):
         first_id, terms, offset = split_record(record)
         assert first_id == rebuilt.term_count()
         rebuilt.extend_terms(terms)
-        _apply(rebuilt, decode_ops(record, offset, rebuilt.terms()))
+        _apply(
+            rebuilt,
+            decode_ops(
+                record, offset, rebuilt.term_count(), rebuilt.term_for_id
+            ),
+        )
     assert rebuilt.term_count() == graph.term_count()
     for tid in range(graph.term_count()):
         assert _key(rebuilt.term_for_id(tid)) == _key(graph.term_for_id(tid))

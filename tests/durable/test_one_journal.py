@@ -90,7 +90,9 @@ def _last_record_ops(store: DurableStore):
     # The record carries exactly the terms interned since the last one.
     assert first_id + len(terms) == store.graph.term_count()
     assert terms == store.graph.terms(first_id)
-    return decode_ops(body, offset, store.graph.terms())
+    return decode_ops(
+        body, offset, store.graph.term_count(), store.graph.term_for_id
+    )
 
 
 @pytest.mark.parametrize("engine_first", [True, False])

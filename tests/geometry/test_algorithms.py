@@ -43,16 +43,6 @@ class TestSegments:
     def test_collinear_overlap(self):
         assert alg.segments_intersect((0, 0), (2, 0), (1, 0), (3, 0))
 
-    def test_intersection_point(self):
-        got = alg.segment_intersection_point((0, 0), (2, 2), (0, 2), (2, 0))
-        assert got == pytest.approx((1.0, 1.0))
-
-    def test_intersection_point_none_when_disjoint(self):
-        assert (
-            alg.segment_intersection_point((0, 0), (1, 0), (0, 1), (1, 1))
-            is None
-        )
-
 
 class TestRings:
     def test_signed_area_ccw_positive(self):
@@ -86,10 +76,6 @@ class TestRings:
         assert not alg.is_convex_ring(
             [(0, 0), (4, 0), (4, 4), (2, 1), (0, 4)]
         )
-
-    def test_ring_is_simple(self):
-        assert alg.ring_is_simple([(0, 0), (2, 0), (2, 2), (0, 2)])
-        assert not alg.ring_is_simple([(0, 0), (2, 2), (2, 0), (0, 2)])
 
     @given(st.floats(min_value=0.1, max_value=10), pt)
     def test_square_area_invariant(self, size, center):

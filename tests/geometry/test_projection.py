@@ -52,9 +52,6 @@ class TestEllipsoids:
     def test_grs80_flattening(self):
         assert GRS80.flattening == pytest.approx(1 / 298.257222101)
 
-    def test_semi_minor(self):
-        assert WGS84.semi_minor == pytest.approx(6356752.3142, abs=0.01)
-
     def test_custom_projection(self):
         tm = TransverseMercator(
             central_meridian_deg=0.0, false_easting=0.0, ellipsoid=WGS84

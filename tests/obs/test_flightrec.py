@@ -7,7 +7,6 @@ import os
 
 import pytest
 
-from repro.obs import Tracer
 from repro.obs.flightrec import (
     DUMP_SCHEMA,
     FlightRecorder,
@@ -38,21 +37,6 @@ def test_record_carries_trace_id_and_detail():
     # No detail kwargs -> no detail key (keeps dumps compact).
     bare = recorder.record("degradation", "decode-failed")
     assert "detail" not in bare
-
-
-def test_record_span_summarises_a_finished_span():
-    tracer = Tracer(enabled=True)
-    recorder = FlightRecorder()
-    with pytest.raises(ValueError):
-        with tracer.span("chain.decode") as span:
-            raise ValueError("bad segment")
-    recorder.record_span(span)
-    (event,) = recorder.events()
-    assert event["kind"] == "span"
-    assert event["name"] == "chain.decode"
-    assert event["trace_id"] == span.trace_id
-    assert event["detail"]["status"] == "error"
-    assert "bad segment" in event["detail"]["error"]
 
 
 def test_dump_without_destination_returns_none():

@@ -1,11 +1,11 @@
 """NOA ontology structure (Figure 5)."""
 
-from repro.ontology import noa_ontology_triples, noa_ontology_turtle
+from repro.ontology import noa_ontology_triples
 from repro.ontology.noa import (
     CONFIRMATION_CONFIRMED,
     CONFIRMATION_UNCONFIRMED,
 )
-from repro.rdf import Graph, NOA, OWL, RDF, RDFS, parse_turtle
+from repro.rdf import Graph, NOA, OWL, RDF, RDFS
 
 
 class TestOntology:
@@ -40,11 +40,6 @@ class TestOntology:
             NOA.ConfirmationState,
         ) in g
         assert CONFIRMATION_CONFIRMED != CONFIRMATION_UNCONFIRMED
-
-    def test_turtle_export_reparses(self):
-        text = noa_ontology_turtle()
-        g = parse_turtle(text)
-        assert len(g) == len(noa_ontology_triples())
 
     def test_hotspot_domain_statements(self):
         g = Graph()

@@ -65,19 +65,6 @@ def test_peek_touches_neither_recency_nor_counters():
     assert stats.hits == stats.misses == 0
 
 
-def test_get_or_compute_runs_compute_once_per_miss():
-    cache = LRUCache(4)
-    calls = []
-
-    def compute():
-        calls.append(1)
-        return 42
-
-    assert cache.get_or_compute("k", compute) == 42
-    assert cache.get_or_compute("k", compute) == 42
-    assert len(calls) == 1
-
-
 def test_clear_keeps_lifetime_counters():
     cache = LRUCache(4)
     cache.put("a", 1)
@@ -85,8 +72,6 @@ def test_clear_keeps_lifetime_counters():
     cache.clear()
     assert len(cache) == 0
     assert cache.stats().hits == 1
-    cache.reset_stats()
-    assert cache.stats().hits == 0
 
 
 def test_concurrent_access_stays_bounded_and_consistent():

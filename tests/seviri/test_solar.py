@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from repro.seviri.solar import (
     equation_of_time_minutes,
-    is_daytime,
     solar_declination_rad,
     solar_zenith_deg,
 )
@@ -81,11 +80,3 @@ class TestHelpers:
                 datetime(2007, month, 15, tzinfo=timezone.utc)
             )
             assert abs(e) < 18
-
-    def test_is_daytime(self):
-        assert is_daytime(
-            datetime(2007, 8, 24, 12, 0, tzinfo=timezone.utc), *ATHENS
-        )
-        assert not is_daytime(
-            datetime(2007, 8, 24, 0, 0, tzinfo=timezone.utc), *ATHENS
-        )

@@ -12,20 +12,15 @@ from repro.core.annotation import (
     source_uri,
 )
 from repro.core.config import ServiceConfig
-from repro.arraydb.errors import VaultError
 from repro.errors import ConfigurationError
 from repro.rdf import Graph, NOA
 from repro.sources import (
-    FirmsCsvDriver,
     PolarOrbiterDriver,
     SourceBatch,
     SourcesConfig,
     WeatherStationDriver,
-    read_firms_csv,
     simulate_static_sites,
     simulate_stations,
-    sort_observations,
-    write_firms_csv,
 )
 from repro.datasets.corine import FIRE_CONSISTENT_KEYS
 
@@ -159,39 +154,6 @@ def test_static_sites_on_fire_consistent_cover(sources_greece):
         assert cover in FIRE_CONSISTENT_KEYS
         envelope = site.footprint.envelope
         assert envelope.contains_point(site.lon, site.lat)
-
-
-# -- FIRMS CSV vault format ------------------------------------------------
-
-
-def test_firms_csv_roundtrip(tmp_path, sources_greece, make_season):
-    season = make_season()
-    when = CRISIS_START + timedelta(hours=13)
-    batch = PolarOrbiterDriver(
-        sources_greece, seed=5, revisit_minutes=15
-    ).acquire(when, season)
-    path = tmp_path / "polar.firms.csv"
-    write_firms_csv(batch, str(path))
-    loaded = read_firms_csv(str(path))
-    assert len(loaded) == len(batch)
-    original = sort_observations(list(batch.observations))
-    for got, expect in zip(loaded, original):
-        assert got.source == expect.source
-        assert got.lon == pytest.approx(expect.lon)
-        assert got.lat == pytest.approx(expect.lat)
-        # The CSV rounds confidences to 4 decimals.
-        assert got.confidence == pytest.approx(
-            expect.confidence, abs=1e-4
-        )
-    assert FirmsCsvDriver().can_handle(str(path))
-
-
-def test_firms_csv_rejects_bad_header(tmp_path):
-    path = tmp_path / "bogus.firms.csv"
-    path.write_text("lat,lon\n1,2\n")
-    with pytest.raises(VaultError):
-        read_firms_csv(str(path))
-    assert not FirmsCsvDriver().can_handle(str(path))
 
 
 # -- annotation ------------------------------------------------------------
