@@ -22,9 +22,11 @@ geofenced subscriptions):
   ``differential_mismatches`` lands in the artifact and is gated at
   zero by ``check_regression.py``.
 * **Log bytes** — the incremental batch's notification-log record
-  size per notification (``log_bytes_per_notification``, ungated):
-  each matched hotspot's payload is stored once however many
-  subscriptions it notifies.
+  size per notification (``log_bytes_per_notification``): each matched
+  hotspot's payload is stored once however many subscriptions it
+  notifies, and the batch is one zlib block of columns.  The largest
+  point's value is ``headline.log_bytes_per_notification``, gated in
+  ``check_regression.py``.
 * **Single-subscription churn** (largest point only) — 200 single
   :meth:`SubscriptionEngine.register` calls, then 200
   :meth:`SubscriptionEngine.remove` calls of the same subscriptions,
@@ -34,8 +36,11 @@ geofenced subscriptions):
   operation that re-packs the whole tree shows up as a stall.
 * **Reopen** (largest point only) — the same documents registered on a
   durable engine, which is closed and reopened; ``headline.reopen_s``
-  is the reopen's wall time: replaying ``registry.log`` (column blocks
-  read with ``np.frombuffer``) and packing the geofences.
+  is the reopen's wall time: replaying ``registry.log`` (one packed
+  column block, inflated and read with ``np.frombuffer``) and packing
+  the geofences.  ``headline.registry_bytes_per_subscription`` is that
+  log's size per subscription before the reopen, gated in
+  ``check_regression.py``.
 
 The store is deliberately modest (hundreds of hotspots) while the
 subscription count scales to 100k: the quantity under test is how
@@ -47,6 +52,7 @@ and the delta-driven engine stays ~ delta x log(subscriptions).
 from __future__ import annotations
 
 import math
+import os
 import random
 import shutil
 import tempfile
@@ -186,24 +192,29 @@ def _series_point(count: int) -> dict:
         "log_bytes_per_notification": len(batch.to_payload())
         / max(1, len(batch.refs)),
         **({"single_op_ms": churn} if churn else {}),
-        **({"reopen_s": _durable_reopen(docs)} if largest else {}),
+        **(_durable_reopen(docs) if largest else {}),
     }
 
 
-def _durable_reopen(docs) -> float:
-    """Register ``docs`` on a durable engine, close it, and time the
-    reopen."""
+def _durable_reopen(docs) -> dict:
+    """Register ``docs`` on a durable engine, close it, measure its
+    registry log per subscription, and time the reopen."""
     state_dir = tempfile.mkdtemp(prefix="bench-subscribe-")
     try:
         engine = SubscriptionEngine(state_dir=state_dir)
         engine.register_many(docs)
         engine.close()
+        log = os.path.join(state_dir, "registry.log")
+        size = os.path.getsize(log)
         t0 = time.perf_counter()
         engine = SubscriptionEngine(state_dir=state_dir)
         wall = time.perf_counter() - t0
         assert len(engine.registry) == len(docs)
         engine.close()
-        return wall
+        return {
+            "reopen_s": wall,
+            "registry_bytes_per_subscription": size / len(docs),
+        }
     finally:
         shutil.rmtree(state_dir, ignore_errors=True)
 
@@ -255,6 +266,10 @@ def subscribe_run():
             ],
             "single_op_ms_p99": top["single_op_ms"]["p99"],
             "reopen_s": top["reopen_s"],
+            "log_bytes_per_notification": top["log_bytes_per_notification"],
+            "registry_bytes_per_subscription": top[
+                "registry_bytes_per_subscription"
+            ],
             "differential_mismatches": sum(
                 point["differential_mismatches"]
                 for point in series.values()
@@ -336,6 +351,10 @@ def teardown_module(module):
         f"p50 {churn['p50']:.2f} ms, p99 {churn['p99']:.2f} ms, "
         f"max {churn['max']:.2f} ms ({churn['ops']} ops)",
         f"durable reopen at {SERIES[-1]}: {headline['reopen_s']:.3f} s",
+        f"log bytes at {SERIES[-1]}: "
+        f"{headline['log_bytes_per_notification']:.1f} B per notification, "
+        f"{headline['registry_bytes_per_subscription']:.1f} B per "
+        "registered subscription",
         "",
         f"headline: {headline['speedup_incremental_vs_full']:.1f}x "
         f"at {headline['subscriptions']} subscriptions "

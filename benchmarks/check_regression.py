@@ -80,6 +80,11 @@ WATCHED = {
         # Reopening a durable engine of 100k geofences: the registry log
         # replays as column blocks and the registry packs from them.
         ("headline.reopen_s", "lower", TIMING_THRESHOLD),
+        # Durable subscriber bytes: a notification batch and a registry
+        # add are each one zlib block of columns, and their size is a
+        # function of the input, so the bar is tight.
+        ("headline.log_bytes_per_notification", "lower", 0.10),
+        ("headline.registry_bytes_per_subscription", "lower", 0.10),
     ],
     "BENCH_sources.json": [
         # Order invariance of the fusion dedup is a correctness

@@ -245,17 +245,18 @@ def _decode_table(buf: bytes, offset: int) -> Tuple[List[Term], int]:
         strings.append(text[start:start + length])
         start += length
     nxt = iter(strings).__next__
+    literal = Literal.from_str
     terms: List[Term] = []
     try:
         for kind in kinds:
             if kind == _K_URI:
                 terms.append(URI(nxt()))
             elif kind == _K_TYPED:
-                terms.append(Literal(nxt(), datatype=nxt()))
+                terms.append(literal(nxt(), nxt()))
             elif kind == _K_PLAIN:
-                terms.append(Literal(nxt()))
+                terms.append(literal(nxt()))
             elif kind == _K_LANG:
-                terms.append(Literal(nxt(), language=nxt()))
+                terms.append(literal(nxt(), None, nxt()))
             else:
                 terms.append(BNode(nxt()))
     except ValueError as error:  # an empty URI

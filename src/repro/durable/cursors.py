@@ -20,10 +20,17 @@ the un-fsynced tail record), make that hold:
   acknowledged publication sequence``), one record per change, folded
   into one record each time it is opened and whenever the records a
   fold would drop outgrow the live ones.  A registration of any kind
-  is one :class:`SubscriptionRows` column block, read back with
-  ``np.frombuffer``; a registration as JSON rows (an older layout) is
-  refused.  Acks are monotonic: a stale or replayed ack never moves a
-  cursor backwards.
+  is one :class:`SubscriptionRows` column block, packed as one zlib
+  block and read back with ``np.frombuffer``; a registration as JSON
+  rows (an older layout) is refused.  Acks are monotonic: a stale or
+  replayed ack never moves a cursor backwards.
+
+Both logs write their bulk records — a notification batch, a
+registration — through the durable codec's bounded zlib block
+(:func:`~repro.durable.codec.pack_block`), so their bytes grow with
+what happened, not with how many subscribers heard of it.  The
+uncompressed layouts earlier versions wrote (a JSON batch, a raw
+``\x00RGF`` column block) still read.
 
 Both live under ``<state_dir>/subs/`` (``notifications.log`` and
 ``registry.log``) next to the store's own WAL and checkpoint; neither
@@ -51,6 +58,7 @@ from typing import (
 import numpy as np
 
 from repro.durable import crashpoints
+from repro.durable.codec import pack_block, pack_ids, unpack_block
 from repro.durable.wal import WriteAheadLog
 from repro.errors import DurabilityError
 
@@ -65,6 +73,19 @@ __all__ = [
 
 def _compact(doc: Dict[str, Any]) -> bytes:
     return json.dumps(doc, separators=(",", ":")).encode("utf-8")
+
+
+#: The subscription kinds, by their code in the ``kind`` column and in a
+#: notification batch's kind column.
+KINDS = ("filter", "stsparql", "fwi")
+_KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
+
+#: A packed notification batch starts with these bytes (a JSON batch,
+#: the older layout, starts with ``{``).
+_BATCH_MAGIC = b"\x00NTB"
+#: A packed batch's head: sequence | wal_seq (-1 for none) | refs |
+#: distinct subscription ids | id width (:func:`_encode_ids`).
+_BATCH_HEAD = struct.Struct("<QqIIi")
 
 
 @dataclass(frozen=True)
@@ -130,34 +151,145 @@ class NotificationBatch:
         return out
 
     def to_payload(self) -> bytes:
-        return _compact(
-            {
-                "sequence": self.sequence,
-                "wal_seq": self.wal_seq,
-                "subjects": self.subjects,
-                "refs": self.refs,
-            }
+        """The log record: :data:`_BATCH_MAGIC`, then one packed block
+        (:func:`~repro.durable.codec.pack_block`) of the batch as
+        columns.
+
+        The block holds a fixed head (sequence, ``wal_seq`` or -1, the
+        number of refs, of distinct subscription ids and the id width),
+        the batch's own id dictionary — its distinct subscription ids
+        in first-ref order, as :func:`_encode_ids` writes them — then
+        per ref a u32 index into that dictionary, a u32 subject index
+        and an int8 :data:`KINDS` code, and last the ``subjects`` as
+        compact JSON.
+        The dictionary is the batch's own, not the registry's row
+        numbers, so a batch decodes the same after its subscriptions
+        are removed or the registry is folded.
+        """
+        refs = self.refs
+        if refs:
+            ids, kinds, indices = zip(*refs)
+        else:
+            ids = kinds = indices = ()
+        code: Dict[str, int] = {}
+        for sub_id in ids:
+            code.setdefault(sub_id, len(code))
+        width, id_block = _encode_ids(list(code))
+        try:
+            columns = (
+                pack_ids([code[sub_id] for sub_id in ids])
+                + pack_ids(indices)
+                + bytes([_KIND_CODES[kind] for kind in kinds])
+            )
+            head = _BATCH_HEAD.pack(
+                self.sequence,
+                -1 if self.wal_seq is None else self.wal_seq,
+                len(refs),
+                len(code),
+                width,
+            )
+        except (KeyError, struct.error) as error:
+            raise DurabilityError(
+                f"cannot encode notification batch {self.sequence}: "
+                f"{error!r}"
+            ) from error
+        return _BATCH_MAGIC + pack_block(
+            head + id_block + columns + _compact(self.subjects)
         )
 
     @classmethod
     def from_payload(cls, payload: bytes) -> "NotificationBatch":
-        doc = json.loads(payload.decode("utf-8"))
-        if "notifications" in doc:
+        """Decode a :meth:`to_payload` record, or an older JSON one;
+        :class:`~repro.errors.DurabilityError` when it is malformed."""
+        if not payload.startswith(_BATCH_MAGIC):
+            return cls._from_json(payload)
+        raw, end = unpack_block(
+            payload, len(_BATCH_MAGIC), "notification batch"
+        )
+        if end != len(payload):
             raise DurabilityError(
-                "notification batch in the old layout (a full copy "
-                "per notification); this version reads only "
-                "(subjects, refs) batches"
+                f"{len(payload) - end} trailing byte(s) after "
+                "notification batch"
+            )
+        if len(raw) < _BATCH_HEAD.size:
+            raise DurabilityError("truncated notification batch head")
+        sequence, wal_seq, n, distinct, width = _BATCH_HEAD.unpack_from(raw)
+        offset = _BATCH_HEAD.size
+        columns = offset + distinct * abs(width)
+        text = columns + 9 * n
+        if text > len(raw) or wal_seq < -1:
+            raise DurabilityError(
+                f"notification batch {sequence} declares {n} refs over "
+                f"{distinct} ids in {len(raw)} bytes"
+            )
+        try:
+            dictionary = _decode_ids(raw[offset:columns], distinct, width)
+            subjects = tuple(
+                map(tuple, json.loads(raw[text:].decode("utf-8")))
+            )
+        except (ValueError, TypeError) as error:
+            raise DurabilityError(
+                f"corrupt notification batch {sequence}: {error!r}"
+            ) from error
+        if not all(
+            len(pair) == 2
+            and isinstance(pair[0], str)
+            and isinstance(pair[1], dict)
+            for pair in subjects
+        ):
+            raise DurabilityError(
+                f"notification batch {sequence} holds a malformed subject"
+            )
+        codes = np.frombuffer(raw, "<u4", n, columns)
+        indices = np.frombuffer(raw, "<u4", n, columns + 4 * n)
+        kinds = np.frombuffer(raw, "<i1", n, columns + 8 * n)
+        if n and (
+            int(codes.max()) >= distinct
+            or int(indices.max()) >= len(subjects)
+            or int(kinds.min()) < 0
+            or int(kinds.max()) >= len(KINDS)
+        ):
+            raise DurabilityError(
+                f"notification batch {sequence} holds a ref out of range"
             )
         return cls(
-            sequence=int(doc["sequence"]),
-            wal_seq=(
-                None
-                if doc.get("wal_seq") is None
-                else int(doc["wal_seq"])
+            sequence=sequence,
+            wal_seq=None if wal_seq < 0 else wal_seq,
+            subjects=subjects,
+            refs=tuple(
+                zip(
+                    map(dictionary.__getitem__, codes.tolist()),
+                    map(KINDS.__getitem__, kinds.tolist()),
+                    indices.tolist(),
+                )
             ),
-            subjects=tuple(map(tuple, doc["subjects"])),
-            refs=tuple(map(tuple, doc["refs"])),
         )
+
+    @classmethod
+    def _from_json(cls, payload: bytes) -> "NotificationBatch":
+        """A batch in compact JSON, as earlier versions logged it."""
+        try:
+            doc = json.loads(payload.decode("utf-8"))
+            if "notifications" in doc:
+                raise DurabilityError(
+                    "notification batch in the old layout (a full copy "
+                    "per notification); this version reads only "
+                    "(subjects, refs) batches"
+                )
+            return cls(
+                sequence=int(doc["sequence"]),
+                wal_seq=(
+                    None
+                    if doc.get("wal_seq") is None
+                    else int(doc["wal_seq"])
+                ),
+                subjects=tuple(map(tuple, doc["subjects"])),
+                refs=tuple(map(tuple, doc["refs"])),
+            )
+        except (ValueError, TypeError, KeyError) as error:
+            raise DurabilityError(
+                f"malformed notification batch: {error!r}"
+            ) from error
 
 
 class _Notifications:
@@ -185,13 +317,15 @@ class NotificationLog:
     Batches are retained in memory after replay/append — the SSE
     resume path serves ``after(cursor)`` straight from this list, so a
     reconnecting subscriber never touches disk.  A record is one
-    :class:`NotificationBatch` in compact JSON: each notified subject's
-    payload once plus a short reference per notification, so with
-    thousands of geofence subscriptions (about 2.8k notifications from
-    about 140 hotspots per acquisition on the ``alert_fanout``
+    :class:`NotificationBatch` as one zlib block of columns
+    (:meth:`NotificationBatch.to_payload`): each notified subject's
+    payload once plus 9 bytes per notification before deflating, so
+    with thousands of geofence subscriptions (about 2.8k notifications
+    from about 140 hotspots per acquisition on the ``alert_fanout``
     benchmark workload) a batch costs its hotspots, not its fan-out.
-    A log written in the old per-notification layout is refused on
-    open (:class:`~repro.errors.DurabilityError` naming the file).
+    A batch in compact JSON (the previous layout) still reads; a log
+    written in the older per-notification layout is refused on open
+    (:class:`~repro.errors.DurabilityError` naming the file).
     """
 
     def __init__(self, path: str, fsync: str = "commit") -> None:
@@ -288,8 +422,11 @@ class RegistryLog:
 
     An ``add``, whatever kinds it registers, is one binary
     :class:`SubscriptionRows` record: a JSON head, then one fixed-width
-    block per column, so 20 000 geofences cost their ids and boxes
-    (44 B each) and replay is ``np.frombuffer``.  The head carries, for
+    block per column, packed as one zlib block, so 20 000 geofences
+    cost their ids and boxes (44 B each before deflating, about 15
+    after) and replay is one inflate and ``np.frombuffer``.  The
+    fold's accounting of dropped bytes counts the packed bytes on
+    disk.  The head carries, for
     a registration that primed matches, ``"primed": [[id, [subject,
     ...]], ...]``: the hotspots the subscription starts out having
     seen, which a restart restores without ever delivering them.
@@ -354,7 +491,9 @@ class RegistryLog:
             self._fold()
 
     def _replay(self, payload: bytes) -> None:
-        if payload.startswith(_MAGIC):
+        if payload.startswith(b"{"):
+            doc = json.loads(payload.decode("utf-8"))
+        else:
             doc, rows = SubscriptionRows.decode(payload)
             self._keep(rows, len(payload))
             for sub_id, sequence in zip(rows.ids, doc.pop("acked").tolist()):
@@ -362,8 +501,6 @@ class RegistryLog:
                     self.cursors[sub_id] = max(
                         self.cursors.get(sub_id, 0), sequence
                     )
-        else:
-            doc = json.loads(payload.decode("utf-8"))
         if "add" in doc:
             raise DurabilityError(
                 "subscriptions as JSON rows (an older layout); this "
@@ -473,9 +610,6 @@ class RegistryLog:
 #: small registry is not rewritten every few acks.
 _FOLD_FLOOR_BYTES = 64 * 1024
 
-#: The subscription kinds, by their code in the ``kind`` column.
-KINDS = ("filter", "stsparql", "fwi")
-
 #: The number of danger classes (``repro.serve.subscribe.
 #: DANGER_CLASSES``): a ``min_class`` is below it.
 _CLASSES = 5
@@ -502,8 +636,10 @@ _RANGE_BYTES = 16
 #: (table, column) of the coded columns: codes into a list of texts.
 _CODED = (("names", "municipality"), ("queries", "query"))
 
-#: A binary registry-log record starts with these bytes (a JSON record
-#: starts with ``{``).
+#: A registry-log add starts with these bytes, then one packed block
+#: (a JSON record starts with ``{``).
+_PACKED = b"\x00RGZ"
+#: An add as earlier versions wrote it: the same body, not packed.
 _MAGIC = b"\x00RGF"
 
 
@@ -605,12 +741,15 @@ class SubscriptionRows:
         head: Optional[Dict[str, Any]] = None,
         acked: Optional[np.ndarray] = None,
     ) -> bytes:
-        """One registry-log record: ``_MAGIC``, the byte length of a
-        compact JSON head, the head, then the column blocks and the ids.
+        """One registry-log record: :data:`_PACKED`, then one packed
+        block (:func:`~repro.durable.codec.pack_block`) of the body —
+        the byte length of a compact JSON head, the head, then the
+        column blocks and the ids.
 
-        The head holds the row count, the id width, the municipality
-        names, the query texts, ``head``'s own keys (the subjects a
-        registration primed) and how each column is written.  A column
+        The head holds the row count, the id width
+        (:func:`_encode_ids`), the municipality names, the query texts,
+        ``head``'s own keys (the subjects a registration primed) and
+        how each column is written.  A column
         at its default on every row is not written; one equal on every
         row otherwise is its value, once, in ``"shared"``.  Any other
         is a block (``"blocks"``) of every row, or, when listing them
@@ -618,18 +757,35 @@ class SubscriptionRows:
         ranges of rows where it is not its default that ``"ranges"``
         names — so a column that few rows set (``kind``, ``min_class``
         and ``query`` beside thousands of filters) costs only those
-        rows.  Blocks follow in
-        :data:`_COLUMNS` order — with ``acked``, each row's
-        acknowledged cursor (0 for none), as the last — then the ids,
-        UTF-8 and NUL-padded to the widest.
+        rows.  Boxes are written as ``minx, miny, width, height``
+        (``"extents"`` in the head) when adding each width and height
+        back gives every fenced row's ``maxx, maxy`` bit for bit: a
+        workload's fences mostly share a size, which deflates where
+        their far corners do not.  Blocks follow in :data:`_COLUMNS`
+        order — with ``acked``, each row's acknowledged cursor (0 for
+        none), as the last — then the ids as :func:`_encode_ids` writes
+        them.  The packed bytes are a function of the rows: the level
+        and the layout are constants.
         """
+        doc: Dict[str, Any] = dict(head or {})
+        boxes = self.boxes
+        extents = np.concatenate(
+            [boxes[:, :2], boxes[:, 2:] - boxes[:, :2]], axis=1
+        )
+        fenced = ~np.isnan(boxes).any(axis=1)
+        if np.array_equal(
+            (extents[fenced, :2] + extents[fenced, 2:]).view(np.uint64),
+            boxes[fenced, 2:].view(np.uint64),
+        ):
+            boxes = extents
+            doc["extents"] = True
         columns = [
-            (name, dtype, getattr(self, name), default)
+            (name, dtype, boxes if name == "boxes" else getattr(self, name),
+             default)
             for name, dtype, _, default in _COLUMNS
         ]
         if acked is not None:
             columns.append(("acked", "<i8", acked, 0))
-        doc: Dict[str, Any] = dict(head or {})
         width, ids = _encode_ids(self.ids)
         doc.update(
             rows=len(self), id_width=width, names=self.names,
@@ -658,67 +814,103 @@ class SubscriptionRows:
         if ranges:
             doc["ranges"] = ranges
         header = _compact(doc)
-        return b"".join(
-            [_MAGIC, struct.pack("<I", len(header)), header] + data + [ids]
+        return _PACKED + pack_block(
+            b"".join([struct.pack("<I", len(header)), header] + data + [ids])
         )
 
     @classmethod
     def decode(
         cls, payload: bytes
     ) -> Tuple[Dict[str, Any], "SubscriptionRows"]:
-        """``(head, rows)`` of an :meth:`encode` record — the head with
-        the ``"acked"`` column (zeros when the record carries no
-        cursors); ValueError when the record is malformed.  A column the
-        record does not name holds its default, so a block of filters
-        written before the ``kind``, ``min_class`` and ``query`` columns
-        existed reads as filters."""
-        try:
-            (size,) = struct.unpack_from("<I", payload, len(_MAGIC))
-            offset = len(_MAGIC) + 4
-            head = json.loads(payload[offset : offset + size])
-            offset += size
-            n, width = int(head.pop("rows")), int(head.pop("id_width"))
-            names = [str(name) for name in head.pop("names")]
-            queries = [str(text) for text in head.pop("queries", ())]
-            shared = head.pop("shared")
-            blocks = head.pop("blocks")
-            ranges = head.pop("ranges", {})
-            columns = {}
-            for name, dtype, per_row, default in _COLUMNS + _ACKED:
-                shape = (n, per_row) if per_row > 1 else (n,)
-                fill = shared.get(name, default)
-                column = np.full(
-                    shape, np.nan if fill is None else fill, dtype=dtype
+        """``(head, rows)`` of an :meth:`encode` record, or of an
+        unpacked :data:`_MAGIC` one — the head with the ``"acked"``
+        column (zeros when the record carries no cursors);
+        :class:`~repro.errors.DurabilityError` when the record is
+        malformed.  A column the record does not name holds its
+        default, so a block of filters written before the ``kind``,
+        ``min_class`` and ``query`` columns existed reads as
+        filters."""
+        if payload.startswith(_PACKED):
+            body, end = unpack_block(
+                payload, len(_PACKED), "subscription block"
+            )
+            if end != len(payload):
+                raise DurabilityError(
+                    f"{len(payload) - end} trailing byte(s) after "
+                    "subscription block"
                 )
-                if name in blocks:
-                    spans = ranges.get(name, [[0, n]])
-                    at = np.concatenate(
-                        [np.arange(a, b, dtype=np.intp) for a, b in spans]
-                        + [np.empty(0, dtype=np.intp)]
-                    )
-                    block = np.frombuffer(
-                        payload,
-                        dtype=dtype,
-                        count=len(at) * per_row,
-                        offset=offset,
-                    )
-                    offset += block.nbytes
-                    column[at] = block.reshape((len(at),) + shape[1:])
-                columns[name] = column
-            ids = payload[offset : offset + n * width]
-            offset += n * width
-        except (struct.error, KeyError, TypeError, IndexError) as error:
-            raise ValueError(
+        elif payload.startswith(_MAGIC):
+            body = payload[len(_MAGIC) :]
+        else:
+            raise DurabilityError("record is not a subscription block")
+        try:
+            head, rows = cls._decode_body(body)
+            rows._check()
+        except (
+            struct.error, KeyError, TypeError, IndexError, ValueError
+        ) as error:
+            raise DurabilityError(
                 f"malformed subscription block: {error!r}"
             ) from error
-        if offset != len(payload) or len(ids) != n * width:
+        return head, rows
+
+    @classmethod
+    def _decode_body(
+        cls, body: bytes
+    ) -> Tuple[Dict[str, Any], "SubscriptionRows"]:
+        (size,) = struct.unpack_from("<I", body, 0)
+        offset = 4
+        head = json.loads(body[offset : offset + size].decode("utf-8"))
+        offset += size
+        n, width = int(head.pop("rows")), int(head.pop("id_width"))
+        size = abs(width)
+        # Unique ids of ``size`` bytes each bound the row count before
+        # anything is allocated for the rows.
+        if not 0 <= n <= len(body) or n * size > len(body):
+            raise ValueError(f"{n} rows of {size}-byte ids")
+        names = [str(name) for name in head.pop("names")]
+        queries = [str(text) for text in head.pop("queries", ())]
+        shared = head.pop("shared")
+        blocks = head.pop("blocks")
+        ranges = head.pop("ranges", {})
+        extents = head.pop("extents", False)
+        columns = {}
+        for name, dtype, per_row, default in _COLUMNS + _ACKED:
+            shape = (n, per_row) if per_row > 1 else (n,)
+            fill = shared.get(name, default)
+            column = np.full(
+                shape, np.nan if fill is None else fill, dtype=dtype
+            )
+            if name in blocks:
+                spans = ranges.get(name, [[0, n]])
+                if not all(0 <= a <= b <= n for a, b in spans) or (
+                    sum(b - a for a, b in spans) > n
+                ):
+                    raise ValueError(f"{name} rows outside [0, {n})")
+                at = np.concatenate(
+                    [np.arange(a, b, dtype=np.intp) for a, b in spans]
+                    + [np.empty(0, dtype=np.intp)]
+                )
+                block = np.frombuffer(
+                    body,
+                    dtype=dtype,
+                    count=len(at) * per_row,
+                    offset=offset,
+                )
+                offset += block.nbytes
+                column[at] = block.reshape((len(at),) + shape[1:])
+            columns[name] = column
+        if extents:
+            columns["boxes"][:, 2:] += columns["boxes"][:, :2]
+        ids = body[offset : offset + n * size]
+        offset += n * size
+        if offset != len(body):
             raise ValueError(
-                f"subscription block of {n} rows is {len(payload)} bytes, "
+                f"subscription block of {n} rows is {len(body)} bytes, "
                 f"expected {offset}"
             )
         head["acked"] = columns.pop("acked")
         rows = cls(_decode_ids(ids, n, width), names, queries, **columns)
-        rows._check()
         return head, rows
 
     def _check(self) -> None:
@@ -767,27 +959,51 @@ def _runs(mask: np.ndarray) -> List[List[int]]:
 
 
 def _encode_ids(ids: List[str]) -> Tuple[int, bytes]:
-    """``(width, block)``: the ids UTF-8 encoded and NUL-padded to the
-    widest."""
+    """``(width, block)`` of ``ids``.  Ids of one even length, all
+    lowercase hex digits (the engine mints 12 of them), are written as
+    the bytes they spell, and ``width`` is minus the bytes per id;
+    otherwise ``width`` is the bytes of the widest id's UTF-8 and the
+    block holds each id's UTF-8, NUL-padded to it (an id holds no
+    NUL)."""
     text = "".join(ids)
     widths = set(map(len, ids))
     if len(widths) == 1 and text.isascii():
-        return widths.pop(), text.encode("ascii")
+        width = widths.pop()
+        spelt = None if width % 2 else _unhex(text)
+        if spelt:
+            return -(width // 2), spelt
+        return width, text.encode("ascii")
     raw = [sub_id.encode("utf-8") for sub_id in ids]
     width = max(map(len, raw), default=0)
     return width, b"".join(sub_id.ljust(width, b"\0") for sub_id in raw)
 
 
+def _unhex(text: str) -> Optional[bytes]:
+    """The bytes ``text`` spells in lowercase hex digits, else None."""
+    try:
+        spelt = bytes.fromhex(text)
+    except ValueError:
+        return None
+    # fromhex also takes capitals and spaces, which this would lose.
+    return spelt if spelt.hex() == text else None
+
+
 def _decode_ids(block: bytes, count: int, width: int) -> List[str]:
-    if not width:
+    """Inverse of :func:`_encode_ids`: ``block`` holds ``count`` ids of
+    ``abs(width)`` bytes each."""
+    if width < 0:
+        text = block.hex()
+        width *= -2
+    elif not width:
         return [""] * count
-    if block.isascii() and b"\0" not in block:
+    elif block.isascii() and b"\0" not in block:
         text = block.decode("ascii")
-        return [text[i : i + width] for i in range(0, count * width, width)]
-    return [
-        block[i : i + width].rstrip(b"\0").decode("utf-8")
-        for i in range(0, count * width, width)
-    ]
+    else:
+        return [
+            block[i : i + width].rstrip(b"\0").decode("utf-8")
+            for i in range(0, count * width, width)
+        ]
+    return [text[i : i + width] for i in range(0, count * width, width)]
 
 
 def _json_value(value: np.ndarray) -> Any:

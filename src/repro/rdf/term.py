@@ -150,6 +150,24 @@ class Literal(Term):
         object.__setattr__(self, "language", language)
         object.__setattr__(self, "_value", _UNSET)
 
+    @classmethod
+    def from_str(
+        cls,
+        lexical: str,
+        datatype: Optional[str] = None,
+        language: Optional[str] = None,
+    ) -> "Literal":
+        """``Literal(lexical, datatype, language)`` for a str lexical
+        form and a str datatype or language tag (not both), built
+        without ``__init__``'s conversions: the durable decoder reads
+        every literal it decodes through here."""
+        term = _new(cls)
+        _set_lexical(term, lexical)
+        _set_datatype(term, datatype)
+        _set_language(term, language)
+        _set_value(term, _UNSET)
+        return term
+
     def __setattr__(self, name: str, val: object) -> None:
         raise AttributeError("Literal is immutable")
 
@@ -190,6 +208,14 @@ class Literal(Term):
         if self.datatype:
             return f"{base}^^<{self.datatype}>"
         return base
+
+
+_new = object.__new__
+# The slot setters, which skip the immutability guard of __setattr__.
+_set_lexical = Literal.lexical.__set__
+_set_datatype = Literal.datatype.__set__
+_set_language = Literal.language.__set__
+_set_value = Literal._value.__set__
 
 
 class Variable(Term):

@@ -23,10 +23,12 @@ from repro.durable import (
     crashpoints,
     cursors,
 )
+from repro.durable.codec import unpack_block
 from repro.durable.cursors import SubscriptionRows
 from repro.errors import DurabilityError
 from repro.serve.subscribe import SubscriptionEngine, SubscriptionError
 
+from tests.durable import subs_v1_format
 from tests.serve.subscription_oracle import rows_of
 
 
@@ -169,16 +171,22 @@ class TestRegistryLog:
         head, rows = SubscriptionRows.decode(record.payload)
         assert "add" not in head
         assert rows.ids == [doc["id"] for doc in docs]
-        # A column equal on every row is written once, in the head; any
-        # other only on the row ranges where it is not its default: the
-        # boxes (4 float64) of the filters, the kind and min_class
+        # The record is one packed block.  Inside it a column equal on
+        # every row is written once, in the head; any other only on the
+        # row ranges where it is not its default: the boxes (4 float64,
+        # as corner and size) of the filters, the kind and min_class
         # (int8) of the fwi rows, then every id (3 bytes).
-        (head_size,) = struct.unpack_from("<I", record.payload, 4)
-        assert json.loads(record.payload[8 : 8 + head_size])["ranges"] == {
+        assert record.payload[:4] == cursors._PACKED
+        body, end = unpack_block(record.payload, 4, "add")
+        assert end == len(record.payload)
+        (head_size,) = struct.unpack_from("<I", body, 0)
+        written = json.loads(body[4 : 4 + head_size])
+        assert written["ranges"] == {
             "boxes": [[0, 40]], "kind": [[40, 50]], "min_class": [[40, 50]],
         }
-        assert len(record.payload) == (
-            8 + head_size + 40 * 32 + 10 * (1 + 1) + 50 * 3
+        assert written["extents"] is True
+        assert len(body) == (
+            4 + head_size + 40 * 32 + 10 * (1 + 1) + 50 * 3
         )
         log = RegistryLog(path)
         again = log.rows
@@ -203,9 +211,9 @@ class TestRegistryLog:
             )
         )
         log.close()
-        # A crash inside the second add's column blocks.
+        # A crash halfway through the second add.
         with open(path, "r+b") as fh:
-            fh.truncate(kept + 2000)
+            fh.truncate((kept + os.path.getsize(path)) // 2)
         log = RegistryLog(path)
         assert log.rows.ids == ["a"]
         assert os.path.getsize(path) == kept
@@ -263,20 +271,11 @@ class TestRegistryLog:
             {"id": "a", "kind": "filter", "bbox": [1, 2, 3, 4]},
             {"id": "b", "kind": "filter", "min_confidence": 0.5},
         )
-        payload = rows.encode()
-        (size,) = struct.unpack_from("<I", payload, 4)
-        head = json.loads(payload[8 : 8 + size])
-        assert not {"kind", "min_class", "query"} & (
-            set(head["shared"]) | set(head["blocks"])
-        )
-        del head["queries"]
-        header = json.dumps(head, separators=(",", ":")).encode()
         with WriteAheadLog(path) as wal:
             wal.append(
-                payload[:4]
-                + struct.pack("<I", len(header))
-                + header
-                + payload[8 + size :]
+                subs_v1_format.add_payload(
+                    rows, columns=subs_v1_format.COLUMNS[:5]
+                )
             )
         log = RegistryLog(path)
         assert log.rows.ids == ["a", "b"]

@@ -6,7 +6,10 @@ crisis-shaped geography and federated sources — and must leave
 byte-identical ``graph.ckpt`` and ``wal.log`` files.  Term ids follow
 add order, so any insert order that depended on set iteration (the
 R-tree candidates of the Municipalities refinement, say) would show up
-here as different ids, and so different bytes.
+here as different ids, and so different bytes.  The same holds for the
+subscriber logs: two processes running one subscriber stream
+(:mod:`tests.durable.subscriber_stream`, subscription ids fixed) must
+leave byte-identical ``notifications.log`` and ``registry.log``.
 """
 
 from __future__ import annotations
@@ -49,17 +52,35 @@ service.close()
 """
 
 
-def test_two_processes_write_identical_durable_bytes(tmp_path):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+_SUBSCRIBER_CHILD = """
+import sys
+
+from tests.durable.subscriber_stream import write_state
+
+write_state(sys.argv[1])
+"""
+
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+#: The repository root, for the child's ``tests`` imports.
+_ROOT = os.path.dirname(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+)
+
+
+def _run_twice(tmp_path, script, names):
+    """Run ``script`` in two processes with different hash seeds; the
+    bytes of ``names`` (paths under each one's state dir) they left."""
+    path = os.pathsep.join([_SRC, _ROOT])
     children = []
     for hash_seed in ("1", "2"):
         state_dir = str(tmp_path / f"state-{hash_seed}")
-        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed)
         children.append(
             (
                 state_dir,
                 subprocess.Popen(
-                    [sys.executable, "-c", _CHILD, state_dir],
+                    [sys.executable, "-c", script, state_dir],
                     env=env,
                     stdout=subprocess.PIPE,
                     stderr=subprocess.STDOUT,
@@ -70,15 +91,28 @@ def test_two_processes_write_identical_durable_bytes(tmp_path):
     for state_dir, child in children:
         output, _ = child.communicate(timeout=120)
         assert child.returncode == 0, output.decode(errors="replace")
-        durable = os.path.join(state_dir, "durable")
         files.append(
             {
-                name: open(os.path.join(durable, name), "rb").read()
-                for name in ("graph.ckpt", "wal.log")
+                name: open(os.path.join(state_dir, name), "rb").read()
+                for name in names
             }
         )
-    first, second = files
+    return files
+
+
+def test_two_processes_write_identical_durable_bytes(tmp_path):
+    checkpoint, wal = "durable/graph.ckpt", "durable/wal.log"
+    first, second = _run_twice(tmp_path, _CHILD, [checkpoint, wal])
     # The stream leaves one record past the last checkpoint.
-    assert len(first["wal.log"]) > 100
-    assert first["graph.ckpt"] == second["graph.ckpt"]
-    assert first["wal.log"] == second["wal.log"]
+    assert len(first[wal]) > 100
+    assert first[checkpoint] == second[checkpoint]
+    assert first[wal] == second[wal]
+
+
+def test_two_processes_write_identical_subscriber_bytes(tmp_path):
+    first, second = _run_twice(
+        tmp_path, _SUBSCRIBER_CHILD, ["notifications.log", "registry.log"]
+    )
+    assert len(first["notifications.log"]) > 1000
+    assert len(first["registry.log"]) > 1000
+    assert first == second

@@ -103,6 +103,29 @@ class TestLiteral:
     def test_equality_depends_on_datatype(self):
         assert Literal("1") != Literal("1", datatype=XSD.base + "integer")
 
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            ("fire",),
+            ("", None, None),
+            ("3.5", XSD.base + "double"),
+            ("POINT (23.1 38.2)", STRDF.base + "WKT"),
+            ("Αθήνα", None, "el"),
+        ],
+    )
+    def test_from_str_equals_the_constructor(self, parts):
+        lexical, datatype, language = (parts + (None, None))[:3]
+        built = Literal(lexical, datatype=datatype, language=language)
+        decoded = Literal.from_str(*parts)
+        assert decoded == built and hash(decoded) == hash(built)
+        assert (decoded.lexical, decoded.datatype, decoded.language) == (
+            built.lexical, built.datatype, built.language,
+        )
+        assert decoded.value == built.value
+        assert decoded.n3() == built.n3()
+        with pytest.raises(AttributeError):
+            decoded.lexical = "other"
+
 
 class TestVariable:
     def test_strips_question_mark(self):

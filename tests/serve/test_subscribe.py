@@ -9,7 +9,8 @@ import random
 import pytest
 
 from repro.durable import WriteAheadLog
-from repro.durable.cursors import SubscriptionRows
+from repro.durable.codec import unpack_block
+from repro.durable.cursors import NotificationBatch, SubscriptionRows
 from repro.errors import DurabilityError
 from repro.geometry import Envelope, RTree
 from repro.rdf.inference import RDFSInference
@@ -1059,12 +1060,13 @@ class TestDurableState:
             os.path.join(state_dir, "notifications.log")
         ) as log:
             (record,) = log.replayed
-        doc = json.loads(record.payload)
-        assert [s for s, _ in doc["subjects"]] == [subject]
-        assert sorted(sub for sub, _, _ in doc["refs"]) == sorted(
+        batch = NotificationBatch.from_payload(record.payload)
+        assert [s for s, _ in batch.subjects] == [subject]
+        assert sorted(sub for sub, _, _ in batch.refs) == sorted(
             s.id for s in subs
         )
-        assert record.payload.count(b'"lon"') == 1
+        raw, _ = unpack_block(record.payload, 4, "batch")
+        assert raw.count(b'"lon"') == 1
 
     def test_registration_costs_its_own_bytes_not_the_registry(
         self, tmp_path
